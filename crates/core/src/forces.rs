@@ -157,9 +157,8 @@ impl TreePm {
                 let hi = lo + group.count as usize;
                 scr.targets.load_positions(&tree.pos()[lo..hi]);
                 scr.sources.clear();
-                for s in &scr.list {
-                    scr.sources.push(s.pos, s.mass);
-                }
+                scr.sources
+                    .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
                 pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
                 force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 

@@ -389,9 +389,8 @@ impl ResidentPp {
                     scr.targets
                         .load_from_slices(&x[lo..hi], &y[lo..hi], &z[lo..hi]);
                     scr.sources.clear();
-                    for s in &scr.list {
-                        scr.sources.push(s.pos, s.mass);
-                    }
+                    scr.sources
+                        .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
                     pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
                     force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     for i in 0..(hi - lo) {
@@ -545,9 +544,8 @@ impl ResidentPp {
                 &self.sort_z[lo..hi],
             );
             scr.sources.clear();
-            for s in &scr.list {
-                scr.sources.push(s.pos, s.mass);
-            }
+            scr.sources
+                .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
             pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
             times.force += t1.elapsed().as_secs_f64();
             for (k, &r) in self.slot_row[lo..hi].iter().enumerate() {

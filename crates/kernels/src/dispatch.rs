@@ -6,15 +6,16 @@
 //! choice once and caches it:
 //!
 //! 1. the `GREEM_PP_KERNEL` environment variable, if set, forces a
-//!    variant: `scalar`, `portable`, or `avx2` (aliases `simd`,
-//!    `native`); `auto` means "as if unset". Forcing a variant the
-//!    host cannot run falls back to the portable kernel with a warning
-//!    on stderr;
+//!    variant: `scalar`, `portable`, `avx2` or `avx512`; `auto`,
+//!    `native` and `simd` mean "as if unset" (the best available).
+//!    Forcing a variant the host cannot run falls back to the portable
+//!    kernel with a warning on stderr;
 //! 2. the `portable-only` cargo feature compiles the intrinsics module
-//!    out entirely — the dispatcher then never selects it (a
+//!    out entirely — the dispatcher then never selects either width (a
 //!    compile-time guarantee for the CI fallback leg);
-//! 3. otherwise, the best kernel the CPU supports: AVX2+FMA when
-//!    detected on `x86_64`, else the portable blocked kernel.
+//! 3. otherwise, the best kernel the CPU supports: AVX-512 when
+//!    `avx512f` is detected on `x86_64`, else AVX2+FMA, else the
+//!    portable blocked kernel.
 //!
 //! Benchmarks and tests that want a *specific* kernel regardless of the
 //! cached choice call [`pp_accel_variant`] directly; the dispatch tests
@@ -38,6 +39,8 @@ pub enum KernelVariant {
     Portable,
     /// Explicit AVX2+FMA intrinsics kernel (`x86_64` only).
     Avx2,
+    /// The same pipeline at 512 bits (`x86_64` with `avx512f` only).
+    Avx512,
 }
 
 impl KernelVariant {
@@ -47,6 +50,7 @@ impl KernelVariant {
             KernelVariant::Scalar => "scalar",
             KernelVariant::Portable => "portable",
             KernelVariant::Avx2 => "avx2",
+            KernelVariant::Avx512 => "avx512",
         }
     }
 
@@ -54,7 +58,8 @@ impl KernelVariant {
     pub fn is_available(self) -> bool {
         match self {
             KernelVariant::Scalar | KernelVariant::Portable => true,
-            KernelVariant::Avx2 => avx2_available(),
+            KernelVariant::Avx2 => x86_detected(false),
+            KernelVariant::Avx512 => x86_detected(true),
         }
     }
 
@@ -66,30 +71,34 @@ impl KernelVariant {
         match self {
             KernelVariant::Scalar => 1,
             KernelVariant::Portable => 4, // phantom.rs LANES
-            KernelVariant::Avx2 => 16,    // x86.rs BLOCK = I_VECS·W
+            KernelVariant::Avx2 => 8,     // x86.rs Avx2: MAX_VECS·W = 2·4
+            KernelVariant::Avx512 => 32,  // x86.rs Avx512: MAX_VECS·W = 4·8
         }
     }
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(all(target_arch = "x86_64", not(feature = "portable-only"))))]
-fn avx2_available() -> bool {
-    false
+/// Are the intrinsics compiled in and the features of the 512-bit
+/// (`wide`) or 256-bit x86 kernel present on this CPU?
+fn x86_detected(wide: bool) -> bool {
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    return if wide {
+        std::arch::is_x86_feature_detected!("avx512f")
+    } else {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    };
+    #[cfg(not(all(target_arch = "x86_64", not(feature = "portable-only"))))]
+    return {
+        let _ = wide;
+        false
+    };
 }
 
 /// Every variant the current host/build can actually run, fastest
 /// first. Benchmarks iterate this to report side-by-side rates.
 pub fn available_variants() -> Vec<KernelVariant> {
-    let mut v = Vec::new();
-    if KernelVariant::Avx2.is_available() {
-        v.push(KernelVariant::Avx2);
-    }
-    v.push(KernelVariant::Portable);
-    v.push(KernelVariant::Scalar);
+    use KernelVariant::*;
+    let mut v = vec![Avx512, Avx2, Portable, Scalar];
+    v.retain(|k| k.is_available());
     v
 }
 
@@ -108,21 +117,25 @@ pub fn pp_accel_variant(
     match variant {
         KernelVariant::Scalar => pp_accel_scalar(targets, sources, split),
         KernelVariant::Portable => pp_accel_phantom(targets, sources, split),
-        KernelVariant::Avx2 => {
+        KernelVariant::Avx2 | KernelVariant::Avx512 => {
+            assert!(
+                variant.is_available(),
+                "{} kernel requested on a host or build without it",
+                variant.name()
+            );
             #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-            {
-                assert!(
-                    avx2_available(),
-                    "avx2 kernel requested on a host without AVX2+FMA"
-                );
-                // SAFETY: avx2 and fma support was just verified above,
-                // which is the only precondition of `pp_accel_avx2`.
-                unsafe { crate::x86::pp_accel_avx2(targets, sources, split) }
+            // SAFETY: `is_available` just verified `avx2` + `fma`
+            // (Avx2) or `avx512f` (Avx512) on this CPU, the only
+            // precondition of the matching kernel.
+            unsafe {
+                if variant == KernelVariant::Avx512 {
+                    crate::x86::pp_accel_avx512(targets, sources, split)
+                } else {
+                    crate::x86::pp_accel_avx2(targets, sources, split)
+                }
             }
             #[cfg(not(all(target_arch = "x86_64", not(feature = "portable-only"))))]
-            {
-                panic!("avx2 kernel is not compiled into this build");
-            }
+            unreachable!("no x86 variant is available in this build")
         }
     }
 }
@@ -131,21 +144,19 @@ pub fn pp_accel_variant(
 /// tests can drive it with explicit inputs. `forced` is the value of
 /// `GREEM_PP_KERNEL` (if any).
 fn select(forced: Option<&str>) -> KernelVariant {
-    let auto = if avx2_available() {
-        KernelVariant::Avx2
-    } else {
-        KernelVariant::Portable
-    };
+    // Fastest first, and the portable kernel is always in the list.
+    let auto = available_variants()[0];
     let Some(forced) = forced else { return auto };
     let requested = match forced.to_ascii_lowercase().as_str() {
-        "" | "auto" => return auto,
+        "" | "auto" | "native" | "simd" => return auto,
         "scalar" => KernelVariant::Scalar,
         "portable" => KernelVariant::Portable,
-        "avx2" | "simd" | "native" => KernelVariant::Avx2,
+        "avx2" => KernelVariant::Avx2,
+        "avx512" => KernelVariant::Avx512,
         other => {
             eprintln!(
                 "greem-kernels: unknown GREEM_PP_KERNEL='{other}' \
-                 (want auto|scalar|portable|avx2); using '{}'",
+                 (want auto|scalar|portable|avx2|avx512); using '{}'",
                 auto.name()
             );
             return auto;
@@ -185,13 +196,17 @@ mod tests {
     use super::*;
     use greem_math::testutil::rand_positions_scaled;
 
+    /// Every variant, fastest first.
+    const ALL: [KernelVariant; 4] = [
+        KernelVariant::Avx512,
+        KernelVariant::Avx2,
+        KernelVariant::Portable,
+        KernelVariant::Scalar,
+    ];
+
     #[test]
     fn names_roundtrip_through_forcing() {
-        for v in [
-            KernelVariant::Scalar,
-            KernelVariant::Portable,
-            KernelVariant::Avx2,
-        ] {
+        for v in ALL {
             let picked = select(Some(v.name()));
             if v.is_available() {
                 assert_eq!(picked, v, "forcing '{}' must stick", v.name());
@@ -202,27 +217,43 @@ mod tests {
     }
 
     #[test]
-    fn auto_and_unknown_pick_the_native_best() {
+    fn auto_native_and_unknown_pick_the_best_available() {
         let auto = select(None);
-        assert_eq!(select(Some("auto")), auto);
-        assert_eq!(select(Some("")), auto);
-        assert_eq!(select(Some("hpc-ace")), auto);
-        assert!(auto.is_available());
-        if KernelVariant::Avx2.is_available() {
-            assert_eq!(auto, KernelVariant::Avx2);
-        } else {
-            assert_eq!(auto, KernelVariant::Portable);
+        for alias in ["auto", "", "native", "simd", "SIMD", "hpc-ace"] {
+            assert_eq!(select(Some(alias)), auto, "'{alias}'");
         }
+        let want = if KernelVariant::Avx512.is_available() {
+            KernelVariant::Avx512
+        } else if KernelVariant::Avx2.is_available() {
+            KernelVariant::Avx2
+        } else {
+            KernelVariant::Portable
+        };
+        assert_eq!(auto, want);
     }
 
     #[test]
-    fn portable_and_scalar_are_always_available() {
+    fn avx2_can_still_be_forced_on_an_avx512_host() {
+        if !KernelVariant::Avx512.is_available() {
+            eprintln!("skipping: no AVX-512 on this host/build");
+            return;
+        }
+        // avx512f hosts all have avx2 + fma.
+        assert_eq!(select(Some("avx2")), KernelVariant::Avx2);
+        assert_eq!(select(Some("avx512")), KernelVariant::Avx512);
+    }
+
+    #[test]
+    fn available_variants_are_runnable_and_fastest_first() {
         let avail = available_variants();
-        assert!(avail.contains(&KernelVariant::Portable));
-        assert!(avail.contains(&KernelVariant::Scalar));
         assert!(avail.iter().all(|v| v.is_available()));
+        // A subsequence of the full fastest-first order, ending in the
+        // two variants every host has.
+        let mut all = ALL.iter();
+        assert!(avail.iter().all(|v| all.any(|a| a == v)), "{avail:?}");
+        assert!(avail.ends_with(&[KernelVariant::Portable, KernelVariant::Scalar]));
         #[cfg(feature = "portable-only")]
-        assert!(!avail.contains(&KernelVariant::Avx2));
+        assert_eq!(avail.len(), 2, "intrinsics compiled out: {avail:?}");
     }
 
     #[test]

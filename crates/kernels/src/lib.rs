@@ -22,20 +22,25 @@
 //!   approximate-rsqrt pipeline, written fully branchless so LLVM's
 //!   auto-vectoriser sees straight-line FMA-friendly lanes; the
 //!   guaranteed fallback on every host,
-//! * [`x86`] — the explicit AVX2+FMA intrinsics kernel: a hardware
-//!   `vrsqrtps` seed standing in for the paper's `frsqrta`, vector
-//!   compare/AND cutoff masks, and a 4×W register block with the
-//!   j-loop unrolled ×2 (the paper's 16-interactions-per-iteration
-//!   shape),
+//! * [`x86`] — the explicit-intrinsics kernel, one interaction body
+//!   instantiated at the register file's width: AVX2+FMA (4 lanes × 2
+//!   target vectors in 16 ymm, `vrsqrtps` seed standing in for the
+//!   paper's `frsqrta`, compare/AND masks) and AVX-512 (8 lanes × 4
+//!   target vectors in 32 zmm, `vrsqrt14pd` seed in f64, `k`-register
+//!   masks); remainder blocks run only as many vectors as they have
+//!   live targets, under masked loads and stores,
 //! * [`dispatch`] — CPU-feature detection resolved once per process
 //!   ([`pp_accel_dispatch`]); force a variant with the
-//!   `GREEM_PP_KERNEL` env var (`scalar`/`portable`/`avx2`) or compile
-//!   the intrinsics out with the `portable-only` cargo feature,
+//!   `GREEM_PP_KERNEL` env var (`scalar`/`portable`/`avx2`/`avx512`)
+//!   or compile the intrinsics out with the `portable-only` cargo
+//!   feature,
 //! * [`newton`] — the same structure without the cutoff (pure tree /
 //!   direct-summation baselines),
 //! * [`benchmark`] — the O(N²) kernel benchmark of §II-A, reporting
 //!   every available variant's interactions/s and the paper's
-//!   51-flops/interaction flop rate side by side.
+//!   51-flops/interaction flop rate side by side, and for the
+//!   explicit-SIMD variants the bound their counted FMA/non-FMA mix
+//!   sets and the measured fraction of it.
 
 pub mod benchmark;
 pub mod dispatch;
@@ -46,7 +51,9 @@ pub mod sources;
 pub mod testutil;
 pub mod x86;
 
-pub use benchmark::{bytes_per_interaction, kernel_benchmark, KernelBenchReport, VariantBench};
+pub use benchmark::{
+    bytes_per_interaction, kernel_benchmark, KernelBenchReport, OpMix, VariantBench,
+};
 pub use dispatch::{
     available_variants, pp_accel_dispatch, pp_accel_variant, selected_variant, KernelVariant,
 };

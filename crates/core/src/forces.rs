@@ -12,34 +12,43 @@ use std::time::Instant;
 use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
 use greem_math::{Aabb, Vec3};
 use greem_pm::{IsolatedPmSolver, PmPipeline, PmResult, PmSolver};
-use greem_tree::{GroupWalk, Octree, SourceEntry, WalkStats};
+use greem_tree::{GroupWalk, Octree, SourceColumns, WalkStats};
 use rayon::prelude::*;
 
 use crate::config::{Boundary, TreePmConfig};
 
-/// Per-thread scratch reused across groups in [`TreePm::compute_pp`]:
-/// the walk's stack and interaction list plus the kernel's SoA
-/// target/source buffers. One allocation set per rayon worker instead
-/// of ~ten `Vec`s per group removes the allocator from the PP hot path
+/// Per-thread scratch cycled across groups by every PP path: the walk's
+/// stack plus the kernel's SoA target/source buffers, which the walk
+/// fills directly. One allocation set per rayon worker instead of
+/// several `Vec`s per group removes the allocator from the PP hot path
 /// (thousands of groups per step).
 #[derive(Default)]
-struct PpScratch {
-    stack: Vec<usize>,
-    list: Vec<SourceEntry>,
-    targets: Targets,
-    sources: SourceList,
+pub(crate) struct PpScratch {
+    pub stack: Vec<usize>,
+    pub targets: Targets,
+    pub sources: SourceList,
 }
 
-/// Output pointer shared across group tasks; each original particle
-/// index belongs to exactly one group, so writes are disjoint.
-struct SendPtr(*mut Vec3);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+/// The source buffer's columns, for the walk to append to.
+pub(crate) fn columns(s: &mut SourceList) -> SourceColumns<'_> {
+    SourceColumns {
+        x: &mut s.x,
+        y: &mut s.y,
+        z: &mut s.z,
+        m: &mut s.m,
+    }
+}
 
-impl SendPtr {
+/// Output pointer shared across group tasks; each output slot belongs to
+/// exactly one group, so writes are disjoint.
+pub(crate) struct SendPtr<T>(pub *mut T);
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
     /// Accessor so closures capture the `Sync` wrapper, not the raw
     /// pointer field (edition-2021 closures capture disjoint fields).
-    fn get(&self) -> *mut Vec3 {
+    pub fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -137,28 +146,26 @@ impl TreePm {
         let force_ns = AtomicU64::new(0);
 
         // One task per group, with per-thread scratch buffers (walk
-        // stack, interaction list, kernel SoA arrays) cycled across
-        // groups instead of freshly allocated for each. Results scatter
-        // straight into the output array through disjoint original
-        // indices, so the only per-group heap traffic left is list
-        // growth beyond the high-water mark.
+        // stack, kernel SoA arrays) cycled across groups instead of
+        // freshly allocated for each. Results scatter straight into the
+        // output array through disjoint original indices, so the only
+        // per-group heap traffic left is list growth beyond the
+        // high-water mark.
         let mut accel = vec![Vec3::ZERO; pos.len()];
         let out = SendPtr(accel.as_mut_ptr());
         let per_group: Vec<WalkStats> = groups
             .par_iter()
             .map_init(PpScratch::default, |scr, &group| {
                 let t = Instant::now();
-                scr.list.clear();
-                let stats = walk.list_for_group(group, &mut scr.stack, &mut scr.list);
+                scr.sources.clear();
+                let cols = columns(&mut scr.sources);
+                let stats = walk.list_columns(group, &mut scr.stack, 0.0, None, cols);
                 traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                 let t = Instant::now();
                 let lo = group.first as usize;
                 let hi = lo + group.count as usize;
                 scr.targets.load_positions(&tree.pos()[lo..hi]);
-                scr.sources.clear();
-                scr.sources
-                    .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
                 pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
                 force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 

@@ -32,40 +32,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
+use greem_kernels::pp_accel_dispatch;
 use greem_math::{min_image_vec, Aabb, Vec3};
-use greem_tree::{Group, GroupWalk, ListEntry, Multipole, SourceEntry, TreeArena, WalkStats};
+use greem_tree::{Group, GroupWalk, ListEntry, Multipole, TreeArena, WalkStats};
 use rayon::prelude::*;
 
 use crate::autotune::{autotune_enabled, NiTuner, MODELED_NODE_WEIGHT};
 use crate::config::TreePmConfig;
-use crate::forces::PpTimes;
+use crate::forces::{columns, PpScratch, PpTimes, SendPtr};
 use crate::store::{permute_vec3, ParticleStore, PermScratch};
-
-/// Per-thread scratch cycled across groups (same shape as the
-/// `TreePm::compute_pp` scratch): walk stack, interaction list, kernel
-/// SoA buffers.
-#[derive(Default)]
-struct PpScratch {
-    stack: Vec<usize>,
-    list: Vec<SourceEntry>,
-    targets: Targets,
-    sources: SourceList,
-}
-
-/// Output pointer shared across group tasks; each slot belongs to
-/// exactly one group, so writes are disjoint.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor so closures capture the `Sync` wrapper, not the raw
-    /// pointer field.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
 
 /// The recorded interaction lists of one PP pass, plus everything the
 /// replay-validity check needs.
@@ -257,20 +232,8 @@ impl ResidentPp {
             .enumerate()
             .map_init(PpScratch::default, |scr, (gi, &group)| {
                 let t = Instant::now();
-                // Materialise the cached list straight into the
-                // kernel's source columns — no SourceEntry detour, and
-                // particle ranges stream as branchless column extends.
                 scr.sources.clear();
-                let s = &mut scr.sources;
-                let stats = walk.replay_list_columns(
-                    (x, y, z, m),
-                    group,
-                    &lists[gi],
-                    &mut s.x,
-                    &mut s.y,
-                    &mut s.z,
-                    &mut s.m,
-                );
+                let stats = walk.replay_columns(group, &lists[gi], columns(&mut scr.sources));
                 traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                 let t = Instant::now();
@@ -366,21 +329,12 @@ impl ResidentPp {
                 .enumerate()
                 .map_init(PpScratch::default, |scr, (gi, &group)| {
                     let t = Instant::now();
-                    scr.list.clear();
-                    let stats = if record {
-                        // SAFETY: each group index occurs exactly once,
-                        // so tasks write disjoint list slots.
-                        let rec = unsafe { &mut *rec_ptr.get().add(gi) };
-                        walk.list_for_group_recording(
-                            group,
-                            &mut scr.stack,
-                            &mut scr.list,
-                            margin,
-                            rec,
-                        )
-                    } else {
-                        walk.list_for_group(group, &mut scr.stack, &mut scr.list)
-                    };
+                    // SAFETY: each group index occurs exactly once, so
+                    // tasks write disjoint list slots.
+                    let rec = record.then(|| unsafe { &mut *rec_ptr.get().add(gi) });
+                    scr.sources.clear();
+                    let cols = columns(&mut scr.sources);
+                    let stats = walk.list_columns(group, &mut scr.stack, margin, rec, cols);
                     traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                     let t = Instant::now();
@@ -388,9 +342,6 @@ impl ResidentPp {
                     let hi = lo + group.count as usize;
                     scr.targets
                         .load_from_slices(&x[lo..hi], &y[lo..hi], &z[lo..hi]);
-                    scr.sources.clear();
-                    scr.sources
-                        .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
                     pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
                     force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     for i in 0..(hi - lo) {
@@ -533,8 +484,9 @@ impl ResidentPp {
                 continue;
             }
             let t1 = Instant::now();
-            scr.list.clear();
-            let stats = walk.list_for_group(group, &mut scr.stack, &mut scr.list);
+            scr.sources.clear();
+            let cols = columns(&mut scr.sources);
+            let stats = walk.list_columns(group, &mut scr.stack, 0.0, None, cols);
             times.traversal += t1.elapsed().as_secs_f64();
 
             let t1 = Instant::now();
@@ -543,9 +495,6 @@ impl ResidentPp {
                 &self.sort_y[lo..hi],
                 &self.sort_z[lo..hi],
             );
-            scr.sources.clear();
-            scr.sources
-                .extend_from_entries(&scr.list, |s| (s.pos, s.mass));
             pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
             times.force += t1.elapsed().as_secs_f64();
             for (k, &r) in self.slot_row[lo..hi].iter().enumerate() {

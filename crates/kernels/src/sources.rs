@@ -51,19 +51,6 @@ impl SourceList {
         self.m.push(m);
     }
 
-    /// Append one source per entry, in order, reading each entry's
-    /// position and mass through `source`. Column by column — each
-    /// column grows once by exactly `entries.len()` and is then written
-    /// straight through — where a [`push`](Self::push) loop checks four
-    /// capacities per source. This is how the drivers stage a walked
-    /// interaction list for the kernel.
-    pub fn extend_from_entries<T>(&mut self, entries: &[T], source: impl Fn(&T) -> (Vec3, f64)) {
-        self.x.extend(entries.iter().map(|e| source(e).0.x));
-        self.y.extend(entries.iter().map(|e| source(e).0.y));
-        self.z.extend(entries.iter().map(|e| source(e).0.z));
-        self.m.extend(entries.iter().map(|e| source(e).1));
-    }
-
     /// Remove all sources, keeping capacity (interaction lists are
     /// workhorse buffers reused across groups).
     pub fn clear(&mut self) {
@@ -202,28 +189,6 @@ mod tests {
         assert_eq!(s.m[0], 0.5);
         s.clear();
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn extend_from_entries_is_the_push_loop() {
-        let entries: Vec<(Vec3, f64)> = (0..37)
-            .map(|i| {
-                let f = i as f64;
-                (Vec3::new(f, -0.5 * f, 1.0 / (f + 1.0)), 0.25 * f)
-            })
-            .collect();
-        let mut pushed = SourceList::default();
-        pushed.push(Vec3::ONE, 9.0); // both append to what is there
-        let mut extended = pushed.clone();
-        for &(p, m) in &entries {
-            pushed.push(p, m);
-        }
-        extended.extend_from_entries(&entries, |&(p, m)| (p, m));
-        assert_eq!(extended.len(), 38);
-        assert_eq!(extended.x, pushed.x);
-        assert_eq!(extended.y, pushed.y);
-        assert_eq!(extended.z, pushed.z);
-        assert_eq!(extended.m, pushed.m);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use aabb::Aabb;
 pub use cutoff::{g_p3m, h_p3m, h_p3m_fast, s2_density, s2_fourier, s2_self_potential, ForceSplit};
 pub use eigen::{eigen_sym3, Eigen3, Sym3};
 pub use morton::MortonKey;
-pub use periodic::{min_image, min_image_vec, wrap01, wrap_unit};
+pub use periodic::{min_image, min_image_in_box, min_image_vec, nearest_image, wrap01, wrap_unit};
 pub use rsqrt::{rsqrt, rsqrt_exact, rsqrt_refine, rsqrt_seed};
 pub use stats::{OnlineStats, PhaseTimer};
 pub use vec3::Vec3;

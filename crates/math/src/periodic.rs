@@ -8,13 +8,53 @@
 
 use crate::vec3::Vec3;
 
+// The default build targets baseline x86-64, which has no `roundsd`, so
+// `f64::floor` and `f64::round` are *calls* into libm — three per visited
+// node and three per list entry of the tree walk, before the forms below
+// replaced them. Near the unit box both functions take one of the values
+// −1, 0, 1, which two compares select exactly; everything else (far
+// images, NaN) still goes to libm, so every input keeps its old bits.
+
+/// `floor(s)` for `s ∈ [−1, 2)`, bit for bit except that `−0.0` gives
+/// `+0.0` where libm gives `−0.0`.
+#[inline(always)]
+fn floor_select(s: f64) -> f64 {
+    (s >= 1.0) as u8 as f64 - (s < 0.0) as u8 as f64
+}
+
+/// `floor(s)` for any `s`, with [`floor_select`]'s one exception.
+#[inline(always)]
+fn floor_near_unit(s: f64) -> f64 {
+    if (-1.0..2.0).contains(&s) {
+        floor_select(s)
+    } else {
+        floor_libm(s)
+    }
+}
+
+/// Out of line and cold: a call clobbers every vector register, and the
+/// in-range path should not pay spills for one it never makes.
+#[cold]
+#[inline(never)]
+fn floor_libm(s: f64) -> f64 {
+    s.floor()
+}
+
+#[cold]
+#[inline(never)]
+fn round_libm(t: f64) -> f64 {
+    t.round()
+}
+
 /// Wrap a scalar coordinate into `[0, 1)`.
 #[inline]
 pub fn wrap_unit(x: f64) -> f64 {
-    let w = x - x.floor();
+    let w = x - floor_near_unit(x);
     // `x.floor()` of a tiny negative like -1e-17 yields w == 1.0 exactly;
     // fold that back to 0 so the invariant w ∈ [0,1) holds strictly.
-    if w >= 1.0 {
+    // A zero comes out as `+0.0`, as `x − x.floor()` has it even for
+    // `x = −0.0` (where `floor_near_unit` differs from libm).
+    if w >= 1.0 || w == 0.0 {
         0.0
     } else {
         w
@@ -29,10 +69,46 @@ pub fn wrap01(p: Vec3) -> Vec3 {
 
 /// Minimum-image difference of two scalar coordinates in the unit torus:
 /// the representative of `a − b` in `[-1/2, 1/2)`.
+///
+/// The floor is selected on the *rounded* sum `d + 0.5`, the value libm
+/// was handed: `d = 0.5 − 2⁻⁵⁴` rounds up to `s = 1`, so a test on `d`
+/// itself would pick the other image. `s` is never `−0.0` (`−0.5 + 0.5`
+/// is `+0.0`), so `floor_near_unit`'s one exception cannot occur.
 #[inline]
 pub fn min_image(a: f64, b: f64) -> f64 {
     let d = a - b;
-    d - (d + 0.5).floor()
+    d - floor_near_unit(d + 0.5)
+}
+
+/// [`min_image`] for `a`, `b` both in `[0, 1]`: then `d + 0.5` lies in
+/// `[−0.5, 1.5]` and the compare-select floor needs no range test, so a
+/// loop that has proven its operands in the box once (the tree descent:
+/// group centre against dyadic cell centres) carries neither the test
+/// nor a call site.
+#[inline(always)]
+pub fn min_image_in_box(a: f64, b: f64) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&b));
+    let d = a - b;
+    d - floor_select(d + 0.5)
+}
+
+/// Shift coordinate `p` to its periodic image nearest `c` by a whole box
+/// length only: `p − round(p − c)` leaves in-range coordinates bit-exact
+/// (round = 0) and wrapped ones exactly `p ± 1`.
+///
+/// For `|p − c| < 1.5` the round (ties away from zero) is −1, 0 or 1 by
+/// two compares, and `copysign` gives a zero the sign `round` gives it
+/// (`round(−0.3) = −0.0`, which shows when subtracted from a `−0.0`
+/// coordinate).
+#[inline]
+pub fn nearest_image(p: f64, c: f64) -> f64 {
+    let t = p - c;
+    let round = if t.abs() < 1.5 {
+        ((t >= 0.5) as u8 as f64 - (t <= -0.5) as u8 as f64).copysign(t)
+    } else {
+        round_libm(t)
+    };
+    p - round
 }
 
 /// Minimum-image displacement vector `a − b` on the unit torus.

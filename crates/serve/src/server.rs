@@ -2,8 +2,8 @@
 //!
 //! Threading model — boring on purpose:
 //!
-//! * One accept thread polls a non-blocking listener (so shutdown never
-//!   hangs in `accept`).
+//! * One accept thread blocks in `accept`; shutdown wakes it by
+//!   connecting to the daemon's own address.
 //! * One OS thread per connection. Connections are short (status/
 //!   metrics) or deliberately long (snapshot streams); the expensive
 //!   resource is the *worker pool*, which is bounded, not the sockets.
@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -185,7 +185,6 @@ pub struct ServerHandle {
 /// Bind, spawn the accept loop and the worker pool, return immediately.
 pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     std::fs::create_dir_all(&cfg.data_dir)?;
     let telemetry_capacity = cfg.ring_capacity;
@@ -255,6 +254,7 @@ impl ServerHandle {
         // `/telemetry` streams reach their terminal line.
         self.shared.telemetry.close();
         self.shared.accept_stop.store(true, Ordering::SeqCst);
+        wake_acceptor(self.addr);
         self.acceptor.join().ok();
         // Streams end once their rings close (the workers closed every
         // ring before exiting); give stragglers a bounded grace period.
@@ -268,12 +268,18 @@ impl ServerHandle {
     }
 }
 
+/// Blocks in `accept`, so a connection is picked up when it arrives and
+/// not at the next tick of a poll. [`ServerHandle::shutdown`] sets
+/// `accept_stop` and then [`wake_acceptor`] connects once: whatever
+/// `accept` returns after the flag is set — that connection or a late
+/// client's — is dropped unanswered, as a closed listener would have it.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.accept_stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 stream.set_nodelay(true).ok();
                 let shared = Arc::clone(shared);
@@ -286,12 +292,23 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     })
                     .ok();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors, say: back off, do not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// Unblock the acceptor by connecting to its own listener. A listener
+/// bound to the unspecified address is reached over loopback. If the
+/// connect fails because the backlog is full, the connections filling it
+/// wake the acceptor just as well.
+fn wake_acceptor(bound: SocketAddr) {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    TcpStream::connect_timeout(&SocketAddr::new(ip, bound.port()), Duration::from_secs(1)).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -409,6 +409,38 @@ fn graceful_drain_rejects_new_work_and_finishes_queued() {
     assert!(http::request(&addr, "GET", "/healthz", None).is_err());
 }
 
+/// Accept is event-driven: a request pays no accept-poll wait. (The
+/// polling loop this replaced slept 10 ms between looks, so `/healthz`
+/// read 10.1 ms at the median.)
+#[test]
+fn healthz_is_answered_without_a_poll_wait() {
+    let handle = start(test_config("latency")).unwrap();
+    let addr = handle.addr_str();
+    let mut walls: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let resp = http::request(&addr, "GET", "/healthz", None).unwrap();
+            assert_eq!(resp.status, 200);
+            t0.elapsed()
+        })
+        .collect();
+    walls.sort();
+    let p50 = walls[walls.len() / 2];
+    assert!(p50 < Duration::from_millis(2), "/healthz p50 {p50:?}");
+    handle.shutdown();
+}
+
+/// `shutdown()` must wake an acceptor nobody ever connected to.
+#[test]
+fn shutdown_of_an_untouched_daemon_returns_promptly() {
+    let handle = start(test_config("untouched")).unwrap();
+    let addr = handle.addr_str();
+    let t0 = Instant::now();
+    handle.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    assert!(http::request(&addr, "GET", "/healthz", None).is_err());
+}
+
 /// The `/telemetry` feed: lifecycle events for every job, the
 /// cross-job duration sketch on each `finished` line, `?from=0`
 /// replay, and a clean terminal line when the daemon drains.

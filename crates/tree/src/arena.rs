@@ -52,11 +52,11 @@ impl Default for TreeArena {
 /// copies.
 #[derive(Clone, Copy)]
 pub struct ArenaView<'a> {
-    nodes: &'a [Node],
-    x: &'a [f64],
-    y: &'a [f64],
-    z: &'a [f64],
-    m: &'a [f64],
+    pub(crate) nodes: &'a [Node],
+    pub(crate) x: &'a [f64],
+    pub(crate) y: &'a [f64],
+    pub(crate) z: &'a [f64],
+    pub(crate) m: &'a [f64],
 }
 
 impl TreeSource for ArenaView<'_> {

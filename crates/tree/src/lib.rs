@@ -32,6 +32,6 @@ pub use arena::{ArenaView, TreeArena};
 pub use build::{Node, Octree, TreeParams};
 pub use multipole::pseudo_particles;
 pub use traverse::{
-    Group, GroupWalk, ListEntry, Multipole, SourceEntry, TraverseParams, TreeSource, WalkStats,
-    GROUP_SIZE_BUCKETS,
+    Group, GroupWalk, ListEntry, Multipole, SourceColumns, SourceEntry, TraverseParams, TreeSource,
+    WalkStats, GROUP_SIZE_BUCKETS,
 };

@@ -1,8 +1,9 @@
 //! Barnes' modified (group) tree traversal building shared interaction
 //! lists, with the TreePM cutoff pruning.
 
-use greem_math::{Aabb, Vec3};
+use greem_math::{min_image_in_box, nearest_image, Aabb, Vec3};
 
+use crate::arena::ArenaView;
 use crate::build::{Node, Octree};
 
 /// Read-only tree access the group walk needs: the node arena plus the
@@ -225,22 +226,167 @@ impl greem_obs::Observe for WalkStats {
     }
 }
 
-/// Shift a source to the periodic image nearest the group centre
-/// by whole box lengths only: `p − round(p − c)` leaves unwrapped
-/// coordinates bit-exact (round = 0) and wrapped ones exactly
-/// `p ± 1` (exact in f64 for p ∈ [0,1]), so a group's own particle
-/// stays identical to its target copy and the kernel's self-pair
-/// mask fires.
-#[inline]
-fn shift_to(gcenter: Vec3, periodic: bool, p: Vec3) -> Vec3 {
-    if periodic {
-        Vec3::new(
-            p.x - (p.x - gcenter.x).round(),
-            p.y - (p.y - gcenter.y).round(),
-            p.z - (p.z - gcenter.z).round(),
-        )
-    } else {
-        p
+/// The kernel's four source columns (`greem_kernels::SourceList`'s
+/// fields), borrowed: the list builder appends each source straight onto
+/// them.
+pub struct SourceColumns<'a> {
+    pub x: &'a mut Vec<f64>,
+    pub y: &'a mut Vec<f64>,
+    pub z: &'a mut Vec<f64>,
+    pub m: &'a mut Vec<f64>,
+}
+
+/// Where a list builder writes: the kernel's columns (the drivers) or an
+/// array of [`SourceEntry`] (the adapters tests and probes read).
+trait Sink {
+    fn len(&self) -> usize;
+    fn push(&mut self, pos: Vec3, mass: f64);
+}
+
+/// Sources a [`Columns`] sink holds back before appending them.
+const CHUNK: usize = 64;
+
+/// [`SourceColumns`] behind a small stack buffer: a source costs four
+/// stores and a counter, and the columns grow a chunk at a time, where
+/// four `Vec::push`es reload and check four headers per source.
+struct Columns<'a> {
+    out: SourceColumns<'a>,
+    held: usize,
+    buf: [[f64; CHUNK]; 4],
+}
+
+impl<'a> Columns<'a> {
+    fn new(out: SourceColumns<'a>) -> Self {
+        Columns {
+            out,
+            held: 0,
+            buf: [[0.0; CHUNK]; 4],
+        }
+    }
+
+    fn flush(&mut self) {
+        let Columns { out, held, buf } = self;
+        out.x.extend_from_slice(&buf[0][..*held]);
+        out.y.extend_from_slice(&buf[1][..*held]);
+        out.z.extend_from_slice(&buf[2][..*held]);
+        out.m.extend_from_slice(&buf[3][..*held]);
+        *held = 0;
+    }
+}
+
+impl Sink for Columns<'_> {
+    fn len(&self) -> usize {
+        self.out.x.len() + self.held
+    }
+    #[inline(always)]
+    fn push(&mut self, pos: Vec3, mass: f64) {
+        if self.held >= CHUNK {
+            self.flush();
+        }
+        let k = self.held;
+        self.buf[0][k] = pos.x;
+        self.buf[1][k] = pos.y;
+        self.buf[2][k] = pos.z;
+        self.buf[3][k] = mass;
+        self.held = k + 1;
+    }
+}
+
+impl Sink for Vec<SourceEntry> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    #[inline(always)]
+    fn push(&mut self, pos: Vec3, mass: f64) {
+        Vec::push(self, SourceEntry { pos, mass });
+    }
+}
+
+/// What drives one list build: a tree descent or a recorded structure.
+enum Plan<'a> {
+    /// Walk the tree from the root with the cutoff prune inflated by
+    /// `margin`, recording the list's structure into `rec` if given.
+    Walk {
+        stack: &'a mut Vec<usize>,
+        margin: f64,
+        rec: Option<&'a mut Vec<ListEntry>>,
+    },
+    /// Re-emit a recorded structure; opening decisions stay frozen.
+    Replay(&'a [ListEntry]),
+}
+
+/// The emitting half of a list build: sources shifted to the periodic
+/// image nearest the group centre by whole box lengths only, so
+/// unwrapped coordinates stay bit-exact and wrapped ones are exactly
+/// `p ± 1` (exact in f64 for p ∈ [0,1]) — a group's own particle stays
+/// identical to its target copy and the kernel's self-pair mask fires.
+struct Emitter<'a, T, S> {
+    tree: &'a T,
+    sink: &'a mut S,
+    gcenter: Vec3,
+    periodic: bool,
+    multipole: Multipole,
+    node_entries: u64,
+    particle_entries: u64,
+}
+
+/// `p` at its periodic image nearest `gcenter`. Most sources lie within
+/// half a box of the centre on every axis, where `round` is zero and
+/// `p − round` is `p`: one test, no arithmetic. A zero coordinate goes
+/// the long way — `round` signs its zero, and subtracting `−0.0` turns a
+/// `−0.0` coordinate into `+0.0`.
+#[inline(always)]
+fn image(gcenter: Vec3, periodic: bool, p: Vec3) -> Vec3 {
+    if !periodic {
+        return p;
+    }
+    let t = p - gcenter;
+    let near = |t: f64, p: f64| t.abs() < 0.5 && p != 0.0;
+    if near(t.x, p.x) && near(t.y, p.y) && near(t.z, p.z) {
+        return p;
+    }
+    Vec3::new(
+        nearest_image(p.x, gcenter.x),
+        nearest_image(p.y, gcenter.y),
+        nearest_image(p.z, gcenter.z),
+    )
+}
+
+impl<T: TreeSource, S: Sink> Emitter<'_, T, S> {
+    /// An accepted node's multipole.
+    #[inline(always)]
+    fn node(&mut self, node: &Node) {
+        match self.multipole {
+            Multipole::Monopole => {
+                let p = image(self.gcenter, self.periodic, node.com);
+                self.sink.push(p, node.mass);
+            }
+            Multipole::PseudoParticleQuad => self.pseudo_particles(node),
+        }
+        self.node_entries += 1;
+    }
+
+    /// The ablation's expansion, kept out of the monopole walk's loop.
+    #[inline(never)]
+    fn pseudo_particles(&mut self, node: &Node) {
+        if node.mass > 0.0 {
+            for (p, m) in crate::multipole::pseudo_particles(node.com, node.mass, node.s_moment) {
+                self.sink.push(image(self.gcenter, self.periodic, p), m);
+            }
+        }
+    }
+
+    /// An opened leaf: every particle of sorted slots
+    /// `first..first+count` (including the group's own when the leaf is
+    /// the group or an ancestor — intra-group forces are computed
+    /// directly, and the kernel's self-pair mask discards i == j).
+    #[inline(always)]
+    fn particles(&mut self, first: u32, count: u32) {
+        for i in first as usize..(first + count) as usize {
+            let p = image(self.gcenter, self.periodic, self.tree.pos_at(i));
+            self.sink.push(p, self.tree.mass_at(i));
+        }
+        self.particle_entries += count as u64;
     }
 }
 
@@ -336,29 +482,58 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         stats
     }
 
-    /// Build one group's interaction list into `list` (appended; callers
-    /// clear between groups). `stack` is a reusable scratch buffer.
-    /// Returns the statistics of this single group — this is the
-    /// re-entrant building block for data-parallel walks (`greem` runs
-    /// one group per rayon task, mirroring the paper's per-process
+    /// Build one group's interaction list onto the kernel's source
+    /// columns (appended; callers clear between groups). `stack` is a
+    /// reusable scratch buffer. With `rec`, the list's *structure* is
+    /// recorded too (cleared first) so a later subcycle can
+    /// [`replay_columns`](Self::replay_columns) it without re-walking
+    /// the tree, and the cutoff prune is inflated by `margin` so sources
+    /// that drift into range before the replay are already on the list
+    /// — they contribute exactly zero force while beyond `r_cut`
+    /// (`g_P3M ≡ 0` there), so the inflation is accuracy-neutral on the
+    /// fresh pass. Returns the statistics of this single group — this is
+    /// the re-entrant building block for data-parallel walks (`greem`
+    /// runs one group per rayon task, mirroring the paper's per-process
     /// OpenMP threading of the traversal).
+    pub fn list_columns(
+        &self,
+        group: Group,
+        stack: &mut Vec<usize>,
+        margin: f64,
+        rec: Option<&mut Vec<ListEntry>>,
+        out: SourceColumns<'_>,
+    ) -> WalkStats {
+        self.build_columns(group, Plan::Walk { stack, margin, rec }, out)
+    }
+
+    /// Re-evaluate a recorded list against the tree's *current*
+    /// positions and (refreshed) node monopoles, onto the kernel's
+    /// source columns. The walk's opening decisions are frozen at record
+    /// time; only positions move. Replay is monopole-only — the
+    /// pseudo-particle expansion would need refreshed second moments.
+    pub fn replay_columns(
+        &self,
+        group: Group,
+        entries: &[ListEntry],
+        out: SourceColumns<'_>,
+    ) -> WalkStats {
+        self.build_columns(group, Plan::Replay(entries), out)
+    }
+
+    /// [`list_columns`](Self::list_columns) without recording, into an
+    /// array of [`SourceEntry`].
     pub fn list_for_group(
         &self,
         group: Group,
         stack: &mut Vec<usize>,
         list: &mut Vec<SourceEntry>,
     ) -> WalkStats {
-        self.list_impl(group, stack, list, 0.0, None)
+        let (margin, rec) = (0.0, None);
+        self.build(group, Plan::Walk { stack, margin, rec }, list)
     }
 
-    /// [`list_for_group`](Self::list_for_group) that additionally records
-    /// the list's *structure* into `rec` (cleared first) so a later
-    /// subcycle can [`replay_list`](Self::replay_list) it without
-    /// re-walking the tree. The cutoff prune is inflated by `margin` so
-    /// sources that drift into range before the replay are already on
-    /// the list — they contribute exactly zero force while beyond
-    /// `r_cut` (`g_P3M ≡ 0` there), so the inflation is accuracy-neutral
-    /// on the fresh pass.
+    /// Recording [`list_columns`](Self::list_columns) into an array of
+    /// [`SourceEntry`].
     pub fn list_for_group_recording(
         &self,
         group: Group,
@@ -367,84 +542,24 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         margin: f64,
         rec: &mut Vec<ListEntry>,
     ) -> WalkStats {
-        rec.clear();
-        self.list_impl(group, stack, list, margin, Some(rec))
+        let rec = Some(rec);
+        self.build(group, Plan::Walk { stack, margin, rec }, list)
     }
 
-    /// Re-evaluate a recorded list against the tree's *current*
-    /// positions and (refreshed) node monopoles. The walk's opening
-    /// decisions are frozen at record time; only positions move. Replay
-    /// is monopole-only — the pseudo-particle expansion would need
-    /// refreshed second moments.
+    /// [`replay_columns`](Self::replay_columns) into an array of
+    /// [`SourceEntry`].
     pub fn replay_list(
         &self,
         group: Group,
         entries: &[ListEntry],
         list: &mut Vec<SourceEntry>,
     ) -> WalkStats {
-        self.replay_list_into(group, entries, |pos, mass| {
-            list.push(SourceEntry { pos, mass })
-        })
+        self.build(group, Plan::Replay(entries), list)
     }
 
-    /// [`replay_list`](Self::replay_list) materialising each source
-    /// straight through `push` — the hot path hands the kernel's SoA
-    /// source columns in directly, skipping the intermediate
-    /// [`SourceEntry`] buffer (one full write+read of the list saved
-    /// per replayed group).
-    pub fn replay_list_into(
-        &self,
-        group: Group,
-        entries: &[ListEntry],
-        mut push: impl FnMut(Vec3, f64),
-    ) -> WalkStats {
-        debug_assert!(
-            matches!(self.params.multipole, Multipole::Monopole),
-            "list replay is monopole-only"
-        );
-        let nodes = self.tree.nodes();
-        let mut stats = WalkStats::default();
-        let gbox = Aabb::from_points(
-            (group.first..group.first + group.count).map(|i| self.tree.pos_at(i as usize)),
-        );
-        let gcenter = gbox.center();
-        let periodic = self.params.periodic;
-        let mut pushed = 0u64;
-        for e in entries {
-            match *e {
-                ListEntry::Node(i) => {
-                    let node = &nodes[i as usize];
-                    push(shift_to(gcenter, periodic, node.com), node.mass);
-                    stats.node_entries += 1;
-                    pushed += 1;
-                }
-                ListEntry::Particles { first, count } => {
-                    for i in first..first + count {
-                        push(
-                            shift_to(gcenter, periodic, self.tree.pos_at(i as usize)),
-                            self.tree.mass_at(i as usize),
-                        );
-                    }
-                    stats.particle_entries += count as u64;
-                    pushed += count as u64;
-                }
-            }
-        }
-        stats.n_groups = 1;
-        stats.sum_ni = group.count as u64;
-        stats.sum_nj = pushed;
-        stats.interactions = group.count as u64 * pushed;
-        stats.group_size_buckets[group_size_bucket(group.count)] += 1;
-        stats
-    }
-
-    /// Bulk replay of a recorded list against explicit SoA position and
-    /// mass columns, appending straight onto the kernel's four source
-    /// columns. Source values are bitwise-identical to
-    /// [`replay_list`](Self::replay_list) (same [`shift_to`]
-    /// arithmetic), but particle ranges stream through branchless
-    /// column `extend`s — the hot path of the serial driver's
-    /// interaction-list cache.
+    /// [`replay_columns`](Self::replay_columns) reading particles from
+    /// explicit position and mass columns instead of the walk's own tree
+    /// source (whose nodes it keeps).
     #[allow(clippy::too_many_arguments)]
     pub fn replay_list_columns(
         &self,
@@ -456,56 +571,144 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         oz: &mut Vec<f64>,
         om: &mut Vec<f64>,
     ) -> WalkStats {
-        debug_assert!(
-            matches!(self.params.multipole, Multipole::Monopole),
-            "list replay is monopole-only"
-        );
         let nodes = self.tree.nodes();
-        let lo = group.first as usize;
-        let hi = lo + group.count as usize;
-        let gbox = Aabb::from_points((lo..hi).map(|i| Vec3::new(x[i], y[i], z[i])));
-        let gc = gbox.center();
-        let periodic = self.params.periodic;
+        let view = ArenaView { nodes, x, y, z, m };
+        let out = SourceColumns {
+            x: ox,
+            y: oy,
+            z: oz,
+            m: om,
+        };
+        GroupWalk::new(&view, self.params).replay_columns(group, entries, out)
+    }
+
+    fn build_columns(&self, group: Group, plan: Plan<'_>, out: SourceColumns<'_>) -> WalkStats {
+        let mut out = Columns::new(out);
+        let stats = self.build(group, plan, &mut out);
+        out.flush();
+        stats
+    }
+
+    /// The one list builder behind every entry point above: group
+    /// geometry once, then `plan` decides which nodes and leaves the
+    /// [`Emitter`] appends to `sink`.
+    fn build<S: Sink>(&self, group: Group, plan: Plan<'_>, sink: &mut S) -> WalkStats {
+        let nodes = self.tree.nodes();
+        let params = &self.params;
+        // Tight bounding box of the group's particles.
+        let gbox = Aabb::from_points(
+            (group.first..group.first + group.count).map(|i| self.tree.pos_at(i as usize)),
+        );
+        let gcenter = gbox.center();
+        let before = sink.len();
+        let mut emit = Emitter {
+            tree: self.tree,
+            sink,
+            gcenter,
+            periodic: params.periodic,
+            multipole: params.multipole,
+            node_entries: 0,
+            particle_entries: 0,
+        };
         let mut stats = WalkStats::default();
-        let mut pushed = 0u64;
-        for e in entries {
-            match *e {
-                ListEntry::Node(i) => {
-                    let node = &nodes[i as usize];
-                    let p = shift_to(gc, periodic, node.com);
-                    ox.push(p.x);
-                    oy.push(p.y);
-                    oz.push(p.z);
-                    om.push(node.mass);
-                    stats.node_entries += 1;
-                    pushed += 1;
-                }
-                ListEntry::Particles { first, count } => {
-                    let r = first as usize..(first + count) as usize;
-                    if periodic {
-                        // Branchless nearest-image shift. For offsets
-                        // t = v − gc ∈ (−1, 1) this is bitwise-equal to
-                        // `v − t.round()` (ties away from zero), but it
-                        // auto-vectorises on baseline x86-64 where
-                        // `round` has no packed instruction.
-                        let img = |v: f64, g: f64| {
-                            let t = v - g;
-                            v - ((t >= 0.5) as u8 as f64) + ((t <= -0.5) as u8 as f64)
-                        };
-                        ox.extend(x[r.clone()].iter().map(|&v| img(v, gc.x)));
-                        oy.extend(y[r.clone()].iter().map(|&v| img(v, gc.y)));
-                        oz.extend(z[r.clone()].iter().map(|&v| img(v, gc.z)));
-                    } else {
-                        ox.extend_from_slice(&x[r.clone()]);
-                        oy.extend_from_slice(&y[r.clone()]);
-                        oz.extend_from_slice(&z[r.clone()]);
+        match plan {
+            Plan::Replay(entries) => {
+                debug_assert!(
+                    matches!(params.multipole, Multipole::Monopole),
+                    "list replay is monopole-only"
+                );
+                for e in entries {
+                    match *e {
+                        ListEntry::Node(i) => emit.node(&nodes[i as usize]),
+                        ListEntry::Particles { first, count } => emit.particles(first, count),
                     }
-                    om.extend_from_slice(&m[r]);
-                    stats.particle_entries += count as u64;
-                    pushed += count as u64;
+                }
+            }
+            Plan::Walk {
+                stack,
+                margin,
+                mut rec,
+            } => {
+                if let Some(r) = rec.as_mut() {
+                    r.clear();
+                }
+                let theta2 = params.theta * params.theta;
+                let rc2 = params.r_cut.map(|r| (r + margin) * (r + margin));
+                let gext = gbox.extent();
+                // Recursive bisection of the unit cube gives cells whose
+                // centre and half side are dyadic rationals with few
+                // bits, so `center ∓ half`, their mean and their
+                // difference are all exact: the cell's centre and side
+                // *as stored* are what `Node::cell()` would give back
+                // (`dyadic_cells_are_exact_as_stored` proves it per
+                // node), and with the group's centre in the box too the
+                // minimum image needs no range test. Any other root box,
+                // or a stray particle, takes the general forms.
+                let in_box = |v: f64| (0.0..=1.0).contains(&v);
+                let unit = nodes[0].center == Vec3::splat(0.5)
+                    && nodes[0].half == 0.5
+                    && in_box(gcenter.x)
+                    && in_box(gcenter.y)
+                    && in_box(gcenter.z);
+                stack.clear();
+                stack.push(0);
+                while let Some(ni) = stack.pop() {
+                    stats.visited_nodes += 1;
+                    let node = &nodes[ni];
+                    let side = node.side();
+                    let d2 = if !params.periodic {
+                        gbox.dist2_to_aabb(&node.cell())
+                    } else if unit {
+                        // `Aabb::periodic_dist2_to_aabb`'s per-axis term.
+                        // The compare-select clamp squares to the same
+                        // bits as `.max(0.0)` for every input.
+                        let gap = |g: f64, c: f64, gext: f64| {
+                            let d = min_image_in_box(g, c).abs() - 0.5 * (gext + side);
+                            if d > 0.0 {
+                                d
+                            } else {
+                                0.0
+                            }
+                        };
+                        let dx = gap(gcenter.x, node.center.x, gext.x);
+                        let dy = gap(gcenter.y, node.center.y, gext.y);
+                        let dz = gap(gcenter.z, node.center.z, gext.z);
+                        dx * dx + dy * dy + dz * dz
+                    } else {
+                        gbox.periodic_dist2_to_aabb(&node.cell())
+                    };
+                    // Cutoff pruning: the whole cell is beyond the
+                    // short-range force's support.
+                    if rc2.is_some_and(|rc2| d2 > rc2) {
+                        continue;
+                    }
+                    if d2 > 0.0 && side * side < theta2 * d2 {
+                        // Well separated: accept the multipole.
+                        emit.node(node);
+                        if let Some(r) = rec.as_mut() {
+                            r.push(ListEntry::Node(ni as u32));
+                        }
+                    } else if node.is_leaf {
+                        emit.particles(node.first, node.count);
+                        if let Some(r) = rec.as_mut() {
+                            r.push(ListEntry::Particles {
+                                first: node.first,
+                                count: node.count,
+                            });
+                        }
+                    } else {
+                        for &c in &node.child {
+                            if c >= 0 {
+                                stack.push(c as usize);
+                            }
+                        }
+                    }
                 }
             }
         }
+        stats.node_entries = emit.node_entries;
+        stats.particle_entries = emit.particle_entries;
+        let pushed = (emit.sink.len() - before) as u64;
         stats.n_groups = 1;
         stats.sum_ni = group.count as u64;
         stats.sum_nj = pushed;
@@ -513,110 +716,10 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         stats.group_size_buckets[group_size_bucket(group.count)] += 1;
         stats
     }
-
-    /// Build one group's interaction list, optionally recording its
-    /// structure; `rc_extra` inflates the cutoff prune (0 for exact).
-    fn list_impl(
-        &self,
-        group: Group,
-        stack: &mut Vec<usize>,
-        list: &mut Vec<SourceEntry>,
-        rc_extra: f64,
-        mut rec: Option<&mut Vec<ListEntry>>,
-    ) -> WalkStats {
-        let mut stats = WalkStats::default();
-        let nodes = self.tree.nodes();
-        // Tight bounding box of the group's particles.
-        let gbox = Aabb::from_points(
-            (group.first..group.first + group.count).map(|i| self.tree.pos_at(i as usize)),
-        );
-        let gcenter = gbox.center();
-        let periodic = self.params.periodic;
-        let theta2 = self.params.theta * self.params.theta;
-        let rc2 = self.params.r_cut.map(|r| (r + rc_extra) * (r + rc_extra));
-        let shift = |p: Vec3| -> Vec3 { shift_to(gcenter, periodic, p) };
-
-        stack.clear();
-        stack.push(0);
-        while let Some(ni) = stack.pop() {
-            stats.visited_nodes += 1;
-            let node = &nodes[ni];
-            let cell = node.cell();
-            let d2 = if self.params.periodic {
-                gbox.periodic_dist2_to_aabb(&cell)
-            } else {
-                gbox.dist2_to_aabb(&cell)
-            };
-            // Cutoff pruning: the whole cell is beyond the short-range
-            // force's support.
-            if let Some(rc2) = rc2 {
-                if d2 > rc2 {
-                    continue;
-                }
-            }
-            let side = node.side();
-            if d2 > 0.0 && side * side < theta2 * d2 {
-                // Well separated: accept the multipole.
-                match self.params.multipole {
-                    Multipole::Monopole => {
-                        list.push(SourceEntry {
-                            pos: shift(node.com),
-                            mass: node.mass,
-                        });
-                    }
-                    Multipole::PseudoParticleQuad => {
-                        if node.mass > 0.0 {
-                            for (p, m) in crate::multipole::pseudo_particles(
-                                node.com,
-                                node.mass,
-                                node.s_moment,
-                            ) {
-                                list.push(SourceEntry {
-                                    pos: shift(p),
-                                    mass: m,
-                                });
-                            }
-                        }
-                    }
-                }
-                if let Some(r) = rec.as_mut() {
-                    r.push(ListEntry::Node(ni as u32));
-                }
-                stats.node_entries += 1;
-            } else if node.is_leaf {
-                // Direct: every particle of the leaf (including the
-                // group's own particles when ni is the group/ancestor —
-                // intra-group forces are computed directly, and the
-                // kernel's self-pair mask discards i == j).
-                for i in node.first..node.first + node.count {
-                    list.push(SourceEntry {
-                        pos: shift(self.tree.pos_at(i as usize)),
-                        mass: self.tree.mass_at(i as usize),
-                    });
-                }
-                if let Some(r) = rec.as_mut() {
-                    r.push(ListEntry::Particles {
-                        first: node.first,
-                        count: node.count,
-                    });
-                }
-                stats.particle_entries += node.count as u64;
-            } else {
-                for &c in &node.child {
-                    if c >= 0 {
-                        stack.push(c as usize);
-                    }
-                }
-            }
-        }
-        stats.n_groups = 1;
-        stats.sum_ni = group.count as u64;
-        stats.sum_nj = list.len() as u64;
-        stats.interactions = group.count as u64 * list.len() as u64;
-        stats.group_size_buckets[group_size_bucket(group.count)] += 1;
-        stats
-    }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -189,49 +189,12 @@ impl TreePm {
         (accel, walk_stats, times)
     }
 
-    /// Evaluate PM accelerations only.
+    /// Evaluate PM accelerations only: one cycle of the backend, with
+    /// the wall seconds of its four Table I phases.
     pub fn compute_pm(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, greem_pm::PmPhaseTimes) {
-        let mut t = greem_pm::PmPhaseTimes::default();
         #[cfg(feature = "obs")]
         let _pm_span = greem_obs::trace::span("force", "pm.compute");
-        let t0 = Instant::now();
-        let rho = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("force", "pm.density_assignment");
-            self.pm.assign_density(pos, mass)
-        };
-        t.density_assignment = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let phi = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("force", "pm.fft");
-            self.pm.potential_mesh(&rho)
-        };
-        t.fft = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let acc = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("force", "pm.acceleration_on_mesh");
-            self.pm.accel_meshes(&phi)
-        };
-        t.acceleration_on_mesh = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let interp_span = greem_obs::trace::span("force", "pm.force_interpolation");
-        let ax = self.pm.interpolate(&acc[0], pos);
-        let ay = self.pm.interpolate(&acc[1], pos);
-        let az = self.pm.interpolate(&acc[2], pos);
-        let potential = self.pm.interpolate(&phi, pos);
-        #[cfg(feature = "obs")]
-        drop(interp_span);
-        t.force_interpolation = t0.elapsed().as_secs_f64();
-        let accel = ax
-            .into_iter()
-            .zip(ay)
-            .zip(az)
-            .map(|((x, y), z)| Vec3::new(x, y, z))
-            .collect();
-        (PmResult { accel, potential }, t)
+        self.pm.solve_timed(pos, mass)
     }
 
     /// Full TreePM force evaluation: PM + PP.

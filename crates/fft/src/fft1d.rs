@@ -98,6 +98,48 @@ impl Fft1d {
         }
     }
 
+    /// Where element `i` goes under the bit-reversal permutation.
+    #[inline]
+    pub fn rev(&self, i: usize) -> usize {
+        self.rev[i] as usize
+    }
+
+    /// The root of unity `exp(−2πi·k/n)` for `k < n/2` (the last
+    /// stage's twiddles).
+    #[inline]
+    pub fn root(&self, k: usize) -> Cpx {
+        self.tw[self.n / 2 - 1 + k]
+    }
+
+    /// The butterfly stages of [`forward`](Self::forward) on `w`
+    /// sequences at once: `x[j·w + b]` is element `j` of sequence `b`,
+    /// and rows must already be in bit-reversed order (row `rev(j)`
+    /// holds element `j`). Every element sees the same twiddle and the
+    /// same operations in the same order as in `forward`, so each
+    /// column is bit-identical to a single-line transform; what changes
+    /// is that the inner loop runs over a contiguous row.
+    pub fn butterflies_columns(&self, x: &mut [Cpx], w: usize) {
+        assert_eq!(x.len(), self.n * w, "panel size != plan size × width");
+        let mut m = 1;
+        let mut toff = 0;
+        while m < self.n {
+            for block in x.chunks_exact_mut(2 * m * w) {
+                let (lo, hi) = block.split_at_mut(m * w);
+                let rows = lo.chunks_exact_mut(w).zip(hi.chunks_exact_mut(w));
+                for (&tw, (a, b)) in self.tw[toff..toff + m].iter().zip(rows) {
+                    for (u, v) in a.iter_mut().zip(b) {
+                        let t = tw * *v;
+                        let s = *u;
+                        *u = s + t;
+                        *v = s - t;
+                    }
+                }
+            }
+            toff += m;
+            m <<= 1;
+        }
+    }
+
     /// In-place inverse transform (`exp(+2πi)` convention, unnormalised:
     /// `inverse(forward(x)) == n·x`).
     pub fn inverse(&self, x: &mut [Cpx]) {
@@ -241,6 +283,33 @@ mod tests {
         for k in 0..n {
             let phase = Cpx::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64);
             assert!((fs[k] - fx[k] * phase).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn batched_columns_equal_single_lines_bitwise() {
+        for (n, w) in [(1usize, 3usize), (2, 1), (8, 5), (64, 16)] {
+            let plan = Fft1d::new(n);
+            let lines: Vec<Vec<Cpx>> = (0..w).map(|b| rand_signal(n, 90 + b as u64)).collect();
+            let mut panel = vec![Cpx::ZERO; n * w];
+            for (b, line) in lines.iter().enumerate() {
+                for (j, &v) in line.iter().enumerate() {
+                    panel[plan.rev(j) * w + b] = v;
+                }
+            }
+            plan.butterflies_columns(&mut panel, w);
+            for (b, line) in lines.iter().enumerate() {
+                let mut want = line.clone();
+                plan.forward(&mut want);
+                for (j, v) in want.iter().enumerate() {
+                    let got = panel[j * w + b];
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (v.re.to_bits(), v.im.to_bits()),
+                        "n={n} column {b} element {j}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,24 +6,10 @@
 //! solver uses within each x-plane, so data moves between the two without
 //! reshuffling.
 
+use crate::columns::{columns_pass, rows_by_middle};
 use crate::complex::Cpx;
 use crate::fft1d::Fft1d;
 use rayon::prelude::*;
-
-/// Raw mesh pointer shared across threads; users index disjoint
-/// elements only (each yz column of the x-pass is touched by exactly
-/// one task).
-struct SendPtr(*mut Cpx);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor so closures capture the `Sync` wrapper, not the raw
-    /// pointer field (edition-2021 closures capture disjoint fields).
-    fn get(&self) -> *mut Cpx {
-        self.0
-    }
-}
 
 /// An `n × n × n` complex mesh, `z` fastest.
 #[derive(Debug, Clone)]
@@ -136,69 +122,44 @@ pub fn fft3d(mesh: &mut Mesh3, plan: &Fft1d) {
 /// `fft3d_inverse(fft3d(m)) == m`.
 pub fn fft3d_inverse(mesh: &mut Mesh3, plan: &Fft1d) {
     transform3d(mesh, plan, true);
-    let s = 1.0 / (mesh.n as f64).powi(3);
-    let n = mesh.n;
-    mesh.data.par_chunks_mut(n * n).for_each(|plane| {
-        for v in plane.iter_mut() {
-            *v = v.scale(s);
-        }
-    });
 }
 
-/// The three axis passes, each a batch of independent 1-D line
-/// transforms run as rayon tasks. Every line is transformed by exactly
-/// the same `Fft1d` code as the serial loops this replaces, so the
-/// result is bitwise-identical regardless of thread count — parallelism
-/// only changes *which thread* runs a line, never the arithmetic.
+/// The three axis passes. Per x-plane (one rayon task each, the plane
+/// staying in L2 between the two): `z` as contiguous row transforms,
+/// then `y` as batched columns. Then `x`, batched over the columns of
+/// one `y` per task.
+///
+/// The inverse is `conj ∘ forward ∘ conj` per line; conjugation is exact
+/// and its own inverse, so the conjugations between the axes cancel and
+/// only the first (on the way into the z pass) and the last (on the way
+/// out of the x pass, with the exact-order `1/n³` scale behind it)
+/// remain. Every element therefore sees the arithmetic of
+/// `Fft1d::{forward, inverse}` line by line, whatever thread runs it:
+/// results are bit-identical to that textbook loop at any thread count.
 fn transform3d(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
     let n = mesh.n;
     assert_eq!(plan.len(), n, "plan size must match mesh side");
-    let run = |plan: &Fft1d, buf: &mut [Cpx]| {
-        if inverse {
-            plan.inverse(buf)
-        } else {
-            plan.forward(buf)
-        }
-    };
-    // Along z: contiguous rows, one task per row batch.
-    mesh.data.par_chunks_mut(n).for_each(|row| run(plan, row));
-    // Along y: stride n within each x-plane; one task per plane, each
-    // with its own gather/scatter line buffer.
-    mesh.data.par_chunks_mut(n * n).for_each_init(
-        || vec![Cpx::ZERO; n],
-        |line, plane| {
-            for z in 0..n {
-                for y in 0..n {
-                    line[y] = plane[y * n + z];
+    mesh.data
+        .par_chunks_mut(n * n)
+        .for_each_init(Vec::new, |panel, plane| {
+            let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(n).collect();
+            for row in rows.iter_mut() {
+                if inverse {
+                    row.iter_mut().for_each(|v| *v = v.conj());
                 }
-                run(plan, line);
-                for y in 0..n {
-                    plane[y * n + z] = line[y];
-                }
+                plan.forward(row);
             }
-        },
-    );
-    // Along x: stride n² — the lines cross every chunk boundary, so
-    // chunking cannot express the partition; each yz column is claimed
-    // by exactly one task and accessed through a shared raw pointer.
-    let n2 = n * n;
-    let ptr = SendPtr(mesh.data.as_mut_ptr());
-    (0..n2).into_par_iter().for_each_init(
-        || vec![Cpx::ZERO; n],
-        |line, yz| {
-            // SAFETY: this task is the only one touching column `yz`;
-            // elements yz, n²+yz, 2n²+yz… are disjoint across tasks.
-            unsafe {
-                for (x, l) in line.iter_mut().enumerate() {
-                    *l = *ptr.get().add(x * n2 + yz);
-                }
-                run(plan, line);
-                for (x, l) in line.iter().enumerate() {
-                    *ptr.get().add(x * n2 + yz) = *l;
-                }
-            }
-        },
-    );
+            let fft = |p: &mut [Cpx], _, w| plan.butterflies_columns(p, w);
+            columns_pass(plan, &mut rows, n, panel, fft, |v| v);
+        });
+    let s = 1.0 / (n as f64).powi(3);
+    rows_by_middle(&mut mesh.data, n, n)
+        .into_par_iter()
+        .for_each_init(Vec::new, |panel, mut rows| {
+            let fft = |p: &mut [Cpx], _, w| plan.butterflies_columns(p, w);
+            let finish = |v: Cpx| if inverse { v.conj().scale(s) } else { v };
+            columns_pass(plan, &mut rows, n, panel, fft, finish);
+        });
 }
 
 #[cfg(test)]
@@ -232,6 +193,48 @@ mod tests {
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-11, "roundtrip err {err}");
+    }
+
+    #[test]
+    fn batched_passes_equal_line_transforms_bitwise() {
+        // Sides on both sides of the panel width, forward and inverse.
+        for n in [2usize, 8, 32] {
+            let plan = Fft1d::new(n);
+            for inverse in [false, true] {
+                let mut got = rand_mesh(n, 40 + n as u64);
+                let mut want = got.clone();
+                let mut line = vec![Cpx::ZERO; n];
+                for stride in [1, n, n * n] {
+                    for start in (0..n * n * n).filter(|i| i / stride % n == 0) {
+                        for (j, l) in line.iter_mut().enumerate() {
+                            *l = want.data[start + j * stride];
+                        }
+                        if inverse {
+                            plan.inverse(&mut line);
+                        } else {
+                            plan.forward(&mut line);
+                        }
+                        for (j, l) in line.iter().enumerate() {
+                            want.data[start + j * stride] = *l;
+                        }
+                    }
+                }
+                if inverse {
+                    let s = 1.0 / (n as f64).powi(3);
+                    want.data.iter_mut().for_each(|v| *v = v.scale(s));
+                    fft3d_inverse(&mut got, &plan);
+                } else {
+                    fft3d(&mut got, &plan);
+                }
+                for (i, (a, b)) in got.data.iter().zip(&want.data).enumerate() {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "n={n} inverse={inverse} element {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

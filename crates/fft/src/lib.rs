@@ -10,20 +10,29 @@
 //!
 //! * [`Cpx`] — a minimal complex number,
 //! * [`Fft1d`] — an iterative radix-2 Cooley-Tukey plan with precomputed
-//!   twiddles (power-of-two sizes, like the paper's meshes),
-//! * [`fft3d`] — serial in-place 3-D transforms for the single-rank path
-//!   and for references in tests,
+//!   twiddles (power-of-two sizes, like the paper's meshes), for one
+//!   line or for a panel of neighbouring lines at once,
+//! * [`RealFft3`] — real ↔ half-complex 3-D transforms in place on a
+//!   padded `n × n × (n+2)` real buffer, and the k-space convolution
+//!   built on them: the periodic PM solver's transform (the density is
+//!   real, so half the modes and half the bytes),
+//! * [`fft3d`] — in-place complex 3-D transforms, bit-identical to
+//!   line-by-line `Fft1d` calls: the isolated solver's and the initial
+//!   conditions' transform, and the reference in tests,
 //! * [`SlabFft`] — the parallel 3-D FFT over `mpisim` with exactly
 //!   FFTW-MPI's data layout: contiguous x-plane slabs per rank, one
 //!   all-to-all transpose to an intermediate y-distributed layout, and
 //!   the same "at most `n` ranks can participate" restriction.
 
+mod columns;
 pub mod complex;
 pub mod fft1d;
 pub mod fft3d;
+pub mod real3d;
 pub mod slab;
 
 pub use complex::Cpx;
 pub use fft1d::Fft1d;
 pub use fft3d::{fft3d, fft3d_inverse, Mesh3};
+pub use real3d::RealFft3;
 pub use slab::{slab_owner, slab_planes, SlabFft};

@@ -18,13 +18,23 @@
 //! gravitate in comoving coordinates (the "Jeans swindle" built into
 //! periodic cosmological simulators).
 
-use greem_math::cutoff::s2_fourier;
+//!
+//! The multiplier depends on `|m|` per axis only, so it is tabulated
+//! once, at construction, over the octant `0 ≤ m ≤ n/2` — `(n/2+1)³`
+//! values, 2.2 MB at n = 128 — and every per-step mode loop is a table
+//! read: no `sqrt`, `sin` or divide is left in a PM step.
 
-/// Precomputed per-axis tables of the Green's function factors for an
-/// `n`-mesh, evaluated lazily per mode via [`GreensFn::eval`].
+use greem_math::cutoff::s2_fourier;
+use rayon::prelude::*;
+
+/// The Green's function of an `n`-mesh, tabulated over the octant of
+/// non-negative wavenumbers from per-axis factor tables.
 #[derive(Debug, Clone)]
 pub struct GreensFn {
     n: usize,
+    /// `table[(|mx|·h + |my|)·h + |mz|]`, `h = n/2 + 1`: [`Self::eval`]
+    /// at every mode of the octant.
+    table: Vec<f64>,
     /// S2 radius `a = r_cut / 2` in box units.
     a: f64,
     /// `4πG` prefactor (G = 1 in simulation units).
@@ -37,9 +47,9 @@ pub struct GreensFn {
 }
 
 impl GreensFn {
-    /// Build the per-axis tables for a mesh of side `n` and cutoff
-    /// `r_cut` (box units). `deconvolve` divides out the squared TSC
-    /// window (on by default in the solvers).
+    /// Tabulate the multiplier for a mesh of side `n` and cutoff `r_cut`
+    /// (box units). `deconvolve` divides out the squared TSC window (on
+    /// by default in the solvers).
     pub fn new(n: usize, r_cut: f64, deconvolve: bool) -> Self {
         assert!(n >= 2 && r_cut > 0.0);
         let two_pi = 2.0 * std::f64::consts::PI;
@@ -65,14 +75,42 @@ impl GreensFn {
                 s * s * s
             })
             .collect();
-        GreensFn {
+        let mut greens = GreensFn {
             n,
+            table: Vec::new(),
             a: 0.5 * r_cut,
             four_pi_g: 4.0 * std::f64::consts::PI * greem_math::G_SIM,
             k_axis,
             w_tsc,
             deconvolve,
-        }
+        };
+        let h = n / 2 + 1;
+        let mut table = vec![0.0; h * h * h];
+        table
+            .par_chunks_mut(h * h)
+            .enumerate()
+            .for_each(|(ix, plane)| {
+                for (i, g) in plane.iter_mut().enumerate() {
+                    *g = greens.eval(ix, i / h, i % h);
+                }
+            });
+        greens.table = table;
+        greens
+    }
+
+    /// The multipliers of modes `(ix, iy, 0 ..= n/2)` (raw mesh indices
+    /// in x and y): what turns `ρ̃(k)` into `φ̃(k)`. 0 at the DC mode.
+    #[inline]
+    pub fn row(&self, ix: usize, iy: usize) -> &[f64] {
+        let h = self.n / 2 + 1;
+        let fold = |i: usize| i.min(self.n - i);
+        &self.table[(fold(ix) * h + fold(iy)) * h..][..h]
+    }
+
+    /// The multiplier at mode `(ix, iy, iz)` (raw mesh indices).
+    #[inline]
+    pub fn get(&self, ix: usize, iy: usize, iz: usize) -> f64 {
+        self.row(ix, iy)[iz.min(self.n - iz)]
     }
 
     /// Mesh side.
@@ -80,10 +118,10 @@ impl GreensFn {
         self.n
     }
 
-    /// The multiplier that turns `ρ̃(k)` into `φ̃(k)` at integer mode
-    /// `(ix, iy, iz)` (raw mesh indices). Returns 0 for the DC mode.
-    #[inline]
-    pub fn eval(&self, ix: usize, iy: usize, iz: usize) -> f64 {
+    /// The closed form the table is filled from (and, in the tests,
+    /// checked against mode by mode): the multiplier at integer mode
+    /// `(ix, iy, iz)` (raw mesh indices), 0 for the DC mode.
+    fn eval(&self, ix: usize, iy: usize, iz: usize) -> f64 {
         if ix == 0 && iy == 0 && iz == 0 {
             return 0.0;
         }
@@ -110,7 +148,28 @@ mod tests {
     #[test]
     fn dc_mode_is_zero() {
         let g = GreensFn::new(16, 0.2, true);
-        assert_eq!(g.eval(0, 0, 0), 0.0);
+        assert_eq!(g.get(0, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn table_equals_closed_form_at_every_mode_bitwise() {
+        for n in [8usize, 16, 32] {
+            for deconvolve in [true, false] {
+                let g = GreensFn::new(n, 3.0 / n as f64, deconvolve);
+                for i in 0..n * n * n {
+                    let (x, y, z) = (i / (n * n), i / n % n, i % n);
+                    assert_eq!(
+                        g.get(x, y, z).to_bits(),
+                        g.eval(x, y, z).to_bits(),
+                        "n={n} deconvolve={deconvolve} mode ({x},{y},{z})"
+                    );
+                    if z <= n / 2 {
+                        assert_eq!(g.row(x, y)[z].to_bits(), g.get(x, y, z).to_bits());
+                    }
+                }
+                assert_eq!(g.get(0, 0, 0), 0.0);
+            }
+        }
     }
 
     #[test]
@@ -120,7 +179,7 @@ mod tests {
         let n = 256;
         let g = GreensFn::new(n, 4.0 / n as f64, true);
         let k = 2.0 * std::f64::consts::PI; // mode (1,0,0)
-        let got = g.eval(1, 0, 0);
+        let got = g.get(1, 0, 0);
         let want = -4.0 * std::f64::consts::PI / (k * k);
         assert!(
             (got - want).abs() < 2e-3 * want.abs(),
@@ -138,7 +197,7 @@ mod tests {
         let hi = n / 2 - 1;
         let k_hi = 2.0 * std::f64::consts::PI * hi as f64;
         let bare = 4.0 * std::f64::consts::PI / (k_hi * k_hi);
-        let got = g.eval(hi, 0, 0).abs();
+        let got = g.get(hi, 0, 0).abs();
         assert!(got < 0.05 * bare, "high-k not suppressed: {got} vs {bare}");
     }
 
@@ -146,8 +205,8 @@ mod tests {
     fn symmetric_under_k_negation() {
         let g = GreensFn::new(32, 0.1, true);
         for (i, j, k) in [(1, 2, 3), (5, 0, 7), (15, 15, 1)] {
-            let a = g.eval(i, j, k);
-            let b = g.eval((32 - i) % 32, (32 - j) % 32, (32 - k) % 32);
+            let a = g.get(i, j, k);
+            let b = g.get((32 - i) % 32, (32 - j) % 32, (32 - k) % 32);
             assert!((a - b).abs() < 1e-15 * a.abs().max(1e-30));
         }
     }
@@ -158,9 +217,9 @@ mod tests {
         let plain = GreensFn::new(n, 0.1, false);
         let deconv = GreensFn::new(n, 0.1, true);
         let (i, j, k) = (13, 9, 5);
-        assert!(deconv.eval(i, j, k).abs() > plain.eval(i, j, k).abs());
+        assert!(deconv.get(i, j, k).abs() > plain.get(i, j, k).abs());
         // And identical in the k→0 limit.
-        let r = deconv.eval(1, 0, 0) / plain.eval(1, 0, 0);
+        let r = deconv.get(1, 0, 0) / plain.get(1, 0, 0);
         assert!((r - 1.0).abs() < 1e-2);
     }
 }

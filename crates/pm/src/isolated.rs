@@ -37,8 +37,10 @@ use greem_math::cutoff::{h_p3m, s2_self_potential};
 use greem_math::Vec3;
 use rayon::prelude::*;
 
+use crate::mesh::{self, Grid, PlaneLists};
+use crate::parallel::PmPhaseTimes;
 use crate::serial::{PmParams, PmResult};
-use crate::tsc::tsc_weights;
+use crate::{timed_phase, PmPipeline};
 
 /// Open-boundary PM solver on a `2n`-padded mesh.
 ///
@@ -149,32 +151,21 @@ impl IsolatedPmSolver {
         self.phi_self
     }
 
+    /// The padded mesh: side `2n`, cell size still `1/n`.
+    fn grid(&self) -> Grid {
+        Grid {
+            cells_per_unit: self.params.n_mesh,
+            ..Grid::periodic(self.np)
+        }
+    }
+
     /// TSC mass-density deposit onto the padded mesh. Cell size is the
     /// *physical* `h = 1/n`; indices wrap on the padded torus, so
     /// positions slightly outside `[0,1)` land in the padding and keep
     /// their exact open-space separations.
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        let vol_inv = (n * n * n) as f64; // 1/h³
-        let mut rho = vec![0.0; np * np * np];
-        for (p, &m) in pos.iter().zip(mass) {
-            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-            let amp = m * vol_inv;
-            for (a, &wxa) in wx.iter().enumerate() {
-                let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                for (b, &wyb) in wy.iter().enumerate() {
-                    let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                    let wxy = wxa * wyb * amp;
-                    let row = (cx * np + cy) * np;
-                    for (c, &wzc) in wz.iter().enumerate() {
-                        let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                        rho[row + cz] += wxy * wzc;
-                    }
-                }
-            }
-        }
+        let mut rho = vec![0.0; self.np.pow(3)];
+        mesh::assign(self.grid(), &mut PlaneLists::default(), pos, mass, &mut rho);
         rho
     }
 
@@ -206,133 +197,47 @@ impl IsolatedPmSolver {
     /// mesh (`∂φ/∂x ≈ (−φ₊₂ + 8φ₊₁ − 8φ₋₁ + φ₋₂)/(12h)`, physical cell
     /// size `h = 1/n`).
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        let np = self.np;
-        assert_eq!(phi.len(), np * np * np);
-        // 1/(12h) with the *physical* spacing h = 1/n = 2/np.
-        let inv12h = self.params.n_mesh as f64 / 12.0;
-        let idx = |x: usize, y: usize, z: usize| (x * np + y) * np + z;
-        let wrap = |i: usize, d: i64| ((i as i64 + d).rem_euclid(np as i64)) as usize;
-        let mut out = [
-            vec![0.0; np * np * np],
-            vec![0.0; np * np * np],
-            vec![0.0; np * np * np],
-        ];
-        let [ox, oy, oz] = &mut out;
-        ox.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dx = -phi[idx(wrap(x, 2), y, z)] + 8.0 * phi[idx(wrap(x, 1), y, z)]
-                            - 8.0 * phi[idx(wrap(x, -1), y, z)]
-                            + phi[idx(wrap(x, -2), y, z)];
-                        slab[y * np + z] = -dx * inv12h;
-                    }
-                }
-            });
-        oy.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dy = -phi[idx(x, wrap(y, 2), z)] + 8.0 * phi[idx(x, wrap(y, 1), z)]
-                            - 8.0 * phi[idx(x, wrap(y, -1), z)]
-                            + phi[idx(x, wrap(y, -2), z)];
-                        slab[y * np + z] = -dy * inv12h;
-                    }
-                }
-            });
-        oz.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dz = -phi[idx(x, y, wrap(z, 2))] + 8.0 * phi[idx(x, y, wrap(z, 1))]
-                            - 8.0 * phi[idx(x, y, wrap(z, -1))]
-                            + phi[idx(x, y, wrap(z, -2))];
-                        slab[y * np + z] = -dz * inv12h;
-                    }
-                }
-            });
+        let mut out = std::array::from_fn(|_| vec![0.0; self.np.pow(3)]);
+        mesh::accel_from_potential(self.grid(), phi, &mut out);
         out
     }
 
-    /// TSC interpolation of a padded-mesh field to particle positions.
-    pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        pos.par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut v = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                        let row = (cx * np + cy) * np;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                            v += wxy * wzc * field[row + cz];
-                        }
-                    }
-                }
-                v
-            })
-            .collect()
-    }
-
     /// Fused TSC interpolation of the three acceleration meshes and the
-    /// potential (one weight computation per particle; bitwise-identical
-    /// to four separate [`interpolate`](Self::interpolate) calls).
+    /// potential to particle positions.
     pub fn interpolate_forces(
         &self,
         acc: &[Vec<f64>; 3],
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        let rows: Vec<(Vec3, f64)> = pos
-            .par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut a3 = Vec3::ZERO;
-                let mut pot = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                        let row = (cx * np + cy) * np;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                            let w = wxy * wzc;
-                            let i = row + cz;
-                            a3.x += w * acc[0][i];
-                            a3.y += w * acc[1][i];
-                            a3.z += w * acc[2][i];
-                            pot += w * phi[i];
-                        }
-                    }
-                }
-                (a3, pot)
-            })
-            .collect();
-        rows.into_iter().unzip()
+        mesh::gather_forces(self.grid(), acc, phi, pos)
     }
 
     /// The full isolated PM cycle: open-space long-range accelerations
     /// (and potentials) at the particle positions.
     pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
+        self.solve_timed(pos, mass).0
+    }
+}
+
+impl PmPipeline for IsolatedPmSolver {
+    fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
-        let rho = self.assign_density(pos, mass);
-        let phi = self.potential_mesh(&rho);
-        let acc = self.accel_meshes(&phi);
-        let (accel, potential) = self.interpolate_forces(&acc, &phi, pos);
-        PmResult { accel, potential }
+        let mut t = PmPhaseTimes::default();
+        let rho = timed_phase("pm.density_assignment", &mut t.density_assignment, || {
+            self.assign_density(pos, mass)
+        });
+        let phi = timed_phase("pm.fft", &mut t.fft, || self.potential_mesh(&rho));
+        let acc = timed_phase(
+            "pm.acceleration_on_mesh",
+            &mut t.acceleration_on_mesh,
+            || self.accel_meshes(&phi),
+        );
+        let (accel, potential) =
+            timed_phase("pm.force_interpolation", &mut t.force_interpolation, || {
+                self.interpolate_forces(&acc, &phi, pos)
+            });
+        (PmResult { accel, potential }, t)
     }
 }
 

@@ -29,6 +29,7 @@ pub mod convert;
 pub mod greens;
 pub mod isolated;
 pub mod layout;
+mod mesh;
 pub mod parallel;
 pub mod relay;
 pub mod serial;
@@ -46,77 +47,23 @@ use greem_math::Vec3;
 /// engine can swap boundary conditions without touching its phase
 /// structure. Implemented by [`PmSolver`] (periodic torus, the paper's
 /// setup) and [`IsolatedPmSolver`] (James'-method zero-padded open
-/// space). Mesh buffers flow between stages opaquely — the isolated
-/// backend's meshes are 8× larger, which callers never see.
+/// space). The meshes never leave the backend — the isolated one's are
+/// 8× larger, which callers never see.
 pub trait PmPipeline: Send + Sync {
-    /// TSC mass-density deposit.
-    fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64>;
-    /// Density mesh → long-range potential mesh (FFT + Green's
-    /// function or kernel convolution).
-    fn potential_mesh(&self, density: &[f64]) -> Vec<f64>;
-    /// 4-point finite-difference acceleration meshes from the potential.
-    fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3];
-    /// TSC interpolation of one mesh field to particle positions.
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64>;
-    /// Fused interpolation of the acceleration meshes and potential.
-    fn interpolate_forces(
-        &self,
-        acc: &[Vec<f64>; 3],
-        phi: &[f64],
-        pos: &[Vec3],
-    ) -> (Vec<Vec3>, Vec<f64>);
-    /// The full cycle: accelerations + potentials at the positions.
-    fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
-        let rho = self.assign_density(pos, mass);
-        let phi = self.potential_mesh(&rho);
-        let acc = self.accel_meshes(&phi);
-        let (accel, potential) = self.interpolate_forces(&acc, &phi, pos);
-        PmResult { accel, potential }
-    }
+    /// The full cycle — assignment, potential, differencing,
+    /// interpolation — with the wall seconds of each of the four.
+    fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes);
 }
 
-impl PmPipeline for PmSolver {
-    fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        PmSolver::assign_density(self, pos, mass)
-    }
-    fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
-        PmSolver::potential_mesh(self, density)
-    }
-    fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        PmSolver::accel_meshes(self, phi)
-    }
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        PmSolver::interpolate(self, field, pos)
-    }
-    fn interpolate_forces(
-        &self,
-        acc: &[Vec<f64>; 3],
-        phi: &[f64],
-        pos: &[Vec3],
-    ) -> (Vec<Vec3>, Vec<f64>) {
-        PmSolver::interpolate_forces(self, acc, phi, pos)
-    }
-}
-
-impl PmPipeline for IsolatedPmSolver {
-    fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        IsolatedPmSolver::assign_density(self, pos, mass)
-    }
-    fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
-        IsolatedPmSolver::potential_mesh(self, density)
-    }
-    fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        IsolatedPmSolver::accel_meshes(self, phi)
-    }
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        IsolatedPmSolver::interpolate(self, field, pos)
-    }
-    fn interpolate_forces(
-        &self,
-        acc: &[Vec<f64>; 3],
-        phi: &[f64],
-        pos: &[Vec3],
-    ) -> (Vec<Vec3>, Vec<f64>) {
-        IsolatedPmSolver::interpolate_forces(self, acc, phi, pos)
-    }
+/// Run one phase of a serial cycle under its Table I span, adding its
+/// wall seconds to `slot`.
+fn timed_phase<T>(name: &'static str, slot: &mut f64, phase: impl FnOnce() -> T) -> T {
+    #[cfg(feature = "obs")]
+    let _span = greem_obs::trace::span("force", name);
+    #[cfg(not(feature = "obs"))]
+    let _ = name;
+    let t0 = std::time::Instant::now();
+    let out = phase();
+    *slot += t0.elapsed().as_secs_f64();
+    out
 }

@@ -219,9 +219,9 @@ impl ParallelPm {
                 for yl in 0..nyl {
                     let ky = y0 + yl;
                     for x in 0..n {
-                        let row = (yl * n + x) * n;
-                        for z in 0..n {
-                            k[row + z] = k[row + z] * self.greens.eval(x, ky, z);
+                        let g = self.greens.row(x, ky);
+                        for (z, v) in k[(yl * n + x) * n..][..n].iter_mut().enumerate() {
+                            *v = *v * g[z.min(n - z)];
                         }
                     }
                 }

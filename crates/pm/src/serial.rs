@@ -6,12 +6,16 @@
 //! driver must agree with this to rounding-level accuracy, and the
 //! single-rank TreePM path in `greem` (core) uses it directly.
 
-use greem_fft::{fft3d, fft3d_inverse, Fft1d, Mesh3};
+use std::sync::Mutex;
+
+use greem_fft::RealFft3;
 use greem_math::Vec3;
-use rayon::prelude::*;
 
 use crate::greens::GreensFn;
+use crate::mesh::{self, Grid, PlaneLists};
+use crate::parallel::PmPhaseTimes;
 use crate::tsc::tsc_weights;
+use crate::{timed_phase, PmPipeline};
 
 /// PM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +67,20 @@ pub struct PmResult {
 pub struct PmSolver {
     params: PmParams,
     greens: GreensFn,
-    plan: Fft1d,
+    fft: RealFft3,
+    /// The meshes of one cycle, kept from step to step so a solve
+    /// allocates (and page-faults) nothing. Every pass overwrites what
+    /// it uses: nothing is carried from one solve to the next.
+    workspace: Mutex<Workspace>,
+}
+
+struct Workspace {
+    /// Density, then its spectrum, then the potential, in the
+    /// transform's padded `n × n × (n+2)` layout.
+    mesh: Vec<f64>,
+    /// The three acceleration meshes, `n³` each.
+    acc: [Vec<f64>; 3],
+    lists: PlaneLists,
 }
 
 impl PmSolver {
@@ -73,9 +90,16 @@ impl PmSolver {
             params.n_mesh.is_power_of_two(),
             "PM mesh must be a power of two"
         );
+        let fft = RealFft3::new(params.n_mesh);
+        let cells = params.n_mesh.pow(3);
         PmSolver {
             greens: GreensFn::new(params.n_mesh, params.r_cut, params.deconvolve),
-            plan: Fft1d::new(params.n_mesh),
+            workspace: Mutex::new(Workspace {
+                mesh: vec![0.0; fft.buf_len()],
+                acc: std::array::from_fn(|_| vec![0.0; cells]),
+                lists: PlaneLists::default(),
+            }),
+            fft,
             params,
         }
     }
@@ -85,49 +109,38 @@ impl PmSolver {
         &self.params
     }
 
+    fn workspace(&self) -> std::sync::MutexGuard<'_, Workspace> {
+        self.workspace
+            .lock()
+            .expect("a PM solve panicked while holding the workspace")
+    }
+
+    /// The mesh inside the transform's padded buffer.
+    fn padded_grid(&self) -> Grid {
+        Grid {
+            pitch: self.fft.row_len(),
+            ..Grid::periodic(self.params.n_mesh)
+        }
+    }
+
     /// TSC mass-density assignment onto the full periodic mesh:
     /// `ρ[c] = Σ_p m_p·W(c − x_p) / h³`. Positions must be in `[0,1)`.
     ///
-    /// Parallelised with per-chunk scratch meshes rather than x-slab
-    /// ownership: TSC scatters span 3 planes, so slab ownership needs
-    /// ghost layers and a particle→slab binning pass, while scratch
-    /// meshes keep the scatter loop identical to the serial one and pay
-    /// only an n³-sized reduction — the better trade at the mesh sizes
-    /// the single-rank path runs (≤128³). The chunk count is a pure
-    /// function of the problem size (never of the thread count), so the
-    /// reduction order is fixed and the result is deterministic on any
-    /// host. It may differ from the serial sum by reassociation only:
-    /// ≲1e-12 relative.
+    /// Parallel over x-planes, each owned by one task that deposits, in
+    /// particle order, the particles whose clouds reach it
+    /// (`mesh::assign`): bit-identical to
+    /// [`assign_density_serial`](Self::assign_density_serial) at any
+    /// thread count.
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
-        let chunks = assignment_chunks(pos.len(), n);
-        if chunks == 1 {
-            return self.assign_density_serial(pos, mass);
-        }
-        let chunk_len = pos.len().div_ceil(chunks);
-        let partials: Vec<Vec<f64>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(pos.len());
-                self.assign_density_serial(&pos[lo..hi], &mass[lo..hi])
-            })
-            .collect();
-        // Reduce in fixed chunk order, parallel over mesh slabs.
-        let mut rho = partials[0].clone();
-        rho.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for part in &partials[1..] {
-                let src = &part[x * n * n..(x + 1) * n * n];
-                for (d, s) in slab.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        });
+        let mut rho = vec![0.0; n * n * n];
+        let mut lists = PlaneLists::default();
+        mesh::assign(Grid::periodic(n), &mut lists, pos, mass, &mut rho);
         rho
     }
 
-    /// The serial scatter loop — the reference the parallel assignment
-    /// reduces over (and equivalence tests compare against).
+    /// The plain scatter loop over particles: the reference
+    /// [`assign_density`](Self::assign_density) must equal bit for bit.
     pub fn assign_density_serial(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
         let n_i = n as i64;
@@ -157,12 +170,22 @@ impl PmSolver {
     pub fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
         assert_eq!(density.len(), n * n * n);
-        let mut mesh = Mesh3::from_real(n, density);
-        fft3d(&mut mesh, &self.plan);
-        let greens = &self.greens;
-        mesh.par_map_modes(|ix, iy, iz, v| v * greens.eval(ix, iy, iz));
-        fft3d_inverse(&mut mesh, &self.plan);
-        mesh.to_real()
+        let buf = &mut self.workspace().mesh;
+        for (row, src) in buf.chunks_exact_mut(n + 2).zip(density.chunks_exact(n)) {
+            row[..n].copy_from_slice(src);
+        }
+        self.potential_in_place(buf);
+        let mut phi = Vec::with_capacity(density.len());
+        for row in buf.chunks_exact(n + 2) {
+            phi.extend_from_slice(&row[..n]);
+        }
+        phi
+    }
+
+    /// Density → potential in the padded buffer: real-to-half-complex
+    /// transform, Green's function table, and back.
+    fn potential_in_place(&self, buf: &mut [f64]) {
+        self.fft.convolve(buf, |ix, iy| self.greens.row(ix, iy));
     }
 
     /// 4-point finite-difference accelerations from the potential mesh:
@@ -170,146 +193,61 @@ impl PmSolver {
     /// step 5). Returns the three component meshes.
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         let n = self.params.n_mesh;
-        assert_eq!(phi.len(), n * n * n);
-        let inv12h = n as f64 / 12.0;
-        let idx = |x: usize, y: usize, z: usize| (x * n + y) * n + z;
-        let wrap = |i: usize, d: i64| ((i as i64 + d).rem_euclid(n as i64)) as usize;
-        // One parallel pass per component, each over x-slabs of its own
-        // output mesh. Every cell is written once with the same stencil
-        // arithmetic as the serial loop: bitwise-identical results.
-        let mut out = [
-            vec![0.0; n * n * n],
-            vec![0.0; n * n * n],
-            vec![0.0; n * n * n],
-        ];
-        let [ox, oy, oz] = &mut out;
-        ox.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dx = -phi[idx(wrap(x, 2), y, z)] + 8.0 * phi[idx(wrap(x, 1), y, z)]
-                        - 8.0 * phi[idx(wrap(x, -1), y, z)]
-                        + phi[idx(wrap(x, -2), y, z)];
-                    slab[y * n + z] = -dx * inv12h;
-                }
-            }
-        });
-        oy.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dy = -phi[idx(x, wrap(y, 2), z)] + 8.0 * phi[idx(x, wrap(y, 1), z)]
-                        - 8.0 * phi[idx(x, wrap(y, -1), z)]
-                        + phi[idx(x, wrap(y, -2), z)];
-                    slab[y * n + z] = -dy * inv12h;
-                }
-            }
-        });
-        oz.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dz = -phi[idx(x, y, wrap(z, 2))] + 8.0 * phi[idx(x, y, wrap(z, 1))]
-                        - 8.0 * phi[idx(x, y, wrap(z, -1))]
-                        + phi[idx(x, y, wrap(z, -2))];
-                    slab[y * n + z] = -dz * inv12h;
-                }
-            }
-        });
+        let mut out = std::array::from_fn(|_| vec![0.0; n * n * n]);
+        mesh::accel_from_potential(Grid::periodic(n), phi, &mut out);
         out
     }
 
-    /// TSC interpolation of a mesh field to particle positions
-    /// (parallel over particles; per-particle arithmetic is unchanged,
-    /// so results are bitwise-identical to the serial loop).
+    /// TSC interpolation of a mesh field to particle positions.
     pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let n_i = n as i64;
-        pos.par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut v = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                        let row = (cx * n + cy) * n;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                            v += wxy * wzc * field[row + cz];
-                        }
-                    }
-                }
-                v
-            })
-            .collect()
+        mesh::gather_field(Grid::periodic(self.params.n_mesh), field, pos)
     }
 
     /// Fused TSC interpolation of the three acceleration meshes and the
-    /// potential: one pass computing the TSC weights once per particle
-    /// instead of four times. Each field keeps its own accumulator in
-    /// the same a/b/c gather order, so every value is bitwise-identical
-    /// to four separate [`interpolate`](Self::interpolate) calls.
+    /// potential, bit-identical to four [`interpolate`](Self::interpolate)
+    /// calls.
     pub fn interpolate_forces(
         &self,
         acc: &[Vec<f64>; 3],
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        let n = self.params.n_mesh;
-        let n_i = n as i64;
-        let rows: Vec<(Vec3, f64)> = pos
-            .par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut a3 = Vec3::ZERO;
-                let mut pot = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                        let row = (cx * n + cy) * n;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                            let w = wxy * wzc;
-                            let i = row + cz;
-                            a3.x += w * acc[0][i];
-                            a3.y += w * acc[1][i];
-                            a3.z += w * acc[2][i];
-                            pot += w * phi[i];
-                        }
-                    }
-                }
-                (a3, pot)
-            })
-            .collect();
-        rows.into_iter().unzip()
+        mesh::gather_forces(Grid::periodic(self.params.n_mesh), acc, phi, pos)
     }
 
     /// The full PM cycle: long-range accelerations (and potentials) at
     /// the particle positions.
     pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
-        assert_eq!(pos.len(), mass.len());
-        let rho = self.assign_density(pos, mass);
-        let phi = self.potential_mesh(&rho);
-        let acc = self.accel_meshes(&phi);
-        let (accel, potential) = self.interpolate_forces(&acc, &phi, pos);
-        PmResult { accel, potential }
+        self.solve_timed(pos, mass).0
     }
 }
 
-/// Chunk count for parallel density assignment: a pure function of the
-/// problem size so the reduction order — and therefore the result — is
-/// identical on every host and thread count. Bounded by a scratch-mesh
-/// memory budget (each chunk owns an n³ f64 mesh) and by a minimum
-/// number of particles per chunk (below that the scatter is too cheap
-/// to amortise the reduction).
-fn assignment_chunks(n_particles: usize, n_mesh: usize) -> usize {
-    const MIN_PARTICLES_PER_CHUNK: usize = 4096;
-    const SCRATCH_BUDGET_BYTES: usize = 256 << 20;
-    let by_particles = n_particles / MIN_PARTICLES_PER_CHUNK;
-    let mesh_bytes = n_mesh * n_mesh * n_mesh * std::mem::size_of::<f64>();
-    let by_memory = SCRATCH_BUDGET_BYTES / mesh_bytes.max(1);
-    by_particles.min(by_memory).clamp(1, 8)
+impl PmPipeline for PmSolver {
+    /// The cycle on the solver's own workspace: the density is assigned
+    /// straight into the transform's padded buffer, becomes the
+    /// potential there, and is differenced and interpolated from there.
+    fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
+        assert_eq!(pos.len(), mass.len());
+        let grid = self.padded_grid();
+        let mut t = PmPhaseTimes::default();
+        let ws = &mut *self.workspace();
+        timed_phase("pm.density_assignment", &mut t.density_assignment, || {
+            mesh::assign(grid, &mut ws.lists, pos, mass, &mut ws.mesh)
+        });
+        timed_phase("pm.fft", &mut t.fft, || {
+            self.potential_in_place(&mut ws.mesh)
+        });
+        timed_phase(
+            "pm.acceleration_on_mesh",
+            &mut t.acceleration_on_mesh,
+            || mesh::accel_from_potential(grid, &ws.mesh, &mut ws.acc),
+        );
+        let (accel, potential) =
+            timed_phase("pm.force_interpolation", &mut t.force_interpolation, || {
+                mesh::gather_forces(grid, &ws.acc, &ws.mesh, pos)
+            });
+        (PmResult { accel, potential }, t)
+    }
 }
 
 #[cfg(test)]
@@ -331,20 +269,72 @@ mod tests {
         assert!((got - want).abs() < 1e-10 * want, "mass {got} vs {want}");
     }
 
-    #[test]
-    fn parallel_assignment_matches_serial_reference() {
-        // Enough particles to exceed the chunking threshold, so the
-        // parallel reduction path actually runs.
-        let solver = PmSolver::new(PmParams::standard(16));
-        let pos = rand_pos(20_000, 17);
-        let mass: Vec<f64> = (0..20_000).map(|i| 0.5 + (i % 5) as f64 * 0.2).collect();
-        let par = solver.assign_density(&pos, &mass);
-        let ser = solver.assign_density_serial(&pos, &mass);
-        let scale = ser.iter().map(|v| v.abs()).fold(1e-300, f64::max);
-        for (p, s) in par.iter().zip(&ser) {
-            // Reassociated sums only: documented ≲1e-12 relative.
-            assert!((p - s).abs() <= 1e-12 * scale, "{p} vs {s}");
+    fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: cell {i}: {x} vs {y}");
         }
+    }
+
+    #[test]
+    fn plane_owned_assignment_equals_serial_scatter_bitwise() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let mut edges = rand_pos(40, 29);
+        edges.extend([
+            Vec3::ZERO,
+            Vec3::splat(below_one),
+            Vec3::new(0.0, below_one, 0.5),
+            Vec3::new(below_one, 0.0, 0.26),
+        ]);
+        let one_cell: Vec<Vec3> = rand_pos(300, 31)
+            .iter()
+            .map(|p| (*p * 0.01) + Vec3::splat(0.41))
+            .collect();
+        let cases = [
+            ("uniform", rand_pos(20_000, 17)),
+            ("faces and corners", edges),
+            ("every particle in one cell", one_cell),
+            ("no particles", Vec::new()),
+        ];
+        // Sides below, at and above one task's planes; 2 wraps a cloud
+        // onto the same plane twice.
+        for n in [2usize, 4, 8, 16] {
+            let solver = PmSolver::new(PmParams::standard(n));
+            for (name, pos) in &cases {
+                let mass: Vec<f64> = (0..pos.len()).map(|i| 0.5 + (i % 5) as f64 * 0.2).collect();
+                let got = solver.assign_density(pos, &mass);
+                let want = solver.assign_density_serial(pos, &mass);
+                assert_bitwise_eq(&got, &want, &format!("n={n}, {name}"));
+            }
+        }
+    }
+
+    #[test]
+    fn second_solve_is_bitwise_the_first() {
+        // The workspace carries nothing from one solve to the next —
+        // not even through a different particle set in between.
+        let solver = PmSolver::new(PmParams::standard(16));
+        let pos = rand_pos(500, 41);
+        let mass = vec![1.0 / 500.0; 500];
+        let first = solver.solve(&pos, &mass);
+        solver.solve(&rand_pos(70, 43), &[2.0; 70]);
+        let again = solver.solve(&pos, &mass);
+        assert_eq!(first.accel, again.accel);
+        assert_bitwise_eq(&first.potential, &again.potential, "potential");
+    }
+
+    #[test]
+    fn workspace_cycle_equals_the_staged_calls_bitwise() {
+        let solver = PmSolver::new(PmParams::standard(16));
+        let pos = rand_pos(400, 47);
+        let mass = vec![1.0; 400];
+        let rho = solver.assign_density(&pos, &mass);
+        let phi = solver.potential_mesh(&rho);
+        let acc = solver.accel_meshes(&phi);
+        let (accel, potential) = solver.interpolate_forces(&acc, &phi, &pos);
+        let res = solver.solve(&pos, &mass);
+        assert_eq!(res.accel, accel);
+        assert_bitwise_eq(&res.potential, &potential, "potential");
     }
 
     #[test]

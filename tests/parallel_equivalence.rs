@@ -6,10 +6,9 @@
 //! Equivalence levels (documented per phase in the crates themselves):
 //! FFT passes, mesh differencing, interpolation and tree build are
 //! bitwise-identical to serial (same per-element arithmetic, placement
-//! by index); density assignment reduces per-chunk partial meshes in a
-//! fixed order, so it is deterministic at any thread count but may
-//! differ from the serial scatter by reassociation only (≲1e-12
-//! relative). Repeated runs in one process (fixed thread count) must be
+//! by index), and so is density assignment: each task owns whole mesh
+//! planes and deposits to them in particle order, the order of the
+//! serial scatter. Repeated runs in one process must be
 //! bitwise-identical everywhere.
 
 use greem_repro::fft::{fft3d, fft3d_inverse, Cpx, Fft1d, Mesh3};
@@ -161,9 +160,7 @@ fn parallel_fft_matches_serial_reference_bitwise() {
 }
 
 #[test]
-fn parallel_density_assignment_matches_serial_within_tolerance() {
-    // Enough particles that the chunked parallel path engages
-    // (assignment splits above 4096 particles per chunk).
+fn parallel_density_assignment_matches_serial_bitwise() {
     let n = 20_000;
     let mut s = 31u64;
     let mut next = move || {
@@ -178,18 +175,13 @@ fn parallel_density_assignment_matches_serial_within_tolerance() {
 
     let par = solver.assign_density(&pos, &mass);
     let ser = solver.assign_density_serial(&pos, &mass);
-    let scale: f64 = mass.iter().sum::<f64>() * (16f64).powi(3);
-    for (i, (p, q)) in par.iter().zip(&ser).enumerate() {
+    let again = solver.assign_density(&pos, &mass);
+    for (i, ((p, q), r)) in par.iter().zip(&ser).zip(&again).enumerate() {
         assert!(
-            (p - q).abs() <= 1e-12 * scale,
+            p.to_bits() == q.to_bits(),
             "cell {i}: parallel {p} vs serial {q}"
         );
-    }
-
-    // Fixed chunk count → deterministic regardless of thread count.
-    let again = solver.assign_density(&pos, &mass);
-    for (i, (p, q)) in par.iter().zip(&again).enumerate() {
-        assert!(p.to_bits() == q.to_bits(), "cell {i} not reproducible");
+        assert!(p.to_bits() == r.to_bits(), "cell {i} not reproducible");
     }
 }
 

@@ -71,8 +71,10 @@ impl KernelVariant {
         match self {
             KernelVariant::Scalar => 1,
             KernelVariant::Portable => 4, // phantom.rs LANES
-            KernelVariant::Avx2 => 8,     // x86.rs Avx2: MAX_VECS·W = 2·4
-            KernelVariant::Avx512 => 32,  // x86.rs Avx512: MAX_VECS·W = 4·8
+            // x86.rs: one target vector a block, W lanes (the loop is
+            // blocked over sources instead, four to a trip).
+            KernelVariant::Avx2 => 4,
+            KernelVariant::Avx512 => 8,
         }
     }
 }

@@ -22,13 +22,13 @@
 //!   approximate-rsqrt pipeline, written fully branchless so LLVM's
 //!   auto-vectoriser sees straight-line FMA-friendly lanes; the
 //!   guaranteed fallback on every host,
-//! * [`x86`] — the explicit-intrinsics kernel, one interaction body
-//!   instantiated at the register file's width: AVX2+FMA (4 lanes × 2
-//!   target vectors in 16 ymm, `vrsqrtps` seed standing in for the
-//!   paper's `frsqrta`, compare/AND masks) and AVX-512 (8 lanes × 4
-//!   target vectors in 32 zmm, `vrsqrt14pd` seed in f64, `k`-register
-//!   masks); remainder blocks run only as many vectors as they have
-//!   live targets, under masked loads and stores,
+//! * [`x86`] — the explicit-intrinsics kernel, one software-pipelined
+//!   interaction body (four sources in flight against a target vector,
+//!   stage by stage) instantiated at the register file's width:
+//!   AVX2+FMA (4 lanes, `vrsqrtps` seed standing in for the paper's
+//!   `frsqrta`, compare/AND mask) and AVX-512 (8 lanes, `vrsqrt14pd`
+//!   seed in f64, `k`-register mask); the last block of a call runs
+//!   its live targets under masked loads and stores,
 //! * [`dispatch`] — CPU-feature detection resolved once per process
 //!   ([`pp_accel_dispatch`]); force a variant with the
 //!   `GREEM_PP_KERNEL` env var (`scalar`/`portable`/`avx2`/`avx512`)

@@ -2,46 +2,59 @@
 //! HPC-ACE Phantom-GRAPE loop (§II-A), written once and instantiated at
 //! the two register-file widths the host may have.
 //!
-//! The eq. (3) pipeline ([`interact`]) and the blocking around it
+//! The eq. (3) pipeline ([`trip`]) and the blocking around it
 //! ([`block`], [`run`]) are generic over [`Lanes`], a thin trait naming
 //! the vector operations the pipeline needs. Two implementations:
 //!
-//! * [`Avx2`] — `W` = 4 f64 lanes in 16 ymm registers. Two target
-//!   vectors per block: 6 position + 6 accumulator + 4 broadcast-source
-//!   values are the 16 the file holds, where a four-vector block keeps
-//!   28 live and spills them on every source.
-//!   The rsqrt seed is the 12-bit `vrsqrtps`, reached through
-//!   `vcvtpd2ps → vrsqrtps → vcvtps2pd`; masks are all-ones/all-zeros
-//!   bit patterns ANDed into the force (the paper's `fcmp`/`fand`).
-//! * [`Avx512`] — `W` = 8 lanes in 32 zmm registers, four target
-//!   vectors per block. The seed is `vrsqrt14pd`, 14 bits directly in
-//!   f64 (no f32 round trip); the `ξ < 2` cut and the self-pair guard
-//!   live in `k` mask registers and fold into the masked multiply.
+//! * [`Avx2`] — `W` = 4 f64 lanes in 16 ymm registers. The rsqrt seed
+//!   is the 12-bit `vrsqrtps`, reached through
+//!   `vcvtpd2ps → vrsqrtps → vcvtps2pd`; the `ξ < 2` cut is an
+//!   all-ones/all-zeros bit pattern ANDed into the force (the paper's
+//!   `fcmp`/`fand`).
+//! * [`Avx512`] — `W` = 8 lanes in 32 zmm registers. The seed is
+//!   `vrsqrt14pd`, 14 bits directly in f64 (no f32 round trip); the cut
+//!   lives in a `k` mask register and folds into the masked multiply.
 //!
 //! Both follow the seed with the paper's single third-order step
 //! `y₁ = y₀(1 + h/2 + 3h²/8)`, landing at ~2⁻³³ (12-bit seed) and
 //! ~2⁻⁴⁰ (14-bit seed) — past the paper's 24-bit target (DESIGN.md §11
 //! has the arithmetic). No data-dependent branch exists in the loop.
 //!
+//! **The loop is software-pipelined.** One interaction is a dependent
+//! chain of ~100 cycles, and left to itself the compiler emits such
+//! chains nearly back to back, so the FMA pipes wait on latency. A
+//! [`trip`] of the source loop instead carries [`SOURCES`] consecutive
+//! sources against one target vector through the pipeline *stage by
+//! stage* — differences and r² for all of them, then seed and
+//! third-order step for all, then the cutoff polynomial, then the
+//! masked force — with [`Lanes::pin`] holding the compiler to that
+//! order, so that many independent chains are always in flight. The
+//! shape was chosen per width by measured ns/interaction and by the
+//! spills in the emitted loop (`scripts/kernel_asm_report.sh`; the
+//! sweep is DESIGN.md §11), not by counting registers.
+//!
 //! **Targets sit in lanes and every target's sum runs sequentially over
-//! the source list.** A lane therefore computes exactly what it would
-//! compute alone: results do not depend on where a target falls inside
-//! a block, and a source whose force is masked to zero changes no bit —
-//! the properties interaction-list replay relies on, pinned by the
-//! blocking- and null-source-invariance tests in
+//! the source list**: a trip retires its forces in list order, and
+//! every lane executes the operations of a one-chain evaluation in the
+//! same order. A lane therefore computes exactly what it would compute
+//! alone: results do not depend on the trip shape, on where a target
+//! falls inside a block or where a source falls inside a trip, and a
+//! source whose force is masked to zero changes no bit — the properties
+//! interaction-list replay relies on, pinned by the golden-hash,
+//! blocking-, tail- and null-source-invariance tests in
 //! `tests/simd_equivalence.rs`.
 //!
-//! Remainders are vector-granular: a block of `live` targets runs
-//! `⌈live/W⌉` vectors; the last one loads its positions and
-//! read-modify-writes its accelerations under a lane mask, so nothing
-//! is staged through padded buffers and no lane beyond `live` is read
-//! or written.
+//! A block is one vector of targets; the last block of a call loads its
+//! positions and read-modify-writes its accelerations under a lane
+//! mask, so nothing is staged through padded buffers and no lane beyond
+//! the live targets is read or written.
 //!
 //! The flop accounting is unchanged — 51 flops per interaction however
 //! the host executes it.
 
 #![cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 
+use core::arch::asm;
 use core::arch::x86_64::*;
 use std::time::Instant;
 
@@ -50,6 +63,13 @@ use greem_math::ForceSplit;
 use crate::dispatch::KernelVariant;
 use crate::sources::{SourceList, Targets};
 use crate::InteractionCount;
+
+/// Consecutive sources a [`trip`] keeps in flight against one target
+/// vector, at both widths: the fastest shape of the DESIGN.md §11 sweep
+/// whose main loop spills less than a one-source, four-vector block
+/// did. [`KernelVariant::target_block`] and
+/// [`crate::benchmark::OpMix::of`] describe this shape.
+const SOURCES: usize = 4;
 
 /// The vector operations of one SIMD width.
 ///
@@ -65,8 +85,6 @@ trait Lanes {
     /// A per-lane predicate.
     type M: Copy;
     const W: usize;
-    /// Target vectors per register block.
-    const MAX_VECS: usize;
 
     unsafe fn splat(x: f64) -> Self::V;
     /// Lane indices 0, 1, … `W`−1.
@@ -85,11 +103,19 @@ trait Lanes {
     /// Hardware `1/√x` estimate (the paper's `frsqrta`).
     unsafe fn rsqrt_seed(x: Self::V) -> Self::V;
     unsafe fn lt(a: Self::V, b: Self::V) -> Self::M;
-    unsafe fn both(a: Self::M, b: Self::M) -> Self::M;
-    /// `a` where `m`, else `b`.
-    unsafe fn select(m: Self::M, a: Self::V, b: Self::V) -> Self::V;
     /// `a` where `m`, else +0.
     unsafe fn keep(m: Self::M, a: Self::V) -> Self::V;
+    /// `a`, through an empty `asm!` that takes and returns it in a
+    /// vector register — the end of a pipeline stage. The compiler must
+    /// have computed `a` before the statement and can start nothing
+    /// that uses the result until after it, and the statements keep
+    /// their program order among themselves, so stage k of every chain
+    /// of a trip is emitted before stage k + 1 of any. The statement is
+    /// also declared to touch memory: no load moves or merges across
+    /// it, which makes every stage re-read its constants as memory
+    /// operands instead of holding them in registers for the whole
+    /// trip. It emits no instruction and changes no value.
+    unsafe fn pin(a: Self::V) -> Self::V;
 }
 
 /// One row per [`Lanes`] method: `fn name(args) -> type = intrinsic
@@ -112,7 +138,6 @@ impl Lanes for Avx2 {
     /// All-ones / all-zeros lanes, as `vcmppd` produces them.
     type M = __m256d;
     const W: usize = 4;
-    const MAX_VECS: usize = 2;
 
     lane_ops! {
         fn splat(x: f64) -> __m256d = _mm256_set1_pd(x);
@@ -126,13 +151,21 @@ impl Lanes for Avx2 {
         fn fmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = _mm256_fmadd_pd(a, b, c);
         fn fnmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = _mm256_fnmadd_pd(a, b, c);
         // 12-bit `vrsqrtps` on the f32-rounded argument, widened back.
-        // `interact` keeps x above the f32 subnormals; past the f32
-        // range the seed is 0 and the lane's force comes out 0.
+        // `trip` keeps x above the f32 subnormals; past the f32 range
+        // the seed is 0 and the lane's force comes out 0.
         fn rsqrt_seed(x: __m256d) -> __m256d = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(x)));
         fn lt(a: __m256d, b: __m256d) -> __m256d = _mm256_cmp_pd::<_CMP_LT_OQ>(a, b);
-        fn both(a: __m256d, b: __m256d) -> __m256d = _mm256_and_pd(a, b);
-        fn select(m: __m256d, a: __m256d, b: __m256d) -> __m256d = _mm256_blendv_pd(b, a, m);
         fn keep(m: __m256d, a: __m256d) -> __m256d = _mm256_and_pd(a, m);
+    }
+
+    // The ymm operand class needs `avx` on the function itself, which
+    // rules `#[inline(always)]` out; like the intrinsics above it is
+    // inlined once its caller has landed in the entry point.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pin(mut a: __m256d) -> __m256d {
+        asm!("/* {0} */", inout(ymm_reg) a, options(nostack, preserves_flags));
+        a
     }
 }
 
@@ -143,7 +176,6 @@ impl Lanes for Avx512 {
     type V = __m512d;
     type M = __mmask8;
     const W: usize = 8;
-    const MAX_VECS: usize = 4;
 
     lane_ops! {
         fn splat(x: f64) -> __m512d = _mm512_set1_pd(x);
@@ -159,118 +191,151 @@ impl Lanes for Avx512 {
         // 14 bits, directly in f64.
         fn rsqrt_seed(x: __m512d) -> __m512d = _mm512_rsqrt14_pd(x);
         fn lt(a: __m512d, b: __m512d) -> __mmask8 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b);
-        fn both(a: __mmask8, b: __mmask8) -> __mmask8 = a & b;
-        fn select(m: __mmask8, a: __m512d, b: __m512d) -> __m512d = _mm512_mask_blend_pd(m, b, a);
         fn keep(m: __mmask8, a: __m512d) -> __m512d = _mm512_maskz_mov_pd(m, a);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn pin(mut a: __m512d) -> __m512d {
+        asm!("/* {0} */", inout(zmm_reg) a, options(nostack, preserves_flags));
+        a
     }
 }
 
-/// Loop-invariant broadcast constants, set up once per call.
-struct Consts<L: Lanes> {
-    zero: L::V,
-    one: L::V,
-    two: L::V,
-    half: L::V,
-    c38: L::V,
+/// The predicate enabling the first `n` lanes (all of them when
+/// `n ≥ W`).
+#[inline(always)]
+unsafe fn first_lanes<L: Lanes>(n: usize) -> L::M {
+    L::lt(L::iota(), L::splat(n as f64))
+}
+
+/// The constants of the loop, as scalars the stages broadcast from
+/// memory where they use them ([`Lanes::pin`]).
+struct Consts {
+    one: f64,
+    two: f64,
+    half: f64,
+    c38: f64,
     /// Smallest positive normal f32 — floor under the rsqrt argument.
     /// `vrsqrtps` would seed inf from an f32-subnormal r²; `vrsqrt14pd`
     /// would seed a y whose cube overflows. Both stay finite above it.
-    tiny: L::V,
-    iota: L::V,
-    eps2: L::V,
-    c_xi: L::V,
-    k015: L::V,
-    km1235: L::V,
-    km05: L::V,
-    k16: L::V,
-    km16: L::V,
-    k02: L::V,
-    k1835: L::V,
-    k335: L::V,
+    tiny: f64,
+    eps2: f64,
+    c_xi: f64,
+    k015: f64,
+    km1235: f64,
+    km05: f64,
+    k16: f64,
+    km16: f64,
+    k02: f64,
+    k1835: f64,
+    k335: f64,
 }
 
-impl<L: Lanes> Consts<L> {
-    #[inline(always)]
-    unsafe fn new(split: &ForceSplit) -> Self {
+impl Consts {
+    fn new(split: &ForceSplit) -> Self {
         Consts {
-            zero: L::splat(0.0),
-            one: L::splat(1.0),
-            two: L::splat(2.0),
-            half: L::splat(0.5),
-            c38: L::splat(0.375),
-            tiny: L::splat(f32::MIN_POSITIVE as f64),
-            iota: L::iota(),
-            eps2: L::splat(split.eps * split.eps),
-            c_xi: L::splat(2.0 / split.r_cut),
-            k015: L::splat(0.15),
-            km1235: L::splat(-12.0 / 35.0),
-            km05: L::splat(-0.5),
-            k16: L::splat(1.6),
-            km16: L::splat(-1.6),
-            k02: L::splat(0.2),
-            k1835: L::splat(18.0 / 35.0),
-            k335: L::splat(3.0 / 35.0),
+            one: 1.0,
+            two: 2.0,
+            half: 0.5,
+            c38: 0.375,
+            tiny: f32::MIN_POSITIVE as f64,
+            eps2: split.eps * split.eps,
+            c_xi: 2.0 / split.r_cut,
+            k015: 0.15,
+            km1235: -12.0 / 35.0,
+            km05: -0.5,
+            k16: 1.6,
+            km16: -1.6,
+            k02: 0.2,
+            k1835: 18.0 / 35.0,
+            k335: 3.0 / 35.0,
         }
     }
+}
 
-    /// The predicate enabling the first `n` lanes (all of them when
-    /// `n ≥ W`).
-    #[inline(always)]
-    unsafe fn first_lanes(&self, n: usize) -> L::M {
-        L::lt(self.iota, L::splat(n as f64))
+/// One trip of the source loop: the `S` sources of `src` (the four
+/// columns, cut to this trip) against the target vector `t`, `S`
+/// independent eq. (3) chains advanced together one stage at a time and
+/// retired onto `acc` in list order.
+#[inline(always)]
+unsafe fn trip<L: Lanes, const S: usize>(
+    c: &Consts,
+    t: &[L::V; 3],
+    src: [&[f64]; 4],
+    acc: &mut [L::V; 3],
+) {
+    // `$e` for every chain `$s` of the trip.
+    macro_rules! stage {
+        (|$s:ident| $e:expr) => {{
+            let mut out = [L::splat(0.0); S];
+            for ($s, o) in out.iter_mut().enumerate() {
+                *o = $e;
+            }
+            out
+        }};
+    }
+    let [sx, sy, sz, sm] = src;
+    // Stage 1 — differences and softened r², floored so both hardware
+    // seeds stay finite. The floor is the whole zero-distance guard: a
+    // coincident pair gets a finite force factor below and multiplies
+    // it by dx = dy = dz = +0.
+    let dx = stage!(|s| L::sub(L::splat(sx[s]), t[0]));
+    let dy = stage!(|s| L::sub(L::splat(sy[s]), t[1]));
+    let dz = stage!(|s| L::sub(L::splat(sz[s]), t[2]));
+    let r2 = stage!(|s| {
+        let z2 = L::fmadd(dz[s], dz[s], L::splat(c.eps2));
+        let r2 = L::fmadd(dx[s], dx[s], L::fmadd(dy[s], dy[s], z2));
+        L::pin(L::max(r2, L::splat(c.tiny)))
+    });
+    // Stage 2 — hardware seed, then one third-order step
+    // y₁ = y₀(1 + h/2 + 3h²/8), h = 1 − r²y₀²; ξ = 2r/r_cut from
+    // r = r²·y₁ ≈ √r².
+    let y1 = stage!(|s| {
+        let one = L::splat(c.one);
+        let y0 = L::rsqrt_seed(r2[s]);
+        let h = L::fnmadd(L::mul(r2[s], y0), y0, one);
+        let step = L::fmadd(h, L::splat(c.c38), L::splat(c.half));
+        L::mul(y0, L::fmadd(h, step, one))
+    });
+    let xi = stage!(|s| L::pin(L::mul(L::splat(c.c_xi), L::mul(r2[s], y1[s]))));
+    // Stage 3 — g(ξ) of eq. (3): the ζ = max(ξ−1, 0) branch term and
+    // the cutoff polynomial as the same FMA Horner chain as the
+    // portable kernel,
+    // 1 + ξ³(−1.6 + ξ²(1.6 + ξ(−0.5 + ξ(−12/35 + 0.15ξ)))).
+    let g = stage!(|s| {
+        let (xi, one) = (xi[s], L::splat(c.one));
+        let z = L::max(L::sub(xi, one), L::splat(0.0));
+        let z2 = L::mul(z, z);
+        let z6 = L::mul(L::mul(z2, z2), z2);
+        let mut p = L::fmadd(xi, L::splat(c.k015), L::splat(c.km1235));
+        p = L::fmadd(xi, p, L::splat(c.km05));
+        p = L::fmadd(xi, p, L::splat(c.k16));
+        let xi2 = L::mul(xi, xi);
+        p = L::fmadd(xi2, p, L::splat(c.km16));
+        let poly = L::fmadd(L::mul(xi2, xi), p, one);
+        let mut q = L::fmadd(xi, L::splat(c.k02), L::splat(c.k1835));
+        q = L::fmadd(xi, q, L::splat(c.k335));
+        L::pin(L::fnmadd(z6, q, poly))
+    });
+    // Stage 4 — the force factor m·g/r³ under the ξ < 2 cut (the
+    // paper's fcmp/fand, no branches; a masked force is +0 whatever g
+    // overflowed to, so it leaves the accumulators bit for bit alone),
+    // retired in list order: the target's sum stays one sequential FMA
+    // chain over the sources.
+    for s in 0..S {
+        let y3 = L::mul(L::mul(y1[s], y1[s]), y1[s]);
+        let inside = L::lt(xi[s], L::splat(c.two));
+        let f = L::keep(inside, L::mul(L::mul(L::splat(sm[s]), g[s]), y3));
+        acc[0] = L::fmadd(f, dx[s], acc[0]);
+        acc[1] = L::fmadd(f, dy[s], acc[1]);
+        acc[2] = L::fmadd(f, dz[s], acc[2]);
     }
 }
 
-/// One lane-vector of eq. (3): accumulate the cutoff force of the
-/// broadcast source `s` = (x, y, z, m) onto the `W` targets at `t`.
-/// 17 FMA + 27 other vector operations at 256 bits, 23 other at 512
-/// (see [`crate::benchmark::OpMix`]).
-#[inline(always)]
-unsafe fn interact<L: Lanes>(c: &Consts<L>, t: &[L::V; 3], s: &[L::V; 4], a: &mut [L::V; 3]) {
-    let dx = L::sub(s[0], t[0]);
-    let dy = L::sub(s[1], t[1]);
-    let dz = L::sub(s[2], t[2]);
-    let r2 = L::fmadd(dx, dx, L::fmadd(dy, dy, L::fmadd(dz, dz, c.eps2)));
-    // Self-pair guard: r² == 0 only for the zero-softening self pair.
-    // Substitute a dummy radius there (a blend, not a branch) so the
-    // rsqrt stays finite.
-    let nonzero = L::lt(c.zero, r2);
-    let r2s = L::max(L::select(nonzero, r2, c.one), c.tiny);
-    // Hardware seed, then one third-order step
-    // y₁ = y₀(1 + h/2 + 3h²/8), h = 1 − r²y₀².
-    let y0 = L::rsqrt_seed(r2s);
-    let h = L::fnmadd(L::mul(r2s, y0), y0, c.one);
-    let y1 = L::mul(y0, L::fmadd(h, L::fmadd(h, c.c38, c.half), c.one));
-    let r = L::mul(r2s, y1); // ≈ √r²
-    let xi = L::mul(c.c_xi, r);
-    // ζ = max(ξ−1, 0) branch term of eq. (3).
-    let z = L::max(L::sub(xi, c.one), c.zero);
-    let z2 = L::mul(z, z);
-    let z6 = L::mul(L::mul(z2, z2), z2);
-    // The cutoff polynomial as the same FMA Horner chain as the
-    // portable kernel: 1 + ξ³(−1.6 + ξ²(1.6 + ξ(−0.5 + ξ(−12/35 + 0.15ξ)))).
-    let mut p = L::fmadd(xi, c.k015, c.km1235);
-    p = L::fmadd(xi, p, c.km05);
-    p = L::fmadd(xi, p, c.k16);
-    let xi2 = L::mul(xi, xi);
-    p = L::fmadd(xi2, p, c.km16);
-    let poly = L::fmadd(L::mul(xi2, xi), p, c.one);
-    let mut q = L::fmadd(xi, c.k02, c.k1835);
-    q = L::fmadd(xi, q, c.k335);
-    let g = L::fnmadd(z6, q, poly);
-    // Cutoff (ξ < 2) ∧ self-pair predicate applied to the force — the
-    // paper's fcmp/fand, no branches. A masked force is +0 whatever g
-    // overflowed to, so it leaves the accumulators bit for bit alone.
-    let inside = L::both(L::lt(xi, c.two), nonzero);
-    let y3 = L::mul(L::mul(y1, y1), y1);
-    let f = L::keep(inside, L::mul(L::mul(s[3], g), y3));
-    a[0] = L::fmadd(f, dx, a[0]);
-    a[1] = L::fmadd(f, dy, a[1]);
-    a[2] = L::fmadd(f, dz, a[2]);
-}
-
-/// One register block: targets `i0 .. i0 + live` as `NV` = `⌈live/W⌉`
-/// vectors against the whole source list, added onto their
+/// One block: the `live ≤ W` targets from `i0` as one vector against
+/// the whole source list — [`SOURCES`] a trip, and the sources left
+/// over through the same body one a trip — added onto their
 /// accelerations.
 ///
 /// # Safety
@@ -278,50 +343,38 @@ unsafe fn interact<L: Lanes>(c: &Consts<L>, t: &[L::V; 3], s: &[L::V; 4], a: &mu
 /// The features of `L`, and `i0 + live ≤` the length of every column of
 /// `targets`.
 #[inline(always)]
-unsafe fn block<L: Lanes, const NV: usize>(
-    c: &Consts<L>,
+unsafe fn block<L: Lanes>(
+    c: &Consts,
     targets: &mut Targets,
     (i0, live): (usize, usize),
     src: [&[f64]; 4],
 ) {
-    debug_assert!(NV == live.div_ceil(L::W));
-    let pos = [targets.x.as_ptr(), targets.y.as_ptr(), targets.z.as_ptr()];
-    let out = [
-        targets.ax.as_mut_ptr(),
-        targets.ay.as_mut_ptr(),
-        targets.az.as_mut_ptr(),
-    ];
-    let mut t = [[c.zero; 3]; NV];
-    for (v, tv) in t.iter_mut().enumerate() {
-        let m = c.first_lanes(live - v * L::W);
-        for (tk, p) in tv.iter_mut().zip(pos) {
-            // SAFETY: `m` enables lanes l < live − v·W, which address
-            // column elements i0 + v·W + l < i0 + live ≤ len.
-            *tk = L::load(p.add(i0 + v * L::W), m);
-        }
+    let m = first_lanes::<L>(live);
+    // SAFETY (all six accesses): `m` enables lanes l < live, which
+    // address column elements i0 + l < i0 + live ≤ len; lanes past
+    // `live` are neither read nor written.
+    let mut t = [L::splat(0.0); 3];
+    for (tk, col) in t.iter_mut().zip([&targets.x, &targets.y, &targets.z]) {
+        *tk = L::load(col.as_ptr().add(i0), m);
     }
-    let mut acc = [[c.zero; 3]; NV];
-    let [sx, sy, sz, sm] = src;
-    for (((&x, &y), &z), &m) in sx.iter().zip(sy).zip(sz).zip(sm) {
-        let s = [L::splat(x), L::splat(y), L::splat(z), L::splat(m)];
-        for (tv, av) in t.iter().zip(&mut acc) {
-            interact(c, tv, &s, av);
-        }
+    let mut acc = [L::splat(0.0); 3];
+    let ns = src[0].len();
+    let whole = ns - ns % SOURCES;
+    for j in (0..whole).step_by(SOURCES) {
+        trip::<L, SOURCES>(c, &t, src.map(|col| &col[j..j + SOURCES]), &mut acc);
     }
-    for (v, av) in acc.iter().enumerate() {
-        let m = c.first_lanes(live - v * L::W);
-        for (&a, p) in av.iter().zip(out) {
-            let p = p.add(i0 + v * L::W);
-            // SAFETY: the same lanes of the acceleration columns, by
-            // the same bound; lanes past `live` are neither read nor
-            // written.
-            L::store(p, m, L::add(L::load(p, m), a));
-        }
+    for j in whole..ns {
+        trip::<L, 1>(c, &t, src.map(|col| &col[j..=j]), &mut acc);
+    }
+    let out = [&mut targets.ax, &mut targets.ay, &mut targets.az];
+    for (col, a) in out.into_iter().zip(acc) {
+        let p = col.as_mut_ptr().add(i0);
+        L::store(p, m, L::add(L::load(p, m), a));
     }
 }
 
-/// The kernel at width `L`: blocks of up to `MAX_VECS`·`W` targets,
-/// the last block as many vectors as its live targets need.
+/// The kernel at width `L`: one block per `W` targets, the last as many
+/// lanes as there are targets left.
 ///
 /// # Safety
 ///
@@ -347,24 +400,19 @@ unsafe fn run<L: Lanes>(
         cols.iter().all(|col| col.len() == nt),
         "Targets columns differ in length"
     );
-    let c = Consts::<L>::new(split);
+    // Behind `black_box` the constants are memory the optimiser cannot
+    // see into, so it loads them where a stage uses them.
+    let c = Consts::new(split);
+    let c = std::hint::black_box(&c);
     let src = [
         &sources.x[..ns],
         &sources.y[..ns],
         &sources.z[..ns],
         &sources.m[..ns],
     ];
-    let mut i0 = 0;
-    while i0 < nt {
-        let live = (L::MAX_VECS * L::W).min(nt - i0);
-        // SAFETY (all arms): i0 + live ≤ nt, the length asserted above.
-        match live.div_ceil(L::W) {
-            1 => block::<L, 1>(&c, targets, (i0, live), src),
-            2 => block::<L, 2>(&c, targets, (i0, live), src),
-            3 => block::<L, 3>(&c, targets, (i0, live), src),
-            _ => block::<L, 4>(&c, targets, (i0, live), src),
-        }
-        i0 += live;
+    for i0 in (0..nt).step_by(L::W) {
+        // SAFETY: i0 + live ≤ nt, the length asserted above.
+        block::<L>(c, targets, (i0, L::W.min(nt - i0)), src);
     }
     (nt * ns) as InteractionCount
 }
@@ -486,6 +534,12 @@ mod tests {
         t.az.truncate(3);
         let s: SourceList = [(Vec3::ONE, 1.0)].into_iter().collect();
         pp_accel_variant(variant, &mut t, &s, &ForceSplit::new(0.1, 0.0));
+    }
+
+    #[test]
+    fn the_reported_target_block_is_one_vector_of_the_width() {
+        assert_eq!(KernelVariant::Avx2.target_block(), Avx2::W);
+        assert_eq!(KernelVariant::Avx512.target_block(), Avx512::W);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! the exact-sqrt scalar reference over:
 //!
 //! * every target count 1..=2·block+1 for the widest block in the
-//!   family (AVX-512: 4 vectors × 8 lanes = 32; AVX2: 2 × 4; portable:
-//!   4) — every full-block / partial-vector / single-lane remainder —
-//!   times odd and even source counts;
+//!   family (AVX-512: one vector of 8 lanes; AVX2 and portable: 4) —
+//!   every full-block / single-lane remainder — times source counts
+//!   leaving every remainder of the four-source trip of the x86 loop;
 //! * zero and nonzero softening;
 //! * source shells straddling the ξ = 1 (branch term switches on) and
 //!   ξ = 2 (cutoff) seams of eq. (3);
@@ -24,10 +24,14 @@
 //! target's result does not depend on its block position or on the
 //! other targets (which also covers the masked loads and
 //! read-modify-write stores of the x86 remainders); and a source whose
-//! force is zero — massless or beyond the cutoff — changes no bit
-//! wherever it sits in the list (what interaction-list replay with
-//! inflated margins needs). x86 variants the host lacks are skipped
-//! with a message.
+//! force is zero — massless, beyond the cutoff or at zero distance —
+//! changes no bit wherever it sits in the list (what interaction-list
+//! replay with inflated margins needs; it also moves every later
+//! source to another slot of the x86 loop's four-source trip). On top
+//! of them a golden hash per variant holds the result bits themselves
+//! to the ones recorded before the x86 loop was software-pipelined.
+//! Every test iterates `available_variants()`, so a CI leg that forces
+//! one kernel still checks every width its host has.
 
 use std::collections::HashMap;
 
@@ -48,18 +52,11 @@ fn widest_block() -> usize {
         .unwrap()
 }
 
-/// The explicit-SIMD variants this host can run; the others are named
-/// on stderr so a skipped leg is visible in the test log.
+/// The explicit-SIMD variants among those this host runs.
 fn x86_variants() -> Vec<KernelVariant> {
-    [KernelVariant::Avx512, KernelVariant::Avx2]
-        .into_iter()
-        .filter(|v| {
-            if !v.is_available() {
-                eprintln!("skipping {}: not available on this host/build", v.name());
-            }
-            v.is_available()
-        })
-        .collect()
+    let mut v = available_variants();
+    v.retain(|k| matches!(k, KernelVariant::Avx512 | KernelVariant::Avx2));
+    v
 }
 
 fn tolerance(variant: KernelVariant) -> f64 {
@@ -78,6 +75,16 @@ fn random_sources(rng: &mut TestLcg, n: usize, scale: f64) -> SourceList {
 
 fn accel_bits(t: &Targets, i: usize) -> [u64; 3] {
     [t.ax[i].to_bits(), t.ay[i].to_bits(), t.az[i].to_bits()]
+}
+
+/// `base` with `extra` inserted before its source `at` (after the last
+/// one when `at == base.len()`).
+fn with_inserted(base: &SourceList, at: usize, extra: &[(Vec3, f64)]) -> SourceList {
+    let sources = |range: std::ops::Range<usize>| range.map(|j| (base.pos(j), base.m[j]));
+    sources(0..at)
+        .chain(extra.iter().copied())
+        .chain(sources(at..base.len()))
+        .collect()
 }
 
 /// Assert every optimised variant matches the scalar reference on one
@@ -154,6 +161,50 @@ fn random_clouds_across_remainder_sizes_and_softening() {
 }
 
 #[test]
+fn every_source_tail_meets_every_vector_remainder() {
+    // Source counts 0..=9 leave every remainder of a pipeline that
+    // carries up to four sources a trip; target counts leave every
+    // lane remainder of the widest block, twice over. Each case is
+    // held to the scalar reference, and bit for bit to the same list
+    // behind one, two and three leading nulls — which move every source
+    // through every pipeline slot, the tail's included.
+    let r_cut = 0.3;
+    for eps in [0.0, 1e-2] {
+        let split = ForceSplit::new(r_cut, eps);
+        let mut rng = TestLcg::new(1201);
+        for ns in 0..=9 {
+            let sources = random_sources(&mut rng, ns, 1.5 * r_cut);
+            for nt in 1..=2 * widest_block() + 1 {
+                let tp: Vec<Vec3> = (0..nt).map(|_| rng.next_vec3() * (1.5 * r_cut)).collect();
+                check_case(
+                    &format!("tail nt={nt} ns={ns} eps={eps}"),
+                    &tp,
+                    &sources,
+                    &split,
+                );
+                for variant in available_variants() {
+                    let mut want = Targets::from_positions(&tp);
+                    pp_accel_variant(variant, &mut want, &sources, &split);
+                    for lead in 1..=3 {
+                        let list = with_inserted(&sources, 0, &vec![(tp[0], 0.0); lead]);
+                        let mut got = Targets::from_positions(&tp);
+                        pp_accel_variant(variant, &mut got, &list, &split);
+                        for i in 0..nt {
+                            assert_eq!(
+                                accel_bits(&got, i),
+                                accel_bits(&want, i),
+                                "{} eps={eps}: target {i} of {nt}, {ns} sources behind {lead} nulls",
+                                variant.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn shells_straddling_both_cutoff_seams() {
     // Sources placed on exact shells around each target: ξ = 2r/r_cut
     // crosses 1 where the ζ⁶ branch term switches on and 2 where the
@@ -210,6 +261,43 @@ fn self_pairs_contribute_nothing_in_any_variant() {
             "variant {} self-pair",
             variant.name()
         );
+    }
+
+    // Zero distance with nothing to hide behind: the x86 kernels carry
+    // no r² > 0 predicate, only the floor under the rsqrt argument, so a
+    // coincident pair evaluates a finite force factor and multiplies it
+    // by dx = dy = dz = +0. However heavy the source, wherever it sits
+    // among ordinary ones and whether it is the target itself or a
+    // distinct particle on top of it, it must change no bit. (Targets
+    // two cutoff radii apart, so one target's twin is out of reach of
+    // the next.)
+    let tp: Vec<Vec3> = (0..widest_block() + 3)
+        .map(|i| Vec3::new(i as f64, (i % 3) as f64, 0.0) * (2.0 * split.r_cut))
+        .collect();
+    let near: SourceList = (0..tp.len())
+        .map(|k| (tp[k] + rng.next_vec3() * (0.5 * split.r_cut), 1.5))
+        .collect();
+    for variant in available_variants() {
+        let mut want = Targets::from_positions(&tp);
+        pp_accel_variant(variant, &mut want, &near, &split);
+        for mass in [1.0, -2.5, 1e200, -1e200] {
+            // Every target twice: itself and a twin.
+            let twins: Vec<(Vec3, f64)> = tp.iter().chain(&tp).map(|&p| (p, mass)).collect();
+            for at in 0..=near.len() {
+                let list = with_inserted(&near, at, &twins);
+                let mut got = Targets::from_positions(&tp);
+                pp_accel_variant(variant, &mut got, &list, &split);
+                for i in 0..tp.len() {
+                    assert!(got.accel(i).norm().is_finite());
+                    assert_eq!(
+                        accel_bits(&got, i),
+                        accel_bits(&want, i),
+                        "{}: target {i}, coincident mass {mass:e} before source {at}",
+                        variant.name()
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -298,6 +386,12 @@ fn sources_with_zero_force_change_no_bit_wherever_they_sit() {
             }
             inflated.push(list);
         }
+        // One null at every list position: each shifts every later
+        // source to another slot of a kernel that keeps several sources
+        // in flight.
+        for at in 0..=base.len() {
+            inflated.push(with_inserted(&base, at, &[null(at)]));
+        }
         for variant in available_variants() {
             let mut want = Targets::from_positions(&tp);
             pp_accel_variant(variant, &mut want, &base, &split);
@@ -361,6 +455,81 @@ fn degenerate_separations_keep_the_hardware_seeds_finite() {
             }
         }
     }
+}
+
+/// FNV-1a over the `to_bits` of every acceleration the golden corpus
+/// produces under `variant`: nt ∈ 1..=2·32+1 targets (every vector
+/// count and lane remainder of both x86 widths, twice over) against
+/// ns ∈ {0, 1, 2, 3, 7, 64, 1201} sources, hard and softened, onto
+/// pre-loaded accumulators. Positions fill 2·r_cut so both seams of
+/// eq. (3) and the cutoff mask are crossed.
+fn golden_hash(variant: KernelVariant) -> u64 {
+    let r_cut = 0.3;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut rng = TestLcg::new(1729);
+    for eps in [0.0, r_cut / 30.0] {
+        let split = ForceSplit::new(r_cut, eps);
+        for ns in [0, 1, 2, 3, 7, 64, 1201] {
+            let sources = random_sources(&mut rng, ns, 2.0 * r_cut);
+            for nt in 1..=2 * 32 + 1 {
+                let tp: Vec<Vec3> = (0..nt).map(|_| rng.next_vec3() * (2.0 * r_cut)).collect();
+                let mut t = Targets::from_positions(&tp);
+                for k in 0..nt {
+                    let a = (rng.next_vec3() - Vec3::splat(0.5)) * 50.0;
+                    (t.ax[k], t.ay[k], t.az[k]) = (a.x, a.y, a.z);
+                }
+                pp_accel_variant(variant, &mut t, &sources, &split);
+                for k in 0..nt {
+                    for bits in accel_bits(&t, k) {
+                        for byte in bits.to_le_bytes() {
+                            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// `vrsqrtps` is implementation-defined within its error bound (AMD's
+/// table is not Intel's), and every later bit of an x86 variant follows
+/// from the seed. The pins below were recorded on Intel hardware; on a
+/// host that says it is something else they cannot be expected to hold.
+fn hardware_seed_is_the_recorded_one() -> bool {
+    std::fs::read_to_string("/proc/cpuinfo").map_or(true, |s| s.contains("GenuineIntel"))
+}
+
+#[test]
+fn golden_corpus_hashes_are_bit_for_bit_those_of_pr16() {
+    // Recorded at the PR 16 tree, before the kernel was software-
+    // pipelined. A kernel change that is meant to keep every result bit
+    // (a new schedule, a new block shape) must pass with these
+    // untouched; one that is meant to move bits re-records them and
+    // says so.
+    let mut moved = Vec::new();
+    for variant in available_variants() {
+        let want: u64 = match variant {
+            KernelVariant::Avx512 => 0x4bba_df7b_5f1c_3cbf,
+            KernelVariant::Avx2 => 0xbd47_c2a9_b2da_598b,
+            KernelVariant::Portable => 0x17c7_14fb_1bab_36d3,
+            // The reference the others are measured against, not a
+            // kernel anybody reschedules.
+            KernelVariant::Scalar => continue,
+        };
+        if variant != KernelVariant::Portable && !hardware_seed_is_the_recorded_one() {
+            eprintln!(
+                "skipping the {} pin: not the recording vendor's rsqrt table",
+                variant.name()
+            );
+            continue;
+        }
+        let got = golden_hash(variant);
+        if got != want {
+            moved.push(format!("{} {got:#018x}", variant.name()));
+        }
+    }
+    assert!(moved.is_empty(), "result bits moved: {moved:?}");
 }
 
 #[test]

@@ -36,6 +36,8 @@
 //! [`Event`]: greem_obs::Event
 //! [`Monitor`]: detect::Monitor
 
+#![forbid(unsafe_code)]
+
 pub mod critpath;
 pub mod detect;
 pub mod efficiency;

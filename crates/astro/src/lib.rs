@@ -19,6 +19,8 @@
 //! The `greem-run` binary (this crate) fronts both worlds: the
 //! original cosmological driver and `--scenario galaxy-collapse`.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod plummer;
 pub mod scenario;

@@ -17,6 +17,8 @@
 //!   the paper's §I argument is that its short-range cost blows up as
 //!   O(n²) in clustered cells, which our cost experiment reproduces.
 
+#![forbid(unsafe_code)]
+
 pub mod direct;
 pub mod ewald;
 pub mod ewald_table;

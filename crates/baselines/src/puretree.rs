@@ -13,7 +13,7 @@
 
 use greem_kernels::{newton_accel_blocked, SourceList, Targets};
 use greem_math::{Aabb, Vec3};
-use greem_tree::{GroupWalk, Octree, TraverseParams, TreeParams, WalkStats};
+use greem_tree::{GroupWalk, SnapshotTree, TraverseParams, TreeParams, WalkStats};
 
 /// Statistics of a pure-tree force evaluation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,9 +37,10 @@ pub fn pure_tree_accel(
     // Fatten degenerate boxes so the tree build is well-posed.
     let pad = bb.max_extent().max(1e-12) * 1e-9;
     bb = Aabb::new(bb.lo - Vec3::splat(pad), bb.hi + Vec3::splat(pad));
-    let tree = Octree::build(pos, mass, bb, TreeParams::default());
+    let tree = SnapshotTree::build(pos, mass, bb, TreeParams::default());
+    let view = tree.view();
     let walk = GroupWalk::new(
-        &tree,
+        &view,
         TraverseParams {
             theta,
             group_size,
@@ -52,13 +53,15 @@ pub fn pure_tree_accel(
     let stats = walk.for_each_group(|group, list| {
         let lo = group.first as usize;
         let hi = lo + group.count as usize;
-        let mut targets = Targets::from_positions(&tree.pos()[lo..hi]);
+        let group = &tree.order()[lo..hi];
+        let group_pos: Vec<Vec3> = group.iter().map(|&oi| pos[oi as usize]).collect();
+        let mut targets = Targets::from_positions(&group_pos);
         let mut sources = SourceList::with_capacity(list.len());
         for s in list {
             sources.push(s.pos, s.mass);
         }
         newton_accel_blocked(&mut targets, &sources, eps);
-        for (k, &oi) in tree.orig_index()[lo..hi].iter().enumerate() {
+        for (k, &oi) in group.iter().enumerate() {
             accel[oi as usize] = targets.accel(k);
         }
     });
@@ -140,9 +143,9 @@ mod tests {
         let mass = vec![1.0 / 500.0; 500];
         let (_, pure_stats) = pure_tree_accel(&pos, &mass, 0.5, 32, 1e-4);
         // Cutoff walk over the same particles (periodic unit box).
-        let tree = Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
         let cut = GroupWalk::new(
-            &tree,
+            &tree.view(),
             TraverseParams {
                 theta: 0.5,
                 group_size: 32,

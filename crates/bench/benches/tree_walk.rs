@@ -6,9 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use greem::{TreePm, TreePmConfig};
 use greem_bench::workloads;
 use greem_math::{wrap01, Aabb, Vec3};
-use greem_tree::{
-    GroupWalk, ListEntry, Octree, SourceColumns, TraverseParams, TreeArena, TreeParams,
-};
+use greem_tree::{GroupWalk, ListEntry, SnapshotTree, SourceColumns, TraverseParams, TreeParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -20,9 +18,11 @@ fn bench_build(c: &mut Criterion) {
     for &n in &[2_000usize, 10_000] {
         let pos = workloads::clustered(n, 4, 0.4, 7);
         let mass = workloads::unit_masses(n);
+        // `sort` + gather + `build`, on fresh buffers.
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                black_box(Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default()).len())
+                let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+                black_box(tree.nodes().len())
             });
         });
     }
@@ -35,11 +35,12 @@ fn bench_traversal_group_size(c: &mut Criterion) {
     let n = 8_000;
     let pos = workloads::clustered(n, 4, 0.4, 11);
     let mass = workloads::unit_masses(n);
-    let tree = Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+    let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+    let view = tree.view();
     for &gs in &[16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("walk_only", gs), &gs, |b, &gs| {
             let walk = GroupWalk::new(
-                &tree,
+                &view,
                 TraverseParams {
                     theta: 0.5,
                     group_size: gs,
@@ -121,15 +122,9 @@ fn bench_benchmark_shape(_c: &mut Criterion) {
         })
         .collect();
     let cfg = TreePmConfig::standard(16);
-    let col = |f: fn(&Vec3) -> f64| pos.iter().map(f).collect::<Vec<f64>>();
-    let (x, y, z) = (col(|p| p.x), col(|p| p.y), col(|p| p.z));
-    let mut arena = TreeArena::new();
-    let order = arena.sort(&x, &y, &z, Aabb::UNIT).to_vec();
-    let gather = |c: &[f64]| order.iter().map(|&i| c[i as usize]).collect::<Vec<f64>>();
-    let (x, y, z) = (gather(&x), gather(&y), gather(&z));
     let m = workloads::unit_masses(n);
-    arena.build(&x, &y, &z, &m, cfg.tree_params());
-    let view = arena.view(&x, &y, &z, &m);
+    let tree = SnapshotTree::build(&pos, &m, Aabb::UNIT, cfg.tree_params());
+    let view = tree.view();
     let walk = GroupWalk::new(&view, cfg.traverse_params());
     let groups = walk.groups();
     let margin = 0.1 * cfg.r_cut;

@@ -321,8 +321,10 @@ mod tests {
         let pos = workloads::clustered(250, 3, 0.35, 11);
         let bodies = workloads::bodies_at_rest(&pos);
         let fd = chaos_dir("flight_test");
+        // Its own scenario tag: the tag names the checkpoint directory,
+        // and the test above runs "crash" in this process concurrently.
         let o = run_scenario_with_flight(
-            "crash",
+            "crash_flight",
             &bodies,
             6,
             FaultPlan::new(3).crash(1, 3),

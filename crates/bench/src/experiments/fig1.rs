@@ -8,7 +8,7 @@
 //! O(N log N) saving comes from.
 
 use greem_math::Aabb;
-use greem_tree::{GroupWalk, Octree, TraverseParams, TreeParams};
+use greem_tree::{GroupWalk, SnapshotTree, TraverseParams, TreeParams};
 
 use crate::workloads;
 
@@ -26,12 +26,13 @@ pub struct CensusRow {
 pub fn census(n: usize, thetas: &[f64], seed: u64) -> Vec<CensusRow> {
     let pos = workloads::uniform(n, seed);
     let mass = workloads::unit_masses(n);
-    let tree = Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+    let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+    let view = tree.view();
     thetas
         .iter()
         .map(|&theta| {
             let stats = GroupWalk::new(
-                &tree,
+                &view,
                 TraverseParams {
                     theta,
                     group_size: 32,

@@ -12,6 +12,8 @@
 //! `ni_sweep`, `accuracy`, `tree_vs_treepm`, `scaling`, or `all`.
 //! Criterion benches live under `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 #[cfg(feature = "obs")]
 pub mod regress;

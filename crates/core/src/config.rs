@@ -43,7 +43,7 @@ pub struct TreePmConfig {
     pub group_size: usize,
     /// Plummer softening of the short-range force, ε ≪ r_cut.
     pub eps: f64,
-    /// Octree leaf capacity.
+    /// Maximum particles in a tree leaf before it splits.
     pub leaf_capacity: usize,
     /// TSC deconvolution in the PM Green's function.
     pub deconvolve: bool,

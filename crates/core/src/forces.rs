@@ -2,62 +2,26 @@
 //!
 //! One [`TreePm`] owns the serial PM solver and the tree/kernel
 //! configuration; [`TreePm::compute`] evaluates the full force split on
-//! a particle snapshot, running one rayon task per particle group — the
-//! within-process data parallelism that plays the role of the paper's
-//! OpenMP threads inside each MPI process.
+//! a particle snapshot; the PP half is one fresh pass of the resident
+//! engine ([`crate::resident`]), which runs one rayon task per particle
+//! group — the within-process data parallelism that plays the role of
+//! the paper's OpenMP threads inside each MPI process.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
 use greem_math::{Aabb, Vec3};
 use greem_pm::{IsolatedPmSolver, PmPipeline, PmResult, PmSolver};
-use greem_tree::{GroupWalk, Octree, SourceColumns, WalkStats};
-use rayon::prelude::*;
+use greem_tree::{GroupWalk, SnapshotTree, WalkStats};
 
 use crate::config::{Boundary, TreePmConfig};
-
-/// Per-thread scratch cycled across groups by every PP path: the walk's
-/// stack plus the kernel's SoA target/source buffers, which the walk
-/// fills directly. One allocation set per rayon worker instead of
-/// several `Vec`s per group removes the allocator from the PP hot path
-/// (thousands of groups per step).
-#[derive(Default)]
-pub(crate) struct PpScratch {
-    pub stack: Vec<usize>,
-    pub targets: Targets,
-    pub sources: SourceList,
-}
-
-/// The source buffer's columns, for the walk to append to.
-pub(crate) fn columns(s: &mut SourceList) -> SourceColumns<'_> {
-    SourceColumns {
-        x: &mut s.x,
-        y: &mut s.y,
-        z: &mut s.z,
-        m: &mut s.m,
-    }
-}
-
-/// Output pointer shared across group tasks; each output slot belongs to
-/// exactly one group, so writes are disjoint.
-pub(crate) struct SendPtr<T>(pub *mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor so closures capture the `Sync` wrapper, not the raw
-    /// pointer field (edition-2021 closures capture disjoint fields).
-    pub fn get(&self) -> *mut T {
-        self.0
-    }
-}
+use crate::particle::Body;
+use crate::resident::ResidentPp;
+use crate::store::ParticleStore;
 
 /// Wall/CPU seconds of the PP pipeline phases of one force evaluation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PpTimes {
-    /// Morton sort + octree construction (the "local tree" /
-    /// "tree construction" work; one address space has no split).
+    /// Morton sort, store permutation and arena build (the "local
+    /// tree" / "tree construction" work; one address space has no
+    /// split), or the monopole refresh of a replay.
     pub tree_build: f64,
     /// Sum over tasks of interaction-list building time.
     pub traversal: f64,
@@ -123,70 +87,27 @@ impl TreePm {
         &self.cfg
     }
 
-    /// Evaluate PP accelerations only (tree + kernel) on a snapshot.
+    /// Evaluate PP accelerations only (tree + kernel) on a snapshot: one
+    /// fresh pass of the resident engine at `cfg.group_size` — no tuner,
+    /// no list recording — over a store whose ids are the input indices,
+    /// scattered back through them.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, WalkStats, PpTimes) {
         assert_eq!(pos.len(), mass.len());
         #[cfg(feature = "obs")]
         let mut _pp_span = greem_obs::trace::span("force", "pp.compute");
-        let mut times = PpTimes::default();
-        let t0 = Instant::now();
-        let tree = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("force", "pp.tree_build");
-            Octree::build(pos, mass, Aabb::UNIT, self.cfg.tree_params())
-        };
-        times.tree_build = t0.elapsed().as_secs_f64();
-
-        #[cfg(feature = "obs")]
-        let _walk_span = greem_obs::trace::span("force", "pp.walk_force");
-        let walk = GroupWalk::new(&tree, self.cfg.traverse_params());
-        let groups = walk.groups();
-        let split = self.cfg.split();
-        let traversal_ns = AtomicU64::new(0);
-        let force_ns = AtomicU64::new(0);
-
-        // One task per group, with per-thread scratch buffers (walk
-        // stack, kernel SoA arrays) cycled across groups instead of
-        // freshly allocated for each. Results scatter straight into the
-        // output array through disjoint original indices, so the only
-        // per-group heap traffic left is list growth beyond the
-        // high-water mark.
-        let mut accel = vec![Vec3::ZERO; pos.len()];
-        let out = SendPtr(accel.as_mut_ptr());
-        let per_group: Vec<WalkStats> = groups
-            .par_iter()
-            .map_init(PpScratch::default, |scr, &group| {
-                let t = Instant::now();
-                scr.sources.clear();
-                let cols = columns(&mut scr.sources);
-                let stats = walk.list_columns(group, &mut scr.stack, 0.0, None, cols);
-                traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                let t = Instant::now();
-                let lo = group.first as usize;
-                let hi = lo + group.count as usize;
-                scr.targets.load_positions(&tree.pos()[lo..hi]);
-                pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
-                force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                for (i, &orig) in tree.orig_index()[lo..hi].iter().enumerate() {
-                    // SAFETY: each original index occurs in exactly one
-                    // group; tasks write disjoint output slots.
-                    unsafe { *out.get().add(orig as usize) = scr.targets.accel(i) };
-                }
-                stats
-            })
-            .collect();
-
-        let mut walk_stats = WalkStats::default();
-        for stats in &per_group {
-            walk_stats.merge(stats);
+        let mut store = ParticleStore::with_capacity(pos.len());
+        for (id, (&p, &m)) in pos.iter().zip(mass).enumerate() {
+            store.push(Body::at_rest(p, m, id as u64));
         }
-        times.traversal = traversal_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        times.force = force_ns.load(Ordering::Relaxed) as f64 * 1e-9;
+        let group_size = self.cfg.group_size;
+        let out = ResidentPp::new().fresh(&self.cfg, &mut store, &mut [], group_size, None);
+        let mut accel = vec![Vec3::ZERO; pos.len()];
+        for (a, &id) in out.accel.iter().zip(store.id_column()) {
+            accel[id as usize] = *a;
+        }
         #[cfg(feature = "obs")]
-        _pp_span.arg("interactions", walk_stats.interactions as f64);
-        (accel, walk_stats, times)
+        _pp_span.arg("interactions", out.walk.interactions as f64);
+        (accel, out.walk, out.times)
     }
 
     /// Evaluate PM accelerations only: one cycle of the backend, with
@@ -237,13 +158,14 @@ impl TreePm {
             u_pm += 0.5 * m * (phi - m * phi_self_per_mass);
         }
         // PP part via the group walk and the pairwise potential shape.
-        let tree = Octree::build(pos, mass, Aabb::UNIT, self.cfg.tree_params());
-        let walk = GroupWalk::new(&tree, self.cfg.traverse_params());
+        let tree = SnapshotTree::build(pos, mass, Aabb::UNIT, self.cfg.tree_params());
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, self.cfg.traverse_params());
         let mut u_pp = 0.0;
         walk.for_each_group(|group, list| {
             for slot in group.first..group.first + group.count {
-                let p = tree.pos()[slot as usize];
-                let m = tree.mass()[slot as usize];
+                let i = tree.order()[slot as usize] as usize;
+                let (p, m) = (pos[i], mass[i]);
                 for s in list {
                     let r = (s.pos - p).norm();
                     if r > 0.0 {
@@ -289,6 +211,89 @@ mod tests {
             );
         }
         assert_eq!(walk.sum_ni, n as u64);
+    }
+
+    /// FNV-1a of `compute_pp` over {periodic, isolated} × {monopole,
+    /// pseudo-particle quadrupole} × `list_reuse` on/off at n = 230 and
+    /// 3000: every `WalkStats` field into one digest, the bits of every
+    /// acceleration (input order) into another.
+    fn golden_pp_hashes() -> (u64, u64) {
+        use crate::config::Boundary;
+        use greem_math::testutil::Fnv1a;
+        use greem_tree::Multipole;
+        let (mut walk_hash, mut accel_hash) = (Fnv1a::default(), Fnv1a::default());
+        for n in [230usize, 3000] {
+            let pos = rand_pos(n, 7);
+            let mass: Vec<f64> = (0..n).map(|i| (1.0 + (i % 5) as f64) / n as f64).collect();
+            for boundary in [Boundary::Periodic, Boundary::Isolated] {
+                for multipole in [Multipole::Monopole, Multipole::PseudoParticleQuad] {
+                    for list_reuse in [true, false] {
+                        let cfg = TreePmConfig {
+                            group_size: 24,
+                            boundary,
+                            multipole,
+                            list_reuse,
+                            ..TreePmConfig::standard(16)
+                        };
+                        let (acc, w, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
+                        for v in [
+                            w.n_groups,
+                            w.sum_ni,
+                            w.sum_nj,
+                            w.interactions,
+                            w.particle_entries,
+                            w.node_entries,
+                            w.visited_nodes,
+                        ] {
+                            walk_hash.u64(v);
+                        }
+                        for b in w.group_size_buckets {
+                            walk_hash.u64(b);
+                        }
+                        for a in &acc {
+                            accel_hash.f64s(&[a.x, a.y, a.z]);
+                        }
+                    }
+                }
+            }
+        }
+        (walk_hash.0, accel_hash.0)
+    }
+
+    /// Recorded on the tree whose `compute_pp` still built an `Octree`
+    /// and ran its own group loop (PR 17's). The walk digest holds under
+    /// every kernel; the acceleration digest is the selected kernel's,
+    /// and the x86 ones are those of Intel's `rsqrt` tables.
+    #[test]
+    fn compute_pp_golden_hashes() {
+        use greem_kernels::testutil::hardware_seed_is_the_recorded_one;
+        use greem_kernels::{selected_variant, KernelVariant};
+        let (walk, accel) = golden_pp_hashes();
+        assert_eq!(
+            walk, 0xc493_4ef0_73c5_c7f5,
+            "walk statistics moved: {walk:#018x}"
+        );
+        let variant = selected_variant();
+        let want: u64 = match variant {
+            KernelVariant::Avx512 => 0x4ba0_3439_2d20_700d,
+            KernelVariant::Avx2 => 0xe4b2_7609_fbb9_0e95,
+            KernelVariant::Portable => 0x8c64_b7dd_bf00_f579,
+            KernelVariant::Scalar => 0x0a6a_088e_4351_33e1,
+        };
+        let x86 = matches!(variant, KernelVariant::Avx512 | KernelVariant::Avx2);
+        if x86 && !hardware_seed_is_the_recorded_one() {
+            eprintln!(
+                "skipping the {} pin: not the recording vendor's rsqrt table",
+                variant.name()
+            );
+            return;
+        }
+        assert_eq!(
+            accel,
+            want,
+            "{} acceleration bits moved: {accel:#018x}",
+            variant.name()
+        );
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! "MPI" half) and reports the per-phase cost breakdown of the paper's
 //! Table I.
 
+#![forbid(unsafe_code)]
+
 pub mod autotune;
 pub mod config;
 pub mod diagnostics;

@@ -29,18 +29,136 @@
 //!   integrator — the second subcycle's walk cost collapses to a
 //!   monopole refresh.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::cmp::Reverse;
+use std::time::{Duration, Instant};
 
-use greem_kernels::pp_accel_dispatch;
+use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
 use greem_math::{min_image_vec, Aabb, Vec3};
-use greem_tree::{Group, GroupWalk, ListEntry, Multipole, TreeArena, WalkStats};
+use greem_tree::{
+    Group, GroupWalk, ListEntry, Multipole, SourceColumns, TraverseParams, TreeArena, WalkStats,
+};
 use rayon::prelude::*;
 
 use crate::autotune::{autotune_enabled, NiTuner, MODELED_NODE_WEIGHT};
 use crate::config::TreePmConfig;
-use crate::forces::{columns, PpScratch, PpTimes, SendPtr};
+use crate::forces::PpTimes;
 use crate::store::{permute_vec3, ParticleStore, PermScratch};
+
+/// Per-thread scratch cycled across groups: the walk's stack plus the
+/// kernel's SoA target/source buffers, which the walk fills directly.
+/// One allocation set per rayon worker instead of several `Vec`s per
+/// group keeps the allocator out of the PP hot path (thousands of
+/// groups per step).
+#[derive(Default)]
+struct PpScratch {
+    stack: Vec<usize>,
+    targets: Targets,
+    sources: SourceList,
+}
+
+/// One group's share of a pass: its slot range, the output rows it
+/// alone writes, and the list it alone records into or replays.
+struct GroupTask<'a> {
+    group: Group,
+    out: &'a mut [Vec3],
+    list: Option<&'a mut Vec<ListEntry>>,
+}
+
+/// Pair each group with its `&mut` chunk of the slot-indexed `accel`
+/// and, when the pass has lists, its `&mut` slot of them. Chunks are
+/// split off back to front, so `groups` must tile `0..accel.len()` in
+/// descending slot order: `GroupWalk::groups` (which tiles) sorted by
+/// `first`, highest first — the order the walk emits whole cells in,
+/// and the one `ranks2-step` runs fastest in.
+fn group_tasks<'a>(
+    groups: &[Group],
+    mut accel: &'a mut [Vec3],
+    lists: Option<&'a mut [Vec<ListEntry>]>,
+) -> Vec<GroupTask<'a>> {
+    let mut lists = lists.map(|l| {
+        assert_eq!(l.len(), groups.len(), "one list per group");
+        l.iter_mut()
+    });
+    let tasks = groups
+        .iter()
+        .map(|&group| {
+            let (lo, n) = (group.first as usize, group.count as usize);
+            assert_eq!(lo + n, accel.len(), "groups must tile the slots");
+            let (rest, out) = std::mem::take(&mut accel).split_at_mut(lo);
+            accel = rest;
+            let list = lists.as_mut().and_then(Iterator::next);
+            GroupTask { group, out, list }
+        })
+        .collect();
+    assert!(accel.is_empty(), "groups must tile the slots");
+    tasks
+}
+
+/// The group loop, once: for every task build (or replay) the group's
+/// list onto the kernel's source columns, load its targets from the
+/// tree's position columns `(x, y, z)`, run the kernel, write the
+/// accelerations to the rows the task owns. `walk_margin` is the cutoff
+/// inflation of a walking pass; `None` replays each task's recorded
+/// list instead. One rayon task per group, each worker with a scratch
+/// of its own — or, given `serial`, every group in turn on the calling
+/// thread with that scratch. Adds the per-group traversal and kernel
+/// time to `times` and returns the summed statistics.
+fn run_groups(
+    walk: &GroupWalk<'_>,
+    (x, y, z): (&[f64], &[f64], &[f64]),
+    cfg: &TreePmConfig,
+    walk_margin: Option<f64>,
+    tasks: Vec<GroupTask<'_>>,
+    serial: Option<&mut PpScratch>,
+    times: &mut PpTimes,
+) -> WalkStats {
+    let split = cfg.split();
+    let body = |scr: &mut PpScratch, task: GroupTask<'_>| {
+        let t = Instant::now();
+        scr.sources.clear();
+        let cols = SourceColumns {
+            x: &mut scr.sources.x,
+            y: &mut scr.sources.y,
+            z: &mut scr.sources.z,
+            m: &mut scr.sources.m,
+        };
+        let stats = match (walk_margin, task.list) {
+            (Some(margin), rec) => walk.list_columns(task.group, &mut scr.stack, margin, rec, cols),
+            (None, Some(list)) => walk.replay_columns(task.group, list, cols),
+            (None, None) => unreachable!("a replay pass has a list per group"),
+        };
+        let traversal = t.elapsed();
+
+        let t = Instant::now();
+        let lo = task.group.first as usize;
+        let hi = lo + task.group.count as usize;
+        scr.targets
+            .load_from_slices(&x[lo..hi], &y[lo..hi], &z[lo..hi]);
+        pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
+        let force = t.elapsed();
+        for (k, a) in task.out.iter_mut().enumerate() {
+            *a = scr.targets.accel(k);
+        }
+        (stats, traversal, force)
+    };
+    let mut total = WalkStats::default();
+    let mut add = |(stats, traversal, force): (WalkStats, Duration, Duration)| {
+        total.merge(&stats);
+        times.traversal += traversal.as_secs_f64();
+        times.force += force.as_secs_f64();
+    };
+    match serial {
+        Some(scr) => tasks.into_iter().for_each(|task| add(body(scr, task))),
+        None => {
+            let per_group: Vec<_> = tasks
+                .into_par_iter()
+                .map_init(PpScratch::default, body)
+                .collect();
+            per_group.into_iter().for_each(add);
+        }
+    }
+    total
+}
 
 /// The recorded interaction lists of one PP pass, plus everything the
 /// replay-validity check needs.
@@ -53,18 +171,14 @@ struct ListCache {
     /// Group size the recording ran at (diagnostics; the groups
     /// themselves are frozen below).
     group_size: usize,
-    /// Particle count at record time.
-    n: usize,
     /// The recorded groups (slot ranges into the Morton order frozen at
-    /// record time).
+    /// record time), in descending slot order.
     groups: Vec<Group>,
     /// One recorded list per group; the inner vectors persist across
     /// steps so steady-state recording allocates nothing.
     lists: Vec<Vec<ListEntry>>,
-    /// Position snapshot at record time (columns, slot-indexed).
-    snap_x: Vec<f64>,
-    snap_y: Vec<f64>,
-    snap_z: Vec<f64>,
+    /// Position snapshot at record time (x, y, z columns, slot-indexed).
+    snap: [Vec<f64>; 3],
 }
 
 /// The result of one resident PP evaluation.
@@ -90,20 +204,14 @@ pub struct ResidentPp {
     perm: PermScratch,
     cache: ListCache,
     tuner: Option<NiTuner>,
-    /// Serial-walk scratch for the combined (owned + ghost) path.
+    /// Walk and kernel scratch of the parallel driver's (serial) pass.
     scratch: PpScratch,
-    // Combined-column buffers of the parallel driver's path: unsorted
-    // owned+ghost columns, their Morton-sorted gathers, and the
-    // slot → owned-row map.
-    comb_x: Vec<f64>,
-    comb_y: Vec<f64>,
-    comb_z: Vec<f64>,
-    comb_m: Vec<f64>,
-    sort_x: Vec<f64>,
-    sort_y: Vec<f64>,
-    sort_z: Vec<f64>,
-    sort_m: Vec<f64>,
-    slot_row: Vec<u32>,
+    // Buffers of the parallel driver's path: the owned + ghost columns
+    // (x, y, z, m) as they arrive and Morton-sorted, and which sorted
+    // slots are owned rows.
+    comb: [Vec<f64>; 4],
+    sorted: [Vec<f64>; 4],
+    owned: Vec<bool>,
     own_order: Vec<u32>,
 }
 
@@ -172,7 +280,16 @@ impl ResidentPp {
         if try_replay && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
-        self.fresh(cfg, store, companions, drift_bound)
+        let group_size = self.next_group_size(cfg);
+        // Margin: 3× the last drift leaves 1.5× headroom per particle for
+        // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
+        // keeps the inflated prune radius well under the periodic
+        // unambiguity bound.
+        let record = cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
+        let margin = record.then(|| (3.0 * drift_bound).min(0.1 * cfg.r_cut));
+        let out = self.fresh(cfg, store, companions, group_size, margin);
+        self.feed_tuner(cfg, &out.walk, &out.times, store.len());
+        out
     }
 
     /// Is the cached list set sound for the store's current positions?
@@ -185,15 +302,16 @@ impl ResidentPp {
         if !c.valid
             || !cfg.list_reuse
             || !matches!(cfg.multipole, Multipole::Monopole)
-            || c.n != store.len()
+            || c.snap[0].len() != store.len()
         {
             return false;
         }
         let lim2 = 0.25 * c.margin * c.margin;
         let (x, y, z) = store.pos_columns();
-        for i in 0..c.n {
+        let [sx, sy, sz] = &c.snap;
+        for i in 0..x.len() {
             let now = Vec3::new(x[i], y[i], z[i]);
-            let then = Vec3::new(c.snap_x[i], c.snap_y[i], c.snap_z[i]);
+            let then = Vec3::new(sx[i], sy[i], sz[i]);
             if min_image_vec(then, now).norm2() > lim2 {
                 return false;
             }
@@ -206,76 +324,46 @@ impl ResidentPp {
     /// No sort, no permute, no tree walk.
     fn replay(&mut self, cfg: &TreePmConfig, store: &ParticleStore) -> PpOutcome {
         let mut times = PpTimes::default();
-        let n = store.len();
         let (x, y, z) = store.pos_columns();
         let m = store.mass_column();
         let t0 = Instant::now();
         self.arena.refresh_monopoles(x, y, z, m);
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let params = greem_tree::TraverseParams {
-            group_size: self.cache.group_size,
+        let group_size = self.cache.group_size;
+        let params = TraverseParams {
+            group_size,
             ..cfg.traverse_params()
         };
         let view = self.arena.view(x, y, z, m);
         let walk = GroupWalk::new(&view, params);
-        let split = cfg.split();
-        let traversal_ns = AtomicU64::new(0);
-        let force_ns = AtomicU64::new(0);
-        let mut accel = vec![Vec3::ZERO; n];
-        let out = SendPtr(accel.as_mut_ptr());
-        let lists = &self.cache.lists;
-        let per_group: Vec<WalkStats> = self
-            .cache
-            .groups
-            .par_iter()
-            .enumerate()
-            .map_init(PpScratch::default, |scr, (gi, &group)| {
-                let t = Instant::now();
-                scr.sources.clear();
-                let stats = walk.replay_columns(group, &lists[gi], columns(&mut scr.sources));
-                traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                let t = Instant::now();
-                let lo = group.first as usize;
-                let hi = lo + group.count as usize;
-                scr.targets
-                    .load_from_slices(&x[lo..hi], &y[lo..hi], &z[lo..hi]);
-                pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
-                force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                for i in 0..(hi - lo) {
-                    // SAFETY: group slot ranges partition 0..n, so
-                    // tasks write disjoint output slots.
-                    unsafe { *out.get().add(lo + i) = scr.targets.accel(i) };
-                }
-                stats
-            })
-            .collect();
-        let mut walk_stats = WalkStats::default();
-        for s in &per_group {
-            walk_stats.merge(s);
-        }
-        times.traversal = traversal_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        times.force = force_ns.load(Ordering::Relaxed) as f64 * 1e-9;
+        let mut accel = vec![Vec3::ZERO; store.len()];
+        let lists = Some(&mut self.cache.lists[..]);
+        let tasks = group_tasks(&self.cache.groups, &mut accel, lists);
+        let walk = run_groups(&walk, (x, y, z), cfg, None, tasks, None, &mut times);
         PpOutcome {
             accel,
-            walk: walk_stats,
+            walk,
             times,
             replayed: true,
-            group_size: self.cache.group_size,
+            group_size,
         }
     }
 
-    /// Fresh pass: sort, permute, build, walk (optionally recording).
-    fn fresh(
+    /// Fresh pass at `group_size`: sort, permute `store` (and each
+    /// non-empty companion) into the new Morton order, build, walk. With
+    /// `record_margin` the walk's cutoff is inflated by it and every
+    /// group's list structure is cached for replay; without, the cache
+    /// is dropped.
+    pub(crate) fn fresh(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
         companions: &mut [&mut Vec<Vec3>],
-        drift_bound: f64,
+        group_size: usize,
+        record_margin: Option<f64>,
     ) -> PpOutcome {
         let mut times = PpTimes::default();
-        let n = store.len();
         let t0 = Instant::now();
         {
             let (x, y, z) = store.pos_columns();
@@ -287,100 +375,41 @@ impl ResidentPp {
                 permute_vec3(c, self.arena.order());
             }
         }
-        {
-            let (x, y, z) = store.pos_columns();
-            self.arena
-                .build(x, y, z, store.mass_column(), cfg.tree_params());
-        }
+        let (x, y, z) = store.pos_columns();
+        let m = store.mass_column();
+        self.arena.build(x, y, z, m, cfg.tree_params());
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let group_size = self.next_group_size(cfg);
-        let record = cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
-        // Margin: 3× the last drift leaves 1.5× headroom per particle for
-        // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
-        // keeps the inflated prune radius well under the periodic
-        // unambiguity bound.
-        let margin = if record {
-            (3.0 * drift_bound).min(0.1 * cfg.r_cut)
-        } else {
-            0.0
-        };
-        let params = greem_tree::TraverseParams {
+        let params = TraverseParams {
             group_size,
             ..cfg.traverse_params()
         };
-        let split = cfg.split();
-        let traversal_ns = AtomicU64::new(0);
-        let force_ns = AtomicU64::new(0);
-        let mut accel = vec![Vec3::ZERO; n];
-        let (groups, walk_stats) = {
-            let (x, y, z) = store.pos_columns();
-            let m = store.mass_column();
-            let view = self.arena.view(x, y, z, m);
-            let walk = GroupWalk::new(&view, params);
-            let groups = walk.groups();
-            if record {
-                self.cache.lists.resize_with(groups.len(), Vec::new);
-            }
-            let out = SendPtr(accel.as_mut_ptr());
-            let rec_ptr = SendPtr(self.cache.lists.as_mut_ptr());
-            let per_group: Vec<WalkStats> = groups
-                .par_iter()
-                .enumerate()
-                .map_init(PpScratch::default, |scr, (gi, &group)| {
-                    let t = Instant::now();
-                    // SAFETY: each group index occurs exactly once, so
-                    // tasks write disjoint list slots.
-                    let rec = record.then(|| unsafe { &mut *rec_ptr.get().add(gi) });
-                    scr.sources.clear();
-                    let cols = columns(&mut scr.sources);
-                    let stats = walk.list_columns(group, &mut scr.stack, margin, rec, cols);
-                    traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let view = self.arena.view(x, y, z, m);
+        let walk = GroupWalk::new(&view, params);
+        let mut groups = walk.groups();
+        groups.sort_unstable_by_key(|g| Reverse(g.first));
+        let mut accel = vec![Vec3::ZERO; store.len()];
+        let lists = record_margin.map(|_| {
+            self.cache.lists.resize_with(groups.len(), Vec::new);
+            &mut self.cache.lists[..]
+        });
+        let tasks = group_tasks(&groups, &mut accel, lists);
+        let margin = Some(record_margin.unwrap_or(0.0));
+        let walk = run_groups(&walk, (x, y, z), cfg, margin, tasks, None, &mut times);
 
-                    let t = Instant::now();
-                    let lo = group.first as usize;
-                    let hi = lo + group.count as usize;
-                    scr.targets
-                        .load_from_slices(&x[lo..hi], &y[lo..hi], &z[lo..hi]);
-                    pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
-                    force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    for i in 0..(hi - lo) {
-                        // SAFETY: group slot ranges partition 0..n, so
-                        // tasks write disjoint output slots.
-                        unsafe { *out.get().add(lo + i) = scr.targets.accel(i) };
-                    }
-                    stats
-                })
-                .collect();
-            let mut ws = WalkStats::default();
-            for s in &per_group {
-                ws.merge(s);
+        self.cache.valid = record_margin.is_some();
+        if let Some(margin) = record_margin {
+            for (snap, now) in self.cache.snap.iter_mut().zip([x, y, z]) {
+                snap.clear();
+                snap.extend_from_slice(now);
             }
-            (groups, ws)
-        };
-        times.traversal = traversal_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        times.force = force_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        self.feed_tuner(cfg, &walk_stats, &times, n);
-
-        if record {
-            let (x, y, z) = store.pos_columns();
-            self.cache.snap_x.clear();
-            self.cache.snap_x.extend_from_slice(x);
-            self.cache.snap_y.clear();
-            self.cache.snap_y.extend_from_slice(y);
-            self.cache.snap_z.clear();
-            self.cache.snap_z.extend_from_slice(z);
             self.cache.groups = groups;
             self.cache.margin = margin;
             self.cache.group_size = group_size;
-            self.cache.n = n;
-            self.cache.valid = true;
-        } else {
-            self.cache.valid = false;
         }
         PpOutcome {
             accel,
-            walk: walk_stats,
+            walk,
             times,
             replayed: false,
             group_size,
@@ -402,42 +431,32 @@ impl ResidentPp {
         companions: &mut [&mut Vec<Vec3>],
     ) -> PpOutcome {
         self.cache.valid = false;
+        let group_size = self.next_group_size(cfg);
         let mut times = PpTimes::default();
         let n_own = store.len();
         let t0 = Instant::now();
-        {
-            let (x, y, z) = store.pos_columns();
-            self.comb_x.clear();
-            self.comb_x.extend_from_slice(x);
-            self.comb_y.clear();
-            self.comb_y.extend_from_slice(y);
-            self.comb_z.clear();
-            self.comb_z.extend_from_slice(z);
-            self.comb_m.clear();
-            self.comb_m.extend_from_slice(store.mass_column());
+        let (x, y, z) = store.pos_columns();
+        for (comb, own) in self.comb.iter_mut().zip([x, y, z, store.mass_column()]) {
+            comb.clear();
+            comb.extend_from_slice(own);
         }
-        for g in ghosts {
-            self.comb_x.push(g.0.x);
-            self.comb_y.push(g.0.y);
-            self.comb_z.push(g.0.z);
-            self.comb_m.push(g.1);
-        }
-        self.arena
-            .sort(&self.comb_x, &self.comb_y, &self.comb_z, Aabb::UNIT);
-        // Owned sub-permutation (order entries < n_own, in slot order)
-        // and the slot → owned-row map for the result scatter.
-        self.own_order.clear();
-        self.slot_row.clear();
-        let mut row = 0u32;
-        for &o in self.arena.order() {
-            if (o as usize) < n_own {
-                self.own_order.push(o);
-                self.slot_row.push(row);
-                row += 1;
-            } else {
-                self.slot_row.push(u32::MAX);
+        for &(p, m) in ghosts {
+            for (comb, v) in self.comb.iter_mut().zip([p.x, p.y, p.z, m]) {
+                comb.push(v);
             }
         }
+        let [x, y, z, _] = &self.comb;
+        self.arena.sort(x, y, z, Aabb::UNIT);
+        // Owned sub-permutation (order entries < n_own, in slot order)
+        // and which slots they are: owned rows keep their slot order, so
+        // the owned slots' results, in order, are the store's rows'.
+        let order = self.arena.order();
+        self.own_order.clear();
+        self.own_order
+            .extend(order.iter().filter(|&&o| (o as usize) < n_own));
+        self.owned.clear();
+        self.owned
+            .extend(order.iter().map(|&o| (o as usize) < n_own));
         store.permute(&self.own_order, &mut self.perm);
         for c in companions.iter_mut() {
             if !c.is_empty() {
@@ -445,69 +464,41 @@ impl ResidentPp {
             }
         }
         // Gather the sorted combined columns the arena builds over.
-        self.sort_x.clear();
-        self.sort_x
-            .extend(self.arena.order().iter().map(|&o| self.comb_x[o as usize]));
-        self.sort_y.clear();
-        self.sort_y
-            .extend(self.arena.order().iter().map(|&o| self.comb_y[o as usize]));
-        self.sort_z.clear();
-        self.sort_z
-            .extend(self.arena.order().iter().map(|&o| self.comb_z[o as usize]));
-        self.sort_m.clear();
-        self.sort_m
-            .extend(self.arena.order().iter().map(|&o| self.comb_m[o as usize]));
-        self.arena
-            .build(&self.sort_x, &self.sort_y, &self.sort_z, &self.sort_m, {
-                cfg.tree_params()
-            });
+        for (sorted, comb) in self.sorted.iter_mut().zip(&self.comb) {
+            sorted.clear();
+            sorted.extend(order.iter().map(|&o| comb[o as usize]));
+        }
+        let [x, y, z, m] = &self.sorted;
+        self.arena.build(x, y, z, m, cfg.tree_params());
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let group_size = self.next_group_size(cfg);
-        let params = greem_tree::TraverseParams {
+        let params = TraverseParams {
             group_size,
             ..cfg.traverse_params()
         };
-        let split = cfg.split();
-        let view = self
-            .arena
-            .view(&self.sort_x, &self.sort_y, &self.sort_z, &self.sort_m);
+        let view = self.arena.view(x, y, z, m);
         let walk = GroupWalk::new(&view, params);
-        let mut accel = vec![Vec3::ZERO; n_own];
-        let mut walk_stats = WalkStats::default();
-        let scr = &mut self.scratch;
-        for group in walk.groups() {
-            let lo = group.first as usize;
-            let hi = lo + group.count as usize;
-            // Skip all-ghost groups outright.
-            if self.slot_row[lo..hi].iter().all(|&r| r == u32::MAX) {
-                continue;
-            }
-            let t1 = Instant::now();
-            scr.sources.clear();
-            let cols = columns(&mut scr.sources);
-            let stats = walk.list_columns(group, &mut scr.stack, 0.0, None, cols);
-            times.traversal += t1.elapsed().as_secs_f64();
-
-            let t1 = Instant::now();
-            scr.targets.load_from_slices(
-                &self.sort_x[lo..hi],
-                &self.sort_y[lo..hi],
-                &self.sort_z[lo..hi],
-            );
-            pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
-            times.force += t1.elapsed().as_secs_f64();
-            for (k, &r) in self.slot_row[lo..hi].iter().enumerate() {
-                if r != u32::MAX {
-                    accel[r as usize] = scr.targets.accel(k);
-                }
-            }
-            walk_stats.merge(&stats);
-        }
-        self.feed_tuner(cfg, &walk_stats, &times, n_own);
+        let mut groups = walk.groups();
+        groups.sort_unstable_by_key(|g| Reverse(g.first));
+        let mut accel = vec![Vec3::ZERO; x.len()];
+        let mut tasks = group_tasks(&groups, &mut accel, None);
+        // Skip all-ghost groups outright. Serial: the rank threads
+        // already own the cores.
+        let owned = &self.owned;
+        tasks.retain(|t| {
+            let lo = t.group.first as usize;
+            owned[lo..lo + t.group.count as usize].contains(&true)
+        });
+        let scr = Some(&mut self.scratch);
+        let walk = run_groups(&walk, (x, y, z), cfg, Some(0.0), tasks, scr, &mut times);
+        // Owned rows keep their slot order: without the ghost slots the
+        // slot-indexed result is the store's, row for row.
+        let mut owned = self.owned.iter();
+        accel.retain(|_| *owned.next().expect("one flag per slot"));
+        self.feed_tuner(cfg, &walk, &times, n_own);
         PpOutcome {
             accel,
-            walk: walk_stats,
+            walk,
             times,
             replayed: false,
             group_size,
@@ -539,61 +530,13 @@ mod tests {
             .collect()
     }
 
-    /// The bulk column replay must produce bitwise-identical source
-    /// lists to the per-entry replay — same branchless-image shifts,
-    /// same ordering — for every cached group.
+    /// Recording must not change a single bit: the driver's pass, with
+    /// the cutoff inflated by the margin and every list recorded, read
+    /// back through the row ids, equals the unrecorded pass of
+    /// `TreePm::compute_pp` (whose bits the golden hashes pin) —
+    /// beyond-cutoff sources are masked to exact ±0.0 by every kernel.
     #[test]
-    fn column_replay_matches_entry_replay_bitwise() {
-        let cfg = TreePmConfig {
-            group_size: 32,
-            ..TreePmConfig::standard(16)
-        };
-        let bodies = rand_bodies(300, 21);
-        let mut store = ParticleStore::from_bodies(&bodies);
-        let mut engine = ResidentPp::new();
-        engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
-        assert!(engine.cache.valid);
-
-        let (x, y, z) = store.pos_columns();
-        let m = store.mass_column();
-        let params = greem_tree::TraverseParams {
-            group_size: engine.cache.group_size,
-            ..cfg.traverse_params()
-        };
-        let view = engine.arena.view(x, y, z, m);
-        let walk = GroupWalk::new(&view, params);
-        for (gi, &g) in engine.cache.groups.iter().enumerate() {
-            let mut list = Vec::new();
-            walk.replay_list(g, &engine.cache.lists[gi], &mut list);
-            let (mut ox, mut oy, mut oz, mut om) = (vec![], vec![], vec![], vec![]);
-            walk.replay_list_columns(
-                (x, y, z, m),
-                g,
-                &engine.cache.lists[gi],
-                &mut ox,
-                &mut oy,
-                &mut oz,
-                &mut om,
-            );
-            assert_eq!(list.len(), ox.len(), "group {gi}");
-            for (k, e) in list.iter().enumerate() {
-                assert_eq!(e.pos.x.to_bits(), ox[k].to_bits(), "group {gi} entry {k}");
-                assert_eq!(e.pos.y.to_bits(), oy[k].to_bits(), "group {gi} entry {k}");
-                assert_eq!(e.pos.z.to_bits(), oz[k].to_bits(), "group {gi} entry {k}");
-                assert_eq!(e.mass.to_bits(), om[k].to_bits(), "group {gi} entry {k}");
-            }
-        }
-    }
-
-    /// The Morton-resident fresh pass must be bitwise identical to the
-    /// seed AoS path (`TreePm::compute_pp`) at matched group size: same
-    /// tree, same groups, same list order, same kernel — the permuted
-    /// output read back through the row ids equals the AoS output in
-    /// original order, bit for bit. Margin inflation (list_reuse on)
-    /// must not change a single bit either: beyond-cutoff sources are
-    /// masked to exact ±0.0 by every kernel.
-    #[test]
-    fn fresh_pass_is_bitwise_identical_to_aos_path() {
+    fn recording_pass_is_bitwise_identical_to_unrecorded_pass() {
         for list_reuse in [false, true] {
             let cfg = TreePmConfig {
                 group_size: 24,
@@ -609,6 +552,7 @@ mod tests {
             let mut engine = ResidentPp::new();
             let out = engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
             assert!(!out.replayed);
+            assert_eq!(engine.cache.valid, list_reuse);
             assert_eq!(out.walk.n_groups, want_walk.n_groups);
             for row in 0..store.len() {
                 let orig = store.id_column()[row] as usize;

@@ -370,6 +370,20 @@ mod tests {
         out
     }
 
+    /// Nothing wraps an isolated drift, so a fast body can leave the
+    /// unit cube the tree is rooted on. The Morton sort refuses it, in
+    /// release builds too: clamped into a boundary cell that does not
+    /// contain it, it would let the walk prune partners inside `r_cut`.
+    #[test]
+    #[should_panic(expected = "particle outside root box: Vec3 { x: 1.0")]
+    fn isolated_body_leaving_the_box_fails_loudly() {
+        let mut bodies = grid_bodies(4, 0.1, 5);
+        bodies[0].pos = Vec3::new(0.9, 0.5, 0.5);
+        bodies[0].vel = Vec3::new(2.0, 0.0, 0.0);
+        let mut sim = Simulation::new(TreePmConfig::isolated(16), bodies, SimulationMode::Static);
+        sim.step(0.2);
+    }
+
     #[test]
     fn momentum_conserved_over_steps() {
         let cfg = TreePmConfig::standard(16);

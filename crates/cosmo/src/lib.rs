@@ -20,6 +20,8 @@
 //!   realised on a grid, differentiated in k-space into displacements
 //!   and growing-mode velocities.
 
+#![forbid(unsafe_code)]
+
 pub mod friedmann;
 pub mod ics;
 pub mod power;

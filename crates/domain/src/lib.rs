@@ -20,6 +20,8 @@
 //! ([`SamplingBalancer`]) and the bucketed particle exchange
 //! ([`exchange`]).
 
+#![forbid(unsafe_code)]
+
 pub mod balancer;
 pub mod exchange;
 pub mod grid;

@@ -24,6 +24,8 @@
 //!   all-to-all transpose to an intermediate y-distributed layout, and
 //!   the same "at most `n` ranks can participate" restriction.
 
+#![forbid(unsafe_code)]
+
 mod columns;
 pub mod complex;
 pub mod fft1d;

@@ -102,27 +102,6 @@ impl Targets {
         }
     }
 
-    /// Refill from positions with accelerations zeroed, reusing the six
-    /// buffers. Equivalent to `*self = Targets::from_positions(pos)`
-    /// without the allocations, for callers that cycle one `Targets`
-    /// through many groups.
-    pub fn load_positions(&mut self, pos: &[Vec3]) {
-        self.x.clear();
-        self.y.clear();
-        self.z.clear();
-        for p in pos {
-            self.x.push(p.x);
-            self.y.push(p.y);
-            self.z.push(p.z);
-        }
-        self.ax.clear();
-        self.ay.clear();
-        self.az.clear();
-        self.ax.resize(pos.len(), 0.0);
-        self.ay.resize(pos.len(), 0.0);
-        self.az.resize(pos.len(), 0.0);
-    }
-
     /// Refill straight from SoA column slices (the Morton-resident
     /// `ParticleStore` layout) with accelerations zeroed, reusing the
     /// six buffers — three contiguous memcpys instead of a transposing
@@ -199,21 +178,6 @@ mod tests {
         assert_eq!(t.accel(1), Vec3::new(3.0, 0.0, 0.0));
         t.reset_accel();
         assert_eq!(t.accel(1), Vec3::ZERO);
-    }
-
-    #[test]
-    fn load_positions_matches_from_positions() {
-        let pts = [Vec3::new(1.0, 2.0, 3.0), Vec3::new(-4.0, 5.0, -6.0)];
-        let mut t = Targets::from_positions(&[Vec3::ZERO; 7]);
-        t.ax[3] = 9.0; // stale state that must not survive the refill
-        t.load_positions(&pts);
-        let fresh = Targets::from_positions(&pts);
-        assert_eq!(t.x, fresh.x);
-        assert_eq!(t.y, fresh.y);
-        assert_eq!(t.z, fresh.z);
-        assert_eq!(t.ax, fresh.ax);
-        assert_eq!(t.ay, fresh.ay);
-        assert_eq!(t.az, fresh.az);
     }
 
     #[test]

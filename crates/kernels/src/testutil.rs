@@ -37,6 +37,15 @@ pub fn interaction_scale(split: &ForceSplit, target: Vec3, sources: &SourceList)
     scale
 }
 
+/// `vrsqrtps` is implementation-defined within its error bound (AMD's
+/// table is not Intel's), and every later bit of an x86 variant follows
+/// from the seed. The golden hashes were recorded on Intel hardware; on
+/// a host that says it is something else they cannot be expected to
+/// hold.
+pub fn hardware_seed_is_the_recorded_one() -> bool {
+    std::fs::read_to_string("/proc/cpuinfo").map_or(true, |s| s.contains("GenuineIntel"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,12 +35,12 @@
 
 use std::collections::HashMap;
 
-use greem_kernels::testutil::interaction_scale;
+use greem_kernels::testutil::{hardware_seed_is_the_recorded_one, interaction_scale};
 use greem_kernels::{
     available_variants, pp_accel_dispatch, pp_accel_phantom, pp_accel_scalar, pp_accel_variant,
     selected_variant, KernelVariant, SourceList, Targets,
 };
-use greem_math::testutil::TestLcg;
+use greem_math::testutil::{Fnv1a, TestLcg};
 use greem_math::{ForceSplit, Vec3};
 
 /// The largest target block among the variants this host runs.
@@ -465,7 +465,7 @@ fn degenerate_separations_keep_the_hardware_seeds_finite() {
 /// eq. (3) and the cutoff mask are crossed.
 fn golden_hash(variant: KernelVariant) -> u64 {
     let r_cut = 0.3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv1a::default();
     let mut rng = TestLcg::new(1729);
     for eps in [0.0, r_cut / 30.0] {
         let split = ForceSplit::new(r_cut, eps);
@@ -481,23 +481,13 @@ fn golden_hash(variant: KernelVariant) -> u64 {
                 pp_accel_variant(variant, &mut t, &sources, &split);
                 for k in 0..nt {
                     for bits in accel_bits(&t, k) {
-                        for byte in bits.to_le_bytes() {
-                            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                        }
+                        hash.u64(bits);
                     }
                 }
             }
         }
     }
-    hash
-}
-
-/// `vrsqrtps` is implementation-defined within its error bound (AMD's
-/// table is not Intel's), and every later bit of an x86 variant follows
-/// from the seed. The pins below were recorded on Intel hardware; on a
-/// host that says it is something else they cannot be expected to hold.
-fn hardware_seed_is_the_recorded_one() -> bool {
-    std::fs::read_to_string("/proc/cpuinfo").map_or(true, |s| s.contains("GenuineIntel"))
+    hash.0
 }
 
 #[test]

@@ -25,6 +25,8 @@
 //! * [`testutil`] — the deterministic snapshot generator shared by the
 //!   workspace's unit tests (one LCG instead of a copy per crate).
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod cutoff;
 pub mod eigen;

@@ -54,9 +54,50 @@ pub fn rand_positions_scaled(n: usize, seed: u64, scale: f64) -> Vec<Vec3> {
     (0..n).map(|_| rng.next_vec3() * scale).collect()
 }
 
+/// FNV-1a over little-endian bytes — the digest of the golden-hash
+/// tests, which pin result *bits* (`f64::to_bits`) across refactors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold in one integer.
+    pub fn u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold in the bit pattern of each value.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.u64(v.to_bits());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vector() {
+        // FNV-1a 64 of the single byte 'a' is 0xaf63dc4c8601ec8c; the
+        // seven zero bytes that follow in `u64`'s encoding are folded
+        // the same way.
+        let mut h = Fnv1a::default();
+        h.u64(b'a' as u64);
+        let mut want = 0xaf63_dc4c_8601_ec8cu64;
+        for _ in 0..7 {
+            want = want.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(h.0, want);
+    }
 
     #[test]
     fn stream_matches_historical_inline_helper() {

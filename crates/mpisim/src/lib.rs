@@ -54,6 +54,8 @@
 //! full-machine worlds cheap while staying **bitwise identical** to
 //! the threaded runtime — see [`script`] and DESIGN.md §16.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod clock;
 pub mod comm;
 pub mod ctx;

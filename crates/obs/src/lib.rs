@@ -31,6 +31,8 @@
 //! `obs` features disabled) every tracing entry point compiles to nothing,
 //! keeping the `treepm_step` hot path unperturbed.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod export;
 pub mod flight;

@@ -22,6 +22,8 @@
 //! runs for real in this workspace (over `mpisim`); this crate only
 //! extrapolates the costs to 10240³ particles and 82944 nodes.
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod relay;
 pub mod tableone;

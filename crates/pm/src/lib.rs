@@ -25,6 +25,8 @@
 //! reference and single-rank path); [`parallel::ParallelPm`] runs it over
 //! `mpisim` with per-phase timings matching the paper's Table I rows.
 
+#![forbid(unsafe_code)]
+
 pub mod convert;
 pub mod greens;
 pub mod isolated;

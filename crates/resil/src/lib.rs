@@ -29,6 +29,8 @@
 //! experiment in `greem-bench` drives crash / straggler / drop
 //! scenarios end to end.
 
+#![forbid(unsafe_code)]
+
 pub mod ckpt;
 pub mod recover;
 

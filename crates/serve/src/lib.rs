@@ -36,6 +36,8 @@
 //!   full queue), per-job trace capture under a process-global gate,
 //!   graceful drain.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod job;
 pub mod ring;

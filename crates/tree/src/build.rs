@@ -1,45 +1,25 @@
-//! Octree construction from Morton-sorted particles.
-//!
-//! Construction is parallel: key computation, the Morton sort, the
-//! permutation gathers, and the eight top-level subtrees all run as
-//! rayon tasks. The sort key is the total order `(MortonKey, slot)` and
-//! the eight sub-arenas are concatenated in octant order, which
-//! reproduces the serial DFS node layout exactly — `build` and
-//! `build_serial` return bitwise-identical trees at any thread count.
+//! The octree's nodes and the recursive builder that lays them out over
+//! Morton-sorted particle columns, as a DFS arena: a node's whole
+//! subtree follows it, octant by octant. Who sorts the particles and who
+//! owns the arena is [`crate::arena`]'s business.
 
 use greem_math::{Aabb, MortonKey, Sym3, Vec3};
-use rayon::prelude::*;
 
 /// Below this particle count the whole build runs serially — the
 /// broadcast/latch overhead of eight subtree tasks outweighs the work.
 pub(crate) const PAR_BUILD_CUTOFF: usize = 2048;
 
-/// Position storage the node builders can read: an AoS `[Vec3]` slice
-/// (the classic [`Octree`]) or the SoA columns of the persistent arena
-/// (`crate::arena`). Monomorphised, so both paths run the *same* FP
-/// instruction sequence — the moment sums stay bitwise identical
-/// across layouts.
-pub(crate) trait PosRead: Sync {
-    fn pos_at(&self, i: usize) -> Vec3;
-}
-
-impl PosRead for [Vec3] {
-    #[inline]
-    fn pos_at(&self, i: usize) -> Vec3 {
-        self[i]
-    }
-}
-
-/// SoA position columns (borrowed from a `ParticleStore`).
+/// Borrowed position columns in Morton order.
+#[derive(Clone, Copy)]
 pub(crate) struct SoaPos<'a> {
     pub x: &'a [f64],
     pub y: &'a [f64],
     pub z: &'a [f64],
 }
 
-impl PosRead for SoaPos<'_> {
+impl SoaPos<'_> {
     #[inline]
-    fn pos_at(&self, i: usize) -> Vec3 {
+    pub fn pos_at(&self, i: usize) -> Vec3 {
         Vec3::new(self.x[i], self.y[i], self.z[i])
     }
 }
@@ -62,9 +42,9 @@ impl Default for TreeParams {
     }
 }
 
-/// One octree node. Nodes reference a contiguous range of the tree's
-/// Morton-sorted particle arrays, so a node's particles are always
-/// `tree.pos()[first..first+count]`.
+/// One octree node. Nodes reference a contiguous range of the
+/// Morton-sorted particle columns: a node's particles are always slots
+/// `first..first+count`.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// First particle (index into the sorted arrays).
@@ -105,250 +85,10 @@ impl Node {
     }
 }
 
-/// A Barnes-Hut octree over a particle snapshot.
-///
-/// Construction copies and Morton-sorts the particles; `orig_index`
-/// maps each sorted slot back to the caller's particle index so
-/// accelerations can be scattered back.
-///
-/// ```
-/// use greem_math::{Aabb, Vec3};
-/// use greem_tree::{GroupWalk, Octree, TraverseParams, TreeParams};
-///
-/// let pos = vec![Vec3::new(0.2, 0.2, 0.2), Vec3::new(0.8, 0.8, 0.8)];
-/// let tree = Octree::build(&pos, &[1.0, 3.0], Aabb::UNIT, TreeParams::default());
-/// assert_eq!(tree.root().unwrap().mass, 4.0);
-///
-/// let walk = GroupWalk::new(&tree, TraverseParams {
-///     r_cut: Some(0.4),
-///     ..Default::default()
-/// });
-/// let stats = walk.for_each_group(|_group, _interaction_list| {});
-/// assert_eq!(stats.sum_ni, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Octree {
-    root_box: Aabb,
-    nodes: Vec<Node>,
-    pos: Vec<Vec3>,
-    mass: Vec<f64>,
-    orig_index: Vec<u32>,
-}
-
-impl Octree {
-    /// Build over `positions`/`masses` inside `root_box` (the unit cube
-    /// for periodic runs; any bounding box for open-boundary runs).
-    /// Positions must lie inside `root_box`. The box is expanded to a
-    /// cube internally (recursive bisection produces cubic cells, which
-    /// the opening criterion's `ℓ/d` assumes).
-    pub fn build(positions: &[Vec3], masses: &[f64], root_box: Aabb, params: TreeParams) -> Octree {
-        Self::build_impl(positions, masses, root_box, params, true)
-    }
-
-    /// Serial reference build: identical result to [`build`](Self::build)
-    /// (same `(key, slot)` sort order, same DFS arena layout), used by
-    /// the parallel-equivalence tests.
-    pub fn build_serial(
-        positions: &[Vec3],
-        masses: &[f64],
-        root_box: Aabb,
-        params: TreeParams,
-    ) -> Octree {
-        Self::build_impl(positions, masses, root_box, params, false)
-    }
-
-    fn build_impl(
-        positions: &[Vec3],
-        masses: &[f64],
-        root_box: Aabb,
-        params: TreeParams,
-        parallel: bool,
-    ) -> Octree {
-        assert_eq!(positions.len(), masses.len());
-        let n = positions.len();
-        let parallel = parallel && n >= PAR_BUILD_CUTOFF;
-        let side = root_box.max_extent().max(f64::MIN_POSITIVE);
-        let root_box = Aabb::new(
-            root_box.center() - Vec3::splat(0.5 * side),
-            root_box.center() + Vec3::splat(0.5 * side),
-        );
-        let scale = Vec3::splat(1.0 / side);
-        let key_of = |p: &Vec3| {
-            let q = (*p - root_box.lo).hadamard(scale);
-            debug_assert!(
-                (-1e-9..1.0 + 1e-9).contains(&q.x)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.y)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.z),
-                "particle outside root box: {p:?}"
-            );
-            MortonKey::from_unit_pos(q.x, q.y, q.z)
-        };
-        // Morton-sort an index permutation. The `(key, slot)` pair is a
-        // total order, so the permutation is unique — equal keys keep
-        // input order — and serial and parallel sorts agree exactly.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let (keys, pos, mass): (Vec<MortonKey>, Vec<Vec3>, Vec<f64>);
-        if parallel {
-            keys = positions.par_iter().map(key_of).collect();
-            order.par_sort_unstable_by_key(|&i| (keys[i as usize], i));
-            pos = order.par_iter().map(|&i| positions[i as usize]).collect();
-            mass = order.par_iter().map(|&i| masses[i as usize]).collect();
-        } else {
-            keys = positions.iter().map(key_of).collect();
-            order.sort_unstable_by_key(|&i| (keys[i as usize], i));
-            pos = order.iter().map(|&i| positions[i as usize]).collect();
-            mass = order.iter().map(|&i| masses[i as usize]).collect();
-        }
-        let sorted_keys: Vec<MortonKey> = order.iter().map(|&i| keys[i as usize]).collect();
-
-        let mut tree = Octree {
-            root_box,
-            nodes: Vec::with_capacity(n / 2 + 8),
-            pos,
-            mass,
-            orig_index: order,
-        };
-        if n == 0 {
-            return tree;
-        }
-        let center = root_box.center();
-        let half = root_box.max_extent() * 0.5;
-        let splitting_root = n > params.leaf_capacity && params.max_depth > 0;
-        if parallel && splitting_root {
-            tree.build_parallel_root(&sorted_keys, center, half, &params);
-        } else {
-            build_arena(
-                &mut tree.nodes,
-                &sorted_keys,
-                tree.pos.as_slice(),
-                &tree.mass,
-                0,
-                n,
-                0,
-                center,
-                half,
-                &params,
-            );
-        }
-        tree
-    }
-
-    /// Build the root node, then the eight top-level subtrees as
-    /// parallel tasks. Sub-arenas are concatenated in octant order with
-    /// child indices rebased, reproducing the serial DFS layout exactly
-    /// (a serial DFS emits each octant's whole subtree contiguously, in
-    /// octant order, right after the root).
-    fn build_parallel_root(
-        &mut self,
-        keys: &[MortonKey],
-        center: Vec3,
-        half: f64,
-        params: &TreeParams,
-    ) {
-        let n = self.pos.len();
-        debug_assert!(self.nodes.is_empty());
-        let mut root = make_node(self.pos.as_slice(), &self.mass, 0, n, center, half);
-        root.is_leaf = false;
-        self.nodes.push(root);
-        // Octant sub-ranges: particles are key-sorted, so each is a
-        // contiguous run of the level-0 digit.
-        let mut ranges: Vec<(u8, usize, usize)> = Vec::with_capacity(8);
-        let mut start = 0;
-        while start < n {
-            let oct = keys[start].octant_at_level(0);
-            let mut end = start + 1;
-            while end < n && keys[end].octant_at_level(0) == oct {
-                end += 1;
-            }
-            ranges.push((oct, start, end));
-            start = end;
-        }
-        let quarter = half * 0.5;
-        let pos = self.pos.as_slice();
-        let mass = &self.mass;
-        let subs: Vec<(u8, Vec<Node>)> = ranges
-            .into_par_iter()
-            .map(|(oct, first, last)| {
-                let off = Vec3::new(
-                    if oct & 0b100 != 0 { quarter } else { -quarter },
-                    if oct & 0b010 != 0 { quarter } else { -quarter },
-                    if oct & 0b001 != 0 { quarter } else { -quarter },
-                );
-                let mut sub = Vec::new();
-                build_arena(
-                    &mut sub,
-                    keys,
-                    pos,
-                    mass,
-                    first,
-                    last,
-                    1,
-                    center + off,
-                    quarter,
-                    params,
-                );
-                (oct, sub)
-            })
-            .collect();
-        for (oct, sub) in subs {
-            let offset = self.nodes.len() as i32;
-            self.nodes[0].child[oct as usize] = offset;
-            self.nodes.extend(sub.into_iter().map(|mut node| {
-                for c in node.child.iter_mut() {
-                    if *c >= 0 {
-                        *c += offset;
-                    }
-                }
-                node
-            }));
-        }
-    }
-
-    /// The root bounding box the tree was built in.
-    pub fn root_box(&self) -> Aabb {
-        self.root_box
-    }
-
-    /// All nodes (index 0 is the root when the tree is non-empty).
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Number of particles.
-    pub fn len(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// True when the tree holds no particles.
-    pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
-    }
-
-    /// Morton-sorted positions.
-    pub fn pos(&self) -> &[Vec3] {
-        &self.pos
-    }
-
-    /// Morton-sorted masses.
-    pub fn mass(&self) -> &[f64] {
-        &self.mass
-    }
-
-    /// For sorted slot `i`, the caller's original particle index.
-    pub fn orig_index(&self) -> &[u32] {
-        &self.orig_index
-    }
-
-    /// The root node, if any.
-    pub fn root(&self) -> Option<&Node> {
-        self.nodes.first()
-    }
-}
-
 /// Node over sorted slots `[first, last)`: moments and geometry, no
 /// children yet.
-pub(crate) fn make_node<P: PosRead + ?Sized>(
-    pos: &P,
+pub(crate) fn make_node(
+    pos: &SoaPos<'_>,
     mass: &[f64],
     first: usize,
     last: usize,
@@ -392,234 +132,72 @@ pub(crate) fn make_node<P: PosRead + ?Sized>(
     }
 }
 
+/// What the recursive build reads: the sorted keys, the particle columns
+/// in that order, and the construction parameters.
+pub(crate) struct Sorted<'a> {
+    pub keys: &'a [MortonKey],
+    pub pos: SoaPos<'a>,
+    pub mass: &'a [f64],
+    pub params: TreeParams,
+}
+
+impl Sorted<'_> {
+    /// The children of the level-`level` cell `(center, half)` over
+    /// sorted slots `[first, last)`, as `(octant, start, end, centre)`:
+    /// particles are key-sorted, so each non-empty octant is a
+    /// contiguous run of the level's 3-bit digit.
+    pub fn children(
+        &self,
+        first: usize,
+        last: usize,
+        level: u32,
+        center: Vec3,
+        half: f64,
+    ) -> impl Iterator<Item = (u8, usize, usize, Vec3)> + '_ {
+        let quarter = half * 0.5;
+        let mut start = first;
+        std::iter::from_fn(move || {
+            if start >= last {
+                return None;
+            }
+            let oct = self.keys[start].octant_at_level(level);
+            let mut end = start + 1;
+            while end < last && self.keys[end].octant_at_level(level) == oct {
+                end += 1;
+            }
+            let off = Vec3::new(
+                if oct & 0b100 != 0 { quarter } else { -quarter },
+                if oct & 0b010 != 0 { quarter } else { -quarter },
+                if oct & 0b001 != 0 { quarter } else { -quarter },
+            );
+            let run = (oct, start, end, center + off);
+            start = end;
+            Some(run)
+        })
+    }
+}
+
 /// Recursively build the subtree over sorted slots `[first, last)` at
 /// `level` into `nodes` (a DFS arena with indices local to `nodes`);
 /// returns the subtree root's index.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_arena<P: PosRead + ?Sized>(
+pub(crate) fn build_arena(
     nodes: &mut Vec<Node>,
-    keys: &[MortonKey],
-    pos: &P,
-    mass: &[f64],
+    src: &Sorted<'_>,
     first: usize,
     last: usize,
     level: u32,
     center: Vec3,
     half: f64,
-    params: &TreeParams,
 ) -> i32 {
-    let count = last - first;
     let idx = nodes.len();
-    nodes.push(make_node(pos, mass, first, last, center, half));
-    if count <= params.leaf_capacity || level >= params.max_depth {
+    nodes.push(make_node(&src.pos, src.mass, first, last, center, half));
+    if last - first <= src.params.leaf_capacity || level >= src.params.max_depth {
         return idx as i32;
     }
-    // Split: particles are key-sorted, so each octant is a
-    // contiguous sub-range found by scanning the 3-bit digit.
     nodes[idx].is_leaf = false;
-    let mut start = first;
-    let quarter = half * 0.5;
-    while start < last {
-        let oct = keys[start].octant_at_level(level);
-        let mut end = start + 1;
-        while end < last && keys[end].octant_at_level(level) == oct {
-            end += 1;
-        }
-        let off = Vec3::new(
-            if oct & 0b100 != 0 { quarter } else { -quarter },
-            if oct & 0b010 != 0 { quarter } else { -quarter },
-            if oct & 0b001 != 0 { quarter } else { -quarter },
-        );
-        let child = build_arena(
-            nodes,
-            keys,
-            pos,
-            mass,
-            start,
-            end,
-            level + 1,
-            center + off,
-            quarter,
-            params,
-        );
+    for (oct, start, end, c) in src.children(first, last, level, center, half) {
+        let child = build_arena(nodes, src, start, end, level + 1, c, half * 0.5);
         nodes[idx].child[oct as usize] = child;
-        start = end;
     }
     idx as i32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    use greem_math::testutil::rand_positions;
-
-    fn build_uniform(n: usize, seed: u64) -> (Octree, Vec<Vec3>) {
-        let pos = rand_positions(n, seed);
-        let masses = vec![1.0 / n as f64; n];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        (tree, pos)
-    }
-
-    #[test]
-    fn empty_tree() {
-        let tree = Octree::build(&[], &[], Aabb::UNIT, TreeParams::default());
-        assert!(tree.is_empty());
-        assert!(tree.root().is_none());
-    }
-
-    #[test]
-    fn root_has_total_mass_and_com() {
-        let (tree, pos) = build_uniform(500, 1);
-        let root = tree.root().unwrap();
-        assert_eq!(root.count as usize, 500);
-        assert!((root.mass - 1.0).abs() < 1e-12);
-        let com: Vec3 = pos.iter().copied().sum::<Vec3>() / 500.0;
-        assert!((root.com - com).norm() < 1e-12);
-    }
-
-    #[test]
-    fn children_partition_parent() {
-        let (tree, _) = build_uniform(300, 2);
-        for node in tree.nodes() {
-            if node.is_leaf {
-                continue;
-            }
-            let mut covered = 0u32;
-            let mut next = node.first;
-            let mut mass = 0.0;
-            let mut com = Vec3::ZERO;
-            for &c in &node.child {
-                if c < 0 {
-                    continue;
-                }
-                let ch = &tree.nodes()[c as usize];
-                assert_eq!(ch.first, next, "children must tile the range in order");
-                next += ch.count;
-                covered += ch.count;
-                mass += ch.mass;
-                com += ch.com * ch.mass;
-            }
-            assert_eq!(covered, node.count);
-            assert!((mass - node.mass).abs() < 1e-12);
-            assert!((com / mass - node.com).norm() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn leaves_respect_capacity() {
-        let params = TreeParams {
-            leaf_capacity: 4,
-            max_depth: 21,
-        };
-        let pos = rand_positions(200, 3);
-        let masses = vec![1.0; 200];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, params);
-        for node in tree.nodes() {
-            if node.is_leaf {
-                assert!(node.count <= 4, "leaf holds {} > 4", node.count);
-            }
-        }
-    }
-
-    #[test]
-    fn particles_stay_in_their_cells() {
-        let (tree, _) = build_uniform(300, 4);
-        for node in tree.nodes() {
-            let cell = node.cell();
-            for i in node.first..node.first + node.count {
-                let p = tree.pos()[i as usize];
-                // Allow boundary fuzz: quantisation puts a particle in a
-                // definite cell, geometry may disagree by one ULP-cell.
-                let d2 = cell.dist2_to_point(p);
-                let tol = (1e-6 * node.half).powi(2).max(1e-24);
-                assert!(
-                    d2 <= tol,
-                    "particle {p:?} outside its cell {cell:?} (d2={d2})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn coincident_particles_stop_at_max_depth() {
-        // Many particles at the same point cannot be separated: the tree
-        // must terminate via max_depth, not recurse forever.
-        let p = Vec3::splat(0.123456);
-        let pos = vec![p; 50];
-        let masses = vec![1.0; 50];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        let deepest = tree
-            .nodes()
-            .iter()
-            .filter(|n| n.is_leaf)
-            .map(|n| n.count)
-            .max()
-            .unwrap();
-        assert_eq!(deepest, 50, "all coincident particles end in one leaf");
-    }
-
-    #[test]
-    fn orig_index_is_permutation() {
-        let (tree, pos) = build_uniform(128, 5);
-        let mut seen = [false; 128];
-        for (slot, &oi) in tree.orig_index().iter().enumerate() {
-            assert!(!seen[oi as usize]);
-            seen[oi as usize] = true;
-            assert_eq!(tree.pos()[slot], pos[oi as usize]);
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_bitwise() {
-        // Above PAR_BUILD_CUTOFF so the parallel path actually runs.
-        let n = 5000;
-        let pos = rand_positions(n, 7);
-        let masses: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64 * 0.25).collect();
-        let par = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        let ser = Octree::build_serial(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        assert_eq!(par.orig_index(), ser.orig_index());
-        assert_eq!(par.nodes().len(), ser.nodes().len());
-        for (a, b) in par.nodes().iter().zip(ser.nodes()) {
-            assert_eq!(a.first, b.first);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.child, b.child);
-            assert_eq!(a.com, b.com);
-            assert_eq!(a.mass, b.mass);
-            assert_eq!(a.s_moment, b.s_moment);
-            assert_eq!(a.center, b.center);
-            assert_eq!(a.half, b.half);
-            assert_eq!(a.is_leaf, b.is_leaf);
-        }
-    }
-
-    #[test]
-    fn duplicate_keys_sort_deterministically() {
-        // Equal Morton keys keep input order under the (key, slot)
-        // total order, so repeated builds agree slot-for-slot.
-        let mut pos = rand_positions(3000, 9);
-        for p in pos.iter_mut().take(1000) {
-            *p = Vec3::splat(0.25); // heavy duplication
-        }
-        let masses = vec![1.0; pos.len()];
-        let a = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        let b = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
-        assert_eq!(a.orig_index(), b.orig_index());
-    }
-
-    #[test]
-    fn open_boundary_root_box() {
-        // Tree over a non-unit box (the open-boundary baseline path).
-        let pos = vec![
-            Vec3::new(-3.0, 2.0, 10.0),
-            Vec3::new(5.0, -1.0, 12.0),
-            Vec3::new(0.0, 0.5, 11.0),
-        ];
-        let bb = Aabb::from_points(pos.iter().copied());
-        let root_box = Aabb::new(bb.lo - Vec3::splat(1e-9), bb.hi + Vec3::splat(1e-9));
-        let tree = Octree::build(&pos, &[1.0, 2.0, 3.0], root_box, TreeParams::default());
-        assert_eq!(tree.root().unwrap().count, 3);
-        assert!((tree.root().unwrap().mass - 6.0).abs() < 1e-12);
-    }
 }

@@ -23,15 +23,17 @@
 //! and reports the walk statistics (⟨Ni⟩, ⟨Nj⟩, interaction counts) that
 //! appear in the paper's Table I.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod build;
 pub mod multipole;
 pub mod traverse;
 
-pub use arena::{ArenaView, TreeArena};
-pub use build::{Node, Octree, TreeParams};
+pub use arena::{ArenaView, SnapshotTree, TreeArena};
+pub use build::{Node, TreeParams};
 pub use multipole::pseudo_particles;
 pub use traverse::{
-    Group, GroupWalk, ListEntry, Multipole, SourceColumns, SourceEntry, TraverseParams, TreeSource,
-    WalkStats, GROUP_SIZE_BUCKETS,
+    Group, GroupWalk, ListEntry, Multipole, SourceColumns, SourceEntry, TraverseParams, WalkStats,
+    GROUP_SIZE_BUCKETS,
 };

@@ -4,39 +4,7 @@
 use greem_math::{min_image_in_box, nearest_image, Aabb, Vec3};
 
 use crate::arena::ArenaView;
-use crate::build::{Node, Octree};
-
-/// Read-only tree access the group walk needs: the node arena plus the
-/// Morton-sorted particle positions/masses. Implemented by [`Octree`]
-/// (which owns gathered copies) and by `crate::arena::ArenaView` (which
-/// borrows the resident SoA columns — zero-copy).
-pub trait TreeSource {
-    /// The node arena (index 0 is the root when non-empty).
-    fn nodes(&self) -> &[Node];
-    /// Number of particles.
-    fn n_particles(&self) -> usize;
-    /// Position of Morton-sorted slot `i`.
-    fn pos_at(&self, i: usize) -> Vec3;
-    /// Mass of Morton-sorted slot `i`.
-    fn mass_at(&self, i: usize) -> f64;
-}
-
-impl TreeSource for Octree {
-    fn nodes(&self) -> &[Node] {
-        Octree::nodes(self)
-    }
-    fn n_particles(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn pos_at(&self, i: usize) -> Vec3 {
-        self.pos()[i]
-    }
-    #[inline]
-    fn mass_at(&self, i: usize) -> f64 {
-        self.mass()[i]
-    }
-}
+use crate::build::{Node, SoaPos};
 
 /// The multipole order of accepted nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -320,8 +288,8 @@ enum Plan<'a> {
 /// unwrapped coordinates stay bit-exact and wrapped ones are exactly
 /// `p ± 1` (exact in f64 for p ∈ [0,1]) — a group's own particle stays
 /// identical to its target copy and the kernel's self-pair mask fires.
-struct Emitter<'a, T, S> {
-    tree: &'a T,
+struct Emitter<'a, S> {
+    tree: &'a ArenaView<'a>,
     sink: &'a mut S,
     gcenter: Vec3,
     periodic: bool,
@@ -352,7 +320,7 @@ fn image(gcenter: Vec3, periodic: bool, p: Vec3) -> Vec3 {
     )
 }
 
-impl<T: TreeSource, S: Sink> Emitter<'_, T, S> {
+impl<S: Sink> Emitter<'_, S> {
     /// An accepted node's multipole.
     #[inline(always)]
     fn node(&mut self, node: &Node) {
@@ -383,25 +351,23 @@ impl<T: TreeSource, S: Sink> Emitter<'_, T, S> {
     #[inline(always)]
     fn particles(&mut self, first: u32, count: u32) {
         for i in first as usize..(first + count) as usize {
-            let p = image(self.gcenter, self.periodic, self.tree.pos_at(i));
-            self.sink.push(p, self.tree.mass_at(i));
+            let p = image(self.gcenter, self.periodic, self.tree.pos.pos_at(i));
+            self.sink.push(p, self.tree.m[i]);
         }
         self.particle_entries += count as u64;
     }
 }
 
-/// A group walk over a tree source: finds the particle groups and builds
-/// each group's shared interaction list. Generic over [`TreeSource`] so
-/// the same walk runs against an [`Octree`] (gathered copies) or the
-/// resident arena's borrowed SoA columns.
-pub struct GroupWalk<'t, T: TreeSource = Octree> {
-    tree: &'t T,
+/// A group walk over the arena tree: finds the particle groups and
+/// builds each group's shared interaction list.
+pub struct GroupWalk<'t> {
+    tree: &'t ArenaView<'t>,
     params: TraverseParams,
 }
 
-impl<'t, T: TreeSource> GroupWalk<'t, T> {
+impl<'t> GroupWalk<'t> {
     /// Bind a walk configuration to a tree.
-    pub fn new(tree: &'t T, params: TraverseParams) -> Self {
+    pub fn new(tree: &'t ArenaView<'t>, params: TraverseParams) -> Self {
         assert!(params.theta >= 0.0, "theta must be non-negative");
         assert!(params.group_size >= 1);
         GroupWalk { tree, params }
@@ -433,16 +399,17 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
     /// The particle groups: maximal tree-node ranges with
     /// `count ≤ group_size` whose cells are small enough for an
     /// unambiguous periodic image; oversized sparse leaves degenerate to
-    /// per-particle groups.
+    /// per-particle groups. Together they tile the slots `0..n` exactly,
+    /// in no particular order.
     pub fn groups(&self) -> Vec<Group> {
         let mut out = Vec::new();
-        if self.tree.nodes().is_empty() {
+        if self.tree.nodes.is_empty() {
             return out;
         }
         let max_side = self.max_group_side();
         let mut stack = vec![0usize];
         while let Some(i) = stack.pop() {
-            let node = &self.tree.nodes()[i];
+            let node = &self.tree.nodes[i];
             let small = node.side() <= max_side;
             if small && (node.count as usize <= self.params.group_size || node.is_leaf) {
                 out.push(Group {
@@ -475,7 +442,8 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         let mut stack: Vec<usize> = Vec::new();
         for group in self.groups() {
             list.clear();
-            let s = self.list_for_group(group, &mut stack, &mut list);
+            let (stack, margin, rec) = (&mut stack, 0.0, None);
+            let s = self.build(group, Plan::Walk { stack, margin, rec }, &mut list);
             stats.merge(&s);
             visit(group, &list);
         }
@@ -520,18 +488,6 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         self.build_columns(group, Plan::Replay(entries), out)
     }
 
-    /// [`list_columns`](Self::list_columns) without recording, into an
-    /// array of [`SourceEntry`].
-    pub fn list_for_group(
-        &self,
-        group: Group,
-        stack: &mut Vec<usize>,
-        list: &mut Vec<SourceEntry>,
-    ) -> WalkStats {
-        let (margin, rec) = (0.0, None);
-        self.build(group, Plan::Walk { stack, margin, rec }, list)
-    }
-
     /// Recording [`list_columns`](Self::list_columns) into an array of
     /// [`SourceEntry`].
     pub fn list_for_group_recording(
@@ -546,20 +502,9 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         self.build(group, Plan::Walk { stack, margin, rec }, list)
     }
 
-    /// [`replay_columns`](Self::replay_columns) into an array of
-    /// [`SourceEntry`].
-    pub fn replay_list(
-        &self,
-        group: Group,
-        entries: &[ListEntry],
-        list: &mut Vec<SourceEntry>,
-    ) -> WalkStats {
-        self.build(group, Plan::Replay(entries), list)
-    }
-
     /// [`replay_columns`](Self::replay_columns) reading particles from
-    /// explicit position and mass columns instead of the walk's own tree
-    /// source (whose nodes it keeps).
+    /// explicit position and mass columns instead of the walk's own
+    /// (whose nodes it keeps).
     #[allow(clippy::too_many_arguments)]
     pub fn replay_list_columns(
         &self,
@@ -571,8 +516,8 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
         oz: &mut Vec<f64>,
         om: &mut Vec<f64>,
     ) -> WalkStats {
-        let nodes = self.tree.nodes();
-        let view = ArenaView { nodes, x, y, z, m };
+        let (nodes, pos) = (self.tree.nodes, SoaPos { x, y, z });
+        let view = ArenaView { nodes, pos, m };
         let out = SourceColumns {
             x: ox,
             y: oy,
@@ -593,11 +538,11 @@ impl<'t, T: TreeSource> GroupWalk<'t, T> {
     /// geometry once, then `plan` decides which nodes and leaves the
     /// [`Emitter`] appends to `sink`.
     fn build<S: Sink>(&self, group: Group, plan: Plan<'_>, sink: &mut S) -> WalkStats {
-        let nodes = self.tree.nodes();
+        let nodes = self.tree.nodes;
         let params = &self.params;
         // Tight bounding box of the group's particles.
         let gbox = Aabb::from_points(
-            (group.first..group.first + group.count).map(|i| self.tree.pos_at(i as usize)),
+            (group.first..group.first + group.count).map(|i| self.tree.pos.pos_at(i as usize)),
         );
         let gcenter = gbox.center();
         let before = sink.len();
@@ -725,6 +670,7 @@ mod reference;
 mod tests {
     use super::*;
     use crate::build::TreeParams;
+    use crate::SnapshotTree;
     use greem_math::{min_image_vec, ForceSplit};
 
     use greem_math::testutil::rand_positions;
@@ -747,21 +693,22 @@ mod tests {
 
     /// Group-walk accelerations via the reference pair force.
     fn walk_pp(
-        tree: &Octree,
+        tree: &SnapshotTree,
         n: usize,
         params: TraverseParams,
         split: &ForceSplit,
     ) -> (Vec<Vec3>, WalkStats) {
-        let walk = GroupWalk::new(tree, params);
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, params);
         let mut acc = vec![Vec3::ZERO; n];
         let stats = walk.for_each_group(|group, list| {
             for slot in group.first..group.first + group.count {
-                let p = tree.pos()[slot as usize];
+                let p = view.pos.pos_at(slot as usize);
                 let mut a = Vec3::ZERO;
                 for s in list {
                     a += split.pp_accel(s.pos - p, s.mass);
                 }
-                acc[tree.orig_index()[slot as usize] as usize] = a;
+                acc[tree.order()[slot as usize] as usize] = a;
             }
         });
         (acc, stats)
@@ -773,7 +720,7 @@ mod tests {
         let pos = rand_positions(n, 7);
         let masses = vec![1.0 / n as f64; n];
         let split = ForceSplit::new(0.3, 0.0);
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
         let params = TraverseParams {
             theta: 0.0,
             group_size: 16,
@@ -801,7 +748,7 @@ mod tests {
         let pos = rand_positions(n, 11);
         let masses = vec![1.0 / n as f64; n];
         let split = ForceSplit::new(0.4, 0.0);
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
         let params = TraverseParams {
             theta: 0.4,
             group_size: 32,
@@ -833,9 +780,10 @@ mod tests {
         let n = 500;
         let pos = rand_positions(n, 13);
         let masses = vec![1.0; n];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let view = tree.view();
         let walk = GroupWalk::new(
-            &tree,
+            &view,
             TraverseParams {
                 group_size: 40,
                 ..Default::default()
@@ -860,7 +808,7 @@ mod tests {
         let n = 400;
         let pos = rand_positions(n, 17);
         let masses = vec![1.0 / n as f64; n];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
         let base = TraverseParams {
             theta: 0.5,
             group_size: 32,
@@ -872,8 +820,8 @@ mod tests {
             r_cut: Some(0.15),
             ..base
         };
-        let s_all = GroupWalk::new(&tree, base).for_each_group(|_, _| {});
-        let s_cut = GroupWalk::new(&tree, with_cut).for_each_group(|_, _| {});
+        let s_all = GroupWalk::new(&tree.view(), base).for_each_group(|_, _| {});
+        let s_cut = GroupWalk::new(&tree.view(), with_cut).for_each_group(|_, _| {});
         assert!(
             s_cut.mean_nj() < 0.7 * s_all.mean_nj(),
             "pruned ⟨Nj⟩ {} !< unpruned {}",
@@ -889,7 +837,7 @@ mod tests {
         let pos = vec![Vec3::new(0.01, 0.5, 0.5), Vec3::new(0.99, 0.5, 0.5)];
         let masses = vec![1.0, 1.0];
         let split = ForceSplit::new(0.2, 0.0);
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
         let params = TraverseParams {
             theta: 0.5,
             group_size: 1,
@@ -916,12 +864,13 @@ mod tests {
         let n = 1000;
         let pos = rand_positions(n, 23);
         let masses = vec![1.0 / n as f64; n];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let view = tree.view();
         let mut last_nj = 0.0;
         let mut last_groups = u64::MAX;
         for gs in [8usize, 32, 128] {
             let stats = GroupWalk::new(
-                &tree,
+                &view,
                 TraverseParams {
                     theta: 0.5,
                     group_size: gs,
@@ -947,7 +896,7 @@ mod tests {
         let pos = rand_positions(n, 29);
         let masses = vec![1.0 / n as f64; n];
         let split = ForceSplit::new(0.4, 0.0);
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
         let want = direct_pp(&pos, &masses, &split);
         let rms = |multipole: Multipole| -> f64 {
             let params = TraverseParams {
@@ -983,10 +932,11 @@ mod tests {
         let n = 300;
         let pos = rand_positions(n, 31);
         let masses = vec![1.0; n];
-        let tree = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let tree = SnapshotTree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+        let view = tree.view();
         let stats_of = |multipole: Multipole| {
             GroupWalk::new(
-                &tree,
+                &view,
                 TraverseParams {
                     theta: 0.7,
                     group_size: 32,
@@ -1010,11 +960,12 @@ mod tests {
 
     #[test]
     fn empty_and_single_particle() {
-        let tree = Octree::build(&[], &[], Aabb::UNIT, TreeParams::default());
-        let stats = GroupWalk::new(&tree, TraverseParams::default()).for_each_group(|_, _| {});
+        let tree = SnapshotTree::build(&[], &[], Aabb::UNIT, TreeParams::default());
+        let stats =
+            GroupWalk::new(&tree.view(), TraverseParams::default()).for_each_group(|_, _| {});
         assert_eq!(stats.n_groups, 0);
 
-        let tree = Octree::build(
+        let tree = SnapshotTree::build(
             &[Vec3::splat(0.5)],
             &[1.0],
             Aabb::UNIT,

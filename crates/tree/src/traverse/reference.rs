@@ -3,14 +3,14 @@
 //! `.round()` in the image shift, one `SourceEntry` push per source —
 //! kept verbatim as the reference, and the differential tests holding
 //! the new builder to it bit for bit: source values, recorded structure
-//! and every `WalkStats` field, through both tree sources.
+//! and every `WalkStats` field.
 
 use greem_math::testutil::{rand_positions, TestLcg};
 use greem_math::{Aabb, Vec3};
 
 use super::*;
 use crate::build::TreeParams;
-use crate::TreeArena;
+use crate::SnapshotTree;
 
 fn min_image_libm(a: f64, b: f64) -> f64 {
     let d = a - b;
@@ -42,8 +42,8 @@ fn shift_to(gcenter: Vec3, periodic: bool, p: Vec3) -> Vec3 {
 }
 
 /// The old `GroupWalk::list_impl`.
-fn list_impl<T: TreeSource>(
-    tree: &T,
+fn list_impl(
+    tree: &ArenaView<'_>,
     params: &TraverseParams,
     group: Group,
     stack: &mut Vec<usize>,
@@ -52,9 +52,9 @@ fn list_impl<T: TreeSource>(
     mut rec: Option<&mut Vec<ListEntry>>,
 ) -> WalkStats {
     let mut stats = WalkStats::default();
-    let nodes = tree.nodes();
+    let nodes = tree.nodes;
     let gbox = Aabb::from_points(
-        (group.first..group.first + group.count).map(|i| tree.pos_at(i as usize)),
+        (group.first..group.first + group.count).map(|i| tree.pos.pos_at(i as usize)),
     );
     let gcenter = gbox.center();
     let periodic = params.periodic;
@@ -107,8 +107,8 @@ fn list_impl<T: TreeSource>(
         } else if node.is_leaf {
             for i in node.first..node.first + node.count {
                 list.push(SourceEntry {
-                    pos: shift(tree.pos_at(i as usize)),
-                    mass: tree.mass_at(i as usize),
+                    pos: shift(tree.pos.pos_at(i as usize)),
+                    mass: tree.m[i as usize],
                 });
             }
             if let Some(r) = rec.as_mut() {
@@ -135,17 +135,17 @@ fn list_impl<T: TreeSource>(
 }
 
 /// The old `GroupWalk::replay_list_into`, pushing entries.
-fn replay_impl<T: TreeSource>(
-    tree: &T,
+fn replay_impl(
+    tree: &ArenaView<'_>,
     params: &TraverseParams,
     group: Group,
     entries: &[ListEntry],
     list: &mut Vec<SourceEntry>,
 ) -> WalkStats {
-    let nodes = tree.nodes();
+    let nodes = tree.nodes;
     let mut stats = WalkStats::default();
     let gbox = Aabb::from_points(
-        (group.first..group.first + group.count).map(|i| tree.pos_at(i as usize)),
+        (group.first..group.first + group.count).map(|i| tree.pos.pos_at(i as usize)),
     );
     let gcenter = gbox.center();
     let periodic = params.periodic;
@@ -164,8 +164,8 @@ fn replay_impl<T: TreeSource>(
             ListEntry::Particles { first, count } => {
                 for i in first..first + count {
                     list.push(SourceEntry {
-                        pos: shift_to(gcenter, periodic, tree.pos_at(i as usize)),
-                        mass: tree.mass_at(i as usize),
+                        pos: shift_to(gcenter, periodic, tree.pos.pos_at(i as usize)),
+                        mass: tree.m[i as usize],
                     });
                 }
                 stats.particle_entries += count as u64;
@@ -222,8 +222,8 @@ fn assert_columns_bitwise(got: &Cols, want: &[SourceEntry], what: &str) {
 /// Every entry point of the new builder against the reference, for every
 /// group of `tree` under `params`: fresh, recording with `margin`, and
 /// the replay of what was recorded. Returns the summed fresh statistics.
-fn assert_walk_matches_reference<T: TreeSource>(
-    tree: &T,
+fn assert_walk_matches_reference(
+    tree: &ArenaView<'_>,
     params: TraverseParams,
     margin: f64,
     what: &str,
@@ -239,8 +239,13 @@ fn assert_walk_matches_reference<T: TreeSource>(
         let mut want = Vec::new();
         let want_stats = list_impl(tree, &params, g, &mut ref_stack, &mut want, 0.0, None);
         let mut got = Vec::new();
+        let plan = Plan::Walk {
+            stack: &mut stack,
+            margin: 0.0,
+            rec: None,
+        };
         assert_eq!(
-            walk.list_for_group(g, &mut stack, &mut got),
+            walk.build(g, plan, &mut got),
             want_stats,
             "{what}: fresh stats"
         );
@@ -289,7 +294,7 @@ fn assert_walk_matches_reference<T: TreeSource>(
             assert_eq!(want_stats.visited_nodes, 0);
             let mut got = Vec::new();
             assert_eq!(
-                walk.replay_list(g, &want_rec, &mut got),
+                walk.build(g, Plan::Replay(&want_rec), &mut got),
                 want_stats,
                 "{what}: replay stats"
             );
@@ -302,10 +307,13 @@ fn assert_walk_matches_reference<T: TreeSource>(
             );
             assert_columns_bitwise(&cols, &want, &format!("{what}: replay columns"));
             // The explicit-column adapter, handed the tree's own columns.
-            let n = tree.n_particles();
-            let col = |f: fn(Vec3) -> f64| (0..n).map(|i| f(tree.pos_at(i))).collect::<Vec<f64>>();
-            let (x, y, z) = (col(|p| p.x), col(|p| p.y), col(|p| p.z));
-            let m: Vec<f64> = (0..n).map(|i| tree.mass_at(i)).collect();
+            // (copies, so that it cannot be reading the walk's).
+            let (x, y, z, m) = (
+                tree.pos.x.to_vec(),
+                tree.pos.y.to_vec(),
+                tree.pos.z.to_vec(),
+                tree.m.to_vec(),
+            );
             let mut cols = Cols::default();
             let stats = walk.replay_list_columns(
                 (&x, &y, &z, &m),
@@ -323,9 +331,9 @@ fn assert_walk_matches_reference<T: TreeSource>(
     total
 }
 
-/// The same snapshot as an `Octree` and as an arena over sorted columns;
-/// runs `check` on both and returns the Octree's statistics.
-fn through_both_sources(
+/// The tree of a snapshot, held to the reference; returns the summed
+/// fresh statistics.
+fn against_reference(
     pos: &[Vec3],
     mass: &[f64],
     root: Aabb,
@@ -333,20 +341,8 @@ fn through_both_sources(
     margin: f64,
     what: &str,
 ) -> WalkStats {
-    let octree = Octree::build(pos, mass, root, TreeParams::default());
-    let a = assert_walk_matches_reference(&octree, params, margin, &format!("{what} (Octree)"));
-
-    let col = |f: fn(&Vec3) -> f64| pos.iter().map(f).collect::<Vec<f64>>();
-    let (x, y, z) = (col(|p| p.x), col(|p| p.y), col(|p| p.z));
-    let mut arena = TreeArena::new();
-    let order = arena.sort(&x, &y, &z, root).to_vec();
-    let gather = |c: &[f64]| order.iter().map(|&i| c[i as usize]).collect::<Vec<f64>>();
-    let (x, y, z, m) = (gather(&x), gather(&y), gather(&z), gather(mass));
-    arena.build(&x, &y, &z, &m, TreeParams::default());
-    let view = arena.view(&x, &y, &z, &m);
-    let b = assert_walk_matches_reference(&view, params, margin, &format!("{what} (ArenaView)"));
-    assert_eq!(a, b, "{what}: the two tree sources disagree");
-    a
+    let tree = SnapshotTree::build(pos, mass, root, TreeParams::default());
+    assert_walk_matches_reference(&tree.view(), params, margin, what)
 }
 
 /// Eight Gaussian-ish clumps holding 60 % of the bodies over a uniform
@@ -385,7 +381,7 @@ fn periodic(theta: f64, group_size: usize, r_cut: f64) -> TraverseParams {
 #[test]
 fn uniform_matches_reference() {
     let pos = rand_positions(1500, 5);
-    let s = through_both_sources(
+    let s = against_reference(
         &pos,
         &masses(1500),
         Aabb::UNIT,
@@ -399,7 +395,7 @@ fn uniform_matches_reference() {
 #[test]
 fn clustered_with_margin_matches_reference() {
     let pos = clustered(3000, 9);
-    let s = through_both_sources(
+    let s = against_reference(
         &pos,
         &masses(3000),
         Aabb::UNIT,
@@ -429,7 +425,7 @@ fn face_hugging_matches_reference() {
     assert!(pos.iter().all(|p| p.x < 1.0 && p.y < 1.0 && p.z < 1.0));
     let m = masses(pos.len());
     for group_size in [1, 16] {
-        through_both_sources(
+        against_reference(
             &pos,
             &m,
             Aabb::UNIT,
@@ -443,7 +439,7 @@ fn face_hugging_matches_reference() {
 #[test]
 fn theta_zero_matches_reference() {
     let pos = rand_positions(400, 17);
-    let s = through_both_sources(
+    let s = against_reference(
         &pos,
         &masses(400),
         Aabb::UNIT,
@@ -461,12 +457,12 @@ fn isolated_boundary_matches_reference() {
         periodic: false,
         ..periodic(0.5, 24, 3.0 / 16.0)
     };
-    through_both_sources(&pos, &masses(1200), Aabb::UNIT, open, 0.01, "isolated");
+    against_reference(&pos, &masses(1200), Aabb::UNIT, open, 0.01, "isolated");
     let no_cutoff = TraverseParams {
         r_cut: None,
         ..open
     };
-    through_both_sources(
+    against_reference(
         &pos,
         &masses(1200),
         Aabb::UNIT,
@@ -483,7 +479,7 @@ fn pseudo_particle_quadrupole_matches_reference() {
         multipole: Multipole::PseudoParticleQuad,
         ..periodic(0.8, 24, 0.25)
     };
-    let s = through_both_sources(&pos, &masses(1000), Aabb::UNIT, quad, 0.0, "quadrupole");
+    let s = against_reference(&pos, &masses(1000), Aabb::UNIT, quad, 0.0, "quadrupole");
     assert!(
         s.sum_nj > s.node_entries + s.particle_entries,
         "4 sources a node"
@@ -495,7 +491,7 @@ fn pseudo_particle_quadrupole_matches_reference() {
 #[test]
 fn single_particle_groups_match_reference() {
     let pos = rand_positions(300, 37);
-    let s = through_both_sources(
+    let s = against_reference(
         &pos,
         &masses(300),
         Aabb::UNIT,
@@ -505,7 +501,7 @@ fn single_particle_groups_match_reference() {
     );
     assert!(s.group_size_buckets[0] > 0, "some leaves hold one particle");
     let sparse = rand_positions(6, 41);
-    let s = through_both_sources(
+    let s = against_reference(
         &sparse,
         &masses(6),
         Aabb::UNIT,
@@ -525,7 +521,7 @@ fn non_unit_root_box_matches_reference() {
         .into_iter()
         .map(|p| Vec3::splat(0.1) + p * 0.6)
         .collect();
-    through_both_sources(
+    against_reference(
         &pos,
         &masses(800),
         root,
@@ -553,7 +549,7 @@ fn dyadic_cells_are_exact_as_stored() {
         leaf_capacity: 1,
         ..TreeParams::default()
     };
-    let tree = Octree::build(&pos, &masses(pos.len()), Aabb::UNIT, params);
+    let tree = SnapshotTree::build(&pos, &masses(pos.len()), Aabb::UNIT, params);
     let mut deepest = 1.0f64;
     for node in tree.nodes() {
         let cell = node.cell();

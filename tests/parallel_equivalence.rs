@@ -16,7 +16,7 @@ use greem_repro::greem::{Body, ParallelTreePm, Simulation, SimulationMode, TreeP
 use greem_repro::math::{min_image_vec, wrap01, Aabb, Vec3};
 use greem_repro::mpisim::{NetModel, World};
 use greem_repro::pm::{PmParams, PmSolver};
-use greem_repro::tree::{Octree, TreeParams};
+use greem_repro::tree::{SnapshotTree, TreeArena, TreeParams};
 
 fn snapshot(n: usize, seed: u64) -> Vec<Body> {
     let mut s = seed;
@@ -199,12 +199,14 @@ fn parallel_tree_build_matches_serial_bitwise() {
     let pos: Vec<Vec3> = (0..n).map(|_| Vec3::new(next(), next(), next())).collect();
     let mass: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64 * 0.5).collect();
 
-    let par = Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
-    let par2 = Octree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
-    let ser = Octree::build_serial(&pos, &mass, Aabb::UNIT, TreeParams::default());
+    let build =
+        |arena| SnapshotTree::build_in(arena, &pos, &mass, Aabb::UNIT, TreeParams::default());
+    let par = build(TreeArena::new());
+    let par2 = build(TreeArena::new());
+    let ser = build(TreeArena::serial());
 
     for (tag, other) in [("serial", &ser), ("run-to-run", &par2)] {
-        assert_eq!(par.orig_index(), other.orig_index(), "{tag}: permutation");
+        assert_eq!(par.order(), other.order(), "{tag}: permutation");
         assert_eq!(par.nodes().len(), other.nodes().len(), "{tag}: node count");
         for (i, (a, b)) in par.nodes().iter().zip(other.nodes()).enumerate() {
             assert_eq!(a.first, b.first, "{tag}: node {i} first");
@@ -212,6 +214,7 @@ fn parallel_tree_build_matches_serial_bitwise() {
             assert_eq!(a.child, b.child, "{tag}: node {i} children");
             assert_eq!(a.com, b.com, "{tag}: node {i} com");
             assert_eq!(a.mass, b.mass, "{tag}: node {i} mass");
+            assert_eq!(a.s_moment, b.s_moment, "{tag}: node {i} second moment");
             assert_eq!(a.center, b.center, "{tag}: node {i} center");
             assert_eq!(a.half, b.half, "{tag}: node {i} half");
             assert_eq!(a.is_leaf, b.is_leaf, "{tag}: node {i} is_leaf");

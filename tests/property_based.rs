@@ -7,7 +7,7 @@ use greem_repro::math::{
 };
 use greem_repro::pm::layout::{wrapped_runs, CellBox};
 use greem_repro::tree::pseudo_particles;
-use greem_repro::tree::{GroupWalk, Octree, TraverseParams, TreeParams};
+use greem_repro::tree::{GroupWalk, SnapshotTree, TraverseParams, TreeParams};
 use proptest::prelude::*;
 
 fn unit_coord() -> impl Strategy<Value = f64> {
@@ -106,16 +106,17 @@ proptest! {
         }
     }
 
-    /// Octree: whatever the particle distribution, groups partition the
-    /// particles and the root carries the total mass.
+    /// The tree: whatever the particle distribution, groups partition
+    /// the particles and the root carries the total mass.
     #[test]
     fn tree_invariants(points in proptest::collection::vec(unit_vec3(), 1..200)) {
         let masses = vec![1.0; points.len()];
-        let tree = Octree::build(&points, &masses, Aabb::UNIT, TreeParams::default());
-        let root = tree.root().unwrap();
+        let tree = SnapshotTree::build(&points, &masses, Aabb::UNIT, TreeParams::default());
+        let root = &tree.nodes()[0];
         prop_assert_eq!(root.count as usize, points.len());
         prop_assert!((root.mass - points.len() as f64).abs() < 1e-9);
-        let walk = GroupWalk::new(&tree, TraverseParams {
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, TraverseParams {
             theta: 0.5,
             group_size: 16,
             r_cut: Some(0.2),
@@ -130,6 +131,46 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c));
+    }
+
+    /// `groups()` tiles the sorted slots `0..n` exactly — sorted by
+    /// `first` they run end to end with no gap and no overlap — for any
+    /// distribution (duplicates included), group size, leaf capacity,
+    /// cutoff and boundary. The PP pass hands each group its own `&mut`
+    /// chunk of the output on the strength of this.
+    #[test]
+    fn groups_tile_the_slots(
+        points in proptest::collection::vec(unit_vec3(), 0..300),
+        copies in 1usize..4,
+        group_size in 1usize..64,
+        leaf_capacity in 1usize..12,
+        r_cut in 0.0f64..0.45,
+        boundary in 0u8..4,
+    ) {
+        // A cutoff three times in four, a periodic box every other time.
+        let r_cut = (boundary > 0 && r_cut > 0.0).then_some(r_cut);
+        let periodic = boundary % 2 == 0;
+        let points: Vec<Vec3> = points.iter().flat_map(|&p| vec![p; copies]).collect();
+        let masses = vec![1.0; points.len()];
+        let params = TreeParams { leaf_capacity, ..TreeParams::default() };
+        let tree = SnapshotTree::build(&points, &masses, Aabb::UNIT, params);
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, TraverseParams {
+            theta: 0.5,
+            group_size,
+            r_cut,
+            periodic,
+            multipole: Default::default(),
+        });
+        let mut groups = walk.groups();
+        groups.sort_unstable_by_key(|g| g.first);
+        let mut next = 0u32;
+        for g in groups {
+            prop_assert_eq!(g.first, next, "gap or overlap at slot {}", next);
+            prop_assert!(g.count > 0);
+            next += g.count;
+        }
+        prop_assert_eq!(next as usize, points.len());
     }
 
     /// wrapped_runs covers [lo, hi) exactly once with valid wrapped
@@ -233,8 +274,9 @@ proptest! {
         let n = points.len();
         let masses = vec![1.0 / n as f64; n];
         let split = ForceSplit::new(0.3, 0.0);
-        let tree = Octree::build(&points, &masses, Aabb::UNIT, TreeParams::default());
-        let walk = GroupWalk::new(&tree, TraverseParams {
+        let tree = SnapshotTree::build(&points, &masses, Aabb::UNIT, TreeParams::default());
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, TraverseParams {
             theta: 0.0,
             group_size: 8,
             r_cut: Some(0.3),
@@ -244,12 +286,13 @@ proptest! {
         let mut acc = vec![Vec3::ZERO; n];
         walk.for_each_group(|group, list| {
             for slot in group.first..group.first + group.count {
-                let p = tree.pos()[slot as usize];
+                let i = tree.order()[slot as usize] as usize;
+                let p = points[i];
                 let mut a = Vec3::ZERO;
                 for s in list {
                     a += split.pp_accel(s.pos - p, s.mass);
                 }
-                acc[tree.orig_index()[slot as usize] as usize] = a;
+                acc[i] = a;
             }
         });
         for i in 0..n {

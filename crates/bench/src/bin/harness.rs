@@ -4,42 +4,161 @@
 //! cargo run --release -p greem-bench --bin harness -- <command> [--small] [--json] [--out PATH]
 //! ```
 //!
-//! Commands: the experiments `table1`, `fig1`, `fig2`, `fig3`, `fig4`,
-//! `fig5`, `fig6`, `kernel`, `multipole`, `ni_sweep`, `accuracy`,
-//! `tree_vs_treepm`, `scaling`, `chaos`, `all`; plus `trace` (capture
-//! the fig. 5 relay schedule as per-rank virtual-time Chrome-trace
-//! JSON) and `bench-summary` (emit the `BENCH_treepm.json` step-rate
-//! summary, including a `recovery` section from a small chaos run);
-//! plus `serve-bench` — load-test the `greem-serve` daemon in-process
-//! (job throughput, 429 admission control, 8-way snapshot fan-out,
-//! delivery-latency quantiles) and gate its deterministic counts
-//! against `baselines/serve_bench_*.json` (`--update-baselines`
-//! re-records them); plus `weakscale` — the §IV virtual weak-scaling
-//! sweep on phantom-rank worlds up to the paper's 82944 nodes
-//! (`--small` for the CI smoke points; gated against
-//! `baselines/weakscale_*.json` when a baseline exists,
-//! `--update-baselines` records one); plus `galaxy` — the isolated
-//! Plummer galaxy collapse (`crates/astro`: open-boundary PM, Yoshida
-//! integrator, BH capture/merger events, mid-collapse checkpoint
-//! recovery), with an absolute energy-drift gate on `--small` and
-//! `Exact`-gated event counts against `baselines/galaxy_*.json`;
-//! plus `regress` — the perf-regression gate (see
-//! DESIGN.md §13):
-//! measure the fixed regression workload, judge it against the
-//! committed baseline in `baselines/` (override with `--baseline-dir`),
-//! append a trajectory record, and exit nonzero on regression.
-//! `regress --update-baselines` re-records the baseline instead.
-//!
-//! `--small` shrinks every workload (a smoke mode for slow machines /
-//! debug builds). `--json` replaces any experiment's text report with a
-//! machine-readable summary object on stdout (`{"experiment": …}`),
-//! for scripted before/after comparisons. `--out PATH` redirects the
-//! payload of `trace` / `bench-summary` to a file.
+//! `harness --help` prints the commands — it, dispatch, `all` and the
+//! unknown-command message are all driven by the one [`TABLE`] below.
+//! Every experiment is one `run(small) -> Outcome` in
+//! `greem_bench::experiments`: the module fixes what `--small` means,
+//! and `--json` picks the other rendering of the same run.
 
 use greem_bench::experiments::*;
-use greem_bench::trace::{relay_trace_validated, TraceRun};
+use greem_bench::trace::{relay_folded_stacks, relay_trace_validated, TraceRun};
 
-/// Parsed command line, shared by every subcommand.
+/// What a command runs.
+enum Run {
+    /// A table or figure of the paper; `all` runs every one of these.
+    Paper(fn(bool) -> Outcome),
+    /// `(small, agg)`: an experiment judged against `baselines/*.json`
+    /// by `greem_bench::gate` (DESIGN.md §13). Exit 0 pass, 1
+    /// regression, 2 setup error; `--update-baselines` records the
+    /// baseline instead, `--baseline-dir` overrides where it lives.
+    Gated(fn(bool, bool) -> Outcome),
+    /// Not an experiment: the relay schedule's Chrome trace.
+    Trace,
+}
+
+struct Entry {
+    name: &'static str,
+    about: &'static str,
+    run: Run,
+}
+
+const fn paper(name: &'static str, about: &'static str, run: fn(bool) -> Outcome) -> Entry {
+    Entry {
+        name,
+        about,
+        run: Run::Paper(run),
+    }
+}
+
+const fn gated(name: &'static str, about: &'static str, run: fn(bool, bool) -> Outcome) -> Entry {
+    Entry {
+        name,
+        about,
+        run: Run::Gated(run),
+    }
+}
+
+const TABLE: &[Entry] = &[
+    paper(
+        "table1",
+        "Table I: published, modelled and measured cost per step",
+        table1::run,
+    ),
+    paper(
+        "fig1",
+        "tree interaction census over the opening angle",
+        fig1::run,
+    ),
+    paper("fig2", "the PP/PM force split against Ewald", fig2::run),
+    paper("fig3", "adaptive 8x8 domain decomposition", fig3::run),
+    paper(
+        "fig4",
+        "local meshes vs FFT slabs: conversion traffic",
+        fig4::run,
+    ),
+    paper("fig5", "relay mesh method vs direct conversion", fig5::run),
+    paper("fig6", "microhalo run snapshots, z = 400 to 31", fig6::run),
+    paper(
+        "kernel",
+        "Sec. II-A O(N^2) kernel benchmark per variant, tracing overhead",
+        kernel::run,
+    ),
+    paper(
+        "ni_sweep",
+        "Sec. II group size <Ni> trade-off",
+        ni_sweep::run,
+    ),
+    paper(
+        "accuracy",
+        "Sec. III-A force error vs mesh size and cutoff",
+        accuracy::run,
+    ),
+    paper(
+        "tree_vs_treepm",
+        "Sec. I operations at equal error, pure tree vs TreePM",
+        tree_vs_treepm::run,
+    ),
+    paper(
+        "multipole",
+        "monopole vs pseudo-particle quadrupole ablation",
+        multipole_ablation::run,
+    ),
+    paper(
+        "scaling",
+        "Sec. III-B strong scaling, measured and modelled",
+        scaling::run,
+    ),
+    paper(
+        "chaos",
+        "fault injection + rollback recovery scenarios",
+        chaos::run,
+    ),
+    #[cfg(feature = "obs")]
+    gated(
+        "regress",
+        "perf-regression gate on the fixed virtual-time workload",
+        |small, _| greem_bench::regress::run(small),
+    ),
+    gated(
+        "serve-bench",
+        "load-test the greem-serve daemon in-process; counts gated",
+        |small, _| serve_bench::run(small),
+    ),
+    gated(
+        "weakscale",
+        "Sec. IV virtual weak scaling to 82944 ranks (--agg: telemetry roll-up)",
+        weakscale::run,
+    ),
+    gated(
+        "galaxy",
+        "isolated Plummer collapse: energy drift, BH events, recovery",
+        |small, _| galaxy::run(small),
+    ),
+    Entry {
+        name: "trace",
+        about: "fig. 5 relay schedule as per-rank virtual-time Chrome trace (--agg: folded stacks)",
+        run: Run::Trace,
+    },
+];
+
+fn help() -> String {
+    let mut s = String::from(
+        "usage: harness [<command>] [--small] [--json] [--out PATH] [--agg]\n\
+         \x20              [--update-baselines] [--baseline-dir DIR]\n\n\
+         commands (default: all):\n",
+    );
+    for e in TABLE {
+        let mark = match e.run {
+            Run::Paper(_) => ' ',
+            Run::Gated(_) => '*',
+            Run::Trace => '+',
+        };
+        s.push_str(&format!(" {mark}{:<15} {}\n", e.name, e.about));
+    }
+    s.push_str(
+        "  all             every unmarked command in turn\n\n\
+         * judged against baselines/*_{small,full}.json: exit 0 pass, 1 regression,\n\
+         \x20 2 setup error; --update-baselines records the baseline instead,\n\
+         \x20 --baseline-dir overrides the directory.\n\
+         + writes its payload through --out and validates it (exit 1 on a bad trace).\n\n\
+         --small   each command's smoke sizes (seconds, not minutes)\n\
+         --json    the machine-readable rendering of the same run: one object a line\n\
+         --out     write the payload to PATH instead of stdout (not for `all`)\n",
+    );
+    s
+}
+
+/// Parsed command line, shared by every command.
 struct HarnessArgs {
     command: String,
     small: bool,
@@ -74,7 +193,7 @@ impl HarnessArgs {
                     baseline_dir = Some(args.next().ok_or("--baseline-dir needs a path")?);
                 }
                 "--help" | "-h" => {
-                    println!("see the module docs at the top of harness.rs / EXPERIMENTS.md");
+                    print!("{}", help());
                     std::process::exit(0);
                 }
                 other if other.starts_with("--") => {
@@ -99,6 +218,15 @@ impl HarnessArgs {
         })
     }
 
+    /// The rendering `--json` selects.
+    fn render(&self, outcome: Outcome) -> String {
+        if self.json {
+            outcome.json()
+        } else {
+            outcome.text
+        }
+    }
+
     /// Print to stdout or write to `--out`.
     fn deliver(&self, payload: &str) {
         match &self.out {
@@ -114,340 +242,36 @@ impl HarnessArgs {
     }
 }
 
-const EXPERIMENTS: [&str; 14] = [
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "kernel",
-    "ni_sweep",
-    "accuracy",
-    "tree_vs_treepm",
-    "multipole",
-    "scaling",
-    "chaos",
-];
-
-fn text_report(name: &str, small: bool) -> Option<String> {
-    let report = match name {
-        "table1" => {
-            let run = if small {
-                table1::small_run()
-            } else {
-                table1::MeasuredRun::default()
-            };
-            table1::report(&run)
-        }
-        "fig1" => fig1::report(if small { 800 } else { 5000 }),
-        "fig2" => fig2::report(if small { 32 } else { 64 }),
-        "fig3" => fig3::report(if small { 2000 } else { 20000 }),
-        "fig4" => fig4::report(),
-        "fig5" => {
-            if small {
-                fig5::report(8, 2, 16)
-            } else {
-                // The funnel regime: many ranks converging on few
-                // FFT ranks with sizeable slabs — where the relay
-                // schedule visibly wins on the simulated network.
-                fig5::report(48, 2, 32)
-            }
-        }
-        "fig6" => {
-            let run = if small {
-                fig6::MicrohaloRun {
-                    n_side: 8,
-                    n_mesh: 16,
-                    steps: 12,
-                    ..Default::default()
-                }
-            } else {
-                fig6::MicrohaloRun::default()
-            };
-            fig6::report(&run)
-        }
-        "kernel" => kernel::report(),
-        "multipole" => multipole_ablation::report(if small { 300 } else { 800 }),
-        "ni_sweep" => ni_sweep::report(if small { 2000 } else { 20000 }),
-        "accuracy" => accuracy::report(if small { 200 } else { 600 }),
-        "tree_vs_treepm" => tree_vs_treepm::report(if small { 500 } else { 2000 }),
-        "scaling" => scaling::report(if small { 1000 } else { 6000 }),
-        "chaos" => chaos::report(if small { 400 } else { 2000 }),
-        _ => return None,
-    };
-    Some(report)
-}
-
-fn json_summary(name: &str, small: bool) -> Option<String> {
-    Some(match name {
-        "table1" => table1::summary_json(small),
-        "fig1" => fig1::summary_json(small),
-        "fig2" => fig2::summary_json(small),
-        "fig3" => fig3::summary_json(small),
-        "fig4" => fig4::summary_json(small),
-        "fig5" => fig5::summary_json(small),
-        "fig6" => fig6::summary_json(small),
-        "kernel" => kernel::summary_json(small),
-        "multipole" => multipole_ablation::summary_json(small),
-        "ni_sweep" => ni_sweep::summary_json(small),
-        "accuracy" => accuracy::summary_json(small),
-        "tree_vs_treepm" => tree_vs_treepm::summary_json(small),
-        "scaling" => scaling::summary_json(small),
-        "chaos" => chaos::summary_json(small),
-        _ => return None,
-    })
-}
-
 /// `harness trace`: capture the relay schedule, validate the export,
 /// and deliver the Chrome-trace JSON. `--agg` delivers folded stacks
 /// (flamegraph.pl input, virtual-clock self-time) instead.
-fn run_trace(args: &HarnessArgs) {
-    let run = if args.small {
-        TraceRun::small()
-    } else {
-        TraceRun::standard()
-    };
-    if args.agg {
-        match greem_bench::trace::relay_folded_stacks(run) {
-            Ok((folded, lines)) => {
-                eprintln!(
-                    "harness trace --agg: {} ranks, {lines} folded stacks",
-                    run.p
-                );
-                args.deliver(&folded);
-            }
-            Err(e) => {
-                eprintln!("harness trace --agg: {e}");
-                eprintln!("(the 'trace' command needs the default 'obs' feature)");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    match relay_trace_validated(run) {
-        Ok((json, summary)) => {
+fn run_trace(args: &HarnessArgs, run: TraceRun) {
+    let payload = if args.agg {
+        relay_folded_stacks(run).map(|(folded, lines)| {
             eprintln!(
-                "harness trace: {} ranks, {} spans ({} comm) — schema OK",
-                summary.processes, summary.spans, summary.comm_spans
+                "harness trace --agg: {} ranks, {lines} folded stacks",
+                run.p
             );
-            args.deliver(&json);
-        }
+            folded
+        })
+    } else {
+        relay_trace_validated(run)
+            .map(|(json, summary)| {
+                eprintln!(
+                    "harness trace: {} ranks, {} spans ({} comm) — schema OK",
+                    summary.processes, summary.spans, summary.comm_spans
+                );
+                json
+            })
+            .map_err(|e| format!("invalid trace: {e}"))
+    };
+    match payload {
+        Ok(p) => args.deliver(&p),
         Err(e) => {
-            eprintln!("harness trace: invalid trace: {e}");
+            eprintln!("harness trace: {e}");
             eprintln!("(the 'trace' command needs the default 'obs' feature)");
             std::process::exit(1);
         }
-    }
-}
-
-/// `harness bench-summary`: a deterministic-workload step-rate summary
-/// (`BENCH_treepm.json`): steps/s, interactions/step, per-phase ms.
-fn run_bench_summary(args: &HarnessArgs) {
-    let run = if args.small {
-        table1::small_run()
-    } else {
-        table1::MeasuredRun::default()
-    };
-    let t0 = std::time::Instant::now();
-    let bd = table1::measured_breakdown(&run);
-    let wall = t0.elapsed().as_secs_f64();
-    let steps = run.steps as f64;
-    let mut w = greem_obs::json::JsonWriter::new();
-    w.begin_obj(None);
-    w.str_(Some("bench"), "treepm");
-    w.bool_(Some("small"), args.small);
-    w.u64(Some("n_particles"), run.n_particles as u64);
-    w.u64(Some("n_mesh"), run.n_mesh as u64);
-    w.u64(Some("ranks"), run.ranks as u64);
-    w.u64(Some("steps"), run.steps as u64);
-    w.str_(
-        Some("pp_kernel_variant"),
-        greem_kernels::selected_variant().name(),
-    );
-    w.f64(Some("wall_s"), wall);
-    w.f64(Some("steps_per_sec"), steps / wall);
-    w.u64(
-        Some("interactions_per_step"),
-        (bd.walk.interactions as f64 / steps) as u64,
-    );
-    w.begin_obj(Some("phase_ms"));
-    let ms = |v: f64| v * 1e3 / steps;
-    w.f64(Some("pm_total"), ms(bd.pm.total()));
-    w.f64(Some("pm_fft"), ms(bd.pm.fft));
-    w.f64(Some("pp_tree_construction"), ms(bd.pp_tree_construction));
-    w.f64(Some("pp_tree_traversal"), ms(bd.pp_tree_traversal));
-    w.f64(Some("pp_force_calculation"), ms(bd.pp_force_calculation));
-    w.f64(Some("pp_communication"), ms(bd.pp_communication));
-    w.f64(Some("dd_total"), ms(bd.dd_total()));
-    w.end_obj();
-    // The PP engine's effective group size and list-cache hits.
-    w.f64(Some("pp_group_size"), bd.pp_group_size);
-    w.f64(
-        Some("pp_list_replays_per_step"),
-        bd.pp_list_replays as f64 / steps,
-    );
-    // Memory-traffic profile of the dispatched kernel variant: bytes
-    // per interaction from the register-blocking model, and the
-    // achieved read bandwidth at the measured interaction rate.
-    let kb = greem_kernels::kernel_benchmark(if args.small { 128 } else { 512 }, 2);
-    let sel = greem_kernels::selected_variant();
-    if let Some(v) = kb.variants.iter().find(|v| v.variant == sel) {
-        w.begin_obj(Some("kernel"));
-        w.str_(Some("variant"), v.variant.name());
-        w.f64(Some("bytes_per_interaction"), v.bytes_per_interaction);
-        w.f64(Some("gb_per_sec"), v.gb_per_sec);
-        w.end_obj();
-    }
-    // Recovery cost of a crash mid-run under the resilient driver
-    // (sharded checkpoints + rollback), on a small chaos workload.
-    let pos = greem_bench::workloads::clustered(if args.small { 300 } else { 800 }, 3, 0.35, 123);
-    let bodies = greem_bench::workloads::bodies_at_rest(&pos);
-    let chaos_steps = 6;
-    let o = chaos::run_scenario(
-        "crash",
-        &bodies,
-        chaos_steps,
-        greem_resil::FaultPlan::new(7).crash(2, chaos_steps as u64 / 2),
-        true,
-    );
-    w.begin_obj(Some("recovery"));
-    w.u64(Some("crashes_detected"), o.stats.crashes_detected);
-    w.u64(Some("rollbacks"), o.stats.rollbacks);
-    w.u64(Some("checkpoints_written"), o.stats.checkpoints_written);
-    w.u64(Some("checkpoint_bytes"), o.stats.checkpoint_bytes);
-    w.u64(Some("recovered_bytes"), o.stats.recovered_bytes);
-    w.f64(Some("lost_vtime_s"), o.stats.lost_vtime);
-    w.bool_(Some("bitwise_match"), o.final_matches_clean == Some(true));
-    w.end_obj();
-    // The service layer under the same build: job throughput, fan-out
-    // and delivery latency from a quick in-process serve-bench run.
-    let sv = serve_bench::run(args.small);
-    w.begin_obj(Some("serve"));
-    serve_bench::write_outcome(&sv, &mut w);
-    w.end_obj();
-    // The §IV virtual weak-scaling curve (small sweep), so one artifact
-    // carries both the measured step rates and the efficiency model.
-    let wsp = weakscale::run_sweep(true);
-    w.begin_obj(Some("weakscale"));
-    w.bool_(Some("small"), true);
-    weakscale::write_sweep(&wsp, &mut w, false);
-    w.end_obj();
-    // The isolated-system scenario (small collapse): energy drift, BH
-    // event counts and the mid-collapse recovery rehearsal.
-    let gx = galaxy::run(true);
-    w.begin_obj(Some("galaxy"));
-    w.bool_(Some("small"), true);
-    galaxy::write_outcome(&gx, &mut w);
-    w.end_obj();
-    w.end_obj();
-    args.deliver(&w.finish());
-}
-
-/// `harness serve-bench`: load-test the daemon and gate the
-/// deterministic counts. Exit codes mirror `regress`.
-fn run_serve_bench(args: &HarnessArgs) -> ! {
-    #[cfg(feature = "obs")]
-    {
-        let code = serve_bench::gate(
-            args.small,
-            args.json,
-            args.update_baselines,
-            args.baseline_dir.as_deref(),
-        );
-        std::process::exit(code);
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        // Without the obs cascade there is no MetricSpec gate; still
-        // run and report.
-        let out = if args.json {
-            serve_bench::summary_json(args.small)
-        } else {
-            serve_bench::report(args.small)
-        };
-        println!("{out}");
-        std::process::exit(0);
-    }
-}
-
-/// `harness weakscale`: the §IV virtual weak-scaling sweep on
-/// phantom-rank worlds (full curve up to 82944 ranks; `--small` for
-/// the CI smoke points). With the obs feature the deterministic
-/// counts are gated against `baselines/weakscale_*.json` when a
-/// baseline exists (`--update-baselines` records one; a missing
-/// baseline runs ungated with exit 0).
-fn run_weakscale(args: &HarnessArgs) -> ! {
-    #[cfg(feature = "obs")]
-    {
-        let code = weakscale::gate(
-            args.small,
-            args.json,
-            args.update_baselines,
-            args.baseline_dir.as_deref(),
-            args.agg,
-        );
-        std::process::exit(code);
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let out = if args.json {
-            weakscale::summary_json(args.small, args.agg)
-        } else {
-            weakscale::report(args.small, args.agg)
-        };
-        println!("{out}");
-        std::process::exit(0);
-    }
-}
-
-/// `harness galaxy`: the isolated Plummer collapse scenario. With the
-/// obs feature the deterministic event counts are gated against
-/// `baselines/galaxy_*.json` (`--update-baselines` records one) and
-/// the small config must hold the absolute 1e-3 energy-drift gate and
-/// a bitwise checkpoint recovery even without a baseline.
-fn run_galaxy(args: &HarnessArgs) -> ! {
-    #[cfg(feature = "obs")]
-    {
-        let code = galaxy::gate(
-            args.small,
-            args.json,
-            args.update_baselines,
-            args.baseline_dir.as_deref(),
-        );
-        std::process::exit(code);
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let out = if args.json {
-            galaxy::summary_json(args.small)
-        } else {
-            galaxy::report(args.small)
-        };
-        println!("{out}");
-        std::process::exit(0);
-    }
-}
-
-/// `harness regress`: the perf-regression gate. Exits 0 on pass,
-/// 1 on regression, 2 on setup/usage errors.
-fn run_regress(args: &HarnessArgs) -> ! {
-    #[cfg(feature = "obs")]
-    {
-        let code = greem_bench::regress::run(&greem_bench::regress::RegressArgs {
-            small: args.small,
-            json: args.json,
-            update_baselines: args.update_baselines,
-            baseline_dir: args.baseline_dir.clone(),
-        });
-        std::process::exit(code);
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (args.update_baselines, &args.baseline_dir);
-        eprintln!("harness regress needs the default 'obs' feature (trace capture)");
-        std::process::exit(2);
     }
 }
 
@@ -459,47 +283,159 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    match args.command.as_str() {
-        "trace" => return run_trace(&args),
-        "bench-summary" => return run_bench_summary(&args),
-        "serve-bench" => run_serve_bench(&args),
-        "weakscale" => run_weakscale(&args),
-        "galaxy" => run_galaxy(&args),
-        "regress" => run_regress(&args),
-        _ => {}
-    }
-
-    let run = |name: &str| -> Option<String> {
-        if args.json {
-            json_summary(name, args.small)
-        } else {
-            text_report(name, args.small)
-        }
-    };
+    let &HarnessArgs {
+        small, json, agg, ..
+    } = &args;
 
     if args.command == "all" {
-        if args.json {
-            // One JSON object per line (JSONL), experiment-tagged.
-            for name in EXPERIMENTS {
-                println!("{}", run(name).unwrap());
-            }
-        } else {
-            for name in EXPERIMENTS {
-                println!("\n################ {name} ################\n");
-                println!("{}", run(name).unwrap());
+        for e in TABLE {
+            if let Run::Paper(run) = e.run {
+                if !json {
+                    println!("\n################ {} ################\n", e.name);
+                }
+                println!("{}", args.render(run(small)));
             }
         }
-    } else {
-        match run(&args.command) {
-            Some(r) => println!("{r}"),
-            None => {
-                eprintln!(
-                    "unknown command '{}'. Available: {EXPERIMENTS:?}, 'all', 'trace', 'bench-summary', 'serve-bench', 'weakscale', 'galaxy', 'regress'",
-                    args.command
+        return;
+    }
+    let Some(entry) = TABLE.iter().find(|e| e.name == args.command) else {
+        let names: Vec<&str> = TABLE.iter().map(|e| e.name).collect();
+        eprintln!(
+            "unknown command '{}'. Available: {}, all (see --help)",
+            args.command,
+            names.join(", ")
+        );
+        std::process::exit(2);
+    };
+    match entry.run {
+        Run::Paper(run) => args.deliver(&args.render(run(small))),
+        Run::Gated(run) => {
+            let outcome = run(small, agg);
+            #[cfg(feature = "obs")]
+            {
+                let (code, payload) = greem_bench::gate::run(
+                    outcome,
+                    json,
+                    args.update_baselines,
+                    args.baseline_dir.as_deref(),
                 );
-                std::process::exit(2);
+                if let Some(payload) = payload {
+                    args.deliver(&payload);
+                }
+                std::process::exit(code);
             }
+            // Without the obs cascade the gate is compiled out: report
+            // the run ungated.
+            #[cfg(not(feature = "obs"))]
+            {
+                let _ = (args.update_baselines, &args.baseline_dir);
+                args.deliver(&args.render(outcome));
+            }
+        }
+        Run::Trace => run_trace(&args, TraceRun::of(small)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greem_obs::json::{parse, Value};
+
+    fn num(v: &Value, key: &str) -> f64 {
+        v.get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no numeric '{key}'"))
+    }
+
+    /// The numbers in the first line of `text` that contains `marker`.
+    fn numbers_on_line(text: &str, marker: &str) -> Vec<f64> {
+        let line = text
+            .lines()
+            .find(|l| l.contains(marker))
+            .unwrap_or_else(|| panic!("no '{marker}' in:\n{text}"));
+        line.split(|c: char| !c.is_ascii_digit())
+            .filter_map(|digits| digits.parse().ok())
+            .collect()
+    }
+
+    /// Every row of the table at `small`: the text is there, the JSON
+    /// is one line tagged with the row's name, and where the text names
+    /// the run's sizes they are the JSON's — both render one run.
+    #[test]
+    fn every_paper_row_renders_one_small_run_both_ways() {
+        let mut rows = 0;
+        for e in TABLE {
+            let Run::Paper(run) = e.run else { continue };
+            rows += 1;
+            let outcome = run(true);
+            let text = outcome.text.clone();
+            let json = outcome.json();
+            assert!(!text.trim().is_empty(), "{}: empty text", e.name);
+            assert_eq!(json.lines().count(), 1, "{}: JSON is not one line", e.name);
+            let doc = parse(&json).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            assert_eq!(
+                doc.get("experiment").and_then(Value::as_str),
+                Some(e.name),
+                "experiment tag"
+            );
+            assert!(
+                matches!(doc.get("small"), Some(Value::Bool(true))),
+                "{}",
+                e.name
+            );
+            match e.name {
+                "fig4" => assert_eq!(
+                    numbers_on_line(&text, "processes, nf = ")[..3],
+                    [num(&doc, "p"), num(&doc, "nf"), num(&doc, "n_mesh")]
+                ),
+                "chaos" => assert_eq!(
+                    numbers_on_line(&text, " bodies, "),
+                    [num(&doc, "n"), num(&doc, "ranks"), num(&doc, "steps")]
+                ),
+                "kernel" => {
+                    // One text line per (N, variant), in the JSON's order.
+                    let text_ns: Vec<f64> = text
+                        .lines()
+                        .filter(|l| {
+                            l.contains("x ") && l.trim_start().starts_with(char::is_numeric)
+                        })
+                        .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+                        .collect();
+                    let json_ns: Vec<f64> = doc
+                        .get("rows")
+                        .and_then(Value::as_arr)
+                        .unwrap()
+                        .iter()
+                        .flat_map(|r| {
+                            let n = num(r, "n");
+                            let variants = r.get("variants").and_then(Value::as_arr).unwrap();
+                            std::iter::repeat_n(n, variants.len())
+                        })
+                        .collect();
+                    assert!(!json_ns.is_empty());
+                    assert_eq!(text_ns, json_ns, "kernel N column");
+                    assert_eq!(
+                        numbers_on_line(&text, "tracing overhead (")[0],
+                        num(doc.get("tracing_overhead").unwrap(), "spans_per_mode")
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(rows, 14, "the paper's tables and figures");
+    }
+
+    #[test]
+    fn help_and_table_name_every_command_once() {
+        let help = help();
+        for e in TABLE {
+            assert_eq!(
+                TABLE.iter().filter(|o| o.name == e.name).count(),
+                1,
+                "{} listed twice",
+                e.name
+            );
+            assert!(help.contains(&format!("{:<15} {}", e.name, e.about)));
         }
     }
 }

@@ -66,44 +66,10 @@ pub fn measure(
     }
 }
 
-/// The report: mesh sweep at r_cut = 3 cells, then an r_cut sweep at the
+/// Both sweeps on 200 (`small`) or 600 bodies, as text and JSON: the
+/// mesh sweep at r_cut = 3 cells, then an r_cut sweep at the
 /// paper-preferred mesh.
-pub fn report(n: usize) -> String {
-    let pos = workloads::clustered(n, 3, 0.3, 19);
-    let mass = workloads::unit_masses(n);
-    let reference = direct_periodic_fast(&pos, &mass);
-    let n_side = (n as f64).cbrt().round() as usize;
-    let mut s = String::from("=== Sec. III-A: TreePM force error vs Ewald ====================\n");
-    s.push_str(&format!(
-        "N = {n} particles (N^(1/3) ≈ {n_side}); θ = 0.4; reference: Ewald\n\n\
-         -- mesh sweep at r_cut = 3 cells (paper: best mesh N^(1/3)/4 .. N^(1/3)/2) --\n\
-         N_mesh   rms rel err   p99 rel err\n"
-    ));
-    // Mesh ≥ 8: r_cut = 3 cells must stay below half the box for the
-    // periodic minimum image to be unambiguous (mesh 4 would give 0.75).
-    for m in [8usize, 16, 32, 64] {
-        let row = measure(&pos, &mass, &reference, m, 3.0, 0.4);
-        s.push_str(&format!(
-            "{:>6} {:>12.4e} {:>13.4e}\n",
-            row.n_mesh, row.rms_rel_error, row.p99_rel_error
-        ));
-    }
-    s.push_str("\n-- r_cut sweep (cells) at the mid mesh --\n r_cut   rms rel err   p99 rel err   PP interactions\n");
-    for rc in [1.5, 2.0, 3.0, 4.0, 6.0] {
-        let row = measure(&pos, &mass, &reference, 16, rc, 0.4);
-        s.push_str(&format!(
-            "{:>6.1} {:>12.4e} {:>13.4e} {:>17}\n",
-            row.rcut_cells, row.rms_rel_error, row.p99_rel_error, row.interactions
-        ));
-    }
-    s.push_str(
-        "\n(accuracy keeps improving with r_cut but the PP cost grows ~r_cut^3;\n         \x20r_cut = 3 cells reaches the few-percent error floor at modest cost —\n         \x20the paper's operating point.)\n",
-    );
-    s
-}
-
-/// Machine-readable summary: the same two sweeps as [`report`].
-pub fn summary_json(small: bool) -> String {
+pub fn run(small: bool) -> super::Outcome {
     let n = if small { 200 } else { 600 };
     let pos = workloads::clustered(n, 3, 0.3, 19);
     let mass = workloads::unit_masses(n);
@@ -117,20 +83,42 @@ pub fn summary_json(small: bool) -> String {
         w.u64(Some("interactions"), row.interactions);
         w.end_obj();
     };
+    let n_side = (n as f64).cbrt().round() as usize;
+    let mut s = String::from("=== Sec. III-A: TreePM force error vs Ewald ====================\n");
+    s.push_str(&format!(
+        "N = {n} particles (N^(1/3) ≈ {n_side}); θ = 0.4; reference: Ewald\n\n\
+         -- mesh sweep at r_cut = 3 cells (paper: best mesh N^(1/3)/4 .. N^(1/3)/2) --\n\
+         N_mesh   rms rel err   p99 rel err\n"
+    ));
     let mut w = super::summary_writer("accuracy", small);
     w.u64(Some("n"), n as u64);
     w.begin_arr(Some("mesh_sweep"));
+    // Mesh ≥ 8: r_cut = 3 cells must stay below half the box for the
+    // periodic minimum image to be unambiguous (mesh 4 would give 0.75).
     for m in [8usize, 16, 32, 64] {
-        row_into(&mut w, &measure(&pos, &mass, &reference, m, 3.0, 0.4));
+        let row = measure(&pos, &mass, &reference, m, 3.0, 0.4);
+        s.push_str(&format!(
+            "{:>6} {:>12.4e} {:>13.4e}\n",
+            row.n_mesh, row.rms_rel_error, row.p99_rel_error
+        ));
+        row_into(&mut w, &row);
     }
     w.end_arr();
+    s.push_str("\n-- r_cut sweep (cells) at the mid mesh --\n r_cut   rms rel err   p99 rel err   PP interactions\n");
     w.begin_arr(Some("rcut_sweep"));
     for rc in [1.5, 2.0, 3.0, 4.0, 6.0] {
-        row_into(&mut w, &measure(&pos, &mass, &reference, 16, rc, 0.4));
+        let row = measure(&pos, &mass, &reference, 16, rc, 0.4);
+        s.push_str(&format!(
+            "{:>6.1} {:>12.4e} {:>13.4e} {:>17}\n",
+            row.rcut_cells, row.rms_rel_error, row.p99_rel_error, row.interactions
+        ));
+        row_into(&mut w, &row);
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str(
+        "\n(accuracy keeps improving with r_cut but the PP cost grows ~r_cut^3;\n         \x20r_cut = 3 cells reaches the few-percent error floor at modest cost —\n         \x20the paper's operating point.)\n",
+    );
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

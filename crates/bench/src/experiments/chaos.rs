@@ -212,16 +212,22 @@ pub fn publish(outcome: &ChaosOutcome, reg: &mut greem_obs::Registry) {
     });
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
-    let steps = 8;
+/// The scenario suite on 400 bodies × 6 steps (`small`) or 2000 × 10,
+/// as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let (n, steps) = if small { (400, 6) } else { (2000, 10) };
     let outcomes = run_suite(n, steps);
-    let mut s = String::from(
+    let mut s = format!(
         "=== chaos: fault injection + rollback recovery ==================\n\n\
-         4 ranks on the simulated torus; sharded GREEMSN2 checkpoints\n\
-         every 3 steps; seeded FaultPlan per scenario.\n\n\
+         {n} bodies, {RANKS} ranks on the simulated torus, {steps} steps; sharded\n\
+         GREEMSN2 checkpoints every 3 steps; seeded FaultPlan per scenario.\n\n\
          scenario    crashes  rollbacks  ckpts  lost vt(s)  dropped  delayed  flight  bitwise\n",
     );
+    let mut w = super::summary_writer("chaos", small);
+    w.u64(Some("n"), n as u64);
+    w.u64(Some("ranks"), RANKS as u64);
+    w.u64(Some("steps"), steps as u64);
+    w.begin_arr(Some("scenarios"));
     for o in &outcomes {
         s.push_str(&format!(
             "{:<11} {:>7} {:>10} {:>6} {:>11.4} {:>8} {:>8} {:>7}  {}\n",
@@ -239,32 +245,6 @@ pub fn report(n: usize) -> String {
                 None => "-",
             },
         ));
-    }
-    s.push_str(
-        "\n(crash scenario replays against an uninterrupted run: MATCH means\n\
-         the recovered final particle state is bitwise identical. 'flight'\n\
-         counts the post-mortem flight-recorder bundles dumped on crash\n\
-         detection — see DESIGN.md §18.)\n",
-    );
-    for o in &outcomes {
-        if let Some(b) = o.flight_bundles.first() {
-            s.push_str(&format!("  {} flight bundle: {b}\n", o.scenario));
-        }
-    }
-    s
-}
-
-/// Machine-readable summary (`--json`).
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 400 } else { 2000 };
-    let steps = if small { 6 } else { 10 };
-    let outcomes = run_suite(n, steps);
-    let mut w = super::summary_writer("chaos", small);
-    w.u64(Some("n"), n as u64);
-    w.u64(Some("ranks"), RANKS as u64);
-    w.u64(Some("steps"), steps as u64);
-    w.begin_arr(Some("scenarios"));
-    for o in &outcomes {
         w.begin_obj(None);
         w.str_(Some("scenario"), o.scenario);
         w.u64(Some("crashes_detected"), o.stats.crashes_detected);
@@ -289,6 +269,17 @@ pub fn summary_json(small: bool) -> String {
         w.end_obj();
     }
     w.end_arr();
+    s.push_str(
+        "\n(crash scenario replays against an uninterrupted run: MATCH means\n\
+         the recovered final particle state is bitwise identical. 'flight'\n\
+         counts the post-mortem flight-recorder bundles dumped on crash\n\
+         detection — see DESIGN.md §18.)\n",
+    );
+    for o in &outcomes {
+        if let Some(b) = o.flight_bundles.first() {
+            s.push_str(&format!("  {} flight bundle: {b}\n", o.scenario));
+        }
+    }
     #[cfg(feature = "obs")]
     {
         let mut reg = greem_obs::Registry::new();
@@ -297,8 +288,7 @@ pub fn summary_json(small: bool) -> String {
         }
         reg.write_json(&mut w, Some("metrics"));
     }
-    w.end_obj();
-    w.finish()
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -53,32 +53,23 @@ pub fn census(n: usize, thetas: &[f64], seed: u64) -> Vec<CensusRow> {
         .collect()
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
+/// The θ census at 800 (`small`) or 5000 bodies, as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 800 } else { 5000 };
     let rows = census(n, &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 7);
     let mut s = String::from(
         "=== Fig. 1: tree interaction census (red arrows = particle-particle,\n\
          blue arrows = particle-multipole) ==============================\n\
          theta   P-P entries   P-M entries     <Nj>   pair interactions\n",
     );
+    let mut w = super::summary_writer("fig1", small);
+    w.u64(Some("n"), n as u64);
+    w.begin_arr(Some("rows"));
     for r in &rows {
         s.push_str(&format!(
             "{:>5.2} {:>13} {:>13} {:>8.1} {:>19}\n",
             r.theta, r.particle_entries, r.node_entries, r.mean_nj, r.interactions
         ));
-    }
-    s.push_str("\n(theta=0 reduces to direct summation: every entry is P-P.)\n");
-    s
-}
-
-/// Machine-readable summary: the θ census rows.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 800 } else { 5000 };
-    let rows = census(n, &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 7);
-    let mut w = super::summary_writer("fig1", small);
-    w.u64(Some("n"), n as u64);
-    w.begin_arr(Some("rows"));
-    for r in &rows {
         w.begin_obj(None);
         w.f64(Some("theta"), r.theta);
         w.u64(Some("particle_entries"), r.particle_entries);
@@ -88,8 +79,8 @@ pub fn summary_json(small: bool) -> String {
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str("\n(theta=0 reduces to direct summation: every entry is P-P.)\n");
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

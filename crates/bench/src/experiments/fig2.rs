@@ -52,8 +52,10 @@ pub fn profile(n_mesh: usize, radii: &[f64]) -> Vec<SplitRow> {
         .collect()
 }
 
-/// The report.
-pub fn report(n_mesh: usize) -> String {
+/// The force-split profile on a 32³ (`small`) or 64³ mesh, as text and
+/// JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n_mesh = if small { 32 } else { 64 };
     let rcut = 8.0 / n_mesh as f64;
     let radii: Vec<f64> = (1..=14).map(|i| i as f64 * 0.1 * rcut).collect();
     let rows = profile(n_mesh, &radii);
@@ -61,26 +63,14 @@ pub fn report(n_mesh: usize) -> String {
         "=== Fig. 2: the TreePM force split (isolated pair) =============\n\
          r/rcut     f_PP       f_PM       total      Newton     Ewald\n",
     );
+    let mut w = super::summary_writer("fig2", small);
+    w.u64(Some("n_mesh"), n_mesh as u64);
+    w.begin_arr(Some("rows"));
     for r in &rows {
         s.push_str(&format!(
             "{:>6.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
             r.r_over_rcut, r.f_pp, r.f_pm, r.f_total, r.f_newton, r.f_ewald
         ));
-    }
-    s.push_str("\n(f_PP -> 0 at r = r_cut; the total tracks Ewald throughout.)\n");
-    s
-}
-
-/// Machine-readable summary: the force-split profile rows.
-pub fn summary_json(small: bool) -> String {
-    let n_mesh = if small { 32 } else { 64 };
-    let rcut = 8.0 / n_mesh as f64;
-    let radii: Vec<f64> = (1..=14).map(|i| i as f64 * 0.1 * rcut).collect();
-    let rows = profile(n_mesh, &radii);
-    let mut w = super::summary_writer("fig2", small);
-    w.u64(Some("n_mesh"), n_mesh as u64);
-    w.begin_arr(Some("rows"));
-    for r in &rows {
         w.begin_obj(None);
         w.f64(Some("r"), r.r);
         w.f64(Some("r_over_rcut"), r.r_over_rcut);
@@ -92,8 +82,8 @@ pub fn summary_json(small: bool) -> String {
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str("\n(f_PP -> 0 at r = r_cut; the total tracks Ewald throughout.)\n");
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub struct Fig3Result {
 
 /// Run `iters` feedback rounds of the balancer on a clustered field
 /// divided `div[0]×div[1]×div[2]`.
-pub fn run(n: usize, div: [usize; 3], iters: usize, seed: u64) -> Fig3Result {
+pub fn balance(n: usize, div: [usize; 3], iters: usize, seed: u64) -> Fig3Result {
     let positions = workloads::clustered(n, 5, 0.55, seed);
     let mut bal = SamplingBalancer::new(BalancerParams::new(div, (n / 2).clamp(512, 20_000)));
     let mut grid = bal.current();
@@ -101,38 +101,31 @@ pub fn render_plane(result: &Fig3Result, chars: usize) -> String {
     out
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
-    let result = run(n, [8, 8, 1], 10, 99);
+/// Ten balancer rounds on an 8×8 division of 2000 (`small`) or 20000
+/// clustered bodies, as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 2000 } else { 20000 };
+    let div = [8, 8, 1];
+    let result = balance(n, div, 10, 99);
     let mut s = String::from("=== Fig. 3: adaptive 8x8 domain decomposition ===============\n");
     s.push_str("imbalance (max/mean particles per domain) per iteration:\n  ");
-    for (i, im) in result.imbalance_history.iter().enumerate() {
-        s.push_str(&format!("{}:{:.2} ", i, im));
-    }
-    s.push_str("\n\nfinal boundaries over the particle density (x right, y down):\n");
-    s.push_str(&render_plane(&result, 64));
-    s.push_str("\n(dense clumps sit in visibly smaller domains, as in the paper's figure.)\n");
-    s
-}
-
-/// Machine-readable summary: the imbalance trajectory.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 2000 } else { 20000 };
-    let result = run(n, [8, 8, 1], 10, 99);
     let mut w = super::summary_writer("fig3", small);
     w.u64(Some("n"), n as u64);
     w.begin_arr(Some("div"));
-    for d in [8u64, 8, 1] {
-        w.u64(None, d);
+    for d in div {
+        w.u64(None, d as u64);
     }
     w.end_arr();
     w.begin_arr(Some("imbalance_history"));
-    for im in &result.imbalance_history {
+    for (i, im) in result.imbalance_history.iter().enumerate() {
+        s.push_str(&format!("{}:{:.2} ", i, im));
         w.f64(None, *im);
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str("\n\nfinal boundaries over the particle density (x right, y down):\n");
+    s.push_str(&render_plane(&result, 64));
+    s.push_str("\n(dense clumps sit in visibly smaller domains, as in the paper's figure.)\n");
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]
@@ -141,7 +134,7 @@ mod tests {
 
     #[test]
     fn balancer_reduces_count_imbalance() {
-        let r = run(3000, [4, 4, 1], 8, 5);
+        let r = balance(3000, [4, 4, 1], 8, 5);
         let first = r.imbalance_history[0];
         let last = *r.imbalance_history.last().unwrap();
         assert!(
@@ -152,7 +145,7 @@ mod tests {
 
     #[test]
     fn render_has_boundaries() {
-        let r = run(1500, [4, 4, 1], 4, 6);
+        let r = balance(1500, [4, 4, 1], 4, 6);
         let art = render_plane(&r, 32);
         assert!(
             art.contains('|') && art.contains('-'),

@@ -64,9 +64,14 @@ pub fn census(p: usize, nf: usize, n_mesh: usize) -> Fig4Census {
     }
 }
 
-/// The report.
-pub fn report() -> String {
-    let c = census(6, 2, 16);
+/// The conversion census at p = 4, mesh 8³ (`small`) or p = 6, mesh
+/// 16³, as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let c = if small {
+        census(4, 2, 8)
+    } else {
+        census(6, 2, 16)
+    };
     let mut s = String::from("=== Fig. 4: local meshes vs FFT slabs ==========================\n");
     s.push_str(&format!(
         "p = {} processes, nf = {} FFT processes, mesh {}^3\n\n",
@@ -89,42 +94,25 @@ pub fn report() -> String {
     }
     s.push_str("\n(every process sends; only the nf slab holders receive in bulk —\n");
     s.push_str(" the funnel the relay mesh method widens.)\n");
-    s
-}
 
-/// Machine-readable summary: the conversion traffic census.
-pub fn summary_json(small: bool) -> String {
-    let c = if small {
-        census(4, 2, 8)
-    } else {
-        census(6, 2, 16)
-    };
     let mut w = super::summary_writer("fig4", small);
     w.u64(Some("p"), c.p as u64);
     w.u64(Some("nf"), c.nf as u64);
     w.u64(Some("n_mesh"), c.n_mesh as u64);
-    w.begin_arr(Some("local_cells"));
-    for &v in &c.local_cells {
-        w.u64(None, v as u64);
+    let cells = |v: &[usize]| v.iter().map(|&x| x as u64).collect::<Vec<u64>>();
+    for (key, vals) in [
+        ("local_cells", cells(&c.local_cells)),
+        ("slab_cells", cells(&c.slab_cells)),
+        ("bytes_sent", c.bytes_sent.clone()),
+        ("bytes_received", c.bytes_received.clone()),
+    ] {
+        w.begin_arr(Some(key));
+        for v in vals {
+            w.u64(None, v);
+        }
+        w.end_arr();
     }
-    w.end_arr();
-    w.begin_arr(Some("slab_cells"));
-    for &v in &c.slab_cells {
-        w.u64(None, v as u64);
-    }
-    w.end_arr();
-    w.begin_arr(Some("bytes_sent"));
-    for &v in &c.bytes_sent {
-        w.u64(None, v);
-    }
-    w.end_arr();
-    w.begin_arr(Some("bytes_received"));
-    for &v in &c.bytes_received {
-        w.u64(None, v);
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -73,8 +73,12 @@ pub fn measure(p: usize, nf: usize, n_mesh: usize, groups: Option<usize>) -> Rel
     }
 }
 
-/// The report.
-pub fn report(p: usize, nf: usize, n_mesh: usize) -> String {
+/// Direct vs relay conversion at p = 8, mesh 16³ (`small`) or p = 48,
+/// mesh 32³, as text and JSON. The full shape is the funnel regime:
+/// many ranks converging on few FFT ranks with sizeable slabs — where
+/// the relay schedule visibly wins on the simulated network.
+pub fn run(small: bool) -> super::Outcome {
+    let (p, nf, n_mesh) = if small { (8, 2, 16) } else { (48, 2, 32) };
     let mut s = String::from(
         "=== Fig. 5 / Sec. II-B: the relay mesh method ==================\n\n\
          -- functional measurement on the simulated K-like network --\n",
@@ -83,6 +87,11 @@ pub fn report(p: usize, nf: usize, n_mesh: usize) -> String {
         "p = {p} ranks, nf = {nf} FFT ranks, mesh {n_mesh}^3\n"
     ));
     s.push_str("method         forward(s)   backward(s)\n");
+    let mut w = super::summary_writer("fig5", small);
+    w.u64(Some("p"), p as u64);
+    w.u64(Some("nf"), nf as u64);
+    w.u64(Some("n_mesh"), n_mesh as u64);
+    w.begin_arr(Some("timings"));
     let mut configs: Vec<Option<usize>> = vec![None];
     for g in [2usize, 4, 8, 12] {
         if p / g >= nf && p.is_multiple_of(g) {
@@ -92,6 +101,7 @@ pub fn report(p: usize, nf: usize, n_mesh: usize) -> String {
     let mut direct_fwd = 0.0;
     for cfg in configs {
         let t = measure(p, nf, n_mesh, cfg);
+        w.begin_obj(None);
         match cfg {
             None => {
                 direct_fwd = t.forward;
@@ -99,6 +109,7 @@ pub fn report(p: usize, nf: usize, n_mesh: usize) -> String {
                     "direct        {:>10.4e}  {:>11.4e}\n",
                     t.forward, t.backward
                 ));
+                w.raw(Some("groups"), "null");
             }
             Some(g) => {
                 s.push_str(&format!(
@@ -107,42 +118,17 @@ pub fn report(p: usize, nf: usize, n_mesh: usize) -> String {
                     t.backward,
                     direct_fwd / t.forward
                 ));
+                w.u64(Some("groups"), g as u64);
             }
-        }
-    }
-    s.push_str("\n-- paper-scale model (12288 nodes, 4096^3 mesh, 3 groups) --\n");
-    s.push_str(&RelayModel::paper_experiment().evaluate().render());
-    s
-}
-
-/// Machine-readable summary: the direct-vs-relay timing sweep.
-pub fn summary_json(small: bool) -> String {
-    let (p, nf, n_mesh) = if small { (8, 2, 16) } else { (48, 2, 32) };
-    let mut configs: Vec<Option<usize>> = vec![None];
-    for g in [2usize, 4, 8, 12] {
-        if p / g >= nf && p.is_multiple_of(g) {
-            configs.push(Some(g));
-        }
-    }
-    let mut w = super::summary_writer("fig5", small);
-    w.u64(Some("p"), p as u64);
-    w.u64(Some("nf"), nf as u64);
-    w.u64(Some("n_mesh"), n_mesh as u64);
-    w.begin_arr(Some("timings"));
-    for cfg in configs {
-        let t = measure(p, nf, n_mesh, cfg);
-        w.begin_obj(None);
-        match t.groups {
-            Some(g) => w.u64(Some("groups"), g as u64),
-            None => w.raw(Some("groups"), "null"),
         }
         w.f64(Some("forward_s"), t.forward);
         w.f64(Some("backward_s"), t.backward);
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str("\n-- paper-scale model (12288 nodes, 4096^3 mesh, 3 groups) --\n");
+    s.push_str(&RelayModel::paper_experiment().evaluate().render());
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ fn delta_rms(bodies: &[greem::Body], m: usize) -> f64 {
 }
 
 /// Run the simulation, recording the paper's four redshifts.
-pub fn run(p: &MicrohaloRun) -> Vec<Epoch> {
+pub fn simulate(p: &MicrohaloRun) -> Vec<Epoch> {
     let cosmo = Cosmology::wmap7();
     let a0 = 1.0 / 401.0;
     let a_end = 1.0 / 32.0;
@@ -146,15 +146,32 @@ pub fn run(p: &MicrohaloRun) -> Vec<Epoch> {
     epochs
 }
 
-/// The report: four ASCII maps plus the contrast-growth table.
-pub fn report(p: &MicrohaloRun) -> String {
-    let epochs = run(p);
+/// The microhalo run at 8³ particles / 12 steps (`small`) or the
+/// default 16³ / 24 steps: four ASCII maps plus the contrast-growth
+/// table as text, per-epoch clustering statistics as JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let p = if small {
+        MicrohaloRun {
+            n_side: 8,
+            n_mesh: 16,
+            steps: 12,
+            ..Default::default()
+        }
+    } else {
+        MicrohaloRun::default()
+    };
+    let epochs = simulate(&p);
     let mut s = String::from("=== Fig. 6: microhalo run snapshots =============================\n");
     s.push_str(&format!(
-        "{}^3 particles, {}^3 mesh, WMAP-7, free-streaming cutoff at mode {}\n\n",
-        p.n_side, p.n_mesh, p.kfs_modes
+        "{}^3 particles, {}^3 mesh, {} steps, WMAP-7, free-streaming cutoff at mode {}\n\n",
+        p.n_side, p.n_mesh, p.steps, p.kfs_modes
     ));
     s.push_str("z        delta_rms   linear-theory   peak contrast   halos(>=20p)   largest\n");
+    let mut w = super::summary_writer("fig6", small);
+    w.u64(Some("n_side"), p.n_side as u64);
+    w.u64(Some("n_mesh"), p.n_mesh as u64);
+    w.u64(Some("steps"), p.steps as u64);
+    w.begin_arr(Some("epochs"));
     let n_tot = p.n_side.pow(3);
     for e in &epochs {
         let largest = e.halos.first().map(|h| h.members.len()).unwrap_or(0);
@@ -167,7 +184,16 @@ pub fn report(p: &MicrohaloRun) -> String {
             e.halos.len(),
             format!("{largest}/{n_tot}"),
         ));
+        w.begin_obj(None);
+        w.f64(Some("z"), e.z);
+        w.f64(Some("delta_rms"), e.delta_rms);
+        w.f64(Some("delta_linear"), e.delta_linear);
+        w.f64(Some("peak_contrast"), e.snapshot.peak_contrast());
+        w.u64(Some("halos"), e.halos.len() as u64);
+        w.u64(Some("largest_halo"), largest as u64);
+        w.end_obj();
     }
+    w.end_arr();
     // Power-spectrum evolution: the free-streaming cutoff's imprint and
     // nonlinear power transfer to small scales.
     s.push_str("\npower spectrum (mode power per |k| bin):\nk/2pi ");
@@ -192,7 +218,7 @@ pub fn report(p: &MicrohaloRun) -> String {
     }
     s.push_str("\n(structure grows from smooth ripples to collapsed clumps, as in fig. 6;\n");
     s.push_str(" nonlinear collapse feeds power into the initially-empty modes above k_fs;\n the FoF census shows the first bound structures condensing out, each\n containing a macroscopic fraction of the particles — the paper's 'more\n than ~100,000 particles per smallest structure' criterion, scaled down.)\n");
-    s
+    super::Outcome::new(s, w)
 }
 
 /// Validation helper used by the integration tests: the contrast must
@@ -203,42 +229,6 @@ pub fn growth_check(epochs: &[Epoch]) -> (f64, f64) {
     let measured_growth = last.delta_rms / first.delta_rms;
     let linear_growth = last.delta_linear / first.delta_linear;
     (measured_growth, linear_growth)
-}
-
-/// Machine-readable summary: per-epoch clustering statistics.
-pub fn summary_json(small: bool) -> String {
-    let p = if small {
-        MicrohaloRun {
-            n_side: 8,
-            n_mesh: 16,
-            steps: 12,
-            ..Default::default()
-        }
-    } else {
-        MicrohaloRun::default()
-    };
-    let epochs = run(&p);
-    let mut w = super::summary_writer("fig6", small);
-    w.u64(Some("n_side"), p.n_side as u64);
-    w.u64(Some("n_mesh"), p.n_mesh as u64);
-    w.u64(Some("steps"), p.steps as u64);
-    w.begin_arr(Some("epochs"));
-    for e in &epochs {
-        w.begin_obj(None);
-        w.f64(Some("z"), e.z);
-        w.f64(Some("delta_rms"), e.delta_rms);
-        w.f64(Some("delta_linear"), e.delta_linear);
-        w.f64(Some("peak_contrast"), e.snapshot.peak_contrast());
-        w.u64(Some("halos"), e.halos.len() as u64);
-        w.u64(
-            Some("largest_halo"),
-            e.halos.first().map(|h| h.members.len()).unwrap_or(0) as u64,
-        );
-        w.end_obj();
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
 }
 
 #[cfg(test)]
@@ -255,7 +245,7 @@ mod tests {
             kfs_modes: 2.0,
             seed: 7,
         };
-        let epochs = run(&p);
+        let epochs = simulate(&p);
         assert_eq!(epochs.len(), 4, "must record all four redshifts");
         let (measured, linear) = growth_check(&epochs);
         // Growth happened and is within a factor ~2.5 of linear theory

@@ -42,7 +42,6 @@ const CRASH_FRACTION: f64 = 0.5;
 
 /// One full scenario run plus the recovery rehearsal.
 pub struct GalaxyOutcome {
-    pub small: bool,
     /// Initial body count (stars + DM + BH seeds).
     pub n_initial: usize,
     pub steps: u64,
@@ -109,7 +108,7 @@ fn states_match(a: &GalaxyCollapse, b: &GalaxyCollapse) -> bool {
 /// Run the seeded collapse, rehearsing a crash: checkpoint at the
 /// midpoint, keep going, then resume a second scenario from the
 /// checkpoint and demand a bitwise-identical final state.
-pub fn run(small: bool) -> GalaxyOutcome {
+pub fn measure(small: bool) -> GalaxyOutcome {
     let cfg = config(small);
     let t0 = std::time::Instant::now();
     let mut sc = GalaxyCollapse::new(cfg);
@@ -141,7 +140,6 @@ pub fn run(small: bool) -> GalaxyOutcome {
     let census = sc.census();
     let hist = sc.virial_history();
     GalaxyOutcome {
-        small,
         n_initial,
         steps: sc.steps_taken(),
         energy_drift: sc.energy_drift(),
@@ -209,9 +207,8 @@ fn render(o: &GalaxyOutcome) -> String {
     s
 }
 
-/// Shared JSON body (also embedded by `bench-summary`'s `galaxy`
-/// section).
-pub fn write_outcome(o: &GalaxyOutcome, w: &mut greem_obs::json::JsonWriter) {
+/// The `--json` payload.
+fn write_outcome(o: &GalaxyOutcome, w: &mut greem_obs::json::JsonWriter) {
     w.u64(Some("n_initial"), o.n_initial as u64);
     w.u64(Some("steps"), o.steps);
     w.f64(Some("energy_drift"), o.energy_drift);
@@ -238,26 +235,11 @@ pub fn write_outcome(o: &GalaxyOutcome, w: &mut greem_obs::json::JsonWriter) {
     w.f64(Some("wall_s"), o.wall_s);
 }
 
-/// Machine-readable summary (`--json`).
-pub fn summary_json(small: bool) -> String {
-    let o = run(small);
-    let mut w = super::summary_writer("galaxy", small);
-    write_outcome(&o, &mut w);
-    w.end_obj();
-    w.finish()
-}
-
-/// Human-readable report.
-pub fn report(small: bool) -> String {
-    render(&run(small))
-}
-
 /// Gate metrics. The event counts and the recovery flag are `Exact` —
 /// the scenario is seeded and bitwise deterministic, so any drift is a
 /// semantic change. Energy drift is `LowerIsBetter` with 50 % headroom
 /// on top of the committed value (it also has the absolute
-/// [`DRIFT_GATE`], enforced in [`gate`] even without a baseline).
-#[cfg(feature = "obs")]
+/// [`DRIFT_GATE`], a hard failure of [`run`] even without a baseline).
 fn metric_specs(o: &GalaxyOutcome) -> Vec<greem_analysis::MetricSpec> {
     use greem_analysis::{Direction, MetricSpec};
     vec![
@@ -303,145 +285,36 @@ fn metric_specs(o: &GalaxyOutcome) -> Vec<greem_analysis::MetricSpec> {
     ]
 }
 
-/// `harness galaxy`: run the collapse, report, and gate. Two gates
-/// stack: the absolute checks (energy drift ≤ [`DRIFT_GATE`] on the
-/// small config, recovery bitwise, ≥1 merger on the seeded small
-/// config) fail the run even without a baseline; the committed
-/// baseline (`baselines/galaxy_{small,full}.json`, recorded with
-/// `--update-baselines`) additionally `Exact`-gates the event counts.
-/// Exit codes mirror `regress`: 0 pass, 1 regression, 2 setup error.
-#[cfg(feature = "obs")]
-pub fn gate(small: bool, json_out: bool, update: bool, baseline_dir: Option<&str>) -> i32 {
-    use greem_analysis::{compare, Baseline, Verdict};
-
-    let name = if small { "galaxy_small" } else { "galaxy_full" };
-    let dir = baseline_dir
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::regress::default_baseline_dir);
-    let path = dir.join(format!("{name}.json"));
-    let o = run(small);
-    let metrics = metric_specs(&o);
-
-    // Absolute acceptance, baseline or not. The drift gate applies to
-    // the small configuration (the full run accumulates event-jump
-    // bookkeeping error over ~10x more captures; its drift is recorded
-    // and baseline-gated but not bounded absolutely — see DESIGN.md
-    // §17).
-    let mut hard_failures = Vec::new();
+/// `harness galaxy`: run the collapse, render it, and hand it to the
+/// gate. Two gates stack: the absolute checks (energy drift ≤
+/// [`DRIFT_GATE`] on the small config, recovery bitwise, ≥1 merger on
+/// the seeded small config) fail the run even without a baseline; the
+/// committed baseline (`baselines/galaxy_{small,full}.json`, optional)
+/// additionally `Exact`-gates the event counts.
+pub fn run(small: bool) -> super::Outcome {
+    let o = measure(small);
+    let mut spec = super::GateSpec::new("galaxy", small, metric_specs(&o), false);
+    // The drift gate applies to the small configuration (the full run
+    // accumulates event-jump bookkeeping error over ~10x more
+    // captures; its drift is recorded and baseline-gated but not
+    // bounded absolutely — see DESIGN.md §17).
     if small && o.energy_drift > DRIFT_GATE {
-        hard_failures.push(format!(
+        spec.hard_failures.push(format!(
             "energy drift {:.3e} exceeds the absolute gate {DRIFT_GATE:.0e}",
             o.energy_drift
         ));
     }
     if small && o.bh_mergers < 1 {
-        hard_failures.push("seeded small config produced no BH merger".into());
+        spec.hard_failures
+            .push("seeded small config produced no BH merger".into());
     }
     if !o.recovery_bitwise {
-        hard_failures.push("mid-collapse checkpoint resume diverged from the clean run".into());
+        spec.hard_failures
+            .push("mid-collapse checkpoint resume diverged from the clean run".into());
     }
-
-    let emit = |o: &GalaxyOutcome, cmp: Option<&greem_analysis::Comparison>, pass: bool| {
-        if json_out {
-            let mut w = super::summary_writer("galaxy", small);
-            write_outcome(o, &mut w);
-            w.bool_(Some("pass"), pass);
-            if let Some(cmp) = cmp {
-                w.begin_arr(Some("findings"));
-                for f in &cmp.findings {
-                    w.begin_obj(None);
-                    w.str_(Some("name"), &f.name);
-                    w.f64(Some("baseline"), f.baseline);
-                    match f.current {
-                        Some(c) => w.f64(Some("current"), c),
-                        None => w.str_(Some("current"), "missing"),
-                    }
-                    w.bool_(Some("gate"), f.gate);
-                    w.str_(Some("verdict"), f.verdict.as_str());
-                    w.end_obj();
-                }
-                w.end_arr();
-            }
-            w.end_obj();
-            println!("{}", w.finish());
-        } else {
-            print!("{}", render(o));
-            if let Some(cmp) = cmp {
-                println!(
-                    "  gate vs baseline: {}",
-                    if cmp.pass { "PASS" } else { "REGRESSION" }
-                );
-                for f in &cmp.findings {
-                    let mark = match f.verdict {
-                        Verdict::Pass => "ok  ",
-                        Verdict::Regression => "FAIL",
-                        Verdict::Improvement => "BEAT",
-                        Verdict::Missing => "GONE",
-                    };
-                    println!(
-                        "    [{mark}] {:<20} base {:>12.6}  cur {:>12.6}{}",
-                        f.name,
-                        f.baseline,
-                        f.current.unwrap_or(f64::NAN),
-                        if f.gate { "" } else { "  (ungated)" },
-                    );
-                }
-            }
-        }
-    };
-
-    if update {
-        let base = Baseline::from_metrics(name, &metrics);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("galaxy: cannot create {}: {e}", dir.display());
-            return 2;
-        }
-        if let Err(e) = std::fs::write(&path, base.to_json()) {
-            eprintln!("galaxy: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        emit(&o, None, hard_failures.is_empty());
-        eprintln!("galaxy: baseline updated at {}", path.display());
-        for h in &hard_failures {
-            eprintln!("galaxy: ABSOLUTE GATE FAILED: {h}");
-        }
-        return if hard_failures.is_empty() { 0 } else { 1 };
-    }
-
-    let code = match std::fs::read_to_string(&path) {
-        Ok(src) => match Baseline::parse(&src) {
-            Ok(base) => {
-                let cmp = compare(&metrics, &base);
-                let pass = cmp.pass && hard_failures.is_empty();
-                emit(&o, Some(&cmp), pass);
-                if pass {
-                    0
-                } else {
-                    1
-                }
-            }
-            Err(e) => {
-                eprintln!("galaxy: corrupt baseline {}: {e}", path.display());
-                2
-            }
-        },
-        Err(_) => {
-            emit(&o, None, hard_failures.is_empty());
-            eprintln!(
-                "galaxy: no baseline at {} — ran ungated (record one with --update-baselines)",
-                path.display()
-            );
-            if hard_failures.is_empty() {
-                0
-            } else {
-                1
-            }
-        }
-    };
-    for h in &hard_failures {
-        eprintln!("galaxy: ABSOLUTE GATE FAILED: {h}");
-    }
-    code
+    let mut w = super::summary_writer("galaxy", small);
+    write_outcome(&o, &mut w);
+    super::Outcome::new(render(&o), w).gated(spec)
 }
 
 #[cfg(test)]
@@ -450,7 +323,7 @@ mod tests {
 
     #[test]
     fn small_collapse_passes_every_absolute_gate() {
-        let o = run(true);
+        let o = measure(true);
         assert!(o.n_initial > 0 && o.steps > 0);
         // The seeded small config must merge its BH seeds and conserve
         // energy under the absolute gate (ISSUE acceptance).
@@ -471,12 +344,10 @@ mod tests {
         assert!(o.heaviest_bh_mass > 0.0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn metric_specs_cover_the_contract() {
         use greem_analysis::Direction;
         let o = GalaxyOutcome {
-            small: true,
             n_initial: 195,
             steps: 48,
             energy_drift: 5e-5,

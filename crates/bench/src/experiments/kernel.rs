@@ -100,8 +100,15 @@ pub fn tracing_overhead(small: bool) -> TracingOverhead {
     }
 }
 
-/// The report.
-pub fn report() -> String {
+/// The O(N²) benchmark at N = 128, 256 × 2 iterations (`small`) or
+/// 256, 512, 1024 × 8, plus the tracing-overhead probe, as text and
+/// JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let (sizes, iters): (&[usize], usize) = if small {
+        (&[128, 256], 2)
+    } else {
+        (&[256, 512, 1024], 8)
+    };
     let k = KMachine::new();
     let mut s = String::from("=== Sec. II-A: O(N^2) kernel benchmark =========================\n");
     s.push_str(&format!(
@@ -119,7 +126,13 @@ pub fn report() -> String {
         "     N   variant          int/s   51-flop Gflops   vs scalar   bytes/int   GB/s   \
          FMA+other   mix bound   % of bound\n",
     );
-    for r in sweep(&[256, 512, 1024], 8) {
+    let mut w = super::summary_writer("kernel", small);
+    w.str_(Some("dispatch"), selected_variant().name());
+    w.begin_arr(Some("rows"));
+    for r in sweep(sizes, iters) {
+        w.begin_obj(None);
+        w.u64(Some("n"), r.n as u64);
+        w.begin_arr(Some("variants"));
         for v in &r.variants {
             s.push_str(&format!(
                 "{:>6}   {:<8} {:>12.3e} {:>16.2} {:>10.2}x {:>11.2} {:>6.1}",
@@ -131,22 +144,41 @@ pub fn report() -> String {
                 v.bytes_per_interaction,
                 v.gb_per_sec
             ));
+            w.begin_obj(None);
+            w.str_(Some("variant"), v.variant.name());
+            w.f64(Some("interactions_per_sec"), v.interactions_per_sec);
+            w.f64(Some("flops"), v.flops);
+            w.f64(Some("speedup_vs_scalar"), v.speedup_vs_scalar);
+            w.f64(Some("bytes_per_interaction"), v.bytes_per_interaction);
+            w.f64(Some("gb_per_sec"), v.gb_per_sec);
             match (
                 OpMix::of(v.variant),
+                v.fma_peak_flops,
                 v.mix_bound_flops(),
                 v.pct_of_mix_bound(),
             ) {
-                (Some(mix), Some(bound), Some(pct)) => s.push_str(&format!(
-                    "   {:>6}+{:<2} {:>11.2} {:>11.1}%\n",
-                    mix.fma,
-                    mix.other,
-                    bound / 1e9,
-                    pct
-                )),
+                (Some(mix), Some(peak), Some(bound), Some(pct)) => {
+                    s.push_str(&format!(
+                        "   {:>6}+{:<2} {:>11.2} {:>11.1}%\n",
+                        mix.fma,
+                        mix.other,
+                        bound / 1e9,
+                        pct
+                    ));
+                    w.u64(Some("fma_ops"), mix.fma as u64);
+                    w.u64(Some("other_ops"), mix.other as u64);
+                    w.f64(Some("fma_peak_flops"), peak);
+                    w.f64(Some("mix_bound_flops"), bound);
+                    w.f64(Some("pct_of_mix_bound"), pct);
+                }
                 _ => s.push_str("           -           -            -\n"),
             }
+            w.end_obj();
         }
+        w.end_arr();
+        w.end_obj();
     }
+    w.end_arr();
     s.push_str(
         "\n(each optimised kernel must clearly outrun the scalar exact-sqrt\n\
          reference, and the explicit-SIMD variant the portable one; the\n\
@@ -159,67 +191,20 @@ pub fn report() -> String {
          flops each, against a one-thread FMA probe at the variant's own\n\
          vector width; the compiler-scheduled variants have no counted mix.)\n",
     );
-    let o = tracing_overhead(true);
+    let o = tracing_overhead(small);
     s.push_str(&format!(
         "\ntracing overhead ({} guards/mode): {:.1} ns/span disabled, \
          {:.1} ns/span recorded;\ntraced step loop {:+.2}% vs untraced \
          (budget: ≤ 2%, DESIGN.md §18)\n",
         o.spans, o.ns_per_disabled_span, o.ns_per_recorded_span, o.step_loop_overhead_pct
     ));
-    s
-}
-
-/// Machine-readable summary: per-size, per-variant benchmark rows plus
-/// the dispatcher's selection.
-pub fn summary_json(small: bool) -> String {
-    let (sizes, iters): (&[usize], usize) = if small {
-        (&[128, 256], 2)
-    } else {
-        (&[256, 512, 1024], 8)
-    };
-    let rows = sweep(sizes, iters);
-    let mut w = super::summary_writer("kernel", small);
-    w.str_(Some("dispatch"), selected_variant().name());
-    w.begin_arr(Some("rows"));
-    for r in &rows {
-        w.begin_obj(None);
-        w.u64(Some("n"), r.n as u64);
-        w.begin_arr(Some("variants"));
-        for v in &r.variants {
-            w.begin_obj(None);
-            w.str_(Some("variant"), v.variant.name());
-            w.f64(Some("interactions_per_sec"), v.interactions_per_sec);
-            w.f64(Some("flops"), v.flops);
-            w.f64(Some("speedup_vs_scalar"), v.speedup_vs_scalar);
-            w.f64(Some("bytes_per_interaction"), v.bytes_per_interaction);
-            w.f64(Some("gb_per_sec"), v.gb_per_sec);
-            if let (Some(mix), Some(peak), Some(bound), Some(pct)) = (
-                OpMix::of(v.variant),
-                v.fma_peak_flops,
-                v.mix_bound_flops(),
-                v.pct_of_mix_bound(),
-            ) {
-                w.u64(Some("fma_ops"), mix.fma as u64);
-                w.u64(Some("other_ops"), mix.other as u64);
-                w.f64(Some("fma_peak_flops"), peak);
-                w.f64(Some("mix_bound_flops"), bound);
-                w.f64(Some("pct_of_mix_bound"), pct);
-            }
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-    }
-    w.end_arr();
-    let o = tracing_overhead(small);
     w.begin_obj(Some("tracing_overhead"));
     w.u64(Some("spans_per_mode"), o.spans);
     w.f64(Some("ns_per_disabled_span"), o.ns_per_disabled_span);
     w.f64(Some("ns_per_recorded_span"), o.ns_per_recorded_span);
     w.f64(Some("step_loop_overhead_pct"), o.step_loop_overhead_pct);
     w.end_obj();
-    w.end_obj();
-    w.finish()
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]
@@ -241,8 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_names_the_dispatched_variant() {
-        let s = summary_json(true);
+    fn json_names_the_dispatched_variant() {
+        let s = run(true).json();
         assert!(s.contains("\"dispatch\""));
         assert!(s.contains(&format!("\"{}\"", selected_variant().name())));
         assert!(s.contains("\"variants\""));

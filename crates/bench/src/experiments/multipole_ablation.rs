@@ -65,58 +65,41 @@ pub fn sweep(n: usize, n_mesh: usize, thetas: &[f64], seed: u64) -> Vec<Ablation
     out
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
-    let thetas = [0.3, 0.5, 0.7, 0.9, 1.2];
-    let rows = sweep(n, 16, &thetas, 55);
+/// The (θ, multipole) sweep on 300 (`small`) or 800 bodies, as text
+/// and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 300 } else { 800 };
+    let rows = sweep(n, 16, &[0.3, 0.5, 0.7, 0.9, 1.2], 55);
     let mut s = String::from(
         "=== Ablation: monopole vs pseudo-particle quadrupole ===========\n\
          multipole   theta   rms rel err   interactions\n",
     );
-    for r in &rows {
-        s.push_str(&format!(
-            "{:<11} {:>5.2} {:>12.4e} {:>14}\n",
-            match r.multipole {
-                Multipole::Monopole => "monopole",
-                Multipole::PseudoParticleQuad => "quadrupole",
-            },
-            r.theta,
-            r.rms_rel_error,
-            r.interactions
-        ));
-    }
-    s.push_str(
-        "\n(at equal θ the quadrupole walk is markedly more accurate at 4\n\
-         list entries per accepted node; at GreeM's small θ the monopole\n\
-         is already below the PM error floor — the paper's design point.)\n",
-    );
-    s
-}
-
-/// Machine-readable summary: the (θ, multipole) sweep rows.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 300 } else { 800 };
-    let rows = sweep(n, 16, &[0.3, 0.5, 0.7, 0.9, 1.2], 55);
     let mut w = super::summary_writer("multipole", small);
     w.u64(Some("n"), n as u64);
     w.begin_arr(Some("rows"));
     for r in &rows {
+        let order = match r.multipole {
+            Multipole::Monopole => "monopole",
+            Multipole::PseudoParticleQuad => "quadrupole",
+        };
+        s.push_str(&format!(
+            "{:<11} {:>5.2} {:>12.4e} {:>14}\n",
+            order, r.theta, r.rms_rel_error, r.interactions
+        ));
         w.begin_obj(None);
-        w.str_(
-            Some("multipole"),
-            match r.multipole {
-                Multipole::Monopole => "monopole",
-                Multipole::PseudoParticleQuad => "quadrupole",
-            },
-        );
+        w.str_(Some("multipole"), order);
         w.f64(Some("theta"), r.theta);
         w.f64(Some("rms_rel_error"), r.rms_rel_error);
         w.u64(Some("interactions"), r.interactions);
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str(
+        "\n(at equal θ the quadrupole walk is markedly more accurate at 4\n\
+         list entries per accepted node; at GreeM's small θ the monopole\n\
+         is already below the PM error floor — the paper's design point.)\n",
+    );
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -58,13 +58,18 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
         .collect()
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
+/// The group-size sweep on 2000 (`small`) or 20000 bodies, as text and
+/// JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 2000 } else { 20000 };
     let rows = sweep(n, 64, &[4, 8, 16, 32, 64, 128, 256, 512], 11);
     let mut s = String::from(
         "=== Sec. II: group size <Ni> trade-off =========================\n\
          group  <Ni>    <Nj>   traverse(s)  force(s)   total(s)  interactions\n",
     );
+    let mut w = super::summary_writer("ni_sweep", small);
+    w.u64(Some("n"), n as u64);
+    w.begin_arr(Some("rows"));
     let mut best = (0usize, f64::INFINITY);
     for r in &rows {
         if r.total_s < best.1 {
@@ -74,22 +79,6 @@ pub fn report(n: usize) -> String {
             "{:>5} {:>6.1} {:>7.1} {:>12.4} {:>9.4} {:>10.4} {:>13}\n",
             r.group_size, r.mean_ni, r.mean_nj, r.traversal_s, r.force_s, r.total_s, r.interactions
         ));
-    }
-    s.push_str(&format!(
-        "\noptimum on this host: group_size ≈ {} (paper: ~100 on K, ~500 on GPUs)\n",
-        best.0
-    ));
-    s
-}
-
-/// Machine-readable summary: the group-size sweep rows.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 2000 } else { 20000 };
-    let rows = sweep(n, 64, &[4, 8, 16, 32, 64, 128, 256, 512], 11);
-    let mut w = super::summary_writer("ni_sweep", small);
-    w.u64(Some("n"), n as u64);
-    w.begin_arr(Some("rows"));
-    for r in &rows {
         w.begin_obj(None);
         w.u64(Some("group_size"), r.group_size as u64);
         w.f64(Some("mean_ni"), r.mean_ni);
@@ -101,8 +90,11 @@ pub fn summary_json(small: bool) -> String {
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str(&format!(
+        "\noptimum on this host: group_size ≈ {} (paper: ~100 on K, ~500 on GPUs)\n",
+        best.0
+    ));
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

@@ -69,8 +69,10 @@ pub fn measure(n: usize, configs: &[(usize, [usize; 3])], steps: usize) -> Vec<S
         .collect()
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
+/// The measured sweep on 1000 (`small`) or 6000 bodies plus the
+/// perfmodel curve, as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 1000 } else { 6000 };
     let configs = [
         (1usize, [1usize, 1, 1]),
         (2, [2, 1, 1]),
@@ -84,14 +86,25 @@ pub fn report(n: usize) -> String {
             wall time per step, so host core count bounds the speedup) --\n\
          ranks   wall/step(s)   PP force(s)   interactions/step\n",
     );
+    let mut w = super::summary_writer("scaling", small);
+    w.u64(Some("n"), n as u64);
+    w.begin_arr(Some("measured"));
     for p in &points {
         s.push_str(&format!(
             "{:>5} {:>13.4} {:>13.4} {:>15}\n",
             p.ranks, p.wall_per_step, p.pp_force, p.interactions
         ));
+        w.begin_obj(None);
+        w.u64(Some("ranks"), p.ranks as u64);
+        w.f64(Some("wall_per_step_s"), p.wall_per_step);
+        w.f64(Some("pp_force_s"), p.pp_force);
+        w.u64(Some("interactions_per_step"), p.interactions);
+        w.end_obj();
     }
+    w.end_arr();
     s.push_str("\n-- perfmodel at the paper's scale (N = 10240^3) --\n");
     s.push_str("nodes    total(s/step)   PP(s)    FFT(s)   Pflops   efficiency\n");
+    w.begin_arr(Some("model"));
     for p in [6144usize, 12288, 24576, 49152, 82944] {
         let t = model_table(p);
         s.push_str(&format!(
@@ -103,40 +116,6 @@ pub fn report(n: usize) -> String {
             t.performance() / 1e15,
             t.efficiency() * 100.0
         ));
-    }
-    s.push_str(
-        "\n(paper: 173.8 s -> 60.2 s from 24576 -> 82944 nodes; 1.53 -> 4.45\n\
-         Pflops; efficiency declines as the flat FFT bites — same shape here.)\n",
-    );
-    s
-}
-
-/// Machine-readable summary: measured scaling points plus the perfmodel
-/// curve.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 1000 } else { 6000 };
-    let configs = [
-        (1usize, [1usize, 1, 1]),
-        (2, [2, 1, 1]),
-        (4, [2, 2, 1]),
-        (8, [2, 2, 2]),
-    ];
-    let points = measure(n, &configs, 2);
-    let mut w = super::summary_writer("scaling", small);
-    w.u64(Some("n"), n as u64);
-    w.begin_arr(Some("measured"));
-    for p in &points {
-        w.begin_obj(None);
-        w.u64(Some("ranks"), p.ranks as u64);
-        w.f64(Some("wall_per_step_s"), p.wall_per_step);
-        w.f64(Some("pp_force_s"), p.pp_force);
-        w.u64(Some("interactions_per_step"), p.interactions);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.begin_arr(Some("model"));
-    for p in [6144usize, 12288, 24576, 49152, 82944] {
-        let t = model_table(p);
         w.begin_obj(None);
         w.u64(Some("nodes"), p as u64);
         w.f64(Some("total_s_per_step"), t.total());
@@ -147,8 +126,11 @@ pub fn summary_json(small: bool) -> String {
         w.end_obj();
     }
     w.end_arr();
-    w.end_obj();
-    w.finish()
+    s.push_str(
+        "\n(paper: 173.8 s -> 60.2 s from 24576 -> 82944 nodes; 1.53 -> 4.45\n\
+         Pflops; efficiency declines as the flat FFT bites — same shape here.)\n",
+    );
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

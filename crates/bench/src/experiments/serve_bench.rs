@@ -19,13 +19,11 @@ use greem_obs::metrics::parse_exposition;
 use greem_obs::{Clock, WallClock};
 use greem_serve::{http, start, ServerConfig};
 
-#[cfg(feature = "obs")]
 use greem_analysis::{Direction, MetricSpec};
 
 /// Everything one serve-bench run measured.
 #[derive(Debug, Clone)]
 pub struct ServeBenchOutcome {
-    pub small: bool,
     /// Throughput phase: `jobs` tiny jobs pushed through the pool.
     pub jobs: u64,
     pub jobs_wall_s: f64,
@@ -91,7 +89,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Run the three phases and assemble the outcome.
-pub fn run(small: bool) -> ServeBenchOutcome {
+pub fn measure(small: bool) -> ServeBenchOutcome {
     let t_all = Instant::now();
 
     // Phase 1: job throughput. Tiny clean jobs through a 2-worker pool;
@@ -257,7 +255,6 @@ pub fn run(small: bool) -> ServeBenchOutcome {
     let mut lats = latencies;
     lats.sort_by(|a, b| a.total_cmp(b));
     ServeBenchOutcome {
-        small,
         jobs,
         jobs_wall_s,
         jobs_per_sec: jobs as f64 / jobs_wall_s.max(1e-9),
@@ -278,7 +275,6 @@ pub fn run(small: bool) -> ServeBenchOutcome {
 
 /// The gated metric vector (deterministic counts gated, wall rates
 /// recorded ungated — see module docs).
-#[cfg(feature = "obs")]
 pub fn metric_specs(o: &ServeBenchOutcome) -> Vec<MetricSpec> {
     vec![
         MetricSpec::new("jobs_completed", o.jobs as f64, 0.0, true, Direction::Exact),
@@ -349,23 +345,13 @@ pub fn metric_specs(o: &ServeBenchOutcome) -> Vec<MetricSpec> {
     ]
 }
 
-/// The human-readable report.
-pub fn report(small: bool) -> String {
-    report_text(&run(small))
-}
-
-/// Machine-readable summary (`--json`).
-pub fn summary_json(small: bool) -> String {
-    let o = run(small);
+/// `harness serve-bench`: measure, render, and hand the deterministic
+/// counts to the gate (`baselines/serve_bench_{small,full}.json`; a
+/// baseline is required).
+pub fn run(small: bool) -> super::Outcome {
+    eprintln!("serve-bench: measuring…");
+    let o = measure(small);
     let mut w = super::summary_writer("serve_bench", small);
-    write_outcome(&o, &mut w);
-    w.end_obj();
-    w.finish()
-}
-
-/// Shared JSON body (also used by `bench-summary`'s `serve` section
-/// and the gate report).
-pub fn write_outcome(o: &ServeBenchOutcome, w: &mut greem_obs::json::JsonWriter) {
     w.u64(Some("jobs"), o.jobs);
     w.f64(Some("jobs_wall_s"), o.jobs_wall_s);
     w.f64(Some("jobs_per_sec"), o.jobs_per_sec);
@@ -381,121 +367,11 @@ pub fn write_outcome(o: &ServeBenchOutcome, w: &mut greem_obs::json::JsonWriter)
     w.f64(Some("delivery_p99_s"), o.delivery_p99_s);
     w.u64(Some("server_delivery_count"), o.server_delivery_count);
     w.f64(Some("wall_s"), o.wall_s);
+    let spec = super::GateSpec::new("serve_bench", small, metric_specs(&o), true);
+    super::Outcome::new(report_text(&o), w).gated(spec)
 }
 
-/// `harness serve-bench`: run, report, and gate the deterministic
-/// counts against `baselines/serve_bench_{small,full}.json` (same
-/// exit-code contract as `harness regress`: 0 pass / baselines
-/// updated, 1 regression, 2 setup error).
-#[cfg(feature = "obs")]
-pub fn gate(small: bool, json_out: bool, update: bool, baseline_dir: Option<&str>) -> i32 {
-    use greem_analysis::{compare, Baseline, Verdict};
-
-    let name = if small {
-        "serve_bench_small"
-    } else {
-        "serve_bench_full"
-    };
-    let dir = baseline_dir
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::regress::default_baseline_dir);
-    let path = dir.join(format!("{name}.json"));
-    eprintln!("serve-bench: measuring {name}…");
-    let o = run(small);
-    let metrics = metric_specs(&o);
-
-    let emit = |o: &ServeBenchOutcome, cmp: Option<&greem_analysis::Comparison>| {
-        if json_out {
-            let mut w = super::summary_writer("serve_bench", o.small);
-            write_outcome(o, &mut w);
-            if let Some(cmp) = cmp {
-                w.bool_(Some("pass"), cmp.pass);
-                w.begin_arr(Some("findings"));
-                for f in &cmp.findings {
-                    w.begin_obj(None);
-                    w.str_(Some("name"), &f.name);
-                    w.f64(Some("baseline"), f.baseline);
-                    match f.current {
-                        Some(c) => w.f64(Some("current"), c),
-                        None => w.str_(Some("current"), "missing"),
-                    }
-                    w.bool_(Some("gate"), f.gate);
-                    w.str_(Some("verdict"), f.verdict.as_str());
-                    w.end_obj();
-                }
-                w.end_arr();
-            }
-            w.end_obj();
-            println!("{}", w.finish());
-        } else {
-            print!("{}", report_text(o));
-            if let Some(cmp) = cmp {
-                println!(
-                    "  gate vs baseline: {}",
-                    if cmp.pass { "PASS" } else { "REGRESSION" }
-                );
-                for f in &cmp.findings {
-                    let mark = match f.verdict {
-                        Verdict::Pass => "ok  ",
-                        Verdict::Regression => "FAIL",
-                        Verdict::Improvement => "BEAT",
-                        Verdict::Missing => "GONE",
-                    };
-                    println!(
-                        "    [{mark}] {:<28} base {:>12.6}  cur {:>12.6}{}",
-                        f.name,
-                        f.baseline,
-                        f.current.unwrap_or(f64::NAN),
-                        if f.gate { "" } else { "  (ungated)" },
-                    );
-                }
-            }
-        }
-    };
-
-    if update {
-        let base = Baseline::from_metrics(name, &metrics);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("serve-bench: cannot create {}: {e}", dir.display());
-            return 2;
-        }
-        if let Err(e) = std::fs::write(&path, base.to_json()) {
-            eprintln!("serve-bench: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        emit(&o, None);
-        eprintln!("serve-bench: baseline updated at {}", path.display());
-        return 0;
-    }
-
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "serve-bench: no baseline at {} ({e}); run with --update-baselines first",
-                path.display()
-            );
-            return 2;
-        }
-    };
-    let base = match Baseline::parse(&src) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("serve-bench: corrupt baseline {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let cmp = compare(&metrics, &base);
-    let pass = cmp.pass;
-    emit(&o, Some(&cmp));
-    if pass {
-        0
-    } else {
-        1
-    }
-}
-
-/// The plain text body (shared by `report` and the gate).
+/// The text report.
 fn report_text(o: &ServeBenchOutcome) -> String {
     let mut s = String::from(
         "=== serve-bench: the simulation service under load ==============\n\n\
@@ -536,7 +412,7 @@ mod tests {
 
     #[test]
     fn serve_bench_small_is_deterministic_on_gated_counts() {
-        let o = run(true);
+        let o = measure(true);
         assert_eq!(o.jobs, 4);
         assert_eq!(o.throttled_429, o.burst_submitted);
         assert_eq!(

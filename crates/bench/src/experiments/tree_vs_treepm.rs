@@ -107,8 +107,9 @@ pub fn ops_at_error(rows: &[OpsRow], target_err: f64) -> Option<f64> {
     None
 }
 
-/// The report.
-pub fn report(n: usize) -> String {
+/// Both θ sweeps on 500 (`small`) or 2000 bodies, as text and JSON.
+pub fn run(small: bool) -> super::Outcome {
+    let n = if small { 500 } else { 2000 };
     let thetas = [0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0];
     let pure = pure_tree_rows(n, &thetas, 77);
     let tpm = treepm_rows(n, 64, &thetas, 77);
@@ -137,14 +138,9 @@ pub fn report(n: usize) -> String {
     s.push_str(
         "\n(TreePM reaches the same accuracy with far fewer pairwise ops —\n the Sec. I claim.)\n",
     );
-    s
-}
-
-/// Machine-readable summary: both θ sweeps.
-pub fn summary_json(small: bool) -> String {
-    let n = if small { 500 } else { 2000 };
-    let thetas = [0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0];
-    let rows_into = |w: &mut greem_obs::json::JsonWriter, key: &str, rows: &[OpsRow]| {
+    let mut w = super::summary_writer("tree_vs_treepm", small);
+    w.u64(Some("n"), n as u64);
+    for (key, rows) in [("pure_tree", &pure), ("treepm", &tpm)] {
         w.begin_arr(Some(key));
         for r in rows {
             w.begin_obj(None);
@@ -154,13 +150,8 @@ pub fn summary_json(small: bool) -> String {
             w.end_obj();
         }
         w.end_arr();
-    };
-    let mut w = super::summary_writer("tree_vs_treepm", small);
-    w.u64(Some("n"), n as u64);
-    rows_into(&mut w, "pure_tree", &pure_tree_rows(n, &thetas, 77));
-    rows_into(&mut w, "treepm", &treepm_rows(n, 64, &thetas, 77));
-    w.end_obj();
-    w.finish()
+    }
+    super::Outcome::new(s, w)
 }
 
 #[cfg(test)]

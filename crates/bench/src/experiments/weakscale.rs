@@ -377,11 +377,6 @@ pub fn run_sweep(small: bool) -> Vec<WeakScalePoint> {
 /// The human-readable report: the §IV efficiency curve plus the
 /// critical-path loss attribution at the largest point. `agg` appends
 /// the cross-rank telemetry roll-up (DESIGN.md §18).
-pub fn report(small: bool, agg: bool) -> String {
-    let points = run_sweep(small);
-    render(&points, agg)
-}
-
 fn render(points: &[WeakScalePoint], agg: bool) -> String {
     let mut s = String::from(
         "=== Sec. IV: weak scaling to the full machine (virtual) =========\n\n\
@@ -450,7 +445,7 @@ fn render(points: &[WeakScalePoint], agg: bool) -> String {
     s
 }
 
-/// Shared JSON body for one point. The artifact sizes are always
+/// The JSON body of one point. The artifact sizes are always
 /// recorded (so telemetry growth is regression-gatable); the full
 /// roll-up object is embedded only under `agg`.
 fn write_point(pt: &WeakScalePoint, w: &mut greem_obs::json::JsonWriter, agg: bool) {
@@ -487,32 +482,10 @@ fn write_point(pt: &WeakScalePoint, w: &mut greem_obs::json::JsonWriter, agg: bo
     }
 }
 
-/// Shared JSON body for a whole sweep (also embedded by
-/// `bench-summary`'s `weakscale` section).
-pub fn write_sweep(points: &[WeakScalePoint], w: &mut greem_obs::json::JsonWriter, agg: bool) {
-    w.begin_arr(Some("points"));
-    for pt in points {
-        w.begin_obj(None);
-        write_point(pt, w, agg);
-        w.end_obj();
-    }
-    w.end_arr();
-}
-
-/// Machine-readable summary (`--json`).
-pub fn summary_json(small: bool, agg: bool) -> String {
-    let points = run_sweep(small);
-    let mut w = super::summary_writer("weakscale", small);
-    write_sweep(&points, &mut w, agg);
-    w.end_obj();
-    w.finish()
-}
-
 /// Gate metrics: the deterministic virtual-clock and traffic counts of
 /// every sweep point. All `Exact` — the engine is bitwise
 /// deterministic, so any drift is a semantic change to the runtime or
 /// the model, not noise. Host wall time is reported ungated.
-#[cfg(feature = "obs")]
 fn metric_specs(points: &[WeakScalePoint]) -> Vec<greem_analysis::MetricSpec> {
     use greem_analysis::{Direction, MetricSpec};
     let mut m = Vec::new();
@@ -574,127 +547,23 @@ fn metric_specs(points: &[WeakScalePoint]) -> Vec<greem_analysis::MetricSpec> {
     m
 }
 
-/// `harness weakscale`: run the sweep, report, and — when a baseline
-/// exists — gate the deterministic counts against
-/// `baselines/weakscale_{small,full}.json`. Unlike `serve-bench`, a
-/// missing baseline is NOT an error (exit 0 with a note): the full
-/// sweep is a first-class experiment, the gate an opt-in for CI.
-/// `--update-baselines` records the baseline. Exit codes otherwise
-/// mirror `regress`: 0 pass, 1 regression, 2 setup error.
-#[cfg(feature = "obs")]
-pub fn gate(
-    small: bool,
-    json_out: bool,
-    update: bool,
-    baseline_dir: Option<&str>,
-    agg: bool,
-) -> i32 {
-    use greem_analysis::{compare, Baseline, Verdict};
-
-    let name = if small {
-        "weakscale_small"
-    } else {
-        "weakscale_full"
-    };
-    let dir = baseline_dir
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::regress::default_baseline_dir);
-    let path = dir.join(format!("{name}.json"));
+/// `harness weakscale`: run the sweep, render it, and hand the
+/// deterministic counts to the gate
+/// (`baselines/weakscale_{small,full}.json`). Unlike `serve-bench`, a
+/// missing baseline is not an error: the full sweep is a first-class
+/// experiment, the gate an opt-in for CI.
+pub fn run(small: bool, agg: bool) -> super::Outcome {
     let points = run_sweep(small);
-    let metrics = metric_specs(&points);
-
-    let emit = |points: &[WeakScalePoint], cmp: Option<&greem_analysis::Comparison>| {
-        if json_out {
-            let mut w = super::summary_writer("weakscale", small);
-            write_sweep(points, &mut w, agg);
-            if let Some(cmp) = cmp {
-                w.bool_(Some("pass"), cmp.pass);
-                w.begin_arr(Some("findings"));
-                for f in &cmp.findings {
-                    w.begin_obj(None);
-                    w.str_(Some("name"), &f.name);
-                    w.f64(Some("baseline"), f.baseline);
-                    match f.current {
-                        Some(c) => w.f64(Some("current"), c),
-                        None => w.str_(Some("current"), "missing"),
-                    }
-                    w.bool_(Some("gate"), f.gate);
-                    w.str_(Some("verdict"), f.verdict.as_str());
-                    w.end_obj();
-                }
-                w.end_arr();
-            } else {
-                w.bool_(Some("pass"), true);
-            }
-            w.end_obj();
-            println!("{}", w.finish());
-        } else {
-            print!("{}", render(points, agg));
-            if let Some(cmp) = cmp {
-                println!(
-                    "  gate vs baseline: {}",
-                    if cmp.pass { "PASS" } else { "REGRESSION" }
-                );
-                for f in &cmp.findings {
-                    let mark = match f.verdict {
-                        Verdict::Pass => "ok  ",
-                        Verdict::Regression => "FAIL",
-                        Verdict::Improvement => "BEAT",
-                        Verdict::Missing => "GONE",
-                    };
-                    println!(
-                        "    [{mark}] {:<24} base {:>14.6}  cur {:>14.6}{}",
-                        f.name,
-                        f.baseline,
-                        f.current.unwrap_or(f64::NAN),
-                        if f.gate { "" } else { "  (ungated)" },
-                    );
-                }
-            }
-        }
-    };
-
-    if update {
-        let base = Baseline::from_metrics(name, &metrics);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("weakscale: cannot create {}: {e}", dir.display());
-            return 2;
-        }
-        if let Err(e) = std::fs::write(&path, base.to_json()) {
-            eprintln!("weakscale: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        emit(&points, None);
-        eprintln!("weakscale: baseline updated at {}", path.display());
-        return 0;
+    let mut w = super::summary_writer("weakscale", small);
+    w.begin_arr(Some("points"));
+    for pt in &points {
+        w.begin_obj(None);
+        write_point(pt, &mut w, agg);
+        w.end_obj();
     }
-
-    match std::fs::read_to_string(&path) {
-        Ok(src) => match Baseline::parse(&src) {
-            Ok(base) => {
-                let cmp = compare(&metrics, &base);
-                let pass = cmp.pass;
-                emit(&points, Some(&cmp));
-                if pass {
-                    0
-                } else {
-                    1
-                }
-            }
-            Err(e) => {
-                eprintln!("weakscale: corrupt baseline {}: {e}", path.display());
-                2
-            }
-        },
-        Err(_) => {
-            emit(&points, None);
-            eprintln!(
-                "weakscale: no baseline at {} — ran ungated (record one with --update-baselines)",
-                path.display()
-            );
-            0
-        }
-    }
+    w.end_arr();
+    let spec = super::GateSpec::new("weakscale", small, metric_specs(&points), false);
+    super::Outcome::new(render(&points, agg), w).gated(spec)
 }
 
 #[cfg(test)]

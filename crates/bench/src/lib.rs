@@ -8,13 +8,15 @@
 //! cargo run --release -p greem-bench --bin harness -- <experiment>
 //! ```
 //!
-//! with `<experiment>` one of `table1`, `fig1` … `fig6`, `kernel`,
-//! `ni_sweep`, `accuracy`, `tree_vs_treepm`, `scaling`, or `all`.
-//! Criterion benches live under `benches/`.
+//! (`harness --help` lists them). Four of them are judged against the
+//! committed `baselines/*.json` by the one `gate` module. Criterion benches
+//! live under `benches/`.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+#[cfg(feature = "obs")]
+pub mod gate;
 #[cfg(feature = "obs")]
 pub mod regress;
 pub mod trace;

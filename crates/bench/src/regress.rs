@@ -5,29 +5,23 @@
 //! metric vector (virtual step time, per-phase vtimes, interaction and
 //! comm-byte counts, critical-path share, %-of-peak, recovery counters,
 //! clean-run alert count) that is judged against a committed baseline
-//! under `baselines/` with explicit noise tolerances. Every run appends
-//! a JSONL record to the trajectory file so the metric history reviews
-//! like a flight recorder. See DESIGN.md §13 for the tolerance and
-//! baseline-update policy.
+//! under `baselines/` with explicit noise tolerances by [`crate::gate`].
+//! See DESIGN.md §13 for the tolerance and baseline-update policy.
 //!
 //! Gated metrics come from the *virtual* clock and exact counters, so
 //! they are reproducible across hosts; the tolerances only absorb the
 //! trajectory-level perturbation of SIMD-kernel variants. Wall time is
 //! recorded (`gate: false`) but never fails the build.
 
-use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
-
 use greem::{ParallelTreePm, SimulationMode, TreePmConfig};
 use greem_analysis::{
-    compare, critical_path, efficiency, leaf_segments, phase_imbalance, Baseline, Comparison,
-    CriticalPath, DetectorConfig, Direction, Efficiency, MetricSpec, Monitor, PhaseImbalance,
-    Verdict,
+    critical_path, efficiency, leaf_segments, phase_imbalance, CriticalPath, DetectorConfig,
+    Direction, Efficiency, MetricSpec, Monitor, PhaseImbalance,
 };
 use greem_obs::json::JsonWriter;
 use mpisim::{NetModel, World};
 
-use crate::experiments::chaos;
+use crate::experiments::{chaos, GateSpec, Outcome};
 use crate::workloads;
 
 /// One fixed regression workload shape.
@@ -260,57 +254,9 @@ pub fn measure(shape: &RegressShape) -> Measurement {
     }
 }
 
-/// Where the committed baselines live: `baselines/` under the current
-/// directory when present (running from the repo root, as CI does),
-/// else resolved relative to this crate's manifest.
-pub fn default_baseline_dir() -> PathBuf {
-    let cwd = Path::new("baselines");
-    if cwd.is_dir() {
-        cwd.to_path_buf()
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines")
-    }
-}
-
-fn baseline_path(dir: &Path, shape: &RegressShape) -> PathBuf {
-    dir.join(format!("{}.json", shape.name))
-}
-
-/// Append one JSONL trajectory record (`<dir>/trajectory.jsonl`) so the
-/// metric history accumulates across runs.
-fn append_trajectory(dir: &Path, m: &Measurement, pass: Option<bool>) -> std::io::Result<()> {
-    let ts = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.str_(Some("bench"), m.shape.name);
-    w.u64(Some("unix_time"), ts);
-    match pass {
-        Some(p) => w.bool_(Some("pass"), p),
-        None => w.str_(Some("pass"), "baseline-update"),
-    }
-    w.f64(Some("wall_s"), m.wall_s);
-    w.f64(Some("step_vtime_s"), m.cp.makespan_s / m.shape.steps as f64);
-    w.f64(Some("critical_path_share"), m.cp.share);
-    w.f64(Some("pct_of_peak"), m.eff.pct_of_peak);
-    w.u64(Some("interactions"), m.interactions);
-    w.u64(Some("alerts_total"), m.alerts_total);
-    w.end_obj();
-    let mut line = w.finish();
-    line.push('\n');
-    std::fs::create_dir_all(dir)?;
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join("trajectory.jsonl"))?;
-    f.write_all(line.as_bytes())
-}
-
-/// The machine-readable report: measurement summary + gate findings.
-pub fn report_json(m: &Measurement, cmp: Option<&Comparison>) -> String {
+/// The machine-readable measurement summary (tagged `"bench"`, not
+/// `"experiment"`), left open for the gate's verdict.
+fn report_json(m: &Measurement) -> JsonWriter {
     let mut w = JsonWriter::new();
     w.begin_obj(None);
     w.str_(Some("bench"), m.shape.name);
@@ -379,39 +325,11 @@ pub fn report_json(m: &Measurement, cmp: Option<&Comparison>) -> String {
         m.recovery.final_matches_clean == Some(true),
     );
     w.end_obj();
-    if let Some(cmp) = cmp {
-        w.bool_(Some("pass"), cmp.pass);
-        w.begin_arr(Some("findings"));
-        for f in &cmp.findings {
-            w.begin_obj(None);
-            w.str_(Some("name"), &f.name);
-            w.f64(Some("baseline"), f.baseline);
-            match f.current {
-                Some(c) => w.f64(Some("current"), c),
-                None => w.str_(Some("current"), "missing"),
-            }
-            w.f64(Some("rel_delta"), f.rel_delta);
-            w.f64(Some("tol_rel"), f.tol_rel);
-            w.bool_(Some("gate"), f.gate);
-            w.str_(Some("dir"), f.dir.as_str());
-            w.str_(Some("verdict"), f.verdict.as_str());
-            w.end_obj();
-        }
-        w.end_arr();
-        w.begin_arr(Some("new_metrics"));
-        for n in &cmp.new_metrics {
-            w.begin_obj(None);
-            w.str_(Some("name"), n);
-            w.end_obj();
-        }
-        w.end_arr();
-    }
-    w.end_obj();
-    w.finish()
+    w
 }
 
 /// The human-readable report.
-pub fn report_text(m: &Measurement, cmp: &Comparison) -> String {
+fn report_text(m: &Measurement) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "regress: {} — {} bodies, {} ranks, {} steps ({} kernel)\n",
@@ -458,114 +376,30 @@ pub fn report_text(m: &Measurement, cmp: &Comparison) -> String {
         m.recovery.stats.rollbacks,
         m.recovery.final_matches_clean == Some(true)
     ));
-    out.push_str(&format!(
-        "  gate vs baseline: {}\n",
-        if cmp.pass { "PASS" } else { "REGRESSION" }
-    ));
-    for f in &cmp.findings {
-        let mark = match f.verdict {
-            Verdict::Pass => "ok  ",
-            Verdict::Regression => "FAIL",
-            Verdict::Improvement => "BEAT",
-            Verdict::Missing => "GONE",
-        };
-        out.push_str(&format!(
-            "    [{mark}] {:<32} base {:>14.6}  cur {:>14.6}  Δ {:>+7.2} % (tol ±{:.0} %{}, {})\n",
-            f.name,
-            f.baseline,
-            f.current.unwrap_or(f64::NAN),
-            f.rel_delta * 100.0,
-            f.tol_rel * 100.0,
-            if f.gate { "" } else { ", ungated" },
-            f.dir.as_str(),
-        ));
-    }
-    for n in &cmp.new_metrics {
-        out.push_str(&format!(
-            "    [new ] {n} — not in baseline; rerun with --update-baselines to record it\n"
-        ));
-    }
     out
 }
 
-/// Options for [`run`] (parsed by the harness).
-pub struct RegressArgs {
-    pub small: bool,
-    pub json: bool,
-    pub update_baselines: bool,
-    pub baseline_dir: Option<String>,
+/// Both renderings of a measurement plus its gate spec
+/// (`baselines/regress_{small,full}.json`; a baseline is required).
+pub fn outcome(m: &Measurement) -> Outcome {
+    Outcome::new(report_text(m), report_json(m)).gated(GateSpec {
+        bench: m.shape.name.to_string(),
+        metrics: m.metrics.clone(),
+        hard_failures: Vec::new(),
+        baseline_required: true,
+    })
 }
 
-/// The `harness regress` entry point. Returns the process exit code:
-/// 0 pass (or baselines updated), 1 regression, 2 usage/setup error.
-pub fn run(args: &RegressArgs) -> i32 {
-    let shape = if args.small {
+/// `harness regress`: measure the `small` or the full shape.
+pub fn run(small: bool) -> Outcome {
+    let shape = if small {
         RegressShape::small()
     } else {
         RegressShape::full()
     };
-    let dir = args
-        .baseline_dir
-        .as_ref()
-        .map(PathBuf::from)
-        .unwrap_or_else(default_baseline_dir);
     eprintln!(
         "regress: measuring {} ({} bodies, {} ranks, {} steps)…",
         shape.name, shape.n, shape.ranks, shape.steps
     );
-    let m = measure(&shape);
-    let path = baseline_path(&dir, &shape);
-
-    if args.update_baselines {
-        let base = Baseline::from_metrics(shape.name, &m.metrics);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("regress: cannot create {}: {e}", dir.display());
-            return 2;
-        }
-        if let Err(e) = std::fs::write(&path, base.to_json()) {
-            eprintln!("regress: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        if let Err(e) = append_trajectory(&dir, &m, None) {
-            eprintln!("regress: cannot append trajectory: {e}");
-        }
-        if args.json {
-            println!("{}", report_json(&m, None));
-        }
-        eprintln!("regress: baseline updated at {}", path.display());
-        return 0;
-    }
-
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "regress: no baseline at {} ({e}); run with --update-baselines first",
-                path.display()
-            );
-            return 2;
-        }
-    };
-    let base = match Baseline::parse(&src) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("regress: corrupt baseline {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let cmp = compare(&m.metrics, &base);
-    if let Err(e) = append_trajectory(&dir, &m, Some(cmp.pass)) {
-        eprintln!("regress: cannot append trajectory: {e}");
-    }
-    if args.json {
-        println!("{}", report_json(&m, Some(&cmp)));
-    } else {
-        println!("{}", report_text(&m, &cmp));
-    }
-    if cmp.pass {
-        0
-    } else {
-        eprintln!("regress: GATE FAILED — see findings above");
-        1
-    }
+    outcome(&measure(&shape))
 }

@@ -25,6 +25,15 @@ pub struct TraceRun {
 }
 
 impl TraceRun {
+    /// The `--small` shape or the standard one.
+    pub fn of(small: bool) -> Self {
+        if small {
+            Self::small()
+        } else {
+            Self::standard()
+        }
+    }
+
     pub fn small() -> Self {
         TraceRun {
             p: 8,

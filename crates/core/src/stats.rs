@@ -130,71 +130,6 @@ impl StepBreakdown {
         ]
     }
 
-    /// The Table-I rows as a JSON object (hand-rolled; the build is
-    /// offline so no serde). Keys follow the paper's phase names in
-    /// snake_case; all timings are seconds per step.
-    pub fn to_json(&self, steps: f64) -> String {
-        let s = |v: f64| v / steps;
-        format!(
-            concat!(
-                "{{\n",
-                "  \"pm\": {{\n",
-                "    \"total\": {},\n",
-                "    \"density_assignment\": {},\n",
-                "    \"communication\": {},\n",
-                "    \"fft\": {},\n",
-                "    \"acceleration_on_mesh\": {},\n",
-                "    \"force_interpolation\": {}\n",
-                "  }},\n",
-                "  \"pp\": {{\n",
-                "    \"total\": {},\n",
-                "    \"local_tree\": {},\n",
-                "    \"communication\": {},\n",
-                "    \"tree_construction\": {},\n",
-                "    \"tree_traversal\": {},\n",
-                "    \"force_calculation\": {}\n",
-                "  }},\n",
-                "  \"domain_decomposition\": {{\n",
-                "    \"total\": {},\n",
-                "    \"position_update\": {},\n",
-                "    \"sampling_method\": {},\n",
-                "    \"particle_exchange\": {}\n",
-                "  }},\n",
-                "  \"total\": {},\n",
-                "  \"mean_ni\": {},\n",
-                "  \"mean_nj\": {},\n",
-                "  \"interactions_per_step\": {},\n",
-                "  \"pp_group_size\": {},\n",
-                "  \"pp_list_replays\": {},\n",
-                "  \"flops_rate\": {}\n",
-                "}}"
-            ),
-            s(self.pm.total()),
-            s(self.pm.density_assignment),
-            s(self.pm.communication_sim),
-            s(self.pm.fft),
-            s(self.pm.acceleration_on_mesh),
-            s(self.pm.force_interpolation),
-            s(self.pp_total()),
-            s(self.pp_local_tree),
-            s(self.pp_communication),
-            s(self.pp_tree_construction),
-            s(self.pp_tree_traversal),
-            s(self.pp_force_calculation),
-            s(self.dd_total()),
-            s(self.dd_position_update),
-            s(self.dd_sampling_method),
-            s(self.dd_particle_exchange),
-            s(self.total()),
-            self.walk.mean_ni(),
-            self.walk.mean_nj(),
-            self.walk.interactions as f64 / steps,
-            self.pp_group_size,
-            self.pp_list_replays as f64 / steps,
-            self.flops_rate(),
-        )
-    }
-
     /// Feed this breakdown into a metrics registry (see the
     /// [`greem_obs::Observe`] impl). Split out so callers can also invoke
     /// it directly on a `&StepBreakdown`.
@@ -380,47 +315,6 @@ mod tests {
         assert_eq!(a.pp_tree_traversal, 3.0);
         assert_eq!(a.walk.interactions, 40);
         assert_eq!(a.walk.n_groups, 3);
-    }
-
-    #[test]
-    fn json_has_all_phases_and_divides_by_steps() {
-        let mut b = StepBreakdown::default();
-        b.pm.fft = 3.0;
-        b.pp_force_calculation = 6.0;
-        b.walk.interactions = 100;
-        let j = b.to_json(3.0);
-        for key in [
-            "\"pm\"",
-            "\"density_assignment\"",
-            "\"communication\"",
-            "\"fft\": 1",
-            "\"acceleration_on_mesh\"",
-            "\"force_interpolation\"",
-            "\"pp\"",
-            "\"local_tree\"",
-            "\"tree_construction\"",
-            "\"tree_traversal\"",
-            "\"force_calculation\": 2",
-            "\"domain_decomposition\"",
-            "\"position_update\"",
-            "\"sampling_method\"",
-            "\"particle_exchange\"",
-            "\"total\"",
-            "\"mean_ni\"",
-            "\"mean_nj\"",
-            "\"interactions_per_step\"",
-            "\"pp_group_size\"",
-            "\"pp_list_replays\"",
-            "\"flops_rate\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // Balanced braces — a cheap well-formedness check without a
-        // JSON parser in the tree.
-        let open = j.matches('{').count();
-        let close = j.matches('}').count();
-        assert_eq!(open, close);
-        assert_eq!(open, 4);
     }
 
     #[test]

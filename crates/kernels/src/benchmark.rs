@@ -17,7 +17,7 @@
 //! an FMA-peak probe of the variant's own vector width, and the
 //! measured fraction of that bound — this host's "97 %". The report
 //! records which variant the runtime dispatcher picked, so
-//! `harness kernel`/`bench-summary` outputs say what actually ran on
+//! `harness kernel` outputs say what actually ran on
 //! the hot path.
 
 use std::time::Instant;

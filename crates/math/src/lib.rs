@@ -43,7 +43,7 @@ pub use eigen::{eigen_sym3, Eigen3, Sym3};
 pub use morton::MortonKey;
 pub use periodic::{min_image, min_image_in_box, min_image_vec, nearest_image, wrap01, wrap_unit};
 pub use rsqrt::{rsqrt, rsqrt_exact, rsqrt_refine, rsqrt_seed};
-pub use stats::{OnlineStats, PhaseTimer};
+pub use stats::OnlineStats;
 pub use vec3::Vec3;
 
 /// The gravitational constant in simulation units. The box is the unit

@@ -1,14 +1,6 @@
-//! Streaming statistics and phase timers.
-//!
-//! The paper's Table I is a per-phase cost breakdown (density assignment,
-//! communication, FFT, … for PM; local tree, traversal, force, … for PP;
-//! position update, sampling, exchange for domain decomposition) averaged
-//! over steps. Every solver crate in this workspace instruments itself
-//! with [`PhaseTimer`]s that accumulate into the same row structure, and
-//! [`OnlineStats`] provides the running mean/min/max used for quantities
-//! like ⟨Ni⟩ and ⟨Nj⟩.
-
-use std::time::{Duration, Instant};
+//! Streaming statistics: [`OnlineStats`] provides the running
+//! mean/variance/min/max used for quantities like ⟨Ni⟩ and ⟨Nj⟩ and
+//! for load-imbalance factors (max/mean).
 
 /// Welford-style online mean/variance plus min/max.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,118 +116,6 @@ impl OnlineStats {
     }
 }
 
-/// A named wall-clock phase accumulator.
-///
-/// `start()`/`stop()` bracket a phase; the total and per-invocation count
-/// accumulate across steps, mirroring how the paper reports "seconds per
-/// step" per phase (the caller divides by the step count).
-#[derive(Debug, Clone)]
-pub struct PhaseTimer {
-    name: &'static str,
-    total: Duration,
-    invocations: u64,
-    started: Option<Instant>,
-}
-
-impl PhaseTimer {
-    /// A fresh timer with a phase name (e.g. `"tree traversal"`).
-    pub fn new(name: &'static str) -> Self {
-        PhaseTimer {
-            name,
-            total: Duration::ZERO,
-            invocations: 0,
-            started: None,
-        }
-    }
-
-    /// Phase name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Begin timing; panics if already running (misuse bug).
-    pub fn start(&mut self) {
-        assert!(
-            self.started.is_none(),
-            "PhaseTimer '{}' already running",
-            self.name
-        );
-        self.started = Some(Instant::now());
-    }
-
-    /// End timing and accumulate; panics if not running.
-    pub fn stop(&mut self) {
-        let s = self
-            .started
-            .take()
-            .unwrap_or_else(|| panic!("PhaseTimer '{}' stopped while not running", self.name));
-        self.total += s.elapsed();
-        self.invocations += 1;
-    }
-
-    /// Time a closure and accumulate its duration.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.start();
-        let out = f();
-        self.stop();
-        out
-    }
-
-    /// Add an externally measured duration (used when the cost comes from
-    /// the simulated network model rather than the host clock).
-    pub fn add(&mut self, d: Duration) {
-        self.total += d;
-        self.invocations += 1;
-    }
-
-    /// Total accumulated time.
-    pub fn total(&self) -> Duration {
-        self.total
-    }
-
-    /// Total accumulated seconds.
-    pub fn seconds(&self) -> f64 {
-        self.total.as_secs_f64()
-    }
-
-    /// Number of completed invocations.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
-    /// Mean seconds per invocation (0 when never invoked).
-    pub fn seconds_per_invocation(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.seconds() / self.invocations as f64
-        }
-    }
-
-    /// Reset the accumulation (timer must not be running).
-    pub fn reset(&mut self) {
-        assert!(
-            self.started.is_none(),
-            "PhaseTimer '{}' reset while running",
-            self.name
-        );
-        self.total = Duration::ZERO;
-        self.invocations = 0;
-    }
-}
-
-#[cfg(feature = "obs")]
-impl greem_obs::Observe for PhaseTimer {
-    /// Feeds `phase_seconds{phase=<name>}` and
-    /// `phase_invocations{phase=<name>}` counters.
-    fn observe(&self, reg: &mut greem_obs::Registry) {
-        reg.with_label("phase", self.name, |reg| {
-            reg.counter_add("phase_seconds", self.seconds());
-            reg.counter_add("phase_invocations", self.invocations as f64);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,25 +165,5 @@ mod tests {
         let mut t = OnlineStats::new();
         t.extend([1.0, 1.0, 2.0]); // mean 4/3, max 2 -> 1.5
         assert!((t.imbalance() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timer_accumulates() {
-        let mut t = PhaseTimer::new("unit");
-        t.time(|| std::thread::sleep(Duration::from_millis(2)));
-        t.add(Duration::from_millis(10));
-        assert_eq!(t.invocations(), 2);
-        assert!(t.seconds() >= 0.012);
-        t.reset();
-        assert_eq!(t.invocations(), 0);
-        assert_eq!(t.seconds(), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn timer_double_start_panics() {
-        let mut t = PhaseTimer::new("bad");
-        t.start();
-        t.start();
     }
 }

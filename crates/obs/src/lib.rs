@@ -9,7 +9,7 @@
 //!   when the thread is an `mpisim` rank, that rank's *virtual* clock, so a
 //!   simulated multi-rank run yields a real per-rank timeline.
 //! * [`metrics`] — a registry of counters/gauges/histograms with fixed
-//!   label sets. Existing stats structs (`PhaseTimer`, `CommStats`,
+//!   label sets. Existing stats structs (`CommStats`,
 //!   `WalkStats`, `StepBreakdown`, …) feed it through the [`Observe`]
 //!   trait, unifying them under one schema.
 //! * [`sketch`] — mergeable log-bucketed quantile sketches ([`DdSketch`])

@@ -1,6 +1,6 @@
 //! Metrics registry: counters, gauges and histograms with fixed label
 //! sets, plus the [`Observe`] trait through which the existing stats
-//! structs (`PhaseTimer`, `CommStats`, `WalkStats`, `StepBreakdown`,
+//! structs (`CommStats`, `WalkStats`, `StepBreakdown`,
 //! Table I rows, …) feed one unified schema.
 
 use std::collections::BTreeMap;

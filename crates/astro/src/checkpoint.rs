@@ -16,12 +16,23 @@
 //! payload  : a complete GREEMSN1 snapshot (its own checksum trailer)
 //! ```
 //!
-//! Restart is **bitwise**: [`resume`] rebuilds the [`Simulation`]
-//! from the snapshotted bodies, and because force evaluation is
-//! deterministic at given positions (Morton order, chunked deposits),
-//! the resumed trajectory reproduces the uninterrupted one bit for bit
-//! — the same rollback-restart contract the chaos suite enforces for
-//! the cosmological driver.
+//! Restart is **bitwise**, and a checkpoint is a **synchronisation
+//! point**. The file holds bodies, not forces, and the forces a run
+//! carries are a function of the positions *and of the kind of pass
+//! that computed them*: a replay pass sums each target over the groups
+//! and lists of the recording, a fresh walk over the groups it builds
+//! now, and a tree node's monopole (or a single-precision kernel's
+//! group-relative coordinates) rounds differently from one grouping to
+//! the other. [`resume`] rebuilds the [`Simulation`] from the
+//! snapshotted bodies with a fresh walk, so
+//! [`GalaxyCollapse::save_checkpoint`] does the same to the run it
+//! saves: after writing, it drops the list cache and recomputes the
+//! forces (`Simulation::reset_forces`). Both then continue from one
+//! state, and because a fresh force evaluation is deterministic at
+//! given positions (Morton order, chunked deposits), the resumed
+//! trajectory reproduces the uninterrupted one bit for bit — the same
+//! rollback-restart contract the chaos suite enforces for the
+//! cosmological driver.
 //!
 //! [`Simulation`]: greem::Simulation
 

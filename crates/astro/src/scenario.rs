@@ -322,9 +322,13 @@ impl GalaxyCollapse {
         projected_density(&self.bodies(), n, axis, label)
     }
 
-    /// Save the full scenario state (see [`crate::checkpoint`]).
-    pub fn save_checkpoint<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        crate::checkpoint::save(path, self)
+    /// Save the full scenario state, then recompute the cached forces
+    /// with a fresh walk so that this run continues from exactly the
+    /// state a resume reconstructs (see [`crate::checkpoint`]).
+    pub fn save_checkpoint<P: AsRef<std::path::Path>>(&mut self, path: P) -> std::io::Result<()> {
+        crate::checkpoint::save(path, self)?;
+        self.sim.reset_forces();
+        Ok(())
     }
 
     /// One step of size `dt` followed by the BH event pass. Returns the

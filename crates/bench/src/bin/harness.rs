@@ -341,6 +341,10 @@ mod tests {
     use super::*;
     use greem_obs::json::{parse, Value};
 
+    /// `regress` and `kernel` capture the process-wide trace: the two
+    /// tests that run experiments must not overlap.
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn num(v: &Value, key: &str) -> f64 {
         v.get(key)
             .and_then(Value::as_f64)
@@ -363,6 +367,7 @@ mod tests {
     /// the run's sizes they are the JSON's — both render one run.
     #[test]
     fn every_paper_row_renders_one_small_run_both_ways() {
+        let _alone = ONE_AT_A_TIME.lock().unwrap();
         let mut rows = 0;
         for e in TABLE {
             let Run::Paper(run) = e.run else { continue };
@@ -423,6 +428,33 @@ mod tests {
             }
         }
         assert_eq!(rows, 14, "the paper's tables and figures");
+    }
+
+    /// Every committed `baselines/*_small.json` is judged against a
+    /// fresh `--small` run of the command that records it, through the
+    /// real gate — so a baseline that goes stale fails tier-1, not a
+    /// CI leg nobody can run.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn every_committed_small_baseline_gates_a_fresh_small_run() {
+        let _alone = ONE_AT_A_TIME.lock().unwrap();
+        let mut judged = Vec::new();
+        for e in TABLE {
+            let Run::Gated(run) = e.run else { continue };
+            let outcome = run(true, false);
+            judged.push(format!("{}.json", outcome.gate.as_ref().unwrap().bench));
+            let (code, payload) = greem_bench::gate::run(outcome, true, false, None);
+            assert_eq!(code, 0, "{}: {payload:?}", e.name);
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        let mut committed: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.ends_with("_small.json"))
+            .collect();
+        committed.sort();
+        judged.sort();
+        assert_eq!(judged, committed, "a baseline without a gated command");
     }
 
     #[test]

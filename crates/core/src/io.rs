@@ -343,13 +343,21 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<(SnapshotHeader, Vec<Body>), Snaps
 }
 
 impl Simulation {
-    /// Write the current state to `path`.
-    pub fn save_checkpoint<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
+    /// Write the current state to `path`, then recompute the cached
+    /// forces with a fresh walk. A checkpoint is a synchronisation
+    /// point: the file holds bodies only, and a resume rebuilds their
+    /// forces with a fresh walk, whereas the step that just ended may
+    /// have replayed recorded lists — same positions, other groups,
+    /// other rounding. After the refresh this run continues from
+    /// exactly the state [`Simulation::resume_checkpoint`] reconstructs.
+    pub fn save_checkpoint<P: AsRef<Path>>(&mut self, path: P) -> io::Result<()> {
         let header = SnapshotHeader {
             step: self.steps_taken(),
             mode: self.mode(),
         };
-        write_snapshot(File::create(path)?, &header, &self.bodies())
+        write_snapshot(File::create(path)?, &header, &self.bodies())?;
+        self.reset_forces();
+        Ok(())
     }
 
     /// Resume a simulation from a checkpoint: the particle state and
@@ -514,5 +522,45 @@ mod tests {
         let resumed = Simulation::resume_checkpoint(cfg, &path).unwrap();
         assert_eq!(resumed.bodies(), sim.bodies());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resumed_run_is_bitwise_the_uninterrupted_one_after_a_replayed_step() {
+        // Eight clumps in the periodic box, dense enough that the lists
+        // accept tree nodes: a node's monopole is summed with whatever
+        // group the walk put the target in, so the PP forces of a replay
+        // pass (the groups of the recording) and of the fresh walk a
+        // resume starts with differ in their last bits. Saving must
+        // leave this run holding the forces a resume will hold.
+        let mut rng = greem_math::testutil::TestLcg::new(21);
+        let bodies: Vec<Body> = (0..2048)
+            .map(|i| {
+                let clump = Vec3::new((i & 1) as f64, (i >> 1 & 1) as f64, (i >> 2 & 1) as f64);
+                Body {
+                    pos: Vec3::splat(0.3) + clump * 0.45 + rng.next_vec3() * 0.05,
+                    vel: (rng.next_vec3() - Vec3::splat(0.5)) * 1e-2,
+                    mass: 1.0 / 2048.0,
+                    id: i as u64,
+                }
+            })
+            .collect();
+        let cfg = TreePmConfig {
+            group_size: 24,
+            ..TreePmConfig::standard(16)
+        };
+        let path = std::env::temp_dir().join(format!("greem_ckpt_replay_{}", std::process::id()));
+        let mut sim = Simulation::new(cfg, bodies, SimulationMode::Static);
+        sim.step(1e-3);
+        let bd = sim.step(1e-3);
+        assert_eq!(bd.pp_list_replays, 1, "the step must end in a replay");
+        assert!(bd.walk.node_entries > 0, "the lists must hold nodes");
+        sim.save_checkpoint(&path).unwrap();
+        let mut resumed = Simulation::resume_checkpoint(cfg, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        for _ in 0..2 {
+            sim.step(1e-3);
+            resumed.step(1e-3);
+        }
+        assert_eq!(resumed.bodies(), sim.bodies());
     }
 }

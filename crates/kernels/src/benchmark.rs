@@ -14,7 +14,7 @@
 //! `51 × interactions/s`, and the speedup over the scalar reference.
 //! The explicit-SIMD variants also get the paper's own framing: their
 //! counted instruction mix ([`OpMix`]), the bound that mix sets against
-//! an FMA-peak probe of the variant's own vector width, and the
+//! an f32 FMA-peak probe of the variant's own vector width, and the
 //! measured fraction of that bound — this host's "97 %". The report
 //! records which variant the runtime dispatcher picked, so
 //! `harness kernel` outputs say what actually ran on
@@ -45,14 +45,14 @@ impl OpMix {
     /// The counted mix of one chain of `variant`'s loop body
     /// (`x86.rs::trip`), or `None` where the compiler, not the source,
     /// picks the instructions: beside the 17 FMAs, 3 subtractions, the
-    /// floor under r², the seed, 13 multiplies, ξ − 1, ζ's max and the
-    /// cut's compare. The 256-bit body adds the two converts around its
-    /// f32 seed and the AND that applies its mask, which at 512 bits is
-    /// a `k` predicate on the last multiply.
+    /// floor under r², the seed, 12 multiplies (lengths arrive in ξ
+    /// units, so ξ = r²·y₁ needs no scale), ξ − 1, ζ's max and the
+    /// cut's compare. The 256-bit body adds the AND that applies its
+    /// mask, which at 512 bits is a `k` predicate on the last multiply.
     pub fn of(variant: KernelVariant) -> Option<OpMix> {
         match variant {
-            KernelVariant::Avx2 => Some(OpMix { fma: 17, other: 24 }),
-            KernelVariant::Avx512 => Some(OpMix { fma: 17, other: 21 }),
+            KernelVariant::Avx2 => Some(OpMix { fma: 17, other: 21 }),
+            KernelVariant::Avx512 => Some(OpMix { fma: 17, other: 20 }),
             KernelVariant::Portable | KernelVariant::Scalar => None,
         }
     }
@@ -89,9 +89,9 @@ pub struct VariantBench {
     pub flops: f64,
     /// Speedup over the scalar reference kernel.
     pub speedup_vs_scalar: f64,
-    /// Modelled memory traffic per interaction (bytes): the source
-    /// columns (x, y, z, m = 32 B each) are streamed once per
-    /// [`KernelVariant::target_block`] targets, plus the per-target
+    /// Modelled memory traffic per interaction
+    /// ([`bytes_per_interaction`]): the source columns streamed once
+    /// per [`KernelVariant::target_block`] targets, plus the per-target
     /// position load and acceleration read-modify-write amortised over
     /// the sources. A blocking model of streamed bytes, not a hardware
     /// counter — roofline-style evidence of memory-boundedness.
@@ -220,15 +220,20 @@ pub fn kernel_benchmark(n: usize, iters: usize) -> KernelBenchReport {
 
 /// The blocking model of streamed bytes per interaction for `nt`
 /// targets against `ns` sources: each block of `target_block()` targets
-/// re-reads the four source columns (32 B per source), and each target
-/// costs one position load plus an acceleration read-modify-write
-/// (72 B) amortised over `ns` sources.
+/// re-reads the four source columns, and each target costs one position
+/// load plus an acceleration read-modify-write (72 B) amortised over
+/// `ns` sources. The f64 kernels stream 32 B per source per block; the
+/// x86 kernels stream their f32 staging, 16 B, after a conversion pass
+/// that reads each source's 32 B and writes its 16 B once per call.
 pub fn bytes_per_interaction(variant: KernelVariant, nt: usize, ns: usize) -> f64 {
     let bt = variant.target_block();
     let passes = nt.div_ceil(bt) as f64;
-    let source_bytes = passes * ns as f64 * 32.0;
+    let per_source = match variant {
+        KernelVariant::Avx2 | KernelVariant::Avx512 => passes * 16.0 + 48.0,
+        KernelVariant::Portable | KernelVariant::Scalar => passes * 32.0,
+    };
     let target_bytes = nt as f64 * 72.0;
-    (source_bytes + target_bytes) / (nt as f64 * ns as f64)
+    (ns as f64 * per_source + target_bytes) / (nt as f64 * ns as f64)
 }
 
 #[cfg(test)]
@@ -249,12 +254,11 @@ mod tests {
             assert!(v.bytes_per_interaction > 0.0);
             assert!(v.gb_per_sec > 0.0);
         }
-        // More targets per source pass must lower the modelled
-        // traffic; the 256-bit kernel and the portable one both pass
-        // the sources once per four targets.
+        // More targets per source pass, and narrower sources, must
+        // lower the modelled traffic.
         let bytes = |v| bytes_per_interaction(v, 256, 256);
         assert!(bytes(KernelVariant::Avx512) < bytes(KernelVariant::Avx2));
-        assert_eq!(bytes(KernelVariant::Avx2), bytes(KernelVariant::Portable));
+        assert!(bytes(KernelVariant::Avx2) < bytes(KernelVariant::Portable));
         assert!(bytes(KernelVariant::Portable) < bytes(KernelVariant::Scalar));
         assert_eq!(r.variants.last().unwrap().variant, KernelVariant::Scalar);
         assert!(r.rate_of(KernelVariant::Scalar).is_some());

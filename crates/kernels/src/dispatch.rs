@@ -37,7 +37,7 @@ pub enum KernelVariant {
     /// Portable blocked kernel with the approximate-rsqrt pipeline
     /// ([`pp_accel_phantom`]) — the guaranteed fallback.
     Portable,
-    /// Explicit AVX2+FMA intrinsics kernel (`x86_64` only).
+    /// Explicit AVX2+FMA intrinsics kernel, 8 × f32 (`x86_64` only).
     Avx2,
     /// The same pipeline at 512 bits (`x86_64` with `avx512f` only).
     Avx512,
@@ -71,10 +71,10 @@ impl KernelVariant {
         match self {
             KernelVariant::Scalar => 1,
             KernelVariant::Portable => 4, // phantom.rs LANES
-            // x86.rs: one target vector a block, W lanes (the loop is
-            // blocked over sources instead, four to a trip).
-            KernelVariant::Avx2 => 4,
-            KernelVariant::Avx512 => 8,
+            // x86.rs: one target vector a block, W f32 lanes (the loop
+            // is blocked over sources instead, four to a trip).
+            KernelVariant::Avx2 => 8,
+            KernelVariant::Avx512 => 16,
         }
     }
 }
@@ -182,9 +182,10 @@ pub fn selected_variant() -> KernelVariant {
     *SELECTED.get_or_init(|| select(std::env::var("GREEM_PP_KERNEL").ok().as_deref()))
 }
 
-/// The dispatched PP kernel: semantics of [`pp_accel_scalar`] to ≤ 2⁻²⁴
-/// relative accuracy, implementation chosen once per process. This is
-/// what the tree walk calls on its hot path.
+/// The dispatched PP kernel: semantics of [`pp_accel_scalar`] to ≤ 2⁻¹⁸
+/// of each target's interaction scale (the single-precision x86
+/// kernels; ≤ 2⁻²² for the portable one), implementation chosen once
+/// per process. This is what the tree walk calls on its hot path.
 pub fn pp_accel_dispatch(
     targets: &mut Targets,
     sources: &SourceList,

@@ -16,19 +16,20 @@
 //!
 //! * [`SourceList`] — structure-of-arrays interaction lists (the "j"
 //!   particles: tree nodes' centres of mass and nearby particles),
-//! * [`scalar`] — the obviously-correct reference kernel built directly
-//!   on [`greem_math::ForceSplit`],
+//! * [`scalar`] — the obviously-correct f64 reference kernel built
+//!   directly on [`greem_math::ForceSplit`]: the oracle and the opt-out,
 //! * [`phantom`] — the portable blocked 4×4 kernel with the
 //!   approximate-rsqrt pipeline, written fully branchless so LLVM's
 //!   auto-vectoriser sees straight-line FMA-friendly lanes; the
 //!   guaranteed fallback on every host,
-//! * [`x86`] — the explicit-intrinsics kernel, one software-pipelined
-//!   interaction body (four sources in flight against a target vector,
-//!   stage by stage) instantiated at the register file's width:
-//!   AVX2+FMA (4 lanes, `vrsqrtps` seed standing in for the paper's
-//!   `frsqrta`, compare/AND mask) and AVX-512 (8 lanes, `vrsqrt14pd`
-//!   seed in f64, `k`-register mask); the last block of a call runs
-//!   its live targets under masked loads and stores,
+//! * [`x86`] — the explicit-intrinsics kernel in the paper's single
+//!   precision: one conversion pass per call (origin-relative, ξ units,
+//!   f32 staging with a checked range contract), then one
+//!   software-pipelined interaction body (four sources in flight
+//!   against a target vector, stage by stage) instantiated at the
+//!   register file's width — AVX2+FMA (8 lanes, `vrsqrtps` seed
+//!   standing in for the paper's `frsqrta`, compare/AND mask) and
+//!   AVX-512 (16 lanes, `vrsqrt14ps` seed, `k`-register mask),
 //! * [`dispatch`] — CPU-feature detection resolved once per process
 //!   ([`pp_accel_dispatch`]); force a variant with the
 //!   `GREEM_PP_KERNEL` env var (`scalar`/`portable`/`avx2`/`avx512`)

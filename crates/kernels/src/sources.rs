@@ -8,6 +8,12 @@
 //! buffers by shifting source positions to the minimum image of the
 //! target group.
 
+// The f32 staging has no reader in a build without the x86 kernels.
+#![cfg_attr(
+    not(all(target_arch = "x86_64", not(feature = "portable-only"))),
+    allow(dead_code)
+)]
+
 use greem_math::Vec3;
 
 /// The "j" side of the interaction: source positions and masses.
@@ -86,6 +92,22 @@ pub struct Targets {
     pub ax: Vec<f64>,
     pub ay: Vec<f64>,
     pub az: Vec<f64>,
+    /// The point the single-precision kernels measure this call's
+    /// positions from; the constructors set it to the first target. A
+    /// target's result bits depend on it (and on nothing else about the
+    /// other targets).
+    pub origin: [f64; 3],
+    /// Reused by every x86 kernel call, so that none allocates.
+    pub(crate) stage: Staging,
+}
+
+/// One x86 kernel call in single precision: target columns x, y, z —
+/// each block's sums once the block has run — zero-padded to a whole
+/// number of vectors, and source columns x, y, z, m.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Staging {
+    pub(crate) t: [Vec<f32>; 3],
+    pub(crate) s: [Vec<f32>; 4],
 }
 
 impl Targets {
@@ -99,6 +121,8 @@ impl Targets {
             ax: vec![0.0; n],
             ay: vec![0.0; n],
             az: vec![0.0; n],
+            origin: pos.first().map_or([0.0; 3], |p| [p.x, p.y, p.z]),
+            stage: Staging::default(),
         }
     }
 
@@ -120,6 +144,10 @@ impl Targets {
         self.ax.resize(x.len(), 0.0);
         self.ay.resize(x.len(), 0.0);
         self.az.resize(x.len(), 0.0);
+        self.origin = match (x, y, z) {
+            ([x, ..], [y, ..], [z, ..]) => [*x, *y, *z],
+            _ => [0.0; 3],
+        };
     }
 
     /// Number of targets.

@@ -1,74 +1,85 @@
 //! Explicit-SIMD PP kernels for `x86_64` — the analogue of the paper's
 //! HPC-ACE Phantom-GRAPE loop (§II-A), written once and instantiated at
-//! the two register-file widths the host may have.
+//! the two register-file widths the host may have, in the paper's
+//! precision: single.
 //!
 //! The eq. (3) pipeline ([`trip`]) and the blocking around it
 //! ([`block`], [`run`]) are generic over [`Lanes`], a thin trait naming
 //! the vector operations the pipeline needs. Two implementations:
 //!
-//! * [`Avx2`] — `W` = 4 f64 lanes in 16 ymm registers. The rsqrt seed
-//!   is the 12-bit `vrsqrtps`, reached through
-//!   `vcvtpd2ps → vrsqrtps → vcvtps2pd`; the `ξ < 2` cut is an
-//!   all-ones/all-zeros bit pattern ANDed into the force (the paper's
-//!   `fcmp`/`fand`).
-//! * [`Avx512`] — `W` = 8 lanes in 32 zmm registers. The seed is
-//!   `vrsqrt14pd`, 14 bits directly in f64 (no f32 round trip); the cut
-//!   lives in a `k` mask register and folds into the masked multiply.
+//! * [`Avx2`] — `W` = 8 f32 lanes in 16 ymm registers, the 12-bit
+//!   `vrsqrtps` seed; the `ξ < 2` cut is an all-ones/all-zeros bit
+//!   pattern ANDed into the force (the paper's `fcmp`/`fand`).
+//! * [`Avx512`] — `W` = 16 lanes in 32 zmm registers, the 14-bit
+//!   `vrsqrt14ps` seed; the cut lives in a `k` mask register and folds
+//!   into the masked multiply. Nothing outside `avx512f` is used.
 //!
 //! Both follow the seed with the paper's single third-order step
-//! `y₁ = y₀(1 + h/2 + 3h²/8)`, landing at ~2⁻³³ (12-bit seed) and
-//! ~2⁻⁴⁰ (14-bit seed) — past the paper's 24-bit target (DESIGN.md §11
-//! has the arithmetic). No data-dependent branch exists in the loop.
+//! `y₁ = y₀(1 + h/2 + 3h²/8)`, past 24 bits from either seed (DESIGN.md
+//! §11 has the arithmetic). No data-dependent branch exists in the loop.
+//!
+//! **What makes f32 sound is the conversion pass at the top of every
+//! call** ([`run`]). In f64 it subtracts [`Targets::origin`] from the
+//! targets and from the (already nearest-image) sources, scales lengths
+//! to ξ units — r_cut/2, so r² *is* ξ² and no ξ multiply is left in the
+//! loop — and masses by a power of two that puts them in [2⁻⁶⁴, 1], and
+//! rounds once to f32 into the padded staging columns `Targets` owns.
+//! The two scale factors come back in f64, once per target, where the
+//! f32 sums are widened and added onto `ax/ay/az`. The pass also checks
+//! the range contract, so nothing overflows silently:
+//!
+//! * r² is floored at 2⁻⁸⁰: with masses ≤ 1 the force factor of a
+//!   coincident pair stays finite (y³ ≤ 2¹²⁰) and multiplies
+//!   dx = dy = dz = +0 — the whole zero-distance guard;
+//! * a source farther than 2⁴⁰ ξ from the origin is clamped there, still
+//!   beyond the cutoff of every target, so its masked force is +0;
+//! * a source heavier than 2⁶⁴ × the lightest of its list is staged
+//!   massless and evaluated by [`pp_accel_scalar`] instead;
+//! * a target farther than 2⁴⁰ ξ from the origin (or NaN), or a
+//!   non-finite r_cut, ε or mass unit, sends the whole call there.
 //!
 //! **The loop is software-pipelined.** One interaction is a dependent
-//! chain of ~100 cycles, and left to itself the compiler emits such
-//! chains nearly back to back, so the FMA pipes wait on latency. A
-//! [`trip`] of the source loop instead carries [`SOURCES`] consecutive
-//! sources against one target vector through the pipeline *stage by
-//! stage* — differences and r² for all of them, then seed and
-//! third-order step for all, then the cutoff polynomial, then the
-//! masked force — with [`Lanes::pin`] holding the compiler to that
-//! order, so that many independent chains are always in flight. The
-//! shape was chosen per width by measured ns/interaction and by the
-//! spills in the emitted loop (`scripts/kernel_asm_report.sh`; the
-//! sweep is DESIGN.md §11), not by counting registers.
+//! chain of ~100 cycles, so a [`trip`] of the source loop carries
+//! [`SOURCES`] consecutive sources against one target vector through
+//! the pipeline *stage by stage* — differences and r² for all of them,
+//! then seed and third-order step for all, then the cutoff polynomial,
+//! then the masked force — with [`Lanes::pin`] holding the compiler to
+//! that order, so that many independent chains are always in flight
+//! (`scripts/kernel_asm_report.sh` reads the emitted loop).
 //!
 //! **Targets sit in lanes and every target's sum runs sequentially over
-//! the source list**: a trip retires its forces in list order, and
-//! every lane executes the operations of a one-chain evaluation in the
-//! same order. A lane therefore computes exactly what it would compute
-//! alone: results do not depend on the trip shape, on where a target
-//! falls inside a block or where a source falls inside a trip, and a
-//! source whose force is masked to zero changes no bit — the properties
-//! interaction-list replay relies on, pinned by the golden-hash,
-//! blocking-, tail- and null-source-invariance tests in
-//! `tests/simd_equivalence.rs`.
+//! the source list**: a trip retires its forces in list order onto plain
+//! f32 FMA accumulators, and every lane executes the operations of a
+//! one-chain evaluation in the same order. Given the origin, a lane
+//! therefore computes exactly what it would compute alone: results do
+//! not depend on the trip shape, on where a target falls inside a block
+//! or where a source falls inside a trip, and a source whose force is
+//! masked to zero changes no bit (nor does one that moves the mass
+//! unit, a power of two) — the properties interaction-list replay
+//! relies on, pinned in `tests/simd_equivalence.rs`.
 //!
-//! A block is one vector of targets; the last block of a call loads its
-//! positions and read-modify-writes its accelerations under a lane
-//! mask, so nothing is staged through padded buffers and no lane beyond
-//! the live targets is read or written.
-//!
-//! The flop accounting is unchanged — 51 flops per interaction however
-//! the host executes it.
+//! A block is one vector of targets. The staging columns are padded to
+//! the width, so the last block of a call computes on zero lanes whose
+//! sums nobody reads; every access is a bounds-checked slice. The flop
+//! accounting is unchanged — 51 flops per interaction.
 
 #![cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 
 use core::arch::asm;
 use core::arch::x86_64::*;
+use core::mem::transmute;
 use std::time::Instant;
 
 use greem_math::ForceSplit;
 
 use crate::dispatch::KernelVariant;
 use crate::sources::{SourceList, Targets};
-use crate::InteractionCount;
+use crate::{pp_accel_scalar, InteractionCount};
 
 /// Consecutive sources a [`trip`] keeps in flight against one target
 /// vector, at both widths: the fastest shape of the DESIGN.md §11 sweep
 /// whose main loop spills less than a one-source, four-vector block
-/// did. [`KernelVariant::target_block`] and
-/// [`crate::benchmark::OpMix::of`] describe this shape.
+/// did. [`crate::benchmark::OpMix::of`] describes this shape.
 const SOURCES: usize = 4;
 
 /// The vector operations of one SIMD width.
@@ -76,23 +87,19 @@ const SOURCES: usize = 4;
 /// # Safety
 ///
 /// Every method requires the CPU features of its implementor ([`Avx2`]:
-/// `avx2` + `fma`; [`Avx512`]: `avx512f`). `load`/`store` additionally
-/// require `p.add(l)` to be valid for every lane `l` enabled in `m`;
-/// disabled lanes are not accessed.
+/// `avx2` + `fma`; [`Avx512`]: `avx512f`), and nothing else.
 trait Lanes {
-    /// `W` f64 lanes.
+    /// `W` f32 lanes.
     type V: Copy;
     /// A per-lane predicate.
     type M: Copy;
     const W: usize;
 
-    unsafe fn splat(x: f64) -> Self::V;
-    /// Lane indices 0, 1, … `W`−1.
-    unsafe fn iota() -> Self::V;
-    /// Enabled lanes from memory, disabled lanes zero.
-    unsafe fn load(p: *const f64, m: Self::M) -> Self::V;
-    unsafe fn store(p: *mut f64, m: Self::M, v: Self::V);
-    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    unsafe fn splat(x: f32) -> Self::V;
+    /// The `W` elements of `a` (panics on any other length).
+    unsafe fn load(a: &[f32]) -> Self::V;
+    /// The lanes of `v` over the `W` elements of `out`.
+    unsafe fn store(v: Self::V, out: &mut [f32]);
     unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
@@ -134,28 +141,25 @@ macro_rules! lane_ops {
 struct Avx2;
 
 impl Lanes for Avx2 {
-    type V = __m256d;
-    /// All-ones / all-zeros lanes, as `vcmppd` produces them.
-    type M = __m256d;
-    const W: usize = 4;
+    type V = __m256;
+    /// All-ones / all-zeros lanes, as `vcmpps` produces them.
+    type M = __m256;
+    const W: usize = 8;
 
     lane_ops! {
-        fn splat(x: f64) -> __m256d = _mm256_set1_pd(x);
-        fn iota() -> __m256d = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-        fn load(p: *const f64, m: __m256d) -> __m256d = _mm256_maskload_pd(p, _mm256_castpd_si256(m));
-        fn store(p: *mut f64, m: __m256d, v: __m256d) = _mm256_maskstore_pd(p, _mm256_castpd_si256(m), v);
-        fn add(a: __m256d, b: __m256d) -> __m256d = _mm256_add_pd(a, b);
-        fn sub(a: __m256d, b: __m256d) -> __m256d = _mm256_sub_pd(a, b);
-        fn mul(a: __m256d, b: __m256d) -> __m256d = _mm256_mul_pd(a, b);
-        fn max(a: __m256d, b: __m256d) -> __m256d = _mm256_max_pd(a, b);
-        fn fmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = _mm256_fmadd_pd(a, b, c);
-        fn fnmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = _mm256_fnmadd_pd(a, b, c);
-        // 12-bit `vrsqrtps` on the f32-rounded argument, widened back.
-        // `trip` keeps x above the f32 subnormals; past the f32 range
-        // the seed is 0 and the lane's force comes out 0.
-        fn rsqrt_seed(x: __m256d) -> __m256d = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(x)));
-        fn lt(a: __m256d, b: __m256d) -> __m256d = _mm256_cmp_pd::<_CMP_LT_OQ>(a, b);
-        fn keep(m: __m256d, a: __m256d) -> __m256d = _mm256_and_pd(a, m);
+        fn splat(x: f32) -> __m256 = _mm256_set1_ps(x);
+        // A vector and the array of its lanes have one layout.
+        fn load(a: &[f32]) -> __m256 = transmute::<[f32; 8], __m256>(a.try_into().expect("one vector of targets"));
+        fn store(v: __m256, out: &mut [f32]) = out.copy_from_slice(&transmute::<__m256, [f32; 8]>(v));
+        fn sub(a: __m256, b: __m256) -> __m256 = _mm256_sub_ps(a, b);
+        fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
+        fn max(a: __m256, b: __m256) -> __m256 = _mm256_max_ps(a, b);
+        fn fmadd(a: __m256, b: __m256, c: __m256) -> __m256 = _mm256_fmadd_ps(a, b, c);
+        fn fnmadd(a: __m256, b: __m256, c: __m256) -> __m256 = _mm256_fnmadd_ps(a, b, c);
+        // 12 bits.
+        fn rsqrt_seed(x: __m256) -> __m256 = _mm256_rsqrt_ps(x);
+        fn lt(a: __m256, b: __m256) -> __m256 = _mm256_cmp_ps::<_CMP_LT_OQ>(a, b);
+        fn keep(m: __m256, a: __m256) -> __m256 = _mm256_and_ps(a, m);
     }
 
     // The ymm operand class needs `avx` on the function itself, which
@@ -163,7 +167,7 @@ impl Lanes for Avx2 {
     // inlined once its caller has landed in the entry point.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn pin(mut a: __m256d) -> __m256d {
+    unsafe fn pin(mut a: __m256) -> __m256 {
         asm!("/* {0} */", inout(ymm_reg) a, options(nostack, preserves_flags));
         a
     }
@@ -173,75 +177,65 @@ impl Lanes for Avx2 {
 struct Avx512;
 
 impl Lanes for Avx512 {
-    type V = __m512d;
-    type M = __mmask8;
-    const W: usize = 8;
+    type V = __m512;
+    type M = __mmask16;
+    const W: usize = 16;
 
     lane_ops! {
-        fn splat(x: f64) -> __m512d = _mm512_set1_pd(x);
-        fn iota() -> __m512d = _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
-        fn load(p: *const f64, m: __mmask8) -> __m512d = _mm512_maskz_loadu_pd(m, p);
-        fn store(p: *mut f64, m: __mmask8, v: __m512d) = _mm512_mask_storeu_pd(p, m, v);
-        fn add(a: __m512d, b: __m512d) -> __m512d = _mm512_add_pd(a, b);
-        fn sub(a: __m512d, b: __m512d) -> __m512d = _mm512_sub_pd(a, b);
-        fn mul(a: __m512d, b: __m512d) -> __m512d = _mm512_mul_pd(a, b);
-        fn max(a: __m512d, b: __m512d) -> __m512d = _mm512_max_pd(a, b);
-        fn fmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d = _mm512_fmadd_pd(a, b, c);
-        fn fnmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d = _mm512_fnmadd_pd(a, b, c);
-        // 14 bits, directly in f64.
-        fn rsqrt_seed(x: __m512d) -> __m512d = _mm512_rsqrt14_pd(x);
-        fn lt(a: __m512d, b: __m512d) -> __mmask8 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b);
-        fn keep(m: __mmask8, a: __m512d) -> __m512d = _mm512_maskz_mov_pd(m, a);
+        fn splat(x: f32) -> __m512 = _mm512_set1_ps(x);
+        fn load(a: &[f32]) -> __m512 = transmute::<[f32; 16], __m512>(a.try_into().expect("one vector of targets"));
+        fn store(v: __m512, out: &mut [f32]) = out.copy_from_slice(&transmute::<__m512, [f32; 16]>(v));
+        fn sub(a: __m512, b: __m512) -> __m512 = _mm512_sub_ps(a, b);
+        fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
+        fn max(a: __m512, b: __m512) -> __m512 = _mm512_max_ps(a, b);
+        fn fmadd(a: __m512, b: __m512, c: __m512) -> __m512 = _mm512_fmadd_ps(a, b, c);
+        fn fnmadd(a: __m512, b: __m512, c: __m512) -> __m512 = _mm512_fnmadd_ps(a, b, c);
+        // 14 bits.
+        fn rsqrt_seed(x: __m512) -> __m512 = _mm512_rsqrt14_ps(x);
+        fn lt(a: __m512, b: __m512) -> __mmask16 = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b);
+        fn keep(m: __mmask16, a: __m512) -> __m512 = _mm512_maskz_mov_ps(m, a);
     }
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn pin(mut a: __m512d) -> __m512d {
+    unsafe fn pin(mut a: __m512) -> __m512 {
         asm!("/* {0} */", inout(zmm_reg) a, options(nostack, preserves_flags));
         a
     }
 }
 
-/// The predicate enabling the first `n` lanes (all of them when
-/// `n ≥ W`).
-#[inline(always)]
-unsafe fn first_lanes<L: Lanes>(n: usize) -> L::M {
-    L::lt(L::iota(), L::splat(n as f64))
-}
-
 /// The constants of the loop, as scalars the stages broadcast from
 /// memory where they use them ([`Lanes::pin`]).
 struct Consts {
-    one: f64,
-    two: f64,
-    half: f64,
-    c38: f64,
-    /// Smallest positive normal f32 — floor under the rsqrt argument.
-    /// `vrsqrtps` would seed inf from an f32-subnormal r²; `vrsqrt14pd`
-    /// would seed a y whose cube overflows. Both stay finite above it.
-    tiny: f64,
-    eps2: f64,
-    c_xi: f64,
-    k015: f64,
-    km1235: f64,
-    km05: f64,
-    k16: f64,
-    km16: f64,
-    k02: f64,
-    k1835: f64,
-    k335: f64,
+    one: f32,
+    two: f32,
+    half: f32,
+    c38: f32,
+    /// Floor under the rsqrt argument, 2⁻⁸⁰: with lengths in ξ units and
+    /// masses ≤ 1, y³ ≤ 2¹²⁰ and the force factor of a coincident pair
+    /// stay finite (from `f32::MIN_POSITIVE` y³ would overflow).
+    tiny: f32,
+    /// ε² in ξ units.
+    eps2: f32,
+    k015: f32,
+    km1235: f32,
+    km05: f32,
+    k16: f32,
+    km16: f32,
+    k02: f32,
+    k1835: f32,
+    k335: f32,
 }
 
 impl Consts {
-    fn new(split: &ForceSplit) -> Self {
+    fn new(eps2: f32) -> Self {
         Consts {
             one: 1.0,
             two: 2.0,
             half: 0.5,
             c38: 0.375,
-            tiny: f32::MIN_POSITIVE as f64,
-            eps2: split.eps * split.eps,
-            c_xi: 2.0 / split.r_cut,
+            tiny: f32::from_bits((127 - 80) << 23),
+            eps2,
             k015: 0.15,
             km1235: -12.0 / 35.0,
             km05: -0.5,
@@ -255,14 +249,14 @@ impl Consts {
 }
 
 /// One trip of the source loop: the `S` sources of `src` (the four
-/// columns, cut to this trip) against the target vector `t`, `S`
+/// staged columns, cut to this trip) against the target vector `t`, `S`
 /// independent eq. (3) chains advanced together one stage at a time and
 /// retired onto `acc` in list order.
 #[inline(always)]
 unsafe fn trip<L: Lanes, const S: usize>(
     c: &Consts,
     t: &[L::V; 3],
-    src: [&[f64]; 4],
+    src: [&[f32]; 4],
     acc: &mut [L::V; 3],
 ) {
     // `$e` for every chain `$s` of the trip.
@@ -276,10 +270,10 @@ unsafe fn trip<L: Lanes, const S: usize>(
         }};
     }
     let [sx, sy, sz, sm] = src;
-    // Stage 1 — differences and softened r², floored so both hardware
-    // seeds stay finite. The floor is the whole zero-distance guard: a
-    // coincident pair gets a finite force factor below and multiplies
-    // it by dx = dy = dz = +0.
+    // Stage 1 — differences and softened r² = ξ², floored so both
+    // hardware seeds and their cubes stay finite. The floor is the whole
+    // zero-distance guard: a coincident pair gets a finite force factor
+    // below and multiplies it by dx = dy = dz = +0.
     let dx = stage!(|s| L::sub(L::splat(sx[s]), t[0]));
     let dy = stage!(|s| L::sub(L::splat(sy[s]), t[1]));
     let dz = stage!(|s| L::sub(L::splat(sz[s]), t[2]));
@@ -289,8 +283,7 @@ unsafe fn trip<L: Lanes, const S: usize>(
         L::pin(L::max(r2, L::splat(c.tiny)))
     });
     // Stage 2 — hardware seed, then one third-order step
-    // y₁ = y₀(1 + h/2 + 3h²/8), h = 1 − r²y₀²; ξ = 2r/r_cut from
-    // r = r²·y₁ ≈ √r².
+    // y₁ = y₀(1 + h/2 + 3h²/8), h = 1 − r²y₀²; ξ = r²·y₁ ≈ √r².
     let y1 = stage!(|s| {
         let one = L::splat(c.one);
         let y0 = L::rsqrt_seed(r2[s]);
@@ -298,7 +291,7 @@ unsafe fn trip<L: Lanes, const S: usize>(
         let step = L::fmadd(h, L::splat(c.c38), L::splat(c.half));
         L::mul(y0, L::fmadd(h, step, one))
     });
-    let xi = stage!(|s| L::pin(L::mul(L::splat(c.c_xi), L::mul(r2[s], y1[s]))));
+    let xi = stage!(|s| L::pin(L::mul(r2[s], y1[s])));
     // Stage 3 — g(ξ) of eq. (3): the ζ = max(ξ−1, 0) branch term and
     // the cutoff polynomial as the same FMA Horner chain as the
     // portable kernel,
@@ -333,48 +326,38 @@ unsafe fn trip<L: Lanes, const S: usize>(
     }
 }
 
-/// One block: the `live ≤ W` targets from `i0` as one vector against
-/// the whole source list — [`SOURCES`] a trip, and the sources left
-/// over through the same body one a trip — added onto their
-/// accelerations.
+/// One block: the vector of staged targets `t` against the whole staged
+/// source list — [`SOURCES`] a trip, and the sources left over through
+/// the same body one a trip. Their sums replace their positions in `t`.
 ///
 /// # Safety
 ///
-/// The features of `L`, and `i0 + live ≤` the length of every column of
-/// `targets`.
+/// The features of `L`.
 #[inline(always)]
-unsafe fn block<L: Lanes>(
-    c: &Consts,
-    targets: &mut Targets,
-    (i0, live): (usize, usize),
-    src: [&[f64]; 4],
-) {
-    let m = first_lanes::<L>(live);
-    // SAFETY (all six accesses): `m` enables lanes l < live, which
-    // address column elements i0 + l < i0 + live ≤ len; lanes past
-    // `live` are neither read nor written.
-    let mut t = [L::splat(0.0); 3];
-    for (tk, col) in t.iter_mut().zip([&targets.x, &targets.y, &targets.z]) {
-        *tk = L::load(col.as_ptr().add(i0), m);
-    }
+unsafe fn block<L: Lanes>(c: &Consts, t: [&mut [f32]; 3], src: [&[f32]; 4]) {
+    let pos = [L::load(t[0]), L::load(t[1]), L::load(t[2])];
     let mut acc = [L::splat(0.0); 3];
     let ns = src[0].len();
     let whole = ns - ns % SOURCES;
     for j in (0..whole).step_by(SOURCES) {
-        trip::<L, SOURCES>(c, &t, src.map(|col| &col[j..j + SOURCES]), &mut acc);
+        trip::<L, SOURCES>(c, &pos, src.map(|col| &col[j..j + SOURCES]), &mut acc);
     }
     for j in whole..ns {
-        trip::<L, 1>(c, &t, src.map(|col| &col[j..=j]), &mut acc);
+        trip::<L, 1>(c, &pos, src.map(|col| &col[j..=j]), &mut acc);
     }
-    let out = [&mut targets.ax, &mut targets.ay, &mut targets.az];
-    for (col, a) in out.into_iter().zip(acc) {
-        let p = col.as_mut_ptr().add(i0);
-        L::store(p, m, L::add(L::load(p, m), a));
+    for (col, a) in t.into_iter().zip(acc) {
+        L::store(a, col);
     }
 }
 
-/// The kernel at width `L`: one block per `W` targets, the last as many
-/// lanes as there are targets left.
+/// Farthest a staged coordinate may lie from the origin, in ξ units:
+/// r² of two such stays far inside f32.
+const FAR: f64 = (1u64 << 40) as f64;
+/// Heaviest staged mass over the lightest (nonzero) of its list.
+const MASS_SPAN: f64 = (1u128 << 64) as f64;
+
+/// The kernel at width `L`: the conversion pass, one block per `W`
+/// staged targets, and the write-back of the live ones.
 ///
 /// # Safety
 ///
@@ -385,40 +368,90 @@ unsafe fn run<L: Lanes>(
     sources: &SourceList,
     split: &ForceSplit,
 ) -> InteractionCount {
-    let nt = targets.len();
-    let ns = sources.len();
-    // `block` goes through raw pointers: make sure all six columns
-    // really hold `nt` elements (the fields are public).
-    let cols = [
-        &targets.y,
-        &targets.z,
-        &targets.ax,
-        &targets.ay,
-        &targets.az,
+    let (nt, ns) = (targets.len(), sources.len());
+    let to_xi = 2.0 / split.r_cut;
+    let eps = split.eps * to_xi;
+    let eps2 = (eps * eps) as f32;
+    // The mass unit: the power of two under the lightest nonzero |m|,
+    // times the span — a power of two, so staging a mass only moves its
+    // exponent and a null source that moves the unit moves no bit. The
+    // lightest is found on the bit patterns, which order as the
+    // magnitudes do (0 wraps to the top, NaN sits above every number).
+    let magnitude = |m: &f64| (m.to_bits() << 1 >> 1).wrapping_sub(1);
+    let lightest = sources.m.iter().map(magnitude).min();
+    let lightest = lightest.map_or(0, |bits| bits.wrapping_add(1));
+    let unit = f64::from_bits(lightest & (0x7ff << 52)) * MASS_SPAN;
+    // What a staged sum is worth: m·dr/r³ = unit·to_xi² · m′·dξ/ξ³.
+    let (per_unit, back) = (1.0 / unit, unit * (to_xi * to_xi));
+    let heavy = |m: f64| (m * per_unit).abs() > 1.0;
+
+    // The conversion pass, in straight-line loops that vectorise at the
+    // width of the entry point this inlines into.
+    let (origin, st) = (targets.origin, &mut targets.stage);
+    let (mut near, mut any_heavy) = (true, false);
+    let columns = [
+        (&targets.x[..nt], &sources.x),
+        (&targets.y[..nt], &sources.y),
+        (&targets.z[..nt], &sources.z),
     ];
-    assert!(
-        cols.iter().all(|col| col.len() == nt),
-        "Targets columns differ in length"
-    );
+    for (k, (t, s)) in columns.into_iter().enumerate() {
+        let rel = |&p: &f64| (p - origin[k]) * to_xi;
+        near &= t.iter().all(|p| rel(p).abs() <= FAR);
+        st.t[k].clear();
+        st.t[k].extend(t.iter().map(|p| rel(p) as f32));
+        st.t[k].resize(nt.next_multiple_of(L::W), 0.0);
+        st.s[k].clear();
+        st.s[k].extend(s.iter().map(|p| rel(p).clamp(-FAR, FAR) as f32));
+    }
+    st.s[3].clear();
+    st.s[3].extend(sources.m.iter().map(|&m| {
+        any_heavy |= heavy(m);
+        (if heavy(m) { 0.0 } else { m * per_unit }) as f32
+    }));
+    // An empty or massless list, a mass unit or a cutoff outside what
+    // f64 can scale by, a softening outside f32, a stray or NaN target:
+    // not this kernel's call.
+    if !(near && eps2.is_finite() && back.is_finite() && back > 0.0) {
+        return pp_accel_scalar(targets, sources, split);
+    }
+
     // Behind `black_box` the constants are memory the optimiser cannot
     // see into, so it loads them where a stage uses them.
-    let c = Consts::new(split);
+    let c = Consts::new(eps2);
     let c = std::hint::black_box(&c);
     let src = [
-        &sources.x[..ns],
-        &sources.y[..ns],
-        &sources.z[..ns],
-        &sources.m[..ns],
+        &st.s[0][..ns],
+        &st.s[1][..ns],
+        &st.s[2][..ns],
+        &st.s[3][..ns],
     ];
-    for i0 in (0..nt).step_by(L::W) {
-        // SAFETY: i0 + live ≤ nt, the length asserted above.
-        block::<L>(c, targets, (i0, L::W.min(nt - i0)), src);
+    let [tx, ty, tz] = &mut st.t;
+    for i0 in (0..tx.len()).step_by(L::W) {
+        let lanes = i0..i0 + L::W;
+        let t = [
+            &mut tx[lanes.clone()],
+            &mut ty[lanes.clone()],
+            &mut tz[lanes],
+        ];
+        block::<L>(c, t, src);
+    }
+    let out = [&mut targets.ax, &mut targets.ay, &mut targets.az];
+    for (col, sums) in out.into_iter().zip(&targets.stage.t) {
+        for (a, &sum) in col[..nt].iter_mut().zip(sums) {
+            *a += f64::from(sum) * back;
+        }
+    }
+    if any_heavy {
+        let exact = (0..ns).filter(|&j| heavy(sources.m[j]));
+        let exact: SourceList = exact.map(|j| (sources.pos(j), sources.m[j])).collect();
+        pp_accel_scalar(targets, &exact, split);
     }
     (nt * ns) as InteractionCount
 }
 
-/// AVX2+FMA cutoff PP kernel. Semantics match [`crate::pp_accel_scalar`]
-/// to ≤ 2⁻²⁴ relative accuracy; the interaction count charged is
+/// AVX2+FMA cutoff PP kernel in single precision on origin-relative
+/// coordinates. Semantics match [`crate::pp_accel_scalar`] to ≤ 2⁻¹⁸ of
+/// each target's interaction scale; the interaction count charged is
 /// identical to every other kernel in this crate.
 ///
 /// # Safety
@@ -427,8 +460,7 @@ unsafe fn run<L: Lanes>(
 /// `avx2` and `fma` target features (e.g. via
 /// `is_x86_feature_detected!`); calling this on a CPU without them is
 /// undefined behaviour. The dispatcher in [`crate::dispatch`] is the
-/// intended caller and performs that check. No other precondition: the
-/// column lengths the masked accesses rely on are asserted inside.
+/// intended caller and performs that check. No other precondition.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn pp_accel_avx2(
     targets: &mut Targets,
@@ -458,10 +490,10 @@ pub unsafe fn pp_accel_avx512(
 /// cover latency × issue width (4–5 cycles × 2 ports) on any host.
 const PROBE_CHAINS: usize = 10;
 
-/// `iters` rounds of [`PROBE_CHAINS`] dependent FMAs at width `L`;
+/// `iters` rounds of [`PROBE_CHAINS`] dependent f32 FMAs at width `L`;
 /// returns a value that depends on all of them.
 #[inline(always)]
-unsafe fn fma_chains<L: Lanes>(iters: u64) -> f64 {
+unsafe fn fma_chains<L: Lanes>(iters: u64) -> f32 {
     // Not a fixed point of the recurrence, or the optimiser folds the
     // whole loop to its constant.
     let (a, b) = (L::splat(1.000_000_1), L::splat(1e-9));
@@ -473,30 +505,29 @@ unsafe fn fma_chains<L: Lanes>(iters: u64) -> f64 {
     }
     let mut sum = acc[0];
     for &x in &acc[1..] {
-        sum = L::add(sum, x);
+        sum = L::fmadd(sum, a, x);
     }
-    let mut lane0 = 0.0f64;
-    // SAFETY: only lane 0 is enabled, and it addresses `lane0`.
-    L::store(&mut lane0, L::lt(L::iota(), L::splat(1.0)), sum);
-    lane0
+    let mut lanes = [0.0f32; 16];
+    L::store(sum, &mut lanes[..L::W]);
+    lanes[0]
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_chains_avx2(iters: u64) -> f64 {
+unsafe fn fma_chains_avx2(iters: u64) -> f32 {
     fma_chains::<Avx2>(iters)
 }
 
 #[target_feature(enable = "avx512f")]
-unsafe fn fma_chains_avx512(iters: u64) -> f64 {
+unsafe fn fma_chains_avx512(iters: u64) -> f32 {
     fma_chains::<Avx512>(iters)
 }
 
-/// One thread's measured FMA peak in flop/s at the vector width of
+/// One thread's measured f32 FMA peak in flop/s at the vector width of
 /// `variant` — the denominator of the §II-A "% of bound" figure for that
 /// kernel. `None` for a variant that is not an x86 kernel this host can
 /// run. Best of five bursts of about a millisecond.
 pub fn fma_peak_flops(variant: KernelVariant) -> Option<f64> {
-    let (w, chains): (usize, unsafe fn(u64) -> f64) = match variant {
+    let (w, chains): (usize, unsafe fn(u64) -> f32) = match variant {
         KernelVariant::Avx512 => (Avx512::W, fma_chains_avx512),
         KernelVariant::Avx2 => (Avx2::W, fma_chains_avx2),
         KernelVariant::Portable | KernelVariant::Scalar => return None,
@@ -520,21 +551,6 @@ pub fn fma_peak_flops(variant: KernelVariant) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::pp_accel_variant;
-    use greem_math::Vec3;
-
-    #[test]
-    #[should_panic(expected = "columns differ in length")]
-    fn ragged_target_columns_are_refused_before_any_masked_access() {
-        let variant = KernelVariant::Avx2;
-        if !variant.is_available() {
-            panic!("columns differ in length (skipped: no AVX2 on this host)");
-        }
-        let mut t = Targets::from_positions(&[Vec3::ZERO; 5]);
-        t.az.truncate(3);
-        let s: SourceList = [(Vec3::ONE, 1.0)].into_iter().collect();
-        pp_accel_variant(variant, &mut t, &s, &ForceSplit::new(0.1, 0.0));
-    }
 
     #[test]
     fn the_reported_target_block_is_one_vector_of_the_width() {

@@ -32,7 +32,7 @@ import re, shutil, subprocess, sys
 
 binary, ceiling_file = sys.argv[1], sys.argv[2]
 ceilings = dict(l.split() for l in open(ceiling_file) if l.strip() and not l.startswith("#"))
-SEEDS = ("vrsqrt14pd", "vrsqrtps")
+SEEDS = ("vrsqrt14ps", "vrsqrtps")
 ARITH = re.compile(r"^v(add|sub|mul|max|min|div|sqrt|fn?m(add|sub)\d+|rsqrt\w*|rcp\w*|cvt\w+|cmp\w*|and\w*|or|xor|blend\w*)[ps][ds]$")
 MCPU = {"avx512": "skylake-avx512", "avx2": "haswell"}
 

@@ -4,8 +4,7 @@
 //! the only consumers, and a `#[derive(Copy)]` struct of two `f64`s is
 //! exactly what the auto-vectoriser wants to see.
 
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, Mul, Sub};
 
 /// A complex number `re + i·im` in double precision.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -78,25 +77,11 @@ impl Add for Cpx {
     }
 }
 
-impl AddAssign for Cpx {
-    #[inline]
-    fn add_assign(&mut self, o: Cpx) {
-        *self = *self + o;
-    }
-}
-
 impl Sub for Cpx {
     type Output = Cpx;
     #[inline]
     fn sub(self, o: Cpx) -> Cpx {
         Cpx::new(self.re - o.re, self.im - o.im)
-    }
-}
-
-impl SubAssign for Cpx {
-    #[inline]
-    fn sub_assign(&mut self, o: Cpx) {
-        *self = *self - o;
     }
 }
 
@@ -111,32 +96,11 @@ impl Mul for Cpx {
     }
 }
 
-impl MulAssign for Cpx {
-    #[inline]
-    fn mul_assign(&mut self, o: Cpx) {
-        *self = *self * o;
-    }
-}
-
 impl Mul<f64> for Cpx {
     type Output = Cpx;
     #[inline]
     fn mul(self, s: f64) -> Cpx {
         self.scale(s)
-    }
-}
-
-impl Neg for Cpx {
-    type Output = Cpx;
-    #[inline]
-    fn neg(self) -> Cpx {
-        Cpx::new(-self.re, -self.im)
-    }
-}
-
-impl Sum for Cpx {
-    fn sum<I: Iterator<Item = Cpx>>(it: I) -> Cpx {
-        it.fold(Cpx::ZERO, |a, b| a + b)
     }
 }
 
@@ -151,7 +115,6 @@ mod tests {
         assert_eq!(a + b - b, a);
         assert_eq!(a * Cpx::ONE, a);
         assert_eq!(a * b, b * a);
-        assert_eq!(-(a * b), (-a) * b);
     }
 
     #[test]

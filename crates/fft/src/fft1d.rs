@@ -6,8 +6,13 @@
 //! by `n`, and the 3-D drivers divide by `n³` once at the end, exactly
 //! where a PM code wants the normalisation (folded into the Green's
 //! function application).
+//!
+//! Every production transform runs [`Fft1d::butterflies_columns`] on a
+//! panel of lines with split real and imaginary parts; [`Fft1d::forward`]
+//! is the single-line textbook loop the bitwise tests compare it with.
 
 use crate::complex::Cpx;
+use std::sync::OnceLock;
 
 /// A reusable FFT plan for a fixed power-of-two size: precomputed
 /// bit-reversal permutation and twiddle factors.
@@ -20,6 +25,38 @@ pub struct Fft1d {
     /// stage `s` (half-size `m = 2^s`) uses `twiddle[m-1 .. 2m-1]`,
     /// holding `exp(-πi·k/m)` for `k < m` (flat "w-tree" layout).
     tw: Vec<Cpx>,
+    /// The instruction set the panel butterflies run in.
+    width: Width,
+}
+
+/// The vector width [`Fft1d::butterflies_columns`] is compiled for: one
+/// generic body, instantiated at the baseline target and again with
+/// AVX2 or AVX-512 enabled, vectorised by the compiler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Width {
+    Base,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Width {
+    /// Every width this CPU runs, narrowest first.
+    fn available() -> Vec<(&'static str, Width)> {
+        #[allow(unused_mut)]
+        let mut all = vec![("base", Width::Base)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                all.push(("avx2", Width::Avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                all.push(("avx512", Width::Avx512));
+            }
+        }
+        all
+    }
 }
 
 impl Fft1d {
@@ -49,7 +86,23 @@ impl Fft1d {
             }
             m <<= 1;
         }
-        Fft1d { n, rev, tw }
+        // The widest width, detected once per process.
+        static WIDEST: OnceLock<Width> = OnceLock::new();
+        let width = *WIDEST.get_or_init(|| Width::available().last().expect("base").1);
+        Fft1d { n, rev, tw, width }
+    }
+
+    /// This plan once per butterfly width the CPU runs, named, narrowest
+    /// first — for the bitwise tests and the bench. [`new`](Self::new)
+    /// picks the widest; every width gives the same bits.
+    #[doc(hidden)]
+    pub fn at_each_width(&self) -> Vec<(&'static str, Fft1d)> {
+        let at = |(name, width)| {
+            let mut plan = self.clone();
+            plan.width = width;
+            (name, plan)
+        };
+        Width::available().into_iter().map(at).collect()
     }
 
     /// The planned size.
@@ -62,7 +115,10 @@ impl Fft1d {
         self.n == 1
     }
 
-    /// In-place forward transform (`exp(−2πi)` convention, unnormalised).
+    /// In-place forward transform (`exp(−2πi)` convention,
+    /// unnormalised) of one line: the textbook loop, kept as the
+    /// reference that [`butterflies_columns`](Self::butterflies_columns)
+    /// is tested against bit for bit.
     pub fn forward(&self, x: &mut [Cpx]) {
         assert_eq!(x.len(), self.n, "buffer length != plan size");
         let n = self.n;
@@ -111,32 +167,25 @@ impl Fft1d {
         self.tw[self.n / 2 - 1 + k]
     }
 
-    /// The butterfly stages of [`forward`](Self::forward) on `w`
-    /// sequences at once: `x[j·w + b]` is element `j` of sequence `b`,
-    /// and rows must already be in bit-reversed order (row `rev(j)`
-    /// holds element `j`). Every element sees the same twiddle and the
-    /// same operations in the same order as in `forward`, so each
-    /// column is bit-identical to a single-line transform; what changes
-    /// is that the inner loop runs over a contiguous row.
-    pub fn butterflies_columns(&self, x: &mut [Cpx], w: usize) {
-        assert_eq!(x.len(), self.n * w, "panel size != plan size × width");
-        let mut m = 1;
-        let mut toff = 0;
-        while m < self.n {
-            for block in x.chunks_exact_mut(2 * m * w) {
-                let (lo, hi) = block.split_at_mut(m * w);
-                let rows = lo.chunks_exact_mut(w).zip(hi.chunks_exact_mut(w));
-                for (&tw, (a, b)) in self.tw[toff..toff + m].iter().zip(rows) {
-                    for (u, v) in a.iter_mut().zip(b) {
-                        let t = tw * *v;
-                        let s = *u;
-                        *u = s + t;
-                        *v = s - t;
-                    }
-                }
-            }
-            toff += m;
-            m <<= 1;
+    /// The butterfly stages of [`forward`](Self::forward) on a panel of
+    /// `w` sequences with split parts: `re[j·w + b]`, `im[j·w + b]` is
+    /// element `j` of sequence `b`, and rows must already be in
+    /// bit-reversed order (row `rev(j)` holds element `j`). Every
+    /// element sees the same twiddle and the same operations in the same
+    /// order as in `forward`, so each column is bit-identical to a
+    /// single-line transform; what changes is that the inner loop runs
+    /// over contiguous rows of plain `f64`, at the widest vector width
+    /// the CPU has.
+    pub fn butterflies_columns(&self, re: &mut [f64], im: &mut [f64], w: usize) {
+        let len = self.n * w;
+        assert!(
+            re.len() == len && im.len() == len,
+            "panel size != plan size × width"
+        );
+        match self.width {
+            Width::Base => stages(&self.tw, re, im, w),
+            #[cfg(target_arch = "x86_64")]
+            wide => wide::stages(wide, &self.tw, re, im, w),
         }
     }
 
@@ -153,23 +202,84 @@ impl Fft1d {
     }
 }
 
-/// Reference O(n²) DFT used by tests (forward convention).
-pub fn dft_naive(x: &[Cpx]) -> Vec<Cpx> {
-    let n = x.len();
-    (0..n)
-        .map(|k| {
-            (0..n)
-                .map(|j| {
-                    x[j] * Cpx::cis(-2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64)
-                })
-                .sum()
-        })
-        .collect()
+/// The one butterfly body: stage by stage, row pair by row pair, each
+/// element `t = tw·v; (u, v) ← (u + t, u − t)` written out as `Cpx`'s
+/// multiply, add and subtract. Inlined into every width's copy.
+#[inline(always)]
+fn stages(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
+    let mut m = 1;
+    while m * w < re.len() {
+        let blocks = re
+            .chunks_exact_mut(2 * m * w)
+            .zip(im.chunks_exact_mut(2 * m * w));
+        for (re, im) in blocks {
+            let (re_u, re_v) = re.split_at_mut(m * w);
+            let (im_u, im_v) = im.split_at_mut(m * w);
+            let rows = (re_u.chunks_exact_mut(w).zip(im_u.chunks_exact_mut(w)))
+                .zip(re_v.chunks_exact_mut(w).zip(im_v.chunks_exact_mut(w)));
+            for (t, ((ur, ui), (vr, vi))) in tw[m - 1..2 * m - 1].iter().zip(rows) {
+                let cols = ur.iter_mut().zip(ui).zip(vr.iter_mut().zip(vi));
+                for ((ur, ui), (vr, vi)) in cols {
+                    let (tr, ti) = (t.re * *vr - t.im * *vi, t.re * *vi + t.im * *vr);
+                    let (sr, si) = (*ur, *ui);
+                    (*ur, *ui) = (sr + tr, si + ti);
+                    (*vr, *vi) = (sr - tr, si - ti);
+                }
+            }
+        }
+        m <<= 1;
+    }
+}
+
+/// [`stages`] compiled for AVX2 and for AVX-512, and the crate's one
+/// `unsafe` block: the call into whichever of them a plan holds.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod wide {
+    use super::{stages as body, Cpx, Width};
+
+    #[target_feature(enable = "avx2")]
+    fn avx2(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
+        body(tw, re, im, w)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn avx512(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
+        body(tw, re, im, w)
+    }
+
+    pub(super) fn stages(width: Width, tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
+        // SAFETY: a plan holds `Width::Avx2` or `Width::Avx512` only if
+        // `Width::available` found that feature with
+        // `is_x86_feature_detected!` on this CPU, so the copy called here
+        // runs on hardware that has every instruction it was compiled to.
+        unsafe {
+            if width == Width::Avx512 {
+                avx512(tw, re, im, w)
+            } else {
+                avx2(tw, re, im, w)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference O(n²) DFT used by tests (forward convention).
+    fn dft_naive(x: &[Cpx]) -> Vec<Cpx> {
+        let n = x.len();
+        (0..n)
+            .map(|k| {
+                (0..n)
+                    .map(|j| {
+                        x[j] * Cpx::cis(-2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64)
+                    })
+                    .fold(Cpx::ZERO, |a, b| a + b)
+            })
+            .collect()
+    }
 
     fn rand_signal(n: usize, seed: u64) -> Vec<Cpx> {
         // Tiny deterministic LCG; no rand dependency needed here.
@@ -288,26 +398,35 @@ mod tests {
 
     #[test]
     fn batched_columns_equal_single_lines_bitwise() {
-        for (n, w) in [(1usize, 3usize), (2, 1), (8, 5), (64, 16)] {
-            let plan = Fft1d::new(n);
-            let lines: Vec<Vec<Cpx>> = (0..w).map(|b| rand_signal(n, 90 + b as u64)).collect();
-            let mut panel = vec![Cpx::ZERO; n * w];
-            for (b, line) in lines.iter().enumerate() {
-                for (j, &v) in line.iter().enumerate() {
-                    panel[plan.rev(j) * w + b] = v;
-                }
-            }
-            plan.butterflies_columns(&mut panel, w);
-            for (b, line) in lines.iter().enumerate() {
-                let mut want = line.clone();
-                plan.forward(&mut want);
-                for (j, v) in want.iter().enumerate() {
-                    let got = panel[j * w + b];
-                    assert_eq!(
-                        (got.re.to_bits(), got.im.to_bits()),
-                        (v.re.to_bits(), v.im.to_bits()),
-                        "n={n} column {b} element {j}"
-                    );
+        for n in (0..=8).map(|s| 1usize << s) {
+            let lines: Vec<Vec<Cpx>> = (0..33).map(|b| rand_signal(n, 90 + b as u64)).collect();
+            let reference = Fft1d::new(n);
+            let want: Vec<Vec<Cpx>> = lines
+                .iter()
+                .map(|line| {
+                    let mut line = line.clone();
+                    reference.forward(&mut line);
+                    line
+                })
+                .collect();
+            for (name, plan) in reference.at_each_width() {
+                for w in 1..=lines.len() {
+                    let (mut re, mut im) = (vec![0.0; n * w], vec![0.0; n * w]);
+                    for (b, line) in lines[..w].iter().enumerate() {
+                        for (j, v) in line.iter().enumerate() {
+                            (re[plan.rev(j) * w + b], im[plan.rev(j) * w + b]) = (v.re, v.im);
+                        }
+                    }
+                    plan.butterflies_columns(&mut re, &mut im, w);
+                    for (b, want) in want[..w].iter().enumerate() {
+                        for (j, v) in want.iter().enumerate() {
+                            assert_eq!(
+                                (re[j * w + b].to_bits(), im[j * w + b].to_bits()),
+                                (v.re.to_bits(), v.im.to_bits()),
+                                "{name}: n={n} w={w} column {b} element {j}"
+                            );
+                        }
+                    }
                 }
             }
         }

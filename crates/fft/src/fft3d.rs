@@ -6,7 +6,7 @@
 //! solver uses within each x-plane, so data moves between the two without
 //! reshuffling.
 
-use crate::columns::{columns_pass, rows_by_middle};
+use crate::columns::{columns_pass, conj_if, rows_by_middle, Panel, PANEL_COLS};
 use crate::complex::Cpx;
 use crate::fft1d::Fft1d;
 use rayon::prelude::*;
@@ -125,9 +125,9 @@ pub fn fft3d_inverse(mesh: &mut Mesh3, plan: &Fft1d) {
 }
 
 /// The three axis passes. Per x-plane (one rayon task each, the plane
-/// staying in L2 between the two): `z` as contiguous row transforms,
-/// then `y` as batched columns. Then `x`, batched over the columns of
-/// one `y` per task.
+/// staying in L2 between the two): `z` and then `y`
+/// ([`plane_yz`]). Then `x`, batched over the columns of one `y` per
+/// task.
 ///
 /// The inverse is `conj ∘ forward ∘ conj` per line; conjugation is exact
 /// and its own inverse, so the conjugations between the axes cancel and
@@ -141,25 +141,34 @@ fn transform3d(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
     assert_eq!(plan.len(), n, "plan size must match mesh side");
     mesh.data
         .par_chunks_mut(n * n)
-        .for_each_init(Vec::new, |panel, plane| {
-            let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(n).collect();
-            for row in rows.iter_mut() {
-                if inverse {
-                    row.iter_mut().for_each(|v| *v = v.conj());
-                }
-                plan.forward(row);
-            }
-            let fft = |p: &mut [Cpx], _, w| plan.butterflies_columns(p, w);
-            columns_pass(plan, &mut rows, n, panel, fft, |v| v);
+        .for_each_init(Vec::new, |scratch, plane| {
+            plane_yz(plan, plane, scratch, inverse)
         });
     let s = 1.0 / (n as f64).powi(3);
     rows_by_middle(&mut mesh.data, n, n)
         .into_par_iter()
-        .for_each_init(Vec::new, |panel, mut rows| {
-            let fft = |p: &mut [Cpx], _, w| plan.butterflies_columns(p, w);
+        .for_each_init(Vec::new, |scratch, mut rows| {
             let finish = |v: Cpx| if inverse { v.conj().scale(s) } else { v };
-            columns_pass(plan, &mut rows, n, panel, fft, finish);
+            let maps = (conj_if(false), finish);
+            columns_pass(plan, &mut rows, n, scratch, maps, |p, _| p.fft(plan));
         });
+}
+
+/// The forward transforms of one `n × n` x-plane: its z rows as
+/// transposed panels, conjugated on the way in when `conj_in`, then its
+/// y columns.
+pub(crate) fn plane_yz(plan: &Fft1d, plane: &mut [Cpx], scratch: &mut Vec<f64>, conj_in: bool) {
+    let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(plan.len()).collect();
+    for batch in rows.chunks_mut(PANEL_COLS) {
+        let [mut p] = Panel::of(scratch, [plan.len()], batch.len());
+        p.load(batch, |j| plan.rev(j), conj_if(conj_in));
+        p.fft(plan);
+        p.store(batch, conj_if(false));
+    }
+    let maps = (conj_if(false), conj_if(false));
+    columns_pass(plan, &mut rows, plan.len(), scratch, maps, |p, _| {
+        p.fft(plan)
+    });
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //!
 //! * [`Cpx`] — a minimal complex number,
 //! * [`Fft1d`] — an iterative radix-2 Cooley-Tukey plan with precomputed
-//!   twiddles (power-of-two sizes, like the paper's meshes), for one
-//!   line or for a panel of neighbouring lines at once,
+//!   twiddles (power-of-two sizes, like the paper's meshes), run on
+//!   panels of up to 16 lines with split real and imaginary parts, at the
+//!   widest vector width the CPU has (every axis of every transform
+//!   below goes through these panels),
 //! * [`RealFft3`] — real ↔ half-complex 3-D transforms in place on a
 //!   padded `n × n × (n+2)` real buffer, and the k-space convolution
 //!   built on them: the periodic PM solver's transform (the density is
@@ -24,12 +26,16 @@
 //!   all-to-all transpose to an intermediate y-distributed layout, and
 //!   the same "at most `n` ranks can participate" restriction.
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, x86 only: the call into the AVX2 / AVX-512 copy
+// of the butterflies that run-time detection selected (`fft1d::wide`).
+#![deny(unsafe_code)]
 
 mod columns;
 pub mod complex;
 pub mod fft1d;
 pub mod fft3d;
+#[cfg(test)]
+mod golden;
 pub mod real3d;
 pub mod slab;
 

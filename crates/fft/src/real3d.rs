@@ -13,28 +13,29 @@
 //! butterflies and — the larger saving at PM mesh sizes — half the
 //! bytes, in three streaming phases:
 //!
-//! * **A**, per x-plane: each z row as one packed `n/2`-point complex
-//!   transform plus the split step, then the `y` axis as batched
-//!   columns while the plane is still in L2;
+//! * **A**, per x-plane: the z rows, [`PANEL_COLS`] at a time, as packed
+//!   `n/2`-point complex transforms plus the split step, then the `y`
+//!   axis as batched columns while the plane is still in L2;
 //! * **B**, per `y`: the `x` axis as batched columns. In
 //!   [`convolve`](RealFft3::convolve) the forward transform, the
 //!   k-space multiply and the inverse transform of a panel all happen
 //!   here, on one visit to cache;
-//! * **C**, per x-plane: inverse `y`, then each row merged and
+//! * **C**, per x-plane: inverse `y`, then the rows merged and
 //!   inverse-transformed back to `n` reals.
 
-use crate::columns::{columns_pass, rows_by_middle, Elem};
+use crate::columns::{columns_pass, combine_rows, conj_if, rows_by_middle, Panel, PANEL_COLS};
 use crate::complex::Cpx;
 use crate::fft1d::Fft1d;
 use rayon::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Plan for real ↔ half-complex transforms of an `n³` periodic mesh.
 #[derive(Debug, Clone)]
 pub struct RealFft3 {
     /// Size-`n` plan: the y and x axes, and the split step's roots.
-    full: Fft1d,
+    pub(crate) full: Fft1d,
     /// Size-`n/2` plan: the packed z rows.
-    half: Fft1d,
+    pub(crate) half: Fft1d,
 }
 
 impl RealFft3 {
@@ -68,19 +69,20 @@ impl RealFft3 {
     /// Forward transform in place (unnormalised, `exp(−2πi)`): real
     /// rows in, modes `k_z ≤ n/2` out.
     pub fn forward(&self, buf: &mut [f64]) {
-        self.planes_forward(buf);
-        self.x_pass(buf, |panel, _, _, w| {
-            self.full.butterflies_columns(panel, w)
+        self.planes(buf, |rows, scratch| {
+            self.z_forward(rows, scratch);
+            self.y_pass(rows, scratch, false);
         });
+        self.x_pass(buf, false, |p, _, _| p.fft(&self.full));
     }
 
     /// Inverse of [`forward`](Self::forward) in place, `1/n³` included.
     pub fn inverse(&self, buf: &mut [f64]) {
-        self.x_pass(buf, |panel, _, _, w| {
-            panel.iter_mut().for_each(|v| *v = v.conj());
-            self.full.butterflies_columns(panel, w);
+        self.x_pass(buf, true, |p, _, _| p.fft(&self.full));
+        self.planes(buf, |rows, scratch| {
+            self.y_pass(rows, scratch, true);
+            self.z_inverse(rows, scratch);
         });
-        self.planes_inverse(buf);
     }
 
     /// Circular convolution with a real, even kernel given in k-space:
@@ -90,127 +92,149 @@ impl RealFft3 {
     /// three steps one after another, but a mode is multiplied while its
     /// panel is in cache between the two x transforms.
     pub fn convolve<'k>(&self, buf: &mut [f64], kernel: impl Fn(usize, usize) -> &'k [f64] + Sync) {
-        let n = self.n();
-        self.planes_forward(buf);
-        self.x_pass(buf, |panel, y, c0, w| {
-            self.full.butterflies_columns(panel, w);
-            // Row i now holds k_x = i. Multiply, conjugate for the
-            // inverse, and move to row rev(i) for its butterflies.
-            let mul = |v: &mut Cpx, g: f64| *v = Cpx::new(v.re * g, -(v.im * g));
-            for i in 0..n {
-                let j = self.full.rev(i);
-                if i > j {
-                    continue;
-                }
-                let gi = &kernel(i, y)[c0..c0 + w];
-                let gj = &kernel(j, y)[c0..c0 + w];
-                let (lo, hi) = panel.split_at_mut(j * w);
-                if i == j {
-                    hi[..w].iter_mut().zip(gi).for_each(|(v, &g)| mul(v, g));
-                } else {
-                    let a = &mut lo[i * w..(i + 1) * w];
-                    let b = &mut hi[..w];
-                    for ((a, b), (&gi, &gj)) in a.iter_mut().zip(b).zip(gi.iter().zip(gj)) {
-                        std::mem::swap(a, b);
-                        mul(a, gj);
-                        mul(b, gi);
-                    }
-                }
-            }
-            self.full.butterflies_columns(panel, w);
+        self.planes(buf, |rows, scratch| {
+            self.z_forward(rows, scratch);
+            self.y_pass(rows, scratch, false);
         });
-        self.planes_inverse(buf);
+        self.x_pass(buf, false, |p, y, c0| {
+            self.multiply(p, |i| &kernel(i, y)[c0..])
+        });
+        self.planes(buf, |rows, scratch| {
+            self.y_pass(rows, scratch, true);
+            self.z_inverse(rows, scratch);
+        });
     }
 
-    /// Phase A: z rows real → half-complex, then the y axis.
-    fn planes_forward(&self, buf: &mut [f64]) {
+    /// [`convolve`](Self::convolve) with each of its three kinds of pass
+    /// — z rows, y panels, x panels — run over the whole mesh on its own
+    /// and timed: the same values in the same order, so the same bits,
+    /// at one more trip through memory per split. For the bench.
+    #[doc(hidden)]
+    pub fn convolve_phases<'k>(
+        &self,
+        buf: &mut [f64],
+        kernel: impl Fn(usize, usize) -> &'k [f64] + Sync,
+    ) -> [Duration; 3] {
+        let mut spent = [Duration::ZERO; 3];
+        let mut timed = |phase: usize, pass: &dyn Fn(&mut [f64])| {
+            let t = Instant::now();
+            pass(buf);
+            spent[phase] += t.elapsed();
+        };
+        timed(0, &|b| self.planes(b, |r, s| self.z_forward(r, s)));
+        timed(1, &|b| self.planes(b, |r, s| self.y_pass(r, s, false)));
+        timed(2, &|b| {
+            self.x_pass(b, false, |p, y, c| self.multiply(p, |i| &kernel(i, y)[c..]))
+        });
+        timed(1, &|b| self.planes(b, |r, s| self.y_pass(r, s, true)));
+        timed(0, &|b| self.planes(b, |r, s| self.z_inverse(r, s)));
+        spent
+    }
+
+    /// Phases A and C: `pass(rows, scratch)` on every x-plane, one task
+    /// each.
+    fn planes(&self, buf: &mut [f64], pass: impl Fn(&mut [&mut [f64]], &mut Vec<f64>) + Sync) {
         let (n, ld) = (self.n(), self.row_len());
         assert_eq!(buf.len(), self.buf_len(), "padded buffer size mismatch");
         buf.par_chunks_mut(n * ld)
-            .for_each_init(Vec::new, |panel, plane| {
-                let mut rows: Vec<&mut [f64]> = plane.chunks_exact_mut(ld).collect();
-                panel.resize(n / 2, Cpx::ZERO);
-                for row in rows.iter_mut() {
-                    self.split_row(row, &mut panel[..n / 2]);
-                }
-                let fft = |p: &mut [Cpx], _, w| self.full.butterflies_columns(p, w);
-                columns_pass(&self.full, &mut rows, n / 2 + 1, panel, fft, |v| v);
+            .for_each_init(Vec::new, |scratch, plane| {
+                pass(&mut plane.chunks_exact_mut(ld).collect::<Vec<_>>(), scratch)
             });
     }
 
-    /// Phase B: `body(panel, y, c0, w)` on every x panel — columns
-    /// `c0 .. c0 + w` of line `y` — which arrives in bit-reversed row
-    /// order and leaves in natural order. What it
-    /// leaves is the *conjugate* of the k-space values whenever an
-    /// inverse follows ([`planes_inverse`](Self::planes_inverse) undoes
-    /// that on its way out of the y axis).
-    fn x_pass(&self, buf: &mut [f64], body: impl Fn(&mut [Cpx], usize, usize, usize) + Sync) {
+    /// The y axis of one plane; the inverse leaves it conjugated back
+    /// (undoing the conjugate [`x_pass`](Self::x_pass) hands over).
+    fn y_pass(&self, rows: &mut [&mut [f64]], scratch: &mut Vec<f64>, inverse: bool) {
+        let (h, maps) = (self.n() / 2 + 1, (conj_if(false), conj_if(inverse)));
+        columns_pass(&self.full, rows, h, scratch, maps, |p, _| p.fft(&self.full));
+    }
+
+    /// Phase B: `body(panel, y, c0)` on every x panel, columns `c0..` of
+    /// line `y`, gathered conjugated when `conj`. It leaves the
+    /// *conjugate* of the k-space values when an inverse follows
+    /// ([`y_pass`](Self::y_pass) undoes that).
+    fn x_pass(&self, buf: &mut [f64], conj: bool, body: impl Fn(&mut Panel, usize, usize) + Sync) {
         let (n, ld) = (self.n(), self.row_len());
         assert_eq!(buf.len(), self.buf_len(), "padded buffer size mismatch");
         rows_by_middle(buf, n, ld)
             .into_par_iter()
             .enumerate()
-            .for_each_init(Vec::new, |panel, (y, mut rows)| {
-                let body = |p: &mut [Cpx], c0, w| body(p, y, c0, w);
-                columns_pass(&self.full, &mut rows, n / 2 + 1, panel, body, |v| v);
+            .for_each_init(Vec::new, |scratch, (y, mut rows)| {
+                let maps = (conj_if(conj), conj_if(false));
+                columns_pass(&self.full, &mut rows, n / 2 + 1, scratch, maps, |p, c0| {
+                    body(p, y, c0)
+                });
             });
     }
 
-    /// Phase C: the y axis of a conjugated spectrum, then z rows
-    /// half-complex → real with the `1/n³`.
-    fn planes_inverse(&self, buf: &mut [f64]) {
-        let (n, ld) = (self.n(), self.row_len());
-        let scale = 1.0 / (n as f64).powi(3);
-        buf.par_chunks_mut(n * ld)
-            .for_each_init(Vec::new, |panel, plane| {
-                let mut rows: Vec<&mut [f64]> = plane.chunks_exact_mut(ld).collect();
-                let fft = |p: &mut [Cpx], _, w| self.full.butterflies_columns(p, w);
-                columns_pass(&self.full, &mut rows, n / 2 + 1, panel, fft, Cpx::conj);
-                for row in rows.iter_mut() {
-                    self.merge_row(row, &mut panel[..n / 2], scale);
-                }
-            });
+    /// [`convolve`](Self::convolve)'s x panel: forward; row `i`, now
+    /// `k_x = i`, multiplied by `g(i)` and conjugated for the inverse;
+    /// the rows bit-reversed; inverse.
+    fn multiply<'k>(&self, p: &mut Panel, g: impl Fn(usize) -> &'k [f64]) {
+        p.fft(&self.full);
+        for i in 0..self.n() {
+            let (re, im) = p.row_mut(i);
+            for ((r, m), &g) in re.iter_mut().zip(im).zip(g(i)) {
+                (*r, *m) = (*r * g, -(*m * g));
+            }
+        }
+        p.reverse_rows(&self.full);
+        p.fft(&self.full);
     }
 
-    /// One z row, `n` reals → modes `0 ..= n/2`: transform the even and
-    /// odd samples together as `z[j] = x[2j] + i·x[2j+1]`, then split
-    /// `Z` into their two spectra `E`, `O` by Hermitian symmetry and
-    /// combine `X[k] = E[k] + exp(−2πi·k/n)·O[k]`.
-    fn split_row(&self, row: &mut [f64], line: &mut [Cpx]) {
-        let h = line.len();
-        f64::gather(row, 0, line);
-        self.half.forward(line);
-        let z0 = line[0];
-        row[0] = z0.re + z0.im;
-        row[1] = 0.0;
-        row[2 * h] = z0.re - z0.im;
-        row[2 * h + 1] = 0.0;
-        for k in 1..h {
-            let (a, b) = (line[k], line[h - k].conj());
-            // e = 2E[k], d = 2i·O[k].
-            let (e, d) = (a + b, a - b);
-            let x = (e + self.full.root(k) * Cpx::new(d.im, -d.re)).scale(0.5);
-            row[2 * k] = x.re;
-            row[2 * k + 1] = x.im;
+    /// The z rows of one plane, `n` reals → modes `0 ..= n/2`, a panel
+    /// of rows at a time: transform the even and odd samples together
+    /// as `z[j] = x[2j] + i·x[2j+1]`, then split `Z` into their two
+    /// spectra `E`, `O` by Hermitian symmetry and combine
+    /// `X[k] = E[k] + exp(−2πi·k/n)·O[k]` into a second panel.
+    fn z_forward(&self, rows: &mut [&mut [f64]], scratch: &mut Vec<f64>) {
+        let h = self.half.len();
+        for batch in rows.chunks_mut(PANEL_COLS) {
+            let [mut z, mut x] = Panel::of(scratch, [h, h + 1], batch.len());
+            z.load(batch, |j| self.half.rev(j), conj_if(false));
+            z.fft(&self.half);
+            combine_rows(x.row_mut(0), z.row(0), z.row(0), |z0, _| {
+                Cpx::new(z0.re + z0.im, 0.0)
+            });
+            combine_rows(x.row_mut(h), z.row(0), z.row(0), |z0, _| {
+                Cpx::new(z0.re - z0.im, 0.0)
+            });
+            for k in 1..h {
+                let root = self.full.root(k);
+                combine_rows(x.row_mut(k), z.row(k), z.row(h - k), |a, c| {
+                    let c = c.conj();
+                    // e = 2E[k], d = 2i·O[k].
+                    let (e, d) = (a + c, a - c);
+                    (e + root * Cpx::new(d.im, -d.re)).scale(0.5)
+                });
+            }
+            x.store(batch, conj_if(false));
         }
     }
 
-    /// The inverse of [`split_row`](Self::split_row) without its ½, so
-    /// that with the unnormalised `n/2`-point inverse the row comes out
-    /// as `n·x`, like every other axis; `scale` is applied on the way
+    /// The inverse of [`z_forward`](Self::z_forward) without its ½, so
+    /// that with the unnormalised `n/2`-point inverse a row comes out
+    /// as `n·x`, like every other axis; the `1/n³` is applied on the way
     /// out.
-    fn merge_row(&self, row: &mut [f64], line: &mut [Cpx], scale: f64) {
-        let h = line.len();
-        for (k, z) in line.iter_mut().enumerate() {
-            let a = Cpx::new(row[2 * k], row[2 * k + 1]);
-            let b = Cpx::new(row[2 * (h - k)], -row[2 * (h - k) + 1]);
-            // e = 2E[k], d = 2·exp(−2πi·k/n)·O[k]; Z = E + i·O,
-            // conjugated for the forward-as-inverse below.
-            let (e, d) = (a + b, a - b);
-            *z = (e + self.full.root(k).conj() * Cpx::new(-d.im, d.re)).conj();
+    fn z_inverse(&self, rows: &mut [&mut [f64]], scratch: &mut Vec<f64>) {
+        let (h, scale) = (self.half.len(), 1.0 / (self.n() as f64).powi(3));
+        for batch in rows.chunks_mut(PANEL_COLS) {
+            let [mut x, mut z] = Panel::of(scratch, [h + 1, h], batch.len());
+            x.load(batch, |k| k, conj_if(false));
+            for k in 0..h {
+                let root = self.full.root(k).conj();
+                let dst = z.row_mut(self.half.rev(k));
+                combine_rows(dst, x.row(k), x.row(h - k), |a, c| {
+                    let c = c.conj();
+                    // e = 2E[k], d = 2·exp(−2πi·k/n)·O[k]; Z = E + i·O,
+                    // conjugated for the forward-as-inverse below.
+                    let (e, d) = (a + c, a - c);
+                    (e + root * Cpx::new(-d.im, d.re)).conj()
+                });
+            }
+            z.fft(&self.half);
+            z.store(batch, |v| v.conj().scale(scale));
         }
-        self.half.forward(line);
-        f64::scatter(line, row, 0, |v| Cpx::new(v.re * scale, -(v.im * scale)));
     }
 }
 

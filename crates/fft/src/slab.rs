@@ -23,8 +23,10 @@
 
 use mpisim::{Comm, Ctx};
 
+use crate::columns::{columns_pass, conj_if};
 use crate::complex::Cpx;
 use crate::fft1d::Fft1d;
+use crate::fft3d::plane_yz;
 
 /// Block distribution of `n` planes over `p` ranks: returns
 /// `(first_plane, count)` for rank `r`. The first `n % p` ranks get one
@@ -58,7 +60,7 @@ pub fn slab_owner(n: usize, p: usize, x: usize) -> usize {
 /// k-space buffers are `(y, x, z)` row-major ("transposed" layout).
 pub struct SlabFft {
     n: usize,
-    plan: Fft1d,
+    pub(crate) plan: Fft1d,
     comm: Comm,
 }
 
@@ -111,7 +113,7 @@ impl SlabFft {
         // (1) 2-D FFT in each x-plane: rows along z, then strided along y.
         self.fft_planes_yz(&mut slab, false);
         // (2) transpose x-slabs -> y-slabs.
-        let mut t = self.transpose_to_k(ctx, &slab);
+        let mut t = self.transpose(ctx, &slab);
         // (3) FFT along x (stride n in the transposed layout).
         self.fft_lines_x(&mut t, false);
         t
@@ -124,140 +126,70 @@ impl SlabFft {
         let (_, nyl) = self.my_kplanes();
         assert_eq!(kslab.len(), nyl * n * n, "k-slab buffer size mismatch");
         self.fft_lines_x(&mut kslab, true);
-        let mut slab = self.transpose_to_real(ctx, &kslab);
+        let mut slab = self.transpose(ctx, &kslab);
         self.fft_planes_yz(&mut slab, true);
-        let s = 1.0 / (n as f64).powi(3);
-        for v in slab.iter_mut() {
-            *v = v.scale(s);
-        }
         slab
     }
 
-    /// 2-D transforms (y and z) of every local x-plane.
+    /// 2-D transforms (y and z) of every local x-plane; the inverse
+    /// conjugates into the z rows and, with the `1/n³`, after the y
+    /// columns (the conjugations between cancel).
     fn fft_planes_yz(&self, slab: &mut [Cpx], inverse: bool) {
-        let n = self.n;
-        let run = |buf: &mut [Cpx]| {
-            if inverse {
-                self.plan.inverse(buf)
-            } else {
-                self.plan.forward(buf)
-            }
-        };
+        let (n, mut scratch) = (self.n, Vec::new());
         for plane in slab.chunks_exact_mut(n * n) {
-            for row in plane.chunks_exact_mut(n) {
-                run(row);
-            }
-            let mut line = vec![Cpx::ZERO; n];
-            for z in 0..n {
-                for y in 0..n {
-                    line[y] = plane[y * n + z];
-                }
-                run(&mut line);
-                for y in 0..n {
-                    plane[y * n + z] = line[y];
-                }
-            }
+            plane_yz(&self.plan, plane, &mut scratch, inverse);
+        }
+        if inverse {
+            let s = 1.0 / (n as f64).powi(3);
+            slab.iter_mut().for_each(|v| *v = v.conj().scale(s));
         }
     }
 
-    /// 1-D transforms along x in the transposed layout `B[yl][x][z]`.
+    /// 1-D transforms along x in the transposed layout `B[yl][x][z]`:
+    /// each `[x][z]` plane's columns.
     fn fft_lines_x(&self, t: &mut [Cpx], inverse: bool) {
         let n = self.n;
-        let run = |buf: &mut [Cpx]| {
-            if inverse {
-                self.plan.inverse(buf)
-            } else {
-                self.plan.forward(buf)
-            }
-        };
-        let mut line = vec![Cpx::ZERO; n];
+        let mut scratch = Vec::new();
         for plane in t.chunks_exact_mut(n * n) {
-            // plane is [x][z] for one local y.
-            for z in 0..n {
-                for x in 0..n {
-                    line[x] = plane[x * n + z];
-                }
-                run(&mut line);
-                for x in 0..n {
-                    plane[x * n + z] = line[x];
-                }
-            }
+            let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(n).collect();
+            let maps = (conj_if(inverse), conj_if(inverse));
+            columns_pass(&self.plan, &mut rows, n, &mut scratch, maps, |p, _| {
+                p.fft(&self.plan)
+            });
         }
     }
 
-    /// All-to-all from x-slabs to y-slabs: destination rank `d` receives
-    /// our x-planes restricted to its y-range.
-    fn transpose_to_k(&self, ctx: &mut Ctx, slab: &[Cpx]) -> Vec<Cpx> {
-        let n = self.n;
-        let p = self.comm.size();
-        let (x0, nxl) = self.my_planes();
-        let mut send: Vec<Vec<Cpx>> = Vec::with_capacity(p);
-        for d in 0..p {
-            let (y0d, nyd) = slab_planes(n, p, d);
-            let mut buf = Vec::with_capacity(nxl * nyd * n);
-            for xl in 0..nxl {
-                for y in y0d..y0d + nyd {
-                    let row = (xl * n + y) * n;
-                    buf.extend_from_slice(&slab[row..row + n]);
+    /// The all-to-all between the two layouts, either way round: this
+    /// rank's block of the distributed axis `a` (x in real space, y in
+    /// k-space) × all `n` planes of the middle axis `b` becomes all `n`
+    /// of `a` × its block of `b` — `[a][b][z]` to `[b][a][z]`. Rank `d`
+    /// is sent our rows restricted to its block. Both layouts use the
+    /// same block distribution, so this one function is both transposes.
+    fn transpose(&self, ctx: &mut Ctx, src: &[Cpx]) -> Vec<Cpx> {
+        let (n, p) = (self.n, self.comm.size());
+        let (_, mine) = self.my_planes();
+        let send = (0..p)
+            .map(|d| {
+                let (b0, nb) = slab_planes(n, p, d);
+                let mut buf = Vec::with_capacity(mine * nb * n);
+                for al in 0..mine {
+                    buf.extend_from_slice(&src[(al * n + b0) * n..(al * n + b0 + nb) * n]);
                 }
-            }
-            send.push(buf);
-        }
+                buf
+            })
+            .collect();
         let recv = self.comm.alltoallv(ctx, send);
-        // Unpack: from rank s we get its x-range for our y-range,
-        // ordered (x, y, z); target layout is B[yl][x][z].
-        let (y0, nyl) = self.my_kplanes();
-        let _ = y0;
-        let mut t = vec![Cpx::ZERO; nyl * n * n];
+        // From rank s: its block of a, ordered (a, our b, z).
+        let mut dst = vec![Cpx::ZERO; mine * n * n];
         for (s, buf) in recv.iter().enumerate() {
-            let (x0s, nxs) = slab_planes(n, p, s);
-            assert_eq!(buf.len(), nxs * nyl * n, "transpose unpack size");
-            let mut i = 0;
-            for x in x0s..x0s + nxs {
-                for yl in 0..nyl {
-                    let dst = (yl * n + x) * n;
-                    t[dst..dst + n].copy_from_slice(&buf[i..i + n]);
-                    i += n;
-                }
+            let (a0, na) = slab_planes(n, p, s);
+            assert_eq!(buf.len(), na * mine * n, "transpose unpack size");
+            for (i, row) in buf.chunks_exact(n).enumerate() {
+                let (a, bl) = (a0 + i / mine, i % mine);
+                dst[(bl * n + a) * n..][..n].copy_from_slice(row);
             }
         }
-        let _ = x0;
-        t
-    }
-
-    /// Inverse transpose: y-slabs back to x-slabs.
-    fn transpose_to_real(&self, ctx: &mut Ctx, t: &[Cpx]) -> Vec<Cpx> {
-        let n = self.n;
-        let p = self.comm.size();
-        let (_, nyl) = self.my_kplanes();
-        let mut send: Vec<Vec<Cpx>> = Vec::with_capacity(p);
-        for d in 0..p {
-            let (x0d, nxd) = slab_planes(n, p, d);
-            let mut buf = Vec::with_capacity(nyl * nxd * n);
-            for yl in 0..nyl {
-                for x in x0d..x0d + nxd {
-                    let row = (yl * n + x) * n;
-                    buf.extend_from_slice(&t[row..row + n]);
-                }
-            }
-            send.push(buf);
-        }
-        let recv = self.comm.alltoallv(ctx, send);
-        let (_, nxl) = self.my_planes();
-        let mut slab = vec![Cpx::ZERO; nxl * n * n];
-        for (s, buf) in recv.iter().enumerate() {
-            let (y0s, nys) = slab_planes(n, p, s);
-            assert_eq!(buf.len(), nys * nxl * n, "inverse transpose unpack size");
-            let mut i = 0;
-            for y in y0s..y0s + nys {
-                for xl in 0..nxl {
-                    let dst = (xl * n + y) * n;
-                    slab[dst..dst + n].copy_from_slice(&buf[i..i + n]);
-                    i += n;
-                }
-            }
-        }
-        slab
+        dst
     }
 }
 

@@ -10,14 +10,11 @@ use greem_pm::{CellBox, LocalMesh};
 use mpisim::{NetModel, World};
 use std::hint::black_box;
 
-fn stripe(me: usize, p: usize, n: i64) -> LocalMesh {
-    let w = (n / p as i64).max(1);
-    let own = CellBox::new([me as i64 * w, 0, 0], [(me as i64 + 1) * w, n, n]).grow(1);
-    let mut local = LocalMesh::zeros(own);
-    for (i, v) in local.data.iter_mut().enumerate() {
-        *v = (i % 31) as f64;
-    }
-    local
+/// Rank `me`'s x-stripe, filled with a recognisable pattern.
+fn stripe(me: usize, p: usize, n: usize) -> LocalMesh {
+    let bx = CellBox::x_stripe(me, p, n);
+    let data = (0..bx.len()).map(|i| (i % 31) as f64).collect();
+    LocalMesh { bx, data }
 }
 
 fn bench_conversions(c: &mut Criterion) {
@@ -29,7 +26,7 @@ fn bench_conversions(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("direct", p), |b| {
         b.iter(|| {
             let out = World::new(p).with_net(NetModel::free()).run(|ctx, world| {
-                let local = stripe(world.rank(), p, n as i64);
+                let local = stripe(world.rank(), p, n);
                 local_density_to_slabs(ctx, world, &local, n, nf).map(|s| s.len())
             });
             black_box(out)
@@ -42,7 +39,7 @@ fn bench_conversions(c: &mut Criterion) {
                     .with_net(NetModel::free())
                     .run(move |ctx, world| {
                         let comms = RelayComms::build(ctx, world, RelayConfig { nf, n_groups: g });
-                        let local = stripe(world.rank(), p, n as i64);
+                        let local = stripe(world.rank(), p, n);
                         relay_density_to_slabs(ctx, &comms, &local, n).map(|s| s.len())
                     });
                 black_box(out)

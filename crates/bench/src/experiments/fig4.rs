@@ -32,17 +32,11 @@ pub fn census(p: usize, nf: usize, n_mesh: usize) -> Fig4Census {
         .with_net(NetModel::k_computer())
         .run(move |ctx, world| {
             let me = world.rank();
-            // x-stripes with one ghost cell, like a 1-D domain cut.
-            let w = n_mesh as i64 / p as i64;
-            let own = CellBox::new(
-                [me as i64 * w, 0, 0],
-                [(me as i64 + 1) * w, n_mesh as i64, n_mesh as i64],
-            )
-            .grow(1);
-            let mut local = LocalMesh::zeros(own);
-            for v in local.data.iter_mut() {
-                *v = 1.0;
-            }
+            let own = CellBox::x_stripe(me, p, n_mesh);
+            let local = LocalMesh {
+                bx: own,
+                data: vec![1.0; own.len()],
+            };
             let before = ctx.comm_stats();
             let slab = local_density_to_slabs(ctx, world, &local, n_mesh, nf);
             let after = ctx.comm_stats();

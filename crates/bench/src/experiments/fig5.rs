@@ -27,14 +27,11 @@ pub struct RelayTiming {
     pub backward: f64,
 }
 
-pub(crate) fn stripe_local(me: usize, p: usize, n: i64) -> LocalMesh {
-    let w = (n / p as i64).max(1);
-    let own = CellBox::new([me as i64 * w, 0, 0], [(me as i64 + 1) * w, n, n]).grow(1);
-    let mut local = LocalMesh::zeros(own);
-    for (i, v) in local.data.iter_mut().enumerate() {
-        *v = (i % 97) as f64;
-    }
-    local
+/// Rank `me`'s x-stripe, filled with a recognisable pattern.
+pub(crate) fn stripe_local(me: usize, p: usize, n: usize) -> LocalMesh {
+    let bx = CellBox::x_stripe(me, p, n);
+    let data = (0..bx.len()).map(|i| (i % 97) as f64).collect();
+    LocalMesh { bx, data }
 }
 
 /// Time one conversion round-trip at `p` ranks / `nf` FFT ranks /
@@ -44,7 +41,7 @@ pub fn measure(p: usize, nf: usize, n_mesh: usize, groups: Option<usize>) -> Rel
         .with_net(NetModel::k_computer())
         .run(move |ctx, world| {
             let me = world.rank();
-            let local = stripe_local(me, p, n_mesh as i64);
+            let local = stripe_local(me, p, n_mesh);
             let want = local.bx.grow(2);
             match groups {
                 None => {
@@ -152,7 +149,7 @@ mod tests {
         let direct = World::new(p)
             .with_net(NetModel::free())
             .run(move |ctx, world| {
-                let local = stripe_local(world.rank(), p, n_mesh as i64);
+                let local = stripe_local(world.rank(), p, n_mesh);
                 local_density_to_slabs(ctx, world, &local, n_mesh, nf)
             });
         let relayed = World::new(p)
@@ -166,7 +163,7 @@ mod tests {
                         n_groups: groups,
                     },
                 );
-                let local = stripe_local(world.rank(), p, n_mesh as i64);
+                let local = stripe_local(world.rank(), p, n_mesh);
                 relay_density_to_slabs(ctx, &comms, &local, n_mesh)
             });
         let mut fft_ranks = 0;

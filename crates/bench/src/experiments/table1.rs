@@ -193,6 +193,7 @@ mod tests {
         assert!(bd.pp_force_calculation > 0.0);
         assert!(bd.pm.communication_sim > 0.0);
         assert!(bd.dd_particle_exchange > 0.0);
+        assert!(bd.total() > 0.0, "the JSON's `measured.total`");
         let table = bd.table(1.0);
         assert!(table.contains("FFT"));
     }

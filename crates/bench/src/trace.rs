@@ -79,7 +79,7 @@ pub fn capture_relay_events(run: TraceRun) -> Vec<Event> {
                         n_groups: groups,
                     },
                 );
-                let local = stripe_local(me, p, n_mesh as i64);
+                let local = stripe_local(me, p, n_mesh);
                 let want = local.bx.grow(2);
                 let slab = relay_density_to_slabs(ctx, &comms, &local, n_mesh);
                 let _ = relay_slabs_to_local(ctx, &comms, slab, n_mesh, want);

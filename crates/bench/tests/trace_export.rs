@@ -1,14 +1,19 @@
 //! Acceptance test for the observability tentpole: a multi-rank fig. 5
 //! relay run must export Chrome-trace JSON with one track per simulated
 //! rank, spans ordered by virtual time and strictly nested per rank,
-//! and comm spans carrying bytes/hops arguments.
+//! and comm spans carrying bytes/hops arguments. The distributed PM
+//! cycle must emit its Table I phase spans on every rank.
 
 #![cfg(feature = "obs")]
 
 use std::collections::BTreeMap;
 
 use greem_bench::trace::{capture_relay_trace, relay_trace_validated, TraceRun};
+use greem_domain::DomainGrid;
 use greem_obs::json::{parse, Value};
+use greem_obs::trace::{capture, Phase};
+use greem_pm::{ParallelPm, ParallelPmConfig};
+use mpisim::{NetModel, World};
 
 fn span_events(trace: &Value) -> Vec<&Value> {
     trace
@@ -32,6 +37,11 @@ fn relay_trace_has_one_ordered_nested_track_per_rank() {
     let trace = parse(&json).expect("well-formed JSON");
     let spans = span_events(&trace);
     assert!(!spans.is_empty(), "no spans recorded");
+    for s in &spans {
+        for key in ["name", "cat", "ts", "dur", "pid", "tid"] {
+            assert!(s.get(key).is_some(), "span missing {key}: {s:?}");
+        }
+    }
 
     // One track (pid) per simulated rank, and nothing else.
     let mut by_pid: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
@@ -107,4 +117,64 @@ fn validator_agrees_with_the_export() {
     assert!(summary.comm_spans > 0);
     // The export is loadable by the same parser CI uses.
     assert!(parse(&json).is_ok());
+}
+
+/// The Table I vocabulary of one distributed PM cycle: on every rank the
+/// six phase spans, in cycle order and category `pm`, with the relay
+/// schedule's spans inside the two conversions.
+#[test]
+fn parallel_pm_emits_its_phase_spans_on_every_rank() {
+    const PHASES: [&str; 6] = [
+        "pm.density_assignment",
+        "pm.convert_to_slabs",
+        "pm.fft",
+        "pm.convert_to_local",
+        "pm.acceleration_on_mesh",
+        "pm.force_interpolation",
+    ];
+    let p = 4;
+    let grid = DomainGrid::uniform([2, 2, 1]);
+    let (_, events) = capture(|| {
+        World::new(p)
+            .with_net(NetModel::k_computer())
+            .run(|ctx, world| {
+                let cfg = ParallelPmConfig {
+                    nf: 2,
+                    relay_groups: Some(2),
+                    ..ParallelPmConfig::standard(8, p)
+                };
+                let pm = ParallelPm::new(ctx, world, cfg);
+                let dom = grid.domain(world.rank());
+                let pos = [(dom.lo + dom.hi) * 0.5];
+                let (lo, hi) = (dom.lo.to_array(), dom.hi.to_array());
+                pm.solve(ctx, world, lo, hi, &pos, &[1.0]);
+            })
+    });
+    for rank in 0..p as u32 {
+        let begins: Vec<&str> = events
+            .iter()
+            .filter(|e| e.rank == rank && e.phase == Phase::Begin && e.cat == "pm")
+            .map(|e| e.name)
+            .collect();
+        let phases: Vec<&str> = begins
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("pm."))
+            .collect();
+        assert_eq!(phases, PHASES, "rank {rank}");
+        let between = |name: &str, from: &str, to: &str| {
+            let at = |n: &str| begins.iter().position(|b| *b == n);
+            let i = at(name).unwrap_or_else(|| panic!("rank {rank}: no {name} in {begins:?}"));
+            assert!(
+                at(from) < Some(i) && Some(i) < at(to),
+                "rank {rank}: {name} outside {from}"
+            );
+        };
+        for relay in ["relay.density_to_slabs", "relay.pack_density"] {
+            between(relay, "pm.convert_to_slabs", "pm.fft");
+        }
+        for relay in ["relay.slabs_to_local", "relay.unpack_potential"] {
+            between(relay, "pm.convert_to_local", "pm.acceleration_on_mesh");
+        }
+    }
 }

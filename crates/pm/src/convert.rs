@@ -43,9 +43,8 @@ pub(crate) fn pack_density(local: &LocalMesh, n: usize, nf: usize, out: &mut [Ve
                     buf.extend_from_slice(&hdr.pack());
                     for dx in 0..run {
                         for dy in 0..ylen {
-                            for dz in 0..zlen {
-                                buf.push(local.get([ux0 + x + dx, uy0 + dy, uz0 + dz]));
-                            }
+                            let at = bx.idx([ux0 + x + dx, uy0 + dy, uz0]);
+                            buf.extend_from_slice(&local.data[at..][..zlen as usize]);
                         }
                     }
                 }
@@ -151,12 +150,12 @@ pub(crate) fn unpack_potential_into_local(msg: &[f64], local: &mut LocalMesh) {
     while i < msg.len() {
         let bx = CellBox::unpack(&msg[i..i + 6]);
         i += 6;
+        let zlen = bx.dims()[2];
         for x in bx.lo[0]..bx.hi[0] {
             for y in bx.lo[1]..bx.hi[1] {
-                for z in bx.lo[2]..bx.hi[2] {
-                    local.set([x, y, z], msg[i]);
-                    i += 1;
-                }
+                let at = local.bx.idx([x, y, bx.lo[2]]);
+                local.data[at..][..zlen].copy_from_slice(&msg[i..][..zlen]);
+                i += zlen;
             }
         }
     }
@@ -218,12 +217,12 @@ mod tests {
         let nf = 2usize;
         let slabs = World::new(p).with_net(NetModel::free()).run(|ctx, world| {
             let r = world.rank() as i64;
-            let own = CellBox::new([r * 2, 0, 0], [(r + 1) * 2, 8, 8]).grow(1);
+            let own = CellBox::x_stripe(r as usize, p, n);
             let mut local = LocalMesh::zeros(own);
             for x in own.lo[0]..own.hi[0] {
                 for y in own.lo[1]..own.hi[1] {
                     for z in own.lo[2]..own.hi[2] {
-                        local.set([x, y, z], cell_value(x, y, z, 8) * 0.25);
+                        local.data[own.idx([x, y, z])] = cell_value(x, y, z, 8) * 0.25;
                     }
                 }
             }
@@ -250,7 +249,7 @@ mod tests {
                         for r in 0..4i64 {
                             // Does rank r's ghosted box contain an
                             // unwrapped copy of (x,y,z)?
-                            let bx = CellBox::new([r * 2, 0, 0], [(r + 1) * 2, 8, 8]).grow(1);
+                            let bx = CellBox::x_stripe(r as usize, p, n);
                             for ix in [x - 8, x, x + 8] {
                                 for iy in [y - 8, y, y + 8] {
                                     for iz in [z - 8, z, z + 8] {
@@ -303,7 +302,7 @@ mod tests {
             for x in want.lo[0]..want.hi[0] {
                 for y in want.lo[1]..want.hi[1] {
                     for z in want.lo[2]..want.hi[2] {
-                        let got = local.get([x, y, z]);
+                        let got = local.data[want.idx([x, y, z])];
                         let exp = cell_value(x, y, z, 8);
                         assert!(
                             (got - exp).abs() < 1e-12,

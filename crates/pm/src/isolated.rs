@@ -37,7 +37,7 @@ use greem_math::cutoff::{h_p3m, s2_self_potential};
 use greem_math::Vec3;
 use rayon::prelude::*;
 
-use crate::mesh::{self, Grid, PlaneLists};
+use crate::mesh::{self, BlockLists, Grid};
 use crate::parallel::PmPhaseTimes;
 use crate::serial::{PmParams, PmResult};
 use crate::{timed_phase, PmPipeline};
@@ -140,11 +140,6 @@ impl IsolatedPmSolver {
         &self.params
     }
 
-    /// Padded mesh side (`2 · n_mesh`).
-    pub fn padded_n(&self) -> usize {
-        self.np
-    }
-
     /// The S2 self-potential per unit mass (the kernel's `r = 0` value),
     /// for energy diagnostics.
     pub fn self_potential(&self) -> f64 {
@@ -165,7 +160,7 @@ impl IsolatedPmSolver {
     /// their exact open-space separations.
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let mut rho = vec![0.0; self.np.pow(3)];
-        mesh::assign(self.grid(), &mut PlaneLists::default(), pos, mass, &mut rho);
+        mesh::assign(self.grid(), &mut BlockLists::default(), pos, mass, &mut rho);
         rho
     }
 
@@ -198,7 +193,7 @@ impl IsolatedPmSolver {
     /// size `h = 1/n`).
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         let mut out = std::array::from_fn(|_| vec![0.0; self.np.pow(3)]);
-        mesh::accel_from_potential(self.grid(), phi, &mut out);
+        mesh::accel_from_potential(self.grid(), self.grid(), phi, &mut out);
         out
     }
 
@@ -210,7 +205,7 @@ impl IsolatedPmSolver {
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        mesh::gather_forces(self.grid(), acc, phi, pos)
+        mesh::gather_forces(self.grid(), acc, self.grid(), phi, pos)
     }
 
     /// The full isolated PM cycle: open-space long-range accelerations
@@ -224,19 +219,25 @@ impl PmPipeline for IsolatedPmSolver {
     fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
         let mut t = PmPhaseTimes::default();
-        let rho = timed_phase("pm.density_assignment", &mut t.density_assignment, || {
-            self.assign_density(pos, mass)
-        });
-        let phi = timed_phase("pm.fft", &mut t.fft, || self.potential_mesh(&rho));
+        let rho = timed_phase(
+            "force",
+            "pm.density_assignment",
+            &mut t.density_assignment,
+            || self.assign_density(pos, mass),
+        );
+        let phi = timed_phase("force", "pm.fft", &mut t.fft, || self.potential_mesh(&rho));
         let acc = timed_phase(
+            "force",
             "pm.acceleration_on_mesh",
             &mut t.acceleration_on_mesh,
             || self.accel_meshes(&phi),
         );
-        let (accel, potential) =
-            timed_phase("pm.force_interpolation", &mut t.force_interpolation, || {
-                self.interpolate_forces(&acc, &phi, pos)
-            });
+        let (accel, potential) = timed_phase(
+            "force",
+            "pm.force_interpolation",
+            &mut t.force_interpolation,
+            || self.interpolate_forces(&acc, &phi, pos),
+        );
         (PmResult { accel, potential }, t)
     }
 }

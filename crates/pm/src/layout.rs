@@ -40,13 +40,17 @@ impl CellBox {
         CellBox::new(lo, hi)
     }
 
+    /// The local mesh of rank `rank` of `p` under a 1-D cut of an
+    /// `n`-mesh: an x-stripe of `n/p` planes (at least one), whole in y
+    /// and z, with one ghost cell on every side.
+    pub fn x_stripe(rank: usize, p: usize, n: usize) -> Self {
+        let (r, w, n) = (rank as i64, (n / p).max(1) as i64, n as i64);
+        CellBox::new([r * w, 0, 0], [(r + 1) * w, n, n]).grow(1)
+    }
+
     /// Extent per axis.
     pub fn dims(&self) -> [usize; 3] {
-        [
-            (self.hi[0] - self.lo[0]) as usize,
-            (self.hi[1] - self.lo[1]) as usize,
-            (self.hi[2] - self.lo[2]) as usize,
-        ]
+        [0, 1, 2].map(|i| (self.hi[i] - self.lo[i]) as usize)
     }
 
     /// Total number of cells.
@@ -77,10 +81,7 @@ impl CellBox {
 
     /// The box expanded by `g` ghost cells on every side.
     pub fn grow(&self, g: i64) -> CellBox {
-        CellBox::new(
-            [self.lo[0] - g, self.lo[1] - g, self.lo[2] - g],
-            [self.hi[0] + g, self.hi[1] + g, self.hi[2] + g],
-        )
+        CellBox::new(self.lo.map(|l| l - g), self.hi.map(|h| h + g))
     }
 
     /// Pack as 6 f64 values (message headers).
@@ -98,8 +99,8 @@ impl CellBox {
     /// Inverse of [`CellBox::pack`].
     pub fn unpack(v: &[f64]) -> CellBox {
         CellBox::new(
-            [v[0] as i64, v[1] as i64, v[2] as i64],
-            [v[3] as i64, v[4] as i64, v[5] as i64],
+            [0, 1, 2].map(|i| v[i] as i64),
+            [3, 4, 5].map(|i| v[i] as i64),
         )
     }
 }
@@ -134,26 +135,6 @@ impl LocalMesh {
             data: vec![0.0; bx.len()],
             bx,
         }
-    }
-
-    /// Value at an unwrapped cell.
-    #[inline]
-    pub fn get(&self, c: [i64; 3]) -> f64 {
-        self.data[self.bx.idx(c)]
-    }
-
-    /// Set an unwrapped cell.
-    #[inline]
-    pub fn set(&mut self, c: [i64; 3], v: f64) {
-        let i = self.bx.idx(c);
-        self.data[i] = v;
-    }
-
-    /// Add into an unwrapped cell.
-    #[inline]
-    pub fn add(&mut self, c: [i64; 3], v: f64) {
-        let i = self.bx.idx(c);
-        self.data[i] += v;
     }
 }
 
@@ -219,12 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn local_mesh_accumulates() {
-        let mut m = LocalMesh::zeros(CellBox::new([-1, -1, -1], [2, 2, 2]));
-        m.add([-1, 0, 1], 2.0);
-        m.add([-1, 0, 1], 0.5);
-        assert_eq!(m.get([-1, 0, 1]), 2.5);
-        m.set([1, 1, 1], -1.0);
-        assert_eq!(m.get([1, 1, 1]), -1.0);
+    fn x_stripe_is_a_one_d_cut_with_one_ghost_cell() {
+        // 16 planes over 4 ranks: 4 each, plus a ghost plane either side.
+        assert_eq!(
+            CellBox::x_stripe(2, 4, 16),
+            CellBox::new([7, -1, -1], [13, 17, 17])
+        );
+        // More ranks than planes: one plane each.
+        assert_eq!(CellBox::x_stripe(5, 12, 8).dims(), [3, 10, 10]);
     }
 }

@@ -57,13 +57,19 @@ pub trait PmPipeline: Send + Sync {
     fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes);
 }
 
-/// Run one phase of a serial cycle under its Table I span, adding its
-/// wall seconds to `slot`.
-fn timed_phase<T>(name: &'static str, slot: &mut f64, phase: impl FnOnce() -> T) -> T {
+/// Run one phase of a cycle under its Table I span (category `force` in
+/// the serial solvers, `pm` in the distributed one), adding its wall
+/// seconds to `slot`.
+fn timed_phase<T>(
+    cat: &'static str,
+    name: &'static str,
+    slot: &mut f64,
+    phase: impl FnOnce() -> T,
+) -> T {
     #[cfg(feature = "obs")]
-    let _span = greem_obs::trace::span("force", name);
+    let _span = greem_obs::trace::span(cat, name);
     #[cfg(not(feature = "obs"))]
-    let _ = name;
+    let _ = (cat, name);
     let t0 = std::time::Instant::now();
     let out = phase();
     *slot += t0.elapsed().as_secs_f64();

@@ -1,7 +1,5 @@
 //! The distributed PM driver: the paper's five-step cycle over `mpisim`.
 
-use std::time::Instant;
-
 use greem_fft::{Cpx, SlabFft};
 use greem_math::Vec3;
 use mpisim::{Comm, Ctx};
@@ -9,8 +7,9 @@ use mpisim::{Comm, Ctx};
 use crate::convert::{local_density_to_slabs, slabs_to_local_potential};
 use crate::greens::GreensFn;
 use crate::layout::{CellBox, LocalMesh};
+use crate::mesh::{self, BlockLists, Grid};
 use crate::relay::{relay_density_to_slabs, relay_slabs_to_local, RelayComms, RelayConfig};
-use crate::tsc::tsc_weights;
+use crate::timed_phase;
 
 /// Configuration of the parallel PM solver.
 #[derive(Debug, Clone, Copy)]
@@ -147,14 +146,10 @@ impl ParallelPm {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ParallelPmConfig {
-        &self.cfg
-    }
-
     /// One collective PM cycle: this rank's particles (positions in
     /// `[0,1)` inside its domain `[dlo, dhi)`) in, their long-range
-    /// accelerations out, with per-phase timings.
+    /// accelerations out, with per-phase timings. A particle whose TSC
+    /// cloud leaves the domain's local mesh is refused with a panic.
     pub fn solve(
         &self,
         ctx: &mut Ctx,
@@ -165,155 +160,83 @@ impl ParallelPm {
         mass: &[f64],
     ) -> (Vec<Vec3>, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
-        let n = self.cfg.n_mesh;
-        let mut times = PmPhaseTimes::default();
+        let ParallelPmConfig { n_mesh: n, nf, .. } = self.cfg;
+        let mut t = PmPhaseTimes::default();
 
         // Step 1: density assignment on the local (ghosted) mesh.
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.density_assignment");
         let assign_box = CellBox::covering_domain(dlo, dhi, n);
+        let grid = Grid::local(assign_box, n);
         let mut rho = LocalMesh::zeros(assign_box);
-        let vol_inv = (n * n * n) as f64;
-        for (p, &m) in pos.iter().zip(mass) {
-            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-            let amp = m * vol_inv;
-            for (a, &wxa) in wx.iter().enumerate() {
-                for (b, &wyb) in wy.iter().enumerate() {
-                    let wxy = wxa * wyb * amp;
-                    for (c, &wzc) in wz.iter().enumerate() {
-                        rho.add([ix + a as i64, iy + b as i64, iz + c as i64], wxy * wzc);
-                    }
-                }
-            }
-        }
-        times.density_assignment = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        drop(span);
+        timed_phase(
+            "pm",
+            "pm.density_assignment",
+            &mut t.density_assignment,
+            || mesh::assign(grid, &mut BlockLists::default(), pos, mass, &mut rho.data),
+        );
 
         // Step 2: conversion to slabs (direct or relay).
-        let t0 = Instant::now();
         let v0 = ctx.vtime();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.convert_to_slabs");
-        let slab = match &self.relay {
-            Some(comms) => relay_density_to_slabs(ctx, comms, &rho, n),
-            None => local_density_to_slabs(ctx, world, &rho, n, self.cfg.nf),
-        };
-        #[cfg(feature = "obs")]
-        drop(span);
-        times.communication_wall += t0.elapsed().as_secs_f64();
-        times.communication_sim += ctx.vtime() - v0;
+        let slab = timed_phase(
+            "pm",
+            "pm.convert_to_slabs",
+            &mut t.communication_wall,
+            || match &self.relay {
+                Some(comms) => relay_density_to_slabs(ctx, comms, &rho, n),
+                None => local_density_to_slabs(ctx, world, &rho, n, nf),
+            },
+        );
+        t.communication_sim += ctx.vtime() - v0;
 
         // Step 3: slab FFT + Green's function (FFT ranks only).
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.fft");
-        let pot_slab = match (&self.fft, slab) {
-            (Some(fft), Some(slab)) => {
-                let (_, nxl) = fft.my_planes();
-                let mut cbuf: Vec<Cpx> = slab.iter().map(|&v| Cpx::real(v)).collect();
-                debug_assert_eq!(cbuf.len(), nxl * n * n);
-                let mut k = fft.forward(ctx, cbuf);
-                let (y0, nyl) = fft.my_kplanes();
-                for yl in 0..nyl {
-                    let ky = y0 + yl;
-                    for x in 0..n {
-                        let g = self.greens.row(x, ky);
-                        for (z, v) in k[(yl * n + x) * n..][..n].iter_mut().enumerate() {
-                            *v = *v * g[z.min(n - z)];
-                        }
+        let pot_slab = timed_phase("pm", "pm.fft", &mut t.fft, || {
+            let (fft, slab) = (self.fft.as_ref()?, slab?);
+            let mut k = fft.forward(ctx, slab.iter().map(|&v| Cpx::real(v)).collect());
+            let (y0, nyl) = fft.my_kplanes();
+            for (plane, ky) in k.chunks_exact_mut(n * n).zip(y0..y0 + nyl) {
+                for (x, row) in plane.chunks_exact_mut(n).enumerate() {
+                    let g = self.greens.row(x, ky);
+                    for (z, v) in row.iter_mut().enumerate() {
+                        *v = *v * g[z.min(n - z)];
                     }
                 }
-                cbuf = fft.backward(ctx, k);
-                Some(cbuf.iter().map(|c| c.re).collect::<Vec<f64>>())
             }
-            _ => None,
-        };
-        times.fft = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        drop(span);
+            Some(fft.backward(ctx, k).iter().map(|c| c.re).collect())
+        });
 
         // Step 4: conversion back to the local ghosted potential mesh.
         // Ghosts: TSC spill (1) + 4-point difference reach (2) = 3.
-        let t0 = Instant::now();
-        let v0 = ctx.vtime();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.convert_to_local");
         let want = assign_box.grow(2);
-        let phi = match &self.relay {
-            Some(comms) => relay_slabs_to_local(ctx, comms, pot_slab, n, want),
-            None => slabs_to_local_potential(ctx, world, pot_slab.as_deref(), n, self.cfg.nf, want),
-        };
-        #[cfg(feature = "obs")]
-        drop(span);
-        times.communication_wall += t0.elapsed().as_secs_f64();
-        times.communication_sim += ctx.vtime() - v0;
+        let v0 = ctx.vtime();
+        let phi = timed_phase(
+            "pm",
+            "pm.convert_to_local",
+            &mut t.communication_wall,
+            || match &self.relay {
+                Some(comms) => relay_slabs_to_local(ctx, comms, pot_slab, n, want),
+                None => slabs_to_local_potential(ctx, world, pot_slab.as_deref(), n, nf, want),
+            },
+        );
+        t.communication_sim += ctx.vtime() - v0;
 
         // Step 5a: acceleration on the mesh (4-point differences over
         // the assignment box, using the grown potential).
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.acceleration_on_mesh");
-        let inv12h = n as f64 / 12.0;
-        let mut acc_mesh = [
-            LocalMesh::zeros(assign_box),
-            LocalMesh::zeros(assign_box),
-            LocalMesh::zeros(assign_box),
-        ];
-        for x in assign_box.lo[0]..assign_box.hi[0] {
-            for y in assign_box.lo[1]..assign_box.hi[1] {
-                for z in assign_box.lo[2]..assign_box.hi[2] {
-                    let d = |axis: usize| -> f64 {
-                        let mut cp = [x, y, z];
-                        let mut cm = [x, y, z];
-                        let mut cp2 = [x, y, z];
-                        let mut cm2 = [x, y, z];
-                        cp[axis] += 1;
-                        cm[axis] -= 1;
-                        cp2[axis] += 2;
-                        cm2[axis] -= 2;
-                        -phi.get(cp2) + 8.0 * phi.get(cp) - 8.0 * phi.get(cm) + phi.get(cm2)
-                    };
-                    let c = [x, y, z];
-                    acc_mesh[0].set(c, -d(0) * inv12h);
-                    acc_mesh[1].set(c, -d(1) * inv12h);
-                    acc_mesh[2].set(c, -d(2) * inv12h);
-                }
-            }
-        }
-        times.acceleration_on_mesh = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        drop(span);
+        let mut acc = std::array::from_fn(|_| vec![0.0; assign_box.len()]);
+        timed_phase(
+            "pm",
+            "pm.acceleration_on_mesh",
+            &mut t.acceleration_on_mesh,
+            || mesh::accel_from_potential(grid, Grid::local(want, n), &phi.data, &mut acc),
+        );
 
         // Step 5b: TSC force interpolation at the particles.
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let span = greem_obs::trace::span("pm", "pm.force_interpolation");
-        let accel: Vec<Vec3> = pos
-            .iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut v = Vec3::ZERO;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cell = [ix + a as i64, iy + b as i64, iz + c as i64];
-                            let w = wxy * wzc;
-                            v.x += w * acc_mesh[0].get(cell);
-                            v.y += w * acc_mesh[1].get(cell);
-                            v.z += w * acc_mesh[2].get(cell);
-                        }
-                    }
-                }
-                v
-            })
-            .collect();
-        times.force_interpolation = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        drop(span);
-        (accel, times)
+        let fields = acc.each_ref().map(|a| (grid, a.as_slice()));
+        let accel = timed_phase(
+            "pm",
+            "pm.force_interpolation",
+            &mut t.force_interpolation,
+            || mesh::gather(fields, pos),
+        );
+        (accel.into_iter().map(Vec3::from).collect(), t)
     }
 }
 
@@ -378,6 +301,18 @@ mod tests {
             }
             assert_eq!(count, npart, "every particle must be owned exactly once");
         }
+    }
+
+    /// A body outside its rank's domain on y must not deposit into
+    /// another row of the local mesh: release builds refuse it too.
+    #[test]
+    #[should_panic(expected = "particle at Vec3 { x: 0.25, y: 0.9, z: 0.5 } leaves the local mesh")]
+    fn solve_refuses_a_body_outside_its_domain() {
+        World::new(1).run(|ctx, world| {
+            let pm = ParallelPm::new(ctx, world, ParallelPmConfig::standard(16, 1));
+            let pos = [Vec3::new(0.25, 0.25, 0.5), Vec3::new(0.25, 0.9, 0.5)];
+            pm.solve(ctx, world, [0.0; 3], [0.5, 0.5, 1.0], &pos, &[1.0, 1.0]);
+        });
     }
 
     #[test]

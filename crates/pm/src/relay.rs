@@ -202,8 +202,7 @@ mod tests {
     fn test_local(rank: usize, p: usize, n: i64) -> LocalMesh {
         // Each rank owns an x-stripe with 1-cell ghosts and writes a
         // rank-tagged value into every cell.
-        let w = n / p as i64;
-        let own = CellBox::new([rank as i64 * w, 0, 0], [(rank as i64 + 1) * w, n, n]).grow(1);
+        let own = CellBox::x_stripe(rank, p, n as usize);
         let mut local = LocalMesh::zeros(own);
         for x in own.lo[0]..own.hi[0] {
             for y in own.lo[1]..own.hi[1] {
@@ -211,7 +210,7 @@ mod tests {
                     let v = ((x.rem_euclid(n) * n + y.rem_euclid(n)) * n + z.rem_euclid(n)) as f64
                         * 0.001
                         + rank as f64;
-                    local.set([x, y, z], v);
+                    local.data[own.idx([x, y, z])] = v;
                 }
             }
         }

@@ -12,7 +12,7 @@ use greem_fft::RealFft3;
 use greem_math::Vec3;
 
 use crate::greens::GreensFn;
-use crate::mesh::{self, Grid, PlaneLists};
+use crate::mesh::{self, BlockLists, Grid};
 use crate::parallel::PmPhaseTimes;
 use crate::tsc::tsc_weights;
 use crate::{timed_phase, PmPipeline};
@@ -80,7 +80,7 @@ struct Workspace {
     mesh: Vec<f64>,
     /// The three acceleration meshes, `n³` each.
     acc: [Vec<f64>; 3],
-    lists: PlaneLists,
+    lists: BlockLists,
 }
 
 impl PmSolver {
@@ -97,7 +97,7 @@ impl PmSolver {
             workspace: Mutex::new(Workspace {
                 mesh: vec![0.0; fft.buf_len()],
                 acc: std::array::from_fn(|_| vec![0.0; cells]),
-                lists: PlaneLists::default(),
+                lists: BlockLists::default(),
             }),
             fft,
             params,
@@ -115,14 +115,6 @@ impl PmSolver {
             .expect("a PM solve panicked while holding the workspace")
     }
 
-    /// The mesh inside the transform's padded buffer.
-    fn padded_grid(&self) -> Grid {
-        Grid {
-            pitch: self.fft.row_len(),
-            ..Grid::periodic(self.params.n_mesh)
-        }
-    }
-
     /// TSC mass-density assignment onto the full periodic mesh:
     /// `ρ[c] = Σ_p m_p·W(c − x_p) / h³`. Positions must be in `[0,1)`.
     ///
@@ -134,7 +126,7 @@ impl PmSolver {
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
         let mut rho = vec![0.0; n * n * n];
-        let mut lists = PlaneLists::default();
+        let mut lists = BlockLists::default();
         mesh::assign(Grid::periodic(n), &mut lists, pos, mass, &mut rho);
         rho
     }
@@ -194,13 +186,14 @@ impl PmSolver {
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         let n = self.params.n_mesh;
         let mut out = std::array::from_fn(|_| vec![0.0; n * n * n]);
-        mesh::accel_from_potential(Grid::periodic(n), phi, &mut out);
+        mesh::accel_from_potential(Grid::periodic(n), Grid::periodic(n), phi, &mut out);
         out
     }
 
     /// TSC interpolation of a mesh field to particle positions.
     pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        mesh::gather_field(Grid::periodic(self.params.n_mesh), field, pos)
+        let grid = Grid::periodic(self.params.n_mesh);
+        mesh::gather([(grid, field)], pos).concat()
     }
 
     /// Fused TSC interpolation of the three acceleration meshes and the
@@ -212,7 +205,8 @@ impl PmSolver {
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        mesh::gather_forces(Grid::periodic(self.params.n_mesh), acc, phi, pos)
+        let grid = Grid::periodic(self.params.n_mesh);
+        mesh::gather_forces(grid, acc, grid, phi, pos)
     }
 
     /// The full PM cycle: long-range accelerations (and potentials) at
@@ -228,24 +222,31 @@ impl PmPipeline for PmSolver {
     /// potential there, and is differenced and interpolated from there.
     fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
-        let grid = self.padded_grid();
+        let n = self.params.n_mesh;
+        let (grid, padded) = (Grid::periodic(n), Grid::padded(n, self.fft.row_len()));
         let mut t = PmPhaseTimes::default();
         let ws = &mut *self.workspace();
-        timed_phase("pm.density_assignment", &mut t.density_assignment, || {
-            mesh::assign(grid, &mut ws.lists, pos, mass, &mut ws.mesh)
-        });
-        timed_phase("pm.fft", &mut t.fft, || {
+        timed_phase(
+            "force",
+            "pm.density_assignment",
+            &mut t.density_assignment,
+            || mesh::assign(padded, &mut ws.lists, pos, mass, &mut ws.mesh),
+        );
+        timed_phase("force", "pm.fft", &mut t.fft, || {
             self.potential_in_place(&mut ws.mesh)
         });
         timed_phase(
+            "force",
             "pm.acceleration_on_mesh",
             &mut t.acceleration_on_mesh,
-            || mesh::accel_from_potential(grid, &ws.mesh, &mut ws.acc),
+            || mesh::accel_from_potential(grid, padded, &ws.mesh, &mut ws.acc),
         );
-        let (accel, potential) =
-            timed_phase("pm.force_interpolation", &mut t.force_interpolation, || {
-                mesh::gather_forces(grid, &ws.acc, &ws.mesh, pos)
-            });
+        let (accel, potential) = timed_phase(
+            "force",
+            "pm.force_interpolation",
+            &mut t.force_interpolation,
+            || mesh::gather_forces(grid, &ws.acc, padded, &ws.mesh, pos),
+        );
         (PmResult { accel, potential }, t)
     }
 }

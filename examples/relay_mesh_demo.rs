@@ -16,14 +16,11 @@ use greem_repro::pm::convert::local_density_to_slabs;
 use greem_repro::pm::relay::{relay_density_to_slabs, RelayComms, RelayConfig};
 use greem_repro::pm::{CellBox, LocalMesh};
 
-fn stripe(me: usize, p: usize, n: i64) -> LocalMesh {
-    let w = (n / p as i64).max(1);
-    let own = CellBox::new([me as i64 * w, 0, 0], [(me as i64 + 1) * w, n, n]).grow(1);
-    let mut local = LocalMesh::zeros(own);
-    for (i, v) in local.data.iter_mut().enumerate() {
-        *v = (i % 13) as f64;
-    }
-    local
+/// Rank `me`'s x-stripe, filled with a recognisable pattern.
+fn stripe(me: usize, p: usize, n: usize) -> LocalMesh {
+    let bx = CellBox::x_stripe(me, p, n);
+    let data = (0..bx.len()).map(|i| (i % 13) as f64).collect();
+    LocalMesh { bx, data }
 }
 
 fn main() {
@@ -40,7 +37,7 @@ fn main() {
     let direct = World::new(p)
         .with_net(NetModel::k_computer())
         .run(move |ctx, world| {
-            let local = stripe(world.rank(), p, n_mesh as i64);
+            let local = stripe(world.rank(), p, n_mesh);
             let t0 = ctx.vtime();
             let _ = local_density_to_slabs(ctx, world, &local, n_mesh, nf);
             ctx.vtime() - t0
@@ -60,7 +57,7 @@ fn main() {
                         n_groups: groups,
                     },
                 );
-                let local = stripe(world.rank(), p, n_mesh as i64);
+                let local = stripe(world.rank(), p, n_mesh);
                 let t0 = ctx.vtime();
                 let _ = relay_density_to_slabs(ctx, &comms, &local, n_mesh);
                 ctx.vtime() - t0

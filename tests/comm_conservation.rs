@@ -90,16 +90,6 @@ fn phantom_engine_conserves_global_traffic() {
     }
 }
 
-fn stripe_local(me: usize, p: usize, n: i64) -> LocalMesh {
-    let w = (n / p as i64).max(1);
-    let own = CellBox::new([me as i64 * w, 0, 0], [(me as i64 + 1) * w, n, n]).grow(1);
-    let mut local = LocalMesh::zeros(own);
-    for (i, v) in local.data.iter_mut().enumerate() {
-        *v = (i % 31) as f64;
-    }
-    local
-}
-
 #[test]
 fn relay_schedule_conserves_global_traffic() {
     // The fig. 5 shape: p ranks in `groups` relay groups funneling into
@@ -117,7 +107,9 @@ fn relay_schedule_conserves_global_traffic() {
                     n_groups: groups,
                 },
             );
-            let local = stripe_local(me, p, n_mesh as i64);
+            let bx = CellBox::x_stripe(me, p, n_mesh);
+            let data = (0..bx.len()).map(|i| (i % 31) as f64).collect();
+            let local = LocalMesh { bx, data };
             let want = local.bx.grow(2);
             let slab = relay_density_to_slabs(ctx, &comms, &local, n_mesh);
             let _ = relay_slabs_to_local(ctx, &comms, slab, n_mesh, want);

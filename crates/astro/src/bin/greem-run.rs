@@ -22,7 +22,7 @@
 //!
 //! With `--resume` the particle state and epoch come from the
 //! checkpoint and the IC options are ignored; `galaxy-collapse` resumes
-//! from its own `GREEMAS1` scenario checkpoints.
+//! from its own scenario checkpoints.
 //!
 //! `--trace PATH` writes a Chrome-trace (Perfetto-loadable) JSON of
 //! the run's spans; `--metrics PATH` writes one JSON report line per

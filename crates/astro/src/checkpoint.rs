@@ -1,51 +1,31 @@
-//! Scenario checkpoints: `GREEMAS1`.
-//!
-//! A galaxy-collapse checkpoint is a small checksummed scenario header
+//! Scenario checkpoints: a `greem::io` container (layout and section
+//! table there) holding `state` (the step; static mode), `scenario`
 //! (event counters, energy bookkeeping, the virial-ratio trajectory)
-//! followed by an embedded, unmodified `GREEMSN1` particle snapshot —
-//! the same per-record codecs and FNV-1a trailer discipline as the core
-//! format, so the corruption taxonomy (truncation vs bit-flip vs bad
-//! field) carries over to scenario restarts:
-//!
-//! ```text
-//! magic[8] = "GREEMAS1"
-//! header   : mergers(u64) captures(u64) steps_taken(u64)
-//!            e0(f64) energy_offset(f64)
-//!            n_virial(u64) virial_ratio × n_virial (f64)
-//! trailer  : fnv1a-64 of the header (u64)
-//! payload  : a complete GREEMSN1 snapshot (its own checksum trailer)
-//! ```
+//! and `bodies`, written atomically and verified before it is decoded.
 //!
 //! Restart is **bitwise**, and a checkpoint is a **synchronisation
 //! point**. The file holds bodies, not forces, and the forces a run
-//! carries are a function of the positions *and of the kind of pass
-//! that computed them*: a replay pass sums each target over the groups
-//! and lists of the recording, a fresh walk over the groups it builds
-//! now, and a tree node's monopole (or a single-precision kernel's
-//! group-relative coordinates) rounds differently from one grouping to
-//! the other. [`resume`] rebuilds the [`Simulation`] from the
-//! snapshotted bodies with a fresh walk, so
-//! [`GalaxyCollapse::save_checkpoint`] does the same to the run it
-//! saves: after writing, it drops the list cache and recomputes the
-//! forces (`Simulation::reset_forces`). Both then continue from one
-//! state, and because a fresh force evaluation is deterministic at
-//! given positions (Morton order, chunked deposits), the resumed
-//! trajectory reproduces the uninterrupted one bit for bit — the same
-//! rollback-restart contract the chaos suite enforces for the
-//! cosmological driver.
+//! carries depend on the pass that computed them: a replay sums each
+//! target in the groups and lists of the recording, a fresh walk in the
+//! groups it forms now, and a node's monopole (or a single-precision
+//! kernel's group-relative coordinates) rounds differently in each.
+//! [`resume`] rebuilds the [`Simulation`] with a fresh walk, so
+//! [`GalaxyCollapse::save_checkpoint`] recomputes the saved run's forces
+//! the same way (`Simulation::reset_forces`). Both then continue from
+//! one state, and because a fresh force evaluation is deterministic at
+//! given positions, the resumed trajectory reproduces the uninterrupted
+//! one bit for bit — the rollback-restart contract the chaos suite
+//! enforces for the cosmological driver.
 //!
 //! [`Simulation`]: greem::Simulation
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io;
 use std::path::Path;
 
-use greem::io::{read_snapshot, write_snapshot, ChecksumReader, ChecksumWriter, SnapshotHeader};
+use greem::io::{write_atomic, Container, ContainerWriter, Section, SnapshotHeader};
 use greem::{Body, SimulationMode, SnapshotError};
 
 use crate::scenario::{GalaxyCollapse, GalaxyConfig};
-
-const MAGIC: &[u8; 8] = b"GREEMAS1";
 
 /// The decoded scenario state of a checkpoint file.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,84 +46,49 @@ pub struct AstroCheckpoint {
     pub bodies: Vec<Body>,
 }
 
-/// Write a scenario checkpoint for `state` to `path`.
+/// Write a scenario checkpoint for `state` to `path`, atomically.
 pub fn save<P: AsRef<Path>>(path: P, state: &GalaxyCollapse) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    let mut w = ChecksumWriter::new(&mut out);
-    w.put(MAGIC)?;
-    w.put_u64(state.mergers())?;
-    w.put_u64(state.captures())?;
-    w.put_u64(state.steps_taken())?;
-    w.put_f64(state.e0())?;
-    w.put_f64(state.energy_offset())?;
-    w.put_u64(state.virial_history().len() as u64)?;
-    for &v in state.virial_history() {
-        w.put_f64(v)?;
-    }
-    w.finish()?;
-    write_snapshot(
-        &mut out,
-        &SnapshotHeader {
-            step: state.steps_taken(),
-            mode: SimulationMode::Static,
-        },
-        &state.bodies(),
-    )?;
-    out.flush()
+    let energy = [state.e0(), state.energy_offset()];
+    let floats = energy
+        .into_iter()
+        .chain(state.virial_history().iter().copied());
+    let scenario = [state.mergers(), state.captures()]
+        .into_iter()
+        .chain(floats.map(f64::to_bits));
+    let mut w = ContainerWriter::default();
+    w.state(&SnapshotHeader {
+        step: state.steps_taken(),
+        mode: SimulationMode::Static,
+    })
+    .section(Section::Scenario, scenario)
+    .bodies(&state.bodies());
+    write_atomic(path.as_ref(), &w.finish())
 }
 
 /// Read a scenario checkpoint back; classifies failures exactly like
 /// the core snapshot reader.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<AstroCheckpoint, SnapshotError> {
-    let mut input = BufReader::new(File::open(path).map_err(SnapshotError::Io)?);
-    let mut r = ChecksumReader::new(&mut input);
-    let mut magic = [0u8; 8];
-    r.take(&mut magic, "magic")?;
-    if &magic != MAGIC {
-        return Err(SnapshotError::BadMagic { found: magic });
-    }
-    let mergers = r.take_u64("merger count")?;
-    let captures = r.take_u64("capture count")?;
-    let steps_taken = r.take_u64("step counter")?;
-    let e0 = r.take_f64("reference energy")?;
-    let energy_offset = r.take_f64("energy offset")?;
-    if !e0.is_finite() || !energy_offset.is_finite() {
+    let file = std::fs::read(path).map_err(SnapshotError::Io)?;
+    let c = Container::parse(&file)?;
+    let state = c.state()?;
+    let words = c.words(Section::Scenario)?;
+    let [mergers, captures, e0, energy_offset, ref virial @ ..] = words[..] else {
+        return Err(SnapshotError::MALFORMED);
+    };
+    let [e0, energy_offset] = [e0, energy_offset].map(f64::from_bits);
+    if state.mode != SimulationMode::Static || !e0.is_finite() || !energy_offset.is_finite() {
         return Err(SnapshotError::BadField {
-            what: "energy bookkeeping must be finite",
-        });
-    }
-    let n_virial = r.take_u64("virial history length")? as usize;
-    // The history grows by one entry per step (plus the t=0 entry); a
-    // length wildly beyond that is a decode gone wrong.
-    if n_virial > (steps_taken as usize).saturating_add(1_000_000) {
-        return Err(SnapshotError::BadField {
-            what: "virial history length is implausible",
-        });
-    }
-    let mut virial_history = Vec::with_capacity(n_virial);
-    for _ in 0..n_virial {
-        virial_history.push(r.take_f64("virial ratio")?);
-    }
-    r.verify_trailer()?;
-    let (header, bodies) = read_snapshot(&mut input)?;
-    if header.mode != SimulationMode::Static {
-        return Err(SnapshotError::BadField {
-            what: "scenario snapshots are static-mode",
-        });
-    }
-    if header.step != steps_taken {
-        return Err(SnapshotError::BadField {
-            what: "embedded snapshot step disagrees with scenario header",
+            what: "scenario checkpoints are static-mode with finite energy bookkeeping",
         });
     }
     Ok(AstroCheckpoint {
         mergers,
         captures,
-        steps_taken,
+        steps_taken: state.step,
         e0,
         energy_offset,
-        virial_history,
-        bodies,
+        virial_history: virial.iter().map(|&v| f64::from_bits(v)).collect(),
+        bodies: c.bodies()?,
     })
 }
 
@@ -151,17 +96,7 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<AstroCheckpoint, SnapshotError> {
 /// come from the file, the solver/scenario configuration from `cfg`
 /// (which must match the original run for bitwise reproduction).
 pub fn resume<P: AsRef<Path>>(cfg: GalaxyConfig, path: P) -> Result<GalaxyCollapse, SnapshotError> {
-    let ck = load(path)?;
-    Ok(GalaxyCollapse::restore(
-        cfg,
-        ck.bodies,
-        ck.e0,
-        ck.energy_offset,
-        ck.mergers,
-        ck.captures,
-        ck.steps_taken,
-        ck.virial_history,
-    ))
+    Ok(GalaxyCollapse::restore(cfg, load(path)?))
 }
 
 #[cfg(test)]
@@ -266,9 +201,9 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(load(&path), Err(SnapshotError::BadMagic { .. })));
 
-        // Header bit-flip → checksum mismatch.
+        // Header bit-flip (past magic and length) → checksum mismatch.
         let mut flip = bytes.clone();
-        flip[12] ^= 0x04;
+        flip[20] ^= 0x04;
         std::fs::write(&path, &flip).unwrap();
         assert!(matches!(
             load(&path),
@@ -283,6 +218,26 @@ mod tests {
             Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_checkpoint_whole() {
+        let dir = tmp(&format!("atomic_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("galaxy.ckpt");
+        let mut sc = GalaxyCollapse::new(tiny());
+        sc.step();
+        sc.save_checkpoint(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        sc.step();
+        // The temporary sibling cannot be created: the save fails
+        // before it could touch `path`.
+        std::fs::create_dir(dir.join("galaxy.ckpt.tmp")).unwrap();
+        assert!(sc.save_checkpoint(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(load(&path).unwrap().steps_taken, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

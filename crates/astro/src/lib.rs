@@ -13,8 +13,9 @@
 //!   (James'-method open-space PM in `greem-pm`), the 4th-order Yoshida
 //!   integrator, and a BH event pass (captures + FoF mergers) with
 //!   exact mass/momentum conservation and energy bookkeeping;
-//! * [`checkpoint`] — `GREEMAS1` scenario checkpoints with bitwise
-//!   rollback-restart, wrapping the core `GREEMSN1` snapshot format.
+//! * [`checkpoint`] — scenario checkpoints with bitwise
+//!   rollback-restart: the core `greem::io` container with a `scenario`
+//!   section beside the state and bodies.
 //!
 //! The `greem-run` binary (this crate) fronts both worlds: the
 //! original cosmological driver and `--scenario galaxy-collapse`.

@@ -29,6 +29,7 @@ use greem::{
 };
 use greem_math::{h_p3m_fast, Vec3};
 
+use crate::checkpoint::AstroCheckpoint;
 use crate::plummer::{galaxy_ics, GalaxyParams, N_SPECIES, SPECIES_BH};
 
 /// Full configuration of a galaxy-collapse run.
@@ -206,28 +207,18 @@ impl GalaxyCollapse {
     }
 
     /// Rebuild from checkpointed state (see [`crate::checkpoint`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore(
-        cfg: GalaxyConfig,
-        bodies: Vec<Body>,
-        e0: f64,
-        energy_offset: f64,
-        mergers: u64,
-        captures: u64,
-        steps_taken: u64,
-        virial_history: Vec<f64>,
-    ) -> Self {
-        let mut sim = Simulation::new(cfg.treepm(), bodies, SimulationMode::Static);
+    pub(crate) fn restore(cfg: GalaxyConfig, ck: AstroCheckpoint) -> Self {
+        let mut sim = Simulation::new(cfg.treepm(), ck.bodies, SimulationMode::Static);
         sim.set_integrator(cfg.integrator);
         GalaxyCollapse {
             cfg,
             sim,
-            e0,
-            energy_offset,
-            mergers,
-            captures,
-            steps_taken,
-            virial_history,
+            e0: ck.e0,
+            energy_offset: ck.energy_offset,
+            mergers: ck.mergers,
+            captures: ck.captures,
+            steps_taken: ck.steps_taken,
+            virial_history: ck.virial_history,
             events: Vec::new(),
         }
     }

@@ -393,10 +393,42 @@ mod tests {
                     numbers_on_line(&text, "processes, nf = ")[..3],
                     [num(&doc, "p"), num(&doc, "nf"), num(&doc, "n_mesh")]
                 ),
-                "chaos" => assert_eq!(
-                    numbers_on_line(&text, " bodies, "),
-                    [num(&doc, "n"), num(&doc, "ranks"), num(&doc, "steps")]
-                ),
+                "chaos" => {
+                    assert_eq!(
+                        numbers_on_line(&text, " bodies, "),
+                        [num(&doc, "n"), num(&doc, "ranks"), num(&doc, "steps")]
+                    );
+                    let scenarios = doc.get("scenarios").and_then(Value::as_arr).unwrap();
+                    let names: Vec<_> = scenarios
+                        .iter()
+                        .map(|s| s.get("scenario").and_then(Value::as_str).unwrap())
+                        .collect();
+                    assert_eq!(names, ["crash", "straggler", "flaky-net", "chaos"]);
+                    let (crash, flaky) = (&scenarios[0], &scenarios[2]);
+                    assert!(num(crash, "crashes_detected") >= 1.0);
+                    assert!(num(crash, "rollbacks") >= 1.0);
+                    assert!(
+                        matches!(crash.get("bitwise_match"), Some(Value::Bool(true))),
+                        "recovered state diverged"
+                    );
+                    assert!(num(crash, "recovered_bytes") > 0.0);
+                    assert!(num(flaky, "messages_dropped") + num(flaky, "messages_delayed") > 0.0);
+                    for s in scenarios {
+                        assert!(num(s, "checkpoints_written") >= 1.0, "{s:?}");
+                    }
+                    #[cfg(feature = "obs")]
+                    {
+                        let metrics = doc.get("metrics").and_then(Value::as_arr).unwrap();
+                        for name in ["resil_rollbacks", "resil_checkpoint_bytes"] {
+                            assert!(
+                                metrics
+                                    .iter()
+                                    .any(|m| m.get("name").and_then(Value::as_str) == Some(name)),
+                                "no {name} metric"
+                            );
+                        }
+                    }
+                }
                 "kernel" => {
                     // One text line per (N, variant), in the JSON's order.
                     let text_ns: Vec<f64> = text

@@ -220,7 +220,7 @@ pub fn run(small: bool) -> super::Outcome {
     let mut s = format!(
         "=== chaos: fault injection + rollback recovery ==================\n\n\
          {n} bodies, {RANKS} ranks on the simulated torus, {steps} steps; sharded\n\
-         GREEMSN2 checkpoints every 3 steps; seeded FaultPlan per scenario.\n\n\
+         checkpoints every 3 steps; seeded FaultPlan per scenario.\n\n\
          scenario    crashes  rollbacks  ckpts  lost vt(s)  dropped  delayed  flight  bitwise\n",
     );
     let mut w = super::summary_writer("chaos", small);

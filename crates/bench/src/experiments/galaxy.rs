@@ -20,8 +20,7 @@
 //!    checkpoint is written mid-collapse, the run continues to the
 //!    end, and a second run resumed from that checkpoint must land on
 //!    a **bitwise identical** final state (positions, velocities,
-//!    masses, energy ledger). See `greem_astro::checkpoint`
-//!    (`GREEMAS1`).
+//!    masses, energy ledger). See `greem_astro::checkpoint`.
 //!
 //! See DESIGN.md §17 for the physics (James'-method isolated PM,
 //! Yoshida coefficients, the BH merger rule, the direct-sum energy
@@ -320,6 +319,7 @@ pub fn run(small: bool) -> super::Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greem_obs::json::{parse, Value};
 
     #[test]
     fn small_collapse_passes_every_absolute_gate() {
@@ -342,6 +342,27 @@ mod tests {
         let total: usize = o.final_counts.iter().sum();
         assert!(total > 0 && total <= o.n_initial);
         assert!(o.heaviest_bh_mass > 0.0);
+
+        // The same run as `--json` renders it.
+        let mut w = super::super::summary_writer("galaxy", true);
+        write_outcome(&o, &mut w);
+        w.end_obj();
+        let d = parse(&w.finish()).unwrap();
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap();
+        assert!(num(&d, "energy_drift") <= num(&d, "drift_gate"));
+        assert!(num(&d, "drift_gate") <= 1e-3);
+        assert!(num(&d, "virial_first") < 0.5 && 0.5 < 2.0 * num(&d, "virial_last"));
+        let census = d.get("census").and_then(Value::as_arr).unwrap();
+        let species: Vec<_> = census
+            .iter()
+            .map(|c| c.get("species").and_then(Value::as_str).unwrap())
+            .collect();
+        assert_eq!(species, ["stars", "dm", "bh"]);
+        let count: f64 = census.iter().map(|c| num(c, "count")).sum();
+        let survivors = num(&d, "n_initial") - num(&d, "bh_captures") - num(&d, "bh_mergers");
+        assert_eq!(count, survivors, "census rows partition the survivors");
+        let mass: f64 = census.iter().map(|c| num(c, "mass")).sum();
+        assert!((mass - 1.0).abs() < 1e-9, "census mass {mass}");
     }
 
     #[test]

@@ -1,64 +1,84 @@
-//! Checkpoint / snapshot I/O.
+//! The checkpoint container, and snapshot I/O on it.
 //!
-//! Production cosmological runs (the paper's ran for months on 24576
-//! nodes) live and die by checkpoints. This module provides a compact,
-//! versioned, checksummed little-endian binary snapshot format for the
-//! particle state plus the integrator's time variable, and convenience
-//! save/resume hooks on [`Simulation`].
-//!
-//! Format `GREEMSN1`:
+//! Production runs (the paper's ran for months on 24576 nodes) live and
+//! die by checkpoints. Every checkpoint file in the workspace is one
+//! container, and the kinds differ only in their sections: a snapshot
+//! (here) is `state` + `bodies`, a rank shard (`greem_resil::ckpt`)
+//! `shard` + `state` + `balancer` + `bodies`, a generation manifest
+//! `manifest`, a galaxy-scenario checkpoint (`greem_astro::checkpoint`)
+//! `state` + `scenario` + `bodies`.
 //!
 //! ```text
-//! magic[8] | header: n(u64) step(u64) mode(u8)
-//!          | a, omega_m, omega_l, h, n_s (5×f64, cosmological mode)
-//! body × n : pos(3×f64) vel(3×f64) mass(f64) id(u64)
-//! trailer  : fnv1a-64 checksum of everything before it (u64)
+//! magic "GREEMCK1" (its last byte is the version) | total length
+//! section × k: tag (1 byte) | payload length in bytes | payload
+//! trailer: FNV-1a 64 of every byte before it
+//!
+//! tag section   payload in 8-byte words (u64 little-endian, f64 bits)
+//!  1  state     step; then a, Ωm, ΩΛ, h, n_s if cosmological
+//!  2  bodies    per body: pos (3), vel (3), mass, id
+//!  3  balancer  step, div (3); the packed grids, oldest first
+//!  4  shard     rank, world size, generation
+//!  5  manifest  generation, step; per shard: bytes, checksum
+//!  6  scenario  mergers, captures, E₀, energy offset, virial history
 //! ```
 //!
-//! Failures are classified, not lumped together: a file that ends too
-//! early is [`SnapshotError::Truncated`] (telling you *which* record
-//! was cut), a bit-flip that survives to the trailer is
-//! [`SnapshotError::ChecksumMismatch`], and a value that decodes but
-//! cannot be (negative particle count, non-finite scale factor) is
-//! [`SnapshotError::BadField`]. Recovery code treats these differently:
-//! truncation usually means an interrupted write and the previous
-//! generation is fine, while a checksum mismatch on an
-//! atomically-renamed file points at storage corruption.
+//! No count is stored: a payload's length says how many bodies, grids,
+//! shards or virial ratios it holds.
 //!
-//! The checksum plumbing ([`ChecksumWriter`] / [`ChecksumReader`]) is
-//! public: the sharded `GREEMSN2` checkpoint format in `greem_resil`
-//! reuses it, as well as the per-record body/mode codecs, so both
-//! formats stay byte-compatible per record.
+//! **Verify, then decode.** [`Container::parse`] checks the magic
+//! ([`SnapshotError::BadMagic`]), then the declared length (a shorter
+//! file is [`SnapshotError::Truncated`], naming the section it ends in:
+//! an interrupted write, after which the previous generation is fine),
+//! then the trailer ([`SnapshotError::ChecksumMismatch`]: a bit flipped
+//! in storage). Only then are sections split and decoded, so no number
+//! read from the file sizes an allocation or a loop before the checksum
+//! vouched for it; a verified value that cannot be valid is
+//! [`SnapshotError::BadField`].
+//!
+//! **Write atomically.** Every checkpoint writer goes through
+//! [`write_atomic`]: a `<path>.tmp` sibling, synced, then renamed over
+//! `path`. A save that fails or crashes partway leaves the previous
+//! checkpoint whole.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use greem_cosmo::Cosmology;
-use greem_math::Vec3;
+use greem_math::{Fnv1a, Vec3};
 
 use crate::particle::Body;
 use crate::simulation::{Simulation, SimulationMode};
 use crate::TreePmConfig;
 
-const MAGIC: &[u8; 8] = b"GREEMSN1";
+const MAGIC: &[u8; 8] = b"GREEMCK1";
+/// Magic and total length.
+const HEADER: usize = 16;
 
-/// Why a snapshot failed to load. See the module docs for how recovery
-/// code distinguishes the variants.
+/// Why a checkpoint failed to load. See the module docs for how
+/// recovery code distinguishes the variants.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// An underlying I/O failure that is not an early end-of-file.
+    /// An underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with the expected magic.
+    /// The file does not start with the container magic.
     BadMagic { found: [u8; 8] },
-    /// The file ended while reading the named record — the classic
-    /// signature of a write interrupted by a crash.
+    /// The file is shorter than it declares; `what` names the section
+    /// (or the checksum trailer) it ends in.
     Truncated { what: &'static str },
     /// Every byte was present but the FNV-1a trailer disagrees: some
     /// bit flipped between write and read.
     ChecksumMismatch { stored: u64, computed: u64 },
-    /// A field decoded to a value that cannot be valid.
+    /// A verified field decoded to a value that cannot be valid.
     BadField { what: &'static str },
+}
+
+impl SnapshotError {
+    /// A verified section that is missing, or whose payload does not
+    /// fit its format.
+    pub const MALFORMED: SnapshotError = SnapshotError::BadField {
+        what: "section missing or malformed",
+    };
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -66,7 +86,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapshotError::BadMagic { found } => {
-                write!(f, "not a greem snapshot (magic {:02x?})", found)
+                write!(f, "not a greem checkpoint (magic {:02x?})", found)
             }
             SnapshotError::Truncated { what } => {
                 write!(f, "snapshot truncated while reading {what}")
@@ -101,126 +121,29 @@ impl From<SnapshotError> for io::Error {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Writer wrapper that folds every written byte into a streaming
-/// FNV-1a 64 hash. [`ChecksumWriter::finish`] appends the hash as the
-/// file's little-endian trailer.
-pub struct ChecksumWriter<W> {
-    inner: W,
-    hash: u64,
+/// The section vocabulary (tags as in the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    State = 1,
+    Bodies,
+    Balancer,
+    Shard,
+    Manifest,
+    Scenario,
 }
 
-impl<W: Write> ChecksumWriter<W> {
-    pub fn new(inner: W) -> Self {
-        ChecksumWriter {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
+/// What a truncation names, by tag.
+const SECTION_NAMES: [&str; 7] = [
+    "unknown section",
+    "state",
+    "particle bodies",
+    "balancer history",
+    "shard identity",
+    "manifest",
+    "scenario",
+];
 
-    /// The hash of everything written so far.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    pub fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.inner.write_all(bytes)
-    }
-
-    pub fn put_f64(&mut self, v: f64) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    pub fn put_u64(&mut self, v: u64) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    /// Write the checksum trailer (not folded into itself) and hand the
-    /// inner writer back for flushing.
-    pub fn finish(mut self) -> io::Result<W> {
-        let h = self.hash;
-        self.inner.write_all(&h.to_le_bytes())?;
-        Ok(self.inner)
-    }
-}
-
-/// Reader wrapper mirroring [`ChecksumWriter`]: folds every byte read
-/// into the running hash and classifies early end-of-file as
-/// [`SnapshotError::Truncated`] with the caller-supplied record name.
-pub struct ChecksumReader<R> {
-    inner: R,
-    hash: u64,
-}
-
-impl<R: Read> ChecksumReader<R> {
-    pub fn new(inner: R) -> Self {
-        ChecksumReader {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
-
-    /// The hash of everything read so far.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    pub fn take(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), SnapshotError> {
-        self.inner.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated { what }
-            } else {
-                SnapshotError::Io(e)
-            }
-        })?;
-        for &b in buf.iter() {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-
-    pub fn take_f64(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
-        let mut b = [0u8; 8];
-        self.take(&mut b, what)?;
-        Ok(f64::from_le_bytes(b))
-    }
-
-    pub fn take_u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        let mut b = [0u8; 8];
-        self.take(&mut b, what)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Read the trailer (which is *not* part of the hashed stream) and
-    /// compare it against the running hash.
-    pub fn verify_trailer(mut self) -> Result<(), SnapshotError> {
-        let computed = self.hash;
-        let mut trailer = [0u8; 8];
-        self.inner.read_exact(&mut trailer).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated {
-                    what: "checksum trailer",
-                }
-            } else {
-                SnapshotError::Io(e)
-            }
-        })?;
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        Ok(())
-    }
-}
-
-/// Snapshot metadata.
+/// Snapshot metadata: the `state` section.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotHeader {
     /// Steps taken when the snapshot was written.
@@ -229,133 +152,230 @@ pub struct SnapshotHeader {
     pub mode: SimulationMode,
 }
 
-/// Encode one integration mode (shared by `GREEMSN1` and `GREEMSN2`).
-pub fn write_mode<W: Write>(w: &mut ChecksumWriter<W>, mode: SimulationMode) -> io::Result<()> {
-    match mode {
-        SimulationMode::Static => w.put(&[0u8]),
-        SimulationMode::Cosmological { cosmology, a } => {
-            w.put(&[1u8])?;
-            w.put_f64(a)?;
-            w.put_f64(cosmology.omega_m)?;
-            w.put_f64(cosmology.omega_l)?;
-            w.put_f64(cosmology.h)?;
-            w.put_f64(cosmology.n_s)
-        }
+/// Builds one container in memory, section by section;
+/// [`ContainerWriter::finish`] frames it.
+pub struct ContainerWriter(Vec<u8>);
+
+impl Default for ContainerWriter {
+    fn default() -> Self {
+        ContainerWriter([&MAGIC[..], &[0; 8]].concat())
     }
 }
 
-/// Decode one integration mode (shared by `GREEMSN1` and `GREEMSN2`).
-pub fn read_mode<R: Read>(r: &mut ChecksumReader<R>) -> Result<SimulationMode, SnapshotError> {
-    let mut tag = [0u8; 1];
-    r.take(&mut tag, "mode tag")?;
-    match tag[0] {
-        0 => Ok(SimulationMode::Static),
-        1 => {
-            let a = r.take_f64("scale factor")?;
-            let omega_m = r.take_f64("omega_m")?;
-            let omega_l = r.take_f64("omega_l")?;
-            let h = r.take_f64("hubble h")?;
-            let n_s = r.take_f64("n_s")?;
-            if !(a > 0.0 && a.is_finite()) {
-                return Err(SnapshotError::BadField {
-                    what: "scale factor must be finite and positive",
-                });
+impl ContainerWriter {
+    /// Append a section of `words`.
+    pub fn section(&mut self, tag: Section, words: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.0.push(tag as u8);
+        let at = self.0.len();
+        self.0.extend_from_slice(&[0; 8]);
+        for w in words {
+            self.0.extend_from_slice(&w.to_le_bytes());
+        }
+        let len = (self.0.len() - at - 8) as u64;
+        self.0[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        self
+    }
+
+    pub fn state(&mut self, header: &SnapshotHeader) -> &mut Self {
+        let cosmology = match header.mode {
+            SimulationMode::Static => vec![],
+            SimulationMode::Cosmological { cosmology: c, a } => {
+                vec![a, c.omega_m, c.omega_l, c.h, c.n_s]
             }
-            Ok(SimulationMode::Cosmological {
-                cosmology: Cosmology {
+        };
+        let words = cosmology.into_iter().map(f64::to_bits);
+        self.section(Section::State, [header.step].into_iter().chain(words))
+    }
+
+    pub fn bodies(&mut self, bodies: &[Body]) -> &mut Self {
+        self.0.reserve(64 * bodies.len());
+        let words = bodies.iter().flat_map(|b| {
+            let (p, v) = (b.pos, b.vel);
+            let floats = [p.x, p.y, p.z, v.x, v.y, v.z, b.mass].map(f64::to_bits);
+            floats.into_iter().chain([b.id])
+        });
+        self.section(Section::Bodies, words)
+    }
+
+    /// The finished file: total length patched in, trailer appended.
+    pub fn finish(mut self) -> Vec<u8> {
+        let total = (self.0.len() + 8) as u64;
+        self.0[8..HEADER].copy_from_slice(&total.to_le_bytes());
+        let mut hash = Fnv1a::default();
+        hash.bytes(&self.0);
+        self.0.extend_from_slice(&hash.0.to_le_bytes());
+        self.0
+    }
+}
+
+/// A verified container, split into its sections.
+pub struct Container<'a> {
+    /// Each section's payload words, by tag.
+    sections: [Option<&'a [[u8; 8]]>; SECTION_NAMES.len()],
+    /// The trailer: FNV-1a 64 of every byte before it.
+    pub checksum: u64,
+}
+
+impl<'a> Container<'a> {
+    /// Check magic, length and trailer of a whole file, in that order;
+    /// then split the verified bytes into sections.
+    pub fn parse(file: &'a [u8]) -> Result<Self, SnapshotError> {
+        let truncated = |what| SnapshotError::Truncated { what };
+        let magic = file.first_chunk::<8>().ok_or(truncated("magic"))?;
+        if magic != MAGIC {
+            return Err(SnapshotError::BadMagic { found: *magic });
+        }
+        let declared = file[8..].first_chunk().ok_or(truncated("total length"))?;
+        let declared = u64::from_le_bytes(*declared);
+        if (file.len() as u64) < declared {
+            return Err(truncated(ending_section(file, declared)));
+        }
+        let (body, trailer) = file
+            .split_last_chunk()
+            .ok_or(truncated("checksum trailer"))?;
+        let (stored, mut computed) = (u64::from_le_bytes(*trailer), Fnv1a::default());
+        computed.bytes(body);
+        if stored != computed.0 {
+            let computed = computed.0;
+            return Err(SnapshotError::ChecksumMismatch { stored, computed });
+        }
+        let mut rest = body.get(HEADER..).ok_or(SnapshotError::MALFORMED)?;
+        let mut sections = [None; SECTION_NAMES.len()];
+        while let Some((&tag, tail)) = rest.split_first() {
+            let (len, tail) = tail.split_first_chunk().ok_or(SnapshotError::MALFORMED)?;
+            let len = usize::try_from(u64::from_le_bytes(*len)).unwrap_or(usize::MAX);
+            let payload = tail.get(..len).ok_or(SnapshotError::MALFORMED)?;
+            let (Some(slot), (words, [])) = (sections.get_mut(tag as usize), payload.as_chunks())
+            else {
+                return Err(SnapshotError::MALFORMED);
+            };
+            *slot = Some(words);
+            rest = &tail[len..];
+        }
+        if file.len() as u64 != declared {
+            return Err(SnapshotError::MALFORMED);
+        }
+        Ok(Container {
+            sections,
+            checksum: stored,
+        })
+    }
+
+    /// The words of the section tagged `tag`.
+    pub fn words(&self, tag: Section) -> Result<Vec<u64>, SnapshotError> {
+        let words = self.sections[tag as usize].ok_or(SnapshotError::MALFORMED)?;
+        Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+    }
+
+    pub fn state(&self) -> Result<SnapshotHeader, SnapshotError> {
+        let (step, mode) = match self.words(Section::State)?[..] {
+            [step] => (step, SimulationMode::Static),
+            [step, a, omega_m, omega_l, h, n_s] => {
+                let [a, omega_m, omega_l, h, n_s] =
+                    [a, omega_m, omega_l, h, n_s].map(f64::from_bits);
+                if !(a > 0.0 && a.is_finite()) {
+                    return Err(SnapshotError::BadField {
+                        what: "scale factor must be finite and positive",
+                    });
+                }
+                let cosmology = Cosmology {
                     omega_m,
                     omega_l,
                     h,
                     n_s,
-                },
-                a,
-            })
+                };
+                (step, SimulationMode::Cosmological { cosmology, a })
+            }
+            _ => return Err(SnapshotError::MALFORMED),
+        };
+        Ok(SnapshotHeader { step, mode })
+    }
+
+    pub fn bodies(&self) -> Result<Vec<Body>, SnapshotError> {
+        let words = self.sections[Section::Bodies as usize].ok_or(SnapshotError::MALFORMED)?;
+        let (records, []) = words.as_chunks() else {
+            return Err(SnapshotError::MALFORMED);
+        };
+        let body = |record: &[[u8; 8]; 8]| {
+            let [px, py, pz, vx, vy, vz, mass, id] = record.map(u64::from_le_bytes);
+            let f = f64::from_bits;
+            Body {
+                pos: Vec3::new(f(px), f(py), f(pz)),
+                vel: Vec3::new(f(vx), f(vy), f(vz)),
+                mass: f(mass),
+                id,
+            }
+        };
+        Ok(records.iter().map(body).collect())
+    }
+}
+
+/// The section a file shorter than its `declared` length ends in, from
+/// the section headers that are there. They only name the error:
+/// nothing is decoded or allocated from them.
+fn ending_section(file: &[u8], declared: u64) -> &'static str {
+    let sections_end = usize::try_from(declared).unwrap_or(usize::MAX) - 8;
+    let mut at = HEADER;
+    while at < sections_end {
+        let Some(&[tag, ref len @ ..]) = file.get(at..).and_then(|s| s.first_chunk::<9>()) else {
+            return "section header";
+        };
+        let len = usize::try_from(u64::from_le_bytes(*len)).unwrap_or(usize::MAX);
+        at = at.saturating_add(9).saturating_add(len);
+        if at > file.len() {
+            return SECTION_NAMES.get(tag as usize).unwrap_or(&SECTION_NAMES[0]);
         }
-        _ => Err(SnapshotError::BadField {
-            what: "unknown mode tag",
-        }),
     }
+    "checksum trailer"
 }
 
-/// Encode one particle record (shared by `GREEMSN1` and `GREEMSN2`).
-pub fn write_body<W: Write>(w: &mut ChecksumWriter<W>, b: &Body) -> io::Result<()> {
-    for v in [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass] {
-        w.put_f64(v)?;
-    }
-    w.put_u64(b.id)
+/// Write `bytes` to `path` through a `<path>.tmp` sibling: write, sync,
+/// rename. A failure at any point leaves whatever `path` held before.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data().ok(); // best effort; tests run on tmpfs
+    fs::rename(&tmp, path)
 }
 
-/// Decode one particle record (shared by `GREEMSN1` and `GREEMSN2`).
-pub fn read_body<R: Read>(r: &mut ChecksumReader<R>) -> Result<Body, SnapshotError> {
-    let px = r.take_f64("particle position")?;
-    let py = r.take_f64("particle position")?;
-    let pz = r.take_f64("particle position")?;
-    let vx = r.take_f64("particle velocity")?;
-    let vy = r.take_f64("particle velocity")?;
-    let vz = r.take_f64("particle velocity")?;
-    let mass = r.take_f64("particle mass")?;
-    let id = r.take_u64("particle id")?;
-    Ok(Body {
-        pos: Vec3::new(px, py, pz),
-        vel: Vec3::new(vx, vy, vz),
-        mass,
-        id,
-    })
+fn snapshot_bytes(header: &SnapshotHeader, bodies: &[Body]) -> Vec<u8> {
+    let mut w = ContainerWriter::default();
+    w.state(header).bodies(bodies);
+    w.finish()
 }
 
 /// Write a snapshot to any writer.
-pub fn write_snapshot<W: Write>(w: W, header: &SnapshotHeader, bodies: &[Body]) -> io::Result<()> {
-    let mut w = ChecksumWriter::new(BufWriter::new(w));
-    w.put(MAGIC)?;
-    w.put_u64(bodies.len() as u64)?;
-    w.put_u64(header.step)?;
-    write_mode(&mut w, header.mode)?;
-    for b in bodies {
-        write_body(&mut w, b)?;
-    }
-    w.finish()?.flush()
+pub fn write_snapshot<W: Write>(mut w: W, h: &SnapshotHeader, bodies: &[Body]) -> io::Result<()> {
+    w.write_all(&snapshot_bytes(h, bodies))?;
+    w.flush()
 }
 
-/// Read a snapshot from any reader, verifying magic and checksum. The
-/// error tells truncation, corruption and malformed fields apart.
-pub fn read_snapshot<R: Read>(r: R) -> Result<(SnapshotHeader, Vec<Body>), SnapshotError> {
-    let mut r = ChecksumReader::new(BufReader::new(r));
-    let mut magic = [0u8; 8];
-    r.take(&mut magic, "magic")?;
-    if &magic != MAGIC {
-        return Err(SnapshotError::BadMagic { found: magic });
-    }
-    let n = r.take_u64("particle count")? as usize;
-    // Refuse absurd sizes before allocating.
-    if n > 1 << 40 {
-        return Err(SnapshotError::BadField {
-            what: "particle count is implausible",
-        });
-    }
-    let step = r.take_u64("step counter")?;
-    let mode = read_mode(&mut r)?;
-    let mut bodies = Vec::with_capacity(n);
-    for _ in 0..n {
-        bodies.push(read_body(&mut r)?);
-    }
-    r.verify_trailer()?;
-    Ok((SnapshotHeader { step, mode }, bodies))
+/// Read a snapshot from any reader. The error tells truncation,
+/// corruption and malformed fields apart.
+pub fn read_snapshot<R: Read>(mut r: R) -> Result<(SnapshotHeader, Vec<Body>), SnapshotError> {
+    let mut file = Vec::new();
+    r.read_to_end(&mut file).map_err(SnapshotError::Io)?;
+    let c = Container::parse(&file)?;
+    Ok((c.state()?, c.bodies()?))
 }
 
 impl Simulation {
-    /// Write the current state to `path`, then recompute the cached
-    /// forces with a fresh walk. A checkpoint is a synchronisation
-    /// point: the file holds bodies only, and a resume rebuilds their
-    /// forces with a fresh walk, whereas the step that just ended may
-    /// have replayed recorded lists — same positions, other groups,
-    /// other rounding. After the refresh this run continues from
-    /// exactly the state [`Simulation::resume_checkpoint`] reconstructs.
+    /// Write the current state to `path` atomically, then recompute the
+    /// cached forces with a fresh walk. A checkpoint is a
+    /// synchronisation point: the file holds bodies only, and a resume
+    /// rebuilds their forces with a fresh walk, whereas the step that
+    /// just ended may have replayed recorded lists — same positions,
+    /// other groups, other rounding. After the refresh this run
+    /// continues from exactly the state
+    /// [`Simulation::resume_checkpoint`] reconstructs.
     pub fn save_checkpoint<P: AsRef<Path>>(&mut self, path: P) -> io::Result<()> {
         let header = SnapshotHeader {
             step: self.steps_taken(),
             mode: self.mode(),
         };
-        write_snapshot(File::create(path)?, &header, &self.bodies())?;
+        write_atomic(path.as_ref(), &snapshot_bytes(&header, &self.bodies()))?;
         self.reset_forces();
         Ok(())
     }
@@ -445,7 +465,7 @@ mod tests {
         // each one must surface as ChecksumMismatch, never Truncated,
         // never a silent success.
         let buf = static_snapshot(5, 1);
-        let body_start = 8 + 8 + 8 + 1;
+        let body_start = HEADER + 9 + 8 + 9;
         for pos in (body_start..buf.len() - 8).step_by(17) {
             let mut corrupt = buf.clone();
             corrupt[pos] ^= 0x10;
@@ -522,6 +542,27 @@ mod tests {
         let resumed = Simulation::resume_checkpoint(cfg, &path).unwrap();
         assert_eq!(resumed.bodies(), sim.bodies());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_checkpoint_whole() {
+        let dir = std::env::temp_dir().join(format!("greem_ckpt_atomic_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.bin");
+        let cfg = TreePmConfig::standard(16);
+        let mut sim = Simulation::new(cfg, sample_bodies(32), SimulationMode::Static);
+        sim.save_checkpoint(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        sim.step(1e-3);
+        // The temporary sibling cannot be created: the save fails
+        // before it could touch `path`.
+        std::fs::create_dir(dir.join("snap.bin.tmp")).unwrap();
+        assert!(sim.save_checkpoint(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let (header, _) = read_snapshot(File::open(&path).unwrap()).unwrap();
+        assert_eq!(header.step, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

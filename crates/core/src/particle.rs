@@ -43,7 +43,7 @@ impl Body {
 /// indices (species 0); the `greem-astro` scenario engine tags stars (0),
 /// dark matter (1) and seed black holes (2). Packing the tag into the id
 /// means species survive every existing wire and snapshot format
-/// (64-byte packed rows, GREEMSN1 checkpoints) unchanged.
+/// (64-byte packed rows, checkpoint `bodies` sections) unchanged.
 pub const SPECIES_SHIFT: u32 = 56;
 
 /// Extract the species tag from a particle id.

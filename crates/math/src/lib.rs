@@ -24,6 +24,8 @@
 //!   that reproduces the paper's Table I row structure.
 //! * [`testutil`] — the deterministic snapshot generator shared by the
 //!   workspace's unit tests (one LCG instead of a copy per crate).
+//! * [`Fnv1a`] — the workspace's one FNV-1a 64 hash: checkpoint
+//!   trailers and golden-hash digests.
 
 #![forbid(unsafe_code)]
 
@@ -57,3 +59,35 @@ pub const G_SIM: f64 = 1.0;
 /// (51 × 2 flops), i.e. 51 flops per interaction. All reported flop rates
 /// in this reproduction use this constant, exactly like the paper.
 pub const FLOPS_PER_INTERACTION: f64 = 51.0;
+
+/// FNV-1a 64 over little-endian bytes: the checkpoint container's
+/// trailer (`greem::io`) and the golden-hash tests' digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold in raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold in one integer.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Fold in the bit pattern of each value.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.u64(v.to_bits());
+        }
+    }
+}

@@ -54,32 +54,9 @@ pub fn rand_positions_scaled(n: usize, seed: u64, scale: f64) -> Vec<Vec3> {
     (0..n).map(|_| rng.next_vec3() * scale).collect()
 }
 
-/// FNV-1a over little-endian bytes — the digest of the golden-hash
-/// tests, which pin result *bits* (`f64::to_bits`) across refactors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv1a(pub u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// Fold in one integer.
-    pub fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Fold in the bit pattern of each value.
-    pub fn f64s(&mut self, vs: &[f64]) {
-        for v in vs {
-            self.u64(v.to_bits());
-        }
-    }
-}
+/// The digest of the golden-hash tests, which pin result *bits*
+/// (`f64::to_bits`) across refactors.
+pub use crate::Fnv1a;
 
 #[cfg(test)]
 mod tests {

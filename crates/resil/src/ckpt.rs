@@ -1,62 +1,34 @@
-//! The sharded `GREEMSN2` checkpoint format.
+//! Sharded checkpoints: one file per rank, plus a manifest.
 //!
-//! `GREEMSN1` (see `greem::io`) serialises the whole box through one
-//! rank — at the paper's scale (a trillion particles) that single
-//! writer would dominate the step time. `GREEMSN2` shards instead:
-//! every rank writes its own state, so checkpoint cost scales with the
-//! *largest rank*, not the box, and a failed rank's shard can be
-//! re-read by its replacement without touching anyone else's data.
-//!
-//! On disk a generation `g` consists of
-//!
-//! ```text
-//! shard-{rank:05}-g{g:06}.bin   one per rank
-//! manifest-g{g:06}.bin          written by rank 0 last
-//! ```
-//!
-//! Shard layout (all integers little-endian u64, reusing the
-//! `GREEMSN1` record codecs so the two formats stay byte-compatible
-//! per record):
+//! A whole-box snapshot (`greem::io`) goes through one rank — at the
+//! paper's scale (a trillion particles) that single writer would
+//! dominate the step time. Here every rank writes its own shard, so
+//! checkpoint cost scales with the *largest rank*, and a failed rank's
+//! replacement re-reads its shard without touching anyone else's.
+//! Generation `g` is two kinds of `greem::io` container (layout and
+//! sections there):
 //!
 //! ```text
-//! "GREEMSN2" | rank | world | generation | step
-//!            | mode (as GREEMSN1)
-//!            | balancer: step, div[3], grid_count, grids (packed f64)
-//!            | n | body × n (as GREEMSN1)
-//!            | fnv1a-64 trailer
+//! shard-{rank:05}-g{g:06}.bin   per rank: shard, state, balancer, bodies
+//! manifest-g{g:06}.bin          rank 0, last: manifest
 //! ```
 //!
-//! Manifest layout:
-//!
-//! ```text
-//! "GREEMMF1" | generation | step | shard_count
-//!            | per shard: bytes, checksum   (rank = index)
-//!            | fnv1a-64 trailer
-//! ```
-//!
-//! The manifest records every shard's length and FNV-1a checksum (the
-//! shard's own trailer value), so a loader can reject a damaged shard
-//! without trusting the shard file alone. All files are written to a
-//! `.tmp` sibling and atomically renamed into place; because rank 0
-//! writes the manifest only after every shard rename has completed (a
-//! gather orders it), a generation with a manifest is complete by
+//! The manifest records every shard's length and checksum (its
+//! trailer), so a loader rejects a damaged or swapped shard without
+//! trusting the shard alone. Every file is written atomically, and rank
+//! 0 writes the manifest only after every shard is in place (a gather
+//! orders it): a generation with a manifest is complete by
 //! construction, and a crash mid-checkpoint leaves at worst a stale
-//! `.tmp` plus the previous intact generation. The loader walks
+//! `.tmp` beside the previous intact generation. The loader walks
 //! generations newest-first and falls back across corrupt ones.
 
 use std::fs;
-use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use greem::io::{
-    read_body, read_mode, write_body, write_mode, ChecksumReader, ChecksumWriter, SnapshotError,
-};
-use greem::RankState;
+use greem::io::{write_atomic, Container, ContainerWriter, Section, SnapshotError};
+use greem::{RankState, SnapshotHeader};
 use greem_domain::{pack_grid, unpack_grid, BalancerState};
 use mpisim::{Comm, Ctx};
-
-pub const SHARD_MAGIC: &[u8; 8] = b"GREEMSN2";
-pub const MANIFEST_MAGIC: &[u8; 8] = b"GREEMMF1";
 
 /// Why a sharded checkpoint operation failed.
 #[derive(Debug)]
@@ -130,18 +102,6 @@ pub fn manifest_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("manifest-g{generation:06}.bin"))
 }
 
-/// Write `bytes` to `path` via a `.tmp` sibling and an atomic rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data().ok(); // best effort; tests run on tmpfs
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 /// Serialise one rank's state and write its shard atomically. Returns
 /// the manifest entry for the written file.
 pub fn write_shard(
@@ -151,35 +111,26 @@ pub fn write_shard(
     rank: usize,
     st: &RankState,
 ) -> Result<ShardMeta, CkptError> {
-    let mut w = ChecksumWriter::new(Vec::new());
-    w.put(SHARD_MAGIC)?;
-    w.put_u64(rank as u64)?;
-    w.put_u64(world_size as u64)?;
-    w.put_u64(generation)?;
-    w.put_u64(st.step)?;
-    write_mode(&mut w, st.mode)?;
-    let bal: &BalancerState = &st.balancer;
-    w.put_u64(bal.step)?;
-    let div = bal.grids[0].div;
-    for d in div {
-        w.put_u64(d as u64)?;
-    }
-    w.put_u64(bal.grids.len() as u64)?;
-    for g in &bal.grids {
-        for v in pack_grid(g) {
-            w.put_f64(v)?;
-        }
-    }
-    w.put_u64(st.bodies.len() as u64)?;
-    for b in &st.bodies {
-        write_body(&mut w, b)?;
-    }
-    let checksum = w.hash();
-    let buf = w.finish()?;
-    write_atomic(&shard_path(dir, generation, rank), &buf)?;
+    let bal = &st.balancer;
+    let div = bal.grids[0].div.map(|d| d as u64);
+    let grids = bal.grids.iter().flat_map(pack_grid).map(f64::to_bits);
+    let mut w = ContainerWriter::default();
+    w.section(Section::Shard, [rank as u64, world_size as u64, generation])
+        .state(&SnapshotHeader {
+            step: st.step,
+            mode: st.mode,
+        })
+        .section(
+            Section::Balancer,
+            [bal.step].into_iter().chain(div).chain(grids),
+        )
+        .bodies(&st.bodies);
+    let file = w.finish();
+    write_atomic(&shard_path(dir, generation, rank), &file)?;
+    let trailer = file.last_chunk().expect("a container ends in its trailer");
     Ok(ShardMeta {
-        bytes: buf.len() as u64,
-        checksum,
+        bytes: file.len() as u64,
+        checksum: u64::from_le_bytes(*trailer),
     })
 }
 
@@ -192,145 +143,106 @@ pub fn read_shard(
     rank: usize,
     expect: Option<&ShardMeta>,
 ) -> Result<RankState, CkptError> {
-    let path = shard_path(dir, generation, rank);
-    if let Some(m) = expect {
-        let len = fs::metadata(&path)?.len();
-        if len != m.bytes {
-            return Err(CkptError::Mismatch("shard length disagrees with manifest"));
-        }
+    let file = fs::read(shard_path(dir, generation, rank))?;
+    if expect.is_some_and(|m| m.bytes != file.len() as u64) {
+        return Err(CkptError::Mismatch("shard length disagrees with manifest"));
     }
-    let mut r = ChecksumReader::new(BufReader::new(fs::File::open(&path)?));
-    let mut magic = [0u8; 8];
-    r.take(&mut magic, "shard magic")?;
-    if &magic != SHARD_MAGIC {
-        return Err(SnapshotError::BadMagic { found: magic }.into());
-    }
-    if r.take_u64("shard rank")? != rank as u64 {
-        return Err(CkptError::Mismatch("shard belongs to another rank"));
-    }
-    if r.take_u64("shard world size")? != world_size as u64 {
+    let c = Container::parse(&file)?;
+    if expect.is_some_and(|m| m.checksum != c.checksum) {
         return Err(CkptError::Mismatch(
-            "shard written by a different world size",
+            "shard checksum disagrees with manifest",
         ));
     }
-    if r.take_u64("shard generation")? != generation {
-        return Err(CkptError::Mismatch("shard generation disagrees with name"));
+    if c.words(Section::Shard)? != [rank as u64, world_size as u64, generation] {
+        return Err(CkptError::Mismatch(
+            "shard belongs to another rank, world size or generation",
+        ));
     }
-    let step = r.take_u64("shard step")?;
-    let mode = read_mode(&mut r)?;
-    let bal_step = r.take_u64("balancer step")?;
-    let mut div = [0usize; 3];
-    for d in &mut div {
-        let v = r.take_u64("balancer divisions")? as usize;
-        if v == 0 || v > 1 << 20 {
-            return Err(CkptError::Mismatch("balancer divisions implausible"));
-        }
-        *d = v;
-    }
-    let grid_count = r.take_u64("balancer grid count")? as usize;
-    if grid_count == 0 || grid_count > 64 {
-        return Err(CkptError::Mismatch("balancer history length implausible"));
-    }
-    let packed_len = (div[0] + 1) + div[0] * (div[1] + 1) + div[0] * div[1] * (div[2] + 1);
-    let mut grids = Vec::with_capacity(grid_count);
-    for _ in 0..grid_count {
-        let mut packed = Vec::with_capacity(packed_len);
-        for _ in 0..packed_len {
-            packed.push(r.take_f64("balancer boundary")?);
-        }
-        grids.push(unpack_grid(&packed, div));
-    }
-    let n = r.take_u64("shard particle count")? as usize;
-    if n > 1 << 40 {
-        return Err(CkptError::Mismatch("shard particle count implausible"));
-    }
-    let mut bodies = Vec::with_capacity(n);
-    for _ in 0..n {
-        bodies.push(read_body(&mut r)?);
-    }
-    let computed = r.hash();
-    r.verify_trailer()?;
-    if let Some(m) = expect {
-        if m.checksum != computed {
-            return Err(CkptError::Mismatch(
-                "shard checksum disagrees with manifest",
-            ));
-        }
-    }
+    let SnapshotHeader { step, mode } = c.state()?;
     Ok(RankState {
         step,
         mode,
-        balancer: BalancerState {
-            step: bal_step,
-            grids,
-        },
-        bodies,
+        balancer: read_balancer(&c.words(Section::Balancer)?)?,
+        bodies: c.bodies()?,
+    })
+}
+
+/// Decode a `balancer` section: the grid count is the payload's length
+/// over one packed grid's.
+fn read_balancer(words: &[u64]) -> Result<BalancerState, SnapshotError> {
+    let [step, x, y, z, ref packed @ ..] = *words else {
+        return Err(SnapshotError::MALFORMED);
+    };
+    let div = [x, y, z].map(|d| usize::try_from(d).unwrap_or(usize::MAX));
+    let [x, y, z] = div;
+    // A packed grid (see `pack_grid`) is (x+1) + x(y+1) + xy(z+1) =
+    // 1 + x(2 + y(2 + z)) floats. The divisions are data: saturate, and
+    // a saturated length cannot divide the payload.
+    let grid = x
+        .saturating_mul(y.saturating_mul(z.saturating_add(2)).saturating_add(2))
+        .saturating_add(1);
+    if div.contains(&0) || packed.is_empty() || packed.len() % grid != 0 {
+        return Err(SnapshotError::BadField {
+            what: "balancer history does not fit its divisions",
+        });
+    }
+    let packed: Vec<f64> = packed.iter().map(|&w| f64::from_bits(w)).collect();
+    Ok(BalancerState {
+        step,
+        grids: packed.chunks(grid).map(|g| unpack_grid(g, div)).collect(),
     })
 }
 
 /// Write a generation's manifest atomically (rank 0 only, after every
 /// shard is in place).
 pub fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), CkptError> {
-    let mut w = ChecksumWriter::new(Vec::new());
-    w.put(MANIFEST_MAGIC)?;
-    w.put_u64(m.generation)?;
-    w.put_u64(m.step)?;
-    w.put_u64(m.shards.len() as u64)?;
-    for s in &m.shards {
-        w.put_u64(s.bytes)?;
-        w.put_u64(s.checksum)?;
-    }
-    let buf = w.finish()?;
-    write_atomic(&manifest_path(dir, m.generation), &buf)?;
+    let shards = m.shards.iter().flat_map(|s| [s.bytes, s.checksum]);
+    let mut w = ContainerWriter::default();
+    w.section(
+        Section::Manifest,
+        [m.generation, m.step].into_iter().chain(shards),
+    );
+    write_atomic(&manifest_path(dir, m.generation), &w.finish())?;
     Ok(())
 }
 
 /// Read and verify a generation's manifest.
 pub fn read_manifest(dir: &Path, generation: u64) -> Result<Manifest, CkptError> {
-    let path = manifest_path(dir, generation);
-    let mut r = ChecksumReader::new(BufReader::new(fs::File::open(&path)?));
-    let mut magic = [0u8; 8];
-    r.take(&mut magic, "manifest magic")?;
-    if &magic != MANIFEST_MAGIC {
-        return Err(SnapshotError::BadMagic { found: magic }.into());
-    }
-    if r.take_u64("manifest generation")? != generation {
+    let file = fs::read(manifest_path(dir, generation))?;
+    let words = Container::parse(&file)?.words(Section::Manifest)?;
+    let [g, step, ref shards @ ..] = words[..] else {
+        return Err(SnapshotError::MALFORMED.into());
+    };
+    if g != generation {
         return Err(CkptError::Mismatch(
             "manifest generation disagrees with name",
         ));
     }
-    let step = r.take_u64("manifest step")?;
-    let count = r.take_u64("manifest shard count")? as usize;
-    if count == 0 || count > 1 << 24 {
-        return Err(CkptError::Mismatch("manifest shard count implausible"));
-    }
-    let mut shards = Vec::with_capacity(count);
-    for _ in 0..count {
-        let bytes = r.take_u64("manifest shard bytes")?;
-        let checksum = r.take_u64("manifest shard checksum")?;
-        shards.push(ShardMeta { bytes, checksum });
-    }
-    r.verify_trailer()?;
+    let (shards, []) = shards.as_chunks() else {
+        return Err(SnapshotError::MALFORMED.into());
+    };
     Ok(Manifest {
         generation,
         step,
-        shards,
+        shards: shards
+            .iter()
+            .map(|&[bytes, checksum]| ShardMeta { bytes, checksum })
+            .collect(),
     })
 }
 
 /// All generation numbers with a manifest file present, newest first.
 /// (Presence only — validity is checked when the manifest is read.)
 pub fn list_generations(dir: &Path) -> Vec<u64> {
-    let mut gens: Vec<u64> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                let g = name.strip_prefix("manifest-g")?.strip_suffix(".bin")?;
-                g.parse().ok()
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+    let mut gens: Vec<u64> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            let g = name.strip_prefix("manifest-g")?.strip_suffix(".bin")?;
+            g.parse().ok()
+        })
+        .collect();
     gens.sort_unstable_by(|a, b| b.cmp(a));
     gens
 }
@@ -356,28 +268,16 @@ pub fn write_sharded(
     st: &RankState,
 ) -> Result<u64, CkptError> {
     let meta = write_shard(dir, generation, world.size(), world.rank(), st)?;
-    let packed = vec![meta.bytes, meta.checksum];
-    let gathered = world.gather(ctx, 0, packed);
-    let ok = if let Some(rows) = gathered {
-        let shards = rows
-            .iter()
-            .map(|row| ShardMeta {
-                bytes: row[0],
-                checksum: row[1],
-            })
-            .collect();
+    let written = world.gather(ctx, 0, vec![meta]).map(|rows| {
+        let shards = rows.into_iter().flatten().collect();
         let m = Manifest {
             generation,
             step: st.step,
             shards,
         };
-        let ok = write_manifest(dir, &m).is_ok();
-        world.bcast(ctx, 0, Some(vec![ok as u64]));
-        ok
-    } else {
-        world.bcast::<u64>(ctx, 0, None)[0] != 0
-    };
-    if !ok {
+        vec![write_manifest(dir, &m).is_ok() as u64]
+    });
+    if world.bcast(ctx, 0, written)[0] == 0 {
         return Err(CkptError::Mismatch("rank 0 failed to write the manifest"));
     }
     Ok(meta.bytes)
@@ -394,51 +294,37 @@ pub fn load_sharded(
     world: &Comm,
     dir: &Path,
 ) -> Result<(u64, RankState, u64), CkptError> {
-    let mut remaining = if world.rank() == 0 {
+    let me = world.rank();
+    let mut candidates = if me == 0 {
         list_generations(dir)
     } else {
         Vec::new()
-    };
+    }
+    .into_iter();
     loop {
-        // Rank 0 finds its next parseable manifest and broadcasts it as
-        // [found, generation, step, bytes0, ck0, bytes1, ck1, …].
-        let header = if world.rank() == 0 {
-            let mut packet = vec![0u64];
-            while let Some(g) = remaining.first().copied() {
-                remaining.remove(0);
-                match read_manifest(dir, g) {
-                    Ok(m) if m.shards.len() == world.size() => {
-                        packet = Vec::with_capacity(3 + 2 * m.shards.len());
-                        packet.push(1);
-                        packet.push(m.generation);
-                        packet.push(m.step);
-                        for s in &m.shards {
-                            packet.push(s.bytes);
-                            packet.push(s.checksum);
-                        }
-                        break;
-                    }
-                    _ => continue, // corrupt or wrong-shape manifest: fall back
-                }
+        // Rank 0 offers its next readable manifest of this world's size
+        // as [generation, bytes0, ck0, bytes1, ck1, …]; empty when none
+        // is left.
+        let offer = (me == 0).then(|| {
+            let fits = |m: &Manifest| m.shards.len() == world.size();
+            match candidates.find_map(|g| read_manifest(dir, g).ok().filter(fits)) {
+                Some(m) => std::iter::once(m.generation)
+                    .chain(m.shards.iter().flat_map(|s| [s.bytes, s.checksum]))
+                    .collect(),
+                None => Vec::new(),
             }
-            world.bcast(ctx, 0, Some(packet.clone()));
-            packet
-        } else {
-            world.bcast::<u64>(ctx, 0, None)
-        };
-        if header[0] == 0 {
+        });
+        let offer = world.bcast(ctx, 0, offer);
+        let Some((&generation, shards)) = offer.split_first() else {
             return Err(CkptError::NoCheckpoint);
-        }
-        let generation = header[1];
-        let me = world.rank();
+        };
         let meta = ShardMeta {
-            bytes: header[3 + 2 * me],
-            checksum: header[4 + 2 * me],
+            bytes: shards[2 * me],
+            checksum: shards[2 * me + 1],
         };
         let mine = read_shard(dir, generation, world.size(), me, Some(&meta));
-        let ok = mine.is_ok() as u64;
-        let all_ok = world.allreduce(ctx, vec![ok], |a, b| *a = (*a).min(*b))[0];
-        if all_ok == 1 {
+        let all_ok = world.allreduce(ctx, vec![mine.is_ok() as u64], |a, b| *a = (*a).min(*b));
+        if all_ok[0] == 1 {
             let st = mine.expect("all_ok implies local success");
             return Ok((generation, st, meta.bytes));
         }
@@ -559,29 +445,44 @@ mod tests {
 
     #[test]
     fn collective_write_load_falls_back_over_corrupt_generation() {
+        // Two corruptions of generation 2's shard of rank 2: a flipped
+        // byte mid-file, and bit 30 of the body count — the length word
+        // of the bodies section, which ends the file before the trailer.
+        fn flip_mid_byte(bytes: &mut [u8]) {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+        }
+        fn flip_body_count(bytes: &mut [u8]) {
+            let word = bytes.len() - 8 - 64 * sample_state(2).bodies.len() - 8;
+            bytes[word + 3] ^= 1 << 6; // bit 30 of the little-endian u64
+        }
         let dir = tmpdir("fallback");
         let out = World::new(4).with_net(NetModel::free()).run(|ctx, world| {
             let st_a = sample_state(world.rank());
             let mut st_b = st_a.clone();
             st_b.step = 8;
             write_sharded(ctx, world, &dir, 1, &st_a).unwrap();
-            write_sharded(ctx, world, &dir, 2, &st_b).unwrap();
-            world.barrier(ctx);
-            // Corrupt generation 2's shard of rank 2 (one writer).
-            if world.rank() == 0 {
-                let p = shard_path(&dir, 2, 2);
-                let mut bytes = fs::read(&p).unwrap();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0xFF;
-                fs::write(&p, &bytes).unwrap();
+            let mut loads = Vec::new();
+            for corrupt in [flip_mid_byte, flip_body_count] {
+                write_sharded(ctx, world, &dir, 2, &st_b).unwrap();
+                world.barrier(ctx);
+                if world.rank() == 0 {
+                    let p = shard_path(&dir, 2, 2);
+                    let mut bytes = fs::read(&p).unwrap();
+                    corrupt(&mut bytes);
+                    fs::write(&p, &bytes).unwrap();
+                }
+                world.barrier(ctx);
+                let (gen, st, _bytes) = load_sharded(ctx, world, &dir).unwrap();
+                loads.push((gen, st));
             }
-            world.barrier(ctx);
-            let (gen, st, _bytes) = load_sharded(ctx, world, &dir).unwrap();
-            (gen, st)
+            loads
         });
-        for (rank, (gen, st)) in out.iter().enumerate() {
-            assert_eq!(*gen, 1, "must fall back to the intact generation");
-            assert_eq!(*st, sample_state(rank));
+        for (rank, loads) in out.iter().enumerate() {
+            for (gen, st) in loads {
+                assert_eq!(*gen, 1, "must fall back to the intact generation");
+                assert_eq!(*st, sample_state(rank));
+            }
         }
         fs::remove_dir_all(&dir).ok();
     }

@@ -15,10 +15,11 @@
 //!   ranks down by a straggler factor. Hooks compile out entirely
 //!   without the feature, and a plan-free world pays one `Option`
 //!   branch.
-//! * **Sharded checkpoints** ([`ckpt`]): the single-file `GREEMSN1`
-//!   snapshot becomes per-rank `GREEMSN2` shards plus a manifest with
-//!   per-shard checksums, written atomically, manifest last, with a
-//!   fallback loop over older generations when a shard is corrupt.
+//! * **Sharded checkpoints** ([`ckpt`]): the single-file snapshot
+//!   becomes per-rank shards plus a manifest with per-shard checksums
+//!   (all `greem::io` containers), written atomically, manifest last,
+//!   with a fallback loop over older generations when a shard is
+//!   corrupt.
 //! * **Detection + recovery** ([`recover`]): [`ResilientSim`] wraps
 //!   [`greem::ParallelTreePm`] with a health-check / rollback-restart
 //!   loop and reports [`RecoveryStats`]. With modelled PP cost

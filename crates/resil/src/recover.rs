@@ -8,7 +8,7 @@
 //!    A positive count means a rank just died; all survivors charge the
 //!    plan's detection timeout to their virtual clocks (the cost of
 //!    noticing a peer has gone silent) and enter recovery.
-//! 2. **Rollback**: the last good `GREEMSN2` generation is reloaded
+//! 2. **Rollback**: the last good sharded generation is reloaded
 //!    (falling back across corrupt generations — see [`crate::ckpt`]),
 //!    the domain exchange redistributes the shards to their owners,
 //!    the balancer's feedback history and the step counter rewind, and
@@ -33,7 +33,7 @@ use crate::ckpt::{load_sharded, remove_generation, write_sharded, CkptError};
 /// Knobs of the recovery loop.
 #[derive(Debug, Clone)]
 pub struct ResilConfig {
-    /// Directory holding `GREEMSN2` generations.
+    /// Directory holding the sharded checkpoint generations.
     pub dir: PathBuf,
     /// Checkpoint every this many completed steps.
     pub every: u64,

@@ -4,7 +4,7 @@
 //! submitted JSON picks the particle count, step count, rank count and
 //! an optional fault scenario, and the daemon executes it on a worker
 //! thread with `ResilientSim` underneath — so a `crash` scenario job
-//! rolls back to the last `GREEMSN2` checkpoint and *finishes*, with
+//! rolls back to the last sharded checkpoint and *finishes*, with
 //! its snapshot stream continuing across the fault.
 //!
 //! Every completed step, the world gathers bodies to rank 0, which
@@ -585,7 +585,7 @@ fn species_halo_census(bodies: &[Body], halos: &[greem::Halo]) -> Vec<SpeciesHal
 /// engine (`greem_astro::GalaxyCollapse`) with the job's n split over
 /// stars and dark matter around 3 BH seeds. Snapshots stream the same
 /// envelope as cosmological jobs plus the running BH event counters
-/// and a species-resolved halo census; `ckpt_every` writes `GREEMAS1`
+/// and a species-resolved halo census; `ckpt_every` writes
 /// scenario checkpoints (counted in the summary like the resilient
 /// driver's shards).
 fn run_galaxy_job(

@@ -217,7 +217,7 @@ fn galaxy_collapse_job_streams_species_census() {
         summary.get("snapshots_published").and_then(Value::as_f64),
         Some(3.0)
     );
-    // GREEMAS1 scenario checkpoints at steps 3 and 6.
+    // Scenario checkpoints at steps 3 and 6.
     assert_eq!(
         summary.get("checkpoints_written").and_then(Value::as_f64),
         Some(2.0)

@@ -72,7 +72,6 @@ impl DetectorKind {
         }
     }
 
-    #[cfg(feature = "obs")]
     fn instant_name(&self) -> &'static str {
         match self {
             DetectorKind::Straggler => "analysis.straggler",
@@ -373,7 +372,6 @@ impl Monitor {
     ) {
         let idx = DetectorKind::ALL.iter().position(|k| *k == kind).unwrap();
         self.counts[idx] += 1;
-        #[cfg(feature = "obs")]
         greem_obs::trace::instant(
             "analysis",
             kind.instant_name(),
@@ -424,7 +422,6 @@ impl Monitor {
     /// Publish `analysis_*` series into a registry: one
     /// `analysis_alerts_total{detector=…}` counter per detector
     /// (zero-valued when silent) plus last-value gauges.
-    #[cfg(feature = "obs")]
     pub fn publish(&self, reg: &mut greem_obs::Registry) {
         for (idx, kind) in DetectorKind::ALL.iter().enumerate() {
             reg.with_label("detector", kind.name(), |r| {
@@ -448,7 +445,6 @@ impl Monitor {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for Monitor {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         self.publish(reg);

@@ -26,8 +26,7 @@
 //!
 //! `--trace PATH` writes a Chrome-trace (Perfetto-loadable) JSON of
 //! the run's spans; `--metrics PATH` writes one JSON report line per
-//! step (Table I rows, walk statistics, flop rate). Both need the
-//! default `obs` feature; without it the flags warn and are ignored.
+//! step (Table I rows, walk statistics, flop rate).
 
 use greem::{projected_density, Body, Simulation, SimulationMode, StepBreakdown, TreePmConfig};
 use greem_astro::{GalaxyCollapse, GalaxyConfig, GalaxyParams, SPECIES_BH};
@@ -142,13 +141,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    #[cfg(feature = "obs")]
     if o.trace.is_some() {
         greem_obs::trace::enable();
-    }
-    #[cfg(not(feature = "obs"))]
-    if o.trace.is_some() || o.metrics.is_some() {
-        eprintln!("greem-run: built without the `obs` feature; --trace/--metrics are ignored");
     }
 
     if o.scenario == "galaxy-collapse" {
@@ -157,7 +151,6 @@ fn main() {
         run_cosmology(&o);
     }
 
-    #[cfg(feature = "obs")]
     if let Some(path) = &o.trace {
         greem_obs::trace::disable();
         let events = greem_obs::trace::drain();
@@ -172,10 +165,8 @@ fn main() {
     }
 }
 
-#[cfg(feature = "obs")]
 type MetricsOut = Option<std::io::BufWriter<std::fs::File>>;
 
-#[cfg(feature = "obs")]
 fn open_metrics(o: &Opts) -> MetricsOut {
     match &o.metrics {
         Some(path) => match std::fs::File::create(path) {
@@ -189,7 +180,6 @@ fn open_metrics(o: &Opts) -> MetricsOut {
     }
 }
 
-#[cfg(feature = "obs")]
 fn finish_metrics(o: &Opts, w: MetricsOut) {
     if let Some(mut w) = w {
         use std::io::Write as _;
@@ -264,14 +254,12 @@ fn run_galaxy(o: &Opts) {
         sc
     };
 
-    #[cfg(feature = "obs")]
     let mut metrics_out = open_metrics(o);
     let first = sc.steps_taken();
     let mut total = StepBreakdown::default();
     for step in (first + 1)..=(cfg.steps as u64) {
         let bd = sc.step();
         total.accumulate(&bd);
-        #[cfg(feature = "obs")]
         if let Some(w) = metrics_out.as_mut() {
             use greem_obs::Observe as _;
             use std::io::Write as _;
@@ -334,15 +322,11 @@ fn run_galaxy(o: &Opts) {
             }
         }
     }
-    #[cfg(feature = "obs")]
     finish_metrics(o, metrics_out);
 }
 
 /// The original periodic-box cosmological driver.
 fn run_cosmology(o: &Opts) {
-    #[cfg(feature = "obs")]
-    let mut metrics_out = open_metrics(o);
-
     let steps = o.steps.unwrap_or(24);
     let cfg = TreePmConfig {
         theta: o.theta.unwrap_or(0.5),
@@ -410,13 +394,21 @@ fn run_cosmology(o: &Opts) {
     };
     let a_end = 1.0 / (1.0 + o.z_end);
     let ratio = (a_end / a0).powf(1.0 / steps as f64);
+    if ratio <= 1.0 {
+        eprintln!(
+            "greem-run: the run is already at z = {:.3}, at or past --z-end {}; nothing to step",
+            1.0 / a0 - 1.0,
+            o.z_end
+        );
+        std::process::exit(1);
+    }
+    let mut metrics_out = open_metrics(o);
     let mut a = a0;
     let mut total = StepBreakdown::default();
     for step in 1..=steps {
         a *= ratio;
         let bd = sim.step(a);
         total.accumulate(&bd);
-        #[cfg(feature = "obs")]
         if let Some(w) = metrics_out.as_mut() {
             use greem_obs::Observe as _;
             use std::io::Write as _;
@@ -457,6 +449,5 @@ fn run_cosmology(o: &Opts) {
             }
         }
     }
-    #[cfg(feature = "obs")]
     finish_metrics(o, metrics_out);
 }

@@ -329,7 +329,6 @@ impl GalaxyCollapse {
         self.steps_taken += 1;
         self.apply_bh_events();
         self.virial_history.push(self.virial_ratio());
-        #[cfg(feature = "obs")]
         greem_obs::trace::instant(
             "astro",
             "astro.step",
@@ -401,7 +400,6 @@ impl GalaxyCollapse {
                     bh: merged[j].id,
                     victim: merged[i].id,
                 });
-                #[cfg(feature = "obs")]
                 greem_obs::trace::instant(
                     "astro",
                     "astro.bh_capture",
@@ -450,7 +448,6 @@ impl GalaxyCollapse {
                     survivor: merged[survivor].id,
                     absorbed: merged[j].id,
                 });
-                #[cfg(feature = "obs")]
                 greem_obs::trace::instant(
                     "astro",
                     "astro.bh_merger",
@@ -490,7 +487,6 @@ impl GalaxyCollapse {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for GalaxyCollapse {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         reg.counter_add("astro.bh_mergers", self.mergers as f64);

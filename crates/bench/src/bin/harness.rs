@@ -103,7 +103,6 @@ const TABLE: &[Entry] = &[
         "fault injection + rollback recovery scenarios",
         chaos::run,
     ),
-    #[cfg(feature = "obs")]
     gated(
         "regress",
         "perf-regression gate on the fixed virtual-time workload",
@@ -269,7 +268,6 @@ fn run_trace(args: &HarnessArgs, run: TraceRun) {
         Ok(p) => args.deliver(&p),
         Err(e) => {
             eprintln!("harness trace: {e}");
-            eprintln!("(the 'trace' command needs the default 'obs' feature)");
             std::process::exit(1);
         }
     }
@@ -310,27 +308,16 @@ fn main() {
     match entry.run {
         Run::Paper(run) => args.deliver(&args.render(run(small))),
         Run::Gated(run) => {
-            let outcome = run(small, agg);
-            #[cfg(feature = "obs")]
-            {
-                let (code, payload) = greem_bench::gate::run(
-                    outcome,
-                    json,
-                    args.update_baselines,
-                    args.baseline_dir.as_deref(),
-                );
-                if let Some(payload) = payload {
-                    args.deliver(&payload);
-                }
-                std::process::exit(code);
+            let (code, payload) = greem_bench::gate::run(
+                run(small, agg),
+                json,
+                args.update_baselines,
+                args.baseline_dir.as_deref(),
+            );
+            if let Some(payload) = payload {
+                args.deliver(&payload);
             }
-            // Without the obs cascade the gate is compiled out: report
-            // the run ungated.
-            #[cfg(not(feature = "obs"))]
-            {
-                let _ = (args.update_baselines, &args.baseline_dir);
-                args.deliver(&args.render(outcome));
-            }
+            std::process::exit(code);
         }
         Run::Trace => run_trace(&args, TraceRun::of(small)),
     }
@@ -415,18 +402,40 @@ mod tests {
                     assert!(num(flaky, "messages_dropped") + num(flaky, "messages_delayed") > 0.0);
                     for s in scenarios {
                         assert!(num(s, "checkpoints_written") >= 1.0, "{s:?}");
+                        let bundles = s.get("flight_bundles").and_then(Value::as_arr).unwrap();
+                        assert_eq!(num(s, "flight_dumps"), bundles.len() as f64, "{s:?}");
                     }
-                    #[cfg(feature = "obs")]
-                    {
-                        let metrics = doc.get("metrics").and_then(Value::as_arr).unwrap();
-                        for name in ["resil_rollbacks", "resil_checkpoint_bytes"] {
-                            assert!(
-                                metrics
-                                    .iter()
-                                    .any(|m| m.get("name").and_then(Value::as_str) == Some(name)),
-                                "no {name} metric"
-                            );
-                        }
+                    // Crashes dump post-mortem bundles; fault-free runs never do.
+                    assert!(num(crash, "flight_dumps") >= 1.0);
+                    assert!(num(&scenarios[3], "flight_dumps") >= 1.0);
+                    assert_eq!(num(&scenarios[1], "flight_dumps"), 0.0);
+                    for path in crash.get("flight_bundles").and_then(Value::as_arr).unwrap() {
+                        let path = path.as_str().unwrap();
+                        let b = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+                        assert_eq!(
+                            b.get("bundle").and_then(Value::as_str),
+                            Some("flight-recorder")
+                        );
+                        let verdicts = b.get("verdicts").and_then(Value::as_arr).unwrap();
+                        assert!(
+                            verdicts.iter().any(|v| {
+                                v.get("detector").and_then(Value::as_str) == Some("fault.crash")
+                            }),
+                            "{path}: no fault.crash verdict"
+                        );
+                        let recent = b.get("metrics_recent").and_then(Value::as_arr).unwrap();
+                        assert!(!recent.is_empty(), "{path}: no recent metric lines");
+                        let trace = b.get("trace").and_then(|t| t.get("traceEvents"));
+                        assert!(trace.and_then(Value::as_arr).is_some(), "{path}: no trace");
+                    }
+                    let metrics = doc.get("metrics").and_then(Value::as_arr).unwrap();
+                    for name in ["resil_rollbacks", "resil_checkpoint_bytes"] {
+                        assert!(
+                            metrics
+                                .iter()
+                                .any(|m| m.get("name").and_then(Value::as_str) == Some(name)),
+                            "no {name} metric"
+                        );
                     }
                 }
                 "kernel" => {
@@ -466,7 +475,6 @@ mod tests {
     /// fresh `--small` run of the command that records it, through the
     /// real gate — so a baseline that goes stale fails tier-1, not a
     /// CI leg nobody can run.
-    #[cfg(feature = "obs")]
     #[test]
     fn every_committed_small_baseline_gates_a_fresh_small_run() {
         let _alone = ONE_AT_A_TIME.lock().unwrap();

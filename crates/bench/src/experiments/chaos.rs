@@ -204,7 +204,6 @@ pub fn run_suite(n: usize, steps: usize) -> Vec<ChaosOutcome> {
 
 /// Publish a scenario's counters into a metrics registry (the same
 /// `resil_*` names the driver publishes at runtime).
-#[cfg(feature = "obs")]
 pub fn publish(outcome: &ChaosOutcome, reg: &mut greem_obs::Registry) {
     use greem_obs::Observe;
     reg.with_label("scenario", outcome.scenario, |reg| {
@@ -280,14 +279,11 @@ pub fn run(small: bool) -> super::Outcome {
             s.push_str(&format!("  {} flight bundle: {b}\n", o.scenario));
         }
     }
-    #[cfg(feature = "obs")]
-    {
-        let mut reg = greem_obs::Registry::new();
-        for o in &outcomes {
-            publish(o, &mut reg);
-        }
-        reg.write_json(&mut w, Some("metrics"));
+    let mut reg = greem_obs::Registry::new();
+    for o in &outcomes {
+        publish(o, &mut reg);
     }
+    reg.write_json(&mut w, Some("metrics"));
     super::Outcome::new(s, w)
 }
 
@@ -305,7 +301,6 @@ mod tests {
         assert!(o.flight_bundles.is_empty(), "recorder off by default");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn crash_scenario_dumps_flight_bundles() {
         let pos = workloads::clustered(250, 3, 0.35, 11);

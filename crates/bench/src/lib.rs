@@ -15,9 +15,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-#[cfg(feature = "obs")]
 pub mod gate;
-#[cfg(feature = "obs")]
 pub mod regress;
 pub mod trace;
 pub mod workloads;

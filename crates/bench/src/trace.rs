@@ -124,7 +124,7 @@ pub fn relay_trace_validated(run: TraceRun) -> Result<(String, TraceSummary), St
     Ok((json, summary))
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

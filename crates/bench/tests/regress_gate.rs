@@ -2,10 +2,8 @@
 //! `--small` shape taken through the real gate (a) against its own
 //! recorded baseline — must pass with zero drift on every
 //! virtual-clock metric — and (b) against a deliberately-perturbed
-//! baseline simulating a 2× slowdown — must fail. Mirrors what the CI
-//! `analysis-smoke` job does from the shell; the gate's other exit
-//! paths are covered on a synthetic spec in `gate.rs`.
-#![cfg(feature = "obs")]
+//! baseline simulating a 2× slowdown — must fail. The gate's other
+//! exit paths are covered on a synthetic spec in `gate.rs`.
 
 use greem_analysis::{Baseline, Direction};
 use greem_bench::gate;
@@ -47,7 +45,20 @@ fn measured_small_shape_gates_itself_and_fails_on_2x_slowdown() {
     let doc = parse(&json).expect("report is valid JSON");
     assert_eq!(code, 0, "self-comparison failed: {json}");
     let gated = m.metrics.iter().filter(|s| s.gate).count();
+    assert!(gated > 0, "no gated metrics");
     assert_eq!(findings(&doc, "pass").len(), gated);
+    let cp = doc.get("critical_path").unwrap();
+    assert!(cp.get("makespan_s").and_then(Value::as_f64).unwrap() > 0.0);
+    let phases = cp.get("phases").and_then(Value::as_arr).unwrap();
+    assert!(phases
+        .iter()
+        .any(|p| p.get("phase").and_then(Value::as_str) == Some("pp.walk_force")));
+    let recovery = doc.get("recovery").unwrap();
+    assert!(recovery.get("rollbacks").and_then(Value::as_f64).unwrap() >= 1.0);
+    assert!(
+        matches!(recovery.get("bitwise_match"), Some(Value::Bool(true))),
+        "recovered state diverged"
+    );
     assert_eq!(
         doc.get("new_metrics").and_then(Value::as_arr),
         Some(&[][..])

@@ -4,8 +4,6 @@
 //! and comm spans carrying bytes/hops arguments. The distributed PM
 //! cycle must emit its Table I phase spans on every rank.
 
-#![cfg(feature = "obs")]
-
 use std::collections::BTreeMap;
 
 use greem_bench::trace::{capture_relay_trace, relay_trace_validated, TraceRun};

@@ -93,8 +93,7 @@ impl TreePm {
     /// scattered back through them.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, WalkStats, PpTimes) {
         assert_eq!(pos.len(), mass.len());
-        #[cfg(feature = "obs")]
-        let mut _pp_span = greem_obs::trace::span("force", "pp.compute");
+        let mut span = greem_obs::trace::span("force", "pp.compute");
         let mut store = ParticleStore::with_capacity(pos.len());
         for (id, (&p, &m)) in pos.iter().zip(mass).enumerate() {
             store.push(Body::at_rest(p, m, id as u64));
@@ -105,15 +104,13 @@ impl TreePm {
         for (a, &id) in out.accel.iter().zip(store.id_column()) {
             accel[id as usize] = *a;
         }
-        #[cfg(feature = "obs")]
-        _pp_span.arg("interactions", out.walk.interactions as f64);
+        span.arg("interactions", out.walk.interactions as f64);
         (accel, out.walk, out.times)
     }
 
     /// Evaluate PM accelerations only: one cycle of the backend, with
     /// the wall seconds of its four Table I phases.
     pub fn compute_pm(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, greem_pm::PmPhaseTimes) {
-        #[cfg(feature = "obs")]
         let _pm_span = greem_obs::trace::span("force", "pm.compute");
         self.pm.solve_timed(pos, mass)
     }
@@ -124,7 +121,6 @@ impl TreePm {
         // final sum; `join` overlaps them so the serial stretches of
         // one (FFT butterflies, tree-arena concatenation) fill the
         // otherwise-idle time of the other's workers.
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("force", "force.compute");
         let ((pm, pm_times), (pp_accel, walk, pp_times)) =
             rayon::join(|| self.compute_pm(pos, mass), || self.compute_pp(pos, mass));

@@ -14,12 +14,11 @@
 //! Every phase charges the Table-I row it corresponds to; communication
 //! rows use the simulated network clock.
 
-use std::time::Instant;
-
 use greem_domain::{
     exchange, exchange_rows, BalancerParams, BalancerState, DomainGrid, SamplingBalancer,
 };
 use greem_math::{wrap01, Aabb, Vec3};
+use greem_obs::trace::timed_phase;
 use greem_pm::{ParallelPm, ParallelPmConfig};
 use mpisim::{Comm, Ctx};
 
@@ -203,7 +202,6 @@ impl ParallelTreePm {
     /// re-route) and both force fields are recomputed so the next kick
     /// sees exactly what the original run saw.
     pub fn restore_rank_state(&mut self, ctx: &mut Ctx, world: &Comm, st: RankState) {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("resil", "treepm.restore");
         self.steps = st.step;
         self.mode = st.mode;
@@ -235,8 +233,7 @@ impl ParallelTreePm {
     /// mode `dt_or_a_next` is the timestep; for cosmological mode it is
     /// the target scale factor.
     pub fn step(&mut self, ctx: &mut Ctx, world: &Comm, dt_or_a_next: f64) -> ParallelStepStats {
-        #[cfg(feature = "obs")]
-        let mut _step_span = greem_obs::trace::span("step", "treepm.step");
+        let mut span = greem_obs::trace::span("step", "treepm.step");
         let mut bd = StepBreakdown::default();
         match self.mode {
             SimulationMode::Static => {
@@ -274,11 +271,8 @@ impl ParallelTreePm {
             }
         }
         self.steps += 1;
-        #[cfg(feature = "obs")]
-        {
-            _step_span.arg("interactions", bd.walk.interactions as f64);
-            _step_span.arg("n_owned", self.store.len() as f64);
-        }
+        span.arg("interactions", bd.walk.interactions as f64);
+        span.arg("n_owned", self.store.len() as f64);
         ParallelStepStats {
             breakdown: bd,
             n_owned: self.store.len(),
@@ -295,42 +289,36 @@ impl ParallelTreePm {
     }
 
     fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
-        let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let _span = greem_obs::trace::span("step", "dd.position_update");
-        self.store.drift_wrap(w);
-        bd.dd_position_update += t0.elapsed().as_secs_f64();
+        let row = &mut bd.dd_position_update;
+        timed_phase("step", "dd.position_update", row, || {
+            self.store.drift_wrap(w)
+        });
     }
 
     /// Sampling-method rebalance + particle exchange.
     fn domain_decomposition(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
         // Rebalance with the measured force cost as the sampling weight.
-        let t0 = Instant::now();
         let v0 = ctx.vtime();
-        {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("step", "dd.sampling_method");
+        let row = &mut bd.dd_sampling_method;
+        self.grid = timed_phase("step", "dd.sampling_method", row, || {
             let pos = self.store.positions();
-            self.grid = self.balancer.rebalance(ctx, world, &pos, self.last_cost);
-        }
-        bd.dd_sampling_method += t0.elapsed().as_secs_f64() + (ctx.vtime() - v0);
+            self.balancer.rebalance(ctx, world, &pos, self.last_cost)
+        });
+        bd.dd_sampling_method += ctx.vtime() - v0;
 
         // Route every particle to its (possibly new) owner. The store's
         // columns travel as packed 64-byte rows (pos, vel, mass, id) —
         // the same wire size as the AoS `Body` they replace.
-        let t0 = Instant::now();
         let v0 = ctx.vtime();
-        {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("step", "dd.particle_exchange");
+        let row = &mut bd.dd_particle_exchange;
+        self.store = timed_phase("step", "dd.particle_exchange", row, || {
             let grid = self.grid.clone();
-            let rows = self.store.to_packed();
-            let rows = exchange_rows(ctx, world, rows, move |r| {
+            let rows = exchange_rows(ctx, world, self.store.to_packed(), move |r| {
                 grid.rank_of_point(Vec3::new(r[0], r[1], r[2]))
             });
-            self.store = ParticleStore::from_packed(&rows);
-        }
-        bd.dd_particle_exchange += t0.elapsed().as_secs_f64() + (ctx.vtime() - v0);
+            ParticleStore::from_packed(&rows)
+        });
+        bd.dd_particle_exchange += ctx.vtime() - v0;
     }
 
     /// Import boundary particles: everything of mine within `r_cut` of
@@ -361,32 +349,22 @@ impl ParallelTreePm {
     /// the store, persistent-arena build, group walk + kernel).
     fn recompute_pp(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
         // Boundary communication.
-        let t0 = Instant::now();
         let v0 = ctx.vtime();
-        let ghosts = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("step", "pp.communication");
+        let ghosts = timed_phase("step", "pp.communication", &mut bd.pp_communication, || {
             self.exchange_ghosts(ctx, world)
-        };
+        });
         self.n_ghosts = ghosts.len();
-        bd.pp_communication += t0.elapsed().as_secs_f64() + (ctx.vtime() - v0);
+        bd.pp_communication += ctx.vtime() - v0;
 
         // The PM accelerations are stale whenever this follows a domain
         // exchange, and are refreshed before their next kick in every
         // path, so the store permutation does not need to carry them.
-        #[cfg(feature = "obs")]
-        let mut _walk_span = greem_obs::trace::span("step", "pp.walk_force");
+        let mut span = greem_obs::trace::span("step", "pp.walk_force");
         let out = self
             .engine
             .compute_combined(&self.cfg, &mut self.store, &ghosts, &mut []);
-        #[cfg(feature = "obs")]
-        _walk_span.arg("interactions", out.walk.interactions as f64);
-        bd.pp_local_tree += out.times.tree_build * 0.5;
-        bd.pp_tree_construction += out.times.tree_build * 0.5;
-        bd.pp_tree_traversal += out.times.traversal;
-        bd.pp_force_calculation += out.times.force;
-        bd.walk.merge(&out.walk);
-        bd.pp_group_size = out.group_size as f64;
+        span.arg("interactions", out.walk.interactions as f64);
+        bd.charge_pp(&out);
         self.last_cost = match self.cfg.modeled_pp_cost {
             Some(per_interaction) => {
                 // Charge the walk to the virtual clock and feed the
@@ -403,7 +381,6 @@ impl ParallelTreePm {
 
     /// Collective PM cycle at the current positions.
     fn recompute_pm(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("step", "pm.solve");
         let dom = self.grid.domain(world.rank());
         let pos = self.store.positions();

@@ -19,6 +19,7 @@
 
 use greem_cosmo::Cosmology;
 use greem_math::Vec3;
+use greem_obs::trace::timed_phase;
 
 use crate::config::{Boundary, TreePmConfig};
 use crate::forces::TreePm;
@@ -301,12 +302,13 @@ impl Simulation {
     /// Drift positions by `w`: wrapped into the torus under periodic
     /// boundaries, plain open-space translation under isolated ones.
     pub(crate) fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
-        let t0 = std::time::Instant::now();
-        self.last_drift = match self.cfg.boundary {
-            Boundary::Periodic => self.store.drift_wrap(w),
-            Boundary::Isolated => self.store.drift_free(w),
-        };
-        bd.dd_position_update += t0.elapsed().as_secs_f64();
+        let row = &mut bd.dd_position_update;
+        self.last_drift = timed_phase("step", "dd.position_update", row, || {
+            match self.cfg.boundary {
+                Boundary::Periodic => self.store.drift_wrap(w),
+                Boundary::Isolated => self.store.drift_free(w),
+            }
+        });
     }
 
     pub(crate) fn recompute_pp(&mut self, try_replay: bool, bd: &mut StepBreakdown) {
@@ -317,14 +319,8 @@ impl Simulation {
             try_replay,
             self.last_drift,
         );
+        bd.charge_pp(&out);
         self.pp_accel = out.accel;
-        bd.pp_local_tree += out.times.tree_build * 0.5;
-        bd.pp_tree_construction += out.times.tree_build * 0.5;
-        bd.pp_tree_traversal += out.times.traversal;
-        bd.pp_force_calculation += out.times.force;
-        bd.walk.merge(&out.walk);
-        bd.pp_list_replays += out.replayed as u64;
-        bd.pp_group_size = out.group_size as f64;
     }
 
     pub(crate) fn recompute_pm(&mut self, bd: &mut StepBreakdown) {

@@ -4,6 +4,8 @@ use greem_math::FLOPS_PER_INTERACTION;
 use greem_pm::PmPhaseTimes;
 use greem_tree::WalkStats;
 
+use crate::resident::PpOutcome;
+
 /// The cost breakdown of one TreePM step, structured exactly like the
 /// paper's Table I: a PM (long-range) block, a PP (short-range) block
 /// and a domain-decomposition block, plus the walk statistics ⟨Ni⟩,
@@ -87,6 +89,19 @@ impl StepBreakdown {
         }
     }
 
+    /// Charge one PP pass: its tree build split evenly between "local
+    /// tree" and "tree construction", its walk and kernel seconds, its
+    /// walk statistics, replay and group size.
+    pub(crate) fn charge_pp(&mut self, out: &PpOutcome) {
+        self.pp_local_tree += out.times.tree_build * 0.5;
+        self.pp_tree_construction += out.times.tree_build * 0.5;
+        self.pp_tree_traversal += out.times.traversal;
+        self.pp_force_calculation += out.times.force;
+        self.walk.merge(&out.walk);
+        self.pp_list_replays += out.replayed as u64;
+        self.pp_group_size = out.group_size as f64;
+    }
+
     /// Accumulate another step's breakdown (callers divide by the step
     /// count for per-step averages, as the paper does over its last
     /// five steps).
@@ -133,7 +148,6 @@ impl StepBreakdown {
     /// Feed this breakdown into a metrics registry (see the
     /// [`greem_obs::Observe`] impl). Split out so callers can also invoke
     /// it directly on a `&StepBreakdown`.
-    #[cfg(feature = "obs")]
     pub fn observe_into(&self, reg: &mut greem_obs::Registry) {
         use greem_obs::Observe as _;
         // PM rows come from the PmPhaseTimes observer
@@ -263,7 +277,6 @@ impl StepBreakdown {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for StepBreakdown {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         self.observe_into(reg);

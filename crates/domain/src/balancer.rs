@@ -216,10 +216,8 @@ impl SamplingBalancer {
         my_cost: f64,
     ) -> DomainGrid {
         self.step += 1;
-        #[cfg(feature = "obs")]
-        let mut _span = greem_obs::trace::span("domain", "dd.rebalance");
-        #[cfg(feature = "obs")]
-        _span.arg("particles", pos.len() as f64);
+        let mut span = greem_obs::trace::span("domain", "dd.rebalance");
+        span.arg("particles", pos.len() as f64);
         let p = world.size();
         assert_eq!(p, self.params.div.iter().product::<usize>());
         // Everyone learns the total cost to normalise sampling rates.

@@ -143,7 +143,6 @@ impl Comm {
         name: &'static str,
         f: impl FnOnce(&Self, &mut Ctx) -> R,
     ) -> R {
-        #[cfg(feature = "obs")]
         if greem_obs::trace::is_enabled() {
             let before = ctx.comm_stats();
             let mut span = greem_obs::trace::span("comm", name);
@@ -161,8 +160,6 @@ impl Comm {
             );
             return out;
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         f(self, ctx)
     }
 

@@ -45,7 +45,6 @@ pub struct CommStats {
     pub hops_sent: u64,
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for CommStats {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         reg.counter_add("comm_messages_sent", self.messages_sent as f64);
@@ -139,7 +138,6 @@ impl Ctx {
     /// spans recorded on this rank thread carry virtual timestamps.
     #[inline]
     pub(crate) fn obs_sync(&self) {
-        #[cfg(feature = "obs")]
         greem_obs::trace::set_vtime(self.clock.vtime);
     }
 
@@ -254,13 +252,11 @@ impl Ctx {
             f.stats.messages_dropped += 1;
             f.stats.retries += fault.drops as u64;
             f.stats.retry_vtime += cost - fault.delay;
-            #[cfg(feature = "obs")]
             greem_obs::trace::instant("fault", "fault.msg_drop", &[("drops", fault.drops as f64)]);
         }
         if fault.delay > 0.0 {
             f.stats.messages_delayed += 1;
             f.stats.delay_vtime += fault.delay;
-            #[cfg(feature = "obs")]
             greem_obs::trace::instant("fault", "fault.msg_delay", &[("delay_s", fault.delay)]);
         }
         cost
@@ -284,7 +280,6 @@ impl Ctx {
         match &mut self.faults {
             Some(f) => {
                 let fired = f.take_crash(rank);
-                #[cfg(feature = "obs")]
                 if fired {
                     greem_obs::trace::instant("fault", "fault.crash", &[]);
                 }

@@ -89,8 +89,7 @@ impl MsgFault {
 }
 
 /// Cumulative per-rank fault counters (receiver side for message
-/// faults), mirrored into the metrics registry via [`Observe`] when the
-/// `obs` feature is on.
+/// faults), mirrored into the metrics registry via [`Observe`].
 ///
 /// [`Observe`]: greem_obs::Observe
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -124,7 +123,6 @@ impl FaultStats {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for FaultStats {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         reg.counter_add("fault_messages_dropped", self.messages_dropped as f64);

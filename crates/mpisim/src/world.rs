@@ -173,14 +173,10 @@ impl World {
                     // Tag this host thread as rank `rank` for the tracer
                     // and seed its virtual clock, so spans recorded inside
                     // `f` land on the right per-rank timeline.
-                    #[cfg(feature = "obs")]
-                    {
-                        greem_obs::trace::set_rank(rank);
-                        greem_obs::trace::set_vtime(0.0);
-                    }
+                    greem_obs::trace::set_rank(rank);
+                    greem_obs::trace::set_vtime(0.0);
                     let world = Comm::world(n, rank);
                     let out = f(&mut ctx, &world);
-                    #[cfg(feature = "obs")]
                     greem_obs::trace::clear_vtime();
                     out
                 }));

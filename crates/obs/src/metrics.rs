@@ -9,8 +9,8 @@ use crate::json::JsonWriter;
 
 /// Anything that can dump itself into a [`Registry`].
 ///
-/// Implementations live next to the stats structs they describe (behind
-/// each crate's `obs` feature) so the schema stays in one place per struct.
+/// Implementations live next to the stats structs they describe, so the
+/// schema stays in one place per struct.
 pub trait Observe {
     fn observe(&self, reg: &mut Registry);
 }

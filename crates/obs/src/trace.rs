@@ -9,10 +9,16 @@
 //!   rank (`NaN` otherwise) — `mpisim` keeps the thread-local copy in sync
 //!   via [`set_vtime`] whenever `Ctx::vtime` advances.
 //!
-//! Recording is off by default behind a global [`enable`] flag; an
-//! instrumented hot path with recording disabled costs one relaxed atomic
-//! load. With the `record` cargo feature disabled the entry points compile
-//! to nothing at all.
+//! Recording is off by default behind a global [`enable`] flag, the only
+//! switch: every build compiles the recorder in. A span opened while
+//! recording is disabled costs one relaxed atomic load plus the clock read
+//! of its start, and that clock read is also the stopwatch of the Table I
+//! row it times ([`Span::close`], [`timed_phase`]).
+
+use std::cell::{Cell, OnceCell};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Maximum number of key/value args one event can carry (span `End` events
 /// reserve one slot for the implicit `wall_ms` duration arg).
@@ -88,277 +94,220 @@ impl Event {
     }
 }
 
-#[cfg(feature = "record")]
-mod imp {
-    use super::{Args, Event, Phase};
-    use std::cell::{Cell, OnceCell};
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-    use std::time::Instant;
+/// Default per-thread ring buffer capacity (events). Phase-level spans
+/// produce tens of events per step, so this covers thousands of steps;
+/// overflow drops the oldest events and is counted (see
+/// [`spans_dropped`]).
+const RING_CAPACITY: usize = 1 << 16;
 
-    /// Default per-thread ring buffer capacity (events). Phase-level spans
-    /// produce tens of events per step, so this covers thousands of steps;
-    /// overflow drops the oldest events and is counted (see
-    /// [`spans_dropped`]).
-    const RING_CAPACITY: usize = 1 << 16;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static SEQ: AtomicU64 = AtomicU64::new(0);
+static NEXT_TID: AtomicU32 = AtomicU32::new(0);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// Capacity applied to rings created after a [`set_ring_capacity`]
+/// call (existing rings keep theirs — capacity is fixed at creation).
+static RING_CAP: AtomicU64 = AtomicU64::new(RING_CAPACITY as u64);
+/// Process-lifetime total of events lost to ring overflow, across
+/// all threads. Monotonic: never reset by drains.
+static DROPPED_TOTAL: AtomicU64 = AtomicU64::new(0);
+/// All ring buffers ever registered (threads may exit before drain).
+static BUFFERS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
+/// Serializes [`capture`] sections so concurrent tests don't interleave.
+static CAPTURE: Mutex<()> = Mutex::new(());
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    /// Capacity applied to rings created after a [`set_ring_capacity`]
-    /// call (existing rings keep theirs — capacity is fixed at creation).
-    static RING_CAP: AtomicU64 = AtomicU64::new(RING_CAPACITY as u64);
-    /// Process-lifetime total of events lost to ring overflow, across
-    /// all threads. Monotonic: never reset by drains.
-    static DROPPED_TOTAL: AtomicU64 = AtomicU64::new(0);
-    /// All ring buffers ever registered (threads may exit before drain).
-    static BUFFERS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
-    /// Serializes [`capture`] sections so concurrent tests don't interleave.
-    static CAPTURE: Mutex<()> = Mutex::new(());
+struct Ring {
+    events: Vec<Event>,
+    /// Index of the oldest event once the buffer has wrapped.
+    head: usize,
+    dropped: u64,
+    capacity: usize,
+}
 
-    struct Ring {
-        events: Vec<Event>,
-        /// Index of the oldest event once the buffer has wrapped.
-        head: usize,
-        dropped: u64,
-        capacity: usize,
-    }
-
-    impl Ring {
-        fn push(&mut self, e: Event) {
-            if self.events.len() < self.capacity {
-                self.events.push(e);
-            } else {
-                self.events[self.head] = e;
-                self.head = (self.head + 1) % self.capacity;
-                self.dropped += 1;
-                DROPPED_TOTAL.fetch_add(1, Ordering::Relaxed);
-            }
+impl Ring {
+    fn push(&mut self, e: Event) {
+        if self.events.len() < self.capacity {
+            self.events.push(e);
+        } else {
+            self.events[self.head] = e;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
+            DROPPED_TOTAL.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    /// Override the ring capacity for threads that register *after* this
-    /// call (min 4; existing rings are unaffected). Tests use a tiny
-    /// capacity to exercise the overflow accounting.
-    pub fn set_ring_capacity(capacity: usize) {
-        RING_CAP.store(capacity.max(4) as u64, Ordering::SeqCst);
+/// Override the ring capacity for threads that register *after* this
+/// call (min 4; existing rings are unaffected). Tests use a tiny
+/// capacity to exercise the overflow accounting.
+pub fn set_ring_capacity(capacity: usize) {
+    RING_CAP.store(capacity.max(4) as u64, Ordering::SeqCst);
+}
+
+/// Total events lost to ring-buffer overflow over the process
+/// lifetime (all threads). Monotonic — exported as the
+/// `obs_spans_dropped_total` registry counter and the
+/// `spans_dropped` Chrome-trace metadata field.
+pub fn spans_dropped() -> u64 {
+    DROPPED_TOTAL.load(Ordering::Relaxed)
+}
+
+thread_local! {
+    static RANK: Cell<u32> = const { Cell::new(0) };
+    static VTIME: Cell<f64> = const { Cell::new(f64::NAN) };
+    static RING: OnceCell<(u32, Arc<Mutex<Ring>>)> = const { OnceCell::new() };
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
+}
+
+#[inline]
+pub fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Start recording. The epoch is pinned on first use.
+pub fn enable() {
+    epoch();
+    ENABLED.store(true, Ordering::SeqCst);
+}
+
+pub fn disable() {
+    ENABLED.store(false, Ordering::SeqCst);
+}
+
+/// Tag this thread as simulated rank `rank` for subsequent events.
+pub fn set_rank(rank: usize) {
+    RANK.with(|r| r.set(rank as u32));
+}
+
+/// Update this thread's copy of its rank's virtual clock (seconds).
+#[inline]
+pub fn set_vtime(vtime: f64) {
+    VTIME.with(|v| v.set(vtime));
+}
+
+/// Clear the virtual clock (thread no longer acts as a rank).
+pub fn clear_vtime() {
+    VTIME.with(|v| v.set(f64::NAN));
+}
+
+fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos() as u64
+}
+
+/// Record one raw event. Cheap no-op while recording is disabled.
+pub fn record(phase: Phase, cat: &'static str, name: &'static str, args: Args) {
+    if !is_enabled() {
+        return;
     }
-
-    /// Total events lost to ring-buffer overflow over the process
-    /// lifetime (all threads). Monotonic — exported as the
-    /// `obs_spans_dropped_total` registry counter and the
-    /// `spans_dropped` Chrome-trace metadata field.
-    pub fn spans_dropped() -> u64 {
-        DROPPED_TOTAL.load(Ordering::Relaxed)
-    }
-
-    thread_local! {
-        static RANK: Cell<u32> = const { Cell::new(0) };
-        static VTIME: Cell<f64> = const { Cell::new(f64::NAN) };
-        static RING: OnceCell<(u32, Arc<Mutex<Ring>>)> = const { OnceCell::new() };
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Start recording. The epoch is pinned on first use.
-    pub fn enable() {
-        epoch();
-        ENABLED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn disable() {
-        ENABLED.store(false, Ordering::SeqCst);
-    }
-
-    /// Tag this thread as simulated rank `rank` for subsequent events.
-    pub fn set_rank(rank: usize) {
-        RANK.with(|r| r.set(rank as u32));
-    }
-
-    /// Update this thread's copy of its rank's virtual clock (seconds).
-    #[inline]
-    pub fn set_vtime(vtime: f64) {
-        VTIME.with(|v| v.set(vtime));
-    }
-
-    /// Clear the virtual clock (thread no longer acts as a rank).
-    pub fn clear_vtime() {
-        VTIME.with(|v| v.set(f64::NAN));
-    }
-
-    fn now_ns() -> u64 {
-        epoch().elapsed().as_nanos() as u64
-    }
-
-    /// Record one raw event. Cheap no-op while recording is disabled.
-    pub fn record(phase: Phase, cat: &'static str, name: &'static str, args: Args) {
-        if !is_enabled() {
-            return;
-        }
-        let e = Event {
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            phase,
-            name,
-            cat,
-            wall_ns: now_ns(),
-            vtime: VTIME.with(|v| v.get()),
-            rank: RANK.with(|r| r.get()),
-            tid: 0, // filled in below from the ring registration
-            args,
-        };
-        RING.with(|cell| {
-            let (tid, ring) = cell.get_or_init(|| {
-                let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-                let ring = Arc::new(Mutex::new(Ring {
-                    events: Vec::new(),
-                    head: 0,
-                    dropped: 0,
-                    capacity: RING_CAP.load(Ordering::SeqCst) as usize,
-                }));
-                lock(&BUFFERS).push(Arc::clone(&ring));
-                (tid, ring)
-            });
-            let mut e = e;
-            e.tid = *tid;
-            lock(ring).push(e);
+    let e = Event {
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+        phase,
+        name,
+        cat,
+        wall_ns: now_ns(),
+        vtime: VTIME.with(|v| v.get()),
+        rank: RANK.with(|r| r.get()),
+        tid: 0, // filled in below from the ring registration
+        args,
+    };
+    RING.with(|cell| {
+        let (tid, ring) = cell.get_or_init(|| {
+            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+            let ring = Arc::new(Mutex::new(Ring {
+                events: Vec::new(),
+                head: 0,
+                dropped: 0,
+                capacity: RING_CAP.load(Ordering::SeqCst) as usize,
+            }));
+            lock(&BUFFERS).push(Arc::clone(&ring));
+            (tid, ring)
         });
-    }
-
-    /// Copy (without draining) up to `max` of the newest events in the
-    /// *current thread's* ring, oldest first. The flight recorder's
-    /// post-mortem bundle snapshots the rank thread it runs on; other
-    /// threads' rings are untouched so a concurrent [`capture`] still
-    /// sees everything.
-    pub fn recent(max: usize) -> Vec<Event> {
-        RING.with(|cell| {
-            let Some((_, ring)) = cell.get() else {
-                return Vec::new();
-            };
-            let r = lock(ring);
-            let mut all = Vec::with_capacity(r.events.len());
-            all.extend_from_slice(&r.events[r.head..]);
-            all.extend_from_slice(&r.events[..r.head]);
-            let skip = all.len().saturating_sub(max);
-            all.split_off(skip)
-        })
-    }
-
-    /// Drain every thread's buffer, returning all events ordered by `seq`.
-    /// Also reports how many events were dropped to ring overflow.
-    pub fn drain_counted() -> (Vec<Event>, u64) {
-        let mut out = Vec::new();
-        let mut dropped = 0;
-        for ring in lock(&BUFFERS).iter() {
-            let mut r = lock(ring);
-            let head = r.head;
-            out.extend_from_slice(&r.events[head..]);
-            out.extend_from_slice(&r.events[..head]);
-            dropped += r.dropped;
-            r.events.clear();
-            r.head = 0;
-            r.dropped = 0;
-        }
-        out.sort_by_key(|e| e.seq);
-        (out, dropped)
-    }
-
-    pub fn drain() -> Vec<Event> {
-        drain_counted().0
-    }
-
-    /// Run `f` with recording enabled and return its result plus every
-    /// event it produced. Captures are serialized by a global lock so
-    /// parallel tests cannot interleave their event streams; events
-    /// recorded outside the capture window are discarded.
-    pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-        let (out, events, _) = capture_counted(f);
-        (out, events)
-    }
-
-    /// [`capture`] that also reports how many events the window lost to
-    /// ring overflow (the per-window `spans_dropped` for trace exports).
-    pub fn capture_counted<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>, u64) {
-        let _guard = lock(&CAPTURE);
-        drain(); // discard stale events from before this window
-        enable();
-        let out = f();
-        disable();
-        let (events, dropped) = drain_counted();
-        (out, events, dropped)
-    }
+        let mut e = e;
+        e.tid = *tid;
+        lock(ring).push(e);
+    });
 }
 
-#[cfg(not(feature = "record"))]
-mod imp {
-    use super::{Args, Event, Phase};
-
-    #[inline(always)]
-    pub fn is_enabled() -> bool {
-        false
-    }
-    #[inline(always)]
-    pub fn enable() {}
-    #[inline(always)]
-    pub fn disable() {}
-    #[inline(always)]
-    pub fn set_rank(_rank: usize) {}
-    #[inline(always)]
-    pub fn set_vtime(_vtime: f64) {}
-    #[inline(always)]
-    pub fn clear_vtime() {}
-    #[inline(always)]
-    pub fn record(_phase: Phase, _cat: &'static str, _name: &'static str, _args: Args) {}
-    #[inline(always)]
-    pub fn set_ring_capacity(_capacity: usize) {}
-    #[inline(always)]
-    pub fn spans_dropped() -> u64 {
-        0
-    }
-    pub fn recent(_max: usize) -> Vec<Event> {
-        Vec::new()
-    }
-    pub fn drain_counted() -> (Vec<Event>, u64) {
-        (Vec::new(), 0)
-    }
-    pub fn drain() -> Vec<Event> {
-        Vec::new()
-    }
-    pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-        (f(), Vec::new())
-    }
-    pub fn capture_counted<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>, u64) {
-        (f(), Vec::new(), 0)
-    }
+/// Copy (without draining) up to `max` of the newest events in the
+/// *current thread's* ring, oldest first. The flight recorder's
+/// post-mortem bundle snapshots the rank thread it runs on; other
+/// threads' rings are untouched so a concurrent [`capture`] still
+/// sees everything.
+pub fn recent(max: usize) -> Vec<Event> {
+    RING.with(|cell| {
+        let Some((_, ring)) = cell.get() else {
+            return Vec::new();
+        };
+        let r = lock(ring);
+        let mut all = Vec::with_capacity(r.events.len());
+        all.extend_from_slice(&r.events[r.head..]);
+        all.extend_from_slice(&r.events[..r.head]);
+        let skip = all.len().saturating_sub(max);
+        all.split_off(skip)
+    })
 }
 
-pub use imp::{
-    capture, capture_counted, clear_vtime, disable, drain, drain_counted, enable, is_enabled,
-    recent, record, set_rank, set_ring_capacity, set_vtime, spans_dropped,
-};
+/// Drain every thread's buffer, returning all events ordered by `seq`.
+/// Also reports how many events were dropped to ring overflow.
+pub fn drain_counted() -> (Vec<Event>, u64) {
+    let mut out = Vec::new();
+    let mut dropped = 0;
+    for ring in lock(&BUFFERS).iter() {
+        let mut r = lock(ring);
+        let head = r.head;
+        out.extend_from_slice(&r.events[head..]);
+        out.extend_from_slice(&r.events[..head]);
+        dropped += r.dropped;
+        r.events.clear();
+        r.head = 0;
+        r.dropped = 0;
+    }
+    out.sort_by_key(|e| e.seq);
+    (out, dropped)
+}
+
+pub fn drain() -> Vec<Event> {
+    drain_counted().0
+}
+
+/// Run `f` with recording enabled and return its result plus every
+/// event it produced. Captures are serialized by a global lock so
+/// parallel tests cannot interleave their event streams; events
+/// recorded outside the capture window are discarded.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    let (out, events, _) = capture_counted(f);
+    (out, events)
+}
+
+/// [`capture`] that also reports how many events the window lost to
+/// ring overflow (the per-window `spans_dropped` for trace exports).
+pub fn capture_counted<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>, u64) {
+    let _guard = lock(&CAPTURE);
+    drain(); // discard stale events from before this window
+    enable();
+    let out = f();
+    disable();
+    let (events, dropped) = drain_counted();
+    (out, events, dropped)
+}
 
 /// RAII span guard: records a `Begin` event on creation and the matching
-/// `End` (with accumulated args plus a `wall_ms` duration arg) on drop.
-/// Inert when recording is disabled at creation time.
+/// `End` (with accumulated args plus a `wall_ms` duration arg) on drop or
+/// [`Span::close`]. Records nothing when recording is disabled at
+/// creation time, but still times its scope.
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct Span {
     live: bool,
     cat: &'static str,
     name: &'static str,
     args: Args,
-    #[cfg(feature = "record")]
-    start: std::time::Instant,
+    start: Instant,
 }
 
 /// Open a span of category `cat` named `name` on the current thread.
@@ -373,8 +322,7 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
         cat,
         name,
         args: Args::default(),
-        #[cfg(feature = "record")]
-        start: std::time::Instant::now(),
+        start: Instant::now(),
     }
 }
 
@@ -386,17 +334,44 @@ impl Span {
             self.args.push(key, value);
         }
     }
+
+    /// Close the span now and return the wall seconds it covered — one
+    /// clock read serves the `End` event's `wall_ms` and the caller's row.
+    pub fn close(mut self) -> f64 {
+        self.end()
+    }
+
+    fn end(&mut self) -> f64 {
+        let secs = self.start.elapsed().as_secs_f64();
+        if self.live {
+            self.live = false;
+            self.args.push("wall_ms", secs * 1e3);
+            record(Phase::End, self.cat, self.name, self.args);
+        }
+        secs
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if self.live {
-            #[cfg(feature = "record")]
-            self.args
-                .push("wall_ms", self.start.elapsed().as_secs_f64() * 1e3);
-            record(Phase::End, self.cat, self.name, self.args);
+            self.end();
         }
     }
+}
+
+/// Run one phase under its span and add its wall seconds to `row`: the
+/// one stopwatch of a Table I row and of its trace span.
+pub fn timed_phase<T>(
+    cat: &'static str,
+    name: &'static str,
+    row: &mut f64,
+    phase: impl FnOnce() -> T,
+) -> T {
+    let span = span(cat, name);
+    let out = phase();
+    *row += span.close();
+    out
 }
 
 /// Record a point event with args.
@@ -411,7 +386,7 @@ pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, f64
     }
 }
 
-#[cfg(all(test, feature = "record"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -445,6 +420,35 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].wall_ns <= w[1].wall_ns));
         // Outside mpisim there is no virtual clock.
         assert!(!events[0].has_vtime());
+    }
+
+    #[test]
+    fn close_returns_the_seconds_its_end_event_reports() {
+        let (secs, events) = capture(|| {
+            let s = span("test", "closed");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            s.close()
+        });
+        assert!(secs >= 2e-3, "{secs}");
+        assert_eq!(events.len(), 2, "closing ends the span once");
+        let wall_ms = events[1].args.iter().find(|(k, _)| *k == "wall_ms");
+        assert_eq!(wall_ms, Some(("wall_ms", secs * 1e3)));
+    }
+
+    #[test]
+    fn timed_phase_adds_its_seconds_to_the_row() {
+        let ((out, row), events) = capture(|| {
+            let mut row = 1.0;
+            let out = timed_phase("test", "phase", &mut row, || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                7
+            });
+            (out, row)
+        });
+        assert_eq!(out, 7);
+        assert!(row >= 1.0 + 1e-3, "{row}");
+        let names: Vec<_> = events.iter().map(|e| (e.phase, e.name)).collect();
+        assert_eq!(names, [(Phase::Begin, "phase"), (Phase::End, "phase")]);
     }
 
     #[test]

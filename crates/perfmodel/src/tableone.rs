@@ -179,7 +179,6 @@ impl TableOne {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for TableOne {
     /// Publish the column under the same `tableone_seconds{section,phase}`
     /// schema the measured [`StepBreakdown`] uses, so modelled and

@@ -35,12 +35,13 @@
 use greem_fft::{fft3d, fft3d_inverse, Fft1d, Mesh3};
 use greem_math::cutoff::{h_p3m, s2_self_potential};
 use greem_math::Vec3;
+use greem_obs::trace::timed_phase;
 use rayon::prelude::*;
 
 use crate::mesh::{self, BlockLists, Grid};
 use crate::parallel::PmPhaseTimes;
 use crate::serial::{PmParams, PmResult};
-use crate::{timed_phase, PmPipeline};
+use crate::PmPipeline;
 
 /// Open-boundary PM solver on a `2n`-padded mesh.
 ///

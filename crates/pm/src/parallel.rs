@@ -2,6 +2,7 @@
 
 use greem_fft::{Cpx, SlabFft};
 use greem_math::Vec3;
+use greem_obs::trace::timed_phase;
 use mpisim::{Comm, Ctx};
 
 use crate::convert::{local_density_to_slabs, slabs_to_local_potential};
@@ -9,7 +10,6 @@ use crate::greens::GreensFn;
 use crate::layout::{CellBox, LocalMesh};
 use crate::mesh::{self, BlockLists, Grid};
 use crate::relay::{relay_density_to_slabs, relay_slabs_to_local, RelayComms, RelayConfig};
-use crate::timed_phase;
 
 /// Configuration of the parallel PM solver.
 #[derive(Debug, Clone, Copy)]
@@ -82,7 +82,6 @@ impl PmPhaseTimes {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for PmPhaseTimes {
     /// Feeds `tableone_seconds{section=pm,phase=…}` counters, matching the
     /// Table I row names.

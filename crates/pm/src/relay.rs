@@ -117,7 +117,6 @@ pub fn relay_density_to_slabs(
     local: &LocalMesh,
     n: usize,
 ) -> Option<Vec<f64>> {
-    #[cfg(feature = "obs")]
     let _span = greem_obs::trace::span("pm", "relay.density_to_slabs");
     let nf = comms.cfg.nf;
     // Step 1: group-local Alltoallv; destinations are the group's first
@@ -125,7 +124,6 @@ pub fn relay_density_to_slabs(
     let gs = comms.small.size();
     let mut send: Vec<Vec<f64>> = (0..gs).map(|_| Vec::new()).collect();
     {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("pm", "relay.pack_density");
         pack_density(local, n, nf, &mut send);
     }
@@ -136,7 +134,6 @@ pub fn relay_density_to_slabs(
     let (x0, count) = slab_planes(n, nf, comms.in_rank);
     let mut partial = vec![0.0; count * n * n];
     {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("pm", "relay.unpack_density");
         for msg in &recv {
             unpack_density_into_slab(msg, &mut partial, n, x0);
@@ -159,7 +156,6 @@ pub fn relay_slabs_to_local(
     n: usize,
     want: CellBox,
 ) -> LocalMesh {
-    #[cfg(feature = "obs")]
     let _span = greem_obs::trace::span("pm", "relay.slabs_to_local");
     let nf = comms.cfg.nf;
     assert_eq!(slab.is_some(), comms.is_fft_rank());
@@ -176,7 +172,6 @@ pub fn relay_slabs_to_local(
     let wants: Vec<CellBox> = wants_flat.iter().map(|v| CellBox::unpack(v)).collect();
     let mut send: Vec<Vec<f64>> = (0..gs).map(|_| Vec::new()).collect();
     if let Some(slab_full) = &slab_full {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("pm", "relay.pack_potential");
         let (x0, count) = slab_planes(n, nf, comms.in_rank);
         pack_potential(slab_full, n, x0, count, &wants, &mut send);
@@ -184,7 +179,6 @@ pub fn relay_slabs_to_local(
     let recv = comms.small.alltoallv(ctx, send);
     let mut local = LocalMesh::zeros(want);
     {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("pm", "relay.unpack_potential");
         for msg in &recv {
             unpack_potential_into_local(msg, &mut local);

@@ -10,12 +10,13 @@ use std::sync::Mutex;
 
 use greem_fft::RealFft3;
 use greem_math::Vec3;
+use greem_obs::trace::timed_phase;
 
 use crate::greens::GreensFn;
 use crate::mesh::{self, BlockLists, Grid};
 use crate::parallel::PmPhaseTimes;
 use crate::tsc::tsc_weights;
-use crate::{timed_phase, PmPipeline};
+use crate::PmPipeline;
 
 /// PM configuration.
 #[derive(Debug, Clone, Copy)]

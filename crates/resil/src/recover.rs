@@ -46,7 +46,7 @@ pub struct ResilConfig {
     /// Keep this many most-recent generations on disk (older ones are
     /// garbage-collected after a successful checkpoint).
     pub keep_generations: u64,
-    /// When set (and the `obs` feature is on), each rank keeps a
+    /// When set, each rank keeps a
     /// bounded flight recorder of recent spans/metrics and dumps a
     /// post-mortem bundle into this directory the moment the health
     /// check detects a crash (`<dir>/crash-step<k>-r<rank>-<n>.json`).
@@ -102,7 +102,6 @@ pub struct RecoveryStats {
     pub delayed_messages: u64,
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for RecoveryStats {
     fn observe(&self, reg: &mut greem_obs::Registry) {
         reg.counter_add("resil_crashes_detected", self.crashes_detected as f64);
@@ -181,7 +180,6 @@ pub struct ResilientSim {
     /// the virtual time a rollback throws away).
     vtime_at_ckpt: f64,
     /// Per-rank flight recorder (see [`ResilConfig::flight_dir`]).
-    #[cfg(feature = "obs")]
     flight: Option<greem_obs::FlightRecorder>,
 }
 
@@ -196,7 +194,6 @@ impl ResilientSim {
     ) -> Result<Self, ResilError> {
         std::fs::create_dir_all(&cfg.dir).map_err(CkptError::Io)?;
         world.barrier(ctx); // no rank writes before the dir exists
-        #[cfg(feature = "obs")]
         let flight = cfg
             .flight_dir
             .is_some()
@@ -207,7 +204,6 @@ impl ResilientSim {
             stats: RecoveryStats::default(),
             generation: 0,
             vtime_at_ckpt: ctx.vtime(),
-            #[cfg(feature = "obs")]
             flight,
         };
         s.checkpoint(ctx, world)?;
@@ -291,7 +287,6 @@ impl ResilientSim {
             }
             let st = self.sim.step(ctx, world, dts[k as usize]);
             on_step(ctx, world, &self.sim, &st, &self.stats);
-            #[cfg(feature = "obs")]
             if let Some(fr) = self.flight.as_mut() {
                 fr.record_step(
                     self.sim.steps_taken(),
@@ -318,7 +313,6 @@ impl ResilientSim {
     /// Collective crash probe. True when any rank died this step; all
     /// survivors pay the detection timeout.
     fn health_check(&mut self, ctx: &mut Ctx, world: &Comm) -> bool {
-        #[cfg(feature = "obs")]
         let _span = greem_obs::trace::span("resil", "resil.health_check");
         let mine = ctx.take_crash() as u64;
         let crashed = world.allreduce(ctx, vec![mine], |a, b| *a += *b)[0];
@@ -328,13 +322,11 @@ impl ResilientSim {
         self.stats.crashes_detected += crashed;
         let timeout = ctx.fault_plan().map_or(0.0, |p| p.detect_timeout());
         ctx.compute(timeout);
-        #[cfg(feature = "obs")]
         greem_obs::trace::instant(
             "resil",
             "resil.crash_detected",
             &[("ranks", crashed as f64)],
         );
-        #[cfg(feature = "obs")]
         self.flight_dump(world, crashed);
         true
     }
@@ -342,7 +334,6 @@ impl ResilientSim {
     /// Post-mortem: write this rank's flight-recorder bundle (recent
     /// spans + metric lines + recovery-counter snapshot + the crash
     /// verdict). Best-effort — a failed dump must never abort recovery.
-    #[cfg(feature = "obs")]
     fn flight_dump(&mut self, world: &Comm, crashed: u64) {
         let (Some(fr), Some(dir)) = (self.flight.as_mut(), self.cfg.flight_dir.as_ref()) else {
             return;
@@ -370,19 +361,11 @@ impl ResilientSim {
 
     /// Flight-recorder bundles written by this rank so far.
     pub fn flight_dumps(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.flight.as_ref().map_or(0, |f| f.dumps())
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.flight.as_ref().map_or(0, |f| f.dumps())
     }
 
     fn checkpoint(&mut self, ctx: &mut Ctx, world: &Comm) -> Result<(), ResilError> {
-        #[cfg(feature = "obs")]
-        let mut _span = greem_obs::trace::span("resil", "resil.checkpoint");
+        let mut span = greem_obs::trace::span("resil", "resil.checkpoint");
         let gen = self.generation;
         let st = self.sim.rank_state();
         let bytes = write_sharded(ctx, world, &self.cfg.dir, gen, &st)?;
@@ -395,17 +378,13 @@ impl ResilientSim {
         if gen >= self.cfg.keep_generations && world.rank() == 0 {
             remove_generation(&self.cfg.dir, gen - self.cfg.keep_generations, world.size());
         }
-        #[cfg(feature = "obs")]
-        {
-            _span.arg("generation", gen as f64);
-            _span.arg("bytes", bytes as f64);
-        }
+        span.arg("generation", gen as f64);
+        span.arg("bytes", bytes as f64);
         Ok(())
     }
 
     fn rollback(&mut self, ctx: &mut Ctx, world: &Comm) -> Result<(), ResilError> {
-        #[cfg(feature = "obs")]
-        let mut _span = greem_obs::trace::span("resil", "resil.rollback");
+        let mut span = greem_obs::trace::span("resil", "resil.rollback");
         self.stats.rollbacks += 1;
         if self.stats.rollbacks > self.cfg.max_rollbacks as u64 {
             return Err(ResilError::TooManyRollbacks {
@@ -418,11 +397,8 @@ impl ResilientSim {
         let total = world.allreduce(ctx, vec![bytes], |a, b| *a += *b)[0];
         self.stats.recovered_bytes += total;
         self.generation = gen + 1;
-        #[cfg(feature = "obs")]
-        {
-            _span.arg("generation", gen as f64);
-            _span.arg("resumed_step", st.step as f64);
-        }
+        span.arg("generation", gen as f64);
+        span.arg("resumed_step", st.step as f64);
         self.sim.restore_rank_state(ctx, world, st);
         self.vtime_at_ckpt = ctx.vtime();
         Ok(())

@@ -61,7 +61,6 @@ fn same_seed_same_fault_schedule() {
 /// from the same seed: identical recovery stats, identical final
 /// particle state, and — per rank — the identical sequence of trace
 /// events at identical virtual times.
-#[cfg(feature = "obs")]
 #[test]
 fn same_seed_same_traces_and_final_state() {
     use greem_obs::trace;

@@ -302,7 +302,6 @@ fn full_queue_gets_429_with_retry_after() {
     handle.shutdown();
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn traced_job_serves_valid_chrome_trace() {
     let handle = start(test_config("trace")).unwrap();

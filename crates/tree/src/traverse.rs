@@ -165,7 +165,6 @@ impl WalkStats {
     }
 }
 
-#[cfg(feature = "obs")]
 impl greem_obs::Observe for WalkStats {
     /// Feeds `walk_*` counters (raw sums, mergeable across ranks) plus the
     /// derived ⟨Ni⟩/⟨Nj⟩ gauges the paper reports.

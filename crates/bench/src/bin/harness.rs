@@ -471,6 +471,35 @@ mod tests {
         assert_eq!(rows, 14, "the paper's tables and figures");
     }
 
+    /// The small weak-scaling sweep's physics: the three gated points,
+    /// efficiency non-increasing in p, each point within a band of the
+    /// Table-I model at the same p, with real traffic, a real kernel run
+    /// and a critical-path attribution.
+    fn weak_scaling_holds(doc: &Value) {
+        assert_eq!(
+            doc.get("experiment").and_then(Value::as_str),
+            Some("weakscale")
+        );
+        assert!(matches!(doc.get("small"), Some(Value::Bool(true))));
+        let pts = doc.get("points").and_then(Value::as_arr).unwrap();
+        let ps: Vec<f64> = pts.iter().map(|p| num(p, "p")).collect();
+        assert_eq!(ps, [16.0, 128.0, 1024.0]);
+        let effs: Vec<f64> = pts.iter().map(|p| num(p, "pct_of_peak")).collect();
+        assert!(effs.windows(2).all(|w| w[0] >= w[1]), "{effs:?}");
+        for (p, pt) in ps.iter().zip(pts) {
+            let ratio = num(pt, "pct_of_peak") / num(pt, "model_pct_of_peak");
+            assert!(
+                (0.85..=1.05).contains(&ratio),
+                "p = {p}: model ratio {ratio}"
+            );
+            for key in ["messages", "bytes_sent", "rep_interactions"] {
+                assert!(num(pt, key) > 0.0, "p = {p}: no {key}");
+            }
+            let losses = pt.get("losses").and_then(Value::as_arr).unwrap();
+            assert!(!losses.is_empty(), "p = {p}: no critical-path attribution");
+        }
+    }
+
     /// Every committed `baselines/*_small.json` is judged against a
     /// fresh `--small` run of the command that records it, through the
     /// real gate — so a baseline that goes stale fails tier-1, not a
@@ -485,6 +514,9 @@ mod tests {
             judged.push(format!("{}.json", outcome.gate.as_ref().unwrap().bench));
             let (code, payload) = greem_bench::gate::run(outcome, true, false, None);
             assert_eq!(code, 0, "{}: {payload:?}", e.name);
+            if e.name == "weakscale" {
+                weak_scaling_holds(&parse(&payload.unwrap()).unwrap());
+            }
         }
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
         let mut committed: Vec<String> = std::fs::read_dir(dir)

@@ -40,11 +40,6 @@ pub struct ForceResult {
     pub pm_accel: Vec<Vec3>,
     /// Walk statistics (⟨Ni⟩, ⟨Nj⟩, interaction counts).
     pub walk: WalkStats,
-    /// PP phase timings.
-    pub pp_times: PpTimes,
-    /// PM phase timings (serial path: assignment/FFT/差分/interpolation
-    /// wall times; no communication).
-    pub pm_times: greem_pm::PmPhaseTimes,
 }
 
 /// Single-process TreePM solver.
@@ -122,7 +117,7 @@ impl TreePm {
         // one (FFT butterflies, tree-arena concatenation) fill the
         // otherwise-idle time of the other's workers.
         let _span = greem_obs::trace::span("force", "force.compute");
-        let ((pm, pm_times), (pp_accel, walk, pp_times)) =
+        let ((pm, _), (pp_accel, walk, _)) =
             rayon::join(|| self.compute_pm(pos, mass), || self.compute_pp(pos, mass));
         let accel = pp_accel
             .iter()
@@ -134,8 +129,6 @@ impl TreePm {
             pp_accel,
             pm_accel: pm.accel,
             walk,
-            pp_times,
-            pm_times,
         }
     }
 

@@ -1,134 +1,58 @@
-//! Static-box time integrators behind a common trait.
+//! The multiple-stepsize KDK step, once for both drivers, both time
+//! variables and both integrators. "The one simulation step was composed
+//! by a cycle of the PM and two cycles of the PP and the domain
+//! decomposition" (§III-A): the slowly varying long-range force kicks at
+//! the step's ends, the short-range one on two half-length sub-cycles —
+//! the multiple-timestep scheme of Skeel & Biesiadecki (1994):
 //!
-//! The paper's multiple-stepsize KDK leapfrog (see [`crate::simulation`])
-//! is the production integrator; isolated-system scenarios
-//! (`greem-astro`) additionally want the 4th-order Yoshida (1990)
-//! composition, whose energy error shrinks as `dt⁴` — the difference
-//! between a collapse run that holds `|ΔE/E₀| ≤ 1e-3` and one that does
-//! not. Both are expressed over the same primitive cycle, so the
-//! leapfrog path is **bitwise identical** to the pre-trait code: one
-//! KDK cycle is one call sequence of the simulation's kick/drift/
-//! recompute helpers, and `Leapfrog` issues exactly the historical
-//! sequence.
+//! ```text
+//! K_PM(Δ/2) · [ K_PP(δ/2) · D(δ) · K_PP(δ/2) ]² · K_PM(Δ/2),  δ = Δ/2
+//! ```
 //!
-//! Cosmological runs keep the dedicated ΛCDM leapfrog in
-//! [`crate::simulation`] — Yoshida's negative substep would need
-//! backward kick/drift integrals the cosmology tables do not provide
-//! (and the paper's runs never used).
+//! `schedule` is pure arithmetic: the step's cycles (a PM half-kick
+//! weight, two PP sub-cycles of a kick and a drift weight) and the mode
+//! after it. `Driver::run` is the one loop that applies them to the
+//! store both drivers embed, calling each driver's PP and PM cycles.
+//! Static runs pick the integrator: the paper's leapfrog is one cycle of
+//! `dt`, Yoshida's (1990) 4th-order "triple jump" three, of `w1·dt`,
+//! `w0·dt`, `w1·dt` — its `dt⁴` energy error lets a `greem-astro`
+//! collapse run hold `|ΔE/E₀| ≤ 1e-3`. A cosmological step is one
+//! leapfrog cycle weighted by the ΛCDM kick/drift integrals of
+//! `greem-cosmo` times `G_eff = 3Ωm/(8π)`.
 
-use crate::simulation::Simulation;
+use greem_cosmo::KickDrift;
+use greem_math::Vec3;
+use greem_obs::trace::timed_phase;
+
+use crate::config::Boundary;
+use crate::simulation::SimulationMode;
 use crate::stats::StepBreakdown;
+use crate::store::ParticleStore;
 
-/// A fixed-timestep symplectic integrator for static (plain-time) runs.
-///
-/// Implementations advance the simulation by `dt` using the
-/// crate-internal kick/drift/recompute primitives; they must leave the
-/// cached forces consistent with the final positions (every composed
-/// KDK cycle does).
-pub trait Integrator {
-    /// Display name (CLI values, logs, baselines).
-    fn name(&self) -> &'static str;
-    /// Formal order of the scheme.
-    fn order(&self) -> u32;
-    /// Advance `sim` by `dt`, accumulating cost into `bd`.
-    fn step_static(&self, sim: &mut Simulation, dt: f64, bd: &mut StepBreakdown);
-}
-
-/// One multiple-stepsize KDK cycle — the body every integrator here is
-/// composed from:
-///
-/// ```text
-/// K_PM(Δ/2) · [ K_PP(δ/2) · D(δ) · K_PP(δ/2) ]² · K_PM(Δ/2),  δ = Δ/2
-/// ```
-///
-/// The first PP sub-cycle walks fresh (recording interaction lists),
-/// the second replays them when the drift stayed within the recorded
-/// margin — the same structure for positive and negative `dt` (the
-/// replay margin uses the |displacement|, so Yoshida's backward substep
-/// replays just as well).
-fn kdk_cycle(sim: &mut Simulation, dt: f64, bd: &mut StepBreakdown) {
-    sim.kick_pm(0.5 * dt);
-    let delta = 0.5 * dt;
-    for cycle in 0..2 {
-        sim.kick_pp(0.5 * delta);
-        sim.drift(delta, bd);
-        sim.recompute_pp(cycle == 1, bd);
-        sim.kick_pp(0.5 * delta);
-    }
-    sim.recompute_pm(bd);
-    sim.kick_pm(0.5 * dt);
-}
-
-/// The paper's 2nd-order multiple-stepsize KDK leapfrog.
-pub struct Leapfrog;
-
-impl Integrator for Leapfrog {
-    fn name(&self) -> &'static str {
-        "leapfrog"
-    }
-    fn order(&self) -> u32 {
-        2
-    }
-    fn step_static(&self, sim: &mut Simulation, dt: f64, bd: &mut StepBreakdown) {
-        kdk_cycle(sim, dt, bd);
-    }
-}
-
-/// Yoshida's (1990) 4th-order "triple jump": three leapfrog cycles with
-/// substeps `w1·dt`, `w0·dt`, `w1·dt`, where
-///
-/// ```text
-/// w1 = 1/(2 − 2^{1/3}),   w0 = 1 − 2·w1 = −2^{1/3}/(2 − 2^{1/3})
-/// ```
-///
-/// The middle substep runs *backward* (`w0 < 0`), which cancels the
-/// leapfrog's 3rd-order error term and leaves a 4th-order scheme at 3×
-/// the force-evaluation cost per step.
-pub struct Yoshida4;
-
-/// `w1` coefficient of the triple jump.
-pub const YOSHIDA4_W1: f64 = 1.3512071919596576; // 1/(2 − 2^{1/3})
-/// `w0` coefficient of the triple jump (backward substep).
+/// `w1` coefficient of the triple jump, `1/(2 − 2^{1/3})`.
+pub const YOSHIDA4_W1: f64 = 1.3512071919596576;
+/// `w0` coefficient of the triple jump, `1 − 2·w1 = −2^{1/3}/(2 − 2^{1/3})`:
+/// the backward substep that cancels the leapfrog's 3rd-order error.
 pub const YOSHIDA4_W0: f64 = 1.0 - 2.0 * YOSHIDA4_W1;
 
-impl Integrator for Yoshida4 {
-    fn name(&self) -> &'static str {
-        "yoshida4"
-    }
-    fn order(&self) -> u32 {
-        4
-    }
-    fn step_static(&self, sim: &mut Simulation, dt: f64, bd: &mut StepBreakdown) {
-        kdk_cycle(sim, YOSHIDA4_W1 * dt, bd);
-        kdk_cycle(sim, YOSHIDA4_W0 * dt, bd);
-        kdk_cycle(sim, YOSHIDA4_W1 * dt, bd);
-    }
-}
-
-/// Integrator selector held by [`Simulation`] (a `Copy` tag rather than
-/// a boxed trait object, so the simulation stays cheaply cloneable for
-/// checkpoint/rollback comparisons).
+/// Static-mode integrator of a [`crate::Simulation`] (cosmological
+/// steps are always leapfrog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntegratorKind {
-    /// [`Leapfrog`] (the paper's scheme; default).
+    /// The paper's 2nd-order multiple-stepsize KDK leapfrog (default).
     #[default]
     Leapfrog,
-    /// [`Yoshida4`].
+    /// Yoshida's 4th-order composition of three leapfrog cycles.
     Yoshida4,
 }
 
 impl IntegratorKind {
-    /// The shared integrator instance this tag names.
-    pub fn as_integrator(self) -> &'static dyn Integrator {
-        match self {
-            IntegratorKind::Leapfrog => &Leapfrog,
-            IntegratorKind::Yoshida4 => &Yoshida4,
-        }
-    }
-
-    /// Display name.
+    /// Display name (CLI values, logs, baselines).
     pub fn name(self) -> &'static str {
-        self.as_integrator().name()
+        match self {
+            IntegratorKind::Leapfrog => "leapfrog",
+            IntegratorKind::Yoshida4 => "yoshida4",
+        }
     }
 
     /// Parse a CLI/job value (`"leapfrog"` / `"yoshida4"`).
@@ -141,12 +65,169 @@ impl IntegratorKind {
     }
 }
 
+/// One PP sub-cycle: the kick weight on each side of the drift.
+#[derive(Clone, Copy)]
+pub(crate) struct SubCycle {
+    kick: f64,
+    drift: f64,
+}
+
+/// One KDK cycle: the PM half-kick weight and the two PP sub-cycles.
+pub(crate) struct Cycle {
+    pm: f64,
+    pp: [SubCycle; 2],
+}
+
+/// A static leapfrog cycle of `dt`.
+fn leapfrog(dt: f64) -> Cycle {
+    let delta = 0.5 * dt;
+    let sub = SubCycle {
+        kick: 0.5 * delta,
+        drift: delta,
+    };
+    Cycle {
+        pm: 0.5 * dt,
+        pp: [sub; 2],
+    }
+}
+
+/// The cycles of one step and the mode after it. `dt` is the timestep
+/// in static mode and the target scale factor in cosmological mode,
+/// where the step must advance `a`; its PP sub-cycles split the step
+/// at the arithmetic midpoint of `a`.
+pub(crate) fn schedule(
+    mode: SimulationMode,
+    kind: IntegratorKind,
+    dt: f64,
+) -> (Vec<Cycle>, SimulationMode) {
+    let SimulationMode::Cosmological { cosmology, a } = mode else {
+        let cycles = match kind {
+            IntegratorKind::Leapfrog => vec![leapfrog(dt)],
+            IntegratorKind::Yoshida4 => [YOSHIDA4_W1, YOSHIDA4_W0, YOSHIDA4_W1]
+                .map(|w| leapfrog(w * dt))
+                .into(),
+        };
+        return (cycles, mode);
+    };
+    let a_next = dt;
+    assert!(
+        a_next > a,
+        "cosmological step must advance a (got {a} -> {a_next})"
+    );
+    // ∫dt/a over each interval times G_eff: the force's 1/a and the
+    // kick's dt combine into the kick integral.
+    let g_eff = 3.0 * cosmology.omega_m / (8.0 * std::f64::consts::PI);
+    let am = 0.5 * (a + a_next);
+    let sub = |kd: KickDrift| SubCycle {
+        kick: 0.5 * kd.kick * g_eff,
+        drift: kd.drift,
+    };
+    let cycle = Cycle {
+        pm: 0.5 * cosmology.kick_drift(a, a_next).kick * g_eff,
+        pp: [
+            sub(cosmology.kick_drift(a, am)),
+            sub(cosmology.kick_drift(am, a_next)),
+        ],
+    };
+    let after = SimulationMode::Cosmological {
+        cosmology,
+        a: a_next,
+    };
+    (vec![cycle], after)
+}
+
+/// What a step moves, embedded once in each driver: the resident store
+/// and the two acceleration caches, aligned with its row order.
+pub(crate) struct KdkState {
+    pub(crate) store: ParticleStore,
+    pub(crate) pp_accel: Vec<Vec3>,
+    /// Rewritten by every PM cycle before its next kick, so the PP
+    /// cycles' store permutations need not carry it.
+    pub(crate) pm_accel: Vec<Vec3>,
+    /// Largest per-particle displacement of the last drift — the margin
+    /// budget of the serial driver's interaction-list cache.
+    pub(crate) last_drift: f64,
+    boundary: Boundary,
+}
+
+impl KdkState {
+    pub(crate) fn new(store: ParticleStore, boundary: Boundary) -> Self {
+        KdkState {
+            store,
+            pp_accel: Vec::new(),
+            pm_accel: Vec::new(),
+            last_drift: 0.0,
+            boundary,
+        }
+    }
+
+    fn kick_pm(&mut self, w: f64) {
+        self.store.kick(&self.pm_accel, w);
+    }
+
+    fn kick_pp(&mut self, w: f64) {
+        self.store.kick(&self.pp_accel, w);
+    }
+
+    /// Drift positions by `w`: wrapped into the torus under periodic
+    /// boundaries, plain open-space translation under isolated ones.
+    fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
+        let row = &mut bd.dd_position_update;
+        self.last_drift = timed_phase("step", "dd.position_update", row, || match self.boundary {
+            Boundary::Periodic => self.store.drift_wrap(w),
+            Boundary::Isolated => self.store.drift_free(w),
+        });
+    }
+}
+
+/// A driver's force cycles, and the one loop that runs a schedule on
+/// them.
+pub(crate) trait Driver {
+    fn kdk(&mut self) -> &mut KdkState;
+
+    /// Between a drift and its PP cycle: the parallel driver's domain
+    /// decomposition.
+    fn decompose(&mut self, _bd: &mut StepBreakdown) {}
+
+    /// Short-range forces at the current positions into `pp_accel`;
+    /// `second` marks a step's second sub-cycle.
+    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown);
+
+    /// Long-range forces at the current positions into `pm_accel`.
+    fn pm_cycle(&mut self, bd: &mut StepBreakdown);
+
+    /// Both forces afresh, after the particles changed outside a step:
+    /// a first sub-cycle's PP with no drift behind it, then PM.
+    fn refresh(&mut self) {
+        let mut scratch = StepBreakdown::default();
+        self.kdk().last_drift = 0.0;
+        self.pp_cycle(false, &mut scratch);
+        self.pm_cycle(&mut scratch);
+    }
+
+    /// Run the cycles of a [`schedule`].
+    fn run(&mut self, cycles: &[Cycle], bd: &mut StepBreakdown) {
+        for c in cycles {
+            self.kdk().kick_pm(c.pm);
+            for (i, sub) in c.pp.iter().enumerate() {
+                self.kdk().kick_pp(sub.kick);
+                self.kdk().drift(sub.drift, bd);
+                self.decompose(bd);
+                self.pp_cycle(i == 1, bd);
+                self.kdk().kick_pp(sub.kick);
+            }
+            self.pm_cycle(bd);
+            self.kdk().kick_pm(c.pm);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TreePmConfig;
     use crate::particle::Body;
-    use crate::simulation::SimulationMode;
+    use crate::simulation::{Simulation, SimulationMode};
     use greem_math::Vec3;
 
     #[test]
@@ -172,8 +253,6 @@ mod tests {
         }
         assert_eq!(IntegratorKind::parse("rk4"), None);
         assert_eq!(IntegratorKind::default(), IntegratorKind::Leapfrog);
-        assert_eq!(IntegratorKind::Leapfrog.as_integrator().order(), 2);
-        assert_eq!(IntegratorKind::Yoshida4.as_integrator().order(), 4);
     }
 
     /// Deterministic clustered ICs for the energy-drift tests.
@@ -195,10 +274,7 @@ mod tests {
         ((sim.energy() - e0) / e0).abs()
     }
 
-    /// Satellite regression: the existing periodic leapfrog path, now
-    /// routed through the `Integrator` trait, must conserve energy over
-    /// ~50 small steps — proving the refactor behavior-preserving (the
-    /// trait path issues the identical kick/drift/recompute sequence).
+    /// The periodic leapfrog must conserve energy over ~50 small steps.
     /// Documented bound: 1e-3 for cold random ICs with the standard
     /// (hard, ε = r_cut/30) softening — close encounters, not the
     /// integrator, set the floor here (observed ≈ 4e-4).

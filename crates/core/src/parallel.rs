@@ -2,7 +2,9 @@
 //! per-step pipeline over `mpisim`.
 //!
 //! Each rank owns the particles inside its rectangular domain (3-D
-//! multisection, `greem-domain`). One step runs the paper's cycle:
+//! multisection, `greem-domain`) of the periodic box. A step is the
+//! paper's cycle, run by the one loop of [`crate::integrator`] on this
+//! rank's hooks:
 //!
 //! 1. PM half kick (long-range force from the previous cycle),
 //! 2. two PP sub-cycles: short-range kick → drift → **domain
@@ -11,8 +13,10 @@
 //!    closing short-range kick,
 //! 3. collective PM solve at the new positions, closing PM half kick.
 //!
-//! Every phase charges the Table-I row it corresponds to; communication
-//! rows use the simulated network clock.
+//! Both sub-cycles walk afresh (the ghost set changes every cycle), and
+//! the integrator is always leapfrog. Every phase charges the Table-I
+//! row it corresponds to; communication rows use the simulated network
+//! clock.
 
 use greem_domain::{
     exchange, exchange_rows, BalancerParams, BalancerState, DomainGrid, SamplingBalancer,
@@ -22,7 +26,8 @@ use greem_obs::trace::timed_phase;
 use greem_pm::{ParallelPm, ParallelPmConfig};
 use mpisim::{Comm, Ctx};
 
-use crate::config::TreePmConfig;
+use crate::config::{Boundary, TreePmConfig};
+use crate::integrator::{schedule, Driver, IntegratorKind, KdkState};
 use crate::particle::Body;
 use crate::resident::ResidentPp;
 use crate::simulation::SimulationMode;
@@ -49,10 +54,8 @@ pub struct ParallelTreePm {
     mode: SimulationMode,
     /// Owned particles, Morton-resident: the PP engine re-permutes the
     /// store's rows into tree order at every cycle.
-    store: ParticleStore,
+    kdk: KdkState,
     engine: ResidentPp,
-    pp_accel: Vec<Vec3>,
-    pm_accel: Vec<Vec3>,
     /// Measured force cost of the last cycle — the feedback signal of
     /// the sampling method.
     last_cost: f64,
@@ -82,8 +85,8 @@ impl ParallelTreePm {
     /// Collectively create the simulation. `bodies_on_root` is the full
     /// initial snapshot on world rank 0 (`None` elsewhere); it is
     /// scattered to the initial uniform decomposition. `div` must
-    /// multiply to the world size. `nf` FFT ranks; `relay_groups` as in
-    /// [`ParallelPmConfig`].
+    /// multiply to the world size; the boundary must be periodic. `nf`
+    /// FFT ranks; `relay_groups` as in [`ParallelPmConfig`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctx: &mut Ctx,
@@ -100,6 +103,11 @@ impl ParallelTreePm {
             div.iter().product::<usize>(),
             p,
             "div must match world size"
+        );
+        assert_eq!(
+            cfg.boundary,
+            Boundary::Periodic,
+            "the parallel driver's domains, drift and PM are periodic"
         );
         assert_eq!(
             bodies_on_root.is_some(),
@@ -130,25 +138,21 @@ impl ParallelTreePm {
             balancer,
             grid,
             mode,
-            store: ParticleStore::from_bodies(&mine),
+            kdk: KdkState::new(ParticleStore::from_bodies(&mine), cfg.boundary),
             engine: ResidentPp::new(),
-            pp_accel: Vec::new(),
-            pm_accel: Vec::new(),
             last_cost: 1.0,
             n_ghosts: 0,
             steps: 0,
         };
         // Initial forces so the first kick is consistent.
-        let mut scratch = StepBreakdown::default();
-        sim.recompute_pp(ctx, world, &mut scratch);
-        sim.recompute_pm(ctx, world, &mut scratch);
+        sim.on(ctx, world).refresh();
         sim
     }
 
     /// This rank's owned bodies, materialised from the resident store
     /// in its current (Morton) row order.
     pub fn bodies(&self) -> Vec<Body> {
-        self.store.to_bodies()
+        self.kdk.store.to_bodies()
     }
 
     /// The current domain of this rank.
@@ -190,7 +194,7 @@ impl ParallelTreePm {
             // The store's current row order IS the semantic order (the
             // Morton sort tie-breaks on slot), so a round trip through
             // this AoS view resumes bit-identically.
-            bodies: self.store.to_bodies(),
+            bodies: self.kdk.store.to_bodies(),
         }
     }
 
@@ -211,17 +215,14 @@ impl ParallelTreePm {
         let mine = exchange(ctx, world, st.bodies, move |b: &Body| {
             grid.rank_of_point(wrap01(b.pos))
         });
-        self.store = ParticleStore::from_bodies(&mine);
-        self.engine.invalidate_cache();
-        let mut scratch = StepBreakdown::default();
-        self.recompute_pp(ctx, world, &mut scratch);
-        self.recompute_pm(ctx, world, &mut scratch);
+        self.kdk.store = ParticleStore::from_bodies(&mine);
+        self.on(ctx, world).refresh();
     }
 
     /// Gather the full snapshot on world rank 0 (diagnostics).
     pub fn gather_bodies(&self, ctx: &mut Ctx, world: &Comm) -> Option<Vec<Body>> {
         world
-            .gather(ctx, 0, self.store.to_bodies())
+            .gather(ctx, 0, self.kdk.store.to_bodies())
             .map(|per_rank| {
                 let mut all: Vec<Body> = per_rank.into_iter().flatten().collect();
                 all.sort_unstable_by_key(|b| b.id);
@@ -234,91 +235,27 @@ impl ParallelTreePm {
     /// the target scale factor.
     pub fn step(&mut self, ctx: &mut Ctx, world: &Comm, dt_or_a_next: f64) -> ParallelStepStats {
         let mut span = greem_obs::trace::span("step", "treepm.step");
+        let (cycles, mode) = schedule(self.mode, IntegratorKind::Leapfrog, dt_or_a_next);
         let mut bd = StepBreakdown::default();
-        match self.mode {
-            SimulationMode::Static => {
-                let dt = dt_or_a_next;
-                self.kick_pm(0.5 * dt);
-                let delta = 0.5 * dt;
-                for _ in 0..2 {
-                    self.kick_pp(0.5 * delta);
-                    self.drift(delta, &mut bd);
-                    self.domain_decomposition(ctx, world, &mut bd);
-                    self.recompute_pp(ctx, world, &mut bd);
-                    self.kick_pp(0.5 * delta);
-                }
-                self.recompute_pm(ctx, world, &mut bd);
-                self.kick_pm(0.5 * dt);
-            }
-            SimulationMode::Cosmological { cosmology, a } => {
-                let a1 = dt_or_a_next;
-                assert!(a1 > a, "scale factor must advance");
-                let g_eff = 3.0 * cosmology.omega_m / (8.0 * std::f64::consts::PI);
-                let am = 0.5 * (a + a1);
-                let kd_whole = cosmology.kick_drift(a, a1);
-                let halves = [cosmology.kick_drift(a, am), cosmology.kick_drift(am, a1)];
-                self.kick_pm(0.5 * kd_whole.kick * g_eff);
-                for kd in halves {
-                    self.kick_pp(0.5 * kd.kick * g_eff);
-                    self.drift(kd.drift, &mut bd);
-                    self.domain_decomposition(ctx, world, &mut bd);
-                    self.recompute_pp(ctx, world, &mut bd);
-                    self.kick_pp(0.5 * kd.kick * g_eff);
-                }
-                self.recompute_pm(ctx, world, &mut bd);
-                self.kick_pm(0.5 * kd_whole.kick * g_eff);
-                self.mode = SimulationMode::Cosmological { cosmology, a: a1 };
-            }
-        }
+        self.on(ctx, world).run(&cycles, &mut bd);
+        self.mode = mode;
         self.steps += 1;
         span.arg("interactions", bd.walk.interactions as f64);
-        span.arg("n_owned", self.store.len() as f64);
+        span.arg("n_owned", self.kdk.store.len() as f64);
         ParallelStepStats {
             breakdown: bd,
-            n_owned: self.store.len(),
+            n_owned: self.kdk.store.len(),
             n_ghosts: self.n_ghosts,
         }
     }
 
-    fn kick_pm(&mut self, w: f64) {
-        self.store.kick(&self.pm_accel, w);
-    }
-
-    fn kick_pp(&mut self, w: f64) {
-        self.store.kick(&self.pp_accel, w);
-    }
-
-    fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
-        let row = &mut bd.dd_position_update;
-        timed_phase("step", "dd.position_update", row, || {
-            self.store.drift_wrap(w)
-        });
-    }
-
-    /// Sampling-method rebalance + particle exchange.
-    fn domain_decomposition(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
-        // Rebalance with the measured force cost as the sampling weight.
-        let v0 = ctx.vtime();
-        let row = &mut bd.dd_sampling_method;
-        self.grid = timed_phase("step", "dd.sampling_method", row, || {
-            let pos = self.store.positions();
-            self.balancer.rebalance(ctx, world, &pos, self.last_cost)
-        });
-        bd.dd_sampling_method += ctx.vtime() - v0;
-
-        // Route every particle to its (possibly new) owner. The store's
-        // columns travel as packed 64-byte rows (pos, vel, mass, id) —
-        // the same wire size as the AoS `Body` they replace.
-        let v0 = ctx.vtime();
-        let row = &mut bd.dd_particle_exchange;
-        self.store = timed_phase("step", "dd.particle_exchange", row, || {
-            let grid = self.grid.clone();
-            let rows = exchange_rows(ctx, world, self.store.to_packed(), move |r| {
-                grid.rank_of_point(Vec3::new(r[0], r[1], r[2]))
-            });
-            ParticleStore::from_packed(&rows)
-        });
-        bd.dd_particle_exchange += ctx.vtime() - v0;
+    /// This rank's hooks for the step loop.
+    fn on<'a>(&'a mut self, ctx: &'a mut Ctx, world: &'a Comm) -> OnRank<'a> {
+        OnRank {
+            sim: self,
+            ctx,
+            world,
+        }
     }
 
     /// Import boundary particles: everything of mine within `r_cut` of
@@ -329,9 +266,9 @@ impl ParallelTreePm {
         let domains: Vec<Aabb> = (0..p).map(|r| self.grid.domain(r)).collect();
         let mut send: Vec<Vec<(Vec3, f64)>> = (0..p).map(|_| Vec::new()).collect();
         let me = world.rank();
-        for i in 0..self.store.len() {
-            let pos = self.store.pos(i);
-            let mass = self.store.mass_column()[i];
+        for i in 0..self.kdk.store.len() {
+            let pos = self.kdk.store.pos(i);
+            let mass = self.kdk.store.mass_column()[i];
             for (d, dom) in domains.iter().enumerate() {
                 if d == me {
                     continue;
@@ -343,29 +280,69 @@ impl ParallelTreePm {
         }
         world.alltoallv(ctx, send).into_iter().flatten().collect()
     }
+}
 
-    /// Full PP cycle: ghost import, then the resident engine's combined
-    /// walk (Morton sort over owned + ghosts, owned-row permutation of
-    /// the store, persistent-arena build, group walk + kernel).
-    fn recompute_pp(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
+/// One rank's hooks for the step loop: the driver with this rank's
+/// context and communicator.
+struct OnRank<'a> {
+    sim: &'a mut ParallelTreePm,
+    ctx: &'a mut Ctx,
+    world: &'a Comm,
+}
+
+impl Driver for OnRank<'_> {
+    fn kdk(&mut self) -> &mut KdkState {
+        &mut self.sim.kdk
+    }
+
+    /// Sampling-method rebalance + particle exchange.
+    fn decompose(&mut self, bd: &mut StepBreakdown) {
+        let OnRank { sim, ctx, world } = self;
+        // Rebalance with the measured force cost as the sampling weight.
+        let v0 = ctx.vtime();
+        let row = &mut bd.dd_sampling_method;
+        sim.grid = timed_phase("step", "dd.sampling_method", row, || {
+            let pos = sim.kdk.store.positions();
+            sim.balancer.rebalance(ctx, world, &pos, sim.last_cost)
+        });
+        bd.dd_sampling_method += ctx.vtime() - v0;
+
+        // Route every particle to its (possibly new) owner. The store's
+        // columns travel as packed 64-byte rows (pos, vel, mass, id) —
+        // the same wire size as the AoS `Body` they replace.
+        let v0 = ctx.vtime();
+        let row = &mut bd.dd_particle_exchange;
+        sim.kdk.store = timed_phase("step", "dd.particle_exchange", row, || {
+            let grid = sim.grid.clone();
+            let rows = exchange_rows(ctx, world, sim.kdk.store.to_packed(), move |r| {
+                grid.rank_of_point(Vec3::new(r[0], r[1], r[2]))
+            });
+            ParticleStore::from_packed(&rows)
+        });
+        bd.dd_particle_exchange += ctx.vtime() - v0;
+    }
+
+    /// Ghost import, then the resident engine's combined walk (Morton
+    /// sort over owned + ghosts, owned-row permutation of the store,
+    /// persistent-arena build, group walk + kernel). Both sub-cycles
+    /// walk afresh.
+    fn pp_cycle(&mut self, _second: bool, bd: &mut StepBreakdown) {
+        let OnRank { sim, ctx, world } = self;
         // Boundary communication.
         let v0 = ctx.vtime();
         let ghosts = timed_phase("step", "pp.communication", &mut bd.pp_communication, || {
-            self.exchange_ghosts(ctx, world)
+            sim.exchange_ghosts(ctx, world)
         });
-        self.n_ghosts = ghosts.len();
+        sim.n_ghosts = ghosts.len();
         bd.pp_communication += ctx.vtime() - v0;
 
-        // The PM accelerations are stale whenever this follows a domain
-        // exchange, and are refreshed before their next kick in every
-        // path, so the store permutation does not need to carry them.
         let mut span = greem_obs::trace::span("step", "pp.walk_force");
-        let out = self
+        let out = sim
             .engine
-            .compute_combined(&self.cfg, &mut self.store, &ghosts, &mut []);
+            .compute_combined(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut []);
         span.arg("interactions", out.walk.interactions as f64);
         bd.charge_pp(&out);
-        self.last_cost = match self.cfg.modeled_pp_cost {
+        sim.last_cost = match sim.cfg.modeled_pp_cost {
             Some(per_interaction) => {
                 // Charge the walk to the virtual clock and feed the
                 // balancer the charged (straggler-scaled, deterministic)
@@ -376,25 +353,21 @@ impl ParallelTreePm {
             }
             None => (out.times.traversal + out.times.force).max(1e-9),
         };
-        self.pp_accel = out.accel;
+        sim.kdk.pp_accel = out.accel;
     }
 
     /// Collective PM cycle at the current positions.
-    fn recompute_pm(&mut self, ctx: &mut Ctx, world: &Comm, bd: &mut StepBreakdown) {
+    fn pm_cycle(&mut self, bd: &mut StepBreakdown) {
         let _span = greem_obs::trace::span("step", "pm.solve");
-        let dom = self.grid.domain(world.rank());
-        let pos = self.store.positions();
-        let mass = self.store.masses();
-        let (accel, times) = self.pm.solve(
-            ctx,
-            world,
-            dom.lo.to_array(),
-            dom.hi.to_array(),
-            &pos,
-            &mass,
-        );
+        let OnRank { sim, ctx, world } = self;
+        let dom = sim.grid.domain(world.rank());
+        let store = &sim.kdk.store;
+        let (lo, hi) = (dom.lo.to_array(), dom.hi.to_array());
+        let (accel, times) = sim
+            .pm
+            .solve(ctx, world, lo, hi, &store.positions(), &store.masses());
         bd.pm.accumulate(&times);
-        self.pm_accel = accel;
+        sim.kdk.pm_accel = accel;
     }
 }
 
@@ -470,6 +443,19 @@ mod tests {
                 g.id
             );
         }
+    }
+
+    /// The ranks' domains, drift and PM solve are periodic; an isolated
+    /// config would mix two boundaries in one run, so it is refused.
+    #[test]
+    #[should_panic(expected = "the parallel driver's domains, drift and PM are periodic")]
+    fn isolated_boundary_is_refused() {
+        World::new(1).with_net(NetModel::free()).run(|ctx, world| {
+            let cfg = TreePmConfig::isolated(16);
+            let bodies = Some(rand_bodies(8, 3));
+            let mode = SimulationMode::Static;
+            ParallelTreePm::new(ctx, world, cfg, [1, 1, 1], 1, None, bodies, mode);
+        });
     }
 
     #[test]
@@ -614,11 +600,12 @@ mod tests {
                 SimulationMode::Static,
             );
             let mut bd = StepBreakdown::default();
-            sim.recompute_pp(ctx, world, &mut bd);
-            sim.store
+            sim.on(ctx, world).pp_cycle(false, &mut bd);
+            sim.kdk
+                .store
                 .to_bodies()
                 .iter()
-                .zip(&sim.pp_accel)
+                .zip(&sim.kdk.pp_accel)
                 .map(|(b, a)| (b.id, *a))
                 .collect::<Vec<_>>()
         });

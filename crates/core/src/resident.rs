@@ -227,12 +227,6 @@ impl ResidentPp {
         self.tuner.as_ref().map(|t| (t.current(), t.converged()))
     }
 
-    /// Drop the cached lists (callers that mutate particles outside the
-    /// integrator must invalidate before the next evaluation).
-    pub fn invalidate_cache(&mut self) {
-        self.cache.valid = false;
-    }
-
     /// The group size the next fresh walk will run at.
     fn next_group_size(&mut self, cfg: &TreePmConfig) -> usize {
         if autotune_enabled(cfg.autotune) {

@@ -1,29 +1,22 @@
-//! The multiple-stepsize KDK integrator.
+//! The single-address-space driver.
 //!
-//! "The one simulation step was composed by a cycle of the PM and two
-//! cycles of the PP and the domain decomposition" (§III-A): the
-//! long-range (PM) force, which varies slowly, kicks once per step at
-//! the step boundaries, while the short-range (PP) force kicks on two
-//! half-length sub-cycles — the multiple-timestep symplectic scheme of
-//! Skeel & Biesiadecki (1994) / Duncan, Levison & Lee (1998):
-//!
-//! ```text
-//! K_PM(Δ/2) · [ K_PP(δ/2) · D(δ) · K_PP(δ/2) ]² · K_PM(Δ/2),   δ = Δ/2
-//! ```
-//!
-//! Two modes share the structure: a **static** periodic box (G = 1,
-//! plain time units — the validation playground) and **comoving**
-//! cosmological integration, where kicks and drifts use the ΛCDM
-//! integrals of `greem-cosmo` and the force is scaled by
-//! `G_eff/a = 3Ωm/(8π·a)` (unit box, total mass 1, 1/H0 time units).
+//! [`Simulation`] runs the paper's multiple-stepsize KDK step (see
+//! [`crate::integrator`]) on one [`TreePm`]'s serial PM solver and a
+//! resident PP engine whose second sub-cycle of a step replays the
+//! interaction lists the first recorded when the drift allows. Two time
+//! variables share the step: a **static** box (G = 1, plain time units
+//! — the validation playground; periodic, or isolated for the scenario
+//! engine) and **comoving** cosmological integration, where kicks and
+//! drifts use the ΛCDM integrals of `greem-cosmo` and the force is
+//! scaled by `G_eff/a = 3Ωm/(8π·a)` (unit box, total mass 1, 1/H0 time
+//! units).
 
 use greem_cosmo::Cosmology;
 use greem_math::Vec3;
-use greem_obs::trace::timed_phase;
 
-use crate::config::{Boundary, TreePmConfig};
+use crate::config::TreePmConfig;
 use crate::forces::TreePm;
-use crate::integrator::IntegratorKind;
+use crate::integrator::{schedule, Driver, IntegratorKind, KdkState};
 use crate::particle::Body;
 use crate::resident::ResidentPp;
 use crate::stats::StepBreakdown;
@@ -63,19 +56,10 @@ pub enum SimulationMode {
 pub struct Simulation {
     solver: TreePm,
     cfg: TreePmConfig,
-    store: ParticleStore,
+    kdk: KdkState,
     engine: ResidentPp,
     mode: SimulationMode,
-    /// Cached accelerations, split as the integrator needs them; both
-    /// aligned with the store's current row order.
-    pp_accel: Vec<Vec3>,
-    pm_accel: Vec<Vec3>,
-    /// Largest per-particle displacement of the last drift — the margin
-    /// budget of the interaction-list cache.
-    last_drift: f64,
     steps_taken: u64,
-    /// Static-mode integrator (cosmological steps always use the
-    /// dedicated ΛCDM leapfrog below).
     integrator: IntegratorKind,
 }
 
@@ -83,20 +67,16 @@ impl Simulation {
     /// Create a simulation; forces are evaluated immediately so the
     /// first step starts with a consistent state.
     pub fn new(cfg: TreePmConfig, bodies: Vec<Body>, mode: SimulationMode) -> Self {
-        let solver = TreePm::new(cfg);
         let mut sim = Simulation {
-            solver,
+            solver: TreePm::new(cfg),
             cfg,
-            store: ParticleStore::from_bodies(&bodies),
+            kdk: KdkState::new(ParticleStore::from_bodies(&bodies), cfg.boundary),
             engine: ResidentPp::new(),
             mode,
-            pp_accel: Vec::new(),
-            pm_accel: Vec::new(),
-            last_drift: 0.0,
             steps_taken: 0,
             integrator: IntegratorKind::default(),
         };
-        sim.refresh_forces();
+        sim.refresh();
         sim
     }
 
@@ -107,34 +87,10 @@ impl Simulation {
         self.integrator = kind;
     }
 
-    /// The active static-mode integrator.
-    pub fn integrator(&self) -> IntegratorKind {
-        self.integrator
-    }
-
-    fn refresh_forces(&mut self) {
-        // PP first: the fresh walk Morton-permutes the store (and the
-        // held PM accelerations, when present); PM then runs at the
-        // permuted positions so both arrays share the store's order.
-        self.engine.invalidate_cache();
-        let out = self.engine.compute(
-            &self.cfg,
-            &mut self.store,
-            &mut [&mut self.pm_accel],
-            false,
-            0.0,
-        );
-        self.pp_accel = out.accel;
-        let pos = self.store.positions();
-        let mass = self.store.masses();
-        let (res, _) = self.solver.compute_pm(&pos, &mass);
-        self.pm_accel = res.accel;
-    }
-
     /// The bodies, materialised from the resident store and sorted by
     /// id so the order is stable across internal Morton permutations.
     pub fn bodies(&self) -> Vec<Body> {
-        let mut v = self.store.to_bodies();
+        let mut v = self.kdk.store.to_bodies();
         v.sort_by_key(|b| b.id);
         v
     }
@@ -143,16 +99,16 @@ impl Simulation {
     /// perturbations in tests); call [`Simulation::reset_forces`]
     /// afterwards.
     pub fn edit_bodies(&mut self, mut f: impl FnMut(&mut Body)) {
-        for i in 0..self.store.len() {
-            let mut b = self.store.body(i);
+        for i in 0..self.kdk.store.len() {
+            let mut b = self.kdk.store.body(i);
             f(&mut b);
-            self.store.set(i, b);
+            self.kdk.store.set(i, b);
         }
     }
 
     /// Recompute cached forces after external state changes.
     pub fn reset_forces(&mut self) {
-        self.refresh_forces();
+        self.refresh();
     }
 
     /// The PP engine's auto-tuner state, if auto-tuning has run:
@@ -185,24 +141,22 @@ impl Simulation {
     /// The resident particle store (current Morton row order; use
     /// [`Simulation::bodies`] for an id-stable view).
     pub fn store(&self) -> &ParticleStore {
-        &self.store
+        &self.kdk.store
     }
 
     /// Kinetic + potential energy (static mode; diagnostics).
     pub fn energy(&self) -> f64 {
-        let kinetic: f64 = (0..self.store.len())
-            .map(|i| 0.5 * self.store.mass_column()[i] * self.store.vel(i).norm2())
+        let s = &self.kdk.store;
+        let kinetic: f64 = (0..s.len())
+            .map(|i| 0.5 * s.mass_column()[i] * s.vel(i).norm2())
             .sum();
-        let pos = self.store.positions();
-        let mass = self.store.masses();
-        kinetic + self.solver.potential_energy(&pos, &mass)
+        kinetic + self.solver.potential_energy(&s.positions(), &s.masses())
     }
 
     /// Total momentum.
     pub fn momentum(&self) -> Vec3 {
-        (0..self.store.len())
-            .map(|i| self.store.vel(i) * self.store.mass_column()[i])
-            .sum()
+        let s = &self.kdk.store;
+        (0..s.len()).map(|i| s.vel(i) * s.mass_column()[i]).sum()
     }
 
     /// The comoving energy pair (T, W) of the Layzer-Irvine equation,
@@ -221,13 +175,12 @@ impl Simulation {
         let SimulationMode::Cosmological { cosmology, a } = self.mode else {
             return None;
         };
-        let t: f64 = (0..self.store.len())
-            .map(|i| 0.5 * self.store.mass_column()[i] * (self.store.vel(i) / a).norm2())
+        let s = &self.kdk.store;
+        let t: f64 = (0..s.len())
+            .map(|i| 0.5 * s.mass_column()[i] * (s.vel(i) / a).norm2())
             .sum();
         let g_eff = 3.0 * cosmology.omega_m / (8.0 * std::f64::consts::PI);
-        let pos = self.store.positions();
-        let mass = self.store.masses();
-        let u_box = self.solver.potential_energy(&pos, &mass);
+        let u_box = self.solver.potential_energy(&s.positions(), &s.masses());
         Some((t, g_eff / a * u_box))
     }
 
@@ -235,99 +188,33 @@ impl Simulation {
     /// current `a` to `a_next` (cosmological mode, pass the target scale
     /// factor as `dt`). Returns the step's cost breakdown.
     pub fn step(&mut self, dt: f64) -> StepBreakdown {
+        let (cycles, mode) = schedule(self.mode, self.integrator, dt);
         let mut bd = StepBreakdown::default();
-        match self.mode {
-            SimulationMode::Static => {
-                self.integrator
-                    .as_integrator()
-                    .step_static(self, dt, &mut bd);
-            }
-            SimulationMode::Cosmological { cosmology, a } => {
-                let a_next = dt;
-                assert!(
-                    a_next > a,
-                    "cosmological step must advance a (got {a} -> {a_next})"
-                );
-                self.step_cosmo(&cosmology, a, a_next, &mut bd);
-                self.mode = SimulationMode::Cosmological {
-                    cosmology,
-                    a: a_next,
-                };
-            }
-        }
+        self.run(&cycles, &mut bd);
+        self.mode = mode;
         self.steps_taken += 1;
         bd
     }
+}
 
-    /// Cosmological step from `a0` to `a1` with ΛCDM kick/drift factors
-    /// and force scaling `G_eff/a`.
-    fn step_cosmo(&mut self, cosmo: &Cosmology, a0: f64, a1: f64, bd: &mut StepBreakdown) {
-        let g_eff = 3.0 * cosmo.omega_m / (8.0 * std::f64::consts::PI);
-        // Sub-step boundaries in a: split the step at the midpoint of
-        // cosmic *time* ≈ geometric mean of a (EdS-like at high z); the
-        // arithmetic midpoint is fine for the short steps used here.
-        let am = 0.5 * (a0 + a1);
-        // Force-kick weights: ∫ dt/a over the relevant half-intervals,
-        // scaled by G_eff (the 1/a of the force and the dt of the kick
-        // combine into the kick integral).
-        let kd_whole = cosmo.kick_drift(a0, a1);
-        let kd_first = cosmo.kick_drift(a0, am);
-        let kd_second = cosmo.kick_drift(am, a1);
-        // PM half kicks use half the whole-step kick integral.
-        let pm_half = 0.5 * kd_whole.kick * g_eff;
-        self.kick_pm(pm_half);
-        // First PP sub-cycle (fresh walk, records lists).
-        self.kick_pp(0.5 * kd_first.kick * g_eff);
-        self.drift(kd_first.drift, bd);
-        self.recompute_pp(false, bd);
-        self.kick_pp(0.5 * kd_first.kick * g_eff);
-        // Second PP sub-cycle (replays the recorded lists when valid).
-        self.kick_pp(0.5 * kd_second.kick * g_eff);
-        self.drift(kd_second.drift, bd);
-        self.recompute_pp(true, bd);
-        self.kick_pp(0.5 * kd_second.kick * g_eff);
-        // Closing PM half kick at the new positions.
-        self.recompute_pm(bd);
-        self.kick_pm(pm_half);
+impl Driver for Simulation {
+    fn kdk(&mut self) -> &mut KdkState {
+        &mut self.kdk
     }
 
-    pub(crate) fn kick_pm(&mut self, w: f64) {
-        self.store.kick(&self.pm_accel, w);
-    }
-
-    pub(crate) fn kick_pp(&mut self, w: f64) {
-        self.store.kick(&self.pp_accel, w);
-    }
-
-    /// Drift positions by `w`: wrapped into the torus under periodic
-    /// boundaries, plain open-space translation under isolated ones.
-    pub(crate) fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
-        let row = &mut bd.dd_position_update;
-        self.last_drift = timed_phase("step", "dd.position_update", row, || {
-            match self.cfg.boundary {
-                Boundary::Periodic => self.store.drift_wrap(w),
-                Boundary::Isolated => self.store.drift_free(w),
-            }
-        });
-    }
-
-    pub(crate) fn recompute_pp(&mut self, try_replay: bool, bd: &mut StepBreakdown) {
-        let out = self.engine.compute(
-            &self.cfg,
-            &mut self.store,
-            &mut [&mut self.pm_accel],
-            try_replay,
-            self.last_drift,
-        );
+    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown) {
+        let kdk = &mut self.kdk;
+        let out = self
+            .engine
+            .compute(&self.cfg, &mut kdk.store, &mut [], second, kdk.last_drift);
         bd.charge_pp(&out);
-        self.pp_accel = out.accel;
+        kdk.pp_accel = out.accel;
     }
 
-    pub(crate) fn recompute_pm(&mut self, bd: &mut StepBreakdown) {
-        let pos = self.store.positions();
-        let mass = self.store.masses();
-        let (res, times) = self.solver.compute_pm(&pos, &mass);
-        self.pm_accel = res.accel;
+    fn pm_cycle(&mut self, bd: &mut StepBreakdown) {
+        let store = &self.kdk.store;
+        let (res, times) = self.solver.compute_pm(&store.positions(), &store.masses());
+        self.kdk.pm_accel = res.accel;
         bd.pm.accumulate(&times);
     }
 }

@@ -157,11 +157,18 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document this repository writes nests fewer than 10 levels; the
+/// bound keeps a hostile body from recursing the parser off the end of
+/// its thread's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document. Errors carry a byte offset.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -175,6 +182,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +221,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -221,6 +230,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// An array or object one level down, refused when `MAX_DEPTH`
+    /// levels are already open.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            let at = self.pos;
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {at}"
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -485,6 +509,23 @@ mod tests {
         assert_eq!(v.get("x").unwrap().as_str().unwrap(), "\u{fffd}A");
         // Truncated pair tail is still an error.
         assert!(parse(r#"{"x": "\ud83d\ud"}"#).is_err());
+    }
+
+    /// Nesting past `MAX_DEPTH` is refused at the byte that opens the
+    /// level too many, long before the recursion could exhaust a 2 MiB
+    /// test thread's stack.
+    #[test]
+    fn parser_refuses_nesting_past_the_depth_limit() {
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            let ok = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&ok).is_ok(), "{MAX_DEPTH} levels of {open}");
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(
+                err,
+                format!("nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            );
+        }
     }
 
     #[test]

@@ -429,6 +429,21 @@ fn healthz_is_answered_without_a_poll_wait() {
     handle.shutdown();
 }
 
+/// A body of nothing but `[` at the size cap is a 400, not a parser
+/// recursing off the end of the connection thread's stack, and the
+/// daemon keeps answering.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_lives() {
+    let handle = start(test_config("nested")).unwrap();
+    let addr = handle.addr_str();
+    let body = "[".repeat(http::MAX_BODY);
+    let resp = http::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    let resp = http::request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(resp.status, 200);
+    handle.shutdown();
+}
+
 /// `shutdown()` must wake an acceptor nobody ever connected to.
 #[test]
 fn shutdown_of_an_untouched_daemon_returns_promptly() {

@@ -1,0 +1,250 @@
+//! Golden hashes of whole TreePM steps: FNV-1a over the position and
+//! velocity bits of every body (sorted by id) after a few steps, folded
+//! with each step's exact `WalkStats` counters and `pp_list_replays`,
+//! and on the parallel driver with every rank's counters and simulated
+//! clock. The cases cover both drivers, both time variables and both
+//! integrators. A change meant to keep the trajectories' bits passes
+//! this untouched, in debug and optimised builds and at any
+//! `RAYON_NUM_THREADS`.
+//!
+//! Every digest follows the PP kernel's accelerations, so each case is
+//! pinned per [`KernelVariant`] (`GREEM_PP_KERNEL` selects one); the
+//! x86 digests are those of Intel's `rsqrt` tables.
+
+use greem::{
+    Body, IntegratorKind, ParallelTreePm, Simulation, SimulationMode, StepBreakdown, TreePmConfig,
+};
+use greem_cosmo::Cosmology;
+use greem_kernels::testutil::hardware_seed_is_the_recorded_one;
+use greem_kernels::{selected_variant, KernelVariant};
+use greem_math::testutil::{Fnv1a, TestLcg};
+use greem_math::Vec3;
+use mpisim::{NetModel, World};
+
+/// Bodies clumped around three centres inside `[0.2, 0.8]³`, with small
+/// random velocities and two mass classes.
+fn bodies(n: usize, seed: u64, speed: f64) -> Vec<Body> {
+    let mut rng = TestLcg::new(seed);
+    let centres = [
+        Vec3::new(0.35, 0.4, 0.6),
+        Vec3::new(0.62, 0.55, 0.38),
+        Vec3::new(0.5, 0.66, 0.52),
+    ];
+    (0..n)
+        .map(|i| {
+            let jitter = (rng.next_vec3() - Vec3::splat(0.5)) * 0.3;
+            let pos = centres[i % centres.len()] + jitter * rng.next_f64();
+            let vel = (rng.next_vec3() - Vec3::splat(0.5)) * speed;
+            let mass = (1.0 + (i % 2) as f64) / (1.5 * n as f64);
+            Body {
+                pos,
+                vel,
+                mass,
+                id: i as u64,
+            }
+        })
+        .collect()
+}
+
+fn hash_walk(h: &mut Fnv1a, bd: &StepBreakdown) {
+    let w = &bd.walk;
+    for v in [
+        w.n_groups,
+        w.sum_ni,
+        w.sum_nj,
+        w.interactions,
+        w.particle_entries,
+        w.node_entries,
+        w.visited_nodes,
+        bd.pp_list_replays,
+    ] {
+        h.u64(v);
+    }
+    for b in w.group_size_buckets {
+        h.u64(b);
+    }
+}
+
+fn hash_bodies(h: &mut Fnv1a, bodies: &[Body]) {
+    h.u64(bodies.len() as u64);
+    for b in bodies {
+        h.u64(b.id);
+        h.f64s(&[b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z]);
+    }
+}
+
+/// `steps` serial steps; `step_arg(k)` is step k's `dt` or target `a`.
+fn serial(
+    cfg: TreePmConfig,
+    mode: SimulationMode,
+    kind: IntegratorKind,
+    steps: usize,
+    step_arg: impl Fn(usize) -> f64,
+) -> u64 {
+    let mut sim = Simulation::new(cfg, bodies(600, 41, 0.02), mode);
+    sim.set_integrator(kind);
+    let mut h = Fnv1a::default();
+    for k in 0..steps {
+        hash_walk(&mut h, &sim.step(step_arg(k)));
+    }
+    hash_bodies(&mut h, &sim.bodies());
+    h.0
+}
+
+/// `steps` parallel steps on `div` ranks under the modelled PP cost, so
+/// the balancer feedback and every rank's clock are deterministic.
+fn parallel(
+    div: [usize; 3],
+    relay_groups: Option<usize>,
+    mode: SimulationMode,
+    steps: usize,
+    step_arg: impl Fn(usize) -> f64 + Sync,
+) -> u64 {
+    let p: usize = div.iter().product();
+    let cfg = TreePmConfig {
+        modeled_pp_cost: Some(5e-9),
+        ..TreePmConfig::standard(16)
+    };
+    let nf = if relay_groups.is_some() { p / 2 } else { p };
+    let all = bodies(600, 43, 0.02);
+    let per_rank = World::new(p)
+        .with_net(NetModel::k_computer())
+        .run(|ctx, world| {
+            let root = (world.rank() == 0).then(|| all.clone());
+            let mut sim = ParallelTreePm::new(ctx, world, cfg, div, nf, relay_groups, root, mode);
+            let mut h = Fnv1a::default();
+            for k in 0..steps {
+                let st = sim.step(ctx, world, step_arg(k));
+                hash_walk(&mut h, &st.breakdown);
+                h.u64(st.n_owned as u64);
+                h.u64(st.n_ghosts as u64);
+            }
+            h.f64s(&[ctx.vtime()]);
+            (h.0, sim.gather_bodies(ctx, world))
+        });
+    let mut h = Fnv1a::default();
+    for (rank_hash, gathered) in per_rank {
+        h.u64(rank_hash);
+        if let Some(all) = gathered {
+            hash_bodies(&mut h, &all);
+        }
+    }
+    h.0
+}
+
+fn cosmological() -> SimulationMode {
+    SimulationMode::Cosmological {
+        cosmology: Cosmology::wmap7(),
+        a: 1.0 / 401.0,
+    }
+}
+
+/// The scale factor after `k + 1` steps of 5 % from a = 1/401.
+fn a_after(k: usize) -> f64 {
+    (1.0 / 401.0) * 1.05f64.powi(k as i32 + 1)
+}
+
+const CASES: [&str; 6] = [
+    "serial periodic leapfrog",
+    "serial isolated yoshida4",
+    "serial cosmological",
+    "parallel static p=2 direct",
+    "parallel static p=4 relay",
+    "parallel cosmological p=2",
+];
+
+fn case_hashes() -> [u64; 6] {
+    let leapfrog = IntegratorKind::Leapfrog;
+    let stat = SimulationMode::Static;
+    [
+        serial(TreePmConfig::standard(16), stat, leapfrog, 3, |_| 2e-3),
+        serial(
+            TreePmConfig::isolated(16),
+            stat,
+            IntegratorKind::Yoshida4,
+            2,
+            |_| 2e-3,
+        ),
+        serial(
+            TreePmConfig::standard(16),
+            cosmological(),
+            leapfrog,
+            2,
+            a_after,
+        ),
+        parallel([2, 1, 1], None, stat, 2, |_| 2e-3),
+        parallel([2, 2, 1], Some(2), stat, 2, |_| 2e-3),
+        parallel([2, 1, 1], None, cosmological(), 2, a_after),
+    ]
+}
+
+/// One row per case, one column per variant: avx512, avx2, portable,
+/// scalar.
+const GOLDEN: [[u64; 4]; 6] = [
+    [
+        0x0951_270d_03b4_990d,
+        0x164f_b53e_89ff_3489,
+        0x34f4_fa4e_e41a_2f4c,
+        0x4b05_28c3_0a4c_812c,
+    ],
+    [
+        0x0a1b_959a_d5e9_859f,
+        0xe6a5_10fe_6828_9322,
+        0x92a3_6a96_fc80_917e,
+        0x3edd_f5e1_f2b8_60aa,
+    ],
+    [
+        0x6a31_a23c_8ead_7c05,
+        0x4fe8_a1eb_a721_0f89,
+        0x0279_3592_f977_00f8,
+        0x100a_4b07_b319_d5ee,
+    ],
+    [
+        0x36bf_5268_4071_9531,
+        0x3495_3850_aecd_9b22,
+        0xa06d_5391_0d3b_dbb6,
+        0x2f90_6bdf_a357_f83d,
+    ],
+    [
+        0x0f55_a06d_f7eb_c706,
+        0x6cd8_64c9_2384_03fc,
+        0xfd6d_6e71_9073_b619,
+        0x64e5_ca15_e64e_e1fb,
+    ],
+    [
+        0x8bb6_14f1_3f26_423f,
+        0x142b_6b95_c319_2713,
+        0xb002_9c8e_2d3d_e173,
+        0xe68d_91b8_ef6c_a0bd,
+    ],
+];
+
+#[test]
+fn steps_keep_their_bits() {
+    let variant = selected_variant();
+    let column = match variant {
+        KernelVariant::Avx512 => 0,
+        KernelVariant::Avx2 => 1,
+        KernelVariant::Portable => 2,
+        KernelVariant::Scalar => 3,
+    };
+    let x86 = matches!(variant, KernelVariant::Avx512 | KernelVariant::Avx2);
+    if x86 && !hardware_seed_is_the_recorded_one() {
+        eprintln!(
+            "skipping the {} pins: not the recording vendor's rsqrt table",
+            variant.name()
+        );
+        return;
+    }
+    let moved: Vec<String> = CASES
+        .iter()
+        .zip(case_hashes().iter().zip(&GOLDEN))
+        .filter(|(_, (h, want))| **h != want[column])
+        .map(|(case, (h, _))| format!("{case}: {h:#018x}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{} trajectory bits moved in {moved:#?}",
+        variant.name()
+    );
+}

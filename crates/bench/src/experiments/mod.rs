@@ -6,6 +6,7 @@
 
 pub mod accuracy;
 pub mod chaos;
+pub mod fft;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -24,6 +25,7 @@ pub mod weakscale;
 
 use greem_analysis::MetricSpec;
 use greem_obs::json::JsonWriter;
+use std::time::Instant;
 
 /// One run of an experiment, rendered both ways.
 pub struct Outcome {
@@ -97,4 +99,15 @@ pub(crate) fn summary_writer(name: &str, small: bool) -> JsonWriter {
     w.str_(Some("experiment"), name);
     w.bool_(Some("small"), small);
     w
+}
+
+/// Wall seconds of the fastest of `reps` calls of `f`.
+pub(crate) fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }

@@ -11,11 +11,18 @@
 //! seconds, their sum, and ⟨Nj⟩: traversal cost falls ∝1/⟨Ni⟩, list
 //! length (and thus kernel work) grows, and the total has an interior
 //! minimum — the paper's trade-off.
+//!
+//! Under the sweep, the walk's own costs: the tree build, and the list
+//! builder's ns per node and per entry on the benchmark's shape (§14).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use greem::{TreePm, TreePmConfig};
+use greem_math::Aabb;
+use greem_tree::{GroupWalk, ListEntry, SnapshotTree, SourceColumns, TreeParams};
 
+use super::best_of;
 use crate::workloads;
 
 /// One group-size sample.
@@ -58,10 +65,51 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
         .collect()
 }
 
-/// The group-size sweep on 2000 (`small`) or 20000 bodies, as text and
-/// JSON.
+/// The list builder on `eight_clumps(n)` at `standard(16)` as a step
+/// uses it: fresh, recording under the 0.1·r_cut margin, and replaying
+/// that record, onto the kernel's columns for every group. Returns the
+/// group count and `(mode, fastest seconds, visited nodes, entries)`.
+pub fn list_builder(n: usize, reps: usize) -> (usize, [(&'static str, f64, u64, u64); 3]) {
+    let pos = workloads::eight_clumps(n);
+    let cfg = TreePmConfig::standard(16);
+    let m = workloads::unit_masses(n);
+    let tree = SnapshotTree::build(&pos, &m, Aabb::UNIT, cfg.tree_params());
+    let view = tree.view();
+    let walk = GroupWalk::new(&view, cfg.traverse_params());
+    let groups = walk.groups();
+    let mut cols: [Vec<f64>; 4] = Default::default();
+    let mut stack = Vec::new();
+    let mut recorded: Vec<Vec<ListEntry>> = vec![Vec::new(); groups.len()];
+    let passes = ["fresh", "recording", "replay"].map(|mode| {
+        let (mut visited, mut entries) = (0, 0);
+        let secs = best_of(reps, || {
+            (visited, entries) = (0, 0);
+            for (gi, &g) in groups.iter().enumerate() {
+                cols.iter_mut().for_each(Vec::clear);
+                let [x, y, z, m] = &mut cols;
+                let out = SourceColumns { x, y, z, m };
+                let rec = Some(&mut recorded[gi]);
+                let s = match mode {
+                    "fresh" => walk.list_columns(g, &mut stack, 0.0, None, out),
+                    "recording" => walk.list_columns(g, &mut stack, 0.1 * cfg.r_cut, rec, out),
+                    _ => walk.replay_columns(g, &recorded[gi], out),
+                };
+                visited += s.visited_nodes;
+                entries += s.sum_nj;
+                black_box(cols[0].len());
+            }
+        });
+        (mode, secs, visited, entries)
+    });
+    (groups.len(), passes)
+}
+
+/// The group-size sweep on 2000 (`small`) or 20000 bodies, the tree
+/// build at 2 k and 10 k, and the list builder on 2048 or 32768 bodies
+/// (fastest of 21 each, of one at `small`), as text and JSON.
 pub fn run(small: bool) -> super::Outcome {
     let n = if small { 2000 } else { 20000 };
+    let (reps, list_n) = if small { (1, 2048) } else { (21, 32_768) };
     let rows = sweep(n, 64, &[4, 8, 16, 32, 64, 128, 256, 512], 11);
     let mut s = String::from(
         "=== Sec. II: group size <Ni> trade-off =========================\n\
@@ -91,9 +139,55 @@ pub fn run(small: bool) -> super::Outcome {
     }
     w.end_arr();
     s.push_str(&format!(
-        "\noptimum on this host: group_size ≈ {} (paper: ~100 on K, ~500 on GPUs)\n",
+        "\noptimum on this host: group_size ≈ {} (paper: ~100 on K, ~500 on GPUs)\n\n\
+         tree build (sort + gather + build), fastest of {reps}:\n",
         best.0
     ));
+    for n in [2_000, 10_000] {
+        // Sort, gather and build on fresh buffers.
+        let pos = workloads::clustered(n, 4, 0.4, 7);
+        let mass = workloads::unit_masses(n);
+        let mut nodes = 0;
+        let secs = best_of(reps, || {
+            let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
+            nodes = black_box(tree.nodes().len());
+        });
+        s.push_str(&format!(
+            "  n = {n:>6}  {:8.3} ms  {nodes} nodes\n",
+            secs * 1e3
+        ));
+        w.f64(Some(&format!("tree_build_{n}_s")), secs);
+    }
+
+    let (groups, passes) = list_builder(list_n, reps);
+    s.push_str(&format!(
+        "\nlist builder onto the kernel's columns, {list_n} bodies in eight clumps, \
+         mesh 16, {groups} groups, fastest of {reps}:\n"
+    ));
+    w.begin_obj(Some("list_builder"));
+    w.u64(Some("n"), list_n as u64);
+    w.u64(Some("groups"), groups as u64);
+    for (mode, secs, visited, entries) in passes {
+        let per = |count: u64| secs * 1e9 / count as f64;
+        s.push_str(&format!(
+            "  {mode:<9} {:7.2} ms  {:5.1} ns per list entry ({entries})",
+            secs * 1e3,
+            per(entries)
+        ));
+        if visited > 0 {
+            s.push_str(&format!(
+                ", {:.1} ns per visited node ({visited})",
+                per(visited)
+            ));
+        }
+        s.push('\n');
+        w.begin_obj(Some(mode));
+        w.f64(Some("s"), secs);
+        w.u64(Some("visited_nodes"), visited);
+        w.u64(Some("entries"), entries);
+        w.end_obj();
+    }
+    w.end_obj();
     super::Outcome::new(s, w)
 }
 

@@ -9,14 +9,15 @@
 //! same bytes a remote client would see. Deterministic counts (jobs
 //! completed, 429s under a saturated queue, snapshots per subscriber,
 //! drops) are **gated** against `baselines/serve_bench_*.json`;
-//! wall-clock rates and latency quantiles are recorded ungated, same
-//! policy as `harness regress` (DESIGN.md §13).
+//! wall-clock rates and latency quantiles (from a `DdSketch`, within
+//! 1 %) are recorded ungated, same policy as `harness regress`
+//! (DESIGN.md §13).
 
 use std::time::{Duration, Instant};
 
 use greem_obs::json::{self, Value};
 use greem_obs::metrics::parse_exposition;
-use greem_obs::{Clock, WallClock};
+use greem_obs::{Clock, DdSketch, WallClock};
 use greem_serve::{http, start, ServerConfig};
 
 use greem_analysis::{Direction, MetricSpec};
@@ -78,14 +79,6 @@ fn wait_done(addr: &str, id: &str) {
         assert!(t0.elapsed() < Duration::from_secs(120), "job {id} stuck");
         std::thread::sleep(Duration::from_millis(5));
     }
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Run the three phases and assemble the outcome.
@@ -252,8 +245,9 @@ pub fn measure(small: bool) -> ServeBenchOutcome {
         (snapshots, wall, dropped, lats, count)
     };
 
-    let mut lats = latencies;
-    lats.sort_by(|a, b| a.total_cmp(b));
+    let mut lats = DdSketch::default();
+    latencies.into_iter().for_each(|l| lats.observe(l));
+    let delivery = |q| lats.quantile(q).unwrap_or(0.0);
     ServeBenchOutcome {
         jobs,
         jobs_wall_s,
@@ -266,8 +260,8 @@ pub fn measure(small: bool) -> ServeBenchOutcome {
         fanout_wall_s: fan_wall_s,
         fanout_snapshots_per_sec: fan_total as f64 / fan_wall_s.max(1e-9),
         dropped_total,
-        delivery_p50_s: quantile(&lats, 0.50),
-        delivery_p99_s: quantile(&lats, 0.99),
+        delivery_p50_s: delivery(0.50),
+        delivery_p99_s: delivery(0.99),
         server_delivery_count,
         wall_s: t_all.elapsed().as_secs_f64(),
     }

@@ -13,9 +13,12 @@
 //! for periodic TreePM, direct summation for the open-boundary pure
 //! tree) and the pairwise interaction count. At matched error the
 //! TreePM count is far smaller.
+//! Against P3M, whose short range sums every pair in neighbouring cells
+//! (O(n²) in a dense one), the tree's cost grows gently with clustering.
 
 use greem::{TreePm, TreePmConfig};
-use greem_baselines::{direct_open, direct_periodic_fast, pure_tree_accel};
+use greem_baselines::{direct_open, direct_periodic_fast, p3m_short_range, pure_tree_accel};
+use greem_math::ForceSplit;
 
 use crate::workloads;
 
@@ -107,7 +110,29 @@ pub fn ops_at_error(rows: &[OpsRow], target_err: f64) -> Option<f64> {
     None
 }
 
-/// Both θ sweeps on 500 (`small`) or 2000 bodies, as text and JSON.
+/// `(bodies, P3M's short-range pairs, the tree's interactions)` at
+/// r_cut = 3/32 on `n` uniform bodies and on `n` with 70 % in two
+/// clumps: exact counts, so their ratios are deterministic.
+pub fn short_range(n: usize) -> [(&'static str, u64, u64); 2] {
+    let mass = workloads::unit_masses(n);
+    let split = ForceSplit::new(3.0 / 32.0, 1e-4);
+    let solver = TreePm::new(TreePmConfig {
+        r_cut: split.r_cut,
+        eps: split.eps,
+        ..TreePmConfig::standard(32)
+    });
+    [
+        ("uniform", workloads::uniform(n, 3)),
+        ("clustered", workloads::clustered(n, 2, 0.7, 3)),
+    ]
+    .map(|(bodies, pos)| {
+        let p3m = p3m_short_range(&pos, &mass, &split).1.pair_interactions;
+        (bodies, p3m, solver.compute_pp(&pos, &mass).1.interactions)
+    })
+}
+
+/// Both θ sweeps on 500 (`small`) or 2000 bodies and the P3M comparison
+/// on 2000 or 6000, as text and JSON.
 pub fn run(small: bool) -> super::Outcome {
     let n = if small { 500 } else { 2000 };
     let thetas = [0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0];
@@ -151,6 +176,22 @@ pub fn run(small: bool) -> super::Outcome {
         }
         w.end_arr();
     }
+    let short_n = if small { 2000 } else { 6000 };
+    s.push_str(&format!(
+        "\nshort range at r_cut = 3/32, {short_n} bodies: clustering multiplies P3M's\n\
+         direct-in-cell pairs far more than the tree's interactions\n\
+         bodies       P3M pairs  tree interactions\n"
+    ));
+    w.begin_obj(Some("short_range"));
+    w.u64(Some("n"), short_n as u64);
+    for (bodies, p3m, tree) in short_range(short_n) {
+        s.push_str(&format!("{bodies:<9} {p3m:>12} {tree:>18}\n"));
+        w.begin_obj(Some(bodies));
+        w.u64(Some("p3m_pairs"), p3m);
+        w.u64(Some("tree_interactions"), tree);
+        w.end_obj();
+    }
+    w.end_obj();
     super::Outcome::new(s, w)
 }
 

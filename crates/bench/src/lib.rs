@@ -1,4 +1,4 @@
-//! # greem-bench — experiment harness and benchmarks
+//! # greem-bench — the experiment harness
 //!
 //! One module per table/figure of the paper's evaluation (see
 //! `DESIGN.md` §4 for the experiment index). The `harness` binary
@@ -9,8 +9,9 @@
 //! ```
 //!
 //! (`harness --help` lists them). Four of them are judged against the
-//! committed `baselines/*.json` by the one `gate` module. Criterion benches
-//! live under `benches/`.
+//! committed `baselines/*.json` by the one `gate` module. The repo
+//! benchmark (`benchmark/`) times end-to-end workloads; everything
+//! measured below it — kernel, walk, transforms — is a harness command.
 
 #![forbid(unsafe_code)]
 

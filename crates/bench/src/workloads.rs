@@ -39,6 +39,39 @@ pub fn clustered(n: usize, n_clumps: usize, clump_fraction: f64, seed: u64) -> V
         .collect()
 }
 
+/// The repo benchmark's clustered shape: 60 % of the bodies in eight
+/// Gaussian clumps (`benchmark/src/inputs.rs`'s centres and widths),
+/// the rest uniform. Drawn from this crate's RNG, so the bodies are not
+/// the benchmark's own.
+pub fn eight_clumps(n: usize) -> Vec<Vec3> {
+    const CLUMPS: [([f64; 3], f64); 8] = [
+        ([0.21, 0.33, 0.27], 0.030),
+        ([0.72, 0.18, 0.64], 0.022),
+        ([0.55, 0.61, 0.12], 0.036),
+        ([0.13, 0.82, 0.71], 0.026),
+        ([0.86, 0.77, 0.35], 0.032),
+        ([0.40, 0.09, 0.88], 0.020),
+        ([0.64, 0.44, 0.52], 0.040),
+        ([0.30, 0.58, 0.45], 0.024),
+    ];
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut normal = move || {
+        let (u, v): (f64, f64) = (1.0 - rng.random::<f64>(), rng.random());
+        (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
+    };
+    let mut uniform = StdRng::seed_from_u64(2);
+    (0..n)
+        .map(|i| {
+            if i < n * 6 / 10 {
+                let (c, sigma) = CLUMPS[i % CLUMPS.len()];
+                wrap01(Vec3::from(c) + sigma * Vec3::new(normal(), normal(), normal()))
+            } else {
+                Vec3::new(uniform.random(), uniform.random(), uniform.random())
+            }
+        })
+        .collect()
+}
+
 /// Equal-mass bodies at rest from positions (total mass 1).
 pub fn bodies_at_rest(pos: &[Vec3]) -> Vec<Body> {
     let m = 1.0 / pos.len() as f64;

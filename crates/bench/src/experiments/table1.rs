@@ -15,6 +15,9 @@ use mpisim::{NetModel, World};
 
 use crate::workloads;
 
+/// Group size ⟨Ni⟩ of the measured run: the paper's choice on K (§II).
+const GROUP_SIZE: usize = 100;
+
 /// Scaled-down measured run parameters.
 pub struct MeasuredRun {
     pub n_particles: usize,
@@ -48,7 +51,7 @@ pub fn measured_breakdown(run: &MeasuredRun) -> StepBreakdown {
         .with_net(NetModel::k_computer())
         .run(move |ctx, world| {
             let cfg = TreePmConfig {
-                group_size: 100,
+                group_size: GROUP_SIZE,
                 ..TreePmConfig::standard(n_mesh)
             };
             let root_bodies = (world.rank() == 0).then(|| bodies.clone());
@@ -111,7 +114,7 @@ fn write_measured(w: &mut JsonWriter, bd: &StepBreakdown, steps: f64) {
         Some("interactions_per_step"),
         bd.walk.interactions as f64 / steps,
     );
-    w.f64(Some("pp_group_size"), bd.pp_group_size);
+    w.f64(Some("pp_group_size"), GROUP_SIZE as f64);
     w.f64(Some("pp_list_replays"), bd.pp_list_replays as f64 / steps);
     w.f64(Some("flops_rate"), bd.flops_rate());
     w.end_obj();

@@ -74,9 +74,6 @@ pub struct Measurement {
     pub alerts_total: u64,
     pub interactions: u64,
     pub comm_bytes: u64,
-    /// Rank 0's ⟨Ni⟩ auto-tuner `(group_size, converged)` when the
-    /// tuner is active (`GREEM_PP_AUTOTUNE=on`), `None` otherwise.
-    pub autotune: Option<(usize, bool)>,
     pub recovery: chaos::ChaosOutcome,
     pub metrics: Vec<MetricSpec>,
 }
@@ -108,21 +105,15 @@ pub fn measure(shape: &RegressShape) -> Measurement {
                     mon.observe_step(ctx, comm, &sim, &st);
                     interactions += st.breakdown.interactions();
                 }
-                (
-                    interactions,
-                    ctx.comm_stats().bytes_sent,
-                    mon.alert_total(),
-                    sim.tuner_state(),
-                )
+                (interactions, ctx.comm_stats().bytes_sent, mon.alert_total())
             })
     });
     let segs = leaf_segments(&events);
     let cp = critical_path(&segs);
     let imbalance = phase_imbalance(&segs);
-    let interactions: u64 = outs.iter().map(|&(i, _, _, _)| i).sum();
-    let comm_bytes: u64 = outs.iter().map(|&(_, b, _, _)| b).sum();
-    let alerts_total = outs.iter().map(|&(_, _, a, _)| a).max().unwrap_or(0);
-    let autotune = outs.first().and_then(|&(_, _, _, t)| t);
+    let interactions: u64 = outs.iter().map(|&(i, _, _)| i).sum();
+    let comm_bytes: u64 = outs.iter().map(|&(_, b, _)| b).sum();
+    let alerts_total = outs.iter().map(|&(_, _, a)| a).max().unwrap_or(0);
     let eff = efficiency(interactions as f64, cp.makespan_s, ranks);
 
     // Recovery counters from the chaos crash scenario (sharded
@@ -248,7 +239,6 @@ pub fn measure(shape: &RegressShape) -> Measurement {
         alerts_total,
         interactions,
         comm_bytes,
-        autotune,
         recovery,
         metrics,
     }
@@ -267,13 +257,6 @@ fn report_json(m: &Measurement) -> JsonWriter {
         Some("pp_kernel_variant"),
         greem_kernels::selected_variant().name(),
     );
-    w.begin_obj(Some("autotune"));
-    w.bool_(Some("enabled"), m.autotune.is_some());
-    if let Some((gs, converged)) = m.autotune {
-        w.u64(Some("group_size"), gs as u64);
-        w.bool_(Some("converged"), converged);
-    }
-    w.end_obj();
     w.f64(Some("wall_s"), m.wall_s);
     w.begin_obj(Some("critical_path"));
     w.f64(Some("makespan_s"), m.cp.makespan_s);
@@ -364,12 +347,6 @@ fn report_text(m: &Measurement) -> String {
         m.eff.pct_of_peak * 100.0,
         m.eff.pct_of_kernel_bound * 100.0
     ));
-    if let Some((gs, converged)) = m.autotune {
-        out.push_str(&format!(
-            "  autotune: group_size {gs} ({})\n",
-            if converged { "converged" } else { "probing" }
-        ));
-    }
     out.push_str(&format!(
         "  clean-run alerts: {}   recovery: {} rollback(s), bitwise {}\n",
         m.alerts_total,

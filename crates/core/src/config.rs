@@ -39,7 +39,8 @@ pub struct TreePmConfig {
     /// large θ because distant contributions go through the FFT (§I).
     pub theta: f64,
     /// Group size ⟨Ni⟩ target of Barnes' modified traversal
-    /// (~100 on K computer, ~500 on GPU clusters, §II).
+    /// (~100 on K computer, ~500 on GPU clusters, §II). Every PP pass
+    /// runs at it; `harness ni_sweep` measures the trade-off.
     pub group_size: usize,
     /// Plummer softening of the short-range force, ε ≪ r_cut.
     pub eps: f64,
@@ -58,16 +59,9 @@ pub struct TreePmConfig {
     /// multi-step parallel runs become bit-reproducible, a prerequisite
     /// for checkpoint/rollback proofs) and it responds to injected
     /// straggler slowdowns, closing the paper's feedback loop under
-    /// fault injection. `None` keeps the measured-time behaviour.
+    /// fault injection. `None` keeps the measured-time behaviour. The
+    /// serial driver has no balancer and ignores it.
     pub modeled_pp_cost: Option<f64>,
-    /// Online ⟨Ni⟩ auto-tuning: when on, the PP engine golden-section
-    /// searches the group size that minimises the measured per-particle
-    /// walk+kernel cost, replacing the fixed `group_size`. The search
-    /// objective is deterministic (node-visit/interaction counts) when
-    /// `modeled_pp_cost` is set, wall-clock otherwise. The
-    /// `GREEM_PP_AUTOTUNE` env var (`on`/`off`) overrides this flag —
-    /// see [`crate::autotune::autotune_enabled`].
-    pub autotune: bool,
     /// Reuse each group's recorded interaction list across the two PP
     /// subcycles of one step (serial driver): subcycle 1 walks fresh
     /// with a cutoff margin and records list structure; subcycle 2
@@ -97,7 +91,6 @@ impl TreePmConfig {
             deconvolve: true,
             multipole: Multipole::Monopole,
             modeled_pp_cost: None,
-            autotune: false,
             list_reuse: true,
             boundary: Boundary::Periodic,
         }

@@ -83,9 +83,9 @@ impl TreePm {
     }
 
     /// Evaluate PP accelerations only (tree + kernel) on a snapshot: one
-    /// fresh pass of the resident engine at `cfg.group_size` — no tuner,
-    /// no list recording — over a store whose ids are the input indices,
-    /// scattered back through them.
+    /// walking pass of the resident engine at `cfg.group_size` — no
+    /// ghosts, no list recording — over a store whose ids are the input
+    /// indices, scattered back through them.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, WalkStats, PpTimes) {
         assert_eq!(pos.len(), mass.len());
         let mut span = greem_obs::trace::span("force", "pp.compute");
@@ -93,8 +93,7 @@ impl TreePm {
         for (id, (&p, &m)) in pos.iter().zip(mass).enumerate() {
             store.push(Body::at_rest(p, m, id as u64));
         }
-        let group_size = self.cfg.group_size;
-        let out = ResidentPp::new().fresh(&self.cfg, &mut store, &mut [], group_size, None);
+        let out = ResidentPp::new().walk(&self.cfg, &mut store, &[], &mut [], None, false);
         let mut accel = vec![Vec3::ZERO; pos.len()];
         for (a, &id) in out.accel.iter().zip(store.id_column()) {
             accel[id as usize] = *a;

@@ -27,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod autotune;
 pub mod config;
 pub mod diagnostics;
 pub mod forces;
@@ -41,7 +40,6 @@ pub mod simulation;
 pub mod stats;
 pub mod store;
 
-pub use autotune::{autotune_enabled, NiTuner};
 pub use config::{Boundary, TreePmConfig};
 pub use diagnostics::{projected_density, Snapshot};
 pub use forces::{ForceResult, TreePm};

@@ -179,12 +179,6 @@ impl ParallelTreePm {
         self.last_cost
     }
 
-    /// This rank's ⟨Ni⟩ auto-tuner state as `(group_size, converged)`,
-    /// or `None` while the tuner is inactive (see [`crate::autotune`]).
-    pub fn tuner_state(&self) -> Option<(usize, bool)> {
-        self.engine.tuner_state()
-    }
-
     /// Capture this rank's resumable state (see [`RankState`]).
     pub fn rank_state(&self) -> RankState {
         RankState {
@@ -322,10 +316,11 @@ impl Driver for OnRank<'_> {
         bd.dd_particle_exchange += ctx.vtime() - v0;
     }
 
-    /// Ghost import, then the resident engine's combined walk (Morton
-    /// sort over owned + ghosts, owned-row permutation of the store,
-    /// persistent-arena build, group walk + kernel). Both sub-cycles
-    /// walk afresh.
+    /// Ghost import, then the resident engine's walking pass over owned
+    /// rows plus ghosts (Morton sort over both, owned-row permutation of
+    /// the store, persistent-arena build, group walk + kernel, one group
+    /// after another on this rank's thread). Both sub-cycles walk afresh:
+    /// no lists are recorded.
     fn pp_cycle(&mut self, _second: bool, bd: &mut StepBreakdown) {
         let OnRank { sim, ctx, world } = self;
         // Boundary communication.
@@ -339,7 +334,7 @@ impl Driver for OnRank<'_> {
         let mut span = greem_obs::trace::span("step", "pp.walk_force");
         let out = sim
             .engine
-            .compute_combined(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut []);
+            .walk(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut [], None, true);
         span.arg("interactions", out.walk.interactions as f64);
         bd.charge_pp(&out);
         sim.last_cost = match sim.cfg.modeled_pp_cost {

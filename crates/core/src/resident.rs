@@ -1,19 +1,21 @@
 //! The memory-resident PP engine: persistent arena tree over the
-//! Morton-permuted [`ParticleStore`], interaction-list caching across
-//! the two PP subcycles, and the online ⟨Ni⟩ auto-tuner.
+//! Morton-permuted [`ParticleStore`] and interaction-list caching across
+//! the two PP subcycles.
 //!
 //! One [`ResidentPp`] lives as long as its driver ([`crate::Simulation`]
 //! or [`crate::ParallelTreePm`]) and owns every buffer the PP hot path
 //! needs, so a steady-state force evaluation allocates (almost) nothing:
 //!
-//! * **fresh pass** — Morton-sort the store's position columns
-//!   ([`greem_tree::TreeArena::sort`]), physically permute the store
-//!   (and any companion acceleration arrays) into that order, rebuild
-//!   the node arena in place, then walk groups in parallel with the
-//!   kernel reading straight from the column slices. Output
-//!   accelerations land at their slot index — the store *is* in tree
-//!   order, so no scatter through an `orig_index` indirection;
-//! * **recorded pass** — a fresh pass that additionally records each
+//! * **walking pass** ([`ResidentPp::walk`], the one every caller runs)
+//!   — stage the store's columns plus any imported ghosts, Morton-sort
+//!   them ([`greem_tree::TreeArena::sort`]), physically permute the
+//!   store (and any companion acceleration arrays) by the owned rows of
+//!   that order, rebuild the node arena in place over the sorted
+//!   columns, then walk groups at `cfg.group_size` with the kernel
+//!   reading straight from the column slices. Output accelerations land
+//!   at their slot index — the store *is* in tree order, so no scatter
+//!   through an `orig_index` indirection;
+//! * **recorded pass** — a walking pass that additionally records each
 //!   group's interaction-list *structure* ([`greem_tree::ListEntry`])
 //!   with the cutoff prune inflated by a drift margin. Beyond-cutoff
 //!   sources contribute exactly ±0.0 (the kernels mask `ξ ≥ 2` to
@@ -34,12 +36,9 @@ use std::time::{Duration, Instant};
 
 use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
 use greem_math::{min_image_vec, Aabb, Vec3};
-use greem_tree::{
-    Group, GroupWalk, ListEntry, Multipole, SourceColumns, TraverseParams, TreeArena, WalkStats,
-};
+use greem_tree::{Group, GroupWalk, ListEntry, Multipole, SourceColumns, TreeArena, WalkStats};
 use rayon::prelude::*;
 
-use crate::autotune::{autotune_enabled, NiTuner, MODELED_NODE_WEIGHT};
 use crate::config::TreePmConfig;
 use crate::forces::PpTimes;
 use crate::store::{permute_vec3, ParticleStore, PermScratch};
@@ -168,9 +167,6 @@ struct ListCache {
     /// Cutoff inflation the recording walked with; replay is sound while
     /// every particle stays within `margin/2` of its snapshot.
     margin: f64,
-    /// Group size the recording ran at (diagnostics; the groups
-    /// themselves are frozen below).
-    group_size: usize,
     /// The recorded groups (slot ranges into the Morton order frozen at
     /// record time), in descending slot order.
     groups: Vec<Group>,
@@ -193,8 +189,6 @@ pub struct PpOutcome {
     pub times: PpTimes,
     /// Whether this pass replayed cached lists instead of walking.
     pub replayed: bool,
-    /// The group size this pass ran at (tuner probe or configured).
-    pub group_size: usize,
 }
 
 /// The persistent PP engine (see the module docs).
@@ -203,12 +197,11 @@ pub struct ResidentPp {
     arena: TreeArena,
     perm: PermScratch,
     cache: ListCache,
-    tuner: Option<NiTuner>,
-    /// Walk and kernel scratch of the parallel driver's (serial) pass.
+    /// Walk and kernel scratch of a serial pass (the parallel driver's).
     scratch: PpScratch,
-    // Buffers of the parallel driver's path: the owned + ghost columns
-    // (x, y, z, m) as they arrive and Morton-sorted, and which sorted
-    // slots are owned rows.
+    // Buffers of the walking pass: the owned + ghost columns (x, y, z,
+    // m) as they arrive and Morton-sorted, and which sorted slots are
+    // owned rows.
     comb: [Vec<f64>; 4],
     sorted: [Vec<f64>; 4],
     owned: Vec<bool>,
@@ -219,41 +212,6 @@ impl ResidentPp {
     /// A fresh engine with empty buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The tuner's current state, if auto-tuning has run:
-    /// `(group_size, converged)`.
-    pub fn tuner_state(&self) -> Option<(usize, bool)> {
-        self.tuner.as_ref().map(|t| (t.current(), t.converged()))
-    }
-
-    /// The group size the next fresh walk will run at.
-    fn next_group_size(&mut self, cfg: &TreePmConfig) -> usize {
-        if autotune_enabled(cfg.autotune) {
-            self.tuner.get_or_insert_with(NiTuner::new).current()
-        } else {
-            cfg.group_size
-        }
-    }
-
-    /// Feed the tuner the cost of a fresh pass: deterministic modelled
-    /// work when the config asks for modelled PP cost (the determinism
-    /// gate), wall time otherwise.
-    fn feed_tuner(&mut self, cfg: &TreePmConfig, walk: &WalkStats, times: &PpTimes, n: usize) {
-        let Some(t) = self.tuner.as_mut() else {
-            return;
-        };
-        if n == 0 {
-            return;
-        }
-        let cost = match cfg.modeled_pp_cost {
-            Some(_) => {
-                (walk.visited_nodes as f64 * MODELED_NODE_WEIGHT + walk.interactions as f64)
-                    / n as f64
-            }
-            None => (times.traversal + times.force) / n as f64,
-        };
-        t.observe(cost);
     }
 
     /// Serial-driver PP evaluation over the whole store. A fresh pass
@@ -274,16 +232,13 @@ impl ResidentPp {
         if try_replay && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
-        let group_size = self.next_group_size(cfg);
         // Margin: 3× the last drift leaves 1.5× headroom per particle for
         // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
         // keeps the inflated prune radius well under the periodic
         // unambiguity bound.
         let record = cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
         let margin = record.then(|| (3.0 * drift_bound).min(0.1 * cfg.r_cut));
-        let out = self.fresh(cfg, store, companions, group_size, margin);
-        self.feed_tuner(cfg, &out.walk, &out.times, store.len());
-        out
+        self.walk(cfg, store, &[], companions, margin, false)
     }
 
     /// Is the cached list set sound for the store's current positions?
@@ -324,13 +279,8 @@ impl ResidentPp {
         self.arena.refresh_monopoles(x, y, z, m);
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let group_size = self.cache.group_size;
-        let params = TraverseParams {
-            group_size,
-            ..cfg.traverse_params()
-        };
         let view = self.arena.view(x, y, z, m);
-        let walk = GroupWalk::new(&view, params);
+        let walk = GroupWalk::new(&view, cfg.traverse_params());
         let mut accel = vec![Vec3::ZERO; store.len()];
         let lists = Some(&mut self.cache.lists[..]);
         let tasks = group_tasks(&self.cache.groups, &mut accel, lists);
@@ -340,92 +290,35 @@ impl ResidentPp {
             walk,
             times,
             replayed: true,
-            group_size,
         }
     }
 
-    /// Fresh pass at `group_size`: sort, permute `store` (and each
-    /// non-empty companion) into the new Morton order, build, walk. With
-    /// `record_margin` the walk's cutoff is inflated by it and every
-    /// group's list structure is cached for replay; without, the cache
-    /// is dropped.
-    pub(crate) fn fresh(
-        &mut self,
-        cfg: &TreePmConfig,
-        store: &mut ParticleStore,
-        companions: &mut [&mut Vec<Vec3>],
-        group_size: usize,
-        record_margin: Option<f64>,
-    ) -> PpOutcome {
-        let mut times = PpTimes::default();
-        let t0 = Instant::now();
-        {
-            let (x, y, z) = store.pos_columns();
-            self.arena.sort(x, y, z, Aabb::UNIT);
-        }
-        store.permute(self.arena.order(), &mut self.perm);
-        for c in companions.iter_mut() {
-            if !c.is_empty() {
-                permute_vec3(c, self.arena.order());
-            }
-        }
-        let (x, y, z) = store.pos_columns();
-        let m = store.mass_column();
-        self.arena.build(x, y, z, m, cfg.tree_params());
-        times.tree_build = t0.elapsed().as_secs_f64();
-
-        let params = TraverseParams {
-            group_size,
-            ..cfg.traverse_params()
-        };
-        let view = self.arena.view(x, y, z, m);
-        let walk = GroupWalk::new(&view, params);
-        let mut groups = walk.groups();
-        groups.sort_unstable_by_key(|g| Reverse(g.first));
-        let mut accel = vec![Vec3::ZERO; store.len()];
-        let lists = record_margin.map(|_| {
-            self.cache.lists.resize_with(groups.len(), Vec::new);
-            &mut self.cache.lists[..]
-        });
-        let tasks = group_tasks(&groups, &mut accel, lists);
-        let margin = Some(record_margin.unwrap_or(0.0));
-        let walk = run_groups(&walk, (x, y, z), cfg, margin, tasks, None, &mut times);
-
-        self.cache.valid = record_margin.is_some();
-        if let Some(margin) = record_margin {
-            for (snap, now) in self.cache.snap.iter_mut().zip([x, y, z]) {
-                snap.clear();
-                snap.extend_from_slice(now);
-            }
-            self.cache.groups = groups;
-            self.cache.margin = margin;
-            self.cache.group_size = group_size;
-        }
-        PpOutcome {
-            accel,
-            walk,
-            times,
-            replayed: false,
-            group_size,
-        }
-    }
-
-    /// Parallel-driver PP evaluation over the owned store plus imported
-    /// ghosts. The combined particle set is Morton-sorted and the arena
-    /// built over it; the *owned* rows of that order permute `store`
-    /// (and companions) so the rank's resident layout still tracks the
-    /// tree. Lists are never cached here — the ghost set changes every
-    /// cycle. Returns accelerations for owned rows only, aligned with
-    /// the permuted store.
-    pub fn compute_combined(
+    /// The walking pass, once, over the store's rows plus `ghosts`
+    /// (the parallel driver's imported boundary bodies; none on the
+    /// serial paths). Stages the owned ++ ghost columns, Morton-sorts
+    /// them and permutes `store` (and each non-empty companion) by the
+    /// owned rows of that order, so the resident layout tracks the
+    /// tree; builds the arena over the sorted columns and walks, at
+    /// `cfg.group_size`, every group that holds an owned row. With no
+    /// ghosts the sorted columns hold exactly the permuted store's
+    /// values, so tree, lists and kernel inputs are those of a walk over
+    /// the store itself. With `record_margin` the walk's cutoff is
+    /// inflated by it and every group's list structure is cached for
+    /// replay (replay needs a ghost-free recording: its snapshot must
+    /// match the store row for row); without, the cache is dropped.
+    /// `serial` runs the groups in turn on the calling thread with the
+    /// engine's one scratch (the parallel driver's rank threads already
+    /// own the cores) instead of as rayon tasks. Returns accelerations
+    /// for the store's rows only, aligned with the permuted store.
+    pub fn walk(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
         ghosts: &[(Vec3, f64)],
         companions: &mut [&mut Vec<Vec3>],
+        record_margin: Option<f64>,
+        serial: bool,
     ) -> PpOutcome {
-        self.cache.valid = false;
-        let group_size = self.next_group_size(cfg);
         let mut times = PpTimes::default();
         let n_own = store.len();
         let t0 = Instant::now();
@@ -466,36 +359,44 @@ impl ResidentPp {
         self.arena.build(x, y, z, m, cfg.tree_params());
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let params = TraverseParams {
-            group_size,
-            ..cfg.traverse_params()
-        };
         let view = self.arena.view(x, y, z, m);
-        let walk = GroupWalk::new(&view, params);
+        let walk = GroupWalk::new(&view, cfg.traverse_params());
         let mut groups = walk.groups();
         groups.sort_unstable_by_key(|g| Reverse(g.first));
         let mut accel = vec![Vec3::ZERO; x.len()];
-        let mut tasks = group_tasks(&groups, &mut accel, None);
-        // Skip all-ghost groups outright. Serial: the rank threads
-        // already own the cores.
+        let lists = record_margin.map(|_| {
+            self.cache.lists.resize_with(groups.len(), Vec::new);
+            &mut self.cache.lists[..]
+        });
+        let mut tasks = group_tasks(&groups, &mut accel, lists);
+        // Skip all-ghost groups outright.
         let owned = &self.owned;
         tasks.retain(|t| {
             let lo = t.group.first as usize;
             owned[lo..lo + t.group.count as usize].contains(&true)
         });
-        let scr = Some(&mut self.scratch);
-        let walk = run_groups(&walk, (x, y, z), cfg, Some(0.0), tasks, scr, &mut times);
+        let scr = serial.then_some(&mut self.scratch);
+        let margin = Some(record_margin.unwrap_or(0.0));
+        let walk = run_groups(&walk, (x, y, z), cfg, margin, tasks, scr, &mut times);
+
+        self.cache.valid = record_margin.is_some();
+        if let Some(margin) = record_margin {
+            for (snap, now) in self.cache.snap.iter_mut().zip([x, y, z]) {
+                snap.clear();
+                snap.extend_from_slice(now);
+            }
+            self.cache.groups = groups;
+            self.cache.margin = margin;
+        }
         // Owned rows keep their slot order: without the ghost slots the
         // slot-indexed result is the store's, row for row.
         let mut owned = self.owned.iter();
         accel.retain(|_| *owned.next().expect("one flag per slot"));
-        self.feed_tuner(cfg, &walk, &times, n_own);
         PpOutcome {
             accel,
             walk,
             times,
             replayed: false,
-            group_size,
         }
     }
 }

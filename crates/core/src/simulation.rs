@@ -111,12 +111,6 @@ impl Simulation {
         self.refresh();
     }
 
-    /// The PP engine's auto-tuner state, if auto-tuning has run:
-    /// `(group_size, converged)`.
-    pub fn tuner_state(&self) -> Option<(usize, bool)> {
-        self.engine.tuner_state()
-    }
-
     /// The integration mode (current scale factor for cosmological
     /// runs).
     pub fn mode(&self) -> SimulationMode {
@@ -365,27 +359,6 @@ mod tests {
                 a.id
             );
         }
-    }
-
-    #[test]
-    fn autotuner_converges_on_modeled_cost() {
-        let cfg = TreePmConfig {
-            autotune: true,
-            // Deterministic objective: modeled per-interaction cost
-            // instead of wall time.
-            modeled_pp_cost: Some(5e-9),
-            ..TreePmConfig::standard(16)
-        };
-        let mut sim = Simulation::new(cfg, grid_bodies(6, 0.4, 11), SimulationMode::Static);
-        for _ in 0..30 {
-            sim.step(1e-4);
-        }
-        let (gs, converged) = sim.tuner_state().expect("autotune on => tuner active");
-        assert!(converged, "tuner still probing after 30 steps (gs={gs})");
-        assert!(
-            (8..=512).contains(&gs),
-            "converged group size {gs} outside the search window"
-        );
     }
 
     #[test]

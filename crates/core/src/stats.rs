@@ -39,9 +39,6 @@ pub struct StepBreakdown {
     // ----- Statistics -----
     /// Aggregated walk statistics of the PP cycles in this step.
     pub walk: WalkStats,
-    /// Group size ⟨Ni⟩ the PP engine ran at this step (the auto-tuner's
-    /// probe or the configured value; 0 until a PP pass has run).
-    pub pp_group_size: f64,
     /// PP evaluations served from the interaction-list cache (replays)
     /// instead of fresh tree walks.
     pub pp_list_replays: u64,
@@ -91,7 +88,7 @@ impl StepBreakdown {
 
     /// Charge one PP pass: its tree build split evenly between "local
     /// tree" and "tree construction", its walk and kernel seconds, its
-    /// walk statistics, replay and group size.
+    /// walk statistics and replay.
     pub(crate) fn charge_pp(&mut self, out: &PpOutcome) {
         self.pp_local_tree += out.times.tree_build * 0.5;
         self.pp_tree_construction += out.times.tree_build * 0.5;
@@ -99,7 +96,6 @@ impl StepBreakdown {
         self.pp_force_calculation += out.times.force;
         self.walk.merge(&out.walk);
         self.pp_list_replays += out.replayed as u64;
-        self.pp_group_size = out.group_size as f64;
     }
 
     /// Accumulate another step's breakdown (callers divide by the step
@@ -116,9 +112,6 @@ impl StepBreakdown {
         self.dd_sampling_method += o.dd_sampling_method;
         self.dd_particle_exchange += o.dd_particle_exchange;
         self.walk.merge(&o.walk);
-        if o.pp_group_size > 0.0 {
-            self.pp_group_size = o.pp_group_size;
-        }
         self.pp_list_replays += o.pp_list_replays;
     }
 
@@ -180,9 +173,6 @@ impl StepBreakdown {
             }
         });
         self.walk.observe(reg);
-        if self.pp_group_size > 0.0 {
-            reg.gauge_set("pp_autotune_group_size", self.pp_group_size);
-        }
         reg.counter_add("pp_list_replays", self.pp_list_replays as f64);
         reg.gauge_set("flops_rate", self.flops_rate());
     }

@@ -50,7 +50,7 @@ pub use vec3::Vec3;
 
 /// The gravitational constant in simulation units. The box is the unit
 /// cube, the total mass is normalised by the caller, and G = 1, matching
-/// the internal unit system of GreeM (Ishiyama et al. 2009, §2).
+/// the internal unit system of GreeM (Ishiyama et al. 2009, section 2).
 pub const G_SIM: f64 = 1.0;
 
 /// Floating-point operation count per pairwise particle-particle

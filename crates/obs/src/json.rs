@@ -366,14 +366,17 @@ impl Parser<'_> {
         }
     }
 
-    /// Four hex digits of a `\u` escape (the `\u` itself already consumed).
+    /// Exactly four ASCII hex digits of a `\u` escape (the `\u` itself
+    /// already consumed): no sign, unlike `u32::from_str_radix`.
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
-        let code = u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())?;
+        let code = hex
+            .iter()
+            .try_fold(0, |code, &b| Some(16 * code + (b as char).to_digit(16)?))
+            .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
         self.pos += 4;
         Ok(code)
     }
@@ -447,8 +450,10 @@ mod tests {
         assert!(parse(r#"{"a": "never ends}"#).is_err());
         // Bad escape sequence.
         assert!(parse(r#"{"a": "\q"}"#).is_err());
-        // Truncated unicode escape.
+        // Truncated unicode escape, and one with a sign where a digit
+        // belongs.
         assert!(parse(r#"{"a": "\u00"}"#).is_err());
+        assert!(parse(r#"{"a": "\u+041"}"#).is_err());
         // Invalid numbers (the scanner defers to f64::from_str, which is
         // lenient about a leading '+', but multi-dot garbage must fail).
         assert!(parse("[1.2.3]").is_err());

@@ -105,7 +105,7 @@ pub struct WalkStats {
     /// Multipole (node) entries across all lists.
     pub node_entries: u64,
     /// Tree nodes examined during list construction (opened, accepted or
-    /// pruned) — the traversal-cost half of the auto-tuner's objective.
+    /// pruned) — the traversal-cost half of the ⟨Ni⟩ trade-off.
     /// Zero for replayed lists, which is the point of replaying.
     pub visited_nodes: u64,
     /// Power-of-two histogram of group sizes: bucket `k < 11` counts

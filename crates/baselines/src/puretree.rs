@@ -142,14 +142,16 @@ mod tests {
         let pos = plummer_sphere(500, 9);
         let mass = vec![1.0 / 500.0; 500];
         let (_, pure_stats) = pure_tree_accel(&pos, &mass, 0.5, 32, 1e-4);
-        // Cutoff walk over the same particles (periodic unit box).
+        // Cutoff walk over the same particles (periodic unit box), with
+        // the cutoff a small fraction of the system as `standard(128)`
+        // makes it (3/128): the regime of §I, where the cutoff prunes.
         let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, TreeParams::default());
         let cut = GroupWalk::new(
             &tree.view(),
             TraverseParams {
                 theta: 0.5,
                 group_size: 32,
-                r_cut: Some(0.1),
+                r_cut: Some(3.0 / 128.0),
                 periodic: true,
                 multipole: Default::default(),
             },

@@ -517,6 +517,10 @@ mod tests {
                     assert!(num(fresh, "visited_nodes") > 0.0);
                     assert_eq!(num(replay, "visited_nodes"), 0.0);
                     assert!(num(replay, "entries") >= num(fresh, "entries"));
+                    let rows = doc.get("rows").and_then(Value::as_arr).unwrap();
+                    for lanes in rows.iter().chain([fresh]).map(|r| num(r, "lanes_used")) {
+                        assert!(lanes > 0.0 && lanes <= 1.0, "lanes used {lanes}");
+                    }
                 }
                 "fft" => assert_eq!(
                     numbers_on_line(&text, "RealFft3::convolve, n = ")[1], // [0] is its 3
@@ -557,6 +561,29 @@ mod tests {
         }
     }
 
+    /// The small serve bench's contract: the gate passed, admission
+    /// control throttled at least once, every one of the 8 subscribers'
+    /// snapshots was delivered and counted by the server, the delivery
+    /// quantiles are ordered and nothing was dropped.
+    fn serve_bench_holds(doc: &Value) {
+        assert_eq!(
+            doc.get("experiment").and_then(Value::as_str),
+            Some("serve_bench")
+        );
+        assert!(matches!(doc.get("small"), Some(Value::Bool(true))));
+        assert!(
+            matches!(doc.get("pass"), Some(Value::Bool(true))),
+            "{doc:?}"
+        );
+        assert!(num(doc, "jobs") >= 1.0 && num(doc, "throttled_429") >= 1.0);
+        let fanout = num(doc, "fanout_snapshots_total");
+        assert!(num(doc, "subscribers") == 8.0 && fanout > 0.0);
+        assert_eq!(num(doc, "server_delivery_count"), fanout);
+        assert!(num(doc, "delivery_p99_s") >= num(doc, "delivery_p50_s"));
+        assert!(num(doc, "delivery_p50_s") >= 0.0);
+        assert_eq!(num(doc, "dropped_total"), 0.0);
+    }
+
     /// Every committed `baselines/*_small.json` is judged against a
     /// fresh `--small` run of the command that records it, through the
     /// real gate — so a baseline that goes stale fails tier-1, not a
@@ -571,8 +598,10 @@ mod tests {
             judged.push(format!("{}.json", outcome.gate.as_ref().unwrap().bench));
             let (code, payload) = greem_bench::gate::run(outcome, true, false, None);
             assert_eq!(code, 0, "{}: {payload:?}", e.name);
-            if e.name == "weakscale" {
-                weak_scaling_holds(&parse(&payload.unwrap()).unwrap());
+            match e.name {
+                "weakscale" => weak_scaling_holds(&parse(&payload.unwrap()).unwrap()),
+                "serve-bench" => serve_bench_holds(&parse(&payload.unwrap()).unwrap()),
+                _ => {}
             }
         }
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");

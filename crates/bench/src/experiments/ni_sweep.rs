@@ -19,6 +19,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use greem::{TreePm, TreePmConfig};
+use greem_kernels::selected_variant;
 use greem_math::Aabb;
 use greem_tree::{GroupWalk, ListEntry, SnapshotTree, SourceColumns, TreeParams};
 
@@ -30,11 +31,42 @@ use crate::workloads;
 pub struct NiRow {
     pub group_size: usize,
     pub mean_ni: f64,
+    /// Share of the selected kernel's target lanes holding a target.
+    pub lanes_used: f64,
     pub mean_nj: f64,
     pub traversal_s: f64,
     pub force_s: f64,
     pub total_s: f64,
     pub interactions: u64,
+}
+
+/// Σ Ni·Nj and Σ ⌈Ni/W⌉·W·Nj over groups, W the selected kernel's
+/// `target_block()`: their ratio is the share of the kernel's target
+/// lanes that hold a target.
+struct Lanes {
+    w: u64,
+    used: u64,
+    slots: u64,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        let w = selected_variant().target_block() as u64;
+        Lanes {
+            w,
+            used: 0,
+            slots: 0,
+        }
+    }
+
+    fn add(&mut self, ni: u64, nj: u64) {
+        self.used += ni * nj;
+        self.slots += ni.div_ceil(self.w) * self.w * nj;
+    }
+
+    fn share(&self) -> f64 {
+        self.used as f64 / self.slots as f64
+    }
 }
 
 /// Sweep ⟨Ni⟩ on a clustered snapshot.
@@ -52,9 +84,16 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
             let t0 = Instant::now();
             let (_, walk, times) = solver.compute_pp(&pos, &mass);
             let total = t0.elapsed().as_secs_f64();
+            // The same groups and lists again, untimed, for their sizes.
+            let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, cfg.tree_params());
+            let mut lanes = Lanes::new();
+            GroupWalk::new(&tree.view(), cfg.traverse_params()).for_each_group(|g, list| {
+                lanes.add(g.count as u64, list.len() as u64);
+            });
             NiRow {
                 group_size: gs,
                 mean_ni: walk.mean_ni(),
+                lanes_used: lanes.share(),
                 mean_nj: walk.mean_nj(),
                 traversal_s: times.traversal,
                 force_s: times.force,
@@ -65,11 +104,23 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
         .collect()
 }
 
+/// One list-builder pass over every group: its fastest time, the nodes
+/// it visited, the entries it wrote, the interactions Σ Ni·Nj they make
+/// and the kernel lanes they fill.
+pub struct Pass {
+    pub mode: &'static str,
+    pub secs: f64,
+    pub visited: u64,
+    pub entries: u64,
+    pub interactions: u64,
+    pub lanes_used: f64,
+}
+
 /// The list builder on `eight_clumps(n)` at `standard(16)` as a step
 /// uses it: fresh, recording under the 0.1·r_cut margin, and replaying
 /// that record, onto the kernel's columns for every group. Returns the
-/// group count and `(mode, fastest seconds, visited nodes, entries)`.
-pub fn list_builder(n: usize, reps: usize) -> (usize, [(&'static str, f64, u64, u64); 3]) {
+/// group count and the three passes.
+pub fn list_builder(n: usize, reps: usize) -> (usize, [Pass; 3]) {
     let pos = workloads::eight_clumps(n);
     let cfg = TreePmConfig::standard(16);
     let m = workloads::unit_masses(n);
@@ -81,9 +132,9 @@ pub fn list_builder(n: usize, reps: usize) -> (usize, [(&'static str, f64, u64, 
     let mut stack = Vec::new();
     let mut recorded: Vec<Vec<ListEntry>> = vec![Vec::new(); groups.len()];
     let passes = ["fresh", "recording", "replay"].map(|mode| {
-        let (mut visited, mut entries) = (0, 0);
+        let (mut visited, mut entries, mut lanes) = (0, 0, Lanes::new());
         let secs = best_of(reps, || {
-            (visited, entries) = (0, 0);
+            (visited, entries, lanes) = (0, 0, Lanes::new());
             for (gi, &g) in groups.iter().enumerate() {
                 cols.iter_mut().for_each(Vec::clear);
                 let [x, y, z, m] = &mut cols;
@@ -96,10 +147,18 @@ pub fn list_builder(n: usize, reps: usize) -> (usize, [(&'static str, f64, u64, 
                 };
                 visited += s.visited_nodes;
                 entries += s.sum_nj;
+                lanes.add(s.sum_ni, s.sum_nj);
                 black_box(cols[0].len());
             }
         });
-        (mode, secs, visited, entries)
+        Pass {
+            mode,
+            secs,
+            visited,
+            entries,
+            interactions: lanes.used,
+            lanes_used: lanes.share(),
+        }
     });
     (groups.len(), passes)
 }
@@ -111,9 +170,13 @@ pub fn run(small: bool) -> super::Outcome {
     let n = if small { 2000 } else { 20000 };
     let (reps, list_n) = if small { (1, 2048) } else { (21, 32_768) };
     let rows = sweep(n, 64, &[4, 8, 16, 32, 64, 128, 256, 512], 11);
-    let mut s = String::from(
+    let kernel = selected_variant();
+    let mut s = format!(
         "=== Sec. II: group size <Ni> trade-off =========================\n\
-         group  <Ni>    <Nj>   traverse(s)  force(s)   total(s)  interactions\n",
+         lanes: share of the {} kernel's {} target lanes holding a target\n\
+         group  <Ni>  lanes    <Nj>   traverse(s)  force(s)   total(s)  interactions\n",
+        kernel.name(),
+        kernel.target_block()
     );
     let mut w = super::summary_writer("ni_sweep", small);
     w.u64(Some("n"), n as u64);
@@ -124,12 +187,20 @@ pub fn run(small: bool) -> super::Outcome {
             best = (r.group_size, r.total_s);
         }
         s.push_str(&format!(
-            "{:>5} {:>6.1} {:>7.1} {:>12.4} {:>9.4} {:>10.4} {:>13}\n",
-            r.group_size, r.mean_ni, r.mean_nj, r.traversal_s, r.force_s, r.total_s, r.interactions
+            "{:>5} {:>6.1} {:>6.3} {:>7.1} {:>12.4} {:>9.4} {:>10.4} {:>13}\n",
+            r.group_size,
+            r.mean_ni,
+            r.lanes_used,
+            r.mean_nj,
+            r.traversal_s,
+            r.force_s,
+            r.total_s,
+            r.interactions
         ));
         w.begin_obj(None);
         w.u64(Some("group_size"), r.group_size as u64);
         w.f64(Some("mean_ni"), r.mean_ni);
+        w.f64(Some("lanes_used"), r.lanes_used);
         w.f64(Some("mean_nj"), r.mean_nj);
         w.f64(Some("traversal_s"), r.traversal_s);
         w.f64(Some("force_s"), r.force_s);
@@ -167,11 +238,21 @@ pub fn run(small: bool) -> super::Outcome {
     w.begin_obj(Some("list_builder"));
     w.u64(Some("n"), list_n as u64);
     w.u64(Some("groups"), groups as u64);
-    for (mode, secs, visited, entries) in passes {
+    for Pass {
+        mode,
+        secs,
+        visited,
+        entries,
+        interactions,
+        lanes_used: lanes,
+    } in passes
+    {
         let per = |count: u64| secs * 1e9 / count as f64;
         s.push_str(&format!(
-            "  {mode:<9} {:7.2} ms  {:5.1} ns per list entry ({entries})",
+            "  {mode:<9} {:7.2} ms  {:5.1} M interactions, lanes {lanes:.3}  \
+             {:5.1} ns per list entry ({entries})",
             secs * 1e3,
+            interactions as f64 * 1e-6,
             per(entries)
         ));
         if visited > 0 {
@@ -185,6 +266,8 @@ pub fn run(small: bool) -> super::Outcome {
         w.f64(Some("s"), secs);
         w.u64(Some("visited_nodes"), visited);
         w.u64(Some("entries"), entries);
+        w.u64(Some("interactions"), interactions);
+        w.f64(Some("lanes_used"), lanes);
         w.end_obj();
     }
     w.end_obj();
@@ -194,6 +277,19 @@ pub fn run(small: bool) -> super::Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The benchmark's shape packs its 32768 bodies into fuller groups
+    /// than "the largest cell holding ≤ 100 bodies" gives (1320).
+    #[test]
+    fn benchmark_shape_forms_few_full_groups() {
+        let n = 32_768;
+        let pos = workloads::eight_clumps(n);
+        let cfg = TreePmConfig::standard(16);
+        let m = workloads::unit_masses(n);
+        let tree = SnapshotTree::build(&pos, &m, Aabb::UNIT, cfg.tree_params());
+        let groups = GroupWalk::new(&tree.view(), cfg.traverse_params()).groups();
+        assert!(groups.len() <= 520, "{} groups", groups.len());
+    }
 
     #[test]
     fn tradeoff_shape() {

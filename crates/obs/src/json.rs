@@ -381,19 +381,44 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// RFC 8259's number: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`,
+    /// refused unless its value is finite.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
+        let invalid = || format!("invalid number at byte {start}");
+        self.eat(|b| b == b'-');
+        if !self.eat(|b| b == b'0') && self.digits() == 0 {
+            return Err(invalid());
+        }
+        if self.eat(|b| b == b'.') && self.digits() == 0 {
+            return Err(invalid());
+        }
+        if self.eat(|b| matches!(b, b'e' | b'E')) {
+            self.eat(|b| matches!(b, b'+' | b'-'));
+            if self.digits() == 0 {
+                return Err(invalid());
+            }
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|t| t.parse::<f64>().ok())
+            .filter(|x| x.is_finite())
             .map(Value::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
+            .ok_or_else(invalid)
+    }
+
+    /// Consume one byte if it matches.
+    fn eat(&mut self, want: impl Fn(u8) -> bool) -> bool {
+        let hit = self.peek().is_some_and(want);
+        self.pos += hit as usize;
+        hit
+    }
+
+    /// Consume a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.eat(|b| b.is_ascii_digit()) {}
+        self.pos - start
     }
 }
 
@@ -454,10 +479,23 @@ mod tests {
         // belongs.
         assert!(parse(r#"{"a": "\u00"}"#).is_err());
         assert!(parse(r#"{"a": "\u+041"}"#).is_err());
-        // Invalid numbers (the scanner defers to f64::from_str, which is
-        // lenient about a leading '+', but multi-dot garbage must fail).
-        assert!(parse("[1.2.3]").is_err());
-        assert!(parse("[1e]").is_err());
+        // Numbers outside RFC 8259's grammar, and ones too large for an
+        // f64.
+        for bad in [
+            "[1.2.3]", "[1e]", "[+1]", "[.5]", "[1.]", "[01]", "[-]", "[1e+]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert!(parse("[1e999]").is_err());
+        assert!(parse("[-1e999]").is_err());
+        let ok = parse("[0, -0.5, 10, 1e3, 2E-2, 1.5e+2]").unwrap();
+        let xs: Vec<f64> = ok
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_f64().unwrap())
+            .collect();
+        assert_eq!(xs, [0.0, -0.5, 10.0, 1e3, 2e-2, 150.0]);
         // Missing value after key, missing colon, trailing comma in object.
         assert!(parse(r#"{"a":}"#).is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());

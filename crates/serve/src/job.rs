@@ -125,11 +125,13 @@ fn field_u64(v: &Value, key: &str, min: u64, max: u64) -> Result<Option<u64>, St
             if x.fract() != 0.0 || x < 0.0 {
                 return Err(format!("field {key:?} must be a non-negative integer"));
             }
-            let x = x as u64;
-            if x < min || x > max {
+            // Past 2⁵³ an f64 no longer holds every integer: the value
+            // parsed may not be the one submitted.
+            let max = max.min((1 << 53) - 1);
+            if x < min as f64 || x > max as f64 {
                 return Err(format!("field {key:?} = {x} out of range [{min}, {max}]"));
             }
-            Ok(Some(x))
+            Ok(Some(x as u64))
         }
     }
 }
@@ -704,6 +706,17 @@ mod tests {
         assert!(JobConfig::from_json(r#"{"scenario": "meteor"}"#).is_err());
         assert!(JobConfig::from_json(r#"{"n": 16, "ranks": 4}"#).is_err());
         assert!(JobConfig::from_json(r#"{"steps": -1}"#).is_err());
+        // Numbers outside JSON's grammar, and integers an f64 cannot
+        // hold exactly, are refused rather than run as another value.
+        assert!(JobConfig::from_json(r#"{"n": +64}"#).is_err());
+        assert!(JobConfig::from_json(r#"{"n": 064}"#).is_err());
+        assert!(JobConfig::from_json(r#"{"seed": 1e999}"#).is_err());
+        for seed in ["1e300", "18446744073709551616", "9007199254740993"] {
+            let err = JobConfig::from_json(&format!(r#"{{"seed": {seed}}}"#)).unwrap_err();
+            assert!(err.contains("out of range"), "{seed}: {err}");
+        }
+        let cfg = JobConfig::from_json(r#"{"seed": 9007199254740991}"#).unwrap();
+        assert_eq!(cfg.seed, 9_007_199_254_740_991);
     }
 
     #[test]

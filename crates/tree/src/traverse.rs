@@ -27,8 +27,9 @@ pub struct TraverseParams {
     /// Opening angle θ: a node of side ℓ at distance d is accepted as a
     /// multipole when `ℓ < θ·d`. θ = 0 forces full direct summation.
     pub theta: f64,
-    /// Target group size ⟨Ni⟩: groups are the maximal tree nodes holding
-    /// at most this many particles (paper: ~100 on K, ~500 on GPUs).
+    /// Target group size ⟨Ni⟩: groups are cells, or runs of sibling
+    /// cells, holding at most this many particles (paper: ~100 on K,
+    /// ~500 on GPUs); see [`GroupWalk::groups`].
     pub group_size: usize,
     /// Short-range cutoff: nodes entirely farther than `r_cut` from the
     /// group are skipped (their `g_P3M` force is identically zero).
@@ -78,9 +79,10 @@ pub enum ListEntry {
 }
 
 /// A particle group sharing one interaction list: a contiguous range of
-/// the tree's Morton-sorted particle slots. Usually a tree node's range;
-/// degenerates to single particles when a periodic group would otherwise
-/// be too large for an unambiguous minimum image (sparse trees).
+/// the tree's Morton-sorted particle slots. A tree node's range, or the
+/// range of a run of consecutive sibling nodes; degenerates to single
+/// particles when a periodic group would otherwise be too large for an
+/// unambiguous minimum image (sparse trees).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Group {
     /// First sorted particle slot.
@@ -395,26 +397,53 @@ impl<'t> GroupWalk<'t> {
         }
     }
 
-    /// The particle groups: maximal tree-node ranges with
-    /// `count ≤ group_size` whose cells are small enough for an
-    /// unambiguous periodic image; oversized sparse leaves degenerate to
-    /// per-particle groups. Together they tile the slots `0..n` exactly,
-    /// in no particular order.
+    /// The particle groups. A cell small enough for an unambiguous
+    /// periodic image that holds `≤ group_size` particles (or is a leaf)
+    /// is one group. A small cell that holds more packs its children:
+    /// in octant order — consecutive slot ranges — each child joins the
+    /// open run while the run stays `≤ group_size`, and a non-leaf child
+    /// holding more is descended and closes the run. A run lies inside
+    /// its small parent, so its box keeps the periodic bound. Larger
+    /// cells are descended; oversized sparse leaves degenerate to
+    /// per-particle groups. Together the groups tile the slots `0..n`
+    /// exactly, in no particular order.
     pub fn groups(&self) -> Vec<Group> {
         let mut out = Vec::new();
         if self.tree.nodes.is_empty() {
             return out;
         }
+        let nodes = self.tree.nodes;
+        let cap = self.params.group_size;
         let max_side = self.max_group_side();
+        let descend = |n: &Node| !n.is_leaf && n.count as usize > cap;
         let mut stack = vec![0usize];
         while let Some(i) = stack.pop() {
-            let node = &self.tree.nodes[i];
+            let node = &nodes[i];
             let small = node.side() <= max_side;
-            if small && (node.count as usize <= self.params.group_size || node.is_leaf) {
+            if small && !descend(node) {
                 out.push(Group {
                     first: node.first,
                     count: node.count,
                 });
+            } else if small {
+                let mut run: Option<Group> = None;
+                for c in node.child.iter().filter_map(|&c| usize::try_from(c).ok()) {
+                    let child = &nodes[c];
+                    let room = |r: &&mut Group| (r.count + child.count) as usize <= cap;
+                    if descend(child) {
+                        out.extend(run.take());
+                        stack.push(c);
+                    } else if let Some(r) = run.as_mut().filter(room) {
+                        debug_assert_eq!(r.first + r.count, child.first);
+                        r.count += child.count;
+                    } else {
+                        out.extend(run.replace(Group {
+                            first: child.first,
+                            count: child.count,
+                        }));
+                    }
+                }
+                out.extend(run);
             } else if !node.is_leaf {
                 for &c in &node.child {
                     if c >= 0 {
@@ -800,6 +829,157 @@ mod tests {
             covered.iter().all(|&c| c),
             "groups must cover all particles"
         );
+    }
+
+    /// Checks `groups()` on the input `what` against the packing rule.
+    /// The groups tile the slots. Each is one cell, a run of
+    /// consecutive children of one small parent, or one body of an
+    /// oversized sparse leaf. Only a lone oversized leaf holds more than
+    /// `group_size`. A run in a packed parent ends only at the last
+    /// sibling, or where the next one must be descended or would
+    /// overflow it.
+    fn check_group_rule(tree: &SnapshotTree, params: TraverseParams, what: &str) {
+        let view = tree.view();
+        let walk = GroupWalk::new(&view, params);
+        let (nodes, cap) = (tree.nodes(), params.group_size as u32);
+        let max_side = walk.max_group_side();
+        let mut groups = walk.groups();
+        groups.sort_unstable_by_key(|g| g.first);
+        let mut next = 0;
+        for g in &groups {
+            assert!(g.first == next && g.count > 0, "{what}: gap at {next}");
+            next += g.count;
+        }
+        assert_eq!(next as usize, tree.order().len());
+
+        let kids = |i: usize| {
+            nodes[i]
+                .child
+                .iter()
+                .filter_map(|&c| usize::try_from(c).ok())
+        };
+        let mut parent = vec![None; nodes.len()];
+        for i in 0..nodes.len() {
+            kids(i).for_each(|c| parent[c] = Some(i));
+        }
+        let descended = |n: &Node| !n.is_leaf && n.count > cap;
+        let end = |n: &Node| n.first + n.count;
+        for g in &groups {
+            let g_end = g.first + g.count;
+            // The deepest cell holding the whole group.
+            let mut d = 0;
+            while let Some(c) =
+                kids(d).find(|&c| nodes[c].first <= g.first && g_end <= end(&nodes[c]))
+            {
+                d = c;
+            }
+            let cell = &nodes[d];
+            let lone_body = cell.is_leaf && cell.side() > max_side && g.count == 1;
+            // The group's last cell and the parent that cell sits in.
+            let (last, parent_of) = if (cell.first, cell.count) == (g.first, g.count) {
+                assert!(
+                    cell.side() <= max_side || lone_body,
+                    "{what} {params:?} {g:?}: cell too big"
+                );
+                assert!(
+                    g.count <= cap || cell.is_leaf,
+                    "{what} {params:?} {g:?}: over group_size"
+                );
+                let mut top = d;
+                while let Some(p) = parent[top].filter(|&p| nodes[p].count == g.count) {
+                    top = p;
+                }
+                (top, parent[top])
+            } else if cell.is_leaf {
+                assert!(lone_body, "{what} {params:?} {g:?}: part of a leaf");
+                continue;
+            } else {
+                let run: Vec<usize> = kids(d)
+                    .filter(|&c| g.first <= nodes[c].first && end(&nodes[c]) <= g_end)
+                    .collect();
+                let sum: u32 = run.iter().map(|&c| nodes[c].count).sum();
+                assert!(
+                    run.len() >= 2 && sum == g.count,
+                    "{what} {params:?} {g:?}: not whole children"
+                );
+                assert!(
+                    cell.side() <= max_side,
+                    "{what} {params:?} {g:?}: run in a big cell"
+                );
+                assert!(
+                    g.count <= cap,
+                    "{what} {params:?} {g:?}: run over group_size"
+                );
+                assert!(run.iter().all(|&c| !descended(&nodes[c])), "{what} {g:?}");
+                (run[run.len() - 1], Some(d))
+            };
+            let packed = parent_of.filter(|&p| nodes[p].side() <= max_side);
+            if let Some(sib) = packed.and_then(|p| kids(p).skip_while(|&c| c != last).nth(1)) {
+                let sib = &nodes[sib];
+                assert!(
+                    descended(sib) || g.count + sib.count > cap,
+                    "{what} {params:?} {g:?}: run stops before a sibling of {} that fits",
+                    sib.count
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn groups_follow_the_packing_rule() {
+        let mut rng = greem_math::testutil::TestLcg::new(41);
+        let centres: Vec<Vec3> = (0..5).map(|_| rng.next_vec3()).collect();
+        let clustered: Vec<Vec3> = (0..1500)
+            .map(|i| {
+                let off = rng.next_vec3() - Vec3::splat(0.5);
+                let c = centres[i % centres.len()];
+                c + off * if i % 3 == 0 { 1.0 } else { 0.03 }
+            })
+            .map(|p| {
+                Vec3::new(
+                    p.x.rem_euclid(1.0),
+                    p.y.rem_euclid(1.0),
+                    p.z.rem_euclid(1.0),
+                )
+            })
+            .collect();
+        let coincident: Vec<Vec3> = rand_positions(400, 43)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| if i % 4 == 0 { p } else { centres[i % 2] })
+            .collect();
+        let inputs = [
+            ("uniform", rand_positions(1000, 37)),
+            ("clustered", clustered),
+            ("coincident", coincident),
+            ("sparse", rand_positions(12, 47)),
+        ];
+        for (name, pos) in &inputs {
+            let masses = vec![1.0; pos.len()];
+            for leaf_capacity in [1, 8] {
+                let tree_params = TreeParams {
+                    leaf_capacity,
+                    ..TreeParams::default()
+                };
+                let tree = SnapshotTree::build(pos, &masses, Aabb::UNIT, tree_params);
+                for group_size in [1, 7, 32, 100] {
+                    for (periodic, r_cut) in [
+                        (true, Some(3.0 / 16.0)),
+                        (true, Some(0.45)),
+                        (true, None),
+                        (false, None),
+                    ] {
+                        let params = TraverseParams {
+                            group_size,
+                            r_cut,
+                            periodic,
+                            ..Default::default()
+                        };
+                        check_group_rule(&tree, params, name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

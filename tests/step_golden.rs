@@ -182,40 +182,40 @@ fn case_hashes() -> [u64; 6] {
 /// scalar.
 const GOLDEN: [[u64; 4]; 6] = [
     [
-        0x0951_270d_03b4_990d,
-        0x164f_b53e_89ff_3489,
-        0x34f4_fa4e_e41a_2f4c,
-        0x4b05_28c3_0a4c_812c,
+        0xe528_f2b3_63fd_5b3c,
+        0xdeb3_c8ed_e3ba_a253,
+        0xb351_6e07_35c8_e4c2,
+        0x37d1_eb3d_7a1d_69fc,
     ],
     [
-        0x0a1b_959a_d5e9_859f,
-        0xe6a5_10fe_6828_9322,
-        0x92a3_6a96_fc80_917e,
-        0x3edd_f5e1_f2b8_60aa,
+        0xe07c_6b28_72f0_1c66,
+        0xed1b_dacd_8de7_6999,
+        0x2d5d_3c11_2a55_41ec,
+        0x2fc0_bab0_75f6_e90d,
     ],
     [
-        0x6a31_a23c_8ead_7c05,
-        0x4fe8_a1eb_a721_0f89,
-        0x0279_3592_f977_00f8,
-        0x100a_4b07_b319_d5ee,
+        0xcfdd_40fb_e81e_df12,
+        0x16aa_7429_8064_64f9,
+        0x4cdd_2b87_8cdf_1622,
+        0xcd22_33f1_660a_3f0b,
     ],
     [
-        0x36bf_5268_4071_9531,
-        0x3495_3850_aecd_9b22,
-        0xa06d_5391_0d3b_dbb6,
-        0x2f90_6bdf_a357_f83d,
+        0x4566_1810_2601_2d8e,
+        0x2d72_8fbd_add9_6d96,
+        0x8097_c5d7_b49a_16bb,
+        0xf532_d5c7_2668_f6d4,
     ],
     [
-        0x0f55_a06d_f7eb_c706,
-        0x6cd8_64c9_2384_03fc,
-        0xfd6d_6e71_9073_b619,
-        0x64e5_ca15_e64e_e1fb,
+        0x90aa_0b33_9d4f_4b68,
+        0x250c_d1be_5077_2b49,
+        0xfc6b_8f76_2d20_6f06,
+        0x66e2_382a_8e33_4013,
     ],
     [
-        0x8bb6_14f1_3f26_423f,
-        0x142b_6b95_c319_2713,
-        0xb002_9c8e_2d3d_e173,
-        0xe68d_91b8_ef6c_a0bd,
+        0x8e69_23ce_b064_fe87,
+        0xdbe1_4a42_6849_e1ca,
+        0xe9b3_5b0f_6171_24ab,
+        0x645d_ebde_0457_7eae,
     ],
 ];
 

@@ -1,15 +1,23 @@
-//! The per-rank virtual clock, shared by both execution modes.
+//! The per-rank virtual clock and wire charge, shared by both execution
+//! modes.
 //!
 //! All virtual-time arithmetic — compute charges, injection-port
 //! serialisation on send, drain-port serialisation on receive — lives in
-//! [`RankClock`] so the thread-per-rank runtime ([`crate::World::run`])
-//! and the single-threaded phantom engine ([`crate::World::run_script`]
-//! with phantoms) execute *the same floating-point operations in the
-//! same order*. That is what makes phantom-mode timelines bitwise
-//! identical to full-thread timelines (test-enforced in
-//! `tests/phantom_equivalence.rs`); see DESIGN.md §16.
+//! [`RankClock`], and all per-message bookkeeping around it — traffic
+//! counters, hop count, the seeded fault draw and its charge, straggler
+//! scaling — in [`RankWire`]. The thread-per-rank runtime
+//! ([`crate::World::run`]) holds one [`RankWire`] per rank thread and
+//! the single-threaded phantom engine ([`crate::World::run_script`] with
+//! phantoms) one per simulated rank, so both execute *the same
+//! floating-point operations in the same order*: there is one charge,
+//! not two kept in step. `tests/clock_golden.rs` pins its bits; see
+//! DESIGN.md §16.
 
+use crate::ctx::CommStats;
+#[cfg(feature = "faults")]
+use crate::fault::{FaultCtx, MsgFault};
 use crate::netmodel::NetModel;
+use crate::topology::Torus3d;
 
 /// A rank's virtual clock plus its two network-port occupancy times.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -29,14 +37,11 @@ impl RankClock {
         self.vtime += seconds;
     }
 
-    /// Force the clock to at least `t` (used by barriers and receives).
+    /// Force the clock to at least `t` (used by receives).
     #[inline]
-    pub fn advance_to(&mut self, t: f64) -> bool {
+    pub fn advance_to(&mut self, t: f64) {
         if t > self.vtime {
             self.vtime = t;
-            true
-        } else {
-            false
         }
     }
 
@@ -67,6 +72,114 @@ impl RankClock {
         let done = start + net.drain_time(bytes);
         self.port_free = done;
         self.advance_to(done);
+    }
+}
+
+/// What every rank of a world is charged against: the network model,
+/// the torus, and whether fault charges emit `fault.*` trace instants
+/// (rank threads do; the phantom engine runs on the caller's thread,
+/// whose tracer clock is not a rank's, and does not).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wire {
+    pub net: NetModel,
+    pub topo: Torus3d,
+    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
+    pub trace: bool,
+}
+
+/// A message's size-only record: all the receiver's charge needs, and
+/// all the phantom engine keeps of a message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Envelope {
+    /// Sender's virtual time at which the message hit the wire.
+    pub send_ready: f64,
+    pub bytes: usize,
+    pub hops: usize,
+    /// Injected fault, drawn deterministically by the sender and paid
+    /// for (in virtual time) by the receiver.
+    #[cfg(feature = "faults")]
+    pub fault: MsgFault,
+}
+
+/// One rank's wire charge: its clock, its traffic counters and, under a
+/// fault plan that can fire, its fault bookkeeping. Every message and
+/// every compute interval of either execution mode is charged here.
+#[derive(Default)]
+pub(crate) struct RankWire {
+    pub clock: RankClock,
+    pub stats: CommStats,
+    /// `None` costs one branch per charge and is all a fault-free rank
+    /// pays.
+    #[cfg(feature = "faults")]
+    pub faults: Option<Box<FaultCtx>>,
+}
+
+impl RankWire {
+    /// Charge rank `me`'s send of `bytes` to rank `dst` and return the
+    /// message's envelope. A self-send is a memcpy that bypasses the
+    /// NIC; a remote send serialises on the injection port and draws
+    /// its fault from the plan — at send time, so the schedule is a
+    /// pure function of the seed and each sender's program order.
+    pub fn send(&mut self, wire: &Wire, me: usize, dst: usize, bytes: usize) -> Envelope {
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes as u64;
+        if dst == me {
+            return Envelope {
+                send_ready: self.clock.charge_self_send(&wire.net, bytes),
+                bytes,
+                hops: 0,
+                #[cfg(feature = "faults")]
+                fault: MsgFault::default(),
+            };
+        }
+        let send_ready = self.clock.charge_send(&wire.net, bytes);
+        let hops = wire.topo.hops(me, dst);
+        self.stats.hops_sent += hops as u64;
+        Envelope {
+            send_ready,
+            bytes,
+            hops,
+            #[cfg(feature = "faults")]
+            fault: match &mut self.faults {
+                Some(f) => f.next_msg_fault(me, dst),
+                None => MsgFault::default(),
+            },
+        }
+    }
+
+    /// Charge the receipt of `env`. A self-send is ready at its
+    /// `send_ready`; a remote message arrives at `send_ready` + hop
+    /// latency + its fault cost, then drains through this rank's port.
+    pub fn recv(&mut self, wire: &Wire, from_self: bool, env: &Envelope) {
+        if from_self {
+            self.clock.advance_to(env.send_ready);
+        } else {
+            #[allow(unused_mut)]
+            let mut arrival = env.send_ready + wire.net.latency(env.hops);
+            #[cfg(feature = "faults")]
+            if !env.fault.is_clean() {
+                arrival += self
+                    .faults
+                    .as_mut()
+                    .expect("mpisim: faulty message received but no plan attached")
+                    .apply_msg_fault(&env.fault, wire.trace);
+            }
+            self.clock.charge_recv(&wire.net, arrival, env.bytes);
+        }
+        self.stats.messages_received += 1;
+        self.stats.bytes_received += env.bytes as u64;
+    }
+
+    /// Charge `seconds` of rank `me`'s modelled computation, scaled up
+    /// on a straggler.
+    pub fn compute(&mut self, _me: usize, seconds: f64) {
+        debug_assert!(seconds >= 0.0);
+        #[cfg(feature = "faults")]
+        let seconds = match &mut self.faults {
+            Some(f) => f.straggle(_me, seconds),
+            None => seconds,
+        };
+        self.clock.compute(seconds);
     }
 }
 
@@ -101,9 +214,9 @@ mod tests {
     fn advance_never_rewinds() {
         let mut c = RankClock::default();
         c.compute(2.0);
-        assert!(!c.advance_to(1.0));
+        c.advance_to(1.0);
         assert_eq!(c.vtime, 2.0);
-        assert!(c.advance_to(3.0));
+        c.advance_to(3.0);
         assert_eq!(c.vtime, 3.0);
     }
 }

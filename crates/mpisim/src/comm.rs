@@ -16,18 +16,20 @@
 //! the simulated network sees a realistic message pattern, which is the
 //! whole point: the relay-mesh experiment is *about* those patterns.
 //!
-//! The phantom engine (see [`crate::script`] and DESIGN.md §16) replays
-//! the same edge patterns without payloads; its per-rank schedules live
-//! in [`sched`] at the bottom of this file and **must** stay in
-//! lockstep with the threaded implementations — the
-//! `phantom_equivalence` integration tests enforce bitwise-identical
-//! virtual clocks between the two.
+//! Each pattern is defined once, in `sched`: a per-rank list of
+//! send/receive edges. The threaded collectives below walk that list
+//! moving real payloads; the phantom engine (see [`crate::script`] and
+//! DESIGN.md §16) walks the same list with payloads elided. Both charge
+//! every edge through the one per-rank wire charge, so their
+//! virtual clocks agree bit for bit by construction;
+//! `tests/clock_golden.rs` pins those bits.
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::ctx::Ctx;
+use sched::Act;
 
 /// Reserved tag space for collectives (top bit set).
 const COLL_TAG_BASE: u64 = 1 << 63;
@@ -114,6 +116,22 @@ impl Comm {
         COLL_TAG_BASE | (s << 8) | op as u64
     }
 
+    /// This rank's edge schedule for one collective, from one of the
+    /// [`sched`] functions: the only definition of each pattern.
+    fn schedule(&self, emit: impl FnOnce(usize, usize, &mut Vec<Act>)) -> Vec<Act> {
+        let mut acts = Vec::new();
+        emit(self.size(), self.my_rank, &mut acts);
+        acts
+    }
+
+    fn send_to<T: Send + 'static>(&self, ctx: &mut Ctx, peer: u32, tag: u64, data: Vec<T>) {
+        ctx.send_raw(self.ranks[peer as usize], self.id, tag, data);
+    }
+
+    fn recv_from<T: Send + 'static>(&self, ctx: &mut Ctx, peer: u32, tag: u64) -> Vec<T> {
+        ctx.recv_raw(self.ranks[peer as usize], self.id, tag)
+    }
+
     // ------------------------------------------------------------------
     // Point-to-point
     // ------------------------------------------------------------------
@@ -164,46 +182,21 @@ impl Comm {
     }
 
     /// Synchronise all members: binomial fan-in to local rank 0, fan-out
-    /// back. On return every member's virtual clock is at least the
-    /// latest pre-barrier clock plus the tree traversal cost.
+    /// back. Known defect, kept because mending it moves every clock
+    /// (ROADMAP): the fan-out forwards to a rank's farther children
+    /// before it hears from its parent, so a member can leave before
+    /// every other member has arrived.
     pub fn barrier(&self, ctx: &mut Ctx) {
         self.traced(ctx, "barrier", Self::barrier_impl);
     }
 
     fn barrier_impl(&self, ctx: &mut Ctx) {
         let tag = self.next_tag(CollOp::Barrier);
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let r = self.my_rank;
-        // Fan-in: leaves first.
-        let mut k = 1;
-        while k < p {
-            if r & k != 0 {
-                ctx.send_raw::<u8>(self.ranks[r - k], self.id, tag, Vec::new());
-                break;
-            } else if r + k < p {
-                let _ = ctx.recv_raw::<u8>(self.ranks[r + k], self.id, tag);
+        for act in self.schedule(sched::barrier) {
+            match act {
+                Act::Send { peer, .. } => self.send_to::<u8>(ctx, peer, tag, Vec::new()),
+                Act::Recv { peer } => drop(self.recv_from::<u8>(ctx, peer, tag)),
             }
-            k <<= 1;
-        }
-        // Fan-out, mirrored.
-        let mut k = {
-            let mut k = 1;
-            while k < p {
-                k <<= 1;
-            }
-            k >> 1
-        };
-        while k >= 1 {
-            if r & k != 0 {
-                let _ = ctx.recv_raw::<u8>(self.ranks[r - k], self.id, tag + (1 << 7));
-                break;
-            } else if r + k < p {
-                ctx.send_raw::<u8>(self.ranks[r + k], self.id, tag + (1 << 7), Vec::new());
-            }
-            k >>= 1;
         }
     }
 
@@ -226,23 +219,17 @@ impl Comm {
         data: Option<Vec<T>>,
     ) -> Vec<T> {
         let tag = self.next_tag(CollOp::Bcast);
-        let p = self.size();
-        let rel = (self.my_rank + p - root) % p;
-        let buf = if rel == 0 {
+        // A non-root receives from its parent before it forwards.
+        let mut buf = if self.my_rank == root {
             data.expect("bcast root must supply data")
         } else {
-            // Receive from the parent in the binomial tree: the sender is
-            // rel - k for the highest set bit k of rel.
-            let k = highest_bit(rel);
-            let src = self.ranks[(rel - k + root) % p];
-            ctx.recv_raw::<T>(src, self.id, tag)
+            Vec::new()
         };
-        // Forward to children: rel + k for k above rel's highest bit.
-        let mut k = if rel == 0 { 1 } else { highest_bit(rel) << 1 };
-        while rel + k < p {
-            let dst = self.ranks[(rel + k + root) % p];
-            ctx.send_raw(dst, self.id, tag, buf.clone());
-            k <<= 1;
+        for act in self.schedule(|p, r, out| sched::bcast(p, r, root, 0, out)) {
+            match act {
+                Act::Recv { peer } => buf = self.recv_from(ctx, peer, tag),
+                Act::Send { peer, .. } => self.send_to(ctx, peer, tag, buf.clone()),
+            }
         }
         buf
     }
@@ -267,26 +254,20 @@ impl Comm {
         F: Fn(&mut T, &T),
     {
         let tag = self.next_tag(CollOp::Reduce);
-        let p = self.size();
-        let rel = (self.my_rank + p - root) % p;
         let mut acc = local;
-        let mut k = 1;
-        while k < p {
-            if rel & k != 0 {
-                let dst = self.ranks[(rel - k + root) % p];
-                ctx.send_raw(dst, self.id, tag, acc);
-                return None;
-            } else if rel + k < p {
-                let src = self.ranks[(rel + k + root) % p];
-                let other = ctx.recv_raw::<T>(src, self.id, tag);
-                assert_eq!(acc.len(), other.len(), "reduce: length mismatch");
-                for (a, b) in acc.iter_mut().zip(other.iter()) {
-                    op(a, b);
+        for act in self.schedule(|p, r, out| sched::reduce(p, r, root, 0, out)) {
+            match act {
+                Act::Recv { peer } => {
+                    let other = self.recv_from::<T>(ctx, peer, tag);
+                    assert_eq!(acc.len(), other.len(), "reduce: length mismatch");
+                    for (a, b) in acc.iter_mut().zip(other.iter()) {
+                        op(a, b);
+                    }
                 }
+                Act::Send { peer, .. } => self.send_to(ctx, peer, tag, std::mem::take(&mut acc)),
             }
-            k <<= 1;
         }
-        Some(acc)
+        (self.my_rank == root).then_some(acc)
     }
 
     /// Reduce to local rank 0 then broadcast: every member returns the
@@ -318,23 +299,21 @@ impl Comm {
         &self,
         ctx: &mut Ctx,
         root: usize,
-        local: Vec<T>,
+        mut local: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         let tag = self.next_tag(CollOp::Gather);
-        if self.my_rank != root {
-            ctx.send_raw(self.ranks[root], self.id, tag, local);
-            return None;
-        }
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        let mut local = Some(local);
-        for src in 0..self.size() {
-            if src == root {
-                out.push(local.take().expect("gather: root buffer reused"));
-            } else {
-                out.push(ctx.recv_raw::<T>(self.ranks[src], self.id, tag));
+        let mut out = Vec::new();
+        for act in self.schedule(|p, r, out| sched::gather(p, r, root, &|_| 0, out)) {
+            match act {
+                Act::Send { peer, .. } => self.send_to(ctx, peer, tag, std::mem::take(&mut local)),
+                Act::Recv { peer } => out.push(self.recv_from(ctx, peer, tag)),
             }
         }
-        Some(out)
+        // The root received every other rank's vector in rank order.
+        (self.my_rank == root).then(|| {
+            out.insert(root, local);
+            out
+        })
     }
 
     /// Gather every member's vector at every member (local-rank order).
@@ -358,37 +337,31 @@ impl Comm {
         local: Vec<T>,
     ) -> Vec<Vec<T>> {
         let tag = self.next_tag(CollOp::AllGather);
-        let p = self.size();
-        let r = self.my_rank;
+        let (p, r) = (self.size(), self.my_rank);
         // blocks[j] holds the vector of local rank (r + j) % p.
         let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p);
         blocks.push(local);
-        let mut have = 1;
-        while have < p {
-            // Ship our first `cnt` blocks `have` ranks downward; the
-            // receiver appends them to its run, which grows to
-            // `have + cnt`. Each (src → dst) pair occurs in exactly one
-            // round, so one tag pair per round cannot cross-match.
-            let cnt = have.min(p - have);
-            let dst = self.ranks[(r + p - have) % p];
-            let src = self.ranks[(r + have) % p];
-            let header: Vec<u64> = blocks[..cnt].iter().map(|b| b.len() as u64).collect();
-            ctx.send_raw(dst, self.id, tag, header);
-            let data: Vec<T> = blocks[..cnt]
-                .iter()
-                .flat_map(|b| b.iter().cloned())
-                .collect();
-            ctx.send_raw(dst, self.id, tag + (1 << 7), data);
-            let lens = ctx.recv_raw::<u64>(src, self.id, tag);
-            let data = ctx.recv_raw::<T>(src, self.id, tag + (1 << 7));
-            let mut it = data.into_iter();
+        let acts = self.schedule(|p, r, out| sched::allgather(p, r, &|_| 0, out));
+        // Each round ships our first `cnt` blocks — a length header of
+        // 8 bytes per block, then their concatenation — and appends the
+        // `cnt` blocks that arrive the same way.
+        for round in acts.chunks_exact(4) {
+            let [Act::Send { peer: dst, bytes }, _, Act::Recv { peer: src }, _] = *round else {
+                unreachable!("allgather: a Bruck round is two sends then two receives")
+            };
+            let cnt = bytes as usize / 8;
+            let lens: Vec<u64> = blocks[..cnt].iter().map(|b| b.len() as u64).collect();
+            let data: Vec<T> = blocks[..cnt].iter().flatten().cloned().collect();
+            self.send_to(ctx, dst, tag, lens);
+            self.send_to(ctx, dst, tag, data);
+            let lens = self.recv_from::<u64>(ctx, src, tag);
+            let mut data = self.recv_from::<T>(ctx, src, tag).into_iter();
             for len in lens {
-                blocks.push(it.by_ref().take(len as usize).collect());
+                blocks.push(data.by_ref().take(len as usize).collect());
             }
-            debug_assert!(it.next().is_none(), "allgather: header/data mismatch");
-            have += cnt;
-            debug_assert_eq!(blocks.len(), have);
+            debug_assert!(data.next().is_none(), "allgather: header/data mismatch");
         }
+        debug_assert_eq!(blocks.len(), p);
         // Rotate back into local-rank order: blocks[j] is rank (r+j)%p.
         let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         for (j, b) in blocks.into_iter().enumerate() {
@@ -436,19 +409,14 @@ impl Comm {
     }
 
     fn split_impl(&self, ctx: &mut Ctx, color: u64, key: u64) -> Comm {
+        // Gather (color, key, my_rank) at local rank 0, which answers
+        // each member with its assignment: (comm_id, my_local_rank,
+        // members…).
+        let entries = self.gather_impl(ctx, 0, vec![(color, key, self.my_rank)]);
         let tag = self.next_tag(CollOp::Split);
-        let root_global = self.ranks[0];
-        // Gather (color, key, my_rank) at local rank 0.
-        if self.my_rank != 0 {
-            ctx.send_raw(root_global, self.id, tag, vec![(color, key, self.my_rank)]);
-            // Receive assignment: (comm_id, my_local_rank, members…).
-            let data = ctx.recv_raw::<u64>(root_global, self.id, tag + (1 << 7));
-            return Self::unpack_split(data);
-        }
-        let mut entries: Vec<(u64, u64, usize)> = vec![(color, key, 0)];
-        for src in 1..self.size() {
-            entries.extend(ctx.recv_raw::<(u64, u64, usize)>(self.ranks[src], self.id, tag));
-        }
+        let Some(entries) = entries.map(|e| e.concat()) else {
+            return Self::unpack_split(ctx.recv_raw::<u64>(self.ranks[0], self.id, tag));
+        };
         // Group by color.
         let mut colors: Vec<u64> = entries.iter().map(|e| e.0).collect();
         colors.sort_unstable();
@@ -470,7 +438,7 @@ impl Comm {
                 if parent_rank == 0 {
                     my_pack = Some(pack);
                 } else {
-                    ctx.send_raw(self.ranks[parent_rank], self.id, tag + (1 << 7), pack);
+                    ctx.send_raw(self.ranks[parent_rank], self.id, tag, pack);
                 }
             }
         }
@@ -497,16 +465,15 @@ fn highest_bit(x: usize) -> usize {
     1 << (usize::BITS - 1 - x.leading_zeros())
 }
 
-/// Analytic per-rank edge schedules of the collectives, for the phantom
-/// engine (`crate::engine`).
+/// Per-rank edge schedules of the collectives: the one definition of
+/// each message pattern.
 ///
-/// Each function emits, for one local rank, the exact sequence of sends
-/// and receives the threaded implementation above would perform —
-/// payloads elided, byte counts preserved. A phantom-only subtree of a
-/// binomial collective therefore costs O(edges) host work instead of
-/// O(ranks) threads. **Keep these in lockstep with the threaded
-/// implementations**: `tests/phantom_equivalence.rs` proves bitwise
-/// clock agreement at p ≤ 64 and will catch any drift.
+/// Each function emits, for one local rank, its sequence of sends and
+/// receives, in program order. The threaded [`Comm`] methods walk it
+/// with real payloads (and ignore `bytes`); the phantom engine
+/// (`crate::engine`) walks it with size-only messages, so a
+/// phantom-only subtree of a binomial collective costs O(edges) host
+/// work instead of O(ranks) threads.
 pub(crate) mod sched {
     use super::highest_bit;
 
@@ -519,44 +486,30 @@ pub(crate) mod sched {
         Recv { peer: u32 },
     }
 
-    /// Binomial fan-in to local rank 0, mirrored fan-out (`barrier`).
+    fn send(peer: usize, bytes: u64) -> Act {
+        Act::Send {
+            peer: peer as u32,
+            bytes,
+        }
+    }
+
+    fn recv(peer: usize) -> Act {
+        Act::Recv { peer: peer as u32 }
+    }
+
+    /// `barrier`: the binomial fan-in of an empty [`reduce`] to local
+    /// rank 0, then a fan-out back along the broadcast tree — which, as
+    /// ROADMAP records, forwards to a rank's farther children before
+    /// receiving from its parent.
     pub(crate) fn barrier(p: usize, r: usize, out: &mut Vec<Act>) {
-        if p == 1 {
-            return;
-        }
-        let mut k = 1;
-        while k < p {
-            if r & k != 0 {
-                out.push(Act::Send {
-                    peer: (r - k) as u32,
-                    bytes: 0,
-                });
-                break;
-            } else if r + k < p {
-                out.push(Act::Recv {
-                    peer: (r + k) as u32,
-                });
-            }
-            k <<= 1;
-        }
-        let mut k = {
-            let mut k = 1;
-            while k < p {
-                k <<= 1;
-            }
-            k >> 1
-        };
+        reduce(p, r, 0, 0, out);
+        let mut k = p.next_power_of_two() >> 1;
         while k >= 1 {
             if r & k != 0 {
-                out.push(Act::Recv {
-                    peer: (r - k) as u32,
-                });
+                out.push(recv(r - k));
                 break;
             } else if r + k < p {
-                out.push(Act::Send {
-                    peer: (r + k) as u32,
-                    bytes: 0,
-                });
+                out.push(send(r + k, 0));
             }
             k >>= 1;
         }
@@ -567,17 +520,11 @@ pub(crate) mod sched {
     pub(crate) fn bcast(p: usize, r: usize, root: usize, root_bytes: u64, out: &mut Vec<Act>) {
         let rel = (r + p - root) % p;
         if rel != 0 {
-            let k = highest_bit(rel);
-            out.push(Act::Recv {
-                peer: ((rel - k + root) % p) as u32,
-            });
+            out.push(recv((rel - highest_bit(rel) + root) % p));
         }
         let mut k = if rel == 0 { 1 } else { highest_bit(rel) << 1 };
         while rel + k < p {
-            out.push(Act::Send {
-                peer: ((rel + k + root) % p) as u32,
-                bytes: root_bytes,
-            });
+            out.push(send((rel + k + root) % p, root_bytes));
             k <<= 1;
         }
     }
@@ -589,15 +536,10 @@ pub(crate) mod sched {
         let mut k = 1;
         while k < p {
             if rel & k != 0 {
-                out.push(Act::Send {
-                    peer: ((rel - k + root) % p) as u32,
-                    bytes: my_bytes,
-                });
+                out.push(send((rel - k + root) % p, my_bytes));
                 return;
             } else if rel + k < p {
-                out.push(Act::Recv {
-                    peer: ((rel + k + root) % p) as u32,
-                });
+                out.push(recv((rel + k + root) % p));
             }
             k <<= 1;
         }
@@ -613,21 +555,16 @@ pub(crate) mod sched {
         out: &mut Vec<Act>,
     ) {
         if r != root {
-            out.push(Act::Send {
-                peer: root as u32,
-                bytes: bytes_of(r),
-            });
+            out.push(send(root, bytes_of(r)));
             return;
         }
-        for src in 0..p {
-            if src != root {
-                out.push(Act::Recv { peer: src as u32 });
-            }
-        }
+        out.extend((0..p).filter(|&src| src != root).map(recv));
     }
 
-    /// Bruck dissemination `allgather`: per round one length header
-    /// (8 bytes per block) plus the concatenated block payload.
+    /// Bruck dissemination `allgather`: each round ships the first
+    /// `cnt` blocks `have` ranks downward as a length header (8 bytes
+    /// per block) plus the concatenated block payload, and receives the
+    /// same pair from `have` ranks upward.
     pub(crate) fn allgather(
         p: usize,
         r: usize,
@@ -637,19 +574,14 @@ pub(crate) mod sched {
         let mut have = 1;
         while have < p {
             let cnt = have.min(p - have);
-            let dst = ((r + p - have) % p) as u32;
-            let src = ((r + have) % p) as u32;
-            out.push(Act::Send {
-                peer: dst,
-                bytes: 8 * cnt as u64,
-            });
+            let (dst, src) = ((r + p - have) % p, (r + have) % p);
             let data: u64 = (0..cnt).map(|j| bytes_of((r + j) % p)).sum();
-            out.push(Act::Send {
-                peer: dst,
-                bytes: data,
-            });
-            out.push(Act::Recv { peer: src });
-            out.push(Act::Recv { peer: src });
+            out.extend([
+                send(dst, 8 * cnt as u64),
+                send(dst, data),
+                recv(src),
+                recv(src),
+            ]);
             have += cnt;
         }
     }

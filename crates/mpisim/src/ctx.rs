@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use crate::clock::RankClock;
+use crate::clock::{Envelope, RankWire, Wire};
 #[cfg(feature = "faults")]
-use crate::fault::{FaultCtx, FaultPlan, FaultStats, MsgFault};
+use crate::fault::{FaultPlan, FaultStats};
 use crate::netmodel::NetModel;
 use crate::topology::Torus3d;
 
@@ -18,14 +18,7 @@ pub(crate) struct Message {
     pub src: usize,
     pub comm_id: u64,
     pub tag: u64,
-    pub bytes: usize,
-    /// Sender's virtual time at which the message hit the wire.
-    pub send_ready: f64,
-    pub hops: usize,
-    /// Injected fault, drawn deterministically by the sender and paid
-    /// for (in virtual time) by the receiver.
-    #[cfg(feature = "faults")]
-    pub fault: MsgFault,
+    pub env: Envelope,
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -57,27 +50,21 @@ impl greem_obs::Observe for CommStats {
 
 /// The execution context of one simulated rank.
 ///
-/// Owns the rank's mailbox, its virtual clock, and its two network port
-/// occupancy times (injection and drain). All timing state is private to
-/// the rank, which is what makes the simulated times deterministic.
+/// Owns the rank's mailbox and its wire charge: virtual clock, port
+/// occupancy, traffic counters and fault state. All timing state is
+/// private to the rank, which is what makes the simulated times
+/// deterministic.
 pub struct Ctx {
     pub(crate) rank: usize,
     pub(crate) size: usize,
     pub(crate) inbox: Receiver<Message>,
     pub(crate) pending: Vec<Message>,
     pub(crate) outboxes: Vec<Sender<Message>>,
-    pub(crate) topo: Torus3d,
-    pub(crate) net: NetModel,
-    /// Virtual clock + port occupancy; the arithmetic lives in
-    /// [`RankClock`] so the phantom engine replays it bit-for-bit.
-    pub(crate) clock: RankClock,
+    pub(crate) wire: Wire,
+    /// The charge the phantom engine replays bit-for-bit.
+    pub(crate) charge: RankWire,
     /// Shared counter for allocating communicator ids.
     pub(crate) comm_counter: Arc<AtomicU64>,
-    pub(crate) stats: CommStats,
-    /// Fault-injection state; `None` costs one branch per hook and is
-    /// the only overhead a fault-free world pays.
-    #[cfg(feature = "faults")]
-    pub(crate) faults: Option<Box<FaultCtx>>,
 }
 
 impl Ctx {
@@ -93,57 +80,38 @@ impl Ctx {
 
     /// The torus topology the world runs on.
     pub fn topology(&self) -> Torus3d {
-        self.topo
+        self.wire.topo
     }
 
     /// The network cost model in force.
     pub fn net_model(&self) -> NetModel {
-        self.net
+        self.wire.net
     }
 
     /// This rank's virtual clock in simulated seconds. Advanced by
     /// message transfers (per the [`NetModel`]) and by [`Ctx::compute`].
     pub fn vtime(&self) -> f64 {
-        self.clock.vtime
+        self.charge.clock.vtime
     }
 
     /// Advance the virtual clock by `seconds` of modelled computation.
     /// On a straggler rank (see [`crate::FaultPlan`]) the charge is
     /// scaled up by the slowdown factor.
     pub fn compute(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        #[cfg(feature = "faults")]
-        let seconds = match &mut self.faults {
-            Some(f) => {
-                let factor = f.plan.straggler_factor(self.rank, f.step);
-                if factor > 1.0 {
-                    f.stats.straggler_vtime += seconds * (factor - 1.0);
-                }
-                seconds * factor
-            }
-            None => seconds,
-        };
-        self.clock.compute(seconds);
+        self.charge.compute(self.rank, seconds);
         self.obs_sync();
-    }
-
-    /// Force the virtual clock to at least `t` (used by barriers).
-    pub(crate) fn advance_to(&mut self, t: f64) {
-        if self.clock.advance_to(t) {
-            self.obs_sync();
-        }
     }
 
     /// Mirror the virtual clock into the tracer's thread-local copy so
     /// spans recorded on this rank thread carry virtual timestamps.
     #[inline]
     pub(crate) fn obs_sync(&self) {
-        greem_obs::trace::set_vtime(self.clock.vtime);
+        greem_obs::trace::set_vtime(self.charge.clock.vtime);
     }
 
     /// Communication counters so far.
     pub fn comm_stats(&self) -> CommStats {
-        self.stats
+        self.charge.stats
     }
 
     /// Send `data` to global rank `dest` with a `(comm_id, tag)` match
@@ -158,51 +126,22 @@ impl Ctx {
         data: Vec<T>,
     ) {
         let bytes = std::mem::size_of::<T>() * data.len();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        if dest == self.rank {
-            // Pure memcpy: charge the self-transfer and bypass the NIC.
-            let ready = self.clock.charge_self_send(&self.net, bytes);
-            self.obs_sync();
-            self.pending.push(Message {
-                src: self.rank,
-                comm_id,
-                tag,
-                bytes,
-                send_ready: ready,
-                hops: 0,
-                #[cfg(feature = "faults")]
-                fault: MsgFault::default(),
-                payload: Box::new(data),
-            });
-            return;
-        }
-        let send_ready = self.clock.charge_send(&self.net, bytes);
+        let env = self.charge.send(&self.wire, self.rank, dest, bytes);
         self.obs_sync();
-        let hops = self.topo.hops(self.rank, dest);
-        self.stats.hops_sent += hops as u64;
-        // Message faults are drawn at send time (so the schedule is a
-        // pure function of the seed and each sender's program order)
-        // but charged at the receiver.
-        #[cfg(feature = "faults")]
-        let fault = match &mut self.faults {
-            Some(f) => f.next_msg_fault(self.rank, dest),
-            None => MsgFault::default(),
-        };
         let msg = Message {
             src: self.rank,
             comm_id,
             tag,
-            bytes,
-            send_ready,
-            hops,
-            #[cfg(feature = "faults")]
-            fault,
+            env,
             payload: Box::new(data),
         };
-        self.outboxes[dest]
-            .send(msg)
-            .expect("mpisim: peer rank hung up (it panicked or returned early)");
+        if dest == self.rank {
+            self.pending.push(msg);
+        } else {
+            self.outboxes[dest]
+                .send(msg)
+                .expect("mpisim: peer rank hung up (it panicked or returned early)");
+        }
     }
 
     /// Receive the message matching `(src, comm_id, tag)`, blocking the
@@ -216,20 +155,10 @@ impl Ctx {
         tag: u64,
     ) -> Vec<T> {
         let msg = self.take_matching(src, comm_id, tag);
-        if msg.src != self.rank {
-            #[allow(unused_mut)]
-            let mut arrival = msg.send_ready + self.net.latency(msg.hops);
-            #[cfg(feature = "faults")]
-            if !msg.fault.is_clean() {
-                arrival += self.apply_msg_fault(&msg.fault);
-            }
-            self.clock.charge_recv(&self.net, arrival, msg.bytes);
-            self.obs_sync();
-        } else {
-            self.advance_to(msg.send_ready);
-        }
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += msg.bytes as u64;
+        // Fault instants fire inside the charge, before this sync, so
+        // they carry the pre-receive virtual time.
+        self.charge.recv(&self.wire, msg.src == self.rank, &msg.env);
+        self.obs_sync();
         *msg.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
             panic!(
                 "mpisim: type mismatch receiving (src={src}, comm={comm_id}, tag={tag}) at rank {}",
@@ -238,36 +167,12 @@ impl Ctx {
         })
     }
 
-    /// Account an injected message fault at the receiver: bump the
-    /// counters, emit trace instants, and return the extra arrival
-    /// latency (injected delay + one backed-off timeout per drop).
-    #[cfg(feature = "faults")]
-    fn apply_msg_fault(&mut self, fault: &MsgFault) -> f64 {
-        let f = self
-            .faults
-            .as_mut()
-            .expect("mpisim: faulty message received but no plan attached");
-        let cost = f.plan.fault_cost(fault);
-        if fault.drops > 0 {
-            f.stats.messages_dropped += 1;
-            f.stats.retries += fault.drops as u64;
-            f.stats.retry_vtime += cost - fault.delay;
-            greem_obs::trace::instant("fault", "fault.msg_drop", &[("drops", fault.drops as f64)]);
-        }
-        if fault.delay > 0.0 {
-            f.stats.messages_delayed += 1;
-            f.stats.delay_vtime += fault.delay;
-            greem_obs::trace::instant("fault", "fault.msg_delay", &[("delay_s", fault.delay)]);
-        }
-        cost
-    }
-
     /// Set the step index used by step-indexed faults (crash schedules,
     /// straggler windows). Step drivers call this once per step; a
     /// plan-less context ignores it.
     #[cfg(feature = "faults")]
     pub fn set_fault_step(&mut self, step: u64) {
-        if let Some(f) = &mut self.faults {
+        if let Some(f) = &mut self.charge.faults {
             f.step = step;
         }
     }
@@ -277,7 +182,7 @@ impl Ctx {
     #[cfg(feature = "faults")]
     pub fn take_crash(&mut self) -> bool {
         let rank = self.rank;
-        match &mut self.faults {
+        match &mut self.charge.faults {
             Some(f) => {
                 let fired = f.take_crash(rank);
                 if fired {
@@ -292,25 +197,31 @@ impl Ctx {
     /// Fault counters so far (all zero without a plan).
     #[cfg(feature = "faults")]
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.charge
+            .faults
+            .as_ref()
+            .map(|f| f.stats)
+            .unwrap_or_default()
     }
 
     /// The fault plan this world was built with, if any.
     #[cfg(feature = "faults")]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan.as_ref())
+        self.charge.faults.as_ref().map(|f| f.plan.as_ref())
     }
 
     /// Pull messages from the mailbox until one matches, stashing the
     /// rest. Out-of-order arrival is therefore harmless, like MPI's
-    /// matching rules.
+    /// matching rules, and the stash keeps arrival order, so messages
+    /// with one `(source, tag)` are received in the order they were sent
+    /// (MPI's non-overtaking rule).
     fn take_matching(&mut self, src: usize, comm_id: u64, tag: u64) -> Message {
         if let Some(i) = self
             .pending
             .iter()
             .position(|m| m.src == src && m.comm_id == comm_id && m.tag == tag)
         {
-            return self.pending.swap_remove(i);
+            return self.pending.remove(i);
         }
         loop {
             let m = self

@@ -3,28 +3,24 @@
 //!
 //! Full-thread mode spends one OS thread, one mailbox and real payload
 //! buffers per rank — fine at p ≤ 64, hopeless at the paper's 82944.
-//! This engine keeps only a [`RankClock`] and a handful of counters per
-//! rank and *replays* the script: compute ops are a tight loop over all
-//! ranks; collectives run their analytic edge schedules
-//! ([`crate::comm::sched`]) through a run-to-blocking-recv event loop,
-//! in which a rank executes its actions until it needs a message that
-//! has not been sent yet, parks on that edge, and is rescheduled by the
+//! This engine keeps only a [`RankWire`] per rank and *replays* the
+//! script: compute ops are a loop over all ranks; collectives walk the
+//! edge schedules of [`crate::comm::sched`] — the ones the threaded
+//! collectives walk — through a run-to-blocking-recv event loop, in
+//! which a rank executes its actions until it needs a message that has
+//! not been sent yet, parks on that edge, and is rescheduled by the
 //! send. Host work is O(total edges) — for binomial collectives
-//! O(active ranks · log p) — and messages are size-only records
-//! (`send_ready`, bytes, hops, fault draw), payloads elided.
+//! O(active ranks · log p) — and messages are size-only [`Envelope`]s,
+//! payloads elided.
 //!
-//! Because every clock mutation goes through the same [`RankClock`]
-//! arithmetic as the threaded runtime, and per-rank program order is
-//! preserved (the event loop only ever *delays* a rank, never reorders
-//! its own actions), the resulting timelines are bitwise identical to
-//! full-thread mode — see `tests/phantom_equivalence.rs` and
-//! DESIGN.md §16.
-//!
-//! Fault injection composes: message faults are drawn from the plan's
-//! pure `(seed, src, dst, seq)` hash at send time exactly as the
-//! threaded runtime draws them, so a seeded schedule replays
-//! identically. Per-rank fault state is allocated only when the plan
-//! can actually fire (no per-phantom allocation on a quiet plan).
+//! Every charge goes through the same [`RankWire`] methods as the
+//! threaded runtime, seeded fault draws included, and per-rank program
+//! order is preserved (the event loop only ever *delays* a rank, never
+//! reorders its own actions), so the resulting timelines are bitwise
+//! identical to full-thread mode — see `tests/phantom_equivalence.rs`,
+//! `tests/clock_golden.rs` and DESIGN.md §16. Per-rank fault state is
+//! allocated only when the plan can actually fire (no per-phantom
+//! allocation on a quiet plan).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -32,25 +28,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clock::RankClock;
+use crate::clock::{Envelope, RankWire, Wire};
 use crate::comm::sched::{self, Act};
-use crate::ctx::CommStats;
 #[cfg(feature = "faults")]
-use crate::fault::{FaultPlan, FaultStats, MsgFault};
-use crate::netmodel::NetModel;
+use crate::fault::{FaultCtx, FaultPlan};
 use crate::script::{
-    CollKind, EngineReport, RankBytes, RankTimeline, Scope, Script, ScriptOp, ScriptOutcome,
+    self, CollKind, EngineReport, RankBytes, RankTimeline, Scope, Script, ScriptOp, ScriptOutcome,
 };
-use crate::topology::Torus3d;
-
-/// A message in flight, payload elided.
-struct MsgRec {
-    send_ready: f64,
-    bytes: usize,
-    hops: usize,
-    #[cfg(feature = "faults")]
-    fault: MsgFault,
-}
 
 /// Directed-edge key (local src, local dst) within one group.
 #[inline]
@@ -59,28 +43,15 @@ fn edge(src: u32, dst: u32) -> u64 {
 }
 
 pub(crate) struct Engine {
-    n: usize,
-    topo: Torus3d,
-    net: NetModel,
-    #[cfg(feature = "faults")]
-    plan: Option<Arc<FaultPlan>>,
-    clocks: Vec<RankClock>,
-    stats: Vec<CommStats>,
-    /// Allocated only when the plan can charge anything.
-    #[cfg(feature = "faults")]
-    fstats: Option<Vec<FaultStats>>,
-    /// Per-rank send sequence; allocated only when message faults can
-    /// fire (O(1) cost for phantom ranks on quieter plans).
-    #[cfg(feature = "faults")]
-    send_seq: Option<Vec<u64>>,
-    #[cfg(feature = "faults")]
-    step: u64,
+    wire: Wire,
+    /// Every rank's charge; fault state only when the plan can fire.
+    ranks: Vec<RankWire>,
     // Reusable per-collective scratch.
     acts: Vec<Act>,
     offsets: Vec<u32>,
     pc: Vec<u32>,
     runnable: Vec<u32>,
-    mailbox: HashMap<u64, VecDeque<MsgRec>>,
+    mailbox: HashMap<u64, VecDeque<Envelope>>,
     waiting: HashMap<u64, ()>,
     messages: u64,
     suspensions: u64,
@@ -89,31 +60,20 @@ pub(crate) struct Engine {
 impl Engine {
     pub(crate) fn new(
         n: usize,
-        topo: Torus3d,
-        net: NetModel,
+        wire: Wire,
         #[cfg(feature = "faults")] plan: Option<Arc<FaultPlan>>,
     ) -> Self {
         #[cfg(feature = "faults")]
-        let active = plan
-            .as_ref()
-            .map(|p| p.has_msg_faults() || p.has_stragglers())
-            .unwrap_or(false);
-        #[cfg(feature = "faults")]
-        let msg_faults = plan.as_ref().map(|p| p.has_msg_faults()).unwrap_or(false);
+        let plan = plan.filter(|p| p.has_msg_faults() || p.has_stragglers());
         Engine {
-            n,
-            topo,
-            net,
-            #[cfg(feature = "faults")]
-            plan,
-            clocks: vec![RankClock::default(); n],
-            stats: vec![CommStats::default(); n],
-            #[cfg(feature = "faults")]
-            fstats: active.then(|| vec![FaultStats::default(); n]),
-            #[cfg(feature = "faults")]
-            send_seq: msg_faults.then(|| vec![0u64; n]),
-            #[cfg(feature = "faults")]
-            step: 0,
+            wire,
+            ranks: (0..n)
+                .map(|_| RankWire {
+                    #[cfg(feature = "faults")]
+                    faults: plan.clone().map(|p| Box::new(FaultCtx::new(p))),
+                    ..Default::default()
+                })
+                .collect(),
             acts: Vec::new(),
             offsets: Vec::new(),
             pc: Vec::new(),
@@ -127,27 +87,30 @@ impl Engine {
 
     pub(crate) fn run(mut self, script: &Script, reps: &[usize]) -> ScriptOutcome {
         let t0 = Instant::now();
-        let n = self.n;
+        let n = self.ranks.len();
         let np = script.phases.len();
         let mut phase_v = vec![0.0f64; n * np];
         let mut prev = vec![0.0f64; n];
         let world_members: Vec<u32> = (0..n as u32).collect();
+        let mut members: Vec<u32> = Vec::new();
         for (i, op) in script.ops.iter().enumerate() {
             let pi = script.op_phase[i];
             if pi != usize::MAX {
-                for (p, c) in prev.iter_mut().zip(&self.clocks) {
-                    *p = c.vtime;
+                for (p, w) in prev.iter_mut().zip(&self.ranks) {
+                    *p = w.clock.vtime;
                 }
             }
             match op {
                 ScriptOp::SetStep(_step) => {
                     #[cfg(feature = "faults")]
-                    {
-                        self.step = *_step;
+                    for f in self.ranks.iter_mut().filter_map(|w| w.faults.as_mut()) {
+                        f.step = *_step;
                     }
                 }
                 ScriptOp::Compute { seconds, work } => {
-                    self.run_compute(seconds.as_ref());
+                    for (r, w) in self.ranks.iter_mut().enumerate() {
+                        w.compute(r, seconds(r));
+                    }
                     if let Some(w) = work {
                         for &r in reps {
                             w(r);
@@ -157,31 +120,18 @@ impl Engine {
                 ScriptOp::Collective { kind, bytes, scope } => match scope {
                     Scope::World => self.run_group(&world_members, *kind, bytes),
                     Scope::Groups(color) => {
-                        // Partition by (color, rank): contiguous runs are
-                        // the groups, members ascending — the same order
-                        // the threaded interpreter derives.
-                        let mut keyed: Vec<(u64, u32)> =
-                            (0..n as u32).map(|r| (color(r as usize), r)).collect();
-                        keyed.sort_unstable();
-                        let mut lo = 0;
-                        let mut members: Vec<u32> = Vec::new();
-                        while lo < keyed.len() {
-                            let c = keyed[lo].0;
-                            let hi = keyed[lo..]
-                                .iter()
-                                .position(|&(cc, _)| cc != c)
-                                .map_or(keyed.len(), |d| lo + d);
+                        let groups = script::partition(n, color);
+                        for g in groups.chunk_by(|a, b| a.0 == b.0) {
                             members.clear();
-                            members.extend(keyed[lo..hi].iter().map(|&(_, r)| r));
+                            members.extend(g.iter().map(|&(_, r)| r));
                             self.run_group(&members, *kind, bytes);
-                            lo = hi;
                         }
                     }
                 },
             }
             if pi != usize::MAX {
                 for r in 0..n {
-                    phase_v[r * np + pi] += self.clocks[r].vtime - prev[r];
+                    phase_v[r * np + pi] += self.ranks[r].clock.vtime - prev[r];
                 }
             }
         }
@@ -192,12 +142,12 @@ impl Engine {
             suspensions: self.suspensions,
             wall_s: t0.elapsed().as_secs_f64(),
         };
-        let timelines = (0..n)
-            .map(|r| RankTimeline {
-                vtime: self.clocks[r].vtime,
-                stats: self.stats[r],
+        let timelines = (self.ranks.iter().enumerate())
+            .map(|(r, w)| RankTimeline {
+                vtime: w.clock.vtime,
+                stats: w.stats,
                 #[cfg(feature = "faults")]
-                fault_stats: self.fstats.as_ref().map(|v| v[r]).unwrap_or_default(),
+                fault_stats: w.faults.as_ref().map(|f| f.stats).unwrap_or_default(),
                 phase_vtime: phase_v[r * np..(r + 1) * np].to_vec(),
             })
             .collect();
@@ -205,35 +155,6 @@ impl Engine {
             phases: script.phases.clone(),
             timelines,
             engine: Some(engine),
-        }
-    }
-
-    /// Vectorised compute charge — the phantom fast path for the cost
-    /// rows every rank replays.
-    fn run_compute(&mut self, seconds: &(dyn Fn(usize) -> f64 + Send + Sync)) {
-        #[cfg(feature = "faults")]
-        if let Some(plan) = self.plan.clone() {
-            // The threaded runtime multiplies by the straggler factor
-            // whenever a plan is attached; factor 1.0 is a bitwise
-            // no-op, so the straggler-free fast path below is exact.
-            if plan.has_stragglers() {
-                let fstats = self.fstats.as_mut().expect("fstats live with stragglers");
-                for (r, fs) in fstats.iter_mut().enumerate() {
-                    let s = seconds(r);
-                    debug_assert!(s >= 0.0);
-                    let factor = plan.straggler_factor(r, self.step);
-                    if factor > 1.0 {
-                        fs.straggler_vtime += s * (factor - 1.0);
-                    }
-                    self.clocks[r].compute(s * factor);
-                }
-                return;
-            }
-        }
-        for r in 0..self.n {
-            let s = seconds(r);
-            debug_assert!(s >= 0.0);
-            self.clocks[r].compute(s);
         }
     }
 
@@ -285,33 +206,13 @@ impl Engine {
             while self.pc[l as usize] < end {
                 match self.acts[self.pc[l as usize] as usize] {
                     Act::Send { peer, bytes } => {
-                        let bytes = bytes as usize;
                         let dst = members[peer as usize] as usize;
-                        self.stats[me].messages_sent += 1;
-                        self.stats[me].bytes_sent += bytes as u64;
-                        let send_ready = self.clocks[me].charge_send(&self.net, bytes);
-                        let hops = self.topo.hops(me, dst);
-                        self.stats[me].hops_sent += hops as u64;
-                        #[cfg(feature = "faults")]
-                        let fault = match (&self.plan, &mut self.send_seq) {
-                            (Some(plan), Some(seq)) => {
-                                let s = seq[me];
-                                seq[me] += 1;
-                                plan.draw_msg(me, dst, s)
-                            }
-                            _ => MsgFault::default(),
-                        };
+                        let env = self.ranks[me].send(&self.wire, me, dst, bytes as usize);
                         self.messages += 1;
                         self.mailbox
                             .entry(edge(l, peer))
                             .or_default()
-                            .push_back(MsgRec {
-                                send_ready,
-                                bytes,
-                                hops,
-                                #[cfg(feature = "faults")]
-                                fault,
-                            });
+                            .push_back(env);
                         self.pc[l as usize] += 1;
                         if self.waiting.remove(&edge(l, peer)).is_some() {
                             self.runnable.push(peer);
@@ -319,18 +220,9 @@ impl Engine {
                     }
                     Act::Recv { peer } => {
                         let key = edge(peer, l);
-                        let msg = self.mailbox.get_mut(&key).and_then(|q| q.pop_front());
-                        match msg {
-                            Some(m) => {
-                                #[allow(unused_mut)]
-                                let mut arrival = m.send_ready + self.net.latency(m.hops);
-                                #[cfg(feature = "faults")]
-                                if !m.fault.is_clean() {
-                                    arrival += self.apply_msg_fault(me, &m.fault);
-                                }
-                                self.clocks[me].charge_recv(&self.net, arrival, m.bytes);
-                                self.stats[me].messages_received += 1;
-                                self.stats[me].bytes_received += m.bytes as u64;
+                        match self.mailbox.get_mut(&key).and_then(|q| q.pop_front()) {
+                            Some(env) => {
+                                self.ranks[me].recv(&self.wire, false, &env);
                                 self.pc[l as usize] += 1;
                             }
                             None => {
@@ -347,30 +239,5 @@ impl Engine {
             (0..g).all(|l| self.pc[l] == self.offsets[l + 1]),
             "phantom engine: collective deadlocked (schedule bug)"
         );
-    }
-
-    /// Mirror of `Ctx::apply_msg_fault`, without trace instants.
-    #[cfg(feature = "faults")]
-    fn apply_msg_fault(&mut self, rank: usize, fault: &MsgFault) -> f64 {
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("faulty message without a plan attached");
-        let cost = plan.fault_cost(fault);
-        let fstats = self
-            .fstats
-            .as_mut()
-            .expect("fstats live when message faults fire");
-        let fs = &mut fstats[rank];
-        if fault.drops > 0 {
-            fs.messages_dropped += 1;
-            fs.retries += fault.drops as u64;
-            fs.retry_vtime += cost - fault.delay;
-        }
-        if fault.delay > 0.0 {
-            fs.messages_delayed += 1;
-            fs.delay_vtime += fault.delay;
-        }
-        cost
     }
 }

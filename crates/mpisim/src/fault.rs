@@ -10,7 +10,8 @@
 //! sequence)` — the same plan replays the same schedule bit-for-bit,
 //! regardless of host-thread timing.
 //!
-//! The injection points live in [`Ctx`](crate::Ctx):
+//! The injection points live in the per-rank wire charge that the
+//! threaded [`Ctx`](crate::Ctx) and the phantom engine share:
 //!
 //! * **Stragglers** scale [`Ctx::compute`](crate::Ctx::compute) — every
 //!   modelled compute charge on a slowed rank takes `factor`× longer on
@@ -253,16 +254,15 @@ impl FaultPlan {
         self.crashes.iter().any(|&(r, s)| r == rank && s == step)
     }
 
-    /// True when the plan can inject message faults at all. The phantom
-    /// engine keys its per-rank send-sequence allocation off this, so a
-    /// plan with only crashes/stragglers costs phantom ranks nothing.
+    /// True when the plan can inject message faults at all. With
+    /// [`FaultPlan::has_stragglers`] it decides whether the phantom
+    /// engine allocates per-rank fault state, so a crash-only plan costs
+    /// phantom ranks nothing.
     pub fn has_msg_faults(&self) -> bool {
         self.drop_prob > 0.0 || self.delay_prob > 0.0
     }
 
-    /// True when any straggler window exists (on any rank). A false
-    /// here lets the engine's compute fast path skip the per-rank
-    /// factor lookup entirely.
+    /// True when any straggler window exists (on any rank).
     pub fn has_stragglers(&self) -> bool {
         !self.stragglers.is_empty()
     }
@@ -367,6 +367,44 @@ impl FaultCtx {
         let seq = self.send_seq;
         self.send_seq += 1;
         self.plan.draw_msg(src, dst, seq)
+    }
+
+    /// Account an injected message fault at the receiver: bump the
+    /// counters, emit `fault.*` trace instants when `trace` is set, and
+    /// return the extra arrival latency (injected delay + one backed-off
+    /// timeout per drop).
+    pub(crate) fn apply_msg_fault(&mut self, fault: &MsgFault, trace: bool) -> f64 {
+        let cost = self.plan.fault_cost(fault);
+        if fault.drops > 0 {
+            self.stats.messages_dropped += 1;
+            self.stats.retries += fault.drops as u64;
+            self.stats.retry_vtime += cost - fault.delay;
+            if trace {
+                greem_obs::trace::instant(
+                    "fault",
+                    "fault.msg_drop",
+                    &[("drops", fault.drops as f64)],
+                );
+            }
+        }
+        if fault.delay > 0.0 {
+            self.stats.messages_delayed += 1;
+            self.stats.delay_vtime += fault.delay;
+            if trace {
+                greem_obs::trace::instant("fault", "fault.msg_delay", &[("delay_s", fault.delay)]);
+            }
+        }
+        cost
+    }
+
+    /// Scale `seconds` of `rank`'s compute by its straggler factor at
+    /// the current step, counting the extra time.
+    pub(crate) fn straggle(&mut self, rank: usize, seconds: f64) -> f64 {
+        let factor = self.plan.straggler_factor(rank, self.step);
+        if factor > 1.0 {
+            self.stats.straggler_vtime += seconds * (factor - 1.0);
+        }
+        seconds * factor
     }
 
     /// Fire the crash scheduled for `rank` at the current step, at most

@@ -8,7 +8,7 @@
 //! * communicators, including [`Comm::split`] (the paper builds
 //!   `COMM_FFT`, `COMM_SMALLA2A` and `COMM_REDUCE` with
 //!   `MPI_Comm_split`, §II-B),
-//! * point-to-point [`Ctx::send`] / [`Ctx::recv`] with `(source, tag)`
+//! * point-to-point [`Comm::send`] / [`Comm::recv`] with `(source, tag)`
 //!   matching,
 //! * the collectives GreeM calls: `Alltoallv`, `Reduce`, `Bcast`,
 //!   `Allreduce`, `Gather`, `Allgather`, `Barrier`.
@@ -52,7 +52,11 @@
 //! single-threaded event engine replays the cost schedule for every
 //! rank with payloads elided (bytes/hops/vtime preserved), making
 //! full-machine worlds cheap while staying **bitwise identical** to
-//! the threaded runtime — see [`script`] and DESIGN.md §16.
+//! the threaded runtime. The two share rather than copy: each
+//! collective's message pattern is defined once (`comm::sched`) and
+//! every message and compute charge is made once (`clock::RankWire`);
+//! `tests/clock_golden.rs` pins the resulting clock bits. See
+//! [`script`] and DESIGN.md §16.
 
 #![forbid(unsafe_code)]
 

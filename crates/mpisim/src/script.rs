@@ -15,8 +15,10 @@
 //!   ranks run the script's real-work hooks.
 //!
 //! Both modes produce identical per-rank [`RankTimeline`]s — bitwise,
-//! down to the f64 virtual clocks — which is test-enforced at p ≤ 64
-//! (`tests/phantom_equivalence.rs`) and documented in DESIGN.md §16.
+//! down to the f64 virtual clocks — because they walk the same edge
+//! schedules and charge them through the same per-rank wire charge.
+//! `tests/phantom_equivalence.rs` checks the agreement at p ≤ 64 and
+//! `tests/clock_golden.rs` pins the bits; see DESIGN.md §16.
 //!
 //! Scripts express the collectives the weak-scaling campaign needs
 //! (barrier, bcast, reduce, allreduce, gather, allgather), world-wide
@@ -354,16 +356,13 @@ impl ScriptOutcome {
     }
 }
 
-/// Group members and the caller's local index, for `Scope::Groups`,
-/// computed by brute force (full-thread mode only runs at small p).
-fn group_members(n: usize, rank: usize, color: &RankColor) -> (Vec<usize>, usize) {
-    let mine = color(rank);
-    let members: Vec<usize> = (0..n).filter(|&r| color(r) == mine).collect();
-    let my_local = members
-        .iter()
-        .position(|&r| r == rank)
-        .expect("group color fn must be deterministic");
-    (members, my_local)
+/// The groups of a `Scope::Groups` collective over `n` ranks, derived
+/// once for both execution modes: `(color, rank)` pairs sorted, so each
+/// run of equal colors is one group with its members ascending.
+pub(crate) fn partition(n: usize, color: &RankColor) -> Vec<(u64, u32)> {
+    let mut keyed: Vec<(u64, u32)> = (0..n as u32).map(|r| (color(r as usize), r)).collect();
+    keyed.sort_unstable();
+    keyed
 }
 
 /// Execute `script` on one rank of a full-thread world. The collective
@@ -390,7 +389,13 @@ pub(crate) fn interpret_threaded(script: &Script, ctx: &mut Ctx, world: &Comm) -
             ScriptOp::Collective { kind, bytes, scope } => match scope {
                 Scope::World => run_collective(ctx, world, *kind, bytes, rank),
                 Scope::Groups(color) => {
-                    let (members, my_local) = group_members(n, rank, color);
+                    let me = (color(rank), rank as u32);
+                    let groups = partition(n, color);
+                    let mine = (groups.chunk_by(|a, b| a.0 == b.0))
+                        .find(|g| g.contains(&me))
+                        .expect("group color fn must be deterministic");
+                    let members: Vec<usize> = mine.iter().map(|&(_, r)| r as usize).collect();
+                    let my_local = members.partition_point(|&r| r < rank);
                     let comm =
                         Comm::subset(SCRIPT_COMM_BASE + i as u64, Arc::new(members), my_local);
                     run_collective(ctx, &comm, *kind, bytes, rank);

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::unbounded;
 
+use crate::clock::{RankWire, Wire};
 use crate::comm::Comm;
 use crate::ctx::{Ctx, Message};
 use crate::engine::Engine;
@@ -106,10 +107,14 @@ impl World {
     /// fraction of the host cost, making 10⁴–10⁵-rank worlds cheap.
     pub fn run_script(mut self, script: &Script) -> ScriptOutcome {
         if let Some(reps) = self.phantoms.take() {
+            let wire = Wire {
+                net: self.net,
+                topo: self.topo,
+                trace: false,
+            };
             let engine = Engine::new(
                 self.n,
-                self.topo,
-                self.net,
+                wire,
                 #[cfg(feature = "faults")]
                 self.faults.clone(),
             );
@@ -144,6 +149,11 @@ impl World {
         let senders = Arc::new(senders);
         let comm_counter = Arc::new(AtomicU64::new(1)); // id 0 = world
         let f = &f;
+        let wire = Wire {
+            net: self.net,
+            topo: self.topo,
+            trace: true,
+        };
 
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -151,8 +161,6 @@ impl World {
             for (rank, inbox) in receivers.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
                 let comm_counter = Arc::clone(&comm_counter);
-                let topo = self.topo;
-                let net = self.net;
                 #[cfg(feature = "faults")]
                 let plan = self.faults.clone();
                 handles.push(scope.spawn(move || {
@@ -162,13 +170,13 @@ impl World {
                         inbox,
                         pending: Vec::new(),
                         outboxes: senders.as_ref().clone(),
-                        topo,
-                        net,
-                        clock: Default::default(),
+                        wire,
+                        charge: RankWire {
+                            #[cfg(feature = "faults")]
+                            faults: plan.map(|p| Box::new(FaultCtx::new(p))),
+                            ..Default::default()
+                        },
                         comm_counter,
-                        stats: Default::default(),
-                        #[cfg(feature = "faults")]
-                        faults: plan.map(|p| Box::new(FaultCtx::new(p))),
                     };
                     // Tag this host thread as rank `rank` for the tracer
                     // and seed its virtual clock, so spans recorded inside

@@ -33,6 +33,39 @@ fn p2p_tag_matching_reorders() {
 }
 
 #[test]
+fn p2p_self_sends_keep_send_order() {
+    // MPI's non-overtaking rule: messages with one (source, tag) are
+    // received in the order they were sent.
+    World::new(1).run(|ctx, world| {
+        for i in 0..3u32 {
+            world.send(ctx, 0, 4, vec![i]);
+        }
+        let got: Vec<u32> = (0..3).map(|_| world.recv::<u32>(ctx, 0, 4)[0]).collect();
+        assert_eq!(got, vec![0, 1, 2]);
+    });
+}
+
+#[test]
+fn p2p_stashed_messages_keep_send_order() {
+    // Receiving tag 6 first stashes the three tag-5 messages; they must
+    // still come out in send order.
+    World::new(2).run(|ctx, world| {
+        if world.rank() == 0 {
+            for tag in [5, 6] {
+                for i in 0..3u32 {
+                    world.send(ctx, 1, tag, vec![i]);
+                }
+            }
+        } else {
+            for tag in [6, 5] {
+                let got: Vec<u32> = (0..3).map(|_| world.recv::<u32>(ctx, 0, tag)[0]).collect();
+                assert_eq!(got, vec![0, 1, 2], "tag {tag}");
+            }
+        }
+    });
+}
+
+#[test]
 fn p2p_self_send() {
     World::new(1).run(|ctx, world| {
         world.send(ctx, 0, 3, vec![99u8]);

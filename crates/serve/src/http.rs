@@ -52,14 +52,34 @@ impl Request {
     }
 }
 
+/// Read one head line into `line` through the `MAX_HEAD` budget that
+/// `head_bytes` has not used yet, so a hostile peer can make us buffer
+/// at most `MAX_HEAD` bytes. A line that fills the budget without
+/// ending is refused. Returns the bytes read (0 at end of stream).
+fn read_head_line(
+    stream: &mut BufReader<TcpStream>,
+    head_bytes: &mut usize,
+    line: &mut String,
+) -> Result<usize, String> {
+    let left = MAX_HEAD - *head_bytes;
+    let n = stream
+        .take(left as u64)
+        .read_line(line)
+        .map_err(|e| format!("read request head: {e}"))?;
+    if n == left && !line.ends_with('\n') {
+        return Err("request head too large".into());
+    }
+    *head_bytes += n;
+    Ok(n)
+}
+
 /// Read and parse one request from the stream. `Ok(None)` means the
 /// peer closed before sending anything (normal keep-alive teardown).
 pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<Request>, String> {
+    let mut head_bytes = 0;
     let mut line = String::new();
-    match stream.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(format!("read request line: {e}")),
+    if read_head_line(stream, &mut head_bytes, &mut line)? == 0 {
+        return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
@@ -70,16 +90,9 @@ pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<Request>
     };
 
     let mut headers = Vec::new();
-    let mut head_bytes = line.len();
     loop {
         let mut h = String::new();
-        stream
-            .read_line(&mut h)
-            .map_err(|e| format!("read header: {e}"))?;
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD {
-            return Err("request head too large".into());
-        }
+        read_head_line(stream, &mut head_bytes, &mut h)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -435,5 +448,26 @@ mod tests {
         stream.write_all(head.as_bytes()).unwrap();
         stream.flush().unwrap();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn unterminated_head_is_capped() {
+        // 1 MiB of one unbroken token and no newline: the server must
+        // stop at MAX_HEAD and refuse, not buffer the whole MiB.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            // The server may hang up mid-write once it has refused.
+            if stream.write_all(&vec![b'a'; 1 << 20]).is_ok() {
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err, "request head too large");
+        drop(reader);
+        client.join().unwrap();
     }
 }

@@ -745,35 +745,63 @@ mod tests {
 
     #[test]
     fn point_json_records_artifact_sizes_and_agg_embeds_quantiles() {
-        let pt = run_point(16, 1, true);
-        let mut w = greem_obs::json::JsonWriter::new();
-        w.begin_obj(None);
-        write_point(&pt, &mut w, true);
-        w.end_obj();
-        let v = greem_obs::json::parse(&w.finish()).expect("point JSON parses");
-        assert!(v.get("telemetry_bytes").and_then(|x| x.as_f64()).unwrap() > 0.0);
-        assert!(
-            v.get("full_timeline_bytes")
+        let json_of = |pt: &WeakScalePoint, agg: bool| {
+            let mut w = greem_obs::json::JsonWriter::new();
+            w.begin_obj(None);
+            write_point(pt, &mut w, agg);
+            w.end_obj();
+            greem_obs::json::parse(&w.finish()).expect("point JSON parses")
+        };
+        let num = |v: &greem_obs::json::Value, k: &str| {
+            v.get(k)
                 .and_then(|x| x.as_f64())
-                .unwrap()
-                > 0.0
-        );
-        let tel = v.get("telemetry").expect("--agg embeds the roll-up");
-        assert_eq!(
-            tel.get("critical_rank").and_then(|x| x.as_f64()).unwrap(),
-            pt.telemetry.critical_rank as f64
-        );
-        let phases = tel.get("phases").expect("per-phase sketch summaries");
-        let pp = phases.get("pp.force_calculation").expect("force row");
-        for k in ["count", "min", "max", "p50", "p95", "p99"] {
-            assert!(pp.get(k).is_some(), "phase summary missing '{k}'");
+                .unwrap_or_else(|| panic!("no number '{k}'"))
+        };
+        let points = run_sweep(true);
+        for pt in &points {
+            let p = pt.p;
+            let v = json_of(pt, true);
+            // Artifact sizes are always recorded (regression-gated), and
+            // the sketch roll-up stays a small fraction of what shipping
+            // every rank's timeline would cost.
+            let bytes = num(&v, "telemetry_bytes");
+            assert!(
+                bytes > 0.0 && bytes <= (1 << 20) as f64,
+                "p = {p}: {bytes} bytes"
+            );
+            assert!(bytes < num(&v, "full_timeline_bytes"), "p = {p}");
+            let tel = v.get("telemetry").expect("--agg embeds the roll-up");
+            assert_eq!(num(tel, "ranks"), p as f64);
+            // Retention: a bounded rank set, the critical-path rank in it,
+            // one timeline per retained rank.
+            let critical = num(tel, "critical_rank");
+            assert_eq!(critical, pt.telemetry.critical_rank as f64);
+            let retained = tel.get("retained_ranks").and_then(|r| r.as_arr()).unwrap();
+            assert!(
+                (1..=8).contains(&retained.len()),
+                "p = {p}: {} retained",
+                retained.len()
+            );
+            assert!(
+                retained.iter().any(|r| r.as_f64() == Some(critical)),
+                "p = {p}"
+            );
+            let timelines = tel.get("retained_timelines").and_then(|t| t.as_arr());
+            assert_eq!(timelines.map(<[_]>::len), Some(retained.len()), "p = {p}");
+            let phases = tel.get("phases").expect("per-phase sketch summaries");
+            let pp = phases.get("pp.force_calculation").expect("force row");
+            for k in ["count", "min", "max", "mean", "p50", "p95", "p99"] {
+                assert!(pp.get(k).is_some(), "p = {p}: phase summary missing '{k}'");
+            }
+            let q = ["min", "p50", "p95", "p99", "max"].map(|k| num(pp, k));
+            assert!(
+                q.windows(2).all(|w| w[0] <= w[1]),
+                "p = {p}: quantiles {q:?}"
+            );
         }
+        let pt = &points[0];
         // Without --agg the blob is absent but the sizes remain.
-        let mut w = greem_obs::json::JsonWriter::new();
-        w.begin_obj(None);
-        write_point(&pt, &mut w, false);
-        w.end_obj();
-        let v = greem_obs::json::parse(&w.finish()).unwrap();
+        let v = json_of(pt, false);
         assert!(v.get("telemetry").is_none());
         assert!(v.get("telemetry_bytes").is_some());
     }

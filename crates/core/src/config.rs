@@ -12,7 +12,7 @@ use greem_tree::{Multipole, TraverseParams, TreeParams};
 /// * [`Boundary::Isolated`] — open space: the tree walk uses plain
 ///   (non-wrapping) distances, the PM half runs James'-method
 ///   zero-padded convolution on a 2× mesh
-///   ([`greem_pm::IsolatedPmSolver`]), and drifts do not wrap positions.
+///   ([`greem_pm::PmSolver::isolated`]), and drifts do not wrap positions.
 ///   This is the boundary condition of the `greem-astro` scenario
 ///   engine (star clusters, galaxy collapse — DESIGN.md §17).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -8,7 +8,7 @@
 //! the paper's OpenMP threads inside each MPI process.
 
 use greem_math::{Aabb, Vec3};
-use greem_pm::{IsolatedPmSolver, PmPipeline, PmResult, PmSolver};
+use greem_pm::{PmResult, PmSolver};
 use greem_tree::{GroupWalk, SnapshotTree, WalkStats};
 
 use crate::config::{Boundary, TreePmConfig};
@@ -58,21 +58,20 @@ pub struct ForceResult {
 /// ```
 pub struct TreePm {
     cfg: TreePmConfig,
-    /// PM backend selected by `cfg.boundary`: the periodic torus solver
-    /// or the James'-method zero-padded isolated solver. The phase
-    /// structure of [`TreePm::compute_pm`] is identical either way.
-    pm: Box<dyn PmPipeline>,
+    /// The PM solver, built for `cfg.boundary`: the periodic torus or
+    /// the James'-method zero-padded open mesh.
+    pm: PmSolver,
 }
 
 impl TreePm {
     /// Build a solver from a configuration. The boundary condition
-    /// selects the PM backend (periodic FFT vs zero-padded open-space
-    /// convolution); the PP half reads the same flag through
+    /// selects the PM solver's constructor (periodic mesh vs zero-padded
+    /// open-space mesh); the PP half reads the same flag through
     /// [`TreePmConfig::traverse_params`].
     pub fn new(cfg: TreePmConfig) -> Self {
-        let pm: Box<dyn PmPipeline> = match cfg.boundary {
-            Boundary::Periodic => Box::new(PmSolver::new(cfg.pm_params())),
-            Boundary::Isolated => Box::new(IsolatedPmSolver::new(cfg.pm_params())),
+        let pm = match cfg.boundary {
+            Boundary::Periodic => PmSolver::new(cfg.pm_params()),
+            Boundary::Isolated => PmSolver::isolated(cfg.pm_params()),
         };
         TreePm { pm, cfg }
     }
@@ -102,7 +101,7 @@ impl TreePm {
         (accel, out.walk, out.times)
     }
 
-    /// Evaluate PM accelerations only: one cycle of the backend, with
+    /// Evaluate PM accelerations only: one cycle of the PM solver, with
     /// the wall seconds of its four Table I phases.
     pub fn compute_pm(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, greem_pm::PmPhaseTimes) {
         let _pm_span = greem_obs::trace::span("force", "pm.compute");

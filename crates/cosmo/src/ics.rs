@@ -1,13 +1,14 @@
 //! Zel'dovich initial conditions.
 //!
 //! A Gaussian random density field with the requested power spectrum is
-//! realised on an n³ grid (white noise → FFT → `√P(k)` colouring), the
-//! Zel'dovich displacement field `ψ(k) = i·k/k²·δ(k)` is produced by
-//! spectral differentiation, and particles start on the grid displaced
-//! by `ψ` with growing-mode velocities `ẋ = f·H·ψ` — the standard setup
-//! of cosmological N-body runs, including the paper's (§III-A).
+//! realised on an n³ grid (white noise → real ↔ half-complex FFT →
+//! `√P(k)` colouring), the Zel'dovich displacement field
+//! `ψ(k) = i·k/k²·δ(k)` is produced by spectral differentiation, and
+//! particles start on the grid displaced by `ψ` with growing-mode
+//! velocities `ẋ = f·H·ψ` — the standard setup of cosmological N-body
+//! runs, including the paper's (§III-A).
 
-use greem_fft::{fft3d, fft3d_inverse, Cpx, Fft1d, Mesh3};
+use greem_fft::{Cpx, RealFft3};
 use greem_math::{wrap01, Vec3};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -77,70 +78,43 @@ pub fn generate_ics_with_order(p: &IcParams, order: LptOrder) -> InitialConditio
     let n = p.n_per_side;
     assert!(n.is_power_of_two(), "IC grid must be a power of two");
     assert!(p.a_start > 0.0 && p.a_start <= 1.0);
-    let plan = Fft1d::new(n);
+    let fft = RealFft3::new(n);
     let ntot = n * n * n;
 
-    // White Gaussian noise, unit variance per site.
+    // White Gaussian noise, unit variance per site, drawn in (x, y, z)
+    // order into the transform's padded rows.
     let mut rng = StdRng::seed_from_u64(p.seed);
-    let mut noise = Mesh3::zeros(n);
-    for v in noise.data_mut() {
+    let mut delta_k = vec![0.0; fft.buf_len()];
+    for v in cells(&mut delta_k, n) {
         // Box-Muller from two uniforms.
         let u1: f64 = rng.random::<f64>().max(1e-300);
         let u2: f64 = rng.random();
-        *v = Cpx::real((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos());
+        *v = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     }
-    fft3d(&mut noise, &plan);
+    fft.forward(&mut delta_k);
 
     // Colour by √P(k): the white spectrum has ⟨|W(k)|²⟩ = n³, so divide
     // by √n³ to make δ(k) carry P(k) per mode.
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let signed = |i: usize| -> f64 {
-        if i <= n / 2 {
-            i as f64
-        } else {
-            i as f64 - n as f64
-        }
-    };
     let norm = 1.0 / (ntot as f64).sqrt();
     let spectrum = p.spectrum;
-    let mut delta_k = noise;
-    delta_k.map_modes(|ix, iy, iz, v| {
-        let k = two_pi * (signed(ix).powi(2) + signed(iy).powi(2) + signed(iz).powi(2)).sqrt();
-        v * ((spectrum.eval(k)).sqrt() * norm)
+    map_modes(&mut delta_k, n, |_, k2, _, v| {
+        v * (spectrum.eval(k2.sqrt()).sqrt() * norm)
     });
     // Zero the DC mode (mean density is the background).
-    delta_k.data_mut()[0] = Cpx::ZERO;
+    delta_k[..2].fill(0.0);
 
     // Optional rms normalisation of the real-space contrast.
-    let mut delta_x = delta_k.clone();
-    fft3d_inverse(&mut delta_x, &plan);
-    let rms = (delta_x.data().iter().map(|c| c.re * c.re).sum::<f64>() / ntot as f64).sqrt();
+    let delta_x = filtered(&fft, &delta_k, |_, _, _, v| v);
+    let rms = (delta_x.iter().map(|d| d * d).sum::<f64>() / ntot as f64).sqrt();
     let scale = match p.normalize_rms_delta {
         Some(target) if rms > 0.0 => target / rms,
         _ => 1.0,
     };
     let delta_rms = rms * scale;
-    let delta_mesh: Vec<f64> = delta_x.data().iter().map(|c| c.re * scale).collect();
+    let delta_mesh: Vec<f64> = delta_x.iter().map(|d| d * scale).collect();
 
     // Displacement fields ψ_j = inverse FFT of i·k_j/k²·δ(k).
-    let mut psi = [vec![0.0f64; ntot], vec![0.0f64; ntot], vec![0.0f64; ntot]];
-    for axis in 0..3 {
-        let mut m = delta_k.clone();
-        m.map_modes(|ix, iy, iz, v| {
-            let kv = [signed(ix), signed(iy), signed(iz)].map(|s| two_pi * s);
-            let k2 = kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2];
-            if k2 == 0.0 {
-                Cpx::ZERO
-            } else {
-                // i·k_j/k² × δ(k)
-                Cpx::new(0.0, kv[axis] / k2) * v * scale
-            }
-        });
-        fft3d_inverse(&mut m, &plan);
-        for (o, c) in psi[axis].iter_mut().zip(m.data()) {
-            *o = c.re;
-        }
-    }
+    let psi = [0, 1, 2].map(|axis| gradient(&fft, &delta_k, axis, scale));
 
     // Second-order displacement, if requested: build the source
     // δ₂ = Σ_{i<j} (φ,ᵢᵢ·φ,ⱼⱼ − φ,ᵢⱼ²) from the first-order potential's
@@ -152,50 +126,29 @@ pub fn generate_ics_with_order(p: &IcParams, order: LptOrder) -> InitialConditio
         LptOrder::Zeldovich => None,
         LptOrder::TwoLpt => {
             let hess_pairs = [(0usize, 0usize), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
-            let mut hess: Vec<Vec<f64>> = Vec::with_capacity(6);
-            for &(i, j) in &hess_pairs {
-                let mut m = delta_k.clone();
-                m.map_modes(|ix, iy, iz, v| {
-                    let kv = [signed(ix), signed(iy), signed(iz)].map(|s| two_pi * s);
-                    let k2 = kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2];
-                    if k2 == 0.0 {
+            let hess = hess_pairs.map(|(i, j)| {
+                filtered(&fft, &delta_k, |k, k2, nyq, v| {
+                    // With i ≠ j, a mode on exactly one of the two
+                    // axes' Nyquist planes and its mirror get k_i·k_j of
+                    // opposite signs: anti-Hermitian, zeroed (see
+                    // `gradient`). On both planes the signs agree.
+                    if k2 == 0.0 || (i != j && nyq[i] != nyq[j]) {
                         Cpx::ZERO
                     } else {
-                        v * (kv[i] * kv[j] / k2 * scale)
+                        v * (k[i] * k[j] / k2 * scale)
                     }
-                });
-                fft3d_inverse(&mut m, &plan);
-                hess.push(m.data().iter().map(|c| c.re).collect());
-            }
+                })
+            });
             // hess order: xx, xy, xz, yy, yz, zz.
-            let mut delta2 = Mesh3::zeros(n);
-            for (c, out) in delta2.data_mut().iter_mut().enumerate() {
-                let (xx, xy, xz, yy, yz, zz) = (
-                    hess[0][c], hess[1][c], hess[2][c], hess[3][c], hess[4][c], hess[5][c],
-                );
-                *out = Cpx::real(xx * yy + xx * zz + yy * zz - xy * xy - xz * xz - yz * yz);
+            let mut delta2 = vec![0.0; fft.buf_len()];
+            for (c, out) in cells(&mut delta2, n).enumerate() {
+                let [xx, xy, xz, yy, yz, zz] = hess.each_ref().map(|h| h[c]);
+                *out = xx * yy + xx * zz + yy * zz - xy * xy - xz * xz - yz * yz;
             }
-            fft3d(&mut delta2, &plan);
-            let mut out = [vec![0.0f64; ntot], vec![0.0f64; ntot], vec![0.0f64; ntot]];
-            for axis in 0..3 {
-                let mut m = delta2.clone();
-                m.map_modes(|ix, iy, iz, v| {
-                    let kv = [signed(ix), signed(iy), signed(iz)].map(|s| two_pi * s);
-                    let k2 = kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2];
-                    if k2 == 0.0 {
-                        Cpx::ZERO
-                    } else {
-                        // forward-FFT'd δ₂ → spectral gradient → the
-                        // inverse FFT below restores the 1/n³.
-                        Cpx::new(0.0, kv[axis] / k2) * v * (3.0 / 7.0)
-                    }
-                });
-                fft3d_inverse(&mut m, &plan);
-                for (o, c) in out[axis].iter_mut().zip(m.data()) {
-                    *o = c.re;
-                }
-            }
-            Some(out)
+            fft.forward(&mut delta2);
+            // forward-FFT'd δ₂ → spectral gradient → the inverse FFT
+            // restores the 1/n³.
+            Some([0, 1, 2].map(|axis| gradient(&fft, &delta2, axis, 3.0 / 7.0)))
         }
     };
 
@@ -239,6 +192,65 @@ pub fn generate_ics_with_order(p: &IcParams, order: LptOrder) -> InitialConditio
         max_displacement: max_disp,
         delta_mesh,
     }
+}
+
+/// `f(k, |k|², nyquist, value)` on every stored mode of a half-complex
+/// spectrum (the padded buffer after [`RealFft3::forward`]): `k = 2π·m`,
+/// `m` the signed mode numbers (`m_z ≥ 0`), `nyquist[j]` whether axis
+/// `j` sits at index `n/2`.
+fn map_modes(spec: &mut [f64], n: usize, f: impl Fn([f64; 3], f64, [bool; 3], Cpx) -> Cpx) {
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let signed = |i: usize| {
+        if i <= n / 2 {
+            i as f64
+        } else {
+            i as f64 - n as f64
+        }
+    };
+    for (i, row) in spec.chunks_exact_mut(n + 2).enumerate() {
+        for (iz, c) in row.chunks_exact_mut(2).enumerate() {
+            let idx = [i / n, i % n, iz];
+            let k = idx.map(|j| two_pi * signed(j));
+            let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+            let v = f(k, k2, idx.map(|j| j == n / 2), Cpx::new(c[0], c[1]));
+            (c[0], c[1]) = (v.re, v.im);
+        }
+    }
+}
+
+/// The `n³` real cells of a padded buffer, in `(x, y, z)` order.
+fn cells(buf: &mut [f64], n: usize) -> impl Iterator<Item = &mut f64> {
+    buf.chunks_exact_mut(n + 2).flat_map(move |r| &mut r[..n])
+}
+
+/// The real field `inverse(f · spec)`, `n³` unpadded, z fastest.
+fn filtered(
+    fft: &RealFft3,
+    spec: &[f64],
+    f: impl Fn([f64; 3], f64, [bool; 3], Cpx) -> Cpx,
+) -> Vec<f64> {
+    let n = fft.n();
+    let mut m = spec.to_vec();
+    map_modes(&mut m, n, f);
+    fft.inverse(&mut m);
+    cells(&mut m, n).map(|v| *v).collect()
+}
+
+/// The spectral gradient `inverse(i·k_j/k² · spec · s)` along `axis`.
+///
+/// `i·k_j` is odd in `k_j`, and on the Nyquist plane of axis `j` a mode
+/// and its conjugate mirror share the index `n/2`: the product there is
+/// anti-Hermitian, which a complex inverse would leave in the imaginary
+/// part and a half-complex one turns into real error. It is zeroed.
+fn gradient(fft: &RealFft3, spec: &[f64], axis: usize, s: f64) -> Vec<f64> {
+    filtered(fft, spec, |k, k2, nyq, v| {
+        if k2 == 0.0 || nyq[axis] {
+            Cpx::ZERO
+        } else {
+            // i·k_j/k² × δ(k)
+            Cpx::new(0.0, k[axis] / k2) * v * s
+        }
+    })
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 //! The diagnostic the paper's science rests on: the free-streaming
 //! cutoff must actually be present in the realised initial conditions,
 //! and structure growth moves power between scales. We assign the
-//! particles to a mesh (TSC via `greem-pm`'s kernel would do; here the
-//! plain CIC-free direct spectral estimate suffices), FFT, and bin
-//! `|δ(k)|²` in spherical shells.
+//! particles to a mesh with `greem-pm`'s TSC assignment, take the real
+//! ↔ half-complex transform, and bin `|δ(k)|²` in spherical shells.
 
-use greem_fft::{fft3d, Cpx, Fft1d, Mesh3};
+use greem_fft::RealFft3;
 use greem_math::Vec3;
+use greem_pm::{PmParams, PmSolver};
 
 /// One spherical bin of the measured spectrum.
 #[derive(Debug, Clone, Copy)]
@@ -22,62 +22,48 @@ pub struct PowerBin {
 }
 
 /// Measure the binned power spectrum of the density contrast of a
-/// particle snapshot on an `n_mesh`³ grid (NGP assignment with the
-/// particle grid's natural fall-through; adequate for k well below the
-/// mesh Nyquist).
+/// particle snapshot on an `n_mesh`³ grid (TSC assignment, no window
+/// correction; adequate for k well below the mesh Nyquist).
 ///
-/// Returns one bin per integer |mode| from 1 to `n_mesh/2`.
+/// Returns one bin per integer |mode| from 1 to `n_mesh/2`. Every mode
+/// of the full cube counts: the half-complex spectrum stores `k_z = 0`
+/// and `k_z = n/2` once and each `0 < k_z < n/2` for itself and its
+/// conjugate mirror, which has the same power and the same `|k|`.
 pub fn measure_power(pos: &[Vec3], mass: &[f64], n_mesh: usize) -> Vec<PowerBin> {
     assert_eq!(pos.len(), mass.len());
     assert!(n_mesh.is_power_of_two());
     let n = n_mesh;
-    // TSC assignment (matches the solver's, incl. smooth window).
-    let mut rho = vec![0.0f64; n * n * n];
-    let n_i = n as i64;
-    for (p, &m) in pos.iter().zip(mass) {
-        let ([ix, iy, iz], [wx, wy, wz]) = tsc(p, n);
-        for (a, &wxa) in wx.iter().enumerate() {
-            let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-            for (b, &wyb) in wy.iter().enumerate() {
-                let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                let w = wxa * wyb * m;
-                for (c, &wzc) in wz.iter().enumerate() {
-                    let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                    rho[(cx * n + cy) * n + cz] += w * wzc;
-                }
-            }
+    // The periodic solver's assignment (the solve itself is not run).
+    let rho = PmSolver::new(PmParams::standard(n)).assign_density(pos, mass);
+    let mean = rho.iter().sum::<f64>() / rho.len() as f64;
+    let fft = RealFft3::new(n);
+    let ld = fft.row_len();
+    let mut buf = vec![0.0; fft.buf_len()];
+    for (row, src) in buf.chunks_exact_mut(ld).zip(rho.chunks_exact(n)) {
+        for (d, r) in row.iter_mut().zip(src) {
+            *d = r / mean - 1.0;
         }
     }
-    let mean = rho.iter().sum::<f64>() / rho.len() as f64;
-    let mut mesh = Mesh3::zeros(n);
-    for (d, r) in mesh.data_mut().iter_mut().zip(&rho) {
-        *d = Cpx::real(r / mean - 1.0);
-    }
-    fft3d(&mut mesh, &Fft1d::new(n));
+    fft.forward(&mut buf);
     // Bin |δ_k|² / N_cells² in shells of integer |mode|.
     let norm = 1.0 / ((n * n * n) as f64).powi(2);
     let half = n / 2;
     let mut power = vec![0.0f64; half + 1];
     let mut count = vec![0usize; half + 1];
-    let signed = |i: usize| -> f64 {
-        if i <= n / 2 {
-            i as f64
-        } else {
-            i as f64 - n as f64
-        }
-    };
-    for x in 0..n {
-        for y in 0..n {
-            for z in 0..n {
-                if x == 0 && y == 0 && z == 0 {
-                    continue;
-                }
-                let m2 = signed(x).powi(2) + signed(y).powi(2) + signed(z).powi(2);
-                let bin = m2.sqrt().round() as usize;
-                if bin >= 1 && bin <= half {
-                    power[bin] += mesh.get(x, y, z).norm2() * norm;
-                    count[bin] += 1;
-                }
+    // |signed mode number| per axis; k_z is stored non-negative.
+    let fold = |i: usize| i.min(n - i) as f64;
+    for (i, row) in buf.chunks_exact(ld).enumerate() {
+        let (x, y) = (i / n, i % n);
+        for (z, c) in row.chunks_exact(2).enumerate() {
+            if x == 0 && y == 0 && z == 0 {
+                continue;
+            }
+            let m2 = fold(x).powi(2) + fold(y).powi(2) + (z as f64).powi(2);
+            let bin = m2.sqrt().round() as usize;
+            if bin >= 1 && bin <= half {
+                let copies = if z == 0 || z == half { 1 } else { 2 };
+                power[bin] += copies as f64 * (c[0] * c[0] + c[1] * c[1]) * norm;
+                count[bin] += copies;
             }
         }
     }
@@ -89,29 +75,6 @@ pub fn measure_power(pos: &[Vec3], mass: &[f64], n_mesh: usize) -> Vec<PowerBin>
             modes: count[b],
         })
         .collect()
-}
-
-/// Per-axis TSC weights (duplicated from `greem-pm` to keep the crate
-/// graph acyclic — cosmo feeds pm's consumers, not vice versa).
-#[inline]
-fn tsc(p: &Vec3, n: usize) -> ([i64; 3], [[f64; 3]; 3]) {
-    let axis = |x: f64| -> (i64, [f64; 3]) {
-        let u = x * n as f64;
-        let c = u.round();
-        let d = u - c;
-        (
-            c as i64 - 1,
-            [
-                0.5 * (0.5 - d) * (0.5 - d),
-                0.75 - d * d,
-                0.5 * (0.5 + d) * (0.5 + d),
-            ],
-        )
-    };
-    let (ix, wx) = axis(p.x);
-    let (iy, wy) = axis(p.y);
-    let (iz, wz) = axis(p.z);
-    ([ix, iy, iz], [wx, wy, wz])
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
-//! Serial 3-D transforms on a cubic complex mesh.
+//! Complex 3-D transforms on a cubic mesh.
 //!
-//! [`Mesh3`] is the n³ complex grid used by the single-rank PM path and
-//! by the tests that validate the parallel slab transform. Layout is
-//! row-major `(x, y, z)` with `z` contiguous — the same layout the slab
-//! solver uses within each x-plane, so data moves between the two without
-//! reshuffling.
+//! No solver runs these: every PM path and the cosmology crate use
+//! [`RealFft3`](crate::RealFft3). What is left is the slab transform's
+//! plane pass ([`plane_yz`]), the repo benchmark's FFT probe, and
+//! [`Mesh3`] as the reference the tests hold the real and slab
+//! transforms to. Layout is row-major `(x, y, z)` with `z` contiguous —
+//! the same layout the slab solver uses within each x-plane, so data
+//! moves between the two without reshuffling.
 
 use crate::columns::{columns_pass, conj_if, rows_by_middle, Panel, PANEL_COLS};
 use crate::complex::Cpx;
@@ -55,13 +57,6 @@ impl Mesh3 {
         self.data[self.idx(x, y, z)]
     }
 
-    /// Mutable element accessor.
-    #[inline]
-    pub fn get_mut(&mut self, x: usize, y: usize, z: usize) -> &mut Cpx {
-        let i = self.idx(x, y, z);
-        &mut self.data[i]
-    }
-
     /// The flat data slice.
     pub fn data(&self) -> &[Cpx] {
         &self.data
@@ -70,45 +65,6 @@ impl Mesh3 {
     /// The flat data slice, mutable.
     pub fn data_mut(&mut self) -> &mut [Cpx] {
         &mut self.data
-    }
-
-    /// Real parts, row-major (used after an inverse transform of data
-    /// that is real by construction).
-    pub fn to_real(&self) -> Vec<f64> {
-        self.data.iter().map(|c| c.re).collect()
-    }
-
-    /// Apply `f(kx, ky, kz, value)` to every mode in place; the indices
-    /// are raw mesh indices (callers map them to signed wavenumbers).
-    pub fn map_modes(&mut self, mut f: impl FnMut(usize, usize, usize, Cpx) -> Cpx) {
-        let n = self.n;
-        for x in 0..n {
-            for y in 0..n {
-                let row = (x * n + y) * n;
-                for z in 0..n {
-                    self.data[row + z] = f(x, y, z, self.data[row + z]);
-                }
-            }
-        }
-    }
-
-    /// Parallel [`map_modes`](Self::map_modes) for pure per-mode maps
-    /// (`Fn`, no cross-mode state): x-planes are processed as rayon
-    /// tasks. Bitwise-identical to the serial version — each mode sees
-    /// exactly the same single application of `f`.
-    pub fn par_map_modes(&mut self, f: impl Fn(usize, usize, usize, Cpx) -> Cpx + Sync) {
-        let n = self.n;
-        self.data
-            .par_chunks_mut(n * n)
-            .enumerate()
-            .for_each(|(x, plane)| {
-                for y in 0..n {
-                    let row = y * n;
-                    for z in 0..n {
-                        plane[row + z] = f(x, y, z, plane[row + z]);
-                    }
-                }
-            });
     }
 }
 
@@ -251,16 +207,12 @@ mod tests {
         // x real field cos(2π·kx·x/n) has power only at modes ±k.
         let n = 8;
         let k = 3usize;
-        let mut m = Mesh3::zeros(n);
-        for x in 0..n {
-            for y in 0..n {
-                for z in 0..n {
-                    *m.get_mut(x, y, z) = Cpx::real(
-                        (2.0 * std::f64::consts::PI * k as f64 * x as f64 / n as f64).cos(),
-                    );
-                }
-            }
-        }
+        let vals: Vec<f64> = (0..n * n * n)
+            .map(|i| {
+                (2.0 * std::f64::consts::PI * k as f64 * (i / (n * n)) as f64 / n as f64).cos()
+            })
+            .collect();
+        let mut m = Mesh3::from_real(n, &vals);
         let plan = Fft1d::new(n);
         fft3d(&mut m, &plan);
         let amp = (n * n * n) as f64 / 2.0;
@@ -321,18 +273,5 @@ mod tests {
         fft3d(&mut m, &Fft1d::new(n));
         let e_freq: f64 = m.data().iter().map(|c| c.norm2()).sum::<f64>() / (n * n * n) as f64;
         assert!((e_real - e_freq).abs() < 1e-9 * e_real);
-    }
-
-    #[test]
-    fn map_modes_visits_every_cell() {
-        let n = 4;
-        let mut m = Mesh3::zeros(n);
-        let mut count = 0;
-        m.map_modes(|_, _, _, v| {
-            count += 1;
-            v + Cpx::ONE
-        });
-        assert_eq!(count, n * n * n);
-        assert!(m.data().iter().all(|c| (*c - Cpx::ONE).abs() < 1e-15));
     }
 }

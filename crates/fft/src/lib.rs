@@ -16,11 +16,14 @@
 //!   below goes through these panels),
 //! * [`RealFft3`] — real ↔ half-complex 3-D transforms in place on a
 //!   padded `n × n × (n+2)` real buffer, and the k-space convolution
-//!   built on them: the periodic PM solver's transform (the density is
-//!   real, so half the modes and half the bytes),
+//!   built on them: the serial PM solver's transform for both
+//!   boundaries, and the cosmology crate's (initial conditions, power
+//!   spectrum) — the density is real, so half the modes and half the
+//!   bytes,
 //! * [`fft3d`] — in-place complex 3-D transforms, bit-identical to
-//!   line-by-line `Fft1d` calls: the isolated solver's and the initial
-//!   conditions' transform, and the reference in tests,
+//!   line-by-line `Fft1d` calls: no solver runs them; they are the slab
+//!   transform's plane pass, the repo benchmark's FFT probe and the
+//!   reference in tests,
 //! * [`SlabFft`] — the parallel 3-D FFT over `mpisim` with exactly
 //!   FFTW-MPI's data layout: contiguous x-plane slabs per rank, one
 //!   all-to-all transpose to an intermediate y-distributed layout, and

@@ -181,11 +181,9 @@ impl Comm {
         f(self, ctx)
     }
 
-    /// Synchronise all members: binomial fan-in to local rank 0, fan-out
-    /// back. Known defect, kept because mending it moves every clock
-    /// (ROADMAP): the fan-out forwards to a rank's farther children
-    /// before it hears from its parent, so a member can leave before
-    /// every other member has arrived.
+    /// Synchronise all members: binomial fan-in to local rank 0, then a
+    /// binomial broadcast back. No member leaves before every member has
+    /// arrived.
     pub fn barrier(&self, ctx: &mut Ctx) {
         self.traced(ctx, "barrier", Self::barrier_impl);
     }
@@ -498,21 +496,12 @@ pub(crate) mod sched {
     }
 
     /// `barrier`: the binomial fan-in of an empty [`reduce`] to local
-    /// rank 0, then a fan-out back along the broadcast tree — which, as
-    /// ROADMAP records, forwards to a rank's farther children before
-    /// receiving from its parent.
+    /// rank 0, then an empty [`bcast`] from it. A rank receives from its
+    /// parent before it forwards, so none leaves before the last has
+    /// entered.
     pub(crate) fn barrier(p: usize, r: usize, out: &mut Vec<Act>) {
         reduce(p, r, 0, 0, out);
-        let mut k = p.next_power_of_two() >> 1;
-        while k >= 1 {
-            if r & k != 0 {
-                out.push(recv(r - k));
-                break;
-            } else if r + k < p {
-                out.push(send(r + k, 0));
-            }
-            k >>= 1;
-        }
+        bcast(p, r, 0, 0, out);
     }
 
     /// Binomial broadcast from local rank `root`; every forwarded

@@ -133,24 +133,27 @@ const COLLECTIVES: [(&str, Body); 8] = [
     }),
 ];
 
-/// `(case, plan) → hash`, recorded before the refactor.
+/// `(case, plan) → hash`, recorded before the refactor; `barrier` and
+/// `split_subcomm` re-recorded once when the barrier's fan-out became
+/// the broadcast tree (receive from the parent, then forward).
 const THREADED_GOLDEN: [(&str, u64, u64); 8] = [
-    ("barrier", 0x02c745b99d15ac21, 0xa0e8d039a9bff7bc),
+    ("barrier", 0x8aa19855ace78d6c, 0xc8185035cd1aec79),
     ("bcast_every_root", 0xfa4c6eac1831187b, 0x6d939d9e7d548ef1),
     ("reduce", 0x17abc73b58914fef, 0x957ad3bedf9b6681),
     ("allreduce", 0xa8398dcb7cb8b140, 0xb4895226218e5816),
     ("gather", 0x369dee228c2342ed, 0xeb0d30fa36d5828b),
     ("allgather_ragged", 0x440b7824fe075e40, 0xafc5c775917df085),
     ("alltoallv", 0xf65367b440de243d, 0x4180f0efa90107a2),
-    ("split_subcomm", 0xe73c227b54f30d8d, 0x1708db21d55b4063),
+    ("split_subcomm", 0x4ddfd845599056da, 0xf72ad2c2afc1afa8),
 ];
 
 /// `(p, no plan, seeded plan) → hash` of `mixed_script` on the phantom
-/// engine, per-phase attribution included.
+/// engine, per-phase attribution included (re-recorded with the
+/// barrier fix: the script's barriers now wait for the last rank).
 const PHANTOM_GOLDEN: [(usize, u64, u64); 3] = [
-    (16, 0x4bde09c8be876ca7, 0x3054dc1ffb758bc2),
-    (64, 0xee3a9eec768cc4b9, 0x564e367a7e6003f9),
-    (1024, 0x51f78f5c9244eba1, 0x04eba2af4cfb6df5),
+    (16, 0x91a996689aaf6a73, 0x610d06b26419d733),
+    (64, 0x6da9ad7e4687d628, 0x1253de5b1c138019),
+    (1024, 0x7fa7e9bef60363db, 0x5364e11f2d1ed8ba),
 ];
 
 #[test]

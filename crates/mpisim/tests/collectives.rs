@@ -86,6 +86,24 @@ fn barrier_all_sizes() {
 }
 
 #[test]
+fn barrier_holds_every_rank_until_the_last_enters() {
+    // Rank 0 computes for 1 s before it enters: no rank may leave the
+    // barrier earlier than that, at any depth of the tree.
+    for p in [4, 5, 8, 16] {
+        let left = World::new(p).run(|ctx, world| {
+            if world.rank() == 0 {
+                ctx.compute(1.0);
+            }
+            world.barrier(ctx);
+            ctx.vtime()
+        });
+        for (r, t) in left.iter().enumerate() {
+            assert!(*t >= 1.0, "p = {p}: rank {r} left the barrier at {t} s");
+        }
+    }
+}
+
+#[test]
 fn bcast_from_every_root() {
     for n in [1, 2, 4, 7] {
         for root in 0..n {

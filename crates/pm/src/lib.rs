@@ -22,8 +22,12 @@
 //!    positions with TSC.
 //!
 //! [`serial::PmSolver`] runs the whole cycle in one address space (the
-//! reference and single-rank path); [`parallel::ParallelPm`] runs it over
-//! `mpisim` with per-phase timings matching the paper's Table I rows.
+//! reference and single-rank path) on the real ↔ half-complex transform,
+//! for either boundary: [`PmSolver::new`] on the periodic torus, and
+//! [`PmSolver::isolated`] in open space on a `2n`-padded mesh
+//! ([`isolated`], James' method). [`parallel::ParallelPm`] runs the
+//! periodic cycle over `mpisim` with per-phase timings matching the
+//! paper's Table I rows.
 
 #![forbid(unsafe_code)]
 
@@ -42,17 +46,3 @@ pub use isolated::IsolatedPmSolver;
 pub use layout::{CellBox, LocalMesh};
 pub use parallel::{ParallelPm, ParallelPmConfig, PmPhaseTimes};
 pub use serial::{PmParams, PmResult, PmSolver};
-
-use greem_math::Vec3;
-
-/// The serial PM cycle as a backend-agnostic pipeline, so the force
-/// engine can swap boundary conditions without touching its phase
-/// structure. Implemented by [`PmSolver`] (periodic torus, the paper's
-/// setup) and [`IsolatedPmSolver`] (James'-method zero-padded open
-/// space). The meshes never leave the backend — the isolated one's are
-/// 8× larger, which callers never see.
-pub trait PmPipeline: Send + Sync {
-    /// The full cycle — assignment, potential, differencing,
-    /// interpolation — with the wall seconds of each of the four.
-    fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes);
-}

@@ -16,7 +16,6 @@ use crate::greens::GreensFn;
 use crate::mesh::{self, BlockLists, Grid};
 use crate::parallel::PmPhaseTimes;
 use crate::tsc::tsc_weights;
-use crate::PmPipeline;
 
 /// PM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +50,14 @@ pub struct PmResult {
     pub potential: Vec<f64>,
 }
 
-/// Serial PM solver: owns the FFT plan and Green's function tables.
+/// Serial PM solver: owns the FFT plan, the Green's function table and
+/// the meshes of one cycle.
+///
+/// The boundary is decided by the constructor and nowhere else:
+/// [`new`](Self::new) solves on the periodic `n³` torus (the paper's
+/// setup), [`isolated`](Self::isolated) on a `2n`-padded mesh in open
+/// space (James' method, [`crate::isolated`]). Every pass after that is
+/// the same code on the solver's two grids.
 ///
 /// ```
 /// use greem_math::Vec3;
@@ -67,6 +73,12 @@ pub struct PmResult {
 /// ```
 pub struct PmSolver {
     params: PmParams,
+    /// The transform's mesh, stored unpadded: `n³` periodic, or `(2n)³`
+    /// with cell size `1/n` in open space. The acceleration meshes and
+    /// the staged calls' meshes live on it.
+    grid: Grid,
+    /// The same mesh inside the transform's padded buffer.
+    padded: Grid,
     greens: GreensFn,
     fft: RealFft3,
     /// The meshes of one cycle, kept from step to step so a solve
@@ -77,35 +89,69 @@ pub struct PmSolver {
 
 struct Workspace {
     /// Density, then its spectrum, then the potential, in the
-    /// transform's padded `n × n × (n+2)` layout.
+    /// transform's padded `side × side × (side+2)` layout.
     mesh: Vec<f64>,
-    /// The three acceleration meshes, `n³` each.
+    /// The three acceleration meshes, one cell per cell of `grid`.
     acc: [Vec<f64>; 3],
     lists: BlockLists,
 }
 
 impl PmSolver {
-    /// Build a solver for the given parameters.
+    /// The periodic solver: an `n³` mesh on the unit torus.
     pub fn new(params: PmParams) -> Self {
-        assert!(
-            params.n_mesh.is_power_of_two(),
-            "PM mesh must be a power of two"
-        );
-        let fft = RealFft3::new(params.n_mesh);
-        let cells = params.n_mesh.pow(3);
+        let n = params.n_mesh;
+        let greens = GreensFn::new(n, params.r_cut, params.deconvolve);
+        Self::build(params, greens, Grid::periodic(n), Grid::padded(n, n + 2))
+    }
+
+    /// The open-boundary solver: the `n³` physical mesh zero-padded to
+    /// `(2n)³`, cell size still `1/n`. Positions may drift slightly
+    /// outside `[0,1)` (isolated drifts do not wrap): indices wrap on the
+    /// padded torus, which keeps every pair exact while per-axis
+    /// separations stay below one box length.
+    ///
+    /// ```
+    /// use greem_math::Vec3;
+    /// use greem_pm::{PmParams, PmSolver};
+    ///
+    /// let solver = PmSolver::isolated(PmParams::standard(16));
+    /// // A pair separated by half the box: in open space the force acts
+    /// // through the interior — no wrap-around image pulls the other way.
+    /// let pos = vec![Vec3::new(0.25, 0.5, 0.5), Vec3::new(0.75, 0.5, 0.5)];
+    /// let res = solver.solve(&pos, &[1.0, 1.0]);
+    /// assert!(res.accel[0].x > 0.0 && res.accel[1].x < 0.0);
+    /// ```
+    pub fn isolated(params: PmParams) -> Self {
+        let n = params.n_mesh;
+        let greens = GreensFn::isolated(n, params.r_cut, params.deconvolve);
+        let open = |g: Grid| Grid {
+            cells_per_unit: n,
+            ..g
+        };
+        let (grid, padded) = (Grid::periodic(2 * n), Grid::padded(2 * n, 2 * n + 2));
+        Self::build(params, greens, open(grid), open(padded))
+    }
+
+    /// The solver of `greens` on `grid` (the transform's side must be a
+    /// power of two, which the plan checks).
+    fn build(params: PmParams, greens: GreensFn, grid: Grid, padded: Grid) -> Self {
+        let fft = RealFft3::new(greens.n());
         PmSolver {
-            greens: GreensFn::new(params.n_mesh, params.r_cut, params.deconvolve),
             workspace: Mutex::new(Workspace {
                 mesh: vec![0.0; fft.buf_len()],
-                acc: std::array::from_fn(|_| vec![0.0; cells]),
+                acc: std::array::from_fn(|_| vec![0.0; grid.bx.len()]),
                 lists: BlockLists::default(),
             }),
-            fft,
             params,
+            grid,
+            padded,
+            greens,
+            fft,
         }
     }
 
-    /// The configuration.
+    /// The configuration (physical-mesh parameters; an isolated
+    /// solver's padding is its own business).
     pub fn params(&self) -> &PmParams {
         &self.params
     }
@@ -116,8 +162,9 @@ impl PmSolver {
             .expect("a PM solve panicked while holding the workspace")
     }
 
-    /// TSC mass-density assignment onto the full periodic mesh:
-    /// `ρ[c] = Σ_p m_p·W(c − x_p) / h³`. Positions must be in `[0,1)`.
+    /// TSC mass-density assignment onto the solver's mesh:
+    /// `ρ[c] = Σ_p m_p·W(c − x_p) / h³`. Periodic positions must be in
+    /// `[0,1)`.
     ///
     /// Parallel over x-planes, each owned by one task that deposits, in
     /// particle order, the particles whose clouds reach it
@@ -125,31 +172,30 @@ impl PmSolver {
     /// [`assign_density_serial`](Self::assign_density_serial) at any
     /// thread count.
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let mut rho = vec![0.0; n * n * n];
+        let mut rho = vec![0.0; self.grid.bx.len()];
         let mut lists = BlockLists::default();
-        mesh::assign(Grid::periodic(n), &mut lists, pos, mass, &mut rho);
+        mesh::assign(self.grid, &mut lists, pos, mass, &mut rho);
         rho
     }
 
     /// The plain scatter loop over particles: the reference
     /// [`assign_density`](Self::assign_density) must equal bit for bit.
     pub fn assign_density_serial(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let n_i = n as i64;
-        let vol_inv = (n * n * n) as f64; // 1/h³
-        let mut rho = vec![0.0; n * n * n];
+        let (side, cpu) = (self.fft.n(), self.grid.cells_per_unit);
+        let side_i = side as i64;
+        let vol_inv = (cpu * cpu * cpu) as f64; // 1/h³
+        let mut rho = vec![0.0; side * side * side];
         for (p, &m) in pos.iter().zip(mass) {
-            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
+            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], cpu);
             let amp = m * vol_inv;
             for (a, &wxa) in wx.iter().enumerate() {
-                let cx = (ix + a as i64).rem_euclid(n_i) as usize;
+                let cx = (ix + a as i64).rem_euclid(side_i) as usize;
                 for (b, &wyb) in wy.iter().enumerate() {
-                    let cy = (iy + b as i64).rem_euclid(n_i) as usize;
+                    let cy = (iy + b as i64).rem_euclid(side_i) as usize;
                     let wxy = wxa * wyb * amp;
-                    let row = (cx * n + cy) * n;
+                    let row = (cx * side + cy) * side;
                     for (c, &wzc) in wz.iter().enumerate() {
-                        let cz = (iz + c as i64).rem_euclid(n_i) as usize;
+                        let cz = (iz + c as i64).rem_euclid(side_i) as usize;
                         rho[row + cz] += wxy * wzc;
                     }
                 }
@@ -161,16 +207,19 @@ impl PmSolver {
     /// Solve the filtered Poisson equation on the mesh: density in,
     /// long-range potential out.
     pub fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        assert_eq!(density.len(), n * n * n);
+        let side = self.fft.n();
+        assert_eq!(density.len(), self.grid.bx.len());
         let buf = &mut self.workspace().mesh;
-        for (row, src) in buf.chunks_exact_mut(n + 2).zip(density.chunks_exact(n)) {
-            row[..n].copy_from_slice(src);
+        for (row, src) in buf
+            .chunks_exact_mut(side + 2)
+            .zip(density.chunks_exact(side))
+        {
+            row[..side].copy_from_slice(src);
         }
         self.potential_in_place(buf);
         let mut phi = Vec::with_capacity(density.len());
-        for row in buf.chunks_exact(n + 2) {
-            phi.extend_from_slice(&row[..n]);
+        for row in buf.chunks_exact(side + 2) {
+            phi.extend_from_slice(&row[..side]);
         }
         phi
     }
@@ -185,16 +234,14 @@ impl PmSolver {
     /// `a = −∇φ`, `∂φ/∂x ≈ (−φ₊₂ + 8φ₊₁ − 8φ₋₁ + φ₋₂)/(12h)` (§II-B
     /// step 5). Returns the three component meshes.
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        let n = self.params.n_mesh;
-        let mut out = std::array::from_fn(|_| vec![0.0; n * n * n]);
-        mesh::accel_from_potential(Grid::periodic(n), Grid::periodic(n), phi, &mut out);
+        let mut out = std::array::from_fn(|_| vec![0.0; self.grid.bx.len()]);
+        mesh::accel_from_potential(self.grid, self.grid, phi, &mut out);
         out
     }
 
     /// TSC interpolation of a mesh field to particle positions.
     pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        let grid = Grid::periodic(self.params.n_mesh);
-        mesh::gather([(grid, field)], pos).concat()
+        mesh::gather([(self.grid, field)], pos).concat()
     }
 
     /// Fused TSC interpolation of the three acceleration meshes and the
@@ -206,8 +253,7 @@ impl PmSolver {
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        let grid = Grid::periodic(self.params.n_mesh);
-        mesh::gather_forces(grid, acc, grid, phi, pos)
+        mesh::gather_forces(self.grid, acc, self.grid, phi, pos)
     }
 
     /// The full PM cycle: long-range accelerations (and potentials) at
@@ -215,16 +261,14 @@ impl PmSolver {
     pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
         self.solve_timed(pos, mass).0
     }
-}
 
-impl PmPipeline for PmSolver {
-    /// The cycle on the solver's own workspace: the density is assigned
-    /// straight into the transform's padded buffer, becomes the
-    /// potential there, and is differenced and interpolated from there.
-    fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
+    /// The cycle on the solver's own workspace, with the wall seconds of
+    /// its four Table I phases: the density is assigned straight into
+    /// the transform's padded buffer, becomes the potential there, and
+    /// is differenced and interpolated from there.
+    pub fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
-        let n = self.params.n_mesh;
-        let (grid, padded) = (Grid::periodic(n), Grid::padded(n, self.fft.row_len()));
+        let (grid, padded) = (self.grid, self.padded);
         let mut t = PmPhaseTimes::default();
         let ws = &mut *self.workspace();
         timed_phase(

@@ -99,7 +99,8 @@ fn serial_fft3d_reference(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
             }
             run(plan, &mut line);
             for (y, l) in line.iter().enumerate() {
-                *mesh.get_mut(x, y, z) = *l;
+                let i = mesh.idx(x, y, z);
+                mesh.data_mut()[i] = *l;
             }
         }
     }
@@ -110,7 +111,8 @@ fn serial_fft3d_reference(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
             }
             run(plan, &mut line);
             for (x, l) in line.iter().enumerate() {
-                *mesh.get_mut(x, y, z) = *l;
+                let i = mesh.idx(x, y, z);
+                mesh.data_mut()[i] = *l;
             }
         }
     }

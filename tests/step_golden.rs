@@ -179,7 +179,9 @@ fn case_hashes() -> [u64; 6] {
 }
 
 /// One row per case, one column per variant: avx512, avx2, portable,
-/// scalar.
+/// scalar. The isolated row was re-recorded once when the open-boundary
+/// PM solve moved from the complex transform to the real ↔
+/// half-complex one (its accelerations moved by ≤ 4e-14 relative).
 const GOLDEN: [[u64; 4]; 6] = [
     [
         0xe528_f2b3_63fd_5b3c,
@@ -188,10 +190,10 @@ const GOLDEN: [[u64; 4]; 6] = [
         0x37d1_eb3d_7a1d_69fc,
     ],
     [
-        0xe07c_6b28_72f0_1c66,
-        0xed1b_dacd_8de7_6999,
-        0x2d5d_3c11_2a55_41ec,
-        0x2fc0_bab0_75f6_e90d,
+        0x0b5e_56c9_6a90_0c63,
+        0x284f_e614_61f3_16c2,
+        0xf243_e4b6_3990_7102,
+        0x6ab8_3dec_9d07_d1d6,
     ],
     [
         0xcfdd_40fb_e81e_df12,

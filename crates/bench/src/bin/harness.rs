@@ -374,7 +374,9 @@ mod tests {
 
     /// Every row of the table at `small`: the text is there, the JSON
     /// is one line tagged with the row's name, and where the text names
-    /// the run's sizes they are the JSON's — both render one run.
+    /// the run's sizes they are the JSON's — both render one run. These
+    /// are the lines `harness all --json` prints, one per row: JSONL of
+    /// exactly 15 objects.
     #[test]
     fn every_paper_row_renders_one_small_run_both_ways() {
         let _alone = ONE_AT_A_TIME.lock().unwrap();
@@ -529,7 +531,10 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(rows, 15, "the paper's tables and figures");
+        assert_eq!(
+            rows, 15,
+            "the paper's tables and figures: `all --json` lines"
+        );
     }
 
     /// The small weak-scaling sweep's physics: the three gated points,

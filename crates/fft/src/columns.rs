@@ -196,14 +196,16 @@ pub(crate) fn columns_pass<T: Elem>(
     }
 }
 
-/// The rows of an `n × n × row_len` mesh regrouped by their middle
-/// index: element `y` lists row `(x, y)` for every `x` in order — the
-/// lines of the slowest axis, as disjoint borrows a parallel loop can
-/// hand one list each.
-pub(crate) fn rows_by_middle<T>(data: &mut [T], n: usize, row_len: usize) -> Vec<Vec<&mut [T]>> {
-    let mut lists: Vec<Vec<&mut [T]>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+/// Lines of the slowest axis: each line's middle index `y` and its
+/// rows `(x, y)`, `x` in order, as disjoint borrows a parallel loop can
+/// hand one line each.
+pub(crate) type Lines<'a, T = f64> = Vec<(usize, Vec<&'a mut [T]>)>;
+
+/// Every line of an `n × n × row_len` mesh.
+pub(crate) fn rows_by_middle<T>(data: &mut [T], n: usize, row_len: usize) -> Lines<'_, T> {
+    let mut lines: Lines<T> = (0..n).map(|y| (y, Vec::with_capacity(n))).collect();
     for (i, row) in data.chunks_exact_mut(row_len).enumerate() {
-        lists[i % n].push(row);
+        lines[i % n].1.push(row);
     }
-    lists
+    lines
 }

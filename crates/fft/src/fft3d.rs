@@ -1,12 +1,10 @@
 //! Complex 3-D transforms on a cubic mesh.
 //!
-//! No solver runs these: every PM path and the cosmology crate use
-//! [`RealFft3`](crate::RealFft3). What is left is the slab transform's
-//! plane pass ([`plane_yz`]), the repo benchmark's FFT probe, and
-//! [`Mesh3`] as the reference the tests hold the real and slab
-//! transforms to. Layout is row-major `(x, y, z)` with `z` contiguous —
-//! the same layout the slab solver uses within each x-plane, so data
-//! moves between the two without reshuffling.
+//! No solver runs these: every PM path, serial and slab, and the
+//! cosmology crate use [`RealFft3`](crate::RealFft3). What is left is
+//! the repo benchmark's FFT probe and [`Mesh3`] as the reference the
+//! tests hold the real transforms to. Layout is row-major `(x, y, z)`
+//! with `z` contiguous.
 
 use crate::columns::{columns_pass, conj_if, rows_by_middle, Panel, PANEL_COLS};
 use crate::complex::Cpx;
@@ -81,9 +79,9 @@ pub fn fft3d_inverse(mesh: &mut Mesh3, plan: &Fft1d) {
 }
 
 /// The three axis passes. Per x-plane (one rayon task each, the plane
-/// staying in L2 between the two): `z` and then `y`
-/// ([`plane_yz`]). Then `x`, batched over the columns of one `y` per
-/// task.
+/// staying in L2 between the two): the z rows as transposed panels and
+/// then the y columns. Then `x`, batched over the columns of one `y`
+/// per task.
 ///
 /// The inverse is `conj ∘ forward ∘ conj` per line; conjugation is exact
 /// and its own inverse, so the conjugations between the axes cancel and
@@ -98,33 +96,24 @@ fn transform3d(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
     mesh.data
         .par_chunks_mut(n * n)
         .for_each_init(Vec::new, |scratch, plane| {
-            plane_yz(plan, plane, scratch, inverse)
+            let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(n).collect();
+            for batch in rows.chunks_mut(PANEL_COLS) {
+                let [mut p] = Panel::of(scratch, [n], batch.len());
+                p.load(batch, |j| plan.rev(j), conj_if(inverse));
+                p.fft(plan);
+                p.store(batch, conj_if(false));
+            }
+            let maps = (conj_if(false), conj_if(false));
+            columns_pass(plan, &mut rows, n, scratch, maps, |p, _| p.fft(plan));
         });
     let s = 1.0 / (n as f64).powi(3);
     rows_by_middle(&mut mesh.data, n, n)
         .into_par_iter()
-        .for_each_init(Vec::new, |scratch, mut rows| {
+        .for_each_init(Vec::new, |scratch, (_, mut rows)| {
             let finish = |v: Cpx| if inverse { v.conj().scale(s) } else { v };
             let maps = (conj_if(false), finish);
             columns_pass(plan, &mut rows, n, scratch, maps, |p, _| p.fft(plan));
         });
-}
-
-/// The forward transforms of one `n × n` x-plane: its z rows as
-/// transposed panels, conjugated on the way in when `conj_in`, then its
-/// y columns.
-pub(crate) fn plane_yz(plan: &Fft1d, plane: &mut [Cpx], scratch: &mut Vec<f64>, conj_in: bool) {
-    let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(plan.len()).collect();
-    for batch in rows.chunks_mut(PANEL_COLS) {
-        let [mut p] = Panel::of(scratch, [plan.len()], batch.len());
-        p.load(batch, |j| plan.rev(j), conj_if(conj_in));
-        p.fft(plan);
-        p.store(batch, conj_if(false));
-    }
-    let maps = (conj_if(false), conj_if(false));
-    columns_pass(plan, &mut rows, plan.len(), scratch, maps, |p, _| {
-        p.fft(plan)
-    });
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ const REAL_SIDES: [usize; 6] = [2, 4, 8, 16, 64, 128];
 
 /// `RealFft3::{forward, inverse, convolve}` per side: the forward
 /// spectrum (whole padded buffer), the inverse of that spectrum and a
-/// convolution with an even kernel (the `n` reals of every row).
+/// convolution with [`EvenKernel`] (the `n` reals of every row).
 const REAL_GOLDEN: [[u64; 6]; 3] = [
     [
         0x762b7c0ea3139143,
@@ -71,23 +71,42 @@ const REAL_GOLDEN: [[u64; 6]; 3] = [
     ],
 ];
 
+/// A real, even k-space kernel of side `n` for `convolve`: a function
+/// of `|k|` per axis.
+pub(crate) struct EvenKernel(usize, Vec<f64>);
+
+impl EvenKernel {
+    pub fn new(n: usize) -> Self {
+        let h = n / 2 + 1;
+        let g = |i: usize| 1.0 / (1.0 + (i / (h * h) + 2 * (i / h % h) + 3 * (i % h)) as f64);
+        EvenKernel(n, (0..h * h * h).map(g).collect())
+    }
+
+    /// The multipliers of modes `(x, y, 0 ..= n/2)`.
+    pub fn row(&self, x: usize, y: usize) -> &[f64] {
+        let (n, h) = (self.0, self.0 / 2 + 1);
+        &self.1[(x.min(n - x) * h + y.min(n - y)) * h..][..h]
+    }
+}
+
+/// The golden input of side `n`: a padded buffer whose rows hold `n`
+/// reals in `[−½, ½)` and zero pads.
+pub(crate) fn real_input(n: usize) -> Vec<f64> {
+    let mut rng = TestLcg::new(7 + n as u64);
+    let mut input = vec![0.0; n * n * (n + 2)];
+    for row in input.chunks_exact_mut(n + 2) {
+        row[..n].iter_mut().for_each(|v| *v = rng.next_f64() - 0.5);
+    }
+    input
+}
+
 #[test]
 fn real_transforms_keep_their_bits() {
     let mut widths = Vec::new();
     for n in REAL_SIDES {
         let (full, half) = (plans(n), plans(n / 2));
         let rows = |buf: &[f64]| hash(buf.chunks_exact(n + 2).flat_map(|r| &r[..n]));
-        let h = n / 2 + 1;
-        let fold = |i: usize| i.min(n - i);
-        let table: Vec<f64> = (0..h * h * h)
-            .map(|i| 1.0 / (1.0 + (i / (h * h) + 2 * (i / h % h) + 3 * (i % h)) as f64))
-            .collect();
-        let kernel = |x: usize, y: usize| &table[(fold(x) * h + fold(y)) * h..][..h];
-        let mut rng = TestLcg::new(7 + n as u64);
-        let mut input = vec![0.0; n * n * (n + 2)];
-        for row in input.chunks_exact_mut(n + 2) {
-            row[..n].iter_mut().for_each(|v| *v = rng.next_f64() - 0.5);
-        }
+        let (kernel, input) = (EvenKernel::new(n), real_input(n));
         for (i, ((name, full), (_, half))) in full.into_iter().zip(half).enumerate() {
             let plan = RealFft3 { full, half };
             let mut buf = input.clone();
@@ -96,7 +115,7 @@ fn real_transforms_keep_their_bits() {
             plan.inverse(&mut buf);
             let inv = rows(&buf);
             let mut buf = input.clone();
-            plan.convolve(&mut buf, kernel);
+            plan.convolve(&mut buf, |x, y| kernel.row(x, y));
             if widths.len() <= i {
                 widths.push((name, [[0; 6]; 3]));
             }
@@ -112,6 +131,32 @@ fn real_transforms_keep_their_bits() {
             got.as_flattened(),
             REAL_GOLDEN.as_flattened(),
         );
+    }
+}
+
+/// `SlabFft::convolve` of the golden input, every rank's planes in rank
+/// order, hashes to `RealFft3::convolve`'s entry for that side.
+#[test]
+fn slab_convolve_keeps_the_serial_bits() {
+    for n in [8, 16] {
+        let (kernel, input) = (EvenKernel::new(n), real_input(n));
+        let want = REAL_GOLDEN[2][REAL_SIDES.iter().position(|&s| s == n).unwrap()];
+        for ((name, full), (_, half)) in plans(n).into_iter().zip(plans(n / 2)) {
+            let plan = RealFft3 { full, half };
+            for p in [1, 2, 3, 5, n] {
+                let out = World::new(p).with_net(NetModel::free()).run(|ctx, world| {
+                    let mut fft = SlabFft::new(n, world.clone());
+                    fft.plan = plan.clone();
+                    let (x0, nxl) = fft.my_planes();
+                    let rows =
+                        input[x0 * n * (n + 2)..(x0 + nxl) * n * (n + 2)].chunks_exact(n + 2);
+                    let slab: Vec<f64> = rows.flat_map(|r| &r[..n]).copied().collect();
+                    fft.convolve(ctx, &slab, |x, y| kernel.row(x, y))
+                });
+                let got = hash(&out.concat());
+                assert_eq!(got, want, "SlabFft at width {name}, n = {n}, p = {p}");
+            }
+        }
     }
 }
 
@@ -146,40 +191,5 @@ fn complex_transforms_keep_their_bits() {
     }
     for (name, got) in widths {
         check("fft3d", name, &got, &COMPLEX_GOLDEN);
-    }
-}
-
-const SLAB_RANKS: [usize; 3] = [1, 2, 3];
-
-/// `SlabFft::forward` (every rank's k-slab in rank order) and then
-/// `backward` of that, per rank count, at n = 16.
-const SLAB_GOLDEN: [u64; 6] = [
-    0x867ccddb53e2a325,
-    0xa1fe205724a64535,
-    0x867ccddb53e2a325,
-    0xa1fe205724a64535,
-    0x867ccddb53e2a325,
-    0xa1fe205724a64535,
-];
-
-#[test]
-fn slab_transforms_keep_their_bits() {
-    let n = 16;
-    let input = rand_cpx(n * n * n, 5);
-    for (name, plan) in plans(n) {
-        let mut got = Vec::new();
-        for p in SLAB_RANKS {
-            let out = World::new(p).with_net(NetModel::free()).run(|ctx, world| {
-                let mut fft = SlabFft::new(n, world.clone());
-                fft.plan = plan.clone();
-                let (x0, nxl) = fft.my_planes();
-                let k = fft.forward(ctx, input[x0 * n * n..(x0 + nxl) * n * n].to_vec());
-                let back = fft.backward(ctx, k.clone());
-                (k, back)
-            });
-            let (k, back): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-            got.extend([hash_cpx(&k.concat()), hash_cpx(&back.concat())]);
-        }
-        check("SlabFft", name, &got, &SLAB_GOLDEN);
     }
 }

@@ -16,18 +16,18 @@
 //!   below goes through these panels),
 //! * [`RealFft3`] — real ↔ half-complex 3-D transforms in place on a
 //!   padded `n × n × (n+2)` real buffer, and the k-space convolution
-//!   built on them: the serial PM solver's transform for both
-//!   boundaries, and the cosmology crate's (initial conditions, power
-//!   spectrum) — the density is real, so half the modes and half the
-//!   bytes,
+//!   built on them: every PM solver's transform (serial for both
+//!   boundaries, and slab-decomposed below), and the cosmology crate's
+//!   (initial conditions, power spectrum) — the density is real, so
+//!   half the modes and half the bytes,
+//! * [`SlabFft`] — [`RealFft3::convolve`] over `mpisim`, from its own
+//!   passes and bit for bit, with FFTW-MPI's r2c data layout: x-plane
+//!   slabs per rank, one all-to-all transpose of half-complex rows to a
+//!   y-distributed layout and back, and the same "at most `n` ranks can
+//!   participate" restriction,
 //! * [`fft3d`] — in-place complex 3-D transforms, bit-identical to
-//!   line-by-line `Fft1d` calls: no solver runs them; they are the slab
-//!   transform's plane pass, the repo benchmark's FFT probe and the
-//!   reference in tests,
-//! * [`SlabFft`] — the parallel 3-D FFT over `mpisim` with exactly
-//!   FFTW-MPI's data layout: contiguous x-plane slabs per rank, one
-//!   all-to-all transpose to an intermediate y-distributed layout, and
-//!   the same "at most `n` ranks can participate" restriction.
+//!   line-by-line `Fft1d` calls: no solver runs them; they are the repo
+//!   benchmark's FFT probe and the reference in tests.
 
 // One `unsafe` block, x86 only: the call into the AVX2 / AVX-512 copy
 // of the butterflies that run-time detection selected (`fft1d::wide`).

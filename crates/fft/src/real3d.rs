@@ -23,7 +23,9 @@
 //! * **C**, per x-plane: inverse `y`, then the rows merged and
 //!   inverse-transformed back to `n` reals.
 
-use crate::columns::{columns_pass, combine_rows, conj_if, rows_by_middle, Panel, PANEL_COLS};
+use crate::columns::{
+    columns_pass, combine_rows, conj_if, rows_by_middle, Lines, Panel, PANEL_COLS,
+};
 use crate::complex::Cpx;
 use crate::fft1d::Fft1d;
 use rayon::prelude::*;
@@ -69,20 +71,14 @@ impl RealFft3 {
     /// Forward transform in place (unnormalised, `exp(−2πi)`): real
     /// rows in, modes `k_z ≤ n/2` out.
     pub fn forward(&self, buf: &mut [f64]) {
-        self.planes(buf, |rows, scratch| {
-            self.z_forward(rows, scratch);
-            self.y_pass(rows, scratch, false);
-        });
-        self.x_pass(buf, false, |p, _, _| p.fft(&self.full));
+        self.yz_planes(buf, false);
+        self.x_pass(self.lines(buf), false, |p, _, _| p.fft(&self.full));
     }
 
     /// Inverse of [`forward`](Self::forward) in place, `1/n³` included.
     pub fn inverse(&self, buf: &mut [f64]) {
-        self.x_pass(buf, true, |p, _, _| p.fft(&self.full));
-        self.planes(buf, |rows, scratch| {
-            self.y_pass(rows, scratch, true);
-            self.z_inverse(rows, scratch);
-        });
+        self.x_pass(self.lines(buf), true, |p, _, _| p.fft(&self.full));
+        self.yz_planes(buf, true);
     }
 
     /// Circular convolution with a real, even kernel given in k-space:
@@ -90,19 +86,12 @@ impl RealFft3 {
     /// `kernel(k_x, k_y)[k_z]` (raw mesh indices; the row has `n/2 + 1`
     /// entries), inverse transform with the `1/n³`. Equal to doing the
     /// three steps one after another, but a mode is multiplied while its
-    /// panel is in cache between the two x transforms.
+    /// panel is in cache between the two x transforms; `SlabFft` runs
+    /// the same three phases with its x lines on other ranks.
     pub fn convolve<'k>(&self, buf: &mut [f64], kernel: impl Fn(usize, usize) -> &'k [f64] + Sync) {
-        self.planes(buf, |rows, scratch| {
-            self.z_forward(rows, scratch);
-            self.y_pass(rows, scratch, false);
-        });
-        self.x_pass(buf, false, |p, y, c0| {
-            self.multiply(p, |i| &kernel(i, y)[c0..])
-        });
-        self.planes(buf, |rows, scratch| {
-            self.y_pass(rows, scratch, true);
-            self.z_inverse(rows, scratch);
-        });
+        self.yz_planes(buf, false);
+        self.convolve_lines(self.lines(buf), kernel);
+        self.yz_planes(buf, true);
     }
 
     /// [`convolve`](Self::convolve) with each of its three kinds of pass
@@ -123,20 +112,50 @@ impl RealFft3 {
         };
         timed(0, &|b| self.planes(b, |r, s| self.z_forward(r, s)));
         timed(1, &|b| self.planes(b, |r, s| self.y_pass(r, s, false)));
-        timed(2, &|b| {
-            self.x_pass(b, false, |p, y, c| self.multiply(p, |i| &kernel(i, y)[c..]))
-        });
+        timed(2, &|b| self.convolve_lines(self.lines(b), &kernel));
         timed(1, &|b| self.planes(b, |r, s| self.y_pass(r, s, true)));
         timed(0, &|b| self.planes(b, |r, s| self.z_inverse(r, s)));
         spent
     }
 
-    /// Phases A and C: `pass(rows, scratch)` on every x-plane, one task
-    /// each.
-    fn planes(&self, buf: &mut [f64], pass: impl Fn(&mut [&mut [f64]], &mut Vec<f64>) + Sync) {
-        let (n, ld) = (self.n(), self.row_len());
+    /// Phase A (z rows, then y) or, `inverse`, phase C (y, then z rows)
+    /// on every x-plane in `planes` — the whole mesh or a slab of it.
+    pub(crate) fn yz_planes(&self, planes: &mut [f64], inverse: bool) {
+        self.planes(planes, |rows, scratch| {
+            if !inverse {
+                self.z_forward(rows, scratch);
+            }
+            self.y_pass(rows, scratch, inverse);
+            if inverse {
+                self.z_inverse(rows, scratch);
+            }
+        });
+    }
+
+    /// Phase B of [`convolve`](Self::convolve) on each x line of
+    /// `lines`, at its global `y`.
+    pub(crate) fn convolve_lines<'k>(
+        &self,
+        lines: Lines,
+        kernel: impl Fn(usize, usize) -> &'k [f64] + Sync,
+    ) {
+        self.x_pass(lines, false, |p, y, c0| {
+            self.multiply(p, |i| &kernel(i, y)[c0..])
+        });
+    }
+
+    /// Every x line of a whole padded mesh.
+    fn lines<'b>(&self, buf: &'b mut [f64]) -> Lines<'b> {
         assert_eq!(buf.len(), self.buf_len(), "padded buffer size mismatch");
-        buf.par_chunks_mut(n * ld)
+        rows_by_middle(buf, self.n(), self.row_len())
+    }
+
+    /// `pass(rows, scratch)` on every x-plane of `planes`, one task each.
+    fn planes(&self, planes: &mut [f64], pass: impl Fn(&mut [&mut [f64]], &mut Vec<f64>) + Sync) {
+        let (n, ld) = (self.n(), self.row_len());
+        assert_eq!(planes.len() % (n * ld), 0, "padded planes size mismatch");
+        planes
+            .par_chunks_mut(n * ld)
             .for_each_init(Vec::new, |scratch, plane| {
                 pass(&mut plane.chunks_exact_mut(ld).collect::<Vec<_>>(), scratch)
             });
@@ -153,12 +172,10 @@ impl RealFft3 {
     /// line `y`, gathered conjugated when `conj`. It leaves the
     /// *conjugate* of the k-space values when an inverse follows
     /// ([`y_pass`](Self::y_pass) undoes that).
-    fn x_pass(&self, buf: &mut [f64], conj: bool, body: impl Fn(&mut Panel, usize, usize) + Sync) {
-        let (n, ld) = (self.n(), self.row_len());
-        assert_eq!(buf.len(), self.buf_len(), "padded buffer size mismatch");
-        rows_by_middle(buf, n, ld)
+    fn x_pass(&self, lines: Lines, conj: bool, body: impl Fn(&mut Panel, usize, usize) + Sync) {
+        let n = self.n();
+        lines
             .into_par_iter()
-            .enumerate()
             .for_each_init(Vec::new, |scratch, (y, mut rows)| {
                 let maps = (conj_if(conj), conj_if(false));
                 columns_pass(&self.full, &mut rows, n / 2 + 1, scratch, maps, |p, c0| {
@@ -242,6 +259,7 @@ impl RealFft3 {
 mod tests {
     use super::*;
     use crate::fft3d::{fft3d, Mesh3};
+    use crate::golden::EvenKernel;
 
     fn rand_reals(len: usize, seed: u64) -> Vec<f64> {
         let mut s = seed;
@@ -316,22 +334,16 @@ mod tests {
     fn convolve_is_forward_multiply_inverse() {
         for n in SIDES {
             let plan = RealFft3::new(n);
-            let h = n / 2 + 1;
             let vals = rand_reals(n * n * n, 29 + n as u64);
-            // An even kernel: a function of |k| per axis.
-            let fold = |i: usize| i.min(n - i);
-            let table: Vec<f64> = (0..h * h * h)
-                .map(|i| 1.0 / (1.0 + (i / (h * h) + 2 * (i / h % h) + 3 * (i % h)) as f64))
-                .collect();
-            let kernel = |x: usize, y: usize| &table[(fold(x) * h + fold(y)) * h..][..h];
+            let kernel = EvenKernel::new(n);
 
             let mut fused = padded(&plan, &vals);
-            plan.convolve(&mut fused, kernel);
+            plan.convolve(&mut fused, |x, y| kernel.row(x, y));
 
             let mut steps = padded(&plan, &vals);
             plan.forward(&mut steps);
             for (i, row) in steps.chunks_exact_mut(n + 2).enumerate() {
-                for (pair, g) in row.chunks_exact_mut(2).zip(kernel(i / n, i % n)) {
+                for (pair, g) in row.chunks_exact_mut(2).zip(kernel.row(i / n, i % n)) {
                     pair[0] *= g;
                     pair[1] *= g;
                 }

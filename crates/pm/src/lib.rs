@@ -11,9 +11,9 @@
 //!    either by one global `Alltoallv` ([`convert`], the straightforward
 //!    method) or by the paper's novel **relay mesh method** ([`relay`]):
 //!    a group-local `Alltoallv` followed by a `Reduce` across groups.
-//! 3. **FFT + Green's function** — the slab FFT solves the Poisson
-//!    equation with the S2-shaped long-range Green's function
-//!    ([`greens`]).
+//! 3. **FFT + Green's function** — the slab FFT (`RealFft3::convolve`
+//!    distributed, same bits) solves the Poisson equation with the
+//!    S2-shaped long-range Green's function ([`greens`]).
 //! 4. **Conversion back** — slab potential to each process's ghosted
 //!    local mesh (again direct or relayed, with `Bcast` replacing
 //!    `Reduce` on the way out).

@@ -1,6 +1,6 @@
 //! The distributed PM driver: the paper's five-step cycle over `mpisim`.
 
-use greem_fft::{Cpx, SlabFft};
+use greem_fft::SlabFft;
 use greem_math::Vec3;
 use greem_obs::trace::timed_phase;
 use mpisim::{Comm, Ctx};
@@ -188,18 +188,8 @@ impl ParallelPm {
 
         // Step 3: slab FFT + Green's function (FFT ranks only).
         let pot_slab = timed_phase("pm", "pm.fft", &mut t.fft, || {
-            let (fft, slab) = (self.fft.as_ref()?, slab?);
-            let mut k = fft.forward(ctx, slab.iter().map(|&v| Cpx::real(v)).collect());
-            let (y0, nyl) = fft.my_kplanes();
-            for (plane, ky) in k.chunks_exact_mut(n * n).zip(y0..y0 + nyl) {
-                for (x, row) in plane.chunks_exact_mut(n).enumerate() {
-                    let g = self.greens.row(x, ky);
-                    for (z, v) in row.iter_mut().enumerate() {
-                        *v = *v * g[z.min(n - z)];
-                    }
-                }
-            }
-            Some(fft.backward(ctx, k).iter().map(|c| c.re).collect())
+            let (fft, slab, greens) = (self.fft.as_ref()?, slab?, &self.greens);
+            Some(fft.convolve(ctx, &slab, |x, y| greens.row(x, y)))
         });
 
         // Step 4: conversion back to the local ghosted potential mesh.

@@ -10,10 +10,8 @@
 //! run contextualizes the number: our simulated runs are far smaller
 //! than 2048³, so the ratio-to-model is reported, not gated.
 
+use greem_math::FLOPS_PER_INTERACTION;
 use greem_perfmodel::{model_table, KMachine};
-
-/// The paper's flop accounting (§II-A).
-pub const FLOPS_PER_INTERACTION: f64 = 51.0;
 
 /// Fiducial node count for the model comparison (the paper's 2048³
 /// production shape).

@@ -15,6 +15,7 @@
 
 use greem::{Simulation, SimulationMode, TreePmConfig};
 use greem_kernels::{kernel_benchmark, selected_variant, KernelBenchReport, OpMix};
+use greem_math::FLOPS_PER_INTERACTION;
 use greem_perfmodel::KMachine;
 
 use crate::workloads;
@@ -116,7 +117,7 @@ pub fn run(small: bool) -> super::Outcome {
          measured 11.65 Gflops/core = {:.0}% of bound = {:.2e} interactions/s/core\n\n",
         k.kernel_bound_per_core() / 1e9,
         100.0 * k.kernel_flops_per_core / k.kernel_bound_per_core(),
-        k.kernel_flops_per_core / 51.0
+        k.kernel_flops_per_core / FLOPS_PER_INTERACTION
     ));
     s.push_str(&format!(
         "this host (single thread; dispatch selects '{}'):\n",

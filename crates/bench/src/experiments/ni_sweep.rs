@@ -82,7 +82,7 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
             };
             let solver = TreePm::new(cfg);
             let t0 = Instant::now();
-            let (_, walk, times) = solver.compute_pp(&pos, &mass);
+            let (_, bd) = solver.compute_pp(&pos, &mass);
             let total = t0.elapsed().as_secs_f64();
             // The same groups and lists again, untimed, for their sizes.
             let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, cfg.tree_params());
@@ -92,13 +92,13 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
             });
             NiRow {
                 group_size: gs,
-                mean_ni: walk.mean_ni(),
+                mean_ni: bd.walk.mean_ni(),
                 lanes_used: lanes.share(),
-                mean_nj: walk.mean_nj(),
-                traversal_s: times.traversal,
-                force_s: times.force,
+                mean_nj: bd.walk.mean_nj(),
+                traversal_s: bd.pp_tree_traversal,
+                force_s: bd.pp_force_calculation,
                 total_s: total,
-                interactions: walk.interactions,
+                interactions: bd.interactions(),
             }
         })
         .collect()

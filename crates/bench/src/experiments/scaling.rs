@@ -107,11 +107,12 @@ pub fn run(small: bool) -> super::Outcome {
     w.begin_arr(Some("model"));
     for p in [6144usize, 12288, 24576, 49152, 82944] {
         let t = model_table(p);
+        let pp = t.rows().section("pp");
         s.push_str(&format!(
             "{:>6} {:>13.1} {:>8.1} {:>8.2} {:>8.2} {:>10.1}%\n",
             p,
             t.total(),
-            t.pp_total(),
+            pp,
             t.pm_fft,
             t.performance() / 1e15,
             t.efficiency() * 100.0
@@ -119,7 +120,7 @@ pub fn run(small: bool) -> super::Outcome {
         w.begin_obj(None);
         w.u64(Some("nodes"), p as u64);
         w.f64(Some("total_s_per_step"), t.total());
-        w.f64(Some("pp_s"), t.pp_total());
+        w.f64(Some("pp_s"), pp);
         w.f64(Some("fft_s"), t.pm_fft);
         w.f64(Some("pflops"), t.performance() / 1e15);
         w.f64(Some("efficiency"), t.efficiency());

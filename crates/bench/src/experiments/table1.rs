@@ -86,28 +86,12 @@ pub fn small_run() -> MeasuredRun {
     }
 }
 
-/// The measured rows as a JSON object: one sub-object per Table-I
-/// section (`pm`, `pp`, `dd`) holding its `total` and its
-/// [`StepBreakdown::phase_rows`], then the step total and the walk
-/// statistics. All timings are seconds per step.
+/// The measured column as a JSON object: the rows per step through
+/// [`greem_perfmodel::Rows::write_json`] (one sub-object per section,
+/// then the step `total`), then the walk statistics.
 fn write_measured(w: &mut JsonWriter, bd: &StepBreakdown, steps: f64) {
     w.begin_obj(Some("measured"));
-    let rows = bd.phase_rows(steps);
-    for (section, total) in [
-        ("pm", bd.pm.total()),
-        ("pp", bd.pp_total()),
-        ("dd", bd.dd_total()),
-    ] {
-        w.begin_obj(Some(section));
-        w.f64(Some("total"), total / steps);
-        for (name, secs) in rows {
-            if let Some(phase) = name.strip_prefix(section).and_then(|r| r.strip_prefix('.')) {
-                w.f64(Some(phase), secs);
-            }
-        }
-        w.end_obj();
-    }
-    w.f64(Some("total"), bd.total() / steps);
+    bd.rows().per(steps).write_json(w);
     w.f64(Some("mean_ni"), bd.walk.mean_ni());
     w.f64(Some("mean_nj"), bd.walk.mean_nj());
     w.f64(
@@ -165,10 +149,7 @@ pub fn run(small: bool) -> super::Outcome {
         for t in nodes.map(table) {
             w.begin_obj(None);
             w.u64(Some("nodes"), t.nodes as u64);
-            w.f64(Some("total_s_per_step"), t.total());
-            w.f64(Some("pm_s"), t.pm_total());
-            w.f64(Some("pp_s"), t.pp_total());
-            w.f64(Some("dd_s"), t.dd_total());
+            t.rows().write_json(&mut w);
             w.f64(Some("pflops"), t.performance() / 1e15);
             w.f64(Some("efficiency"), t.efficiency());
             w.end_obj();

@@ -127,7 +127,7 @@ pub fn short_range(n: usize) -> [(&'static str, u64, u64); 2] {
     ]
     .map(|(bodies, pos)| {
         let p3m = p3m_short_range(&pos, &mass, &split).1.pair_interactions;
-        (bodies, p3m, solver.compute_pp(&pos, &mass).1.interactions)
+        (bodies, p3m, solver.compute_pp(&pos, &mass).1.interactions())
     })
 }
 

@@ -20,10 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use greem::{Simulation, SimulationMode, TreePmConfig};
-use greem_analysis::efficiency::FLOPS_PER_INTERACTION;
 use greem_analysis::{critical_path, efficiency_at, RetentionPolicy, Segment};
+use greem_math::FLOPS_PER_INTERACTION;
 use greem_obs::json::JsonWriter;
 use greem_obs::sketch::Rollup;
+use greem_perfmodel::tableone::{
+    FORCE_CALCULATION, PM_COMMUNICATION, SAMPLING_METHOD, TREE_TRAVERSAL,
+};
 use greem_perfmodel::{model_table, paper_table, KMachine, RunShape};
 use mpisim::{NetModel, Script, World};
 
@@ -89,40 +92,32 @@ pub fn build_script(p: usize, steps: u64, work: &Arc<RepWork>) -> Script {
     for step in 0..steps {
         s.set_step(step);
         for (name, secs) in table.phase_rows() {
-            match name {
-                "pp.force_calculation" => {
-                    let w = Arc::clone(work);
-                    s.compute_with_work(
-                        name,
-                        move |r| secs * skew(r),
-                        move |_rank| {
-                            let bd = w.sim.lock().unwrap().step(1e-3);
-                            w.interactions
-                                .fetch_add(bd.interactions(), Ordering::Relaxed);
-                        },
-                    );
-                }
-                "pp.tree_traversal" => {
-                    s.compute(name, move |r| secs * skew(r));
-                }
-                _ => {
-                    s.compute(name, move |_| secs);
-                }
+            if name == FORCE_CALCULATION.key {
+                let w = Arc::clone(work);
+                s.compute_with_work(
+                    name,
+                    move |r| secs * skew(r),
+                    move |_rank| {
+                        let bd = w.sim.lock().unwrap().step(1e-3);
+                        w.interactions
+                            .fetch_add(bd.interactions(), Ordering::Relaxed);
+                    },
+                );
+            } else if name == TREE_TRAVERSAL.key {
+                s.compute(name, move |r| secs * skew(r));
+            } else {
+                s.compute(name, move |_| secs);
             }
-            match name {
+            if name == PM_COMMUNICATION.key {
                 // The over-groups relay: Reduce slabs to each group
                 // head, Bcast the summed slab back (§II-B, fig. 5).
-                "pm.communication" => {
-                    s.group_reduce(name, move |r| r as u64 % groups, move |_| slab_bytes);
-                    s.group_bcast(name, move |r| r as u64 % groups, move |_| slab_bytes);
-                }
+                s.group_reduce(name, move |r| r as u64 % groups, move |_| slab_bytes);
+                s.group_bcast(name, move |r| r as u64 % groups, move |_| slab_bytes);
+            } else if name == SAMPLING_METHOD.key {
                 // The sampling method: every rank ships samples to
                 // rank 0, which broadcasts the new domain boundaries.
-                "dd.sampling_method" => {
-                    s.gather(name, 0, |_| 24 * 64);
-                    s.bcast(name, 0, move |_| 48 * p);
-                }
-                _ => {}
+                s.gather(name, 0, |_| 24 * 64);
+                s.bcast(name, 0, move |_| 48 * p);
             }
         }
         s.allreduce("ctl.balancer", |_| 40);
@@ -311,7 +306,7 @@ fn attribute_losses(
             } else {
                 0.0
             };
-            let lost = if ph.phase == "pp.force_calculation" {
+            let lost = if ph.phase == FORCE_CALCULATION.key {
                 (share * kernel_ceiling - pct_of_peak).max(0.0) * 100.0
             } else {
                 share * kernel_ceiling * 100.0

@@ -14,20 +14,8 @@ use greem_tree::{GroupWalk, SnapshotTree, WalkStats};
 use crate::config::{Boundary, TreePmConfig};
 use crate::particle::Body;
 use crate::resident::ResidentPp;
+use crate::stats::StepBreakdown;
 use crate::store::ParticleStore;
-
-/// Wall/CPU seconds of the PP pipeline phases of one force evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PpTimes {
-    /// Morton sort, store permutation and arena build (the "local
-    /// tree" / "tree construction" work; one address space has no
-    /// split), or the monopole refresh of a replay.
-    pub tree_build: f64,
-    /// Sum over tasks of interaction-list building time.
-    pub traversal: f64,
-    /// Sum over tasks of kernel time.
-    pub force: f64,
-}
 
 /// The result of one full TreePM force evaluation.
 #[derive(Debug, Clone)]
@@ -84,21 +72,22 @@ impl TreePm {
     /// Evaluate PP accelerations only (tree + kernel) on a snapshot: one
     /// walking pass of the resident engine at `cfg.group_size` — no
     /// ghosts, no list recording — over a store whose ids are the input
-    /// indices, scattered back through them.
-    pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, WalkStats, PpTimes) {
+    /// indices, scattered back through them. The pass's PP rows and walk
+    /// statistics come back as one breakdown.
+    pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, StepBreakdown) {
         assert_eq!(pos.len(), mass.len());
         let mut span = greem_obs::trace::span("force", "pp.compute");
         let mut store = ParticleStore::with_capacity(pos.len());
         for (id, (&p, &m)) in pos.iter().zip(mass).enumerate() {
             store.push(Body::at_rest(p, m, id as u64));
         }
-        let out = ResidentPp::new().walk(&self.cfg, &mut store, &[], &mut [], None, false);
+        let (by_row, bd) = ResidentPp::new().walk(&self.cfg, &mut store, &[], &mut [], None, false);
         let mut accel = vec![Vec3::ZERO; pos.len()];
-        for (a, &id) in out.accel.iter().zip(store.id_column()) {
+        for (a, &id) in by_row.iter().zip(store.id_column()) {
             accel[id as usize] = *a;
         }
-        span.arg("interactions", out.walk.interactions as f64);
-        (accel, out.walk, out.times)
+        span.arg("interactions", bd.walk.interactions as f64);
+        (accel, bd)
     }
 
     /// Evaluate PM accelerations only: one cycle of the PM solver, with
@@ -115,7 +104,7 @@ impl TreePm {
         // one (FFT butterflies, tree-arena concatenation) fill the
         // otherwise-idle time of the other's workers.
         let _span = greem_obs::trace::span("force", "force.compute");
-        let ((pm, _), (pp_accel, walk, _)) =
+        let ((pm, _), (pp_accel, pp)) =
             rayon::join(|| self.compute_pm(pos, mass), || self.compute_pp(pos, mass));
         let accel = pp_accel
             .iter()
@@ -126,7 +115,7 @@ impl TreePm {
             accel,
             pp_accel,
             pm_accel: pm.accel,
-            walk,
+            walk: pp.walk,
         }
     }
 
@@ -182,7 +171,8 @@ mod tests {
         let n = 120;
         let pos = rand_pos(n, 3);
         let mass = vec![1.0 / n as f64; n];
-        let (acc, walk, _) = solver.compute_pp(&pos, &mass);
+        let (acc, bd) = solver.compute_pp(&pos, &mass);
+        let walk = bd.walk;
         let split = cfg.split();
         // Held to the kernel suite's budget, 2⁻¹⁸ of each target's
         // interaction scale: a bound relative to the net force would be
@@ -229,7 +219,8 @@ mod tests {
                             list_reuse,
                             ..TreePmConfig::standard(16)
                         };
-                        let (acc, w, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
+                        let (acc, bd) = TreePm::new(cfg).compute_pp(&pos, &mass);
+                        let w = bd.walk;
                         for v in [
                             w.n_groups,
                             w.sum_ni,

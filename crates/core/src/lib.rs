@@ -48,7 +48,7 @@ pub use integrator::IntegratorKind;
 pub use io::{read_snapshot, write_snapshot, SnapshotError, SnapshotHeader};
 pub use parallel::{ParallelStepStats, ParallelTreePm, RankState};
 pub use particle::{species_id, species_of_id, Body};
-pub use resident::{PpOutcome, ResidentPp};
+pub use resident::ResidentPp;
 pub use simulation::{Simulation, SimulationMode};
 pub use stats::StepBreakdown;
 pub use store::{permute_vec3, ParticleStore, PermScratch};

@@ -23,6 +23,7 @@ use greem_domain::{
 };
 use greem_math::{wrap01, Aabb, Vec3};
 use greem_obs::trace::timed_phase;
+use greem_perfmodel::tableone::{PARTICLE_EXCHANGE, PP_COMMUNICATION, SAMPLING_METHOD};
 use greem_pm::{ParallelPm, ParallelPmConfig};
 use mpisim::{Comm, Ctx};
 
@@ -295,7 +296,7 @@ impl Driver for OnRank<'_> {
         // Rebalance with the measured force cost as the sampling weight.
         let v0 = ctx.vtime();
         let row = &mut bd.dd_sampling_method;
-        sim.grid = timed_phase("step", "dd.sampling_method", row, || {
+        sim.grid = timed_phase("step", SAMPLING_METHOD.key, row, || {
             let pos = sim.kdk.store.positions();
             sim.balancer.rebalance(ctx, world, &pos, sim.last_cost)
         });
@@ -306,7 +307,7 @@ impl Driver for OnRank<'_> {
         // the same wire size as the AoS `Body` they replace.
         let v0 = ctx.vtime();
         let row = &mut bd.dd_particle_exchange;
-        sim.kdk.store = timed_phase("step", "dd.particle_exchange", row, || {
+        sim.kdk.store = timed_phase("step", PARTICLE_EXCHANGE.key, row, || {
             let grid = sim.grid.clone();
             let rows = exchange_rows(ctx, world, sim.kdk.store.to_packed(), move |r| {
                 grid.rank_of_point(Vec3::new(r[0], r[1], r[2]))
@@ -325,30 +326,33 @@ impl Driver for OnRank<'_> {
         let OnRank { sim, ctx, world } = self;
         // Boundary communication.
         let v0 = ctx.vtime();
-        let ghosts = timed_phase("step", "pp.communication", &mut bd.pp_communication, || {
-            sim.exchange_ghosts(ctx, world)
-        });
+        let ghosts = timed_phase(
+            "step",
+            PP_COMMUNICATION.key,
+            &mut bd.pp_communication,
+            || sim.exchange_ghosts(ctx, world),
+        );
         sim.n_ghosts = ghosts.len();
         bd.pp_communication += ctx.vtime() - v0;
 
         let mut span = greem_obs::trace::span("step", "pp.walk_force");
-        let out = sim
-            .engine
-            .walk(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut [], None, true);
-        span.arg("interactions", out.walk.interactions as f64);
-        bd.charge_pp(&out);
+        let (accel, pass) =
+            sim.engine
+                .walk(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut [], None, true);
+        span.arg("interactions", pass.walk.interactions as f64);
+        bd.accumulate(&pass);
         sim.last_cost = match sim.cfg.modeled_pp_cost {
             Some(per_interaction) => {
                 // Charge the walk to the virtual clock and feed the
                 // balancer the charged (straggler-scaled, deterministic)
                 // time instead of a wall-clock measurement.
                 let v0 = ctx.vtime();
-                ctx.compute(out.walk.interactions as f64 * per_interaction);
+                ctx.compute(pass.walk.interactions as f64 * per_interaction);
                 (ctx.vtime() - v0).max(1e-30)
             }
-            None => (out.times.traversal + out.times.force).max(1e-9),
+            None => (pass.pp_tree_traversal + pass.pp_force_calculation).max(1e-9),
         };
-        sim.kdk.pp_accel = out.accel;
+        sim.kdk.pp_accel = accel;
     }
 
     /// Collective PM cycle at the current positions.
@@ -580,7 +584,7 @@ mod tests {
         let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
         let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
         let serial = TreePm::new(cfg);
-        let (want, _, _) = serial.compute_pp(&pos, &mass);
+        let (want, _) = serial.compute_pp(&pos, &mass);
 
         let got = World::new(2).with_net(NetModel::free()).run(|ctx, world| {
             let root_bodies = (world.rank() == 0).then(|| bodies.clone());

@@ -40,7 +40,7 @@ use greem_tree::{Group, GroupWalk, ListEntry, Multipole, SourceColumns, TreeAren
 use rayon::prelude::*;
 
 use crate::config::TreePmConfig;
-use crate::forces::PpTimes;
+use crate::stats::StepBreakdown;
 use crate::store::{permute_vec3, ParticleStore, PermScratch};
 
 /// Per-thread scratch cycled across groups: the walk's stack plus the
@@ -101,7 +101,7 @@ fn group_tasks<'a>(
 /// list instead. One rayon task per group, each worker with a scratch
 /// of its own — or, given `serial`, every group in turn on the calling
 /// thread with that scratch. Adds the per-group traversal and kernel
-/// time to `times` and returns the summed statistics.
+/// time and walk statistics to `bd`.
 fn run_groups(
     walk: &GroupWalk<'_>,
     (x, y, z): (&[f64], &[f64], &[f64]),
@@ -109,8 +109,8 @@ fn run_groups(
     walk_margin: Option<f64>,
     tasks: Vec<GroupTask<'_>>,
     serial: Option<&mut PpScratch>,
-    times: &mut PpTimes,
-) -> WalkStats {
+    bd: &mut StepBreakdown,
+) {
     let split = cfg.split();
     let body = |scr: &mut PpScratch, task: GroupTask<'_>| {
         let t = Instant::now();
@@ -140,11 +140,10 @@ fn run_groups(
         }
         (stats, traversal, force)
     };
-    let mut total = WalkStats::default();
     let mut add = |(stats, traversal, force): (WalkStats, Duration, Duration)| {
-        total.merge(&stats);
-        times.traversal += traversal.as_secs_f64();
-        times.force += force.as_secs_f64();
+        bd.walk.merge(&stats);
+        bd.pp_tree_traversal += traversal.as_secs_f64();
+        bd.pp_force_calculation += force.as_secs_f64();
     };
     match serial {
         Some(scr) => tasks.into_iter().for_each(|task| add(body(scr, task))),
@@ -156,7 +155,6 @@ fn run_groups(
             per_group.into_iter().for_each(add);
         }
     }
-    total
 }
 
 /// The recorded interaction lists of one PP pass, plus everything the
@@ -177,18 +175,16 @@ struct ListCache {
     snap: [Vec<f64>; 3],
 }
 
-/// The result of one resident PP evaluation.
-pub struct PpOutcome {
-    /// Short-range acceleration per particle, aligned with the store's
-    /// (possibly freshly permuted) row order.
-    pub accel: Vec<Vec3>,
-    /// Walk statistics of this pass (`visited_nodes == 0` on replay).
-    pub walk: WalkStats,
-    /// Phase timings (`tree_build` covers sort + permute + arena build,
-    /// or the monopole refresh on replay).
-    pub times: PpTimes,
-    /// Whether this pass replayed cached lists instead of walking.
-    pub replayed: bool,
+/// The breakdown of a pass whose tree took `build` seconds (sort,
+/// permute and arena build, or the monopole refresh of a replay): one
+/// address space has no local/combined split, so half goes to each row.
+fn tree_built(build: f64, replayed: bool) -> StepBreakdown {
+    StepBreakdown {
+        pp_local_tree: build * 0.5,
+        pp_tree_construction: build * 0.5,
+        pp_list_replays: replayed as u64,
+        ..StepBreakdown::default()
+    }
 }
 
 /// The persistent PP engine (see the module docs).
@@ -220,7 +216,8 @@ impl ResidentPp {
     /// taken only when the cache is valid for the current positions.
     /// `drift_bound` is the largest per-particle displacement of the
     /// drift that preceded this call — the margin budget for the lists
-    /// recorded now.
+    /// recorded now. Returns what [`ResidentPp::walk`] does; a replay's
+    /// breakdown has `pp_list_replays == 1` and no visited nodes.
     pub fn compute(
         &mut self,
         cfg: &TreePmConfig,
@@ -228,7 +225,7 @@ impl ResidentPp {
         companions: &mut [&mut Vec<Vec3>],
         try_replay: bool,
         drift_bound: f64,
-    ) -> PpOutcome {
+    ) -> (Vec<Vec3>, StepBreakdown) {
         if try_replay && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
@@ -271,26 +268,20 @@ impl ResidentPp {
     /// Replay the cached lists: refresh node monopoles in place, then
     /// run the kernel over each recorded list at the current positions.
     /// No sort, no permute, no tree walk.
-    fn replay(&mut self, cfg: &TreePmConfig, store: &ParticleStore) -> PpOutcome {
-        let mut times = PpTimes::default();
+    fn replay(&mut self, cfg: &TreePmConfig, store: &ParticleStore) -> (Vec<Vec3>, StepBreakdown) {
         let (x, y, z) = store.pos_columns();
         let m = store.mass_column();
         let t0 = Instant::now();
         self.arena.refresh_monopoles(x, y, z, m);
-        times.tree_build = t0.elapsed().as_secs_f64();
+        let mut bd = tree_built(t0.elapsed().as_secs_f64(), true);
 
         let view = self.arena.view(x, y, z, m);
         let walk = GroupWalk::new(&view, cfg.traverse_params());
         let mut accel = vec![Vec3::ZERO; store.len()];
         let lists = Some(&mut self.cache.lists[..]);
         let tasks = group_tasks(&self.cache.groups, &mut accel, lists);
-        let walk = run_groups(&walk, (x, y, z), cfg, None, tasks, None, &mut times);
-        PpOutcome {
-            accel,
-            walk,
-            times,
-            replayed: true,
-        }
+        run_groups(&walk, (x, y, z), cfg, None, tasks, None, &mut bd);
+        (accel, bd)
     }
 
     /// The walking pass, once, over the store's rows plus `ghosts`
@@ -309,7 +300,9 @@ impl ResidentPp {
     /// `serial` runs the groups in turn on the calling thread with the
     /// engine's one scratch (the parallel driver's rank threads already
     /// own the cores) instead of as rayon tasks. Returns accelerations
-    /// for the store's rows only, aligned with the permuted store.
+    /// for the store's rows only, aligned with the permuted store, and
+    /// the pass's PP rows, walk statistics and replay count as one
+    /// breakdown.
     pub fn walk(
         &mut self,
         cfg: &TreePmConfig,
@@ -318,8 +311,7 @@ impl ResidentPp {
         companions: &mut [&mut Vec<Vec3>],
         record_margin: Option<f64>,
         serial: bool,
-    ) -> PpOutcome {
-        let mut times = PpTimes::default();
+    ) -> (Vec<Vec3>, StepBreakdown) {
         let n_own = store.len();
         let t0 = Instant::now();
         let (x, y, z) = store.pos_columns();
@@ -357,7 +349,7 @@ impl ResidentPp {
         }
         let [x, y, z, m] = &self.sorted;
         self.arena.build(x, y, z, m, cfg.tree_params());
-        times.tree_build = t0.elapsed().as_secs_f64();
+        let mut bd = tree_built(t0.elapsed().as_secs_f64(), false);
 
         let view = self.arena.view(x, y, z, m);
         let walk = GroupWalk::new(&view, cfg.traverse_params());
@@ -377,7 +369,7 @@ impl ResidentPp {
         });
         let scr = serial.then_some(&mut self.scratch);
         let margin = Some(record_margin.unwrap_or(0.0));
-        let walk = run_groups(&walk, (x, y, z), cfg, margin, tasks, scr, &mut times);
+        run_groups(&walk, (x, y, z), cfg, margin, tasks, scr, &mut bd);
 
         self.cache.valid = record_margin.is_some();
         if let Some(margin) = record_margin {
@@ -392,12 +384,7 @@ impl ResidentPp {
         // slot-indexed result is the store's, row for row.
         let mut owned = self.owned.iter();
         accel.retain(|_| *owned.next().expect("one flag per slot"));
-        PpOutcome {
-            accel,
-            walk,
-            times,
-            replayed: false,
-        }
+        (accel, bd)
     }
 }
 
@@ -441,18 +428,18 @@ mod tests {
             let bodies = rand_bodies(230, 7);
             let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
             let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-            let (want, want_walk, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
+            let (want, want_bd) = TreePm::new(cfg).compute_pp(&pos, &mass);
 
             let mut store = ParticleStore::from_bodies(&bodies);
             let mut engine = ResidentPp::new();
-            let out = engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
-            assert!(!out.replayed);
+            let (accel, out) = engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
+            assert_eq!(out.pp_list_replays, 0);
             assert_eq!(engine.cache.valid, list_reuse);
-            assert_eq!(out.walk.n_groups, want_walk.n_groups);
-            for row in 0..store.len() {
-                let orig = store.id_column()[row] as usize;
+            assert_eq!(out.walk.n_groups, want_bd.walk.n_groups);
+            for (row, (a, &id)) in accel.iter().zip(store.id_column()).enumerate() {
+                let orig = id as usize;
                 assert_eq!(
-                    out.accel[row], want[orig],
+                    *a, want[orig],
                     "row {row} (orig {orig}) differs (list_reuse={list_reuse})"
                 );
             }
@@ -486,19 +473,22 @@ mod tests {
             b.pos = greem_math::wrap01(b.pos + d);
         }
         let mut store = ParticleStore::from_bodies(&moved);
-        let out = engine.compute(&cfg, &mut store, &mut [], true, drift);
-        assert!(out.replayed, "cache must be valid after a sub-margin drift");
+        let (accel, out) = engine.compute(&cfg, &mut store, &mut [], true, drift);
+        assert_eq!(
+            out.pp_list_replays, 1,
+            "cache must be valid after a sub-margin drift"
+        );
         assert_eq!(out.walk.visited_nodes, 0, "replay must not walk the tree");
 
         // Reference: fresh walk at the same (moved) positions.
         let pos: Vec<Vec3> = (0..n).map(|i| store.pos(i)).collect();
         let mass = store.masses();
-        let (want, _, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
+        let (want, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
         let mut max_rel = 0.0f64;
         // `store` was permuted at record time and replay keeps that
         // order, so row ↔ the same row of `pos` above; compare via the
         // fresh solver's original ordering.
-        for (&w, &got) in want.iter().zip(&out.accel) {
+        for (&w, &got) in want.iter().zip(&accel) {
             let rel = (got - w).norm() / w.norm().max(1e-12);
             max_rel = max_rel.max(rel);
         }
@@ -526,8 +516,11 @@ mod tests {
         let mut moved = store.to_bodies();
         moved[7].pos = greem_math::wrap01(moved[7].pos + Vec3::splat(0.3 * cfg.r_cut));
         let mut store = ParticleStore::from_bodies(&moved);
-        let out = engine.compute(&cfg, &mut store, &mut [], true, drift);
-        assert!(!out.replayed, "oversized drift must invalidate the cache");
+        let (_, out) = engine.compute(&cfg, &mut store, &mut [], true, drift);
+        assert_eq!(
+            out.pp_list_replays, 0,
+            "oversized drift must invalidate the cache"
+        );
         assert!(out.walk.visited_nodes > 0);
     }
 
@@ -543,8 +536,8 @@ mod tests {
         let mut store = ParticleStore::from_bodies(&bodies);
         let mut engine = ResidentPp::new();
         engine.compute(&cfg, &mut store, &mut [], false, 0.0);
-        let out = engine.compute(&cfg, &mut store, &mut [], true, 0.0);
-        assert!(!out.replayed);
+        let (_, out) = engine.compute(&cfg, &mut store, &mut [], true, 0.0);
+        assert_eq!(out.pp_list_replays, 0);
     }
 
     /// Companion arrays follow the store's permutation row for row.

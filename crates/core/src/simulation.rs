@@ -198,11 +198,11 @@ impl Driver for Simulation {
 
     fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown) {
         let kdk = &mut self.kdk;
-        let out = self
-            .engine
-            .compute(&self.cfg, &mut kdk.store, &mut [], second, kdk.last_drift);
-        bd.charge_pp(&out);
-        kdk.pp_accel = out.accel;
+        let (accel, pass) =
+            self.engine
+                .compute(&self.cfg, &mut kdk.store, &mut [], second, kdk.last_drift);
+        bd.accumulate(&pass);
+        kdk.pp_accel = accel;
     }
 
     fn pm_cycle(&mut self, bd: &mut StepBreakdown) {
@@ -294,7 +294,7 @@ mod tests {
         // Two PP cycles per step.
         assert!(bd.walk.n_groups > 0);
         assert!(bd.pp_force_calculation > 0.0);
-        assert!(bd.pm.total() > 0.0);
+        assert!(bd.rows().section("pm") > 0.0);
         assert!(bd.total() > 0.0);
         assert!(bd.dd_position_update > 0.0);
     }

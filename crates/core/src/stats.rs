@@ -1,10 +1,9 @@
 //! Per-step cost breakdown mirroring the paper's Table I rows.
 
 use greem_math::FLOPS_PER_INTERACTION;
+use greem_perfmodel::tableone::{table_line, Rows};
 use greem_pm::PmPhaseTimes;
 use greem_tree::WalkStats;
-
-use crate::resident::PpOutcome;
 
 /// The cost breakdown of one TreePM step, structured exactly like the
 /// paper's Table I: a PM (long-range) block, a PP (short-range) block
@@ -45,23 +44,31 @@ pub struct StepBreakdown {
 }
 
 impl StepBreakdown {
-    /// Total PP seconds (the paper's "PP(sec/step)" line).
-    pub fn pp_total(&self) -> f64 {
-        self.pp_local_tree
-            + self.pp_communication
-            + self.pp_tree_construction
-            + self.pp_tree_traversal
-            + self.pp_force_calculation
-    }
-
-    /// Total domain-decomposition seconds.
-    pub fn dd_total(&self) -> f64 {
-        self.dd_position_update + self.dd_sampling_method + self.dd_particle_exchange
+    /// The 13 measured rows, in Table I order
+    /// ([`greem_perfmodel::ROWS`]; PM communication is the simulated
+    /// network seconds).
+    pub fn rows(&self) -> Rows {
+        let pm = &self.pm;
+        Rows([
+            pm.density_assignment,
+            pm.communication_sim,
+            pm.fft,
+            pm.acceleration_on_mesh,
+            pm.force_interpolation,
+            self.pp_local_tree,
+            self.pp_communication,
+            self.pp_tree_construction,
+            self.pp_tree_traversal,
+            self.pp_force_calculation,
+            self.dd_position_update,
+            self.dd_sampling_method,
+            self.dd_particle_exchange,
+        ])
     }
 
     /// Total step seconds (PM + PP + DD).
     pub fn total(&self) -> f64 {
-        self.pm.total() + self.pp_total() + self.dd_total()
+        self.rows().total()
     }
 
     /// Pairwise interactions this step (the paper reports
@@ -86,18 +93,6 @@ impl StepBreakdown {
         }
     }
 
-    /// Charge one PP pass: its tree build split evenly between "local
-    /// tree" and "tree construction", its walk and kernel seconds, its
-    /// walk statistics and replay.
-    pub(crate) fn charge_pp(&mut self, out: &PpOutcome) {
-        self.pp_local_tree += out.times.tree_build * 0.5;
-        self.pp_tree_construction += out.times.tree_build * 0.5;
-        self.pp_tree_traversal += out.times.traversal;
-        self.pp_force_calculation += out.times.force;
-        self.walk.merge(&out.walk);
-        self.pp_list_replays += out.replayed as u64;
-    }
-
     /// Accumulate another step's breakdown (callers divide by the step
     /// count for per-step averages, as the paper does over its last
     /// five steps).
@@ -115,155 +110,41 @@ impl StepBreakdown {
         self.pp_list_replays += o.pp_list_replays;
     }
 
-    /// The 13 measured phase rows as `(dotted name, seconds/step)`
-    /// pairs, matching `TableOne::phase_rows` from `greem_perfmodel` and
-    /// the phase names the weak-scaling scripts charge virtual time
-    /// under — the join key between measurement, model and simulation.
+    /// The 13 measured rows as `(key, seconds/step)` pairs over `steps`
+    /// accumulated steps — the keys of the modelled column and of the
+    /// spans that time the rows.
     pub fn phase_rows(&self, steps: f64) -> [(&'static str, f64); 13] {
-        let s = |v: f64| v / steps;
-        [
-            ("pm.density_assignment", s(self.pm.density_assignment)),
-            ("pm.communication", s(self.pm.communication_sim)),
-            ("pm.fft", s(self.pm.fft)),
-            ("pm.accel_on_mesh", s(self.pm.acceleration_on_mesh)),
-            ("pm.force_interpolation", s(self.pm.force_interpolation)),
-            ("pp.local_tree", s(self.pp_local_tree)),
-            ("pp.communication", s(self.pp_communication)),
-            ("pp.tree_construction", s(self.pp_tree_construction)),
-            ("pp.tree_traversal", s(self.pp_tree_traversal)),
-            ("pp.force_calculation", s(self.pp_force_calculation)),
-            ("dd.position_update", s(self.dd_position_update)),
-            ("dd.sampling_method", s(self.dd_sampling_method)),
-            ("dd.particle_exchange", s(self.dd_particle_exchange)),
-        ]
+        self.rows().per(steps).pairs()
     }
 
     /// Feed this breakdown into a metrics registry (see the
-    /// [`greem_obs::Observe`] impl). Split out so callers can also invoke
-    /// it directly on a `&StepBreakdown`.
+    /// [`greem_obs::Observe`] impl): the rows under
+    /// `tableone_seconds{section,phase}`, plus the PM conversions' wall
+    /// seconds as `phase=communication_wall`. Split out so callers can
+    /// also invoke it directly on a `&StepBreakdown`.
     pub fn observe_into(&self, reg: &mut greem_obs::Registry) {
         use greem_obs::Observe as _;
-        // PM rows come from the PmPhaseTimes observer
-        // (`tableone_seconds{section=pm,…}`).
-        self.pm.observe(reg);
-        reg.with_label("section", "pp", |reg| {
-            let rows = [
-                ("local_tree", self.pp_local_tree),
-                ("communication", self.pp_communication),
-                ("tree_construction", self.pp_tree_construction),
-                ("tree_traversal", self.pp_tree_traversal),
-                ("force_calculation", self.pp_force_calculation),
-            ];
-            for (phase, secs) in rows {
-                reg.with_label("phase", phase, |reg| {
-                    reg.counter_add("tableone_seconds", secs);
-                });
-            }
-        });
-        reg.with_label("section", "dd", |reg| {
-            let rows = [
-                ("position_update", self.dd_position_update),
-                ("sampling_method", self.dd_sampling_method),
-                ("particle_exchange", self.dd_particle_exchange),
-            ];
-            for (phase, secs) in rows {
-                reg.with_label("phase", phase, |reg| {
-                    reg.counter_add("tableone_seconds", secs);
-                });
-            }
+        self.rows().observe(reg);
+        reg.with_label("section", "pm", |reg| {
+            reg.with_label("phase", "communication_wall", |reg| {
+                reg.counter_add("tableone_seconds", self.pm.communication_wall);
+            });
         });
         self.walk.observe(reg);
         reg.counter_add("pp_list_replays", self.pp_list_replays as f64);
         reg.gauge_set("flops_rate", self.flops_rate());
     }
 
-    /// Render the Table-I-shaped text block for this breakdown.
+    /// Render the Table-I-shaped text block of `steps` accumulated
+    /// steps: the rows per step, then the walk statistics.
     pub fn table(&self, steps: f64) -> String {
-        let s = |v: f64| v / steps;
-        let mut out = String::new();
-        let mut push = |line: String| {
-            out.push_str(&line);
-            out.push('\n');
-        };
-        push(format!(
-            "PM(sec/step)            {:>10.4}",
-            s(self.pm.total())
-        ));
-        push(format!(
-            "  density assignment    {:>10.4}",
-            s(self.pm.density_assignment)
-        ));
-        push(format!(
-            "  communication         {:>10.4}",
-            s(self.pm.communication_sim)
-        ));
-        push(format!("  FFT                   {:>10.4}", s(self.pm.fft)));
-        push(format!(
-            "  acceleration on mesh  {:>10.4}",
-            s(self.pm.acceleration_on_mesh)
-        ));
-        push(format!(
-            "  force interpolation   {:>10.4}",
-            s(self.pm.force_interpolation)
-        ));
-        push(format!(
-            "PP(sec/step)            {:>10.4}",
-            s(self.pp_total())
-        ));
-        push(format!(
-            "  local tree            {:>10.4}",
-            s(self.pp_local_tree)
-        ));
-        push(format!(
-            "  communication         {:>10.4}",
-            s(self.pp_communication)
-        ));
-        push(format!(
-            "  tree construction     {:>10.4}",
-            s(self.pp_tree_construction)
-        ));
-        push(format!(
-            "  tree traversal        {:>10.4}",
-            s(self.pp_tree_traversal)
-        ));
-        push(format!(
-            "  force calculation     {:>10.4}",
-            s(self.pp_force_calculation)
-        ));
-        push(format!(
-            "Domain Decomp.(sec/step){:>10.4}",
-            s(self.dd_total())
-        ));
-        push(format!(
-            "  position update       {:>10.4}",
-            s(self.dd_position_update)
-        ));
-        push(format!(
-            "  sampling method       {:>10.4}",
-            s(self.dd_sampling_method)
-        ));
-        push(format!(
-            "  particle exchange     {:>10.4}",
-            s(self.dd_particle_exchange)
-        ));
-        push(format!("Total(sec/step)         {:>10.4}", s(self.total())));
-        push(format!(
-            "<Ni>                    {:>10.1}",
-            self.walk.mean_ni()
-        ));
-        push(format!(
-            "<Nj>                    {:>10.1}",
-            self.walk.mean_nj()
-        ));
-        push(format!(
-            "#interactions/step      {:>10.3e}",
-            self.walk.interactions as f64 / steps
-        ));
-        push(format!(
-            "measured performance    {:>10.3e} flops",
-            self.flops_rate()
-        ));
-        out
+        let mut s = self.rows().per(steps).render();
+        s += &table_line("<Ni>", format!("{:.1}", self.walk.mean_ni()));
+        s += &table_line("<Nj>", format!("{:.1}", self.walk.mean_nj()));
+        let per_step = self.walk.interactions as f64 / steps;
+        s += &table_line("#interactions/step", format!("{per_step:.3e}"));
+        let rate = self.flops_rate();
+        s + &table_line("measured performance", format!("{rate:.3e} flops"))
     }
 }
 
@@ -286,8 +167,10 @@ mod tests {
             ..Default::default()
         };
         b.pm.fft = 0.25;
-        assert!((b.pp_total() - 3.0).abs() < 1e-15);
-        assert!((b.dd_total() - 0.5).abs() < 1e-15);
+        let rows = b.rows();
+        assert_eq!(rows.section("pm"), 0.25);
+        assert!((rows.section("pp") - 3.0).abs() < 1e-15);
+        assert!((rows.section("dd") - 0.5).abs() < 1e-15);
         assert!((b.total() - 3.75).abs() < 1e-15);
     }
 

@@ -30,4 +30,4 @@ pub mod tableone;
 
 pub use machine::KMachine;
 pub use relay::{RelayExperiment, RelayModel};
-pub use tableone::{model_table, paper_table, RunShape, TableOne};
+pub use tableone::{model_table, paper_table, Rows, RunShape, TableOne, ROWS};

@@ -1,5 +1,7 @@
 //! The K computer, as the paper describes it.
 
+use greem_math::FLOPS_PER_INTERACTION;
+
 /// Hardware constants of K computer (§I, §II-A).
 #[derive(Debug, Clone, Copy)]
 pub struct KMachine {
@@ -49,13 +51,13 @@ impl KMachine {
         let per_core_peak = self.fma_per_core as f64 * 2.0 * self.clock_hz;
         // 17 FMA (2 flops) + 17 non-FMA (1 flop) in 34 issue slots →
         // 51 flops where a pure-FMA stream would do 68.
-        per_core_peak * 51.0 / 68.0
+        per_core_peak * FLOPS_PER_INTERACTION / 68.0
     }
 
     /// Pairwise interactions per second per node at the measured kernel
     /// rate and the paper's 51-flop accounting.
     pub fn interactions_per_sec_per_node(&self) -> f64 {
-        self.kernel_flops_per_core * self.cores_per_node as f64 / 51.0
+        self.kernel_flops_per_core * self.cores_per_node as f64 / FLOPS_PER_INTERACTION
     }
 }
 

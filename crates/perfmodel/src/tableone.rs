@@ -1,6 +1,133 @@
-//! Table I: the per-step cost breakdown, published and modelled.
+//! Table I: the per-step cost breakdown, published and modelled, and
+//! the one row list every column — published, modelled, measured —
+//! sums, renders and publishes through.
+
+use greem_math::FLOPS_PER_INTERACTION;
+use greem_obs::json::JsonWriter;
 
 use crate::machine::KMachine;
+
+/// One Table I row: its key and its printed label. The key is also the
+/// name of any span that times the row; its part before the dot is the
+/// row's section (`pm`, `pp`, `dd`) and the rest its `phase` label in
+/// the `tableone_seconds` registry feed, so model, measurement, spans
+/// and the weak-scaling scripts join by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    pub key: &'static str,
+    pub label: &'static str,
+}
+
+/// Declare each row once, as a const of its name, and [`ROWS`] as all
+/// of them in the table's order.
+macro_rules! rows {
+    ($($name:ident = $key:literal, $label:literal;)+) => {
+        $(pub const $name: Row = Row { key: $key, label: $label };)+
+        /// The 13 rows in the table's order: the order of every [`Rows`].
+        pub const ROWS: [Row; 13] = [$($name),+];
+    };
+}
+
+rows! {
+    DENSITY_ASSIGNMENT = "pm.density_assignment", "density assignment";
+    PM_COMMUNICATION = "pm.communication", "communication";
+    FFT = "pm.fft", "FFT";
+    ACCELERATION_ON_MESH = "pm.acceleration_on_mesh", "acceleration on mesh";
+    FORCE_INTERPOLATION = "pm.force_interpolation", "force interpolation";
+    LOCAL_TREE = "pp.local_tree", "local tree";
+    PP_COMMUNICATION = "pp.communication", "communication";
+    TREE_CONSTRUCTION = "pp.tree_construction", "tree construction";
+    TREE_TRAVERSAL = "pp.tree_traversal", "tree traversal";
+    FORCE_CALCULATION = "pp.force_calculation", "force calculation";
+    POSITION_UPDATE = "dd.position_update", "position update";
+    SAMPLING_METHOD = "dd.sampling_method", "sampling method";
+    PARTICLE_EXCHANGE = "dd.particle_exchange", "particle exchange";
+}
+
+/// The sections in the table's order, with their printed headers.
+const SECTIONS: [(&str, &str); 3] = [
+    ("pm", "PM(sec/step)"),
+    ("pp", "PP(sec/step)"),
+    ("dd", "Domain Decomp.(sec/step)"),
+];
+
+/// One line of the text table: a label column and a value column.
+pub fn table_line(label: &str, value: impl std::fmt::Display) -> String {
+    format!("{label:<24}{value:>10}\n")
+}
+
+/// Seconds of each Table I row, aligned with [`ROWS`]: one column of
+/// the table, whichever produced it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rows(pub [f64; 13]);
+
+impl Rows {
+    /// `(section, phase, label, seconds)` per row, in the table's order.
+    fn each(&self) -> impl Iterator<Item = (&'static str, &'static str, &'static str, f64)> + '_ {
+        ROWS.iter().zip(self.0).map(|(row, secs)| {
+            let (section, phase) = row.key.split_once('.').expect("row key is section.phase");
+            (section, phase, row.label, secs)
+        })
+    }
+
+    /// Every row divided by `steps`: the per-step column of a sum.
+    pub fn per(&self, steps: f64) -> Rows {
+        Rows(self.0.map(|v| v / steps))
+    }
+
+    /// Sum of one section's rows (`"pm"`, `"pp"` or `"dd"`).
+    pub fn section(&self, section: &str) -> f64 {
+        self.each().filter(|r| r.0 == section).map(|r| r.3).sum()
+    }
+
+    /// Seconds per step: the section totals summed.
+    pub fn total(&self) -> f64 {
+        SECTIONS.iter().map(|&(s, _)| self.section(s)).sum()
+    }
+
+    /// The rows as `(key, seconds)` pairs.
+    pub fn pairs(&self) -> [(&'static str, f64); 13] {
+        std::array::from_fn(|i| (ROWS[i].key, self.0[i]))
+    }
+
+    /// The text table: each section's total and its rows, then the step
+    /// total, four decimals.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (section, header) in SECTIONS {
+            out += &table_line(header, format!("{:.4}", self.section(section)));
+            for (_, _, label, secs) in self.each().filter(|r| r.0 == section) {
+                out += &table_line(&format!("  {label}"), format!("{secs:.4}"));
+            }
+        }
+        out + &table_line("Total(sec/step)", format!("{:.4}", self.total()))
+    }
+
+    /// Feed each row into `tableone_seconds{section,phase}`.
+    pub fn observe(&self, reg: &mut greem_obs::Registry) {
+        for (section, phase, _, secs) in self.each() {
+            reg.with_label("section", section, |reg| {
+                reg.with_label("phase", phase, |reg| {
+                    reg.counter_add("tableone_seconds", secs)
+                });
+            });
+        }
+    }
+
+    /// Write one object per section (its `total` and its rows by phase),
+    /// then the step `total`, into the open JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        for (section, _) in SECTIONS {
+            w.begin_obj(Some(section));
+            w.f64(Some("total"), self.section(section));
+            for (_, phase, _, secs) in self.each().filter(|r| r.0 == section) {
+                w.f64(Some(phase), secs);
+            }
+            w.end_obj();
+        }
+        w.f64(Some("total"), self.total());
+    }
+}
 
 /// The shape of the production run (Table I header block).
 #[derive(Debug, Clone, Copy)]
@@ -71,37 +198,33 @@ pub struct TableOne {
 }
 
 impl TableOne {
-    /// PM subtotal.
-    pub fn pm_total(&self) -> f64 {
-        self.pm_density_assignment
-            + self.pm_communication
-            + self.pm_fft
-            + self.pm_accel_on_mesh
-            + self.pm_force_interpolation
-    }
-
-    /// PP subtotal.
-    pub fn pp_total(&self) -> f64 {
-        self.pp_local_tree
-            + self.pp_communication
-            + self.pp_tree_construction
-            + self.pp_tree_traversal
-            + self.pp_force_calculation
-    }
-
-    /// Domain-decomposition subtotal.
-    pub fn dd_total(&self) -> f64 {
-        self.dd_position_update + self.dd_sampling_method + self.dd_particle_exchange
+    /// The column's 13 rows, in [`ROWS`] order.
+    pub fn rows(&self) -> Rows {
+        Rows([
+            self.pm_density_assignment,
+            self.pm_communication,
+            self.pm_fft,
+            self.pm_accel_on_mesh,
+            self.pm_force_interpolation,
+            self.pp_local_tree,
+            self.pp_communication,
+            self.pp_tree_construction,
+            self.pp_tree_traversal,
+            self.pp_force_calculation,
+            self.dd_position_update,
+            self.dd_sampling_method,
+            self.dd_particle_exchange,
+        ])
     }
 
     /// Seconds per step.
     pub fn total(&self) -> f64 {
-        self.pm_total() + self.pp_total() + self.dd_total()
+        self.rows().total()
     }
 
     /// Sustained performance at 51 flops/interaction, in flops/s.
     pub fn performance(&self) -> f64 {
-        self.interactions * 51.0 / self.total()
+        self.interactions * FLOPS_PER_INTERACTION / self.total()
     }
 
     /// Efficiency against the K peak for this node count.
@@ -109,103 +232,31 @@ impl TableOne {
         self.performance() / KMachine::new().peak_flops(self.nodes)
     }
 
-    /// The 13 phase rows as `(dotted name, seconds/step)` pairs, in the
-    /// table's order. The dotted names (`pm.fft`, `pp.force_calculation`,
-    /// …) are the cross-crate phase vocabulary: `StepBreakdown` reports
-    /// measured rows and the weak-scaling scripts charge virtual time
-    /// under the same keys, so model, measurement and simulation can be
-    /// joined by name.
+    /// The 13 phase rows as `(key, seconds/step)` pairs (see [`ROWS`]).
     pub fn phase_rows(&self) -> [(&'static str, f64); 13] {
-        [
-            ("pm.density_assignment", self.pm_density_assignment),
-            ("pm.communication", self.pm_communication),
-            ("pm.fft", self.pm_fft),
-            ("pm.accel_on_mesh", self.pm_accel_on_mesh),
-            ("pm.force_interpolation", self.pm_force_interpolation),
-            ("pp.local_tree", self.pp_local_tree),
-            ("pp.communication", self.pp_communication),
-            ("pp.tree_construction", self.pp_tree_construction),
-            ("pp.tree_traversal", self.pp_tree_traversal),
-            ("pp.force_calculation", self.pp_force_calculation),
-            ("dd.position_update", self.dd_position_update),
-            ("dd.sampling_method", self.dd_sampling_method),
-            ("dd.particle_exchange", self.dd_particle_exchange),
-        ]
+        self.rows().pairs()
     }
 
-    /// Render one column in the paper's layout.
+    /// Render one column: the node count and N/p, the rows, then the
+    /// walk statistics and the flop rate.
     pub fn render(&self) -> String {
-        fn row_into(s: &mut String, name: &str, v: f64) {
-            s.push_str(&format!("{name:<28}{v:>12.2}\n"));
-        }
-        let mut s = String::new();
-        s.push_str(&format!("p (#nodes)                  {:>12}\n", self.nodes));
-        s.push_str(&format!(
-            "N/p                         {:>12.0}\n",
-            self.n_over_p
-        ));
-        row_into(&mut s, "PM(sec/step)", self.pm_total());
-        row_into(&mut s, "  density assignment", self.pm_density_assignment);
-        row_into(&mut s, "  communication", self.pm_communication);
-        row_into(&mut s, "  FFT", self.pm_fft);
-        row_into(&mut s, "  acceleration on mesh", self.pm_accel_on_mesh);
-        row_into(&mut s, "  force interpolation", self.pm_force_interpolation);
-        row_into(&mut s, "PP(sec/step)", self.pp_total());
-        row_into(&mut s, "  local tree", self.pp_local_tree);
-        row_into(&mut s, "  communication", self.pp_communication);
-        row_into(&mut s, "  tree construction", self.pp_tree_construction);
-        row_into(&mut s, "  tree traversal", self.pp_tree_traversal);
-        row_into(&mut s, "  force calculation", self.pp_force_calculation);
-        row_into(&mut s, "Domain Decomposition(s/st)", self.dd_total());
-        row_into(&mut s, "  position update", self.dd_position_update);
-        row_into(&mut s, "  sampling method", self.dd_sampling_method);
-        row_into(&mut s, "  particle exchange", self.dd_particle_exchange);
-        row_into(&mut s, "Total(sec/step)", self.total());
-        s.push_str(&format!("<Ni>                        {:>12.0}\n", self.ni));
-        s.push_str(&format!("<Nj>                        {:>12.0}\n", self.nj));
-        s.push_str(&format!(
-            "#interactions/step          {:>12.3e}\n",
-            self.interactions
-        ));
-        s.push_str(&format!(
-            "measured performance        {:>9.2} Pflops\n",
-            self.performance() / 1e15
-        ));
-        s.push_str(&format!(
-            "efficiency                  {:>11.1}%\n",
-            self.efficiency() * 100.0
-        ));
-        s
+        let mut s = table_line("p (#nodes)", self.nodes);
+        s += &table_line("N/p", format!("{:.0}", self.n_over_p));
+        s += &self.rows().render();
+        s += &table_line("<Ni>", format!("{:.0}", self.ni));
+        s += &table_line("<Nj>", format!("{:.0}", self.nj));
+        s += &table_line("#interactions/step", format!("{:.3e}", self.interactions));
+        let pflops = self.performance() / 1e15;
+        s += &table_line("measured performance", format!("{pflops:.2} Pflops"));
+        s + &table_line("efficiency", format!("{:.1}%", self.efficiency() * 100.0))
     }
 }
 
 impl greem_obs::Observe for TableOne {
-    /// Publish the column under the same `tableone_seconds{section,phase}`
-    /// schema the measured [`StepBreakdown`] uses, so modelled and
-    /// measured Table I rows land in one registry side by side.
+    /// Publish the column's rows under `tableone_seconds{section,phase}`,
+    /// beside the measured rows of a step, plus its flop rate.
     fn observe(&self, reg: &mut greem_obs::Registry) {
-        let rows: [(&str, &str, f64); 13] = [
-            ("pm", "density_assignment", self.pm_density_assignment),
-            ("pm", "communication", self.pm_communication),
-            ("pm", "fft", self.pm_fft),
-            ("pm", "acceleration_on_mesh", self.pm_accel_on_mesh),
-            ("pm", "force_interpolation", self.pm_force_interpolation),
-            ("pp", "local_tree", self.pp_local_tree),
-            ("pp", "communication", self.pp_communication),
-            ("pp", "tree_construction", self.pp_tree_construction),
-            ("pp", "tree_traversal", self.pp_tree_traversal),
-            ("pp", "force_calculation", self.pp_force_calculation),
-            ("dd", "position_update", self.dd_position_update),
-            ("dd", "sampling_method", self.dd_sampling_method),
-            ("dd", "particle_exchange", self.dd_particle_exchange),
-        ];
-        for (section, phase, secs) in rows {
-            reg.with_label("section", section, |reg| {
-                reg.with_label("phase", phase, |reg| {
-                    reg.counter_add("tableone_seconds", secs);
-                });
-            });
-        }
+        self.rows().observe(reg);
         reg.gauge_set("flops_rate", self.performance());
         reg.gauge_set("efficiency", self.efficiency());
     }
@@ -258,93 +309,48 @@ pub fn paper_table(p: usize) -> TableOne {
     }
 }
 
-/// Calibration constants of the model, in seconds per unit of work.
-/// All `∝ N/p` constants are fitted to the 24576-node column; the force
-/// rate comes from §II-A; the empirical scalings are documented per row.
-struct Calibration {
-    /// s per particle: density assignment.
-    assign: f64,
-    /// s per particle: force interpolation.
-    interp: f64,
-    /// s per particle: local tree (Morton sort etc.).
-    local_tree: f64,
-    /// s per particle: combined-tree construction.
-    construction: f64,
-    /// s per interaction-list entry per group-particle-share:
-    /// traversal ∝ (N/p)·(Nj/Ni).
-    traversal: f64,
-    /// s per particle: position update.
-    update: f64,
-    /// Sampling at p_ref (root-bottlenecked; ∝ p^(1/3) empirically).
-    sampling_ref: f64,
-    /// s per particle^(2/3) unit: particle exchange (surface term).
-    exchange_ref: f64,
-    /// PM communication at p_ref (empirical p^(−1/3) decay: per-rank
-    /// mesh volume shrinks ∝ 1/p while the slab receive stays constant).
-    pm_comm_ref: f64,
-    /// PP ghost communication (surface ∝ (N/p)^(2/3)).
-    pp_comm_ref: f64,
-    /// FFT seconds (constant in p: the slab FFT uses nf = 4096 ranks
-    /// regardless of p — the 1-D decomposition limit).
-    fft: f64,
-    /// Acceleration-on-mesh seconds (observed constant in the paper).
-    accel_mesh: f64,
-    /// Reference node count of the calibration.
-    p_ref: f64,
-    /// Reference per-node particle count.
-    np_ref: f64,
-}
-
-impl Calibration {
-    fn from_paper_24576() -> Self {
-        let t = paper_table(24576);
-        let shape = RunShape::paper(24576);
-        let np = t.n_over_p;
-        Calibration {
-            assign: t.pm_density_assignment / np,
-            interp: t.pm_force_interpolation / np,
-            local_tree: t.pp_local_tree / np,
-            construction: t.pp_tree_construction / np,
-            traversal: t.pp_tree_traversal / (np * shape.nj / shape.ni),
-            update: t.dd_position_update / np,
-            sampling_ref: t.dd_sampling_method,
-            exchange_ref: t.dd_particle_exchange,
-            pm_comm_ref: t.pm_communication,
-            pp_comm_ref: t.pp_communication,
-            fft: 0.5 * (paper_table(24576).pm_fft + paper_table(82944).pm_fft),
-            accel_mesh: t.pm_accel_on_mesh,
-            p_ref: 24576.0,
-            np_ref: np,
-        }
-    }
-}
-
 /// The model: Table I at an arbitrary node count `p` for the paper's
 /// run shape. The PP force row is first-principles (kernel rate ×
-/// interaction count); see [`Calibration`] for the rest.
+/// interaction count); every other row is one constant fitted to the
+/// 24576-node column times the scaling law noted on it (`∝ N/p` for
+/// pure local compute), validated against the held-out 82944 column.
 pub fn model_table(p: usize) -> TableOne {
-    let c = Calibration::from_paper_24576();
+    let t = paper_table(24576);
+    let (p_ref, np_ref) = (24576.0, t.n_over_p);
+    let shape_ref = RunShape::paper(24576);
     let shape = RunShape::paper(p);
     let machine = KMachine::new();
     let np = shape.n_particles / p as f64;
+    let per_particle = |secs: f64| secs / np_ref * np;
     let surface = |x: f64| x.powf(2.0 / 3.0);
+    // Seconds per list entry per group-particle share.
+    let traversal = t.pp_tree_traversal / (np_ref * shape_ref.nj / shape_ref.ni);
     TableOne {
         nodes: p,
         n_over_p: np,
-        pm_density_assignment: c.assign * np,
-        pm_communication: c.pm_comm_ref * (c.p_ref / p as f64).powf(1.0 / 3.0),
-        pm_fft: c.fft,
-        pm_accel_on_mesh: c.accel_mesh,
-        pm_force_interpolation: c.interp * np,
-        pp_local_tree: c.local_tree * np,
-        pp_communication: c.pp_comm_ref * surface(np / c.np_ref),
-        pp_tree_construction: c.construction * np,
-        pp_tree_traversal: c.traversal * np * shape.nj / shape.ni,
+        pm_density_assignment: per_particle(t.pm_density_assignment),
+        // Empirical p^(−1/3) decay: the per-rank mesh volume shrinks
+        // ∝ 1/p while the slab receive stays constant.
+        pm_communication: t.pm_communication * (p_ref / p as f64).powf(1.0 / 3.0),
+        // Constant in p: the slab FFT uses nf = 4096 ranks regardless of
+        // p (the 1-D decomposition limit); the mean of both columns.
+        pm_fft: 0.5 * (t.pm_fft + paper_table(82944).pm_fft),
+        // Observed constant in the paper.
+        pm_accel_on_mesh: t.pm_accel_on_mesh,
+        pm_force_interpolation: per_particle(t.pm_force_interpolation),
+        pp_local_tree: per_particle(t.pp_local_tree),
+        // Ghost surface ∝ (N/p)^(2/3).
+        pp_communication: t.pp_communication * surface(np / np_ref),
+        pp_tree_construction: per_particle(t.pp_tree_construction),
+        // ∝ (N/p)·(Nj/Ni).
+        pp_tree_traversal: traversal * np * shape.nj / shape.ni,
         pp_force_calculation: shape.interactions
             / (p as f64 * machine.interactions_per_sec_per_node()),
-        dd_position_update: c.update * np,
-        dd_sampling_method: c.sampling_ref * (p as f64 / c.p_ref).powf(1.0 / 3.0),
-        dd_particle_exchange: c.exchange_ref * surface(np / c.np_ref),
+        dd_position_update: per_particle(t.dd_position_update),
+        // Root-bottlenecked: ∝ p^(1/3) empirically.
+        dd_sampling_method: t.dd_sampling_method * (p as f64 / p_ref).powf(1.0 / 3.0),
+        // Exchange surface ∝ (N/p)^(2/3).
+        dd_particle_exchange: t.dd_particle_exchange * surface(np / np_ref),
         ni: shape.ni,
         nj: shape.nj,
         interactions: shape.interactions,
@@ -467,7 +473,7 @@ mod tests {
     fn scaling_shape_pp_scales_fft_does_not() {
         let m24 = model_table(24576);
         let m82 = model_table(82944);
-        let speedup = m24.pp_total() / m82.pp_total();
+        let speedup = m24.rows().section("pp") / m82.rows().section("pp");
         let nodes_ratio = 82944.0 / 24576.0;
         assert!(speedup > 0.8 * nodes_ratio, "PP speedup {speedup}");
         assert!(

@@ -11,6 +11,9 @@ use std::sync::Mutex;
 use greem_fft::RealFft3;
 use greem_math::Vec3;
 use greem_obs::trace::timed_phase;
+use greem_perfmodel::tableone::{
+    ACCELERATION_ON_MESH, DENSITY_ASSIGNMENT, FFT, FORCE_INTERPOLATION,
+};
 
 use crate::greens::GreensFn;
 use crate::mesh::{self, BlockLists, Grid};
@@ -273,22 +276,22 @@ impl PmSolver {
         let ws = &mut *self.workspace();
         timed_phase(
             "force",
-            "pm.density_assignment",
+            DENSITY_ASSIGNMENT.key,
             &mut t.density_assignment,
             || mesh::assign(padded, &mut ws.lists, pos, mass, &mut ws.mesh),
         );
-        timed_phase("force", "pm.fft", &mut t.fft, || {
+        timed_phase("force", FFT.key, &mut t.fft, || {
             self.potential_in_place(&mut ws.mesh)
         });
         timed_phase(
             "force",
-            "pm.acceleration_on_mesh",
+            ACCELERATION_ON_MESH.key,
             &mut t.acceleration_on_mesh,
             || mesh::accel_from_potential(grid, padded, &ws.mesh, &mut ws.acc),
         );
         let (accel, potential) = timed_phase(
             "force",
-            "pm.force_interpolation",
+            FORCE_INTERPOLATION.key,
             &mut t.force_interpolation,
             || mesh::gather_forces(grid, &ws.acc, padded, &ws.mesh, pos),
         );

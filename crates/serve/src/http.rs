@@ -73,6 +73,26 @@ fn read_head_line(
     Ok(n)
 }
 
+/// The body length the head declares (RFC 9112 §6.3): every
+/// `Content-Length` header must be `1*DIGIT` and all must agree — a
+/// sign, a list or two values would let two parsers frame the body
+/// differently.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, String> {
+    let mut lens = headers
+        .iter()
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    let Some((_, len)) = lens.next() else {
+        return Ok(None);
+    };
+    if lens.any(|(_, v)| v != len) {
+        return Err("conflicting content-length headers".into());
+    }
+    match len.parse() {
+        Ok(n) if len.bytes().all(|b| b.is_ascii_digit()) => Ok(Some(n)),
+        _ => Err(format!("bad content-length {len:?}")),
+    }
+}
+
 /// Read and parse one request from the stream. `Ok(None)` means the
 /// peer closed before sending anything (normal keep-alive teardown).
 pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<Request>, String> {
@@ -109,8 +129,7 @@ pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<Request>
         headers,
         body: Vec::new(),
     };
-    if let Some(len) = req.header("content-length") {
-        let len: usize = len.parse().map_err(|_| "bad content-length")?;
+    if let Some(len) = content_length(&req.headers)? {
         if len > MAX_BODY {
             return Err(format!("body of {len} bytes exceeds cap of {MAX_BODY}"));
         }
@@ -448,6 +467,30 @@ mod tests {
         stream.write_all(head.as_bytes()).unwrap();
         stream.flush().unwrap();
         server.join().unwrap();
+    }
+
+    /// Send `head` (with an empty body) to a fresh `read_request` and
+    /// return its error.
+    fn refused_head(head: &str) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        read_request(&mut BufReader::new(conn)).unwrap_err()
+    }
+
+    #[test]
+    fn malformed_or_conflicting_content_length_rejected() {
+        for len in ["+5", "-5", "5 5", "0x5", "5,5", ""] {
+            let err = refused_head(&format!(
+                "POST /jobs HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello"
+            ));
+            assert!(err.starts_with("bad content-length"), "{len:?}: {err}");
+        }
+        let err = refused_head(
+            "POST /jobs HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 3\r\n\r\nhello",
+        );
+        assert_eq!(err, "conflicting content-length headers");
     }
 
     #[test]

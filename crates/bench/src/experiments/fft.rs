@@ -1,8 +1,11 @@
 //! **Table I, PM: FFT** — the transform's own costs (DESIGN.md §19):
 //! ns per radix-2 butterfly, a single line through `Fft1d::forward`
 //! against split panels at every vector width the CPU runs, and the
-//! periodic solver's `RealFft3::convolve` split by pass. Run with one
-//! thread and compare minima of alternating runs: the host drifts.
+//! periodic solver's `RealFft3::convolve` split by pass, each pass's
+//! time cut into its butterflies (count × the 16-wide panel rate) and
+//! the rest (data movement, split and merge steps, the multiply). Run
+//! with one thread and compare minima of alternating runs: the host
+//! drifts.
 
 use std::hint::black_box;
 
@@ -73,6 +76,19 @@ pub fn convolve_phases(n: usize, reps: usize) -> ([f64; 3], f64) {
     (phases, best_of(reps, || plan.convolve(&mut buf, kernel)))
 }
 
+/// Butterflies of each pass of one `convolve` at side `n`, both
+/// directions: z rows (`n²` packed `n/2`-point lines), y panels (`n`
+/// planes of `n/2 + 1` lines) and x panels (`n` lines of `n/2 + 1`).
+fn pass_butterflies(n: usize) -> [f64; 3] {
+    let lines = |len: usize| (len / 2 * len.trailing_zeros() as usize) as f64;
+    let cols = (n * (n / 2 + 1)) as f64;
+    [
+        2.0 * (n * n) as f64 * lines(n / 2),
+        2.0 * cols * lines(n),
+        2.0 * cols * lines(n),
+    ]
+}
+
 /// 2000 calls a butterfly timing and the 128³ convolution best of 12;
 /// one call and a 16³ mesh at `small`.
 pub fn run(small: bool) -> super::Outcome {
@@ -80,7 +96,8 @@ pub fn run(small: bool) -> super::Outcome {
     let mut s = String::from("=== Table I, PM: FFT — ns per butterfly, n = 128 ==========\n");
     let mut w = super::summary_writer("fft", small);
     w.begin_arr(Some("butterflies"));
-    for (columns, width, ns) in butterflies(calls) {
+    let table = butterflies(calls);
+    for &(columns, width, ns) in &table {
         s.push_str(&format!("  w={columns:<2} {width:>6}  {ns:6.3} ns\n"));
         w.begin_obj(None);
         w.u64(Some("columns"), columns as u64);
@@ -89,21 +106,62 @@ pub fn run(small: bool) -> super::Outcome {
         w.end_obj();
     }
     w.end_arr();
+    // The rate every pass runs at: a 16-wide panel at the widest width,
+    // the one `Fft1d::new` picks.
+    let rate = table
+        .iter()
+        .rev()
+        .find(|r| r.0 == 16)
+        .expect("a 16-wide row")
+        .2;
     s.push_str(&format!(
-        "\nRealFft3::convolve, n = {n}, fastest of {reps}, ms:\n"
+        "\nRealFft3::convolve, n = {n}, fastest of {reps}, ms; butterflies at \
+         {rate:.3} ns each, the rest per complex value of the half-complex mesh \
+         (both directions):\n"
     ));
+    s.push_str("  pass         total  butterflies   rest  rest ns/value\n");
     w.u64(Some("convolve_n"), n as u64);
-    w.begin_obj(Some("convolve_s"));
     let ([z, y, x], fused) = convolve_phases(n, reps);
-    for (pass, secs) in [
-        ("z_rows", z),
-        ("y_panels", y),
-        ("x_panels", x),
-        ("sum", z + y + x),
-        ("fused", fused),
-    ] {
-        s.push_str(&format!("  {pass:<9} {:7.2}\n", secs * 1e3));
+    let values = 2.0 * (n * n * (n / 2 + 1)) as f64;
+    let passes = [("z_rows", z), ("y_panels", y), ("x_panels", x)];
+    let mut shares = Vec::new();
+    for ((pass, secs), count) in passes.iter().zip(pass_butterflies(n)) {
+        let fly = count * rate * 1e-9;
+        let rest = secs - fly;
+        s.push_str(&format!(
+            "  {pass:<9} {:8.2} {:12.2} {:6.2} {:14.3}\n",
+            secs * 1e3,
+            fly * 1e3,
+            rest * 1e3,
+            rest * 1e9 / values
+        ));
+        shares.push((*pass, fly, rest));
+    }
+    for (pass, secs) in [("sum", z + y + x), ("fused", fused)] {
+        s.push_str(&format!("  {pass:<9} {:8.2}\n", secs * 1e3));
+    }
+    w.begin_obj(Some("convolve_s"));
+    for (pass, secs) in passes
+        .into_iter()
+        .chain([("sum", z + y + x), ("fused", fused)])
+    {
         w.f64(Some(pass), secs);
+    }
+    w.end_obj();
+    w.f64(Some("butterfly_ns"), rate);
+    w.begin_obj(Some("butterflies_s"));
+    for &(pass, fly, _) in &shares {
+        w.f64(Some(pass), fly);
+    }
+    w.end_obj();
+    w.begin_obj(Some("rest_s"));
+    for &(pass, _, rest) in &shares {
+        w.f64(Some(pass), rest);
+    }
+    w.end_obj();
+    w.begin_obj(Some("rest_ns_per_value"));
+    for &(pass, _, rest) in &shares {
+        w.f64(Some(pass), rest * 1e9 / values);
     }
     w.end_obj();
     super::Outcome::new(s, w)

@@ -7,10 +7,13 @@
 //! where a PM code wants the normalisation (folded into the Green's
 //! function application).
 //!
-//! Every production transform runs [`Fft1d::butterflies_columns`] on a
-//! panel of lines with split real and imaginary parts; [`Fft1d::forward`]
-//! is the single-line textbook loop the bitwise tests compare it with.
+//! Every production transform runs the same butterflies, two stages at a
+//! time, on panels of lines with split real and imaginary parts, inside
+//! a job compiled at the CPU's widest vector width ([`Fft1d::in_width`]);
+//! [`Fft1d::forward`] is the single-line textbook loop the bitwise tests
+//! compare them with.
 
+use crate::columns::{at_width, panels};
 use crate::complex::Cpx;
 use std::sync::OnceLock;
 
@@ -29,9 +32,9 @@ pub struct Fft1d {
     width: Width,
 }
 
-/// The vector width [`Fft1d::butterflies_columns`] is compiled for: one
-/// generic body, instantiated at the baseline target and again with
-/// AVX2 or AVX-512 enabled, vectorised by the compiler.
+/// The vector width a [`Wide`] job is compiled for: one generic body,
+/// instantiated at the baseline target and again with AVX2 or AVX-512
+/// enabled, vectorised by the compiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Width {
     Base,
@@ -175,17 +178,37 @@ impl Fft1d {
     /// order as in `forward`, so each column is bit-identical to a
     /// single-line transform; what changes is that the inner loop runs
     /// over contiguous rows of plain `f64`, at the widest vector width
-    /// the CPU has.
+    /// the CPU has. The columns run as the panels [`panels`] cuts `w`
+    /// into, each at its own compile-time width.
     pub fn butterflies_columns(&self, re: &mut [f64], im: &mut [f64], w: usize) {
         let len = self.n * w;
         assert!(
             re.len() == len && im.len() == len,
             "panel size != plan size × width"
         );
+        self.in_width(Columns {
+            tw: &self.tw,
+            re,
+            im,
+            w,
+        });
+    }
+
+    /// [`butterflies_columns`](Self::butterflies_columns) on a panel of
+    /// exactly `W` columns, inside an [`in_width`](Self::in_width) job.
+    #[inline(always)]
+    pub(crate) fn butterflies<const W: usize>(&self, re: &mut [[f64; W]], im: &mut [[f64; W]]) {
+        assert_eq!(re.len(), self.n, "panel rows != plan size");
+        stages::<W>(&self.tw, re.as_flattened_mut(), im.as_flattened_mut(), W, 0);
+    }
+
+    /// `job` compiled at this plan's butterfly width.
+    #[inline(always)]
+    pub(crate) fn in_width(&self, job: impl Wide) {
         match self.width {
-            Width::Base => stages(&self.tw, re, im, w),
+            Width::Base => job.run(),
             #[cfg(target_arch = "x86_64")]
-            wide => wide::stages(wide, &self.tw, re, im, w),
+            wide => wide::run(wide, job),
         }
     }
 
@@ -202,62 +225,165 @@ impl Fft1d {
     }
 }
 
-/// The one butterfly body: stage by stage, row pair by row pair, each
-/// element `t = tw·v; (u, v) ← (u + t, u − t)` written out as `Cpx`'s
-/// multiply, add and subtract. Inlined into every width's copy.
-#[inline(always)]
-fn stages(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
-    let mut m = 1;
-    while m * w < re.len() {
-        let blocks = re
-            .chunks_exact_mut(2 * m * w)
-            .zip(im.chunks_exact_mut(2 * m * w));
-        for (re, im) in blocks {
-            let (re_u, re_v) = re.split_at_mut(m * w);
-            let (im_u, im_v) = im.split_at_mut(m * w);
-            let rows = (re_u.chunks_exact_mut(w).zip(im_u.chunks_exact_mut(w)))
-                .zip(re_v.chunks_exact_mut(w).zip(im_v.chunks_exact_mut(w)));
-            for (t, ((ur, ui), (vr, vi))) in tw[m - 1..2 * m - 1].iter().zip(rows) {
-                let cols = ur.iter_mut().zip(ui).zip(vr.iter_mut().zip(vi));
-                for ((ur, ui), (vr, vi)) in cols {
-                    let (tr, ti) = (t.re * *vr - t.im * *vi, t.re * *vi + t.im * *vr);
-                    let (sr, si) = (*ur, *ui);
-                    (*ur, *ui) = (sr + tr, si + ti);
-                    (*vr, *vi) = (sr - tr, si - ti);
-                }
-            }
+/// Work [`Fft1d::in_width`] runs compiled at a plan's butterfly width.
+/// `run` is `#[inline(always)]` in every implementation, and so is
+/// every function it calls that has a loop worth vectorising: that is
+/// what puts its body into each width's copy (a closure would be
+/// compiled once, at the baseline, and called from all three).
+pub(crate) trait Wide {
+    fn run(self);
+}
+
+/// [`Fft1d::butterflies_columns`]' job: the panel's columns in the
+/// widths [`panels`] cuts them into.
+struct Columns<'a> {
+    tw: &'a [Cpx],
+    re: &'a mut [f64],
+    im: &'a mut [f64],
+    w: usize,
+}
+
+impl Wide for Columns<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for (c0, cols) in panels(self.w) {
+            at_width!(cols, W => stages::<W>(self.tw, self.re, self.im, self.w, c0));
         }
-        m <<= 1;
     }
 }
 
-/// [`stages`] compiled for AVX2 and for AVX-512, and the crate's one
-/// `unsafe` block: the call into whichever of them a plan holds.
+/// The one butterfly: `t = tw·v; (u, v) ← (u + t, u − t)`, `Cpx`'s
+/// multiply, add and subtract written out on the split parts.
+#[inline(always)]
+fn butterfly(tw: Cpx, u: &mut (f64, f64), v: &mut (f64, f64)) {
+    let (tr, ti) = (tw.re * v.0 - tw.im * v.1, tw.re * v.1 + tw.im * v.0);
+    let (sr, si) = *u;
+    *u = (sr + tr, si + ti);
+    *v = (sr - tr, si - ti);
+}
+
+/// Two stages on every lane of four rows `a, b, c, d` (split parts):
+/// stage `m` on the pairs `(a, b)`, `(c, d)` with `t[0]`, then stage
+/// `2m` on `(a, c)` with `t[1]` and `(b, d)` with `t[2]`. Each row is
+/// its own `&mut` argument, so the lane loop is free to vectorise.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn radix4<const W: usize>(
+    t: [Cpx; 3],
+    ar: &mut [f64; W],
+    ai: &mut [f64; W],
+    br: &mut [f64; W],
+    bi: &mut [f64; W],
+    cr: &mut [f64; W],
+    ci: &mut [f64; W],
+    dr: &mut [f64; W],
+    di: &mut [f64; W],
+) {
+    for l in 0..W {
+        let (mut a, mut b) = ((ar[l], ai[l]), (br[l], bi[l]));
+        let (mut c, mut d) = ((cr[l], ci[l]), (dr[l], di[l]));
+        butterfly(t[0], &mut a, &mut b);
+        butterfly(t[0], &mut c, &mut d);
+        butterfly(t[1], &mut a, &mut c);
+        butterfly(t[2], &mut b, &mut d);
+        (ar[l], ai[l], br[l], bi[l]) = (a.0, a.1, b.0, b.1);
+        (cr[l], ci[l], dr[l], di[l]) = (c.0, c.1, d.0, d.1);
+    }
+}
+
+/// One stage on every lane of two rows.
+#[inline(always)]
+fn radix2<const W: usize>(
+    t: Cpx,
+    ar: &mut [f64; W],
+    ai: &mut [f64; W],
+    br: &mut [f64; W],
+    bi: &mut [f64; W],
+) {
+    for l in 0..W {
+        let (mut a, mut b) = ((ar[l], ai[l]), (br[l], bi[l]));
+        butterfly(t, &mut a, &mut b);
+        (ar[l], ai[l], br[l], bi[l]) = (a.0, a.1, b.0, b.1);
+    }
+}
+
+/// Lanes `at .. at + W` of `k` rows `gap` apart in `x`.
+#[inline(always)]
+fn rows<const W: usize, const K: usize>(
+    x: &mut [f64],
+    at: usize,
+    gap: usize,
+) -> [&mut [f64; W]; K] {
+    let mut rest = &mut x[at..];
+    std::array::from_fn(|_| {
+        let cut = gap.min(rest.len());
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+        rest = tail;
+        row.first_chunk_mut::<W>().expect("row inside the panel")
+    })
+}
+
+/// The stages of a panel whose row `j` is lanes `c0 .. c0 + W` of
+/// `re[j·s ..]`, `im[j·s ..]`, two at a time ([`radix4`]): the four
+/// rows `k`, `k + m`, `k + 2m`, `k + 3m` of a block of `4m` are loaded
+/// once, pass stage `m` and stage `2m` in registers, and are stored
+/// once. Each element still meets its twiddles in stage order, with the
+/// operands of the one-stage-at-a-time loop: the same bits. An odd last
+/// stage runs alone. Inlined into every width's copy.
+#[inline(always)]
+fn stages<const W: usize>(tw: &[Cpx], re: &mut [f64], im: &mut [f64], s: usize, c0: usize) {
+    let n = re.len() / s;
+    let mut m = 1;
+    while 4 * m <= n {
+        let (t1, t2) = (&tw[m - 1..2 * m - 1], &tw[2 * m - 1..4 * m - 1]);
+        for blk in (0..n).step_by(4 * m) {
+            for k in 0..m {
+                let at = (blk + k) * s + c0;
+                let [ar, br, cr, dr] = rows::<W, 4>(re, at, m * s);
+                let [ai, bi, ci, di] = rows::<W, 4>(im, at, m * s);
+                radix4([t1[k], t2[k], t2[k + m]], ar, ai, br, bi, cr, ci, dr, di);
+            }
+        }
+        m *= 4;
+    }
+    if m < n {
+        for k in 0..m {
+            let at = k * s + c0;
+            let [ar, br] = rows::<W, 2>(re, at, m * s);
+            let [ai, bi] = rows::<W, 2>(im, at, m * s);
+            radix2(tw[m - 1 + k], ar, ai, br, bi);
+        }
+    }
+}
+
+/// The AVX2 and AVX-512 copies of every [`Wide`] job, and the crate's
+/// one `unsafe` block: the call into the copy a plan holds.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod wide {
-    use super::{stages as body, Cpx, Width};
+    use super::{Wide, Width};
 
     #[target_feature(enable = "avx2")]
-    fn avx2(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
-        body(tw, re, im, w)
+    fn avx2(job: impl Wide) {
+        job.run()
     }
 
     #[target_feature(enable = "avx512f")]
-    fn avx512(tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
-        body(tw, re, im, w)
+    fn avx512(job: impl Wide) {
+        job.run()
     }
 
-    pub(super) fn stages(width: Width, tw: &[Cpx], re: &mut [f64], im: &mut [f64], w: usize) {
+    #[inline(always)]
+    pub(super) fn run(width: Width, job: impl Wide) {
         // SAFETY: a plan holds `Width::Avx2` or `Width::Avx512` only if
         // `Width::available` found that feature with
         // `is_x86_feature_detected!` on this CPU, so the copy called here
         // runs on hardware that has every instruction it was compiled to.
         unsafe {
             if width == Width::Avx512 {
-                avx512(tw, re, im, w)
+                avx512(job)
             } else {
-                avx2(tw, re, im, w)
+                avx2(job)
             }
         }
     }

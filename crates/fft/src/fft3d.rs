@@ -6,9 +6,12 @@
 //! tests hold the real transforms to. Layout is row-major `(x, y, z)`
 //! with `z` contiguous.
 
-use crate::columns::{columns_pass, conj_if, rows_by_middle, Panel, PANEL_COLS};
+use crate::columns::{
+    at_width, conj_if, gather, load_rows, panels, rows_by_middle, scatter, store_rows, Panel,
+    PANEL_COLS,
+};
 use crate::complex::Cpx;
-use crate::fft1d::Fft1d;
+use crate::fft1d::{Fft1d, Wide};
 use rayon::prelude::*;
 
 /// An `n × n × n` complex mesh, `z` fastest.
@@ -93,27 +96,96 @@ pub fn fft3d_inverse(mesh: &mut Mesh3, plan: &Fft1d) {
 fn transform3d(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
     let n = mesh.n;
     assert_eq!(plan.len(), n, "plan size must match mesh side");
+    let scratch = || vec![0.0; 2 * n * PANEL_COLS];
     mesh.data
         .par_chunks_mut(n * n)
-        .for_each_init(Vec::new, |scratch, plane| {
-            let mut rows: Vec<&mut [Cpx]> = plane.chunks_exact_mut(n).collect();
-            for batch in rows.chunks_mut(PANEL_COLS) {
-                let [mut p] = Panel::of(scratch, [n], batch.len());
-                p.load(batch, |j| plan.rev(j), conj_if(inverse));
-                p.fft(plan);
-                p.store(batch, conj_if(false));
-            }
-            let maps = (conj_if(false), conj_if(false));
-            columns_pass(plan, &mut rows, n, scratch, maps, |p, _| p.fft(plan));
+        .for_each_init(scratch, |scratch, plane| {
+            plan.in_width(PlaneJob {
+                plan,
+                plane,
+                scratch,
+                inverse,
+            })
         });
-    let s = 1.0 / (n as f64).powi(3);
     rows_by_middle(&mut mesh.data, n, n)
-        .into_par_iter()
-        .for_each_init(Vec::new, |scratch, (_, mut rows)| {
-            let finish = |v: Cpx| if inverse { v.conj().scale(s) } else { v };
-            let maps = (conj_if(false), finish);
-            columns_pass(plan, &mut rows, n, scratch, maps, |p, _| p.fft(plan));
+        .par_chunks_mut(n)
+        .for_each_init(scratch, |scratch, line| {
+            plan.in_width(LineJob {
+                plan,
+                line,
+                scratch,
+                inverse,
+            })
         });
+}
+
+/// One x-plane's z rows as transposed panels, conjugated on the way in
+/// for an inverse, then its y columns.
+struct PlaneJob<'a> {
+    plan: &'a Fft1d,
+    plane: &'a mut [Cpx],
+    scratch: &'a mut [f64],
+    inverse: bool,
+}
+
+impl Wide for PlaneJob<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let PlaneJob {
+            plan,
+            plane,
+            scratch,
+            inverse,
+        } = self;
+        let n = plan.len();
+        at_width!(PANEL_COLS.min(n), W => for rows in plane.chunks_exact_mut(W * n) {
+            let mut p = Panel::<W>::take(&mut &mut *scratch, n);
+            load_rows(&mut p, rows, n, |j| plan.rev(j), conj_if(inverse));
+            p.fft(plan);
+            store_rows(&p, rows, n, conj_if(false));
+        });
+        for (c0, cols) in panels(n) {
+            at_width!(cols, W => {
+                let mut p = Panel::<W>::take(&mut &mut *scratch, n);
+                gather(&mut p, plane.chunks_exact(n), c0, |j| plan.rev(j), conj_if(false));
+                p.fft(plan);
+                scatter(&p, plane.chunks_exact_mut(n), c0, conj_if(false));
+            });
+        }
+    }
+}
+
+/// One x line, a panel of columns at a time; an inverse conjugates and
+/// scales by `1/n³` on the way out.
+struct LineJob<'a, 'r> {
+    plan: &'a Fft1d,
+    line: &'a mut [&'r mut [Cpx]],
+    scratch: &'a mut [f64],
+    inverse: bool,
+}
+
+impl Wide for LineJob<'_, '_> {
+    #[inline(always)]
+    fn run(self) {
+        let LineJob {
+            plan,
+            line,
+            scratch,
+            inverse,
+        } = self;
+        let n = plan.len();
+        let s = 1.0 / (n as f64).powi(3);
+        let finish = |v: Cpx| if inverse { v.conj().scale(s) } else { v };
+        for (c0, cols) in panels(n) {
+            at_width!(cols, W => {
+                let mut p = Panel::<W>::take(&mut &mut *scratch, n);
+                let rows = line.iter().map(|r| &**r);
+                gather(&mut p, rows, c0, |j| plan.rev(j), conj_if(false));
+                p.fft(plan);
+                scatter(&p, line.iter_mut().map(|r| &mut **r), c0, finish);
+            });
+        }
+    }
 }
 
 #[cfg(test)]

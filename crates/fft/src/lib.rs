@@ -10,10 +10,11 @@
 //!
 //! * [`Cpx`] — a minimal complex number,
 //! * [`Fft1d`] — an iterative radix-2 Cooley-Tukey plan with precomputed
-//!   twiddles (power-of-two sizes, like the paper's meshes), run on
-//!   panels of up to 16 lines with split real and imaginary parts, at the
-//!   widest vector width the CPU has (every axis of every transform
-//!   below goes through these panels),
+//!   twiddles (power-of-two sizes, like the paper's meshes), run two
+//!   stages at a time on panels of up to 16 lines with split real and
+//!   imaginary parts, each pass compiled at the widest vector width the
+//!   CPU has (every axis of every transform below goes through these
+//!   panels),
 //! * [`RealFft3`] — real ↔ half-complex 3-D transforms in place on a
 //!   padded `n × n × (n+2)` real buffer, and the k-space convolution
 //!   built on them: every PM solver's transform (serial for both
@@ -30,7 +31,7 @@
 //!   benchmark's FFT probe and the reference in tests.
 
 // One `unsafe` block, x86 only: the call into the AVX2 / AVX-512 copy
-// of the butterflies that run-time detection selected (`fft1d::wide`).
+// of a pass that run-time detection selected (`fft1d::wide`).
 #![deny(unsafe_code)]
 
 mod columns;

@@ -97,11 +97,8 @@ impl SlabFft {
         }
         self.plan.yz_planes(&mut buf, false);
         let mut t = self.transpose(ctx, &buf);
-        let lines = t
-            .chunks_exact_mut(n * ld)
-            .map(|line| line.chunks_exact_mut(ld).collect());
-        self.plan
-            .convolve_lines((y0..).zip(lines).collect(), kernel);
+        let mut rows: Vec<&mut [f64]> = t.chunks_exact_mut(ld).collect();
+        self.plan.convolve_lines(&mut rows, y0, kernel);
         let mut buf = self.transpose(ctx, &t);
         self.plan.yz_planes(&mut buf, true);
         buf.chunks_exact(ld)

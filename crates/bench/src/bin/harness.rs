@@ -523,6 +523,9 @@ mod tests {
                     for lanes in rows.iter().chain([fresh]).map(|r| num(r, "lanes_used")) {
                         assert!(lanes > 0.0 && lanes <= 1.0, "lanes used {lanes}");
                     }
+                    for kept in rows.iter().map(|r| num(r, "pairs_kept")) {
+                        assert!(kept > 0.0 && kept <= 1.0, "pairs kept {kept}");
+                    }
                 }
                 "fft" => assert_eq!(
                     numbers_on_line(&text, "RealFft3::convolve, n = ")[1], // [0] is its 3

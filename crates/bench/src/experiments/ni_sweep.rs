@@ -19,7 +19,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use greem::{TreePm, TreePmConfig};
-use greem_kernels::selected_variant;
+use greem_kernels::{pp_accel_dispatch, selected_variant, KernelVariant, SourceList, Targets};
 use greem_math::Aabb;
 use greem_tree::{GroupWalk, ListEntry, SnapshotTree, SourceColumns, TreeParams};
 
@@ -33,6 +33,9 @@ pub struct NiRow {
     pub mean_ni: f64,
     /// Share of the selected kernel's target lanes holding a target.
     pub lanes_used: f64,
+    /// Share of the lane-padded pairs the selected kernel evaluates
+    /// after its cull.
+    pub pairs_kept: f64,
     pub mean_nj: f64,
     pub traversal_s: f64,
     pub force_s: f64,
@@ -42,11 +45,13 @@ pub struct NiRow {
 
 /// Σ Ni·Nj and Σ ⌈Ni/W⌉·W·Nj over groups, W the selected kernel's
 /// `target_block()`: their ratio is the share of the kernel's target
-/// lanes that hold a target.
+/// lanes that hold a target. Over the groups the kernel ran on, `kept`
+/// sums the lane-padded pairs it evaluated after its cull.
 struct Lanes {
     w: u64,
     used: u64,
     slots: u64,
+    kept: u64,
 }
 
 impl Lanes {
@@ -56,12 +61,26 @@ impl Lanes {
             w,
             used: 0,
             slots: 0,
+            kept: 0,
         }
     }
 
     fn add(&mut self, ni: u64, nj: u64) {
         self.used += ni * nj;
         self.slots += ni.div_ceil(self.w) * self.w * nj;
+    }
+
+    /// One group through the selected kernel, as [`add`](Self::add)
+    /// counts it, and what its cull kept (every lane-padded pair, for a
+    /// kernel without one).
+    fn run(&mut self, targets: &mut Targets, sources: &SourceList, cfg: &TreePmConfig) {
+        let (ni, nj) = (targets.len() as u64, sources.len() as u64);
+        self.add(ni, nj);
+        pp_accel_dispatch(targets, sources, &cfg.split());
+        self.kept += match selected_variant() {
+            KernelVariant::Avx2 | KernelVariant::Avx512 => targets.pairs_kept(),
+            KernelVariant::Portable | KernelVariant::Scalar => ni.div_ceil(self.w) * self.w * nj,
+        };
     }
 
     fn share(&self) -> f64 {
@@ -84,16 +103,24 @@ pub fn sweep(n: usize, n_mesh: usize, group_sizes: &[usize], seed: u64) -> Vec<N
             let t0 = Instant::now();
             let (_, bd) = solver.compute_pp(&pos, &mass);
             let total = t0.elapsed().as_secs_f64();
-            // The same groups and lists again, untimed, for their sizes.
+            // The same groups and lists again, untimed, for their sizes
+            // and through the kernel for what its cull keeps.
             let tree = SnapshotTree::build(&pos, &mass, Aabb::UNIT, cfg.tree_params());
             let mut lanes = Lanes::new();
             GroupWalk::new(&tree.view(), cfg.traverse_params()).for_each_group(|g, list| {
-                lanes.add(g.count as u64, list.len() as u64);
+                let slots = g.first as usize..(g.first + g.count) as usize;
+                let group: Vec<_> = tree.order()[slots]
+                    .iter()
+                    .map(|&i| pos[i as usize])
+                    .collect();
+                let sources: SourceList = list.iter().map(|s| (s.pos, s.mass)).collect();
+                lanes.run(&mut Targets::from_positions(&group), &sources, &cfg);
             });
             NiRow {
                 group_size: gs,
                 mean_ni: bd.walk.mean_ni(),
                 lanes_used: lanes.share(),
+                pairs_kept: lanes.kept as f64 / lanes.slots as f64,
                 mean_nj: bd.walk.mean_nj(),
                 traversal_s: bd.pp_tree_traversal,
                 force_s: bd.pp_force_calculation,
@@ -174,7 +201,8 @@ pub fn run(small: bool) -> super::Outcome {
     let mut s = format!(
         "=== Sec. II: group size <Ni> trade-off =========================\n\
          lanes: share of the {} kernel's {} target lanes holding a target\n\
-         group  <Ni>  lanes    <Nj>   traverse(s)  force(s)   total(s)  interactions\n",
+         kept: share of those lanes' pairs it evaluates after its cull\n\
+         group  <Ni>  lanes   kept    <Nj>   traverse(s)  force(s)   total(s)  interactions\n",
         kernel.name(),
         kernel.target_block()
     );
@@ -187,10 +215,11 @@ pub fn run(small: bool) -> super::Outcome {
             best = (r.group_size, r.total_s);
         }
         s.push_str(&format!(
-            "{:>5} {:>6.1} {:>6.3} {:>7.1} {:>12.4} {:>9.4} {:>10.4} {:>13}\n",
+            "{:>5} {:>6.1} {:>6.3} {:>6.3} {:>7.1} {:>12.4} {:>9.4} {:>10.4} {:>13}\n",
             r.group_size,
             r.mean_ni,
             r.lanes_used,
+            r.pairs_kept,
             r.mean_nj,
             r.traversal_s,
             r.force_s,
@@ -201,6 +230,7 @@ pub fn run(small: bool) -> super::Outcome {
         w.u64(Some("group_size"), r.group_size as u64);
         w.f64(Some("mean_ni"), r.mean_ni);
         w.f64(Some("lanes_used"), r.lanes_used);
+        w.f64(Some("pairs_kept"), r.pairs_kept);
         w.f64(Some("mean_nj"), r.mean_nj);
         w.f64(Some("traversal_s"), r.traversal_s);
         w.f64(Some("force_s"), r.force_s);

@@ -124,13 +124,14 @@ impl TreePm {
     /// subtracted analytically) plus the pairwise short-range potential.
     /// Diagnostics-grade (scalar loops).
     pub fn potential_energy(&self, pos: &[Vec3], mass: &[f64]) -> f64 {
-        // PM part.
-        let (pm, _) = self.compute_pm(pos, mass);
+        // PM part: the mesh potential, interpolated to the particles.
+        let phi = self.pm.potential_mesh(&self.pm.assign_density(pos, mass));
+        let phi = self.pm.interpolate(&phi, pos);
         // Self-energy of the S2-filtered particle, subtracted per unit
         // mass (the isolated kernel carries the same value at r = 0).
         let phi_self_per_mass = greem_math::s2_self_potential(self.cfg.r_cut);
         let mut u_pm = 0.0;
-        for (&m, &phi) in mass.iter().zip(&pm.potential) {
+        for (&m, &phi) in mass.iter().zip(&phi) {
             u_pm += 0.5 * m * (phi - m * phi_self_per_mass);
         }
         // PP part via the group walk and the pairwise potential shape.
@@ -367,6 +368,22 @@ mod tests {
             (res.accel[0] + res.accel[1]).norm() < 1e-6 * newton,
             "isolated pair must be antisymmetric"
         );
+    }
+
+    #[test]
+    fn potential_energy_keeps_the_bits_of_the_four_field_gather() {
+        // Recorded when the PM cycle still interpolated φ beside the
+        // three accelerations: interpolating it on its own, from the
+        // staged mesh calls, gives every bit back, on both boundaries.
+        let pos = rand_pos(300, 61);
+        let mass: Vec<f64> = (0..300).map(|i| 0.5 + (i % 7) as f64 * 0.1).collect();
+        for (cfg, want) in [
+            (TreePmConfig::standard(16), 0xc06d_6045_c3a7_8002_u64),
+            (TreePmConfig::isolated(16), 0xc0e9_f283_e5ac_ad75),
+        ] {
+            let u = TreePm::new(cfg).potential_energy(&pos, &mass);
+            assert_eq!(u.to_bits(), want, "{:?}: {u:e}", cfg.boundary);
+        }
     }
 
     #[test]

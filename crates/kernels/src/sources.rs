@@ -103,11 +103,15 @@ pub struct Targets {
 
 /// One x86 kernel call in single precision: target columns x, y, z —
 /// each block's sums once the block has run — zero-padded to a whole
-/// number of vectors, and source columns x, y, z, m.
+/// number of vectors, source columns x, y, z, m padded to one too, and
+/// the sources one block keeps after its cull, compacted.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Staging {
     pub(crate) t: [Vec<f32>; 3],
     pub(crate) s: [Vec<f32>; 4],
+    pub(crate) kept: [Vec<f32>; 4],
+    /// What [`Targets::pairs_kept`] reports.
+    pub(crate) pairs: u64,
 }
 
 impl Targets {
@@ -172,6 +176,15 @@ impl Targets {
     #[inline]
     pub fn accel(&self, i: usize) -> Vec3 {
         Vec3::new(self.ax[i], self.ay[i], self.az[i])
+    }
+
+    /// The lane-padded pairs the last x86 kernel call on these targets
+    /// evaluated: for each vector of targets, the width times the
+    /// sources its cull kept. Zero when that call went to the scalar
+    /// kernel whole. What every kernel *returns* is the paper's count,
+    /// Σ Ni·Nj.
+    pub fn pairs_kept(&self) -> u64 {
+        self.stage.pairs
     }
 
     /// Zero the accumulated accelerations.

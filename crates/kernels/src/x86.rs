@@ -58,10 +58,18 @@
 //! unit, a power of two) — the properties interaction-list replay
 //! relies on, pinned in `tests/simd_equivalence.rs`.
 //!
-//! A block is one vector of targets. The staging columns are padded to
-//! the width, so the last block of a call computes on zero lanes whose
-//! sums nobody reads; every access is a bounds-checked slice. The flop
-//! accounting is unchanged — 51 flops per interaction.
+//! A block is one vector of targets, and **it runs only the sources that
+//! can reach it** ([`cull`]): between the conversion pass and each block,
+//! the staged sources within 2·(1 + 2⁻¹⁰) ξ of the box of the block's
+//! live targets, or at a NaN distance, are compacted in list order into
+//! a scratch of whole vectors (`vcompressps`; a `vpermps` table on AVX2).
+//! The margin covers the f32 roundings of dx and r² and the error of the
+//! third-order step, so a culled source would have been masked to +0 in
+//! every live lane, and by the property above no bit moves (DESIGN.md
+//! §11). The staging columns are padded to the width, so the last block
+//! of a call computes on zero lanes whose sums nobody reads; every access
+//! is a bounds-checked slice. The flop accounting is unchanged — 51 flops
+//! per interaction of the paper's Σ Ni·Nj, culled ones included.
 
 #![cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 
@@ -110,8 +118,15 @@ trait Lanes {
     /// Hardware `1/√x` estimate (the paper's `frsqrta`).
     unsafe fn rsqrt_seed(x: Self::V) -> Self::V;
     unsafe fn lt(a: Self::V, b: Self::V) -> Self::M;
+    /// `!(a > b)`: true where either is NaN.
+    unsafe fn not_gt(a: Self::V, b: Self::V) -> Self::M;
     /// `a` where `m`, else +0.
     unsafe fn keep(m: Self::M, a: Self::V) -> Self::V;
+    /// The lanes of `a` that `m` selects, in lane order, at the front;
+    /// the lanes behind them are unspecified.
+    unsafe fn compress(m: Self::M, a: Self::V) -> Self::V;
+    /// How many lanes `m` selects.
+    unsafe fn count(m: Self::M) -> usize;
     /// `a`, through an empty `asm!` that takes and returns it in a
     /// vector register — the end of a pipeline stage. The compiler must
     /// have computed `a` before the statement and can start nothing
@@ -159,7 +174,13 @@ impl Lanes for Avx2 {
         // 12 bits.
         fn rsqrt_seed(x: __m256) -> __m256 = _mm256_rsqrt_ps(x);
         fn lt(a: __m256, b: __m256) -> __m256 = _mm256_cmp_ps::<_CMP_LT_OQ>(a, b);
+        fn not_gt(a: __m256, b: __m256) -> __m256 = _mm256_cmp_ps::<_CMP_NGT_UQ>(a, b);
         fn keep(m: __m256, a: __m256) -> __m256 = _mm256_and_ps(a, m);
+        fn compress(m: __m256, a: __m256) -> __m256 = {
+            let pack = transmute::<[i32; 8], __m256i>(PACK8[_mm256_movemask_ps(m) as usize]);
+            _mm256_permutevar8x32_ps(a, pack)
+        };
+        fn count(m: __m256) -> usize = _mm256_movemask_ps(m).count_ones() as usize;
     }
 
     // The ymm operand class needs `avx` on the function itself, which
@@ -172,6 +193,25 @@ impl Lanes for Avx2 {
         a
     }
 }
+
+/// For each 8-lane mask, the `vpermps` indices that move its lanes to
+/// the front in lane order: AVX2's stand-in for `vcompressps`.
+const PACK8: [[i32; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut packed) = (0, 0);
+        while lane < 8 {
+            if mask >> lane & 1 == 1 {
+                table[mask][packed] = lane;
+                packed += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
 
 /// 512-bit lanes; requires `avx512f`.
 struct Avx512;
@@ -193,7 +233,11 @@ impl Lanes for Avx512 {
         // 14 bits.
         fn rsqrt_seed(x: __m512) -> __m512 = _mm512_rsqrt14_ps(x);
         fn lt(a: __m512, b: __m512) -> __mmask16 = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b);
+        fn not_gt(a: __m512, b: __m512) -> __mmask16 = _mm512_cmp_ps_mask::<_CMP_NGT_UQ>(a, b);
         fn keep(m: __mmask16, a: __m512) -> __m512 = _mm512_maskz_mov_ps(m, a);
+        // `vcompressps` in register.
+        fn compress(m: __mmask16, a: __m512) -> __m512 = _mm512_maskz_compress_ps(m, a);
+        fn count(m: __mmask16) -> usize = m.count_ones() as usize;
     }
 
     #[inline]
@@ -249,13 +293,15 @@ impl Consts {
 }
 
 /// One trip of the source loop: the `S` sources of `src` (the four
-/// staged columns, cut to this trip) against the target vector `t`, `S`
-/// independent eq. (3) chains advanced together one stage at a time and
-/// retired onto `acc` in list order.
+/// staged columns, cut to this trip) against the target vector staged in
+/// `t`, `S` independent eq. (3) chains advanced together one stage at a
+/// time and retired onto `acc` in list order. The targets are re-read
+/// every trip: past the `pin`s no load is hoisted, so they hold no
+/// registers the chains could use between trips.
 #[inline(always)]
 unsafe fn trip<L: Lanes, const S: usize>(
     c: &Consts,
-    t: &[L::V; 3],
+    t: [&[f32]; 3],
     src: [&[f32]; 4],
     acc: &mut [L::V; 3],
 ) {
@@ -270,6 +316,7 @@ unsafe fn trip<L: Lanes, const S: usize>(
         }};
     }
     let [sx, sy, sz, sm] = src;
+    let t = t.map(|col| L::load(col));
     // Stage 1 — differences and softened r² = ξ², floored so both
     // hardware seeds and their cubes stay finite. The floor is the whole
     // zero-distance guard: a coincident pair gets a finite force factor
@@ -326,28 +373,72 @@ unsafe fn trip<L: Lanes, const S: usize>(
     }
 }
 
-/// One block: the vector of staged targets `t` against the whole staged
-/// source list — [`SOURCES`] a trip, and the sources left over through
-/// the same body one a trip. Their sums replace their positions in `t`.
+/// One block: the vector of staged targets `t` against the sources its
+/// cull kept — [`SOURCES`] a trip, and the sources left over through the
+/// same body one a trip. Their sums replace their positions in `t`.
 ///
 /// # Safety
 ///
 /// The features of `L`.
 #[inline(always)]
 unsafe fn block<L: Lanes>(c: &Consts, t: [&mut [f32]; 3], src: [&[f32]; 4]) {
-    let pos = [L::load(t[0]), L::load(t[1]), L::load(t[2])];
+    let pos = [&*t[0], &*t[1], &*t[2]];
     let mut acc = [L::splat(0.0); 3];
     let ns = src[0].len();
     let whole = ns - ns % SOURCES;
     for j in (0..whole).step_by(SOURCES) {
-        trip::<L, SOURCES>(c, &pos, src.map(|col| &col[j..j + SOURCES]), &mut acc);
+        trip::<L, SOURCES>(c, pos, src.map(|col| &col[j..j + SOURCES]), &mut acc);
     }
     for j in whole..ns {
-        trip::<L, 1>(c, &pos, src.map(|col| &col[j..=j]), &mut acc);
+        trip::<L, 1>(c, pos, src.map(|col| &col[j..=j]), &mut acc);
     }
     for (col, a) in t.into_iter().zip(acc) {
         L::store(a, col);
     }
+}
+
+/// The square of the cull's reach in ξ units, 2·(1 + 2⁻¹⁰) (exact in
+/// f32): past the cutoff by more than the f32 roundings of the box
+/// distance, dx and r² and the error of the third-order step can move
+/// ξ, so a source beyond it is masked in every lane of the block.
+const REACH2: f32 = 4.0 * (1.0 + 1.0 / 1024.0) * (1.0 + 1.0 / 1024.0);
+
+/// Compacts into `kept`, in list order, every staged source (columns of
+/// whole vectors) whose f32 distance from the box of the `live` targets
+/// is within [`REACH2`] or NaN, and returns how many. Each store is one
+/// whole vector at the count so far, so a `kept` as long as `src` holds
+/// them.
+///
+/// # Safety
+///
+/// The features of `L`.
+#[inline(always)]
+unsafe fn cull<L: Lanes>(
+    live: [&[f32]; 3],
+    src: &[Vec<f32>; 4],
+    kept: &mut [Vec<f32>; 4],
+) -> usize {
+    let lo = live.map(|col| L::splat(col.iter().copied().fold(f32::INFINITY, f32::min)));
+    let hi = live.map(|col| L::splat(col.iter().copied().fold(f32::NEG_INFINITY, f32::max)));
+    let zero = L::splat(0.0);
+    let mut n = 0;
+    for j in (0..src[0].len()).step_by(L::W) {
+        let s = src.each_ref().map(|col| L::load(&col[j..j + L::W]));
+        let mut d2 = zero;
+        for k in 0..3 {
+            let out = L::max(L::sub(lo[k], s[k]), L::sub(s[k], hi[k]));
+            // Zero first: `max` returns its second operand when either
+            // is NaN, so a NaN coordinate keeps its source.
+            let d = L::max(zero, out);
+            d2 = L::fmadd(d, d, d2);
+        }
+        let near = L::not_gt(d2, L::splat(REACH2));
+        for (col, v) in kept.iter_mut().zip(s) {
+            L::store(L::compress(near, v), &mut col[n..n + L::W]);
+        }
+        n += L::count(near);
+    }
+    n
 }
 
 /// Farthest a staged coordinate may lie from the origin, in ξ units:
@@ -386,8 +477,12 @@ unsafe fn run<L: Lanes>(
     let heavy = |m: f64| (m * per_unit).abs() > 1.0;
 
     // The conversion pass, in straight-line loops that vectorise at the
-    // width of the entry point this inlines into.
+    // width of the entry point this inlines into. The source columns
+    // are padded to whole vectors with a source at +∞, which every cull
+    // drops.
     let (origin, st) = (targets.origin, &mut targets.stage);
+    let padded = ns.next_multiple_of(L::W);
+    st.pairs = 0;
     let (mut near, mut any_heavy) = (true, false);
     let columns = [
         (&targets.x[..nt], &sources.x),
@@ -408,6 +503,10 @@ unsafe fn run<L: Lanes>(
         any_heavy |= heavy(m);
         (if heavy(m) { 0.0 } else { m * per_unit }) as f32
     }));
+    for (col, pad) in st.s.iter_mut().zip([f32::INFINITY, 0.0, 0.0, 0.0]) {
+        col.resize(padded, pad);
+    }
+    st.kept.iter_mut().for_each(|col| col.resize(padded, 0.0));
     // An empty or massless list, a mass unit or a cutoff outside what
     // f64 can scale by, a softening outside f32, a stray or NaN target:
     // not this kernel's call.
@@ -419,21 +518,21 @@ unsafe fn run<L: Lanes>(
     // see into, so it loads them where a stage uses them.
     let c = Consts::new(eps2);
     let c = std::hint::black_box(&c);
-    let src = [
-        &st.s[0][..ns],
-        &st.s[1][..ns],
-        &st.s[2][..ns],
-        &st.s[3][..ns],
-    ];
     let [tx, ty, tz] = &mut st.t;
     for i0 in (0..tx.len()).step_by(L::W) {
+        // The zero-padded lanes of the last block sit at the origin,
+        // and nobody reads their sums: the box is the live lanes'.
+        let live = i0..nt.min(i0 + L::W);
+        let live = [&tx[live.clone()], &ty[live.clone()], &tz[live]];
+        let nk = cull::<L>(live, &st.s, &mut st.kept);
+        st.pairs += (L::W * nk) as u64;
         let lanes = i0..i0 + L::W;
         let t = [
             &mut tx[lanes.clone()],
             &mut ty[lanes.clone()],
             &mut tz[lanes],
         ];
-        block::<L>(c, t, src);
+        block::<L>(c, t, st.kept.each_ref().map(|col| &col[..nk]));
     }
     let out = [&mut targets.ax, &mut targets.ay, &mut targets.az];
     for (col, sums) in out.into_iter().zip(&targets.stage.t) {
@@ -556,6 +655,34 @@ mod tests {
     fn the_reported_target_block_is_one_vector_of_the_width() {
         assert_eq!(KernelVariant::Avx2.target_block(), Avx2::W);
         assert_eq!(KernelVariant::Avx512.target_block(), Avx512::W);
+    }
+
+    #[test]
+    fn the_cull_drops_what_a_pp_list_holds_out_of_reach() {
+        // A `serial-pp`-shaped call: a group of 64 bodies in a cube of
+        // r_cut/2 against 1700 sources filling that cube grown by r_cut
+        // on every side, as the walk lists them.
+        use greem_math::testutil::TestLcg;
+        use greem_math::Vec3;
+        let split = ForceSplit::new(0.1, 1e-4);
+        let mut rng = TestLcg::new(42);
+        let mut at = |side: f64| (rng.next_vec3() - Vec3::splat(0.5)) * side;
+        let tp: Vec<Vec3> = (0..64).map(|_| at(0.05)).collect();
+        let sources: SourceList = (0..1700).map(|_| (at(0.25), 1.0)).collect();
+        for variant in [KernelVariant::Avx2, KernelVariant::Avx512] {
+            if !variant.is_available() {
+                continue;
+            }
+            let mut t = Targets::from_positions(&tp);
+            let n = crate::pp_accel_variant(variant, &mut t, &sources, &split);
+            assert_eq!(n, 64 * 1700);
+            let share = t.pairs_kept() as f64 / n as f64;
+            assert!(
+                share > 0.0 && share < 0.85,
+                "{}: kept {share}",
+                variant.name()
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! wherever it sits in the list (what interaction-list replay with
 //! inflated margins needs; it also moves every later source to another
 //! slot of the x86 loop's four-source trip). On top of them a golden
-//! hash per variant holds the result bits themselves.
+//! hash per variant holds the result bits themselves, and the x86
+//! kernels' cull is held to deleting the sources out of each target
+//! vector's reach.
 //! Every test iterates `available_variants()`, so a CI leg that forces
 //! one kernel still checks every width its host has.
 
@@ -578,6 +580,171 @@ fn the_range_contract_clamps_or_reroutes_and_never_overflows() {
                     accel_bits(&exact, i),
                     "{}",
                     variant.name()
+                );
+            }
+        }
+    }
+}
+
+/// `list` without the sources farther than the cutoff from the box of
+/// `block` — a source with a NaN coordinate is never farther.
+fn within_reach(block: &[Vec3], list: &SourceList, r_cut: f64) -> SourceList {
+    let lo = block
+        .iter()
+        .fold(Vec3::splat(f64::INFINITY), |a, &p| a.min(p));
+    let hi = block
+        .iter()
+        .fold(Vec3::splat(f64::NEG_INFINITY), |a, &p| a.max(p));
+    (0..list.len())
+        .filter(|&j| {
+            let p = list.pos(j);
+            let d = (lo - p).max(p - hi).max(Vec3::ZERO);
+            d.norm2() <= r_cut * r_cut || p.x.is_nan() || p.y.is_nan() || p.z.is_nan()
+        })
+        .map(|j| (list.pos(j), list.m[j]))
+        .collect()
+}
+
+/// Holds `variant` on `tp` × `list`, bit for bit, to the same call with
+/// each vector of targets given only the sources within its reach: that
+/// vector's own call, from the same origin, on [`within_reach`]'s list.
+/// Returns the call.
+fn assert_culled_is_deleted(
+    label: &str,
+    variant: KernelVariant,
+    tp: &[Vec3],
+    list: &SourceList,
+    split: &ForceSplit,
+) -> Targets {
+    let mut got = Targets::from_positions(tp);
+    pp_accel_variant(variant, &mut got, list, split);
+    let w = variant.target_block();
+    for (b, block) in tp.chunks(w).enumerate() {
+        let mut want = Targets::from_positions(block);
+        want.origin = got.origin;
+        pp_accel_variant(
+            variant,
+            &mut want,
+            &within_reach(block, list, split.r_cut),
+            split,
+        );
+        for i in 0..block.len() {
+            assert_eq!(
+                accel_bits(&got, b * w + i),
+                accel_bits(&want, i),
+                "{label}, {}: target {} of {}",
+                variant.name(),
+                b * w + i,
+                tp.len()
+            );
+        }
+    }
+    got
+}
+
+#[test]
+fn the_cull_equals_deleting_the_sources_out_of_reach() {
+    // The x86 kernels keep, per vector of targets, the sources within
+    // 2·(1 + 2⁻¹⁰) ξ of its live box. Sources 2⁻⁹ of the cutoff either
+    // side of that box — along every axis and past a corner — a vector
+    // that keeps every source and one that keeps none, a partial last
+    // vector whose dead lanes (at the origin) lie outside its box, and
+    // NaN, clamped and too-heavy sources: every call must equal, bit for
+    // bit, the same targets given only the sources in reach.
+    let r_cut = 0.1;
+    let (inside, outside) = (r_cut * (1.0 - 2f64.powi(-9)), r_cut * (1.0 + 2f64.powi(-9)));
+    let axis = |k: usize, d: f64| {
+        let mut v = Vec3::ZERO;
+        v[k] = d;
+        v
+    };
+    let ordinary = |at: &[Vec3]| -> Vec<(Vec3, f64)> { at.iter().map(|&p| (p, 1.0)).collect() };
+    for eps in [0.0, 1e-3] {
+        let split = ForceSplit::new(r_cut, eps);
+        for variant in x86_variants() {
+            let (w, name) = (variant.target_block(), variant.name());
+            let mut rng = TestLcg::new(4711);
+            let mut cube = |corner: f64, n: usize| -> Vec<Vec3> {
+                (0..n)
+                    .map(|_| Vec3::splat(corner) + rng.next_vec3() * 0.05)
+                    .collect()
+            };
+            let (block, far, partial) = (cube(0.3, w), cube(0.8, w), cube(0.8, 3));
+            let near = ordinary(&cube(0.3, 23));
+            let near_far = ordinary(&cube(0.8, 11));
+
+            // The shells: beside each box face's outermost target, and
+            // past the box's two far corners.
+            let lo = block.iter().fold(Vec3::splat(1.0), |a, &p| a.min(p));
+            let hi = block.iter().fold(Vec3::ZERO, |a, &p| a.max(p));
+            let diagonal = Vec3::splat(1.0 / 3f64.sqrt());
+            let mut shells = Vec::new();
+            for k in 0..3 {
+                for sign in [-1.0, 1.0] {
+                    let i = (0..w)
+                        .max_by(|&a, &b| (sign * block[a][k]).total_cmp(&(sign * block[b][k])))
+                        .unwrap();
+                    for d in [inside, outside] {
+                        shells.push((block[i] + axis(k, sign * d), 1.0));
+                    }
+                    // In reach of target i alone, it moves i's bits: the
+                    // cull keeps it.
+                    let one: SourceList = [(block[i] + axis(k, sign * inside), 1.0)]
+                        .into_iter()
+                        .collect();
+                    let got = assert_culled_is_deleted("one shell", variant, &block, &one, &split);
+                    assert_ne!(
+                        got.accel(i)[k],
+                        0.0,
+                        "{name}: a source {inside} from target {i}"
+                    );
+                }
+            }
+            for d in [inside, outside] {
+                shells.push((hi + diagonal * d, 1.0));
+                shells.push((lo - diagonal * d, 1.0));
+            }
+            let list: SourceList = near.iter().chain(&shells).copied().collect();
+            assert_culled_is_deleted("shells", variant, &block, &list, &split);
+
+            // Every source in reach of the first vector, none of the
+            // second's.
+            let two: Vec<Vec3> = block.iter().chain(&far).copied().collect();
+            let list: SourceList = near.iter().copied().collect();
+            let got = assert_culled_is_deleted("all or none", variant, &two, &list, &split);
+            assert_eq!(got.pairs_kept(), (w * list.len()) as u64, "{name}");
+
+            // A partial last vector far from the origin, sources near
+            // both vectors.
+            let tp: Vec<Vec3> = block.iter().chain(&partial).copied().collect();
+            let list: SourceList = near.iter().chain(&near_far).copied().collect();
+            assert_culled_is_deleted("partial", variant, &tp, &list, &split);
+
+            // A source clamped to 2⁴⁰ ξ, and sources too heavy to stage:
+            // one in reach of each vector, one of neither.
+            let odd = [
+                (Vec3::new(1e30, -1e30, 0.3), 1.0),
+                (Vec3::splat(0.33), 1e22),
+                (Vec3::splat(0.82), 1e22),
+                (Vec3::splat(0.55), 1e22),
+            ];
+            let list: SourceList = near.iter().chain(&odd).chain(&near_far).copied().collect();
+            assert_culled_is_deleted("clamped and heavy", variant, &tp, &list, &split);
+
+            // A NaN coordinate beside far ones is kept: it makes every
+            // target's sum NaN, as it does without a cull.
+            let nan = [
+                (Vec3::new(f64::NAN, 5.0, 5.0), 1.0),
+                (Vec3::new(5.0, f64::NAN, -5.0), 1.0),
+                (Vec3::new(-5.0, 5.0, f64::NAN), 1.0),
+            ];
+            let list: SourceList = near.iter().chain(&nan).copied().collect();
+            let got = assert_culled_is_deleted("NaN", variant, &tp, &list, &split);
+            for i in 0..tp.len() {
+                let a = got.accel(i);
+                assert!(
+                    a.x.is_nan() && a.y.is_nan() && a.z.is_nan(),
+                    "{name}: target {i}: {a:?}"
                 );
             }
         }

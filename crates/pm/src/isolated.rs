@@ -85,8 +85,9 @@ mod tests {
         let centre = Vec3::splat(0.5);
         for r in [0.15, 0.25, 0.35, 0.45] {
             let probe = Vec3::new(0.5 + r, 0.5, 0.5);
-            let res = solver.solve(&[centre, probe], &[1.0, 1e-12]);
-            let phi = res.potential[1];
+            let (pos, mass) = ([centre, probe], [1.0, 1e-12]);
+            let phi = solver.potential_mesh(&solver.assign_density(&pos, &mass));
+            let phi = solver.interpolate(&phi, &pos)[1];
             let want = -1.0 / r;
             assert!(
                 (phi - want).abs() < 0.02 * want.abs(),

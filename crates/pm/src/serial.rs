@@ -44,13 +44,11 @@ impl PmParams {
     }
 }
 
-/// Long-range accelerations and potentials at the particle positions.
+/// Long-range accelerations at the particle positions.
 #[derive(Debug, Clone)]
 pub struct PmResult {
     /// PM acceleration per particle.
     pub accel: Vec<Vec3>,
-    /// PM potential per particle (G = 1 units; diagnostics).
-    pub potential: Vec<f64>,
 }
 
 /// Serial PM solver: owns the FFT plan, the Green's function table and
@@ -259,8 +257,8 @@ impl PmSolver {
         mesh::gather_forces(self.grid, acc, self.grid, phi, pos)
     }
 
-    /// The full PM cycle: long-range accelerations (and potentials) at
-    /// the particle positions.
+    /// The full PM cycle: long-range accelerations at the particle
+    /// positions.
     pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
         self.solve_timed(pos, mass).0
     }
@@ -268,7 +266,7 @@ impl PmSolver {
     /// The cycle on the solver's own workspace, with the wall seconds of
     /// its four Table I phases: the density is assigned straight into
     /// the transform's padded buffer, becomes the potential there, and
-    /// is differenced and interpolated from there.
+    /// is differenced there; the three accelerations are interpolated.
     pub fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
         let (grid, padded) = (self.grid, self.padded);
@@ -289,13 +287,13 @@ impl PmSolver {
             &mut t.acceleration_on_mesh,
             || mesh::accel_from_potential(grid, padded, &ws.mesh, &mut ws.acc),
         );
-        let (accel, potential) = timed_phase(
-            "force",
-            FORCE_INTERPOLATION.key,
-            &mut t.force_interpolation,
-            || mesh::gather_forces(grid, &ws.acc, padded, &ws.mesh, pos),
-        );
-        (PmResult { accel, potential }, t)
+        let fields = ws.acc.each_ref().map(|a| (grid, a.as_slice()));
+        let key = FORCE_INTERPOLATION.key;
+        let accel = timed_phase("force", key, &mut t.force_interpolation, || {
+            let sums = mesh::gather(fields, pos).into_iter();
+            sums.map(|[x, y, z]| Vec3::new(x, y, z)).collect()
+        });
+        (PmResult { accel }, t)
     }
 }
 
@@ -369,7 +367,6 @@ mod tests {
         solver.solve(&rand_pos(70, 43), &[2.0; 70]);
         let again = solver.solve(&pos, &mass);
         assert_eq!(first.accel, again.accel);
-        assert_bitwise_eq(&first.potential, &again.potential, "potential");
     }
 
     #[test]
@@ -380,10 +377,14 @@ mod tests {
         let rho = solver.assign_density(&pos, &mass);
         let phi = solver.potential_mesh(&rho);
         let acc = solver.accel_meshes(&phi);
-        let (accel, potential) = solver.interpolate_forces(&acc, &phi, &pos);
+        let (accel, _) = solver.interpolate_forces(&acc, &phi, &pos);
         let res = solver.solve(&pos, &mass);
-        assert_eq!(res.accel, accel);
-        assert_bitwise_eq(&res.potential, &potential, "potential");
+        let bits = |a: &[Vec3]| -> Vec<u64> {
+            a.iter()
+                .flat_map(|v| [v.x, v.y, v.z].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(&res.accel), bits(&accel));
     }
 
     #[test]
@@ -530,8 +531,8 @@ mod tests {
         let solver = PmSolver::new(PmParams::standard(32));
         let pos = vec![Vec3::splat(0.5), Vec3::new(0.5, 0.5, 0.7)];
         let mass = vec![1.0, 1e-9];
-        let res = solver.solve(&pos, &mass);
+        let phi = solver.potential_mesh(&solver.assign_density(&pos, &mass));
         // Probe particle sits in the heavy particle's potential well.
-        assert!(res.potential[1] < 0.0);
+        assert!(solver.interpolate(&phi, &pos)[1] < 0.0);
     }
 }

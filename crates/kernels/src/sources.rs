@@ -179,10 +179,9 @@ impl Targets {
     }
 
     /// The lane-padded pairs the last x86 kernel call on these targets
-    /// evaluated: for each vector of targets, the width times the
-    /// sources its cull kept. Zero when that call went to the scalar
-    /// kernel whole. What every kernel *returns* is the paper's count,
-    /// Σ Ni·Nj.
+    /// evaluated: per vector of targets, the width times the sources its
+    /// cull kept; zero if the call went to the scalar kernel whole. Every
+    /// kernel *returns* the paper's count, Σ Ni·Nj.
     pub fn pairs_kept(&self) -> u64 {
         self.stage.pairs
     }

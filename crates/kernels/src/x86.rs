@@ -59,17 +59,15 @@
 //! relies on, pinned in `tests/simd_equivalence.rs`.
 //!
 //! A block is one vector of targets, and **it runs only the sources that
-//! can reach it** ([`cull`]): between the conversion pass and each block,
-//! the staged sources within 2·(1 + 2⁻¹⁰) ξ of the box of the block's
-//! live targets, or at a NaN distance, are compacted in list order into
-//! a scratch of whole vectors (`vcompressps`; a `vpermps` table on AVX2).
-//! The margin covers the f32 roundings of dx and r² and the error of the
-//! third-order step, so a culled source would have been masked to +0 in
-//! every live lane, and by the property above no bit moves (DESIGN.md
-//! §11). The staging columns are padded to the width, so the last block
-//! of a call computes on zero lanes whose sums nobody reads; every access
-//! is a bounds-checked slice. The flop accounting is unchanged — 51 flops
-//! per interaction of the paper's Σ Ni·Nj, culled ones included.
+//! can reach it** ([`cull`]): before each block the staged sources within
+//! 2·(1 + 2⁻¹⁰) ξ of the box of its live targets (or at a NaN distance)
+//! are compacted in list order (`vcompressps`; a `vpermps` table on AVX2).
+//! The margin covers the f32 roundings of dx, r² and the third-order
+//! step, so a culled source would have been masked to +0 in every live
+//! lane: by the property above no bit moves (DESIGN.md §11). The staging
+//! columns are padded to the width, so the last block computes on zero
+//! lanes whose sums nobody reads; every access is a bounds-checked slice.
+//! The flop accounting is unchanged: 51 flops per pair of Σ Ni·Nj.
 
 #![cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 
@@ -125,8 +123,8 @@ trait Lanes {
     /// The lanes of `a` that `m` selects, in lane order, at the front;
     /// the lanes behind them are unspecified.
     unsafe fn compress(m: Self::M, a: Self::V) -> Self::V;
-    /// How many lanes `m` selects.
-    unsafe fn count(m: Self::M) -> usize;
+    /// Bit `i` set where `m` selects lane `i`.
+    unsafe fn bits(m: Self::M) -> u32;
     /// `a`, through an empty `asm!` that takes and returns it in a
     /// vector register — the end of a pipeline stage. The compiler must
     /// have computed `a` before the statement and can start nothing
@@ -180,7 +178,7 @@ impl Lanes for Avx2 {
             let pack = transmute::<[i32; 8], __m256i>(PACK8[_mm256_movemask_ps(m) as usize]);
             _mm256_permutevar8x32_ps(a, pack)
         };
-        fn count(m: __m256) -> usize = _mm256_movemask_ps(m).count_ones() as usize;
+        fn bits(m: __m256) -> u32 = _mm256_movemask_ps(m) as u32;
     }
 
     // The ymm operand class needs `avx` on the function itself, which
@@ -202,10 +200,8 @@ const PACK8: [[i32; 8]; 256] = {
     while mask < 256 {
         let (mut lane, mut packed) = (0, 0);
         while lane < 8 {
-            if mask >> lane & 1 == 1 {
-                table[mask][packed] = lane;
-                packed += 1;
-            }
+            table[mask][packed] = lane;
+            packed += mask >> lane & 1;
             lane += 1;
         }
         mask += 1;
@@ -237,7 +233,7 @@ impl Lanes for Avx512 {
         fn keep(m: __mmask16, a: __m512) -> __m512 = _mm512_maskz_mov_ps(m, a);
         // `vcompressps` in register.
         fn compress(m: __mmask16, a: __m512) -> __m512 = _mm512_maskz_compress_ps(m, a);
-        fn count(m: __mmask16) -> usize = m.count_ones() as usize;
+        fn bits(m: __mmask16) -> u32 = m.into();
     }
 
     #[inline]
@@ -296,8 +292,7 @@ impl Consts {
 /// staged columns, cut to this trip) against the target vector staged in
 /// `t`, `S` independent eq. (3) chains advanced together one stage at a
 /// time and retired onto `acc` in list order. The targets are re-read
-/// every trip: past the `pin`s no load is hoisted, so they hold no
-/// registers the chains could use between trips.
+/// every trip, so they hold no registers between trips.
 #[inline(always)]
 unsafe fn trip<L: Lanes, const S: usize>(
     c: &Consts,
@@ -397,17 +392,16 @@ unsafe fn block<L: Lanes>(c: &Consts, t: [&mut [f32]; 3], src: [&[f32]; 4]) {
     }
 }
 
-/// The square of the cull's reach in ξ units, 2·(1 + 2⁻¹⁰) (exact in
-/// f32): past the cutoff by more than the f32 roundings of the box
-/// distance, dx and r² and the error of the third-order step can move
-/// ξ, so a source beyond it is masked in every lane of the block.
+/// The square of the cull's reach, 2·(1 + 2⁻¹⁰) ξ, exact in f32: past
+/// the cutoff by more than the roundings of the box distance, dx, r² and
+/// the third-order step can move ξ (DESIGN.md §11).
 const REACH2: f32 = 4.0 * (1.0 + 1.0 / 1024.0) * (1.0 + 1.0 / 1024.0);
 
-/// Compacts into `kept`, in list order, every staged source (columns of
-/// whole vectors) whose f32 distance from the box of the `live` targets
-/// is within [`REACH2`] or NaN, and returns how many. Each store is one
-/// whole vector at the count so far, so a `kept` as long as `src` holds
-/// them.
+/// Compacts into `kept`, in list order, each of the `ns` staged sources
+/// (columns of whole vectors) within [`REACH2`] of the `live` targets'
+/// box, or at a NaN distance, one whole-vector store at the count so far
+/// at a time; returns how many. Until a source is dropped nothing is
+/// stored: a count of `ns` means the list is `src` as it stands.
 ///
 /// # Safety
 ///
@@ -415,6 +409,7 @@ const REACH2: f32 = 4.0 * (1.0 + 1.0 / 1024.0) * (1.0 + 1.0 / 1024.0);
 #[inline(always)]
 unsafe fn cull<L: Lanes>(
     live: [&[f32]; 3],
+    ns: usize,
     src: &[Vec<f32>; 4],
     kept: &mut [Vec<f32>; 4],
 ) -> usize {
@@ -433,10 +428,22 @@ unsafe fn cull<L: Lanes>(
             d2 = L::fmadd(d, d, d2);
         }
         let near = L::not_gt(d2, L::splat(REACH2));
+        // The padding at +∞ is dropped, so the vector is whole when all
+        // of its live sources are kept.
+        let whole = L::W.min(ns - j);
+        if n == j && L::bits(near) == (1 << whole) - 1 {
+            n += whole;
+            continue;
+        }
+        if n == j {
+            for (col, s) in kept.iter_mut().zip(src) {
+                col[..j].copy_from_slice(&s[..j]);
+            }
+        }
         for (col, v) in kept.iter_mut().zip(s) {
             L::store(L::compress(near, v), &mut col[n..n + L::W]);
         }
-        n += L::count(near);
+        n += L::bits(near).count_ones() as usize;
     }
     n
 }
@@ -524,7 +531,8 @@ unsafe fn run<L: Lanes>(
         // and nobody reads their sums: the box is the live lanes'.
         let live = i0..nt.min(i0 + L::W);
         let live = [&tx[live.clone()], &ty[live.clone()], &tz[live]];
-        let nk = cull::<L>(live, &st.s, &mut st.kept);
+        let nk = cull::<L>(live, ns, &st.s, &mut st.kept);
+        let list = if nk == ns { &st.s } else { &st.kept };
         st.pairs += (L::W * nk) as u64;
         let lanes = i0..i0 + L::W;
         let t = [
@@ -532,7 +540,7 @@ unsafe fn run<L: Lanes>(
             &mut ty[lanes.clone()],
             &mut tz[lanes],
         ];
-        block::<L>(c, t, st.kept.each_ref().map(|col| &col[..nk]));
+        block::<L>(c, t, list.each_ref().map(|col| &col[..nk]));
     }
     let out = [&mut targets.ax, &mut targets.ay, &mut targets.az];
     for (col, sums) in out.into_iter().zip(&targets.stage.t) {

@@ -9,27 +9,27 @@
 //! identically everywhere (the allgather is collective, like the step
 //! itself).
 //!
-//! Detectors (thresholds in [`DetectorConfig`], rationale in
+//! Detectors (thresholds are this module's constants, rationale in
 //! DESIGN.md §13):
 //!
 //! * **Straggler** — per-rank PP cost *per interaction* max/mean
-//!   exceeds `straggler_factor`; names the slowest rank. Normalizing
+//!   exceeds [`STRAGGLER_FACTOR`]; names the slowest rank. Normalizing
 //!   by interactions makes the signal immune to the balancer: a slow
 //!   *node* keeps its 4× per-interaction cost even after the balancer
 //!   shrinks its slab, while a merely *overloaded* rank normalizes
 //!   back to 1.
-//! * **Imbalance drift** — the same factor stays above
-//!   `imbalance_limit` for `imbalance_steps` consecutive steps
+//! * **Imbalance drift** — the raw PP-cost factor stays above
+//!   [`IMBALANCE_LIMIT`] for [`IMBALANCE_STEPS`] consecutive steps
 //!   (sustained skew the balancer is failing to absorb).
 //! * **Comm spike** — world comm bytes this step exceed
-//!   `comm_spike_factor` × the rolling-window mean.
+//!   [`COMM_SPIKE_FACTOR`] × the rolling-window mean.
 //! * **Comm fault** — any injected drop/retry/delay counters moved
 //!   this step (flaky links are invisible in byte counts: dropped
 //!   messages cost retry *time*, not volume).
 //! * **Efficiency collapse** — aggregate interactions per virtual
-//!   second falls below `efficiency_floor` × the run's rolling peak.
+//!   second falls below [`EFFICIENCY_FLOOR`] × the run's rolling peak.
 //!
-//! The first `warmup` steps train the baselines and never fire. All
+//! The first [`WARMUP`] steps train the baselines and never fire. All
 //! counters are published as `analysis_*` registry series (zero-valued
 //! when silent, so "no alerts" is an observable fact, not a missing
 //! metric), and each alert emits an `analysis.*` trace instant.
@@ -97,42 +97,25 @@ pub struct Alert {
     pub threshold: f64,
 }
 
-/// Detection thresholds. Defaults are deliberately loose: they stay
-/// silent on clean balanced runs (test-enforced) while catching the
-/// 2–4× anomalies worth waking an operator for.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// Steps used purely to train baselines; no detector fires before
-    /// this many steps have been observed.
-    pub warmup: usize,
-    /// Rolling-window length for the comm-byte mean and efficiency
-    /// peak.
-    pub window: usize,
-    /// Straggler fires when PP-cost max/mean exceeds this.
-    pub straggler_factor: f64,
-    /// Comm spike fires when step bytes exceed this × rolling mean.
-    pub comm_spike_factor: f64,
-    /// Imbalance drift arms above this factor…
-    pub imbalance_limit: f64,
-    /// …and fires after this many consecutive armed steps.
-    pub imbalance_steps: usize,
-    /// Efficiency collapse fires below this × rolling-peak rate.
-    pub efficiency_floor: f64,
-}
+// Detection thresholds. They are deliberately loose: they stay silent
+// on clean balanced runs (test-enforced) while catching the 2–4×
+// anomalies worth waking an operator for.
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            warmup: 2,
-            window: 8,
-            straggler_factor: 2.0,
-            comm_spike_factor: 3.0,
-            imbalance_limit: 1.5,
-            imbalance_steps: 3,
-            efficiency_floor: 0.4,
-        }
-    }
-}
+/// Steps used purely to train baselines; no detector fires before this
+/// many steps have been observed.
+pub const WARMUP: u64 = 2;
+/// Rolling-window length for the comm-byte mean.
+pub const WINDOW: usize = 8;
+/// Straggler fires when PP-cost-per-interaction max/mean exceeds this.
+pub const STRAGGLER_FACTOR: f64 = 2.0;
+/// Comm spike fires when step bytes exceed this × rolling mean.
+pub const COMM_SPIKE_FACTOR: f64 = 3.0;
+/// Imbalance drift arms above this factor…
+pub const IMBALANCE_LIMIT: f64 = 1.5;
+/// …and fires after this many consecutive armed steps.
+pub const IMBALANCE_STEPS: usize = 3;
+/// Efficiency collapse fires below this × rolling-peak rate.
+pub const EFFICIENCY_FLOOR: f64 = 0.4;
 
 /// The world-wide signal vector for one completed step (what
 /// [`Monitor::observe_step`] allgathers; exposed so tests and offline
@@ -157,7 +140,6 @@ pub struct StepSignals {
 /// because the signals are allgathered).
 #[derive(Debug)]
 pub struct Monitor {
-    cfg: DetectorConfig,
     steps_seen: u64,
     alerts: Vec<Alert>,
     counts: [u64; DetectorKind::ALL.len()],
@@ -181,10 +163,15 @@ pub struct Monitor {
     rollup: Rollup,
 }
 
+impl Default for Monitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Monitor {
-    pub fn new(cfg: DetectorConfig) -> Self {
+    pub fn new() -> Self {
         Monitor {
-            cfg,
             steps_seen: 0,
             alerts: Vec::new(),
             counts: [0; DetectorKind::ALL.len()],
@@ -216,8 +203,7 @@ impl Monitor {
         let comm = ctx.comm_stats();
         let bytes = comm.bytes_sent as f64;
         let faulty = {
-            // This crate turns on mpisim's `faults` feature, so the
-            // counters are always available (all zero without a plan).
+            // All zero without a plan.
             let fs = ctx.fault_stats();
             (fs.messages_dropped + fs.retries + fs.messages_delayed) as f64
         };
@@ -249,7 +235,7 @@ impl Monitor {
     pub fn record(&mut self, sig: &StepSignals) {
         let step = self.steps_seen;
         self.steps_seen += 1;
-        let warm = step as usize >= self.cfg.warmup;
+        let warm = step >= WARMUP;
 
         // Fold every per-rank sample into the cross-rank sketches —
         // this is the bounded-memory replacement for keeping per-rank
@@ -273,7 +259,7 @@ impl Monitor {
             .map(|(&c, &i)| c / i)
             .collect();
         let norm_factor = imbalance_factor(&per_int);
-        if warm && norm_factor > self.cfg.straggler_factor {
+        if warm && norm_factor > STRAGGLER_FACTOR {
             let slowest = sig
                 .pp_cost
                 .iter()
@@ -287,7 +273,7 @@ impl Monitor {
                 DetectorKind::Straggler,
                 slowest,
                 norm_factor,
-                self.cfg.straggler_factor,
+                STRAGGLER_FACTOR,
             );
         }
 
@@ -298,15 +284,15 @@ impl Monitor {
 
         // Imbalance drift: sustained skew. Fires once per excursion
         // (re-arms when the factor drops back under the limit).
-        if factor > self.cfg.imbalance_limit {
+        if factor > IMBALANCE_LIMIT {
             self.imb_streak += 1;
-            if warm && self.imb_streak == self.cfg.imbalance_steps {
+            if warm && self.imb_streak == IMBALANCE_STEPS {
                 self.fire(
                     step,
                     DetectorKind::ImbalanceDrift,
                     None,
                     factor,
-                    self.cfg.imbalance_limit,
+                    IMBALANCE_LIMIT,
                 );
             }
         } else {
@@ -318,18 +304,18 @@ impl Monitor {
         self.last_bytes = bytes;
         if warm && !self.bytes_window.is_empty() {
             let mean = self.bytes_window.iter().sum::<f64>() / self.bytes_window.len() as f64;
-            if mean > 0.0 && bytes > self.cfg.comm_spike_factor * mean {
+            if mean > 0.0 && bytes > COMM_SPIKE_FACTOR * mean {
                 self.fire(
                     step,
                     DetectorKind::CommSpike,
                     None,
                     bytes / mean,
-                    self.cfg.comm_spike_factor,
+                    COMM_SPIKE_FACTOR,
                 );
             }
         }
         self.bytes_window.push_back(bytes);
-        while self.bytes_window.len() > self.cfg.window {
+        while self.bytes_window.len() > WINDOW {
             self.bytes_window.pop_front();
         }
 
@@ -349,13 +335,13 @@ impl Monitor {
             let total_interactions: f64 = sig.interactions.iter().sum();
             let rate = total_interactions / sig.elapsed_s;
             self.last_rate = rate;
-            if warm && self.eff_peak > 0.0 && rate < self.cfg.efficiency_floor * self.eff_peak {
+            if warm && self.eff_peak > 0.0 && rate < EFFICIENCY_FLOOR * self.eff_peak {
                 self.fire(
                     step,
                     DetectorKind::EfficiencyCollapse,
                     None,
                     rate / self.eff_peak,
-                    self.cfg.efficiency_floor,
+                    EFFICIENCY_FLOOR,
                 );
             }
             self.eff_peak = self.eff_peak.max(rate);
@@ -467,7 +453,7 @@ mod tests {
 
     #[test]
     fn clean_series_stays_silent() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         for _ in 0..20 {
             m.record(&clean(4));
         }
@@ -477,7 +463,7 @@ mod tests {
 
     #[test]
     fn straggler_and_drift_fire_on_sustained_skew() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         for _ in 0..4 {
             m.record(&clean(4));
         }
@@ -499,7 +485,7 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_early_fires() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         let mut skew = clean(4);
         skew.pp_cost = vec![1.0, 10.0, 1.0, 1.0];
         m.record(&skew);
@@ -515,7 +501,7 @@ mod tests {
 
     #[test]
     fn comm_spike_fires_against_rolling_mean() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         for _ in 0..6 {
             m.record(&clean(4));
         }
@@ -530,7 +516,7 @@ mod tests {
 
     #[test]
     fn efficiency_collapse_fires_against_rolling_peak() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         for _ in 0..6 {
             m.record(&clean(4));
         }
@@ -542,7 +528,7 @@ mod tests {
 
     #[test]
     fn rollup_accumulates_cross_rank_distributions() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         for _ in 0..10 {
             let mut sig = clean(8);
             sig.pp_cost[3] = 4.0; // one hot rank every step
@@ -562,7 +548,7 @@ mod tests {
 
     #[test]
     fn transport_faults_always_fire() {
-        let mut m = Monitor::new(DetectorConfig::default());
+        let mut m = Monitor::new();
         let mut flaky = clean(4);
         flaky.faulty_messages = 3.0;
         m.record(&flaky);

@@ -47,9 +47,9 @@ pub mod retain;
 pub mod segments;
 
 pub use critpath::{critical_path, CriticalPath, PhasePath};
-pub use detect::{Alert, DetectorConfig, DetectorKind, Monitor, StepSignals};
+pub use detect::{Alert, DetectorKind, Monitor, StepSignals};
 pub use efficiency::{efficiency, efficiency_at, Efficiency};
 pub use imbalance::{imbalance_factor, phase_imbalance, PhaseImbalance};
 pub use regress::{compare, Baseline, Comparison, Direction, Finding, MetricSpec, Verdict};
-pub use retain::{fold_events, RetentionPolicy};
+pub use retain::{fold_events, select_ranks};
 pub use segments::{leaf_segments, Segment};

@@ -13,8 +13,8 @@
 //! 3. **K random ranks** (seeded, so reruns retain the same set) as an
 //!    unbiased control sample,
 //!
-//! capped at [`RetentionPolicy::max_ranks`] (default 8, the acceptance
-//! bound) with the priority order above. Everything outside the set is
+//! capped at [`MAX_RETAINED`] (8, the acceptance bound) with the
+//! priority order above. Everything outside the set is
 //! folded into per-span-name duration sketches by [`fold_events`] as
 //! the trace drains, so the discarded ranks still contribute to the
 //! p50/p95/p99-over-ranks roll-up. DESIGN.md §18 documents the policy.
@@ -23,27 +23,13 @@ use greem_obs::sketch::Rollup;
 use greem_obs::trace::Phase;
 use greem_obs::Event;
 
-/// How many ranks keep their full span stream, and which.
-#[derive(Debug, Clone)]
-pub struct RetentionPolicy {
-    /// Hard cap on retained ranks (critical-path rank first, then
-    /// flagged ranks, then the random sample).
-    pub max_ranks: usize,
-    /// Random control ranks drawn on top of critical/flagged.
-    pub k_random: usize,
-    /// Seed for the random sample (deterministic across reruns).
-    pub seed: u64,
-}
-
-impl Default for RetentionPolicy {
-    fn default() -> Self {
-        RetentionPolicy {
-            max_ranks: 8,
-            k_random: 4,
-            seed: 0x5eed,
-        }
-    }
-}
+/// Hard cap on retained ranks (critical-path rank first, then flagged
+/// ranks, then the random sample).
+pub const MAX_RETAINED: usize = 8;
+/// Random control ranks drawn on top of critical/flagged.
+pub const K_RANDOM: usize = 4;
+/// Seed for the random sample (deterministic across reruns).
+pub const RETENTION_SEED: u64 = 0x5eed;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -53,32 +39,30 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl RetentionPolicy {
-    /// Choose the retained rank set for a world of `p` ranks: the
-    /// critical-path rank, then detector-flagged ranks, then K random
-    /// ranks, deduplicated, capped at `max_ranks`, sorted.
-    pub fn select(&self, p: usize, critical_rank: u32, flagged: &[u32]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        let push = |r: u32, out: &mut Vec<u32>| {
-            if (r as usize) < p && !out.contains(&r) && out.len() < self.max_ranks {
-                out.push(r);
-            }
-        };
-        push(critical_rank, &mut out);
-        for &r in flagged {
-            push(r, &mut out);
+/// Choose the retained rank set for a world of `p` ranks: the
+/// critical-path rank, then detector-flagged ranks, then [`K_RANDOM`]
+/// random ranks, deduplicated, capped at [`MAX_RETAINED`], sorted.
+pub fn select_ranks(p: usize, critical_rank: u32, flagged: &[u32]) -> Vec<u32> {
+    let mut out: Vec<u32> = Vec::new();
+    let push = |r: u32, out: &mut Vec<u32>| {
+        if (r as usize) < p && !out.contains(&r) && out.len() < MAX_RETAINED {
+            out.push(r);
         }
-        let mut st = self.seed;
-        // Bounded draw loop: p can be smaller than the request.
-        let want = (out.len() + self.k_random).min(self.max_ranks).min(p);
-        let mut attempts = 0;
-        while out.len() < want && attempts < 64 * self.max_ranks {
-            push((splitmix64(&mut st) % p as u64) as u32, &mut out);
-            attempts += 1;
-        }
-        out.sort_unstable();
-        out
+    };
+    push(critical_rank, &mut out);
+    for &r in flagged {
+        push(r, &mut out);
     }
+    let mut st = RETENTION_SEED;
+    // Bounded draw loop: p can be smaller than the request.
+    let want = (out.len() + K_RANDOM).min(MAX_RETAINED).min(p);
+    let mut attempts = 0;
+    while out.len() < want && attempts < 64 * MAX_RETAINED {
+        push((splitmix64(&mut st) % p as u64) as u32, &mut out);
+        attempts += 1;
+    }
+    out.sort_unstable();
+    out
 }
 
 /// Split a drained event stream along a retained-rank set: events of
@@ -136,24 +120,23 @@ mod tests {
 
     #[test]
     fn selection_priority_and_cap() {
-        let pol = RetentionPolicy::default();
-        let picked = pol.select(1024, 17, &[900, 17, 3]);
+        let picked = select_ranks(1024, 17, &[900, 17, 3]);
         assert!(picked.contains(&17), "critical-path rank always retained");
         assert!(picked.contains(&900) && picked.contains(&3));
-        assert!(picked.len() <= pol.max_ranks);
+        assert!(picked.len() <= MAX_RETAINED);
         assert!(picked.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
         // Deterministic: same seed, same set.
-        assert_eq!(picked, pol.select(1024, 17, &[900, 17, 3]));
+        assert_eq!(picked, select_ranks(1024, 17, &[900, 17, 3]));
 
         // Flood of flagged ranks: cap holds, critical rank survives.
         let flagged: Vec<u32> = (100..200).collect();
-        let picked = pol.select(1024, 17, &flagged);
-        assert_eq!(picked.len(), pol.max_ranks);
+        let picked = select_ranks(1024, 17, &flagged);
+        assert_eq!(picked.len(), MAX_RETAINED);
         assert!(picked.contains(&17));
 
         // Tiny worlds: never more ranks than exist, out-of-range
         // flagged ranks ignored.
-        let picked = pol.select(2, 1, &[7, 0]);
+        let picked = select_ranks(2, 1, &[7, 0]);
         assert!(picked.len() <= 2);
         assert!(picked.iter().all(|&r| r < 2));
     }

@@ -6,8 +6,7 @@
 
 use greem::{Body, ParallelTreePm, SimulationMode, TreePmConfig};
 use greem_analysis::{
-    critical_path, efficiency, leaf_segments, phase_imbalance, DetectorConfig, DetectorKind,
-    Monitor,
+    critical_path, efficiency, leaf_segments, phase_imbalance, DetectorKind, Monitor,
 };
 use greem_math::testutil::rand_positions;
 use mpisim::{FaultPlan, NetModel, World};
@@ -47,7 +46,7 @@ fn monitored_run(n: usize, steps: usize, plan: Option<FaultPlan>) -> Vec<Monitor
         let root = (comm.rank() == 0).then(|| bodies.clone());
         let mut sim =
             ParallelTreePm::new(ctx, comm, cfg, DIV, 2, None, root, SimulationMode::Static);
-        let mut mon = Monitor::new(DetectorConfig::default());
+        let mut mon = Monitor::new();
         for _ in 0..steps {
             let st = sim.step(ctx, comm, 1e-3);
             mon.observe_step(ctx, comm, &sim, &st);
@@ -134,7 +133,7 @@ fn monitor_rides_resilient_sim_through_a_crash() {
                 let rc = greem_resil::ResilConfig::new(&dir);
                 let mut resil = greem_resil::ResilientSim::new(ctx, comm, sim, rc)
                     .expect("checkpoint dir writable");
-                let mut mon = Monitor::new(DetectorConfig::default());
+                let mut mon = Monitor::new();
                 let stats = resil
                     .run_with(ctx, comm, &dts, |ctx, comm, sim, st| {
                         mon.observe_step(ctx, comm, sim, st);

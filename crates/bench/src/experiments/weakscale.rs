@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use greem::{Simulation, SimulationMode, TreePmConfig};
-use greem_analysis::{critical_path, efficiency_at, RetentionPolicy, Segment};
+use greem_analysis::{critical_path, efficiency_at, select_ranks, Segment};
 use greem_math::FLOPS_PER_INTERACTION;
 use greem_obs::json::JsonWriter;
 use greem_obs::sketch::Rollup;
@@ -142,7 +142,7 @@ pub struct PhaseLoss {
 /// Every rank's per-phase virtual seconds fold into mergeable
 /// [`DdSketch`]es keyed by phase name; only the retained rank set —
 /// the critical-path rank plus seeded random controls, capped by
-/// [`RetentionPolicy::max_ranks`] — keeps its full timeline. The whole
+/// [`greem_analysis::retain::MAX_RETAINED`] — keeps its full timeline. The whole
 /// artifact is rendered up front so its byte cost is itself a metric:
 /// `telemetry_bytes` is what the bounded roll-up costs,
 /// `full_timeline_bytes` what shipping every rank's timeline would
@@ -194,7 +194,7 @@ pub fn build_telemetry(outcome: &mpisim::ScriptOutcome, p: usize) -> PointTeleme
             }
         }
     }
-    let retained = RetentionPolicy::default().select(p, critical_rank, &[]);
+    let retained = select_ranks(p, critical_rank, &[]);
     let mut w = JsonWriter::new();
     w.begin_obj(None);
     w.f64(Some("alpha"), rollup.alpha());
@@ -689,7 +689,7 @@ mod tests {
             .run_script(&script);
         let tel = build_telemetry(&outcome, p);
 
-        assert!(tel.retained.len() <= RetentionPolicy::default().max_ranks);
+        assert!(tel.retained.len() <= greem_analysis::retain::MAX_RETAINED);
         assert!(
             tel.retained.contains(&tel.critical_rank),
             "critical-path rank {} not retained in {:?}",

@@ -15,8 +15,8 @@
 
 use greem::{ParallelTreePm, SimulationMode, TreePmConfig};
 use greem_analysis::{
-    critical_path, efficiency, leaf_segments, phase_imbalance, CriticalPath, DetectorConfig,
-    Direction, Efficiency, MetricSpec, Monitor, PhaseImbalance,
+    critical_path, efficiency, leaf_segments, phase_imbalance, CriticalPath, Direction, Efficiency,
+    MetricSpec, Monitor, PhaseImbalance,
 };
 use greem_obs::json::JsonWriter;
 use mpisim::{NetModel, World};
@@ -98,7 +98,7 @@ pub fn measure(shape: &RegressShape) -> Measurement {
                 let root = (comm.rank() == 0).then(|| bodies.clone());
                 let mut sim =
                     ParallelTreePm::new(ctx, comm, cfg, div, 2, None, root, SimulationMode::Static);
-                let mut mon = Monitor::new(DetectorConfig::default());
+                let mut mon = Monitor::new();
                 let mut interactions = 0u64;
                 for _ in 0..steps {
                     let st = sim.step(ctx, comm, 1e-3);

@@ -44,8 +44,6 @@ pub struct TreePmConfig {
     pub group_size: usize,
     /// Plummer softening of the short-range force, ε ≪ r_cut.
     pub eps: f64,
-    /// Maximum particles in a tree leaf before it splits.
-    pub leaf_capacity: usize,
     /// TSC deconvolution in the PM Green's function.
     pub deconvolve: bool,
     /// Multipole order of accepted tree nodes. GreeM runs
@@ -87,7 +85,6 @@ impl TreePmConfig {
             theta: 0.5,
             group_size: 100,
             eps: r_cut / 30.0,
-            leaf_capacity: 8,
             deconvolve: true,
             multipole: Multipole::Monopole,
             modeled_pp_cost: None,
@@ -110,12 +107,10 @@ impl TreePmConfig {
         ForceSplit::new(self.r_cut, self.eps)
     }
 
-    /// Tree construction parameters.
+    /// Tree construction parameters: the tree's defaults (8 bodies a
+    /// leaf).
     pub fn tree_params(&self) -> TreeParams {
-        TreeParams {
-            leaf_capacity: self.leaf_capacity,
-            max_depth: greem_math::morton::MORTON_BITS,
-        }
+        TreeParams::default()
     }
 
     /// Tree traversal parameters (cutoff-pruned; minimum-image geometry
@@ -162,7 +157,7 @@ mod tests {
         assert_eq!(c.split().r_cut, c.r_cut);
         assert_eq!(c.traverse_params().r_cut, Some(c.r_cut));
         assert_eq!(c.pm_params().n_mesh, 32);
-        assert_eq!(c.tree_params().leaf_capacity, c.leaf_capacity);
+        assert_eq!(c.tree_params().leaf_capacity, 8);
     }
 
     #[test]

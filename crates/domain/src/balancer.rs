@@ -8,6 +8,10 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::grid::DomainGrid;
 
+/// Length of the linear weighted moving average over past boundaries:
+/// the paper smooths over the last five steps.
+pub const HISTORY: usize = 5;
+
 /// Balancer parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct BalancerParams {
@@ -16,19 +20,11 @@ pub struct BalancerParams {
     /// Total samples gathered at the root per rebalance. The paper
     /// samples a "small subset"; a few hundred per domain is plenty.
     pub total_samples: usize,
-    /// Length of the linear weighted moving average over past
-    /// boundaries (the paper uses the last five steps).
-    pub history: usize,
 }
 
 impl BalancerParams {
-    /// Paper-standard: 5-step moving average.
     pub fn new(div: [usize; 3], total_samples: usize) -> Self {
-        BalancerParams {
-            div,
-            total_samples,
-            history: 5,
-        }
+        BalancerParams { div, total_samples }
     }
 }
 
@@ -154,14 +150,13 @@ pub struct SamplingBalancer {
 pub struct BalancerState {
     /// Rebalances performed so far (seeds the sampling RNG).
     pub step: u64,
-    /// Boundary history, oldest first (at most `params.history` grids).
+    /// Boundary history, oldest first (at most [`HISTORY`] grids).
     pub grids: Vec<DomainGrid>,
 }
 
 impl SamplingBalancer {
     /// Start from the uniform decomposition.
     pub fn new(params: BalancerParams) -> Self {
-        assert!(params.history >= 1);
         let mut history = VecDeque::new();
         history.push_back(DomainGrid::uniform(params.div));
         SamplingBalancer {
@@ -193,7 +188,7 @@ impl SamplingBalancer {
     /// grids must match this balancer's divisions.
     pub fn restore(&mut self, state: BalancerState) {
         assert!(
-            !state.grids.is_empty() && state.grids.len() <= self.params.history,
+            !state.grids.is_empty() && state.grids.len() <= HISTORY,
             "balancer state must hold 1..=history grids"
         );
         for g in &state.grids {
@@ -222,15 +217,7 @@ impl SamplingBalancer {
         assert_eq!(p, self.params.div.iter().product::<usize>());
         // Everyone learns the total cost to normalise sampling rates.
         let total_cost = world.allreduce(ctx, vec![my_cost.max(1e-30)], |a, b| *a += *b)[0];
-        let my_share = my_cost.max(1e-30) / total_cost;
-        let want = ((self.params.total_samples as f64 * my_share).round() as usize)
-            .min(pos.len())
-            .max(usize::from(!pos.is_empty()));
-        // Deterministic per-rank, per-step sampling.
-        let mut rng = StdRng::seed_from_u64(0x5EED_0000 ^ (world.rank() as u64) << 20 ^ self.step);
-        let samples: Vec<Vec3> = (0..want)
-            .map(|_| pos[rng.random_range(0..pos.len().max(1))])
-            .collect();
+        let samples = self.draw(pos, my_cost.max(1e-30) / total_cost, world.rank());
         // Root gathers, multisections, broadcasts.
         let gathered = world.gather(ctx, 0, samples);
         let grid = if let Some(bufs) = gathered {
@@ -243,11 +230,7 @@ impl SamplingBalancer {
             let packed = world.bcast::<f64>(ctx, 0, None);
             unpack_grid(&packed, self.params.div)
         };
-        self.history.push_back(grid);
-        while self.history.len() > self.params.history {
-            self.history.pop_front();
-        }
-        self.current()
+        self.push(grid)
     }
 
     /// Serial rebalance for single-rank runs and tests: samples are
@@ -257,21 +240,35 @@ impl SamplingBalancer {
         let total_cost: f64 = per_rank.iter().map(|(_, c)| c.max(1e-30)).sum();
         let mut all = Vec::new();
         for (r, (pos, cost)) in per_rank.iter().enumerate() {
-            if pos.is_empty() {
-                continue;
-            }
-            let share = cost.max(1e-30) / total_cost;
-            let want = ((self.params.total_samples as f64 * share).round() as usize)
-                .min(pos.len())
-                .max(1);
-            let mut rng = StdRng::seed_from_u64(0x5EED_0000 ^ (r as u64) << 20 ^ self.step);
-            for _ in 0..want {
-                all.push(pos[rng.random_range(0..pos.len())]);
-            }
+            all.extend(self.draw(pos, cost.max(1e-30) / total_cost, r));
         }
         let grid = multisection(&mut all, self.params.div);
+        self.push(grid)
+    }
+
+    /// Rank `rank`'s samples for the current step: a share `share` of
+    /// the total sample budget (at least one sample from a non-empty
+    /// rank), drawn with replacement from `pos` by an RNG seeded from
+    /// the rank and the step — so the collective and the serial
+    /// rebalance draw the same samples.
+    fn draw(&self, pos: &[Vec3], share: f64, rank: usize) -> Vec<Vec3> {
+        if pos.is_empty() {
+            return Vec::new();
+        }
+        let want = ((self.params.total_samples as f64 * share).round() as usize)
+            .min(pos.len())
+            .max(1);
+        let mut rng = StdRng::seed_from_u64(0x5EED_0000 ^ (rank as u64) << 20 ^ self.step);
+        (0..want)
+            .map(|_| pos[rng.random_range(0..pos.len())])
+            .collect()
+    }
+
+    /// Append `grid` to the history window and return the new smoothed
+    /// decomposition.
+    fn push(&mut self, grid: DomainGrid) -> DomainGrid {
         self.history.push_back(grid);
-        while self.history.len() > self.params.history {
+        while self.history.len() > HISTORY {
             self.history.pop_front();
         }
         self.current()
@@ -425,11 +422,7 @@ mod tests {
             let x = if step % 2 == 0 { 0.2 } else { 0.8 };
             let mut g = DomainGrid::uniform(div);
             g.x_bounds = vec![0.0, x, 1.0];
-            bal.history.push_back(g);
-            while bal.history.len() > bal.params.history {
-                bal.history.pop_front();
-            }
-            let sm = bal.current();
+            let sm = bal.push(g);
             assert!(
                 sm.x_bounds[1] > 0.25 && sm.x_bounds[1] < 0.75,
                 "step {step}: smoothed cut {}",
@@ -476,6 +469,45 @@ mod tests {
             gc = c.rebalance_serial(&per_rank(&gc));
         }
         assert_eq!(pack_grid(&ga), pack_grid(&gc), "restored run must replay");
+    }
+
+    #[test]
+    fn collective_and_serial_rebalance_draw_the_same_samples() {
+        // Same rank, share and step: the same samples, so the collective
+        // rebalance on every rank and the serial one over the same
+        // per-rank sets cut the same grid, step after step. Integer
+        // costs keep the allreduced total exact in any summation order.
+        let div = [2, 2, 1];
+        let all = clustered(2000, 31);
+        let grid0 = DomainGrid::uniform(div);
+        let per_rank: Vec<(Vec<Vec3>, f64)> = (0..grid0.len())
+            .map(|r| {
+                let mine: Vec<Vec3> = all
+                    .iter()
+                    .copied()
+                    .filter(|p| grid0.rank_of_point(*p) == r)
+                    .collect();
+                let cost = (mine.len() as f64).powi(2);
+                (mine, cost)
+            })
+            .collect();
+        let mut serial = SamplingBalancer::new(BalancerParams::new(div, 400));
+        let want: Vec<Vec<f64>> = (0..3)
+            .map(|_| pack_grid(&serial.rebalance_serial(&per_rank)))
+            .collect();
+        let out = World::new(4).with_net(NetModel::free()).run(|ctx, world| {
+            let mut bal = SamplingBalancer::new(BalancerParams::new(div, 400));
+            let (mine, cost) = &per_rank[world.rank()];
+            (0..3)
+                .map(|_| pack_grid(&bal.rebalance(ctx, world, mine, *cost)))
+                .collect::<Vec<_>>()
+        });
+        for (rank, got) in out.iter().enumerate() {
+            assert_eq!(
+                got, &want,
+                "rank {rank}'s grids differ from the serial rebalance"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod exchange;
 pub mod grid;
 
 pub use balancer::{
-    multisection, pack_grid, unpack_grid, BalancerParams, BalancerState, SamplingBalancer,
+    multisection, pack_grid, unpack_grid, BalancerParams, BalancerState, SamplingBalancer, HISTORY,
 };
 pub use exchange::{exchange, exchange_rows, PackedRow};
 pub use grid::DomainGrid;

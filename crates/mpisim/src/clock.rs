@@ -14,7 +14,6 @@
 //! DESIGN.md §16.
 
 use crate::ctx::CommStats;
-#[cfg(feature = "faults")]
 use crate::fault::{FaultCtx, MsgFault};
 use crate::netmodel::NetModel;
 use crate::topology::Torus3d;
@@ -83,7 +82,6 @@ impl RankClock {
 pub(crate) struct Wire {
     pub net: NetModel,
     pub topo: Torus3d,
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
     pub trace: bool,
 }
 
@@ -97,7 +95,6 @@ pub(crate) struct Envelope {
     pub hops: usize,
     /// Injected fault, drawn deterministically by the sender and paid
     /// for (in virtual time) by the receiver.
-    #[cfg(feature = "faults")]
     pub fault: MsgFault,
 }
 
@@ -110,7 +107,6 @@ pub(crate) struct RankWire {
     pub stats: CommStats,
     /// `None` costs one branch per charge and is all a fault-free rank
     /// pays.
-    #[cfg(feature = "faults")]
     pub faults: Option<Box<FaultCtx>>,
 }
 
@@ -128,7 +124,6 @@ impl RankWire {
                 send_ready: self.clock.charge_self_send(&wire.net, bytes),
                 bytes,
                 hops: 0,
-                #[cfg(feature = "faults")]
                 fault: MsgFault::default(),
             };
         }
@@ -139,7 +134,6 @@ impl RankWire {
             send_ready,
             bytes,
             hops,
-            #[cfg(feature = "faults")]
             fault: match &mut self.faults {
                 Some(f) => f.next_msg_fault(me, dst),
                 None => MsgFault::default(),
@@ -154,9 +148,7 @@ impl RankWire {
         if from_self {
             self.clock.advance_to(env.send_ready);
         } else {
-            #[allow(unused_mut)]
             let mut arrival = env.send_ready + wire.net.latency(env.hops);
-            #[cfg(feature = "faults")]
             if !env.fault.is_clean() {
                 arrival += self
                     .faults
@@ -172,11 +164,10 @@ impl RankWire {
 
     /// Charge `seconds` of rank `me`'s modelled computation, scaled up
     /// on a straggler.
-    pub fn compute(&mut self, _me: usize, seconds: f64) {
+    pub fn compute(&mut self, me: usize, seconds: f64) {
         debug_assert!(seconds >= 0.0);
-        #[cfg(feature = "faults")]
         let seconds = match &mut self.faults {
-            Some(f) => f.straggle(_me, seconds),
+            Some(f) => f.straggle(me, seconds),
             None => seconds,
         };
         self.clock.compute(seconds);

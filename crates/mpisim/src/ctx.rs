@@ -7,7 +7,6 @@ use std::sync::Arc;
 use crossbeam::channel::{Receiver, Sender};
 
 use crate::clock::{Envelope, RankWire, Wire};
-#[cfg(feature = "faults")]
 use crate::fault::{FaultPlan, FaultStats};
 use crate::netmodel::NetModel;
 use crate::topology::Torus3d;
@@ -170,7 +169,6 @@ impl Ctx {
     /// Set the step index used by step-indexed faults (crash schedules,
     /// straggler windows). Step drivers call this once per step; a
     /// plan-less context ignores it.
-    #[cfg(feature = "faults")]
     pub fn set_fault_step(&mut self, step: u64) {
         if let Some(f) = &mut self.charge.faults {
             f.step = step;
@@ -179,7 +177,6 @@ impl Ctx {
 
     /// Fire this rank's crash scheduled for the current fault step, at
     /// most once per plan entry. Always false without a plan.
-    #[cfg(feature = "faults")]
     pub fn take_crash(&mut self) -> bool {
         let rank = self.rank;
         match &mut self.charge.faults {
@@ -195,7 +192,6 @@ impl Ctx {
     }
 
     /// Fault counters so far (all zero without a plan).
-    #[cfg(feature = "faults")]
     pub fn fault_stats(&self) -> FaultStats {
         self.charge
             .faults
@@ -205,7 +201,6 @@ impl Ctx {
     }
 
     /// The fault plan this world was built with, if any.
-    #[cfg(feature = "faults")]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.charge.faults.as_ref().map(|f| f.plan.as_ref())
     }

@@ -24,13 +24,11 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-#[cfg(feature = "faults")]
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::clock::{Envelope, RankWire, Wire};
 use crate::comm::sched::{self, Act};
-#[cfg(feature = "faults")]
 use crate::fault::{FaultCtx, FaultPlan};
 use crate::script::{
     self, CollKind, EngineReport, RankBytes, RankTimeline, Scope, Script, ScriptOp, ScriptOutcome,
@@ -58,18 +56,12 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(
-        n: usize,
-        wire: Wire,
-        #[cfg(feature = "faults")] plan: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        #[cfg(feature = "faults")]
+    pub(crate) fn new(n: usize, wire: Wire, plan: Option<Arc<FaultPlan>>) -> Self {
         let plan = plan.filter(|p| p.has_msg_faults() || p.has_stragglers());
         Engine {
             wire,
             ranks: (0..n)
                 .map(|_| RankWire {
-                    #[cfg(feature = "faults")]
                     faults: plan.clone().map(|p| Box::new(FaultCtx::new(p))),
                     ..Default::default()
                 })
@@ -101,10 +93,9 @@ impl Engine {
                 }
             }
             match op {
-                ScriptOp::SetStep(_step) => {
-                    #[cfg(feature = "faults")]
+                ScriptOp::SetStep(step) => {
                     for f in self.ranks.iter_mut().filter_map(|w| w.faults.as_mut()) {
-                        f.step = *_step;
+                        f.step = *step;
                     }
                 }
                 ScriptOp::Compute { seconds, work } => {
@@ -146,7 +137,6 @@ impl Engine {
             .map(|(r, w)| RankTimeline {
                 vtime: w.clock.vtime,
                 stats: w.stats,
-                #[cfg(feature = "faults")]
                 fault_stats: w.faults.as_ref().map(|f| f.stats).unwrap_or_default(),
                 phase_vtime: phase_v[r * np..(r + 1) * np].to_vec(),
             })

@@ -21,7 +21,7 @@
 //!   fault deterministically at send time, the *receiver* pays for it.
 //!   A delayed message arrives `delay` seconds later; a dropped message
 //!   costs the receiver one virtual-clock timeout per drop (with
-//!   exponential backoff, bounded by [`RetryPolicy::max_retries`])
+//!   exponential backoff, bounded by [`MAX_RETRIES`])
 //!   before the modelled retransmission lands. Payloads are never lost
 //!   — drop faults model the *time* cost of a reliable transport's
 //!   timeout/retry loop, so collectives stay correct while their cost
@@ -32,35 +32,25 @@
 //!   is consumed so the rank can "reboot" and the run can make progress
 //!   after rollback (see `greem_resil`).
 //!
-//! Everything here is compiled out without the `faults` cargo feature,
-//! and a `Ctx` with no plan attached pays one `Option` branch per hook.
+//! A `Ctx` with no plan attached pays one `Option` branch per hook.
 
 use std::sync::Arc;
 
-/// Timeout/retry semantics of the modelled reliable transport: how long
-/// a receiver waits (virtual seconds) before assuming a message was
-/// lost, how the wait grows on consecutive losses, and how many losses
-/// the plan may inject per message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Virtual-clock timeout before the first retransmission.
-    pub timeout: f64,
-    /// Multiplier applied to the timeout on each further retry.
-    pub backoff: f64,
-    /// Upper bound on injected drops of one message — guarantees every
-    /// payload is eventually delivered (bounded retry).
-    pub max_retries: u32,
-}
+// Timeout/retry semantics of the modelled reliable transport: how long
+// a receiver waits (virtual seconds) before assuming a message was
+// lost, how the wait grows on consecutive losses, and how many losses
+// the plan may inject per message.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout: 1e-3,
-            backoff: 2.0,
-            max_retries: 4,
-        }
-    }
-}
+/// Virtual-clock timeout before the first retransmission.
+pub const RETRY_TIMEOUT: f64 = 1e-3;
+/// Multiplier applied to the timeout on each further retry.
+pub const RETRY_BACKOFF: f64 = 2.0;
+/// Upper bound on injected drops of one message — guarantees every
+/// payload is eventually delivered (bounded retry).
+pub const MAX_RETRIES: u32 = 4;
+/// Virtual seconds every surviving rank spends detecting a crash: the
+/// cost of noticing that a peer has gone silent.
+pub const DETECT_TIMEOUT: f64 = 5e-2;
 
 /// One straggler entry: `rank` runs `factor`× slower during steps
 /// `from..until`.
@@ -158,8 +148,6 @@ pub struct FaultPlan {
     drop_prob: f64,
     delay_prob: f64,
     delay_s: f64,
-    retry: RetryPolicy,
-    detect_timeout: f64,
 }
 
 impl FaultPlan {
@@ -172,8 +160,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             delay_prob: 0.0,
             delay_s: 0.0,
-            retry: RetryPolicy::default(),
-            detect_timeout: 5e-2,
         }
     }
 
@@ -215,20 +201,6 @@ impl FaultPlan {
         self
     }
 
-    /// Override the timeout/retry semantics.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Override the crash-detection timeout charged to every surviving
-    /// rank when a health check discovers a crash.
-    pub fn detection_timeout(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0);
-        self.detect_timeout = seconds;
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -237,16 +209,6 @@ impl FaultPlan {
     /// Scheduled `(rank, step)` crashes.
     pub fn crashes(&self) -> &[(usize, u64)] {
         &self.crashes
-    }
-
-    /// The timeout/retry semantics in force.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Virtual seconds every surviving rank spends detecting a crash.
-    pub fn detect_timeout(&self) -> f64 {
-        self.detect_timeout
     }
 
     /// True when `rank` is scheduled to crash at `step`.
@@ -295,7 +257,7 @@ impl FaultPlan {
         h = mix(h ^ (dst as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
         h = mix(h ^ seq);
         let mut drops = 0u32;
-        while drops < self.retry.max_retries {
+        while drops < MAX_RETRIES {
             h = mix(h);
             if unit(h) < self.drop_prob {
                 drops += 1;
@@ -316,10 +278,10 @@ impl FaultPlan {
     /// plus one backed-off timeout per drop.
     pub fn fault_cost(&self, fault: &MsgFault) -> f64 {
         let mut cost = fault.delay;
-        let mut t = self.retry.timeout;
+        let mut t = RETRY_TIMEOUT;
         for _ in 0..fault.drops {
             cost += t;
-            t *= self.retry.backoff;
+            t *= RETRY_BACKOFF;
         }
         cost
     }
@@ -462,11 +424,10 @@ mod tests {
     fn retries_are_bounded() {
         let plan = FaultPlan::new(1).drop_messages(1.0); // always drop
         let f = plan.draw_msg(0, 1, 0);
-        assert_eq!(f.drops, RetryPolicy::default().max_retries);
+        assert_eq!(f.drops, MAX_RETRIES);
         // Cost sums the backed-off timeouts: t·(1 + β + β² + β³).
-        let r = plan.retry();
-        let want: f64 = (0..r.max_retries)
-            .map(|i| r.timeout * r.backoff.powi(i as i32))
+        let want: f64 = (0..MAX_RETRIES)
+            .map(|i| RETRY_TIMEOUT * RETRY_BACKOFF.powi(i as i32))
             .sum();
         assert!((plan.fault_cost(&f) - want).abs() < 1e-15);
     }

@@ -35,14 +35,14 @@
 //! [`Ctx::vtime`] and is the quantity our relay-mesh benchmarks report.
 
 //!
-//! ## Fault injection (feature `faults`)
+//! ## Fault injection
 //!
-//! With the `faults` feature (on by default) a world can carry a seeded
-//! [`FaultPlan`] — rank crashes at a given step, message drops/delays,
-//! straggler slowdowns — whose schedule is replayable bit-for-bit from
-//! the seed. See [`fault`] for the model; `greem_resil` builds the
-//! detection/rollback machinery on top. Without the feature every hook
-//! compiles out; without a plan each hook costs one `Option` branch.
+//! A world can carry a seeded [`FaultPlan`] — rank crashes at a given
+//! step, message drops/delays, straggler slowdowns — whose schedule is
+//! replayable bit-for-bit from the seed. See [`fault`] for the model and
+//! its fixed transport constants; `greem_resil` builds the
+//! detection/rollback machinery on top. Without a plan each hook costs
+//! one `Option` branch.
 //!
 //! ## Virtual scaling (phantom mode)
 //!
@@ -64,7 +64,6 @@ pub(crate) mod clock;
 pub mod comm;
 pub mod ctx;
 pub(crate) mod engine;
-#[cfg(feature = "faults")]
 pub mod fault;
 pub mod netmodel;
 pub mod script;
@@ -73,8 +72,7 @@ pub mod world;
 
 pub use comm::Comm;
 pub use ctx::{CommStats, Ctx};
-#[cfg(feature = "faults")]
-pub use fault::{FaultPlan, FaultStats, MsgFault, RetryPolicy};
+pub use fault::{FaultPlan, FaultStats, MsgFault};
 pub use netmodel::NetModel;
 pub use script::{EngineReport, RankTimeline, Script, ScriptOutcome};
 pub use topology::Torus3d;

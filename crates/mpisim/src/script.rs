@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use crate::comm::Comm;
 use crate::ctx::{CommStats, Ctx};
-#[cfg(feature = "faults")]
 use crate::fault::FaultStats;
 
 /// Communicator-id space reserved for script group collectives, far
@@ -316,7 +315,6 @@ pub struct RankTimeline {
     /// Traffic counters (bytes/messages/hops), identical across modes.
     pub stats: CommStats,
     /// Fault counters (zero without a plan).
-    #[cfg(feature = "faults")]
     pub fault_stats: FaultStats,
     /// Virtual seconds attributed to each script phase.
     pub phase_vtime: Vec<f64>,
@@ -376,9 +374,8 @@ pub(crate) fn interpret_threaded(script: &Script, ctx: &mut Ctx, world: &Comm) -
     for (i, op) in script.ops.iter().enumerate() {
         let v0 = ctx.vtime();
         match op {
-            ScriptOp::SetStep(_step) => {
-                #[cfg(feature = "faults")]
-                ctx.set_fault_step(*_step);
+            ScriptOp::SetStep(step) => {
+                ctx.set_fault_step(*step);
             }
             ScriptOp::Compute { seconds, work } => {
                 ctx.compute(seconds(rank));
@@ -410,7 +407,6 @@ pub(crate) fn interpret_threaded(script: &Script, ctx: &mut Ctx, world: &Comm) -
     RankTimeline {
         vtime: ctx.vtime(),
         stats: ctx.comm_stats(),
-        #[cfg(feature = "faults")]
         fault_stats: ctx.fault_stats(),
         phase_vtime,
     }

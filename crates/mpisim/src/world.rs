@@ -9,7 +9,6 @@ use crate::clock::{RankWire, Wire};
 use crate::comm::Comm;
 use crate::ctx::{Ctx, Message};
 use crate::engine::Engine;
-#[cfg(feature = "faults")]
 use crate::fault::{FaultCtx, FaultPlan};
 use crate::netmodel::NetModel;
 use crate::script::{self, Script, ScriptOutcome};
@@ -34,7 +33,6 @@ pub struct World {
     /// Phantom mode: `Some(representatives)` switches
     /// [`World::run_script`] to the single-threaded event engine.
     phantoms: Option<Vec<usize>>,
-    #[cfg(feature = "faults")]
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -48,7 +46,6 @@ impl World {
             topo: Torus3d::roughly_cubic(n),
             net: NetModel::default(),
             phantoms: None,
-            #[cfg(feature = "faults")]
             faults: None,
         }
     }
@@ -73,7 +70,6 @@ impl World {
 
     /// Attach a seeded [`FaultPlan`]: every rank draws its faults from
     /// this shared, replayable schedule.
-    #[cfg(feature = "faults")]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
         self
@@ -112,12 +108,7 @@ impl World {
                 topo: self.topo,
                 trace: false,
             };
-            let engine = Engine::new(
-                self.n,
-                wire,
-                #[cfg(feature = "faults")]
-                self.faults.clone(),
-            );
+            let engine = Engine::new(self.n, wire, self.faults.clone());
             return engine.run(script, &reps);
         }
         let phases = script.phases().to_vec();
@@ -161,7 +152,6 @@ impl World {
             for (rank, inbox) in receivers.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
                 let comm_counter = Arc::clone(&comm_counter);
-                #[cfg(feature = "faults")]
                 let plan = self.faults.clone();
                 handles.push(scope.spawn(move || {
                     let mut ctx = Ctx {
@@ -172,7 +162,6 @@ impl World {
                         outboxes: senders.as_ref().clone(),
                         wire,
                         charge: RankWire {
-                            #[cfg(feature = "faults")]
                             faults: plan.map(|p| Box::new(FaultCtx::new(p))),
                             ..Default::default()
                         },
@@ -241,7 +230,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "faults")]
     mod faults {
         use super::super::*;
         use crate::fault::FaultPlan;

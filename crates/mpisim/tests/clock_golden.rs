@@ -6,8 +6,6 @@
 //! that moves both modes at once; this golden can. A change meant to
 //! keep every virtual-clock bit passes it untouched. See DESIGN.md §16.
 
-#![cfg(feature = "faults")]
-
 mod common;
 
 use common::mixed_script;

@@ -45,7 +45,6 @@ fn assert_bitwise_equal(full: &ScriptOutcome, phantom: &ScriptOutcome, what: &st
                 full.phases[i]
             );
         }
-        #[cfg(feature = "faults")]
         assert_eq!(
             f.fault_stats, p.fault_stats,
             "{what}: rank {r} fault stats differ"
@@ -124,7 +123,6 @@ fn phantom_world_rejects_closure_run() {
     World::new(4).with_phantoms([0]).run(|_, _| ());
 }
 
-#[cfg(feature = "faults")]
 mod faults {
     use super::*;
     use mpisim::FaultPlan;

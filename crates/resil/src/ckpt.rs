@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 
 use greem::io::{write_atomic, Container, ContainerWriter, Section, SnapshotError};
 use greem::{RankState, SnapshotHeader};
-use greem_domain::{pack_grid, unpack_grid, BalancerState};
+use greem_domain::{pack_grid, unpack_grid, BalancerState, HISTORY};
 use mpisim::{Comm, Ctx};
 
 /// Why a sharded checkpoint operation failed.
@@ -181,9 +181,12 @@ fn read_balancer(words: &[u64]) -> Result<BalancerState, SnapshotError> {
     let grid = x
         .saturating_mul(y.saturating_mul(z.saturating_add(2)).saturating_add(2))
         .saturating_add(1);
-    if div.contains(&0) || packed.is_empty() || packed.len() % grid != 0 {
+    // The balancer keeps at most `HISTORY` grids: a longer history
+    // would fail `SamplingBalancer::restore`'s assertion.
+    let grids = packed.len() / grid;
+    if div.contains(&0) || grids == 0 || grids > HISTORY || packed.len() % grid != 0 {
         return Err(SnapshotError::BadField {
-            what: "balancer history does not fit its divisions",
+            what: "balancer history does not fit its divisions or length",
         });
     }
     let packed: Vec<f64> = packed.iter().map(|&w| f64::from_bits(w)).collect();
@@ -381,6 +384,19 @@ mod tests {
         let meta = write_shard(&dir, 3, 4, 1, &st).unwrap();
         let back = read_shard(&dir, 3, 4, 1, Some(&meta)).unwrap();
         assert_eq!(back, st);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_refuses_a_history_longer_than_the_balancer_keeps() {
+        let dir = tmpdir("history");
+        let mut st = sample_state(0);
+        st.balancer.grids = vec![DomainGrid::uniform([2, 2, 1]); HISTORY + 1];
+        write_shard(&dir, 1, 2, 0, &st).unwrap();
+        assert!(matches!(
+            read_shard(&dir, 1, 2, 0, None),
+            Err(CkptError::Snapshot(SnapshotError::BadField { .. }))
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 

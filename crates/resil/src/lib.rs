@@ -9,12 +9,10 @@
 //!
 //! Three layers:
 //!
-//! * **Fault injection** lives in `mpisim` itself (feature `faults`,
-//!   re-exported here): a seeded [`FaultPlan`] crashes ranks at chosen
-//!   steps, drops/delays messages with chosen probabilities, and slows
-//!   ranks down by a straggler factor. Hooks compile out entirely
-//!   without the feature, and a plan-free world pays one `Option`
-//!   branch.
+//! * **Fault injection** lives in `mpisim` itself (re-exported here): a
+//!   seeded [`FaultPlan`] crashes ranks at chosen steps, drops/delays
+//!   messages with chosen probabilities, and slows ranks down by a
+//!   straggler factor. A plan-free world pays one `Option` branch.
 //! * **Sharded checkpoints** ([`ckpt`]): the single-file snapshot
 //!   becomes per-rank shards plus a manifest with per-shard checksums
 //!   (all `greem::io` containers), written atomically, manifest last,
@@ -39,5 +37,5 @@ pub use ckpt::{
     list_generations, load_sharded, read_manifest, read_shard, write_manifest, write_shard,
     write_sharded, CkptError, Manifest, ShardMeta,
 };
-pub use mpisim::{FaultPlan, FaultStats, MsgFault, RetryPolicy};
+pub use mpisim::{FaultPlan, FaultStats, MsgFault};
 pub use recover::{aggregate, RecoveryStats, ResilConfig, ResilError, ResilientSim};

@@ -5,9 +5,9 @@
 //!
 //! 1. **Health check** before each step: every rank polls its injected
 //!    crash flag ([`Ctx::take_crash`]) and the world allreduces them.
-//!    A positive count means a rank just died; all survivors charge the
-//!    plan's detection timeout to their virtual clocks (the cost of
-//!    noticing a peer has gone silent) and enter recovery.
+//!    A positive count means a rank just died; all survivors charge
+//!    [`DETECT_TIMEOUT`] to their virtual clocks (the cost of noticing a
+//!    peer has gone silent) and enter recovery.
 //! 2. **Rollback**: the last good sharded generation is reloaded
 //!    (falling back across corrupt generations — see [`crate::ckpt`]),
 //!    the domain exchange redistributes the shards to their owners,
@@ -26,33 +26,35 @@
 use std::path::PathBuf;
 
 use greem::ParallelTreePm;
+use mpisim::fault::DETECT_TIMEOUT;
 use mpisim::{Comm, Ctx};
 
 use crate::ckpt::{load_sharded, remove_generation, write_sharded, CkptError};
 
-/// Knobs of the recovery loop.
+/// Abort after this many rollbacks (guards against a fault plan that
+/// kills every re-execution).
+pub const MAX_ROLLBACKS: u32 = 8;
+/// Modelled checkpoint I/O bandwidth in bytes per virtual second; shard
+/// reads/writes charge `bytes / IO_BANDWIDTH` to the clock.
+pub const IO_BANDWIDTH: f64 = 1e9;
+/// Most-recent generations kept on disk (older ones are
+/// garbage-collected after a successful checkpoint).
+pub const KEEP_GENERATIONS: u64 = 2;
+/// Flight-recorder ring capacity (spans and metric lines each).
+pub const FLIGHT_CAPACITY: usize = 256;
+
+/// Where and how often the recovery loop checkpoints.
 #[derive(Debug, Clone)]
 pub struct ResilConfig {
     /// Directory holding the sharded checkpoint generations.
     pub dir: PathBuf,
     /// Checkpoint every this many completed steps.
     pub every: u64,
-    /// Abort after this many rollbacks (guards against a fault plan
-    /// that kills every re-execution).
-    pub max_rollbacks: u32,
-    /// Modelled checkpoint I/O bandwidth in bytes per virtual second;
-    /// shard reads/writes charge `bytes / bandwidth` to the clock.
-    pub io_bandwidth: f64,
-    /// Keep this many most-recent generations on disk (older ones are
-    /// garbage-collected after a successful checkpoint).
-    pub keep_generations: u64,
     /// When set, each rank keeps a
     /// bounded flight recorder of recent spans/metrics and dumps a
     /// post-mortem bundle into this directory the moment the health
     /// check detects a crash (`<dir>/crash-step<k>-r<rank>-<n>.json`).
     pub flight_dir: Option<PathBuf>,
-    /// Flight-recorder ring capacity (spans and metric lines each).
-    pub flight_capacity: usize,
 }
 
 impl ResilConfig {
@@ -60,11 +62,7 @@ impl ResilConfig {
         ResilConfig {
             dir: dir.into(),
             every: 3,
-            max_rollbacks: 8,
-            io_bandwidth: 1e9,
-            keep_generations: 2,
             flight_dir: None,
-            flight_capacity: 256,
         }
     }
 
@@ -139,7 +137,7 @@ pub fn aggregate(per_rank: &[RecoveryStats]) -> RecoveryStats {
 pub enum ResilError {
     /// Checkpoint machinery failed (and no older generation saved us).
     Ckpt(CkptError),
-    /// More rollbacks than [`ResilConfig::max_rollbacks`].
+    /// More rollbacks than [`MAX_ROLLBACKS`].
     TooManyRollbacks { limit: u32 },
 }
 
@@ -197,7 +195,7 @@ impl ResilientSim {
         let flight = cfg
             .flight_dir
             .is_some()
-            .then(|| greem_obs::FlightRecorder::new(world.rank(), cfg.flight_capacity));
+            .then(|| greem_obs::FlightRecorder::new(world.rank(), FLIGHT_CAPACITY));
         let mut s = ResilientSim {
             sim,
             cfg,
@@ -320,7 +318,7 @@ impl ResilientSim {
             return false;
         }
         self.stats.crashes_detected += crashed;
-        let timeout = ctx.fault_plan().map_or(0.0, |p| p.detect_timeout());
+        let timeout = ctx.fault_plan().map_or(0.0, |_| DETECT_TIMEOUT);
         ctx.compute(timeout);
         greem_obs::trace::instant(
             "resil",
@@ -369,14 +367,14 @@ impl ResilientSim {
         let gen = self.generation;
         let st = self.sim.rank_state();
         let bytes = write_sharded(ctx, world, &self.cfg.dir, gen, &st)?;
-        ctx.compute(bytes as f64 / self.cfg.io_bandwidth);
+        ctx.compute(bytes as f64 / IO_BANDWIDTH);
         let total = world.allreduce(ctx, vec![bytes], |a, b| *a += *b)[0];
         self.stats.checkpoints_written += 1;
         self.stats.checkpoint_bytes += total;
         self.generation += 1;
         self.vtime_at_ckpt = ctx.vtime();
-        if gen >= self.cfg.keep_generations && world.rank() == 0 {
-            remove_generation(&self.cfg.dir, gen - self.cfg.keep_generations, world.size());
+        if gen >= KEEP_GENERATIONS && world.rank() == 0 {
+            remove_generation(&self.cfg.dir, gen - KEEP_GENERATIONS, world.size());
         }
         span.arg("generation", gen as f64);
         span.arg("bytes", bytes as f64);
@@ -386,14 +384,14 @@ impl ResilientSim {
     fn rollback(&mut self, ctx: &mut Ctx, world: &Comm) -> Result<(), ResilError> {
         let mut span = greem_obs::trace::span("resil", "resil.rollback");
         self.stats.rollbacks += 1;
-        if self.stats.rollbacks > self.cfg.max_rollbacks as u64 {
+        if self.stats.rollbacks > MAX_ROLLBACKS as u64 {
             return Err(ResilError::TooManyRollbacks {
-                limit: self.cfg.max_rollbacks,
+                limit: MAX_ROLLBACKS,
             });
         }
         self.stats.lost_vtime += (ctx.vtime() - self.vtime_at_ckpt).max(0.0);
         let (gen, st, bytes) = load_sharded(ctx, world, &self.cfg.dir)?;
-        ctx.compute(bytes as f64 / self.cfg.io_bandwidth);
+        ctx.compute(bytes as f64 / IO_BANDWIDTH);
         let total = world.allreduce(ctx, vec![bytes], |a, b| *a += *b)[0];
         self.stats.recovered_bytes += total;
         self.generation = gen + 1;

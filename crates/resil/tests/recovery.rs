@@ -9,7 +9,8 @@ use std::path::PathBuf;
 
 use greem::{Body, ParallelTreePm, SimulationMode, TreePmConfig};
 use greem_math::Vec3;
-use greem_resil::{FaultPlan, ResilConfig, ResilientSim};
+use greem_resil::recover::MAX_ROLLBACKS;
+use greem_resil::{FaultPlan, ResilConfig, ResilError, ResilientSim};
 use mpisim::{NetModel, World};
 
 fn rand_bodies(n: usize, seed: u64) -> Vec<Body> {
@@ -160,6 +161,52 @@ fn survives_repeated_crashes() {
     assert_eq!(steps, 7, "run completed despite two crashes");
     assert_eq!(stats.crashes_detected, 2);
     assert_eq!(stats.rollbacks, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery gives up: `MAX_ROLLBACKS + 1` one-shot crashes scheduled at
+/// the same step fire one per re-execution, and the driver ends the run
+/// with `TooManyRollbacks` on every rank instead of rolling back forever.
+#[test]
+fn gives_up_after_max_rollbacks() {
+    let bodies = rand_bodies(96, 5);
+    let cfg = modeled_cfg();
+    let dir = tmpdir("give_up");
+    let plan = (0..=MAX_ROLLBACKS).fold(FaultPlan::new(3), |p, _| p.crash(0, 1));
+    let out = World::new(4)
+        .with_net(NetModel::free())
+        .with_faults(plan)
+        .run({
+            let dir = dir.clone();
+            move |ctx, world| {
+                let root_bodies = (world.rank() == 0).then(|| bodies.clone());
+                let sim = ParallelTreePm::new(
+                    ctx,
+                    world,
+                    cfg,
+                    [2, 2, 1],
+                    2,
+                    None,
+                    root_bodies,
+                    SimulationMode::Static,
+                );
+                let mut resil = ResilientSim::new(ctx, world, sim, ResilConfig::new(&dir)).unwrap();
+                let err = resil.run(ctx, world, &[1e-3; 3]).unwrap_err();
+                (err, resil.stats())
+            }
+        });
+    for (err, stats) in &out {
+        assert!(
+            matches!(
+                err,
+                ResilError::TooManyRollbacks {
+                    limit: MAX_ROLLBACKS
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(stats.crashes_detected, MAX_ROLLBACKS as u64 + 1);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

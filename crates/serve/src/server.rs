@@ -35,7 +35,7 @@ use greem_obs::{Clock, Registry, WallClock};
 
 use crate::http;
 use crate::job::{JobConfig, JobSummary, SnapshotMsg};
-use crate::ring::Broadcast;
+use crate::ring::{Broadcast, Recv, Subscriber};
 
 /// Daemon knobs.
 #[derive(Clone)]
@@ -639,78 +639,43 @@ fn stream_job(
     // `?from=N` replays from the retained history (deterministic full
     // replay with from=0 while the ring hasn't wrapped); default is
     // latest-snapshot-first, then live.
-    let mut sub = match req.query_param("from").and_then(|v| v.parse::<u64>().ok()) {
+    let sub = match req.query_param("from").and_then(|v| v.parse::<u64>().ok()) {
         Some(from) => ring.subscribe_from(from),
         None => ring.subscribe(),
     };
     lock(&shared.registry).counter_add("serve_stream_connects", 1.0);
-    http::start_chunked(stream, "application/x-ndjson")?;
-    // Long poll so a dead client is noticed within a bounded interval
-    // even on an idle stream.
-    while let Some(recv) = {
-        let mut got = None;
-        loop {
-            match sub.recv_timeout(Duration::from_millis(250)) {
-                Some(r) => {
-                    got = Some(r);
-                    break;
+    stream_ndjson(
+        stream,
+        sub,
+        ("job", id),
+        |recv| {
+            let latency = (shared.cfg.clock.now() - recv.item.published_at).max(0.0);
+            {
+                let mut reg = lock(&shared.registry);
+                reg.hist_observe("serve_snapshot_delivery_seconds", latency);
+                if recv.dropped > 0 {
+                    reg.counter_add("serve_snapshots_dropped", recv.dropped as f64);
                 }
-                None if sub.is_closed() => break,
-                None => continue,
             }
-        }
-        got
-    } {
-        let latency = (shared.cfg.clock.now() - recv.item.published_at).max(0.0);
-        {
-            let mut reg = lock(&shared.registry);
-            reg.hist_observe("serve_snapshot_delivery_seconds", latency);
-            if recv.dropped > 0 {
-                reg.counter_add("serve_snapshots_dropped", recv.dropped as f64);
-            }
-        }
-        let mut line = recv.item.to_json_line();
-        if recv.dropped > 0 {
-            // Annotate the gap on its own line so consumers that count
-            // snapshots can account for evictions.
-            let mut w = JsonWriter::new();
-            w.begin_obj(None);
+            recv.item.to_json_line()
+        },
+        // Terminal line: final state + summary, so a stream consumer
+        // needs no second request to learn the outcome.
+        |w| {
             w.str_(Some("job"), id);
-            w.u64(Some("dropped"), recv.dropped);
-            w.end_obj();
-            let mut gap = w.finish();
-            gap.push('\n');
-            gap.push_str(&line);
-            line = gap;
-        }
-        if http::write_chunk(stream, line.as_bytes()).is_err() {
-            return Ok(()); // client went away; producer unaffected
-        }
-    }
-    // Terminal line: final state + summary, so a stream consumer needs
-    // no second request to learn the outcome.
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.str_(Some("job"), id);
-    w.bool_(Some("done"), true);
-    {
-        let jobs = lock(&shared.jobs);
-        if let Some(e) = jobs.map.get(id) {
-            w.str_(Some("state"), e.state.as_str());
-            if let Some(s) = &e.summary {
-                s.write_json(&mut w, Some("summary"));
+            w.bool_(Some("done"), true);
+            let jobs = lock(&shared.jobs);
+            if let Some(e) = jobs.map.get(id) {
+                w.str_(Some("state"), e.state.as_str());
+                if let Some(s) = &e.summary {
+                    s.write_json(w, Some("summary"));
+                }
+                if let Some(err) = &e.error {
+                    w.str_(Some("error"), err);
+                }
             }
-            if let Some(err) = &e.error {
-                w.str_(Some("error"), err);
-            }
-        }
-    }
-    w.u64(Some("dropped_total"), sub.dropped_total());
-    w.end_obj();
-    let mut line = w.finish();
-    line.push('\n');
-    http::write_chunk(stream, line.as_bytes()).ok();
-    http::finish_chunked(stream)
+        },
+    )
 }
 
 /// `GET /telemetry`: live chunked-NDJSON stream of the daemon-wide
@@ -724,53 +689,70 @@ fn stream_telemetry(
     shared: &Arc<Shared>,
     req: &http::Request,
 ) -> std::io::Result<()> {
-    let mut sub = match req.query_param("from").and_then(|v| v.parse::<u64>().ok()) {
+    let sub = match req.query_param("from").and_then(|v| v.parse::<u64>().ok()) {
         Some(from) => shared.telemetry.subscribe_from(from),
         None => shared.telemetry.subscribe_from(0),
     };
     lock(&shared.registry).counter_add("serve_telemetry_connects", 1.0);
+    stream_ndjson(
+        stream,
+        sub,
+        ("event", "gap"),
+        |recv| format!("{}\n", recv.item.line),
+        |w| {
+            w.str_(Some("event"), "closed");
+            w.bool_(Some("done"), true);
+            w.u64(Some("events_total"), shared.telemetry.published());
+        },
+    )
+}
+
+/// Serve `sub` as a chunked NDJSON response until its ring closes and
+/// drains: one `line` per entry (newline included), preceded by a
+/// `{"<gap.0>": "<gap.1>", "dropped": n}` line when the subscriber
+/// skipped `n` evicted entries to reach it, so consumers that count
+/// entries can account for evictions; then one terminal object of
+/// `last`'s fields and `dropped_total`. The ring is long-polled, so a
+/// dead client is noticed within a bounded interval even on an idle
+/// stream, and a failed write ends the response quietly: the client went
+/// away, and the producer is unaffected.
+fn stream_ndjson<T>(
+    stream: &mut TcpStream,
+    mut sub: Subscriber<T>,
+    gap: (&str, &str),
+    mut line: impl FnMut(&Recv<T>) -> String,
+    last: impl FnOnce(&mut JsonWriter),
+) -> std::io::Result<()> {
     http::start_chunked(stream, "application/x-ndjson")?;
-    while let Some(recv) = {
-        let mut got = None;
-        loop {
-            match sub.recv_timeout(Duration::from_millis(250)) {
-                Some(r) => {
-                    got = Some(r);
-                    break;
-                }
-                None if sub.is_closed() => break,
-                None => continue,
-            }
-        }
-        got
-    } {
-        let mut line = recv.item.line.clone();
+    loop {
+        let recv = match sub.recv_timeout(Duration::from_millis(250)) {
+            Some(r) => r,
+            None if sub.is_closed() => break,
+            None => continue,
+        };
+        let mut out = String::new();
         if recv.dropped > 0 {
             let mut w = JsonWriter::new();
             w.begin_obj(None);
-            w.str_(Some("event"), "gap");
+            w.str_(Some(gap.0), gap.1);
             w.u64(Some("dropped"), recv.dropped);
             w.end_obj();
-            let mut gap = w.finish();
-            gap.push('\n');
-            gap.push_str(&line);
-            line = gap;
+            out = w.finish();
+            out.push('\n');
         }
-        line.push('\n');
-        if http::write_chunk(stream, line.as_bytes()).is_err() {
-            return Ok(()); // client went away; the feed is unaffected
+        out.push_str(&line(&recv));
+        if http::write_chunk(stream, out.as_bytes()).is_err() {
+            return Ok(());
         }
     }
     let mut w = JsonWriter::new();
     w.begin_obj(None);
-    w.str_(Some("event"), "closed");
-    w.bool_(Some("done"), true);
-    w.u64(Some("events_total"), shared.telemetry.published());
+    last(&mut w);
     w.u64(Some("dropped_total"), sub.dropped_total());
     w.end_obj();
-    let mut line = w.finish();
-    line.push('\n');
-    http::write_chunk(stream, line.as_bytes()).ok();
+    let mut end = w.finish();
+    end.push('\n');
+    http::write_chunk(stream, end.as_bytes()).ok();
     http::finish_chunked(stream)
 }
 

@@ -159,7 +159,7 @@ impl TreeArena {
         let center = self.root_box.center();
         let half = self.root_box.max_extent() * 0.5;
         let parallel = !self.serial && n >= PAR_BUILD_CUTOFF;
-        let splitting_root = n > params.leaf_capacity && params.max_depth > 0;
+        let splitting_root = n > params.leaf_capacity;
         if parallel && splitting_root {
             Self::build_parallel_root(&mut self.nodes, &src, center, half);
         } else {
@@ -406,10 +406,7 @@ mod tests {
 
     #[test]
     fn leaves_respect_capacity() {
-        let params = TreeParams {
-            leaf_capacity: 4,
-            max_depth: 21,
-        };
+        let params = TreeParams { leaf_capacity: 4 };
         let pos = rand_positions(200, 3);
         let tree = SnapshotTree::build(&pos, &[1.0; 200], Aabb::UNIT, params);
         for node in tree.nodes() {

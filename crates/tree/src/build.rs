@@ -24,21 +24,20 @@ impl SoaPos<'_> {
     }
 }
 
+/// Maximum tree depth: the Morton key's resolution, 21 levels.
+pub(crate) const MAX_DEPTH: u32 = greem_math::morton::MORTON_BITS;
+
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
-    /// Maximum particles in a leaf before it splits (unless max depth).
+    /// Maximum particles in a leaf before it splits (unless at
+    /// [`MAX_DEPTH`]).
     pub leaf_capacity: usize,
-    /// Maximum tree depth (≤ Morton resolution, 21).
-    pub max_depth: u32,
 }
 
 impl Default for TreeParams {
     fn default() -> Self {
-        TreeParams {
-            leaf_capacity: 8,
-            max_depth: greem_math::morton::MORTON_BITS,
-        }
+        TreeParams { leaf_capacity: 8 }
     }
 }
 
@@ -191,7 +190,7 @@ pub(crate) fn build_arena(
 ) -> i32 {
     let idx = nodes.len();
     nodes.push(make_node(&src.pos, src.mass, first, last, center, half));
-    if last - first <= src.params.leaf_capacity || level >= src.params.max_depth {
+    if last - first <= src.params.leaf_capacity || level >= MAX_DEPTH {
         return idx as i32;
     }
     nodes[idx].is_leaf = false;

@@ -957,10 +957,7 @@ mod tests {
         for (name, pos) in &inputs {
             let masses = vec![1.0; pos.len()];
             for leaf_capacity in [1, 8] {
-                let tree_params = TreeParams {
-                    leaf_capacity,
-                    ..TreeParams::default()
-                };
+                let tree_params = TreeParams { leaf_capacity };
                 let tree = SnapshotTree::build(pos, &masses, Aabb::UNIT, tree_params);
                 for group_size in [1, 7, 32, 100] {
                     for (periodic, r_cut) in [

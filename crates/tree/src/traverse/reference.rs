@@ -545,10 +545,7 @@ fn dyadic_cells_are_exact_as_stored() {
         .map(|&p| p + Vec3::splat(1e-9))
         .collect();
     pos.extend(deep.iter().map(|&p| greem_math::wrap01(p)));
-    let params = TreeParams {
-        leaf_capacity: 1,
-        ..TreeParams::default()
-    };
+    let params = TreeParams { leaf_capacity: 1 };
     let tree = SnapshotTree::build(&pos, &masses(pos.len()), Aabb::UNIT, params);
     let mut deepest = 1.0f64;
     for node in tree.nodes() {

@@ -32,7 +32,9 @@ root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 cd "$root"
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 head=$(git rev-parse --short=12 HEAD)
-if [ -n "$(git status --porcelain)" ]; then dirty=true; else dirty=false; fi
+# Dirty means the code differs from HEAD: the script's own output under
+# results/ (history.jsonl, redirected pair tables) does not count.
+if [ -n "$(git status --porcelain -- . ':(exclude)results')" ]; then dirty=true; else dirty=false; fi
 workload=$2
 pairs=$3
 work=$(mkdir -p "${4:-.bench_build/pairs}" && cd "${4:-.bench_build/pairs}" && pwd)

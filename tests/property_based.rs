@@ -152,7 +152,7 @@ proptest! {
         let periodic = boundary % 2 == 0;
         let points: Vec<Vec3> = points.iter().flat_map(|&p| vec![p; copies]).collect();
         let masses = vec![1.0; points.len()];
-        let params = TreeParams { leaf_capacity, ..TreeParams::default() };
+        let params = TreeParams { leaf_capacity };
         let tree = SnapshotTree::build(&points, &masses, Aabb::UNIT, params);
         let view = tree.view();
         let walk = GroupWalk::new(&view, TraverseParams {

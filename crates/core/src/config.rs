@@ -50,23 +50,23 @@ pub struct TreePmConfig {
     /// monopole-only; the pseudo-particle quadrupole is this library's
     /// accuracy extension (see `greem_tree::multipole`).
     pub multipole: Multipole,
-    /// When set, the parallel driver feeds the sampling balancer a
+    /// When set, a rank with neighbours feeds the sampling balancer a
     /// *modelled* PP cost — this many virtual seconds per tree-walk
     /// interaction, charged to the rank's `mpisim` clock — instead of
     /// wall-clock kernel timings. Modelled cost is deterministic (so
     /// multi-step parallel runs become bit-reproducible, a prerequisite
     /// for checkpoint/rollback proofs) and it responds to injected
     /// straggler slowdowns, closing the paper's feedback loop under
-    /// fault injection. `None` keeps the measured-time behaviour. The
-    /// serial driver has no balancer and ignores it.
+    /// fault injection. `None` keeps the measured-time behaviour. A rank
+    /// that owns the whole box has no balancer and ignores it.
     pub modeled_pp_cost: Option<f64>,
     /// Reuse each group's recorded interaction list across the two PP
-    /// subcycles of one step (serial driver): subcycle 1 walks fresh
-    /// with a cutoff margin and records list structure; subcycle 2
-    /// replays it against drifted positions and refreshed node
-    /// monopoles when every particle moved less than half the margin
-    /// (see `crate::resident`). Monopole-only; quadrupole runs always
-    /// walk fresh.
+    /// subcycles of one step (the rank that owns the whole box):
+    /// subcycle 1 walks fresh with a cutoff margin and records list
+    /// structure; subcycle 2 replays it against drifted positions and
+    /// refreshed node monopoles when every particle moved less than
+    /// half the margin (see `crate::resident`). Monopole-only;
+    /// quadrupole runs always walk fresh.
     pub list_reuse: bool,
     /// Boundary condition: periodic torus (the paper's box) or isolated
     /// open space (scenario engine). Selects the PM backend, switches

@@ -70,10 +70,11 @@ impl TreePm {
     }
 
     /// Evaluate PP accelerations only (tree + kernel) on a snapshot: one
-    /// walking pass of the resident engine at `cfg.group_size` — no
-    /// ghosts, no list recording — over a store whose ids are the input
-    /// indices, scattered back through them. The pass's PP rows and walk
-    /// statistics come back as one breakdown.
+    /// whole-box walking pass of the resident engine at
+    /// `cfg.group_size` over a store whose ids are the input indices,
+    /// scattered back through them. A snapshot has no second sub-cycle
+    /// to replay, so the pass records no lists. The pass's PP rows and
+    /// walk statistics come back as one breakdown.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, StepBreakdown) {
         assert_eq!(pos.len(), mass.len());
         let mut span = greem_obs::trace::span("force", "pp.compute");
@@ -81,7 +82,11 @@ impl TreePm {
         for (id, (&p, &m)) in pos.iter().zip(mass).enumerate() {
             store.push(Body::at_rest(p, m, id as u64));
         }
-        let (by_row, bd) = ResidentPp::new().walk(&self.cfg, &mut store, &[], &mut [], None, false);
+        let cfg = TreePmConfig {
+            list_reuse: false,
+            ..self.cfg
+        };
+        let (by_row, bd) = ResidentPp::new().pass(&cfg, &mut store, None, false, 0.0);
         let mut accel = vec![Vec3::ZERO; pos.len()];
         for (a, &id) in by_row.iter().zip(store.id_column()) {
             accel[id as usize] = *a;

@@ -1,9 +1,10 @@
-//! The multiple-stepsize KDK step, once for both drivers, both time
-//! variables and both integrators. "The one simulation step was composed
-//! by a cycle of the PM and two cycles of the PP and the domain
-//! decomposition" (§III-A): the slowly varying long-range force kicks at
-//! the step's ends, the short-range one on two half-length sub-cycles —
-//! the multiple-timestep scheme of Skeel & Biesiadecki (1994):
+//! The multiple-stepsize KDK step's schedule, once for every rank
+//! count, both time variables and both integrators. "The one simulation
+//! step was composed by a cycle of the PM and two cycles of the PP and
+//! the domain decomposition" (§III-A): the slowly varying long-range
+//! force kicks at the step's ends, the short-range one on two
+//! half-length sub-cycles — the multiple-timestep scheme of Skeel &
+//! Biesiadecki (1994):
 //!
 //! ```text
 //! K_PM(Δ/2) · [ K_PP(δ/2) · D(δ) · K_PP(δ/2) ]² · K_PM(Δ/2),  δ = Δ/2
@@ -11,8 +12,10 @@
 //!
 //! `schedule` is pure arithmetic: the step's cycles (a PM half-kick
 //! weight, two PP sub-cycles of a kick and a drift weight) and the mode
-//! after it. `Driver::run` is the one loop that applies them to the
-//! store both drivers embed, calling each driver's PP and PM cycles.
+//! after it. The one loop that applies them to a rank's store and
+//! calls its PP and PM cycles is the rank driver's
+//! ([`crate::ParallelTreePm`]), of which [`crate::Simulation`] is the
+//! one-rank case.
 //! Static runs pick the integrator: the paper's leapfrog is one cycle of
 //! `dt`, Yoshida's (1990) 4th-order "triple jump" three, of `w1·dt`,
 //! `w0·dt`, `w1·dt` — its `dt⁴` energy error lets a `greem-astro`
@@ -21,14 +24,8 @@
 //! `greem-cosmo` times `G_eff = 3Ωm/(8π)`.
 
 use greem_cosmo::KickDrift;
-use greem_math::Vec3;
-use greem_obs::trace::timed_phase;
-use greem_perfmodel::tableone::POSITION_UPDATE;
 
-use crate::config::Boundary;
 use crate::simulation::SimulationMode;
-use crate::stats::StepBreakdown;
-use crate::store::ParticleStore;
 
 /// `w1` coefficient of the triple jump, `1/(2 − 2^{1/3})`.
 pub const YOSHIDA4_W1: f64 = 1.3512071919596576;
@@ -69,14 +66,14 @@ impl IntegratorKind {
 /// One PP sub-cycle: the kick weight on each side of the drift.
 #[derive(Clone, Copy)]
 pub(crate) struct SubCycle {
-    kick: f64,
-    drift: f64,
+    pub(crate) kick: f64,
+    pub(crate) drift: f64,
 }
 
 /// One KDK cycle: the PM half-kick weight and the two PP sub-cycles.
 pub(crate) struct Cycle {
-    pm: f64,
-    pp: [SubCycle; 2],
+    pub(crate) pm: f64,
+    pub(crate) pp: [SubCycle; 2],
 }
 
 /// A static leapfrog cycle of `dt`.
@@ -135,92 +132,6 @@ pub(crate) fn schedule(
         a: a_next,
     };
     (vec![cycle], after)
-}
-
-/// What a step moves, embedded once in each driver: the resident store
-/// and the two acceleration caches, aligned with its row order.
-pub(crate) struct KdkState {
-    pub(crate) store: ParticleStore,
-    pub(crate) pp_accel: Vec<Vec3>,
-    /// Rewritten by every PM cycle before its next kick, so the PP
-    /// cycles' store permutations need not carry it.
-    pub(crate) pm_accel: Vec<Vec3>,
-    /// Largest per-particle displacement of the last drift — the margin
-    /// budget of the serial driver's interaction-list cache.
-    pub(crate) last_drift: f64,
-    boundary: Boundary,
-}
-
-impl KdkState {
-    pub(crate) fn new(store: ParticleStore, boundary: Boundary) -> Self {
-        KdkState {
-            store,
-            pp_accel: Vec::new(),
-            pm_accel: Vec::new(),
-            last_drift: 0.0,
-            boundary,
-        }
-    }
-
-    fn kick_pm(&mut self, w: f64) {
-        self.store.kick(&self.pm_accel, w);
-    }
-
-    fn kick_pp(&mut self, w: f64) {
-        self.store.kick(&self.pp_accel, w);
-    }
-
-    /// Drift positions by `w`: wrapped into the torus under periodic
-    /// boundaries, plain open-space translation under isolated ones.
-    fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
-        let row = &mut bd.dd_position_update;
-        self.last_drift = timed_phase("step", POSITION_UPDATE.key, row, || match self.boundary {
-            Boundary::Periodic => self.store.drift_wrap(w),
-            Boundary::Isolated => self.store.drift_free(w),
-        });
-    }
-}
-
-/// A driver's force cycles, and the one loop that runs a schedule on
-/// them.
-pub(crate) trait Driver {
-    fn kdk(&mut self) -> &mut KdkState;
-
-    /// Between a drift and its PP cycle: the parallel driver's domain
-    /// decomposition.
-    fn decompose(&mut self, _bd: &mut StepBreakdown) {}
-
-    /// Short-range forces at the current positions into `pp_accel`;
-    /// `second` marks a step's second sub-cycle.
-    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown);
-
-    /// Long-range forces at the current positions into `pm_accel`.
-    fn pm_cycle(&mut self, bd: &mut StepBreakdown);
-
-    /// Both forces afresh, after the particles changed outside a step:
-    /// a first sub-cycle's PP with no drift behind it, then PM.
-    fn refresh(&mut self) {
-        let mut scratch = StepBreakdown::default();
-        self.kdk().last_drift = 0.0;
-        self.pp_cycle(false, &mut scratch);
-        self.pm_cycle(&mut scratch);
-    }
-
-    /// Run the cycles of a [`schedule`].
-    fn run(&mut self, cycles: &[Cycle], bd: &mut StepBreakdown) {
-        for c in cycles {
-            self.kdk().kick_pm(c.pm);
-            for (i, sub) in c.pp.iter().enumerate() {
-                self.kdk().kick_pp(sub.kick);
-                self.kdk().drift(sub.drift, bd);
-                self.decompose(bd);
-                self.pp_cycle(i == 1, bd);
-                self.kdk().kick_pp(sub.kick);
-            }
-            self.pm_cycle(bd);
-            self.kdk().kick_pm(c.pm);
-        }
-    }
 }
 
 #[cfg(test)]

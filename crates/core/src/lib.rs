@@ -18,12 +18,14 @@
 //! * comoving (cosmological) dynamics via the kick/drift factors of
 //!   `greem-cosmo`.
 //!
-//! Two drivers expose the same physics:
-//! [`TreePm`] runs in one address space (with rayon data-parallel
-//! group walks — the "OpenMP" half of the paper's MPI/OpenMP hybrid);
+//! One driver runs the step at any rank count, as the paper's code is
+//! one program from one process to the whole machine:
 //! [`ParallelTreePm`] distributes particles over `mpisim` ranks (the
-//! "MPI" half) and reports the per-phase cost breakdown of the paper's
-//! Table I.
+//! "MPI" half of the paper's MPI/OpenMP hybrid) and reports the
+//! per-phase cost breakdown of the paper's Table I. Its one-rank form
+//! owns the whole box — [`Simulation`] is that form with no `mpisim`
+//! context to pass — and runs [`TreePm`]'s serial mesh and rayon
+//! data-parallel group walks (the "OpenMP" half).
 
 #![forbid(unsafe_code)]
 
@@ -51,4 +53,4 @@ pub use particle::{species_id, species_of_id, Body};
 pub use resident::ResidentPp;
 pub use simulation::{Simulation, SimulationMode};
 pub use stats::StepBreakdown;
-pub use store::{permute_vec3, ParticleStore, PermScratch};
+pub use store::{ParticleStore, PermScratch};

@@ -1,34 +1,43 @@
-//! The distributed TreePM driver: domains, ghosts, and the full
-//! per-step pipeline over `mpisim`.
+//! The rank driver, the only one: the full per-step pipeline on one
+//! rank of an `mpisim` world — or, with one rank, over the whole box.
 //!
-//! Each rank owns the particles inside its rectangular domain (3-D
-//! multisection, `greem-domain`) of the periodic box. A step is the
-//! paper's cycle, run by the one loop of [`crate::integrator`] on this
-//! rank's hooks:
+//! A step is the paper's cycle, run by one loop (its schedule is
+//! [`crate::integrator`]'s) on this rank's hooks:
 //!
 //! 1. PM half kick (long-range force from the previous cycle),
 //! 2. two PP sub-cycles: short-range kick → drift → **domain
 //!    decomposition** (sampling-method rebalance + particle exchange)
 //!    → boundary-particle import → local tree + group walk + kernel →
 //!    closing short-range kick,
-//! 3. collective PM solve at the new positions, closing PM half kick.
+//! 3. PM solve at the new positions, closing PM half kick.
 //!
-//! Both sub-cycles walk afresh (the ghost set changes every cycle), and
-//! the integrator is always leapfrog. Every phase charges the Table-I
-//! row it corresponds to; communication rows use the simulated network
-//! clock.
+//! The rank count decides the path. **One rank owns the whole box**
+//! ([`crate::Simulation`], or a world of one rank): it has no domain
+//! decomposition and no ghosts, solves PM on [`TreePm`]'s serial mesh
+//! under either boundary, runs its PP groups as rayon tasks, and its
+//! second sub-cycle of a step replays the interaction lists the first
+//! recorded when the drift allows. **Above one rank** each rank owns
+//! the particles inside its rectangular domain (3-D multisection,
+//! `greem-domain`) of the periodic box, solves PM collectively on the
+//! slab mesh, walks its groups one after another on its rank thread,
+//! and walks both sub-cycles afresh (the ghost set changes every
+//! cycle). Every phase charges the Table-I row it corresponds to;
+//! communication rows use the simulated network clock.
 
 use greem_domain::{
     exchange, exchange_rows, BalancerParams, BalancerState, DomainGrid, SamplingBalancer,
 };
 use greem_math::{wrap01, Aabb, Vec3};
 use greem_obs::trace::timed_phase;
-use greem_perfmodel::tableone::{PARTICLE_EXCHANGE, PP_COMMUNICATION, SAMPLING_METHOD};
+use greem_perfmodel::tableone::{
+    PARTICLE_EXCHANGE, POSITION_UPDATE, PP_COMMUNICATION, SAMPLING_METHOD,
+};
 use greem_pm::{ParallelPm, ParallelPmConfig};
 use mpisim::{Comm, Ctx};
 
 use crate::config::{Boundary, TreePmConfig};
-use crate::integrator::{schedule, Driver, IntegratorKind, KdkState};
+use crate::forces::TreePm;
+use crate::integrator::{schedule, Cycle, IntegratorKind};
 use crate::particle::Body;
 use crate::resident::ResidentPp;
 use crate::simulation::SimulationMode;
@@ -46,16 +55,40 @@ pub struct ParallelStepStats {
     pub n_ghosts: usize,
 }
 
-/// The distributed TreePM simulation state of one rank.
+/// The network a rank's hooks run their collective phases on: its
+/// context and communicator, or `None` when one rank owns the box.
+pub(crate) type Net<'a> = Option<(&'a mut Ctx, &'a Comm)>;
+
+/// A rank's long-range solver.
+pub(crate) enum Mesh {
+    /// One rank owns the whole box: [`TreePm`]'s serial mesh, either
+    /// boundary.
+    WholeBox(Box<TreePm>),
+    /// This rank's share of the periodic slab-decomposed mesh.
+    Slabs(Box<ParallelPm>),
+}
+
+/// The TreePM simulation state of one rank.
 pub struct ParallelTreePm {
-    cfg: TreePmConfig,
-    pm: ParallelPm,
+    pub(crate) cfg: TreePmConfig,
+    pub(crate) mesh: Mesh,
     balancer: SamplingBalancer,
     grid: DomainGrid,
     mode: SimulationMode,
+    /// Static-mode integrator; cosmological steps are always leapfrog.
+    pub(crate) integrator: IntegratorKind,
     /// Owned particles, Morton-resident: the PP engine re-permutes the
-    /// store's rows into tree order at every cycle.
-    kdk: KdkState,
+    /// store's rows into tree order at every walk.
+    pub(crate) store: ParticleStore,
+    /// Short-range accelerations, aligned with the store's rows.
+    pp_accel: Vec<Vec3>,
+    /// Long-range accelerations, rewritten by every PM cycle before its
+    /// next kick, so the PP cycles' store permutations need not carry
+    /// them.
+    pm_accel: Vec<Vec3>,
+    /// Largest per-particle displacement of the last drift — the margin
+    /// budget of the whole box's interaction-list cache.
+    last_drift: f64,
     engine: ResidentPp,
     /// Measured force cost of the last cycle — the feedback signal of
     /// the sampling method.
@@ -84,10 +117,12 @@ pub struct RankState {
 
 impl ParallelTreePm {
     /// Collectively create the simulation. `bodies_on_root` is the full
-    /// initial snapshot on world rank 0 (`None` elsewhere); it is
-    /// scattered to the initial uniform decomposition. `div` must
-    /// multiply to the world size; the boundary must be periodic. `nf`
-    /// FFT ranks; `relay_groups` as in [`ParallelPmConfig`].
+    /// initial snapshot on world rank 0 (`None` elsewhere). `div` must
+    /// multiply to the world size. One rank owns the whole box under
+    /// either boundary; above one rank the snapshot is scattered to the
+    /// initial uniform decomposition, the boundary must be periodic,
+    /// and `nf` FFT ranks and `relay_groups` configure the slab mesh as
+    /// in [`ParallelPmConfig`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctx: &mut Ctx,
@@ -106,14 +141,19 @@ impl ParallelTreePm {
             "div must match world size"
         );
         assert_eq!(
-            cfg.boundary,
-            Boundary::Periodic,
-            "the parallel driver's domains, drift and PM are periodic"
-        );
-        assert_eq!(
             bodies_on_root.is_some(),
             world.rank() == 0,
             "exactly the root supplies bodies"
+        );
+        if p == 1 {
+            assert_eq!(nf, 1, "one rank is the one FFT rank");
+            let bodies = bodies_on_root.expect("the one rank is the root");
+            return Self::whole_box(cfg, &bodies, mode);
+        }
+        assert_eq!(
+            cfg.boundary,
+            Boundary::Periodic,
+            "above one rank, the parallel driver's domains, drift and PM are periodic"
         );
         let pm_cfg = ParallelPmConfig {
             n_mesh: cfg.n_mesh,
@@ -122,38 +162,63 @@ impl ParallelTreePm {
             nf,
             relay_groups,
         };
-        let pm = ParallelPm::new(ctx, world, pm_cfg);
-        let balancer = SamplingBalancer::new(BalancerParams::new(div, (64 * p).max(512)));
-        let grid = balancer.current();
+        let mesh = Mesh::Slabs(Box::new(ParallelPm::new(ctx, world, pm_cfg)));
         // Scatter the snapshot from the root to the uniform grid.
-        let mine = {
-            let all = bodies_on_root.unwrap_or_default();
-            let grid = grid.clone();
-            exchange(ctx, world, all, move |b: &Body| {
-                grid.rank_of_point(wrap01(b.pos))
-            })
-        };
+        let all = bodies_on_root.unwrap_or_default();
+        let grid = DomainGrid::uniform(div);
+        let mine = exchange(ctx, world, all, move |b: &Body| {
+            grid.rank_of_point(wrap01(b.pos))
+        });
+        Self::with(cfg, mesh, div, &mine, mode, Some((ctx, world)))
+    }
+
+    /// The one rank that owns the whole box.
+    pub(crate) fn whole_box(cfg: TreePmConfig, bodies: &[Body], mode: SimulationMode) -> Self {
+        let mesh = Mesh::WholeBox(Box::new(TreePm::new(cfg)));
+        Self::with(cfg, mesh, [1, 1, 1], bodies, mode, None)
+    }
+
+    /// A rank owning `bodies`, with its initial forces so the first
+    /// kick is consistent.
+    fn with(
+        cfg: TreePmConfig,
+        mesh: Mesh,
+        div: [usize; 3],
+        bodies: &[Body],
+        mode: SimulationMode,
+        net: Net<'_>,
+    ) -> Self {
+        let p: usize = div.iter().product();
+        let balancer = SamplingBalancer::new(BalancerParams::new(div, (64 * p).max(512)));
         let mut sim = ParallelTreePm {
             cfg,
-            pm,
+            mesh,
+            grid: balancer.current(),
             balancer,
-            grid,
             mode,
-            kdk: KdkState::new(ParticleStore::from_bodies(&mine), cfg.boundary),
+            integrator: IntegratorKind::default(),
+            store: ParticleStore::from_bodies(bodies),
+            pp_accel: Vec::new(),
+            pm_accel: Vec::new(),
+            last_drift: 0.0,
             engine: ResidentPp::new(),
             last_cost: 1.0,
             n_ghosts: 0,
             steps: 0,
         };
-        // Initial forces so the first kick is consistent.
-        sim.on(ctx, world).refresh();
+        sim.refresh(net);
         sim
+    }
+
+    /// The hooks' network for a collective call: none at one rank.
+    fn net<'a>(ctx: &'a mut Ctx, world: &'a Comm) -> Net<'a> {
+        (world.size() > 1).then_some((ctx, world))
     }
 
     /// This rank's owned bodies, materialised from the resident store
     /// in its current (Morton) row order.
     pub fn bodies(&self) -> Vec<Body> {
-        self.kdk.store.to_bodies()
+        self.store.to_bodies()
     }
 
     /// The current domain of this rank.
@@ -173,9 +238,9 @@ impl ParallelTreePm {
 
     /// This rank's most recent PP walk cost — the exact feedback signal
     /// the domain balancer consumes (virtual seconds when
-    /// [`TreePmConfig::modeled_pp_cost`] is set, wall seconds
-    /// otherwise). Online imbalance detectors allgather this to see the
-    /// load skew the way the balancer sees it.
+    /// [`TreePmConfig::modeled_pp_cost`] is set above one rank, wall
+    /// seconds otherwise). Online imbalance detectors allgather this to
+    /// see the load skew the way the balancer sees it.
     pub fn last_pp_cost(&self) -> f64 {
         self.last_cost
     }
@@ -189,35 +254,40 @@ impl ParallelTreePm {
             // The store's current row order IS the semantic order (the
             // Morton sort tie-breaks on slot), so a round trip through
             // this AoS view resumes bit-identically.
-            bodies: self.kdk.store.to_bodies(),
+            bodies: self.store.to_bodies(),
         }
     }
 
     /// Collectively restore a state captured by
     /// [`ParallelTreePm::rank_state`]: every rank supplies its own
-    /// shard. The domain exchange re-enforces ownership (after a crash
-    /// the in-memory bodies are garbage; the checkpointed ones already
-    /// sit in their owner's shard, so the exchange is a cheap identity
-    /// re-route) and both force fields are recomputed so the next kick
-    /// sees exactly what the original run saw.
+    /// shard. Above one rank the domain exchange re-enforces ownership
+    /// (after a crash the in-memory bodies are garbage; the
+    /// checkpointed ones already sit in their owner's shard, so the
+    /// exchange is a cheap identity re-route). Both force fields are
+    /// recomputed so the next kick sees exactly what the original run
+    /// saw.
     pub fn restore_rank_state(&mut self, ctx: &mut Ctx, world: &Comm, st: RankState) {
         let _span = greem_obs::trace::span("resil", "treepm.restore");
         self.steps = st.step;
         self.mode = st.mode;
         self.balancer.restore(st.balancer);
         self.grid = self.balancer.current();
-        let grid = self.grid.clone();
-        let mine = exchange(ctx, world, st.bodies, move |b: &Body| {
-            grid.rank_of_point(wrap01(b.pos))
-        });
-        self.kdk.store = ParticleStore::from_bodies(&mine);
-        self.on(ctx, world).refresh();
+        let mine = if world.size() > 1 {
+            let grid = self.grid.clone();
+            exchange(ctx, world, st.bodies, move |b: &Body| {
+                grid.rank_of_point(wrap01(b.pos))
+            })
+        } else {
+            st.bodies
+        };
+        self.store = ParticleStore::from_bodies(&mine);
+        self.refresh(Self::net(ctx, world));
     }
 
     /// Gather the full snapshot on world rank 0 (diagnostics).
     pub fn gather_bodies(&self, ctx: &mut Ctx, world: &Comm) -> Option<Vec<Body>> {
         world
-            .gather(ctx, 0, self.kdk.store.to_bodies())
+            .gather(ctx, 0, self.store.to_bodies())
             .map(|per_rank| {
                 let mut all: Vec<Body> = per_rank.into_iter().flatten().collect();
                 all.sort_unstable_by_key(|b| b.id);
@@ -230,27 +300,31 @@ impl ParallelTreePm {
     /// the target scale factor.
     pub fn step(&mut self, ctx: &mut Ctx, world: &Comm, dt_or_a_next: f64) -> ParallelStepStats {
         let mut span = greem_obs::trace::span("step", "treepm.step");
-        let (cycles, mode) = schedule(self.mode, IntegratorKind::Leapfrog, dt_or_a_next);
-        let mut bd = StepBreakdown::default();
-        self.on(ctx, world).run(&cycles, &mut bd);
-        self.mode = mode;
-        self.steps += 1;
+        let bd = self.advance(Self::net(ctx, world), dt_or_a_next);
         span.arg("interactions", bd.walk.interactions as f64);
-        span.arg("n_owned", self.kdk.store.len() as f64);
+        span.arg("n_owned", self.store.len() as f64);
         ParallelStepStats {
             breakdown: bd,
-            n_owned: self.kdk.store.len(),
+            n_owned: self.store.len(),
             n_ghosts: self.n_ghosts,
         }
     }
 
-    /// This rank's hooks for the step loop.
-    fn on<'a>(&'a mut self, ctx: &'a mut Ctx, world: &'a Comm) -> OnRank<'a> {
-        OnRank {
-            sim: self,
-            ctx,
-            world,
-        }
+    /// One step on the network `net`: the schedule's cycles, then the
+    /// mode and step count after them.
+    pub(crate) fn advance(&mut self, net: Net<'_>, dt_or_a_next: f64) -> StepBreakdown {
+        let (cycles, mode) = schedule(self.mode, self.integrator, dt_or_a_next);
+        let mut bd = StepBreakdown::default();
+        OnRank { sim: self, net }.run(&cycles, &mut bd);
+        self.mode = mode;
+        self.steps += 1;
+        bd
+    }
+
+    /// Both forces afresh on the network `net`, after the particles
+    /// changed outside a step.
+    pub(crate) fn refresh(&mut self, net: Net<'_>) {
+        OnRank { sim: self, net }.refresh();
     }
 
     /// Import boundary particles: everything of mine within `r_cut` of
@@ -261,9 +335,9 @@ impl ParallelTreePm {
         let domains: Vec<Aabb> = (0..p).map(|r| self.grid.domain(r)).collect();
         let mut send: Vec<Vec<(Vec3, f64)>> = (0..p).map(|_| Vec::new()).collect();
         let me = world.rank();
-        for i in 0..self.kdk.store.len() {
-            let pos = self.kdk.store.pos(i);
-            let mass = self.kdk.store.mass_column()[i];
+        for i in 0..self.store.len() {
+            let pos = self.store.pos(i);
+            let mass = self.store.mass_column()[i];
             for (d, dom) in domains.iter().enumerate() {
                 if d == me {
                     continue;
@@ -277,27 +351,65 @@ impl ParallelTreePm {
     }
 }
 
-/// One rank's hooks for the step loop: the driver with this rank's
-/// context and communicator.
+/// One rank's hooks for the step loop: the driver with its network.
 struct OnRank<'a> {
     sim: &'a mut ParallelTreePm,
-    ctx: &'a mut Ctx,
-    world: &'a Comm,
+    net: Net<'a>,
 }
 
-impl Driver for OnRank<'_> {
-    fn kdk(&mut self) -> &mut KdkState {
-        &mut self.sim.kdk
+impl OnRank<'_> {
+    /// Both forces afresh: a first sub-cycle's PP with no drift behind
+    /// it, then PM.
+    fn refresh(&mut self) {
+        let mut scratch = StepBreakdown::default();
+        self.sim.last_drift = 0.0;
+        self.pp_cycle(false, &mut scratch);
+        self.pm_cycle(&mut scratch);
     }
 
-    /// Sampling-method rebalance + particle exchange.
+    /// Run the cycles of a [`schedule`].
+    fn run(&mut self, cycles: &[Cycle], bd: &mut StepBreakdown) {
+        for c in cycles {
+            self.sim.store.kick(&self.sim.pm_accel, c.pm);
+            for (i, sub) in c.pp.iter().enumerate() {
+                self.sim.store.kick(&self.sim.pp_accel, sub.kick);
+                self.drift(sub.drift, bd);
+                self.decompose(bd);
+                self.pp_cycle(i == 1, bd);
+                self.sim.store.kick(&self.sim.pp_accel, sub.kick);
+            }
+            self.pm_cycle(bd);
+            self.sim.store.kick(&self.sim.pm_accel, c.pm);
+        }
+    }
+
+    /// Drift positions by `w`: wrapped into the torus under periodic
+    /// boundaries, plain open-space translation under isolated ones.
+    fn drift(&mut self, w: f64, bd: &mut StepBreakdown) {
+        let sim = &mut *self.sim;
+        let row = &mut bd.dd_position_update;
+        sim.last_drift = timed_phase("step", POSITION_UPDATE.key, row, || {
+            match sim.cfg.boundary {
+                Boundary::Periodic => sim.store.drift_wrap(w),
+                Boundary::Isolated => sim.store.drift_free(w),
+            }
+        });
+    }
+
+    /// Sampling-method rebalance + particle exchange, above one rank.
     fn decompose(&mut self, bd: &mut StepBreakdown) {
-        let OnRank { sim, ctx, world } = self;
+        let OnRank {
+            sim,
+            net: Some((ctx, world)),
+        } = self
+        else {
+            return;
+        };
         // Rebalance with the measured force cost as the sampling weight.
         let v0 = ctx.vtime();
         let row = &mut bd.dd_sampling_method;
         sim.grid = timed_phase("step", SAMPLING_METHOD.key, row, || {
-            let pos = sim.kdk.store.positions();
+            let pos = sim.store.positions();
             sim.balancer.rebalance(ctx, world, &pos, sim.last_cost)
         });
         bd.dd_sampling_method += ctx.vtime() - v0;
@@ -307,9 +419,9 @@ impl Driver for OnRank<'_> {
         // the same wire size as the AoS `Body` they replace.
         let v0 = ctx.vtime();
         let row = &mut bd.dd_particle_exchange;
-        sim.kdk.store = timed_phase("step", PARTICLE_EXCHANGE.key, row, || {
+        sim.store = timed_phase("step", PARTICLE_EXCHANGE.key, row, || {
             let grid = sim.grid.clone();
-            let rows = exchange_rows(ctx, world, sim.kdk.store.to_packed(), move |r| {
+            let rows = exchange_rows(ctx, world, sim.store.to_packed(), move |r| {
                 grid.rank_of_point(Vec3::new(r[0], r[1], r[2]))
             });
             ParticleStore::from_packed(&rows)
@@ -317,32 +429,34 @@ impl Driver for OnRank<'_> {
         bd.dd_particle_exchange += ctx.vtime() - v0;
     }
 
-    /// Ghost import, then the resident engine's walking pass over owned
-    /// rows plus ghosts (Morton sort over both, owned-row permutation of
-    /// the store, persistent-arena build, group walk + kernel, one group
-    /// after another on this rank's thread). Both sub-cycles walk afresh:
-    /// no lists are recorded.
-    fn pp_cycle(&mut self, _second: bool, bd: &mut StepBreakdown) {
-        let OnRank { sim, ctx, world } = self;
-        // Boundary communication.
-        let v0 = ctx.vtime();
-        let ghosts = timed_phase(
-            "step",
-            PP_COMMUNICATION.key,
-            &mut bd.pp_communication,
-            || sim.exchange_ghosts(ctx, world),
-        );
-        sim.n_ghosts = ghosts.len();
-        bd.pp_communication += ctx.vtime() - v0;
+    /// Above one rank, ghost import; then the resident engine's pass
+    /// over the owned rows plus any ghosts. The whole box passes none,
+    /// so its second sub-cycle may replay the lists the first recorded.
+    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown) {
+        let OnRank { sim, net } = self;
+        let ghosts = net.as_mut().map(|(ctx, world)| {
+            let v0 = ctx.vtime();
+            let row = &mut bd.pp_communication;
+            let ghosts = timed_phase("step", PP_COMMUNICATION.key, row, || {
+                sim.exchange_ghosts(ctx, world)
+            });
+            bd.pp_communication += ctx.vtime() - v0;
+            ghosts
+        });
+        sim.n_ghosts = ghosts.as_ref().map_or(0, Vec::len);
 
         let mut span = greem_obs::trace::span("step", "pp.walk_force");
-        let (accel, pass) =
-            sim.engine
-                .walk(&sim.cfg, &mut sim.kdk.store, &ghosts, &mut [], None, true);
+        let (accel, pass) = sim.engine.pass(
+            &sim.cfg,
+            &mut sim.store,
+            ghosts.as_deref(),
+            second,
+            sim.last_drift,
+        );
         span.arg("interactions", pass.walk.interactions as f64);
         bd.accumulate(&pass);
-        sim.last_cost = match sim.cfg.modeled_pp_cost {
-            Some(per_interaction) => {
+        sim.last_cost = match (sim.cfg.modeled_pp_cost, net) {
+            (Some(per_interaction), Some((ctx, _))) => {
                 // Charge the walk to the virtual clock and feed the
                 // balancer the charged (straggler-scaled, deterministic)
                 // time instead of a wall-clock measurement.
@@ -350,30 +464,38 @@ impl Driver for OnRank<'_> {
                 ctx.compute(pass.walk.interactions as f64 * per_interaction);
                 (ctx.vtime() - v0).max(1e-30)
             }
-            None => (pass.pp_tree_traversal + pass.pp_force_calculation).max(1e-9),
+            _ => (pass.pp_tree_traversal + pass.pp_force_calculation).max(1e-9),
         };
-        sim.kdk.pp_accel = accel;
+        sim.pp_accel = accel;
     }
 
-    /// Collective PM cycle at the current positions.
+    /// PM at the current positions: the whole box's serial mesh, or the
+    /// collective slab mesh above one rank.
     fn pm_cycle(&mut self, bd: &mut StepBreakdown) {
-        let _span = greem_obs::trace::span("step", "pm.solve");
-        let OnRank { sim, ctx, world } = self;
-        let dom = sim.grid.domain(world.rank());
-        let store = &sim.kdk.store;
-        let (lo, hi) = (dom.lo.to_array(), dom.hi.to_array());
-        let (accel, times) = sim
-            .pm
-            .solve(ctx, world, lo, hi, &store.positions(), &store.masses());
+        let OnRank { sim, net } = self;
+        let store = &sim.store;
+        let (accel, times) = match (&sim.mesh, net) {
+            (Mesh::WholeBox(solver), None) => {
+                let (res, times) = solver.compute_pm(&store.positions(), &store.masses());
+                (res.accel, times)
+            }
+            (Mesh::Slabs(pm), Some((ctx, world))) => {
+                let _span = greem_obs::trace::span("step", "pm.solve");
+                let dom = sim.grid.domain(world.rank());
+                let (lo, hi) = (dom.lo.to_array(), dom.hi.to_array());
+                pm.solve(ctx, world, lo, hi, &store.positions(), &store.masses())
+            }
+            _ => unreachable!("one rank owns the whole box exactly when it has no network"),
+        };
         bd.pm.accumulate(&times);
-        sim.kdk.pm_accel = accel;
+        sim.pm_accel = accel;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::TreePm;
+    use crate::simulation::Simulation;
     use mpisim::{NetModel, World};
 
     fn rand_bodies(n: usize, seed: u64) -> Vec<Body> {
@@ -408,8 +530,7 @@ mod tests {
             ..TreePmConfig::standard(16)
         };
         // Serial reference.
-        let mut serial =
-            crate::simulation::Simulation::new(cfg, bodies.clone(), SimulationMode::Static);
+        let mut serial = Simulation::new(cfg, bodies.clone(), SimulationMode::Static);
         serial.step(2e-3);
         let mut want: Vec<Body> = serial.bodies().to_vec();
         want.sort_unstable_by_key(|b| b.id);
@@ -444,17 +565,81 @@ mod tests {
         }
     }
 
-    /// The ranks' domains, drift and PM solve are periodic; an isolated
-    /// config would mix two boundaries in one run, so it is refused.
+    /// Above one rank the ranks' domains, drift and PM solve are
+    /// periodic; an isolated config would mix two boundaries in one run,
+    /// so it is refused. (One rank owns the whole box under either.)
     #[test]
     #[should_panic(expected = "the parallel driver's domains, drift and PM are periodic")]
     fn isolated_boundary_is_refused() {
-        World::new(1).with_net(NetModel::free()).run(|ctx, world| {
+        World::new(2).with_net(NetModel::free()).run(|ctx, world| {
             let cfg = TreePmConfig::isolated(16);
-            let bodies = Some(rand_bodies(8, 3));
+            let bodies = (world.rank() == 0).then(|| rand_bodies(8, 3));
             let mode = SimulationMode::Static;
-            ParallelTreePm::new(ctx, world, cfg, [1, 1, 1], 1, None, bodies, mode);
+            ParallelTreePm::new(ctx, world, cfg, [2, 1, 1], 1, None, bodies, mode);
         });
+    }
+
+    /// Bit patterns of a body's id, position and velocity.
+    fn bits(b: &Body) -> [u64; 7] {
+        let (p, v) = (b.pos, b.vel);
+        let [x, y, z, vx, vy, vz] = [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits);
+        [b.id, x, y, z, vx, vy, vz]
+    }
+
+    /// A world of one rank is the `Simulation`: it owns the whole box,
+    /// so both take the same path — the serial mesh under either
+    /// boundary and list replay on second sub-cycles — and agree bit
+    /// for bit in every body and in each step's interactions and
+    /// replays, on static periodic, isolated and cosmological runs.
+    #[test]
+    fn one_rank_world_is_the_simulation_bit_for_bit() {
+        let a0 = 1.0 / 401.0;
+        let cosmological = SimulationMode::Cosmological {
+            cosmology: greem_cosmo::Cosmology::wmap7(),
+            a: a0,
+        };
+        let cases = [
+            (TreePmConfig::standard(16), SimulationMode::Static),
+            (TreePmConfig::isolated(16), SimulationMode::Static),
+            (TreePmConfig::standard(16), cosmological),
+        ];
+        for (cfg, mode) in cases {
+            let step_arg = |k: usize| match mode {
+                SimulationMode::Static => 2e-3,
+                SimulationMode::Cosmological { .. } => a0 * 1.05f64.powi(k as i32 + 1),
+            };
+            let bodies = rand_bodies(300, 31);
+            let per_step = |bd: &StepBreakdown| (bd.walk.interactions, bd.pp_list_replays);
+            let mut serial = Simulation::new(cfg, bodies.clone(), mode);
+            let want: Vec<_> = (0..3)
+                .map(|k| per_step(&serial.step(step_arg(k))))
+                .collect();
+            let want_bodies: Vec<_> = serial.bodies().iter().map(bits).collect();
+
+            let (got, got_bodies) = World::new(1)
+                .with_net(NetModel::free())
+                .run(|ctx, world| {
+                    let root = Some(bodies.clone());
+                    let mut sim =
+                        ParallelTreePm::new(ctx, world, cfg, [1, 1, 1], 1, None, root, mode);
+                    let steps: Vec<_> = (0..3)
+                        .map(|k| per_step(&sim.step(ctx, world, step_arg(k)).breakdown))
+                        .collect();
+                    (steps, sim.gather_bodies(ctx, world).expect("one root"))
+                })
+                .remove(0);
+            assert!(
+                want.iter().any(|&(_, replays)| replays == 1),
+                "{mode:?}: {want:?}"
+            );
+            assert_eq!(got, want, "{mode:?}, {:?}: per-step counters", cfg.boundary);
+            let got_bodies: Vec<_> = got_bodies.iter().map(bits).collect();
+            assert!(
+                got_bodies == want_bodies,
+                "{mode:?}, {:?}: bodies",
+                cfg.boundary
+            );
+        }
     }
 
     #[test]
@@ -599,12 +784,12 @@ mod tests {
                 SimulationMode::Static,
             );
             let mut bd = StepBreakdown::default();
-            sim.on(ctx, world).pp_cycle(false, &mut bd);
-            sim.kdk
-                .store
+            let net = Some((ctx, world));
+            OnRank { sim: &mut sim, net }.pp_cycle(false, &mut bd);
+            sim.store
                 .to_bodies()
                 .iter()
-                .zip(&sim.kdk.pp_accel)
+                .zip(&sim.pp_accel)
                 .map(|(b, a)| (b.id, *a))
                 .collect::<Vec<_>>()
         });

@@ -2,19 +2,21 @@
 //! Morton-permuted [`ParticleStore`] and interaction-list caching across
 //! the two PP subcycles.
 //!
-//! One [`ResidentPp`] lives as long as its driver ([`crate::Simulation`]
-//! or [`crate::ParallelTreePm`]) and owns every buffer the PP hot path
-//! needs, so a steady-state force evaluation allocates (almost) nothing:
+//! One [`ResidentPp`] lives as long as its rank driver
+//! ([`crate::ParallelTreePm`]) and owns every buffer the PP hot path
+//! needs, so a steady-state force evaluation allocates (almost)
+//! nothing. Its one entry, [`ResidentPp::pass`], runs one of three
+//! passes; only a rank that owns the whole box (no ghosts) records and
+//! replays:
 //!
-//! * **walking pass** ([`ResidentPp::walk`], the one every caller runs)
-//!   — stage the store's columns plus any imported ghosts, Morton-sort
-//!   them ([`greem_tree::TreeArena::sort`]), physically permute the
-//!   store (and any companion acceleration arrays) by the owned rows of
-//!   that order, rebuild the node arena in place over the sorted
-//!   columns, then walk groups at `cfg.group_size` with the kernel
-//!   reading straight from the column slices. Output accelerations land
-//!   at their slot index — the store *is* in tree order, so no scatter
-//!   through an `orig_index` indirection;
+//! * **walking pass** — stage the store's columns plus any imported
+//!   ghosts, Morton-sort them ([`greem_tree::TreeArena::sort`]),
+//!   physically permute the store by the owned rows of that order,
+//!   rebuild the node arena in place over the sorted columns, then walk
+//!   groups at `cfg.group_size` with the kernel reading straight from
+//!   the column slices. Output accelerations land at their slot index —
+//!   the store *is* in tree order, so no scatter through an
+//!   `orig_index` indirection;
 //! * **recorded pass** — a walking pass that additionally records each
 //!   group's interaction-list *structure* ([`greem_tree::ListEntry`])
 //!   with the cutoff prune inflated by a drift margin. Beyond-cutoff
@@ -41,7 +43,7 @@ use rayon::prelude::*;
 
 use crate::config::TreePmConfig;
 use crate::stats::StepBreakdown;
-use crate::store::{permute_vec3, ParticleStore, PermScratch};
+use crate::store::{ParticleStore, PermScratch};
 
 /// Per-thread scratch cycled across groups: the walk's stack plus the
 /// kernel's SoA target/source buffers, which the walk fills directly.
@@ -193,7 +195,7 @@ pub struct ResidentPp {
     arena: TreeArena,
     perm: PermScratch,
     cache: ListCache,
-    /// Walk and kernel scratch of a serial pass (the parallel driver's).
+    /// Walk and kernel scratch of a pass on the calling thread.
     scratch: PpScratch,
     // Buffers of the walking pass: the owned + ghost columns (x, y, z,
     // m) as they arrive and Morton-sorted, and which sorted slots are
@@ -210,32 +212,39 @@ impl ResidentPp {
         Self::default()
     }
 
-    /// Serial-driver PP evaluation over the whole store. A fresh pass
-    /// permutes `store` (and each non-empty companion array) into the
-    /// new Morton order; `try_replay` asks for a cached-list replay,
-    /// taken only when the cache is valid for the current positions.
-    /// `drift_bound` is the largest per-particle displacement of the
-    /// drift that preceded this call — the margin budget for the lists
-    /// recorded now. Returns what [`ResidentPp::walk`] does; a replay's
-    /// breakdown has `pp_list_replays == 1` and no visited nodes.
-    pub fn compute(
+    /// The PP pass over the store's rows. `ghosts` are the bodies a
+    /// rank imported from its neighbours' domains; `None` means the
+    /// store is the whole box. With ghosts the pass walks afresh, one
+    /// group after another on the calling thread (the rank threads
+    /// already own the cores), and drops any recorded lists. Without,
+    /// the groups run as rayon tasks; `try_replay` asks for a
+    /// cached-list replay, taken only when the cache is valid for the
+    /// current positions, and `drift_bound`, the largest per-particle
+    /// displacement of the drift that preceded this call, is the margin
+    /// budget for the lists a walk records now. Returns accelerations
+    /// for the store's rows, aligned with the (permuted) store, and the
+    /// pass's PP rows, walk statistics and replay count as one
+    /// breakdown; a replay's has `pp_list_replays == 1` and no visited
+    /// nodes.
+    pub fn pass(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
-        companions: &mut [&mut Vec<Vec3>],
+        ghosts: Option<&[(Vec3, f64)]>,
         try_replay: bool,
         drift_bound: f64,
     ) -> (Vec<Vec3>, StepBreakdown) {
-        if try_replay && self.replay_valid(cfg, store) {
+        let whole_box = ghosts.is_none();
+        if whole_box && try_replay && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
         // Margin: 3× the last drift leaves 1.5× headroom per particle for
         // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
         // keeps the inflated prune radius well under the periodic
         // unambiguity bound.
-        let record = cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
+        let record = whole_box && cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
         let margin = record.then(|| (3.0 * drift_bound).min(0.1 * cfg.r_cut));
-        self.walk(cfg, store, &[], companions, margin, false)
+        self.walk(cfg, store, ghosts.unwrap_or_default(), margin, !whole_box)
     }
 
     /// Is the cached list set sound for the store's current positions?
@@ -284,31 +293,24 @@ impl ResidentPp {
         (accel, bd)
     }
 
-    /// The walking pass, once, over the store's rows plus `ghosts`
-    /// (the parallel driver's imported boundary bodies; none on the
-    /// serial paths). Stages the owned ++ ghost columns, Morton-sorts
-    /// them and permutes `store` (and each non-empty companion) by the
-    /// owned rows of that order, so the resident layout tracks the
-    /// tree; builds the arena over the sorted columns and walks, at
-    /// `cfg.group_size`, every group that holds an owned row. With no
-    /// ghosts the sorted columns hold exactly the permuted store's
-    /// values, so tree, lists and kernel inputs are those of a walk over
-    /// the store itself. With `record_margin` the walk's cutoff is
-    /// inflated by it and every group's list structure is cached for
-    /// replay (replay needs a ghost-free recording: its snapshot must
-    /// match the store row for row); without, the cache is dropped.
-    /// `serial` runs the groups in turn on the calling thread with the
-    /// engine's one scratch (the parallel driver's rank threads already
-    /// own the cores) instead of as rayon tasks. Returns accelerations
-    /// for the store's rows only, aligned with the permuted store, and
-    /// the pass's PP rows, walk statistics and replay count as one
-    /// breakdown.
-    pub fn walk(
+    /// The walking pass, once, over the store's rows plus any `ghosts`.
+    /// Stages the owned ++ ghost columns, Morton-sorts them and permutes
+    /// `store` by the owned rows of that order, so the resident layout
+    /// tracks the tree; builds the arena over the sorted columns and
+    /// walks, at `cfg.group_size`, every group that holds an owned row.
+    /// With no ghosts the sorted columns hold exactly the permuted
+    /// store's values, so tree, lists and kernel inputs are those of a
+    /// walk over the store itself. With `record_margin` the walk's
+    /// cutoff is inflated by it and every group's list structure is
+    /// cached for replay (replay needs a ghost-free recording: its
+    /// snapshot must match the store row for row); without, the cache
+    /// is dropped. `serial` runs the groups in turn on the calling
+    /// thread with the engine's one scratch instead of as rayon tasks.
+    fn walk(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
         ghosts: &[(Vec3, f64)],
-        companions: &mut [&mut Vec<Vec3>],
         record_margin: Option<f64>,
         serial: bool,
     ) -> (Vec<Vec3>, StepBreakdown) {
@@ -337,11 +339,6 @@ impl ResidentPp {
         self.owned
             .extend(order.iter().map(|&o| (o as usize) < n_own));
         store.permute(&self.own_order, &mut self.perm);
-        for c in companions.iter_mut() {
-            if !c.is_empty() {
-                permute_vec3(c, &self.own_order);
-            }
-        }
         // Gather the sorted combined columns the arena builds over.
         for (sorted, comb) in self.sorted.iter_mut().zip(&self.comb) {
             sorted.clear();
@@ -432,7 +429,7 @@ mod tests {
 
             let mut store = ParticleStore::from_bodies(&bodies);
             let mut engine = ResidentPp::new();
-            let (accel, out) = engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
+            let (accel, out) = engine.pass(&cfg, &mut store, None, false, 1e-3);
             assert_eq!(out.pp_list_replays, 0);
             assert_eq!(engine.cache.valid, list_reuse);
             assert_eq!(out.walk.n_groups, want_bd.walk.n_groups);
@@ -460,7 +457,7 @@ mod tests {
         let mut engine = ResidentPp::new();
         // Record at the initial positions.
         let drift = 1e-4 * cfg.r_cut;
-        engine.compute(&cfg, &mut store, &mut [], false, drift);
+        engine.pass(&cfg, &mut store, None, false, drift);
         // Drift: move every particle by less than margin/2.
         let n = store.len();
         let mut moved = store.to_bodies();
@@ -473,7 +470,7 @@ mod tests {
             b.pos = greem_math::wrap01(b.pos + d);
         }
         let mut store = ParticleStore::from_bodies(&moved);
-        let (accel, out) = engine.compute(&cfg, &mut store, &mut [], true, drift);
+        let (accel, out) = engine.pass(&cfg, &mut store, None, true, drift);
         assert_eq!(
             out.pp_list_replays, 1,
             "cache must be valid after a sub-margin drift"
@@ -511,12 +508,12 @@ mod tests {
         let mut store = ParticleStore::from_bodies(&bodies);
         let mut engine = ResidentPp::new();
         let drift = 1e-3 * cfg.r_cut;
-        engine.compute(&cfg, &mut store, &mut [], false, drift);
+        engine.pass(&cfg, &mut store, None, false, drift);
         // Move one particle far beyond margin/2.
         let mut moved = store.to_bodies();
         moved[7].pos = greem_math::wrap01(moved[7].pos + Vec3::splat(0.3 * cfg.r_cut));
         let mut store = ParticleStore::from_bodies(&moved);
-        let (_, out) = engine.compute(&cfg, &mut store, &mut [], true, drift);
+        let (_, out) = engine.pass(&cfg, &mut store, None, true, drift);
         assert_eq!(
             out.pp_list_replays, 0,
             "oversized drift must invalidate the cache"
@@ -535,26 +532,27 @@ mod tests {
         let bodies = rand_bodies(80, 23);
         let mut store = ParticleStore::from_bodies(&bodies);
         let mut engine = ResidentPp::new();
-        engine.compute(&cfg, &mut store, &mut [], false, 0.0);
-        let (_, out) = engine.compute(&cfg, &mut store, &mut [], true, 0.0);
+        engine.pass(&cfg, &mut store, None, false, 0.0);
+        let (_, out) = engine.pass(&cfg, &mut store, None, true, 0.0);
         assert_eq!(out.pp_list_replays, 0);
     }
 
-    /// Companion arrays follow the store's permutation row for row.
+    /// A pass with ghosts — even none — walks afresh and drops the
+    /// recorded lists, replay asked for or not.
     #[test]
-    fn companions_track_the_permutation() {
+    fn a_pass_with_ghosts_never_records_or_replays() {
         let cfg = TreePmConfig {
             group_size: 16,
             ..TreePmConfig::standard(16)
         };
-        let bodies = rand_bodies(90, 29);
-        let mut store = ParticleStore::from_bodies(&bodies);
-        // Tag each companion row with its original body id.
-        let mut companion: Vec<Vec3> = bodies.iter().map(|b| Vec3::splat(b.id as f64)).collect();
+        let mut store = ParticleStore::from_bodies(&rand_bodies(80, 31));
         let mut engine = ResidentPp::new();
-        engine.compute(&cfg, &mut store, &mut [&mut companion], false, 0.0);
-        for (c, &id) in companion.iter().zip(store.id_column()) {
-            assert_eq!(c.x as u64, id);
-        }
+        engine.pass(&cfg, &mut store, None, false, 1e-3);
+        assert!(engine.cache.valid);
+        let (_, out) = engine.pass(&cfg, &mut store, Some(&[]), true, 1e-3);
+        assert_eq!(out.pp_list_replays, 0);
+        assert!(!engine.cache.valid);
+        let (_, out) = engine.pass(&cfg, &mut store, None, true, 1e-3);
+        assert_eq!(out.pp_list_replays, 0);
     }
 }

@@ -1,24 +1,24 @@
-//! The single-address-space driver.
+//! The one-rank facade of the rank driver.
 //!
-//! [`Simulation`] runs the paper's multiple-stepsize KDK step (see
-//! [`crate::integrator`]) on one [`TreePm`]'s serial PM solver and a
+//! [`Simulation`] is a [`ParallelTreePm`] in its one-rank form, which
+//! owns the whole box: the paper's multiple-stepsize KDK step (see
+//! [`crate::integrator`]) on [`crate::TreePm`]'s serial PM solver and a
 //! resident PP engine whose second sub-cycle of a step replays the
-//! interaction lists the first recorded when the drift allows. Two time
-//! variables share the step: a **static** box (G = 1, plain time units
-//! — the validation playground; periodic, or isolated for the scenario
-//! engine) and **comoving** cosmological integration, where kicks and
-//! drifts use the ΛCDM integrals of `greem-cosmo` and the force is
-//! scaled by `G_eff/a = 3Ωm/(8π·a)` (unit box, total mass 1, 1/H0 time
-//! units).
+//! interaction lists the first recorded when the drift allows — with no
+//! `mpisim` context to pass. Two time variables share the step: a
+//! **static** box (G = 1, plain time units — the validation playground;
+//! periodic, or isolated for the scenario engine) and **comoving**
+//! cosmological integration, where kicks and drifts use the ΛCDM
+//! integrals of `greem-cosmo` and the force is scaled by
+//! `G_eff/a = 3Ωm/(8π·a)` (unit box, total mass 1, 1/H0 time units).
 
 use greem_cosmo::Cosmology;
 use greem_math::Vec3;
 
 use crate::config::TreePmConfig;
-use crate::forces::TreePm;
-use crate::integrator::{schedule, Driver, IntegratorKind, KdkState};
+use crate::integrator::IntegratorKind;
+use crate::parallel::{Mesh, ParallelTreePm};
 use crate::particle::Body;
-use crate::resident::ResidentPp;
 use crate::stats::StepBreakdown;
 use crate::store::ParticleStore;
 
@@ -32,7 +32,8 @@ pub enum SimulationMode {
     Cosmological { cosmology: Cosmology, a: f64 },
 }
 
-/// A periodic-box TreePM simulation (single address space).
+/// A TreePM simulation in one address space: the rank driver at one
+/// rank.
 ///
 /// ```
 /// use greem::{Body, Simulation, SimulationMode, TreePmConfig};
@@ -50,47 +51,34 @@ pub enum SimulationMode {
 /// ```
 ///
 /// Internally particles live in a Morton-resident [`ParticleStore`]
-/// that the PP engine ([`ResidentPp`]) physically re-permutes at every
-/// fresh tree build; [`Simulation::bodies`] therefore materialises an
-/// AoS copy **sorted by id** so callers see a stable external order.
+/// that the PP engine ([`crate::ResidentPp`]) physically re-permutes at
+/// every fresh tree build; [`Simulation::bodies`] therefore
+/// materialises an AoS copy **sorted by id** so callers see a stable
+/// external order.
 pub struct Simulation {
-    solver: TreePm,
-    cfg: TreePmConfig,
-    kdk: KdkState,
-    engine: ResidentPp,
-    mode: SimulationMode,
-    steps_taken: u64,
-    integrator: IntegratorKind,
+    rank: ParallelTreePm,
 }
 
 impl Simulation {
     /// Create a simulation; forces are evaluated immediately so the
     /// first step starts with a consistent state.
     pub fn new(cfg: TreePmConfig, bodies: Vec<Body>, mode: SimulationMode) -> Self {
-        let mut sim = Simulation {
-            solver: TreePm::new(cfg),
-            cfg,
-            kdk: KdkState::new(ParticleStore::from_bodies(&bodies), cfg.boundary),
-            engine: ResidentPp::new(),
-            mode,
-            steps_taken: 0,
-            integrator: IntegratorKind::default(),
-        };
-        sim.refresh();
-        sim
+        Simulation {
+            rank: ParallelTreePm::whole_box(cfg, &bodies, mode),
+        }
     }
 
     /// Select the static-mode integrator (ignored by cosmological
     /// steps). Safe mid-run: every integrator leaves cached forces
     /// consistent at step boundaries.
     pub fn set_integrator(&mut self, kind: IntegratorKind) {
-        self.integrator = kind;
+        self.rank.integrator = kind;
     }
 
     /// The bodies, materialised from the resident store and sorted by
     /// id so the order is stable across internal Morton permutations.
     pub fn bodies(&self) -> Vec<Body> {
-        let mut v = self.kdk.store.to_bodies();
+        let mut v = self.rank.bodies();
         v.sort_by_key(|b| b.id);
         v
     }
@@ -99,57 +87,62 @@ impl Simulation {
     /// perturbations in tests); call [`Simulation::reset_forces`]
     /// afterwards.
     pub fn edit_bodies(&mut self, mut f: impl FnMut(&mut Body)) {
-        for i in 0..self.kdk.store.len() {
-            let mut b = self.kdk.store.body(i);
+        let store = &mut self.rank.store;
+        for i in 0..store.len() {
+            let mut b = store.body(i);
             f(&mut b);
-            self.kdk.store.set(i, b);
+            store.set(i, b);
         }
     }
 
     /// Recompute cached forces after external state changes.
     pub fn reset_forces(&mut self) {
-        self.refresh();
+        self.rank.refresh(None);
     }
 
     /// The integration mode (current scale factor for cosmological
     /// runs).
     pub fn mode(&self) -> SimulationMode {
-        self.mode
+        self.rank.mode()
     }
 
     /// Steps taken so far.
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
-    }
-
-    /// The underlying force solver.
-    pub fn solver(&self) -> &TreePm {
-        &self.solver
+        self.rank.steps_taken()
     }
 
     /// The configuration.
     pub fn config(&self) -> &TreePmConfig {
-        &self.cfg
+        &self.rank.cfg
     }
 
     /// The resident particle store (current Morton row order; use
     /// [`Simulation::bodies`] for an id-stable view).
     pub fn store(&self) -> &ParticleStore {
-        &self.kdk.store
+        &self.rank.store
+    }
+
+    /// The box's potential energy at the current positions (G = 1).
+    fn potential_energy(&self) -> f64 {
+        let Mesh::WholeBox(solver) = &self.rank.mesh else {
+            unreachable!("a Simulation's one rank owns the whole box");
+        };
+        let s = &self.rank.store;
+        solver.potential_energy(&s.positions(), &s.masses())
     }
 
     /// Kinetic + potential energy (static mode; diagnostics).
     pub fn energy(&self) -> f64 {
-        let s = &self.kdk.store;
+        let s = &self.rank.store;
         let kinetic: f64 = (0..s.len())
             .map(|i| 0.5 * s.mass_column()[i] * s.vel(i).norm2())
             .sum();
-        kinetic + self.solver.potential_energy(&s.positions(), &s.masses())
+        kinetic + self.potential_energy()
     }
 
     /// Total momentum.
     pub fn momentum(&self) -> Vec3 {
-        let s = &self.kdk.store;
+        let s = &self.rank.store;
         (0..s.len()).map(|i| s.vel(i) * s.mass_column()[i]).sum()
     }
 
@@ -166,50 +159,22 @@ impl Simulation {
     /// (Layzer 1963; Irvine 1961); the integration tests verify it over
     /// a run of this integrator.
     pub fn layzer_irvine_energies(&self) -> Option<(f64, f64)> {
-        let SimulationMode::Cosmological { cosmology, a } = self.mode else {
+        let SimulationMode::Cosmological { cosmology, a } = self.mode() else {
             return None;
         };
-        let s = &self.kdk.store;
+        let s = &self.rank.store;
         let t: f64 = (0..s.len())
             .map(|i| 0.5 * s.mass_column()[i] * (s.vel(i) / a).norm2())
             .sum();
         let g_eff = 3.0 * cosmology.omega_m / (8.0 * std::f64::consts::PI);
-        let u_box = self.solver.potential_energy(&s.positions(), &s.masses());
-        Some((t, g_eff / a * u_box))
+        Some((t, g_eff / a * self.potential_energy()))
     }
 
     /// One full TreePM step of size `dt` (static mode) or from the
     /// current `a` to `a_next` (cosmological mode, pass the target scale
     /// factor as `dt`). Returns the step's cost breakdown.
     pub fn step(&mut self, dt: f64) -> StepBreakdown {
-        let (cycles, mode) = schedule(self.mode, self.integrator, dt);
-        let mut bd = StepBreakdown::default();
-        self.run(&cycles, &mut bd);
-        self.mode = mode;
-        self.steps_taken += 1;
-        bd
-    }
-}
-
-impl Driver for Simulation {
-    fn kdk(&mut self) -> &mut KdkState {
-        &mut self.kdk
-    }
-
-    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown) {
-        let kdk = &mut self.kdk;
-        let (accel, pass) =
-            self.engine
-                .compute(&self.cfg, &mut kdk.store, &mut [], second, kdk.last_drift);
-        bd.accumulate(&pass);
-        kdk.pp_accel = accel;
-    }
-
-    fn pm_cycle(&mut self, bd: &mut StepBreakdown) {
-        let store = &self.kdk.store;
-        let (res, times) = self.solver.compute_pm(&store.positions(), &store.masses());
-        self.kdk.pm_accel = res.accel;
-        bd.pm.accumulate(&times);
+        self.rank.advance(None, dt)
     }
 }
 

@@ -354,14 +354,6 @@ fn permute_f64(col: &mut Vec<f64>, order: &[u32], scratch: &mut Vec<f64>) {
     std::mem::swap(col, scratch);
 }
 
-/// Reorder a companion `Vec3` array (e.g. the held PM accelerations) by
-/// the same permutation applied to the store.
-pub fn permute_vec3(v: &mut Vec<Vec3>, order: &[u32]) {
-    assert_eq!(v.len(), order.len(), "permute_vec3: length mismatch");
-    let out: Vec<Vec3> = order.iter().map(|&o| v[o as usize]).collect();
-    *v = out;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,11 +484,6 @@ mod tests {
         s.permute(&order, &mut scratch);
         for (k, &o) in order.iter().enumerate() {
             assert_eq!(s.body(k), bodies[o as usize]);
-        }
-        let mut companion: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
-        permute_vec3(&mut companion, &order);
-        for (k, &o) in order.iter().enumerate() {
-            assert_eq!(companion[k], bodies[o as usize].pos);
         }
     }
 }

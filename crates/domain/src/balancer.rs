@@ -112,22 +112,12 @@ fn smooth(history: &VecDeque<DomainGrid>) -> DomainGrid {
             *o = acc / total_w;
         }
     };
-    let xb: Vec<Vec<f64>> = vec![out.x_bounds.clone()];
-    let _ = xb;
-    {
-        let mut x = out.x_bounds.clone();
-        blend(&|g: &DomainGrid| g.x_bounds.as_slice(), &mut x);
-        out.x_bounds = x;
+    blend(&|g: &DomainGrid| g.x_bounds.as_slice(), &mut out.x_bounds);
+    for (row, y) in out.y_bounds.iter_mut().enumerate() {
+        blend(&|g: &DomainGrid| g.y_bounds[row].as_slice(), y);
     }
-    for row in 0..out.y_bounds.len() {
-        let mut y = out.y_bounds[row].clone();
-        blend(&|g: &DomainGrid| g.y_bounds[row].as_slice(), &mut y);
-        out.y_bounds[row] = y;
-    }
-    for row in 0..out.z_bounds.len() {
-        let mut z = out.z_bounds[row].clone();
-        blend(&|g: &DomainGrid| g.z_bounds[row].as_slice(), &mut z);
-        out.z_bounds[row] = z;
+    for (row, z) in out.z_bounds.iter_mut().enumerate() {
+        blend(&|g: &DomainGrid| g.z_bounds[row].as_slice(), z);
     }
     out
 }

@@ -44,5 +44,5 @@ pub mod ring;
 pub mod server;
 
 pub use job::{JobConfig, JobSummary, Scenario, SnapshotMsg};
-pub use ring::{Broadcast, Recv, Subscriber};
+pub use ring::{Broadcast, Recv, RecvTimeoutError, Subscriber};
 pub use server::{start, JobState, ServerConfig, ServerHandle};

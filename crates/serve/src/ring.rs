@@ -56,6 +56,16 @@ pub struct Recv<T> {
     pub item: Arc<T>,
 }
 
+/// Why [`Subscriber::recv_timeout`] returned no entry, decided under the
+/// ring's lock together with the look for one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvTimeoutError {
+    /// Nothing new arrived in time; the channel is still open.
+    Timeout,
+    /// The channel is closed and this subscriber has drained it.
+    Closed,
+}
+
 /// A consumer cursor into a [`Broadcast`]. Dropping it never affects the
 /// producer or other subscribers.
 #[derive(Debug)]
@@ -156,13 +166,14 @@ impl<T> Subscriber<T> {
     /// is drained → `None`). Skips forward over evicted entries, counting
     /// them in [`Recv::dropped`].
     pub fn recv(&mut self) -> Option<Recv<T>> {
-        self.recv_deadline(None)
+        self.recv_deadline(None).ok()
     }
 
-    /// [`Subscriber::recv`] with a timeout; `None` on timeout as well as
-    /// on close-and-drained (check [`Subscriber::is_closed`] to tell the
-    /// two apart).
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Recv<T>> {
+    /// [`Subscriber::recv`] with a timeout. The error tells a timeout
+    /// from the end of the stream; both are read under the lock the
+    /// entry would be taken under, so an entry published just before
+    /// the close is always delivered before [`RecvTimeoutError::Closed`].
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Recv<T>, RecvTimeoutError> {
         self.recv_deadline(Some(timeout))
     }
 
@@ -173,15 +184,19 @@ impl<T> Subscriber<T> {
         self.take(&mut st)
     }
 
-    fn recv_deadline(&mut self, timeout: Option<Duration>) -> Option<Recv<T>> {
+    fn recv_deadline(&mut self, timeout: Option<Duration>) -> Result<Recv<T>, RecvTimeoutError> {
         let ring = Arc::clone(&self.ring);
         let mut st = lock(&ring.state);
+        let mut timed_out = false;
         loop {
             if let Some(r) = self.take(&mut st) {
-                return Some(r);
+                return Ok(r);
             }
             if st.closed {
-                return None;
+                return Err(RecvTimeoutError::Closed);
+            }
+            if timed_out {
+                return Err(RecvTimeoutError::Timeout);
             }
             match timeout {
                 None => st = ring.cond.wait(st).unwrap_or_else(PoisonError::into_inner),
@@ -191,9 +206,7 @@ impl<T> Subscriber<T> {
                         .wait_timeout(st, t)
                         .unwrap_or_else(PoisonError::into_inner);
                     st = g;
-                    if res.timed_out() {
-                        return self.take(&mut st);
-                    }
+                    timed_out = res.timed_out();
                 }
             }
         }
@@ -391,8 +404,36 @@ mod tests {
         let ring = Broadcast::new(4);
         let mut sub = ring.subscribe();
         assert!(sub.try_recv().is_none());
-        assert!(sub.recv_timeout(Duration::from_millis(5)).is_none());
+        let timeout = Duration::from_millis(5);
+        assert_eq!(
+            sub.recv_timeout(timeout).err(),
+            Some(RecvTimeoutError::Timeout)
+        );
         ring.publish(7u64);
         assert_eq!(*sub.try_recv().unwrap().item, 7);
+    }
+
+    /// A timed wait on an empty ring expires; then the producer
+    /// publishes its last entry and closes. The subscriber's next wait
+    /// must deliver that entry before it reports the end.
+    #[test]
+    fn last_entry_published_after_a_timeout_precedes_the_end() {
+        let ring = Broadcast::new(4);
+        let mut sub = ring.subscribe();
+        let timeout = Duration::from_millis(5);
+        assert_eq!(
+            sub.recv_timeout(timeout).err(),
+            Some(RecvTimeoutError::Timeout)
+        );
+        ring.publish(9u64);
+        ring.close();
+        let last = sub
+            .recv_timeout(timeout)
+            .expect("the last entry comes first");
+        assert_eq!((last.seq, *last.item), (0, 9));
+        assert_eq!(
+            sub.recv_timeout(timeout).err(),
+            Some(RecvTimeoutError::Closed)
+        );
     }
 }

@@ -35,7 +35,7 @@ use greem_obs::{Clock, Registry, WallClock};
 
 use crate::http;
 use crate::job::{JobConfig, JobSummary, SnapshotMsg};
-use crate::ring::{Broadcast, Recv, Subscriber};
+use crate::ring::{Broadcast, Recv, RecvTimeoutError, Subscriber};
 
 /// Daemon knobs.
 #[derive(Clone)]
@@ -726,9 +726,9 @@ fn stream_ndjson<T>(
     http::start_chunked(stream, "application/x-ndjson")?;
     loop {
         let recv = match sub.recv_timeout(Duration::from_millis(250)) {
-            Some(r) => r,
-            None if sub.is_closed() => break,
-            None => continue,
+            Ok(r) => r,
+            Err(RecvTimeoutError::Closed) => break,
+            Err(RecvTimeoutError::Timeout) => continue,
         };
         let mut out = String::new();
         if recv.dropped > 0 {

@@ -60,13 +60,13 @@ pub struct TreePmConfig {
     /// fault injection. `None` keeps the measured-time behaviour. A rank
     /// that owns the whole box has no balancer and ignores it.
     pub modeled_pp_cost: Option<f64>,
-    /// Reuse each group's recorded interaction list across the two PP
-    /// subcycles of one step (the rank that owns the whole box):
-    /// subcycle 1 walks fresh with a cutoff margin and records list
-    /// structure; subcycle 2 replays it against drifted positions and
-    /// refreshed node monopoles when every particle moved less than
-    /// half the margin (see `crate::resident`). Monopole-only;
-    /// quadrupole runs always walk fresh.
+    /// Reuse each group's recorded interaction list across PP
+    /// sub-cycles and steps (the rank that owns the whole box): a walk
+    /// records list structure with a cutoff margin, and every later
+    /// pass replays it against drifted positions and refreshed node
+    /// monopoles while every particle has moved less than half the
+    /// margin since (see `crate::resident`). Monopole-only; quadrupole
+    /// runs always walk fresh.
     pub list_reuse: bool,
     /// Boundary condition: periodic torus (the paper's box) or isolated
     /// open space (scenario engine). Selects the PM backend, switches

@@ -72,8 +72,8 @@ impl TreePm {
     /// Evaluate PP accelerations only (tree + kernel) on a snapshot: one
     /// whole-box walking pass of the resident engine at
     /// `cfg.group_size` over a store whose ids are the input indices,
-    /// scattered back through them. A snapshot has no second sub-cycle
-    /// to replay, so the pass records no lists. The pass's PP rows and
+    /// scattered back through them. A snapshot has no later pass to
+    /// replay on, so the pass records no lists. The pass's PP rows and
     /// walk statistics come back as one breakdown.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, StepBreakdown) {
         assert_eq!(pos.len(), mass.len());
@@ -86,7 +86,7 @@ impl TreePm {
             list_reuse: false,
             ..self.cfg
         };
-        let (by_row, bd) = ResidentPp::new().pass(&cfg, &mut store, None, false, 0.0);
+        let (by_row, bd) = ResidentPp::new().pass(&cfg, &mut store, None, 0.0);
         let mut accel = vec![Vec3::ZERO; pos.len()];
         for (a, &id) in by_row.iter().zip(store.id_column()) {
             accel[id as usize] = *a;

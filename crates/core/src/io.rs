@@ -593,7 +593,7 @@ mod tests {
         let mut sim = Simulation::new(cfg, bodies, SimulationMode::Static);
         sim.step(1e-3);
         let bd = sim.step(1e-3);
-        assert_eq!(bd.pp_list_replays, 1, "the step must end in a replay");
+        assert_eq!(bd.pp_list_replays, 2, "the step must end in a replay");
         assert!(bd.walk.node_entries > 0, "the lists must hold nodes");
         sim.save_checkpoint(&path).unwrap();
         let mut resumed = Simulation::resume_checkpoint(cfg, &path).unwrap();

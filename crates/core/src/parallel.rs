@@ -14,10 +14,11 @@
 //! The rank count decides the path. **One rank owns the whole box**
 //! ([`crate::Simulation`], or a world of one rank): it has no domain
 //! decomposition and no ghosts, solves PM on [`TreePm`]'s serial mesh
-//! under either boundary, runs its PP groups as rayon tasks, and its
-//! second sub-cycle of a step replays the interaction lists the first
-//! recorded when the drift allows. **Above one rank** each rank owns
-//! the particles inside its rectangular domain (3-D multisection,
+//! under either boundary, runs its PP groups as rayon tasks, and
+//! replays recorded interaction lists on any PP sub-cycle, of the step
+//! that recorded them or a later one, for as long as the drift since
+//! the recording stays inside their skin. **Above one rank** each rank
+//! owns the particles inside its rectangular domain (3-D multisection,
 //! `greem-domain`) of the periodic box, solves PM collectively on the
 //! slab mesh, walks its groups one after another on its rank thread,
 //! and walks both sub-cycles afresh (the ghost set changes every
@@ -87,7 +88,7 @@ pub struct ParallelTreePm {
     /// them.
     pm_accel: Vec<Vec3>,
     /// Largest per-particle displacement of the last drift — the margin
-    /// budget of the whole box's interaction-list cache.
+    /// budget of the lists the whole box's next walk records.
     last_drift: f64,
     engine: ResidentPp,
     /// Measured force cost of the last cycle — the feedback signal of
@@ -245,9 +246,15 @@ impl ParallelTreePm {
         self.last_cost
     }
 
-    /// Capture this rank's resumable state (see [`RankState`]).
-    pub fn rank_state(&self) -> RankState {
-        RankState {
+    /// Capture this rank's resumable state (see [`RankState`]). At one
+    /// rank, capture is a synchronisation point: the forces of the step
+    /// that just ended may come from replayed lists, whereas a restore
+    /// rebuilds them with a fresh walk, so this recomputes both forces
+    /// the way [`ParallelTreePm::restore_rank_state`] will, and the run
+    /// then continues exactly as one resumed from the state would. Above
+    /// one rank nothing is replayed and nothing is recomputed.
+    pub fn rank_state(&mut self) -> RankState {
+        let st = RankState {
             step: self.steps,
             mode: self.mode,
             balancer: self.balancer.state(),
@@ -255,7 +262,11 @@ impl ParallelTreePm {
             // Morton sort tie-breaks on slot), so a round trip through
             // this AoS view resumes bit-identically.
             bodies: self.store.to_bodies(),
+        };
+        if matches!(self.mesh, Mesh::WholeBox(_)) {
+            self.refresh(None);
         }
+        st
     }
 
     /// Collectively restore a state captured by
@@ -358,12 +369,13 @@ struct OnRank<'a> {
 }
 
 impl OnRank<'_> {
-    /// Both forces afresh: a first sub-cycle's PP with no drift behind
-    /// it, then PM.
+    /// Both forces afresh: a PP walk with no drift behind it (the
+    /// recorded lists are dropped), then PM.
     fn refresh(&mut self) {
         let mut scratch = StepBreakdown::default();
+        self.sim.engine.drop_lists();
         self.sim.last_drift = 0.0;
-        self.pp_cycle(false, &mut scratch);
+        self.pp_cycle(&mut scratch);
         self.pm_cycle(&mut scratch);
     }
 
@@ -371,11 +383,11 @@ impl OnRank<'_> {
     fn run(&mut self, cycles: &[Cycle], bd: &mut StepBreakdown) {
         for c in cycles {
             self.sim.store.kick(&self.sim.pm_accel, c.pm);
-            for (i, sub) in c.pp.iter().enumerate() {
+            for sub in &c.pp {
                 self.sim.store.kick(&self.sim.pp_accel, sub.kick);
                 self.drift(sub.drift, bd);
                 self.decompose(bd);
-                self.pp_cycle(i == 1, bd);
+                self.pp_cycle(bd);
                 self.sim.store.kick(&self.sim.pp_accel, sub.kick);
             }
             self.pm_cycle(bd);
@@ -431,8 +443,8 @@ impl OnRank<'_> {
 
     /// Above one rank, ghost import; then the resident engine's pass
     /// over the owned rows plus any ghosts. The whole box passes none,
-    /// so its second sub-cycle may replay the lists the first recorded.
-    fn pp_cycle(&mut self, second: bool, bd: &mut StepBreakdown) {
+    /// so the pass replays the recorded lists while they are valid.
+    fn pp_cycle(&mut self, bd: &mut StepBreakdown) {
         let OnRank { sim, net } = self;
         let ghosts = net.as_mut().map(|(ctx, world)| {
             let v0 = ctx.vtime();
@@ -446,13 +458,9 @@ impl OnRank<'_> {
         sim.n_ghosts = ghosts.as_ref().map_or(0, Vec::len);
 
         let mut span = greem_obs::trace::span("step", "pp.walk_force");
-        let (accel, pass) = sim.engine.pass(
-            &sim.cfg,
-            &mut sim.store,
-            ghosts.as_deref(),
-            second,
-            sim.last_drift,
-        );
+        let (accel, pass) =
+            sim.engine
+                .pass(&sim.cfg, &mut sim.store, ghosts.as_deref(), sim.last_drift);
         span.arg("interactions", pass.walk.interactions as f64);
         bd.accumulate(&pass);
         sim.last_cost = match (sim.cfg.modeled_pp_cost, net) {
@@ -588,7 +596,7 @@ mod tests {
 
     /// A world of one rank is the `Simulation`: it owns the whole box,
     /// so both take the same path — the serial mesh under either
-    /// boundary and list replay on second sub-cycles — and agree bit
+    /// boundary and list replay while the lists are valid — and agree bit
     /// for bit in every body and in each step's interactions and
     /// replays, on static periodic, isolated and cosmological runs.
     #[test]
@@ -629,9 +637,14 @@ mod tests {
                 })
                 .remove(0);
             assert!(
-                want.iter().any(|&(_, replays)| replays == 1),
+                want.iter().any(|&(_, replays)| replays > 0),
                 "{mode:?}: {want:?}"
             );
+            if (cfg.boundary, mode) == (Boundary::Periodic, SimulationMode::Static) {
+                // The lists the constructor's walk recorded outlive it:
+                // both sub-cycles of the first step replay them.
+                assert_eq!(want[0].1, 2, "{want:?}");
+            }
             assert_eq!(got, want, "{mode:?}, {:?}: per-step counters", cfg.boundary);
             let got_bodies: Vec<_> = got_bodies.iter().map(bits).collect();
             assert!(
@@ -640,6 +653,32 @@ mod tests {
                 cfg.boundary
             );
         }
+    }
+
+    /// A force refresh always walks: after steps that replayed, it
+    /// leaves PP forces bitwise those of an unrecorded walk at the same
+    /// positions (`TreePm::compute_pp`), which the replayed ones are
+    /// not.
+    #[test]
+    fn a_refresh_always_walks() {
+        let cfg = TreePmConfig::standard(16);
+        let mut bodies = rand_bodies(2000, 3);
+        for b in &mut bodies {
+            b.vel *= 30.0;
+        }
+        let mut sim = ParallelTreePm::whole_box(cfg, &bodies, SimulationMode::Static);
+        let replays: u64 = (0..2)
+            .map(|_| sim.advance(None, 2e-3).pp_list_replays)
+            .sum();
+        assert_eq!(replays, 4);
+        let walked = |sim: &ParallelTreePm| {
+            let (want, _) =
+                TreePm::new(cfg).compute_pp(&sim.store.positions(), &sim.store.masses());
+            want == sim.pp_accel
+        };
+        assert!(!walked(&sim), "a replay must differ from a walk in bits");
+        sim.refresh(None);
+        assert!(walked(&sim));
     }
 
     #[test]
@@ -785,7 +824,7 @@ mod tests {
             );
             let mut bd = StepBreakdown::default();
             let net = Some((ctx, world));
-            OnRank { sim: &mut sim, net }.pp_cycle(false, &mut bd);
+            OnRank { sim: &mut sim, net }.pp_cycle(&mut bd);
             sim.store
                 .to_bodies()
                 .iter()

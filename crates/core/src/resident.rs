@@ -1,6 +1,6 @@
 //! The memory-resident PP engine: persistent arena tree over the
-//! Morton-permuted [`ParticleStore`] and interaction-list caching across
-//! the two PP subcycles.
+//! Morton-permuted [`ParticleStore`] and interaction lists that live as
+//! long as their skin covers the motion.
 //!
 //! One [`ResidentPp`] lives as long as its rank driver
 //! ([`crate::ParallelTreePm`]) and owns every buffer the PP hot path
@@ -19,19 +19,20 @@
 //!   `orig_index` indirection;
 //! * **recorded pass** — a walking pass that additionally records each
 //!   group's interaction-list *structure* ([`greem_tree::ListEntry`])
-//!   with the cutoff prune inflated by a drift margin. Beyond-cutoff
-//!   sources contribute exactly ±0.0 (the kernels mask `ξ ≥ 2` to
-//!   signed zero), so the inflation leaves the forces of the recording
-//!   pass bitwise identical to an unrecorded walk;
-//! * **replay pass** — when every particle moved less than half the
+//!   with the cutoff prune inflated by a margin, `clamp(3·drift,
+//!   SKIN·r_cut, 0.1·r_cut)`. Beyond-cutoff sources contribute exactly
+//!   ±0.0 (the kernels mask `ξ ≥ 2` to signed zero), so the inflation
+//!   leaves the forces of the recording pass bitwise identical to an
+//!   unrecorded walk;
+//! * **replay pass** — whenever every particle moved less than half the
 //!   recorded margin since the recording (checked exactly, per
 //!   particle, against a position snapshot), skip the sort, permute and
 //!   walk entirely: refresh the node monopoles bottom-up and re-run the
 //!   kernel over the recorded lists at the current positions. This is
-//!   the interaction-list reuse of Kawai, Fukushige & Makino (1999)
-//!   applied to the two PP subcycles of the paper's multiple-stepsize
-//!   integrator — the second subcycle's walk cost collapses to a
-//!   monopole refresh.
+//!   the interaction-list reuse of Kawai, Fukushige & Makino (1999):
+//!   the check alone decides, so a list is replayed on every PP
+//!   sub-cycle, of this step or a later one, until some particle has
+//!   spent its half of the skin.
 
 use std::cmp::Reverse;
 use std::time::{Duration, Instant};
@@ -44,6 +45,12 @@ use rayon::prelude::*;
 use crate::config::TreePmConfig;
 use crate::stats::StepBreakdown;
 use crate::store::{ParticleStore, PermScratch};
+
+/// Floor of the recording margin, in units of `r_cut`. A slow system's
+/// lists then outlive several steps (each replay spends drift against
+/// `SKIN/2`) instead of being recorded for one sub-cycle at 3× a tiny
+/// drift; a fast one keeps the 3× rule, which is larger.
+pub const SKIN: f64 = 0.02;
 
 /// Per-thread scratch cycled across groups: the walk's stack plus the
 /// kernel's SoA target/source buffers, which the walk fills directly.
@@ -217,34 +224,40 @@ impl ResidentPp {
     /// store is the whole box. With ghosts the pass walks afresh, one
     /// group after another on the calling thread (the rank threads
     /// already own the cores), and drops any recorded lists. Without,
-    /// the groups run as rayon tasks; `try_replay` asks for a
-    /// cached-list replay, taken only when the cache is valid for the
-    /// current positions, and `drift_bound`, the largest per-particle
-    /// displacement of the drift that preceded this call, is the margin
-    /// budget for the lists a walk records now. Returns accelerations
-    /// for the store's rows, aligned with the (permuted) store, and the
-    /// pass's PP rows, walk statistics and replay count as one
-    /// breakdown; a replay's has `pp_list_replays == 1` and no visited
-    /// nodes.
+    /// the groups run as rayon tasks: the recorded lists are replayed
+    /// whenever they are valid for the current positions, and otherwise
+    /// a walk records new ones with a margin of
+    /// `clamp(3·drift_bound, SKIN·r_cut, 0.1·r_cut)`, where
+    /// `drift_bound` is the largest per-particle displacement of the
+    /// drift that preceded this call. Returns accelerations for the
+    /// store's rows, aligned with the (permuted) store, and the pass's
+    /// PP rows, walk statistics and replay count as one breakdown; a
+    /// replay's has `pp_list_replays == 1` and no visited nodes.
     pub fn pass(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
         ghosts: Option<&[(Vec3, f64)]>,
-        try_replay: bool,
         drift_bound: f64,
     ) -> (Vec<Vec3>, StepBreakdown) {
         let whole_box = ghosts.is_none();
-        if whole_box && try_replay && self.replay_valid(cfg, store) {
+        if whole_box && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
         // Margin: 3× the last drift leaves 1.5× headroom per particle for
-        // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
-        // keeps the inflated prune radius well under the periodic
-        // unambiguity bound.
+        // the next subcycle's (similar-sized) drift, and the SKIN floor
+        // lets a slow system's lists outlive several of them; the
+        // 0.1·r_cut cap keeps the inflated prune radius well under the
+        // periodic unambiguity bound.
         let record = whole_box && cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
-        let margin = record.then(|| (3.0 * drift_bound).min(0.1 * cfg.r_cut));
+        let margin = record.then(|| (3.0 * drift_bound).clamp(SKIN * cfg.r_cut, 0.1 * cfg.r_cut));
         self.walk(cfg, store, ghosts.unwrap_or_default(), margin, !whole_box)
+    }
+
+    /// Forget the recorded lists, so that the next pass walks afresh:
+    /// the force refresh after the particles changed outside a step.
+    pub(crate) fn drop_lists(&mut self) {
+        self.cache.valid = false;
     }
 
     /// Is the cached list set sound for the store's current positions?
@@ -429,7 +442,7 @@ mod tests {
 
             let mut store = ParticleStore::from_bodies(&bodies);
             let mut engine = ResidentPp::new();
-            let (accel, out) = engine.pass(&cfg, &mut store, None, false, 1e-3);
+            let (accel, out) = engine.pass(&cfg, &mut store, None, 1e-3);
             assert_eq!(out.pp_list_replays, 0);
             assert_eq!(engine.cache.valid, list_reuse);
             assert_eq!(out.walk.n_groups, want_bd.walk.n_groups);
@@ -457,7 +470,7 @@ mod tests {
         let mut engine = ResidentPp::new();
         // Record at the initial positions.
         let drift = 1e-4 * cfg.r_cut;
-        engine.pass(&cfg, &mut store, None, false, drift);
+        engine.pass(&cfg, &mut store, None, drift);
         // Drift: move every particle by less than margin/2.
         let n = store.len();
         let mut moved = store.to_bodies();
@@ -470,7 +483,7 @@ mod tests {
             b.pos = greem_math::wrap01(b.pos + d);
         }
         let mut store = ParticleStore::from_bodies(&moved);
-        let (accel, out) = engine.pass(&cfg, &mut store, None, true, drift);
+        let (accel, out) = engine.pass(&cfg, &mut store, None, drift);
         assert_eq!(
             out.pp_list_replays, 1,
             "cache must be valid after a sub-margin drift"
@@ -497,6 +510,31 @@ mod tests {
         );
     }
 
+    /// The margin has a floor: lists recorded after a tiny drift (here
+    /// none, as at a force refresh) are recorded with `SKIN·r_cut`, so
+    /// one body moved just under half of it still replays, and one
+    /// moved just past half of it walks afresh.
+    #[test]
+    fn a_body_past_half_the_skin_forces_a_walk() {
+        let cfg = TreePmConfig {
+            group_size: 16,
+            ..TreePmConfig::standard(16)
+        };
+        let half_skin = 0.5 * SKIN * cfg.r_cut;
+        for (push, replays) in [(0.99 * half_skin, 1), (1.01 * half_skin, 0)] {
+            let mut store = ParticleStore::from_bodies(&rand_bodies(120, 19));
+            let mut engine = ResidentPp::new();
+            engine.pass(&cfg, &mut store, None, 0.0);
+            assert_eq!(engine.cache.margin, SKIN * cfg.r_cut);
+            let mut moved = store.to_bodies();
+            moved[7].pos = greem_math::wrap01(moved[7].pos + Vec3::new(push, 0.0, 0.0));
+            let mut store = ParticleStore::from_bodies(&moved);
+            let (_, out) = engine.pass(&cfg, &mut store, None, 0.0);
+            assert_eq!(out.pp_list_replays, replays, "pushed {push:e}");
+            assert_eq!(out.walk.visited_nodes > 0, replays == 0);
+        }
+    }
+
     /// A drift beyond the margin must fall back to a fresh walk.
     #[test]
     fn oversized_drift_falls_back_to_fresh_walk() {
@@ -508,17 +546,31 @@ mod tests {
         let mut store = ParticleStore::from_bodies(&bodies);
         let mut engine = ResidentPp::new();
         let drift = 1e-3 * cfg.r_cut;
-        engine.pass(&cfg, &mut store, None, false, drift);
+        engine.pass(&cfg, &mut store, None, drift);
         // Move one particle far beyond margin/2.
         let mut moved = store.to_bodies();
         moved[7].pos = greem_math::wrap01(moved[7].pos + Vec3::splat(0.3 * cfg.r_cut));
         let mut store = ParticleStore::from_bodies(&moved);
-        let (_, out) = engine.pass(&cfg, &mut store, None, true, drift);
+        let (_, out) = engine.pass(&cfg, &mut store, None, drift);
         assert_eq!(
             out.pp_list_replays, 0,
             "oversized drift must invalidate the cache"
         );
         assert!(out.walk.visited_nodes > 0);
+    }
+
+    /// Dropped lists are not replayed, however little moved.
+    #[test]
+    fn dropped_lists_are_not_replayed() {
+        let cfg = TreePmConfig::standard(16);
+        let mut store = ParticleStore::from_bodies(&rand_bodies(80, 29));
+        let mut engine = ResidentPp::new();
+        engine.pass(&cfg, &mut store, None, 0.0);
+        let (_, out) = engine.pass(&cfg, &mut store, None, 0.0);
+        assert_eq!(out.pp_list_replays, 1);
+        engine.drop_lists();
+        let (_, out) = engine.pass(&cfg, &mut store, None, 0.0);
+        assert_eq!(out.pp_list_replays, 0);
     }
 
     /// `list_reuse: false` must never replay.
@@ -532,8 +584,8 @@ mod tests {
         let bodies = rand_bodies(80, 23);
         let mut store = ParticleStore::from_bodies(&bodies);
         let mut engine = ResidentPp::new();
-        engine.pass(&cfg, &mut store, None, false, 0.0);
-        let (_, out) = engine.pass(&cfg, &mut store, None, true, 0.0);
+        engine.pass(&cfg, &mut store, None, 0.0);
+        let (_, out) = engine.pass(&cfg, &mut store, None, 0.0);
         assert_eq!(out.pp_list_replays, 0);
     }
 
@@ -547,12 +599,12 @@ mod tests {
         };
         let mut store = ParticleStore::from_bodies(&rand_bodies(80, 31));
         let mut engine = ResidentPp::new();
-        engine.pass(&cfg, &mut store, None, false, 1e-3);
+        engine.pass(&cfg, &mut store, None, 1e-3);
         assert!(engine.cache.valid);
-        let (_, out) = engine.pass(&cfg, &mut store, Some(&[]), true, 1e-3);
+        let (_, out) = engine.pass(&cfg, &mut store, Some(&[]), 1e-3);
         assert_eq!(out.pp_list_replays, 0);
         assert!(!engine.cache.valid);
-        let (_, out) = engine.pass(&cfg, &mut store, None, true, 1e-3);
+        let (_, out) = engine.pass(&cfg, &mut store, None, 1e-3);
         assert_eq!(out.pp_list_replays, 0);
     }
 }

@@ -80,14 +80,17 @@ impl KernelVariant {
 }
 
 /// Are the intrinsics compiled in and the features of the 512-bit
-/// (`wide`) or 256-bit x86 kernel present on this CPU?
+/// (`wide`) or 256-bit x86 kernel present on this CPU? Both entry
+/// points also enable `popcnt`, for the cull's count of kept sources.
 fn x86_detected(wide: bool) -> bool {
     #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-    return if wide {
-        std::arch::is_x86_feature_detected!("avx512f")
-    } else {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    };
+    return std::arch::is_x86_feature_detected!("popcnt")
+        && if wide {
+            std::arch::is_x86_feature_detected!("avx512f")
+        } else {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        };
     #[cfg(not(all(target_arch = "x86_64", not(feature = "portable-only"))))]
     return {
         let _ = wide;

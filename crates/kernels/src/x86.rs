@@ -564,11 +564,13 @@ unsafe fn run<L: Lanes>(
 /// # Safety
 ///
 /// The caller must have verified at runtime that the CPU supports the
-/// `avx2` and `fma` target features (e.g. via
+/// `avx2`, `fma` and `popcnt` target features (e.g. via
 /// `is_x86_feature_detected!`); calling this on a CPU without them is
 /// undefined behaviour. The dispatcher in [`crate::dispatch`] is the
 /// intended caller and performs that check. No other precondition.
-#[target_feature(enable = "avx2", enable = "fma")]
+/// (`popcnt` is the cull's count of kept sources: without it
+/// `count_ones` is a 15-instruction shift-and-mask sequence.)
+#[target_feature(enable = "avx2", enable = "fma", enable = "popcnt")]
 pub unsafe fn pp_accel_avx2(
     targets: &mut Targets,
     sources: &SourceList,
@@ -583,8 +585,8 @@ pub unsafe fn pp_accel_avx2(
 /// # Safety
 ///
 /// The caller must have verified at runtime that the CPU supports the
-/// `avx512f` target feature. No other precondition.
-#[target_feature(enable = "avx512f")]
+/// `avx512f` and `popcnt` target features. No other precondition.
+#[target_feature(enable = "avx512f", enable = "popcnt")]
 pub unsafe fn pp_accel_avx512(
     targets: &mut Targets,
     sources: &SourceList,

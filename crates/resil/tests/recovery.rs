@@ -7,10 +7,12 @@
 
 use std::path::PathBuf;
 
-use greem::{Body, ParallelTreePm, SimulationMode, TreePmConfig};
+use greem::{
+    Body, ParallelTreePm, ParticleStore, ResidentPp, SimulationMode, TreePm, TreePmConfig,
+};
 use greem_math::Vec3;
 use greem_resil::recover::MAX_ROLLBACKS;
-use greem_resil::{FaultPlan, ResilConfig, ResilError, ResilientSim};
+use greem_resil::{FaultPlan, RecoveryStats, ResilConfig, ResilError, ResilientSim};
 use mpisim::{NetModel, World};
 
 fn rand_bodies(n: usize, seed: u64) -> Vec<Body> {
@@ -122,6 +124,61 @@ fn crash_recovery_matches_uninterrupted_run_bitwise() {
         assert_eq!(s.checkpoint_bytes, stats.checkpoint_bytes);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One rank owns the whole box and replays recorded lists, and a
+/// replay's forces differ in their last bits from the fresh walk a
+/// restore starts with. A checkpoint there is a synchronisation point
+/// that recomputes the forces as a restore will, so a crash at step 5
+/// recovers from the step-3 checkpoint to exactly the run that never
+/// crashed.
+#[test]
+fn one_rank_crash_recovery_matches_uninterrupted_run_bitwise() {
+    // Ten times the other tests' speed: enough motion over the three
+    // steps before a checkpoint for replayed and walked forces to part.
+    let mut bodies = rand_bodies(2000, 42);
+    for b in &mut bodies {
+        b.vel *= 10.0;
+    }
+    let cfg = TreePmConfig::standard(16);
+    let dts = [1e-3; 8];
+
+    // The premise: on this input, three steps' drift after a recording,
+    // a replay and a fresh walk at the same positions differ in bits.
+    let mut store = ParticleStore::from_bodies(&bodies);
+    let mut engine = ResidentPp::new();
+    engine.pass(&cfg, &mut store, None, 0.0);
+    store.drift_wrap(3.0 * dts[0]);
+    let (replayed, bd) = engine.pass(&cfg, &mut store, None, 0.0);
+    assert_eq!(bd.pp_list_replays, 1);
+    let (fresh, _) = TreePm::new(cfg).compute_pp(&store.positions(), &store.masses());
+    assert_ne!(replayed, fresh, "a replay must differ from a walk in bits");
+
+    let run = |tag: &str, plan: Option<FaultPlan>| -> (RecoveryStats, Vec<Body>) {
+        let dir = tmpdir(tag);
+        let world = World::new(1).with_net(NetModel::free());
+        let world = match plan {
+            Some(plan) => world.with_faults(plan),
+            None => world,
+        };
+        let mut out = world.run(|ctx, world| {
+            let root = Some(bodies.clone());
+            let mode = SimulationMode::Static;
+            let sim = ParallelTreePm::new(ctx, world, cfg, [1, 1, 1], 1, None, root, mode);
+            let mut rcfg = ResilConfig::new(&dir);
+            rcfg.every = 3;
+            let mut resil = ResilientSim::new(ctx, world, sim, rcfg).unwrap();
+            let stats = resil.run(ctx, world, &dts).unwrap();
+            (stats, resil.sim().gather_bodies(ctx, world).unwrap())
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        out.remove(0)
+    };
+    let (clean_stats, clean) = run("one_rank_clean", None);
+    let (stats, recovered) = run("one_rank_crash", Some(FaultPlan::new(7).crash(0, 5)));
+    assert_eq!((clean_stats.rollbacks, stats.rollbacks), (0, 1));
+    assert_eq!(recovered.len(), bodies.len());
+    assert!(recovered == clean, "recovered trajectory diverged");
 }
 
 /// Two crashes on different ranks at different steps both recover.

@@ -117,10 +117,6 @@ impl<T> Broadcast<T> {
         self.cond.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        lock(&self.state).closed
-    }
-
     /// Entries published so far.
     pub fn published(&self) -> u64 {
         lock(&self.state).next_seq
@@ -232,11 +228,6 @@ impl<T> Subscriber<T> {
     /// Total entries this subscriber has lost to eviction so far.
     pub fn dropped_total(&self) -> u64 {
         self.dropped_total
-    }
-
-    /// True once the producer closed the channel (entries may remain).
-    pub fn is_closed(&self) -> bool {
-        self.ring.is_closed()
     }
 }
 
@@ -356,7 +347,6 @@ mod tests {
         assert_eq!(*sub.recv().unwrap().item, 41);
         assert_eq!(*sub.recv().unwrap().item, 42);
         assert!(sub.recv().is_none(), "closed and drained");
-        assert!(sub.is_closed());
         producer.join().unwrap();
     }
 

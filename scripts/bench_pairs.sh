@@ -33,8 +33,13 @@ cd "$root"
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 head=$(git rev-parse --short=12 HEAD)
 # Dirty means the code differs from HEAD: the script's own output under
-# results/ (history.jsonl, redirected pair tables) does not count.
-if [ -n "$(git status --porcelain -- . ':(exclude)results')" ]; then dirty=true; else dirty=false; fi
+# results/ (history.jsonl, redirected pair tables) does not count, and
+# neither does benchmark/Cargo.lock, which the benchmark build rewrites.
+if [ -n "$(git status --porcelain -- . ':(exclude)results' ':(exclude)benchmark/Cargo.lock')" ]; then
+    dirty=true
+else
+    dirty=false
+fi
 workload=$2
 pairs=$3
 work=$(mkdir -p "${4:-.bench_build/pairs}" && cd "${4:-.bench_build/pairs}" && pwd)

@@ -11,7 +11,9 @@
 # lane-vector interactions one trip carries; per loop the report prints
 # vector-arithmetic instructions, stack stores, stack loads (moves and
 # memory operands), register-register moves and broadcasts (instructions
-# and {1toN} operands), per trip and per lane-vector interaction. A
+# and {1toN} operands), per trip and per lane-vector interaction, and
+# each symbol's `popcnt` count (the cull counts its kept sources with
+# it; 0 means `count_ones` fell back to shift-and-mask). A
 # symbol's main loop is the one with the most seeds: it is piped through
 # `llvm-mca` when that is on PATH (cycles per trip against the block's
 # reciprocal throughput).
@@ -110,8 +112,10 @@ for variant in ("avx512", "avx2"):
         print(f"## {variant}: no pp_accel_{variant} symbol in {binary}")
         failed = True
         continue
-    loops = sorted(loops_with_seed(disassemble(symbols[variant])), key=lambda b: -count(b)["seeds"])
-    print(f"## {variant}: {symbols[variant]}, {len(loops)} seed loops")
+    insns = disassemble(symbols[variant])
+    loops = sorted(loops_with_seed(insns), key=lambda b: -count(b)["seeds"])
+    print(f"## {variant}: {symbols[variant]}, {len(loops)} seed loops, "
+          f"{sum(op == 'popcnt' for _, op, _ in insns)} popcnt (the cull's count of kept sources)")
     if not loops:
         print("no loop with an rsqrt seed found")
         failed = True

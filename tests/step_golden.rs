@@ -183,18 +183,22 @@ fn case_hashes() -> [u64; 6] {
 /// PM solve moved from the complex transform to the real ↔
 /// half-complex one (its accelerations moved by ≤ 4e-14 relative), and
 /// the three parallel rows once when the slab transform did the same.
+/// The serial periodic and isolated rows were re-recorded once when
+/// recorded lists began to outlive their step (replayed on every
+/// sub-cycle while their skin holds, instead of on second sub-cycles
+/// only); the cosmological and parallel rows did not move.
 const GOLDEN: [[u64; 4]; 6] = [
     [
-        0xe528_f2b3_63fd_5b3c,
-        0xdeb3_c8ed_e3ba_a253,
-        0xb351_6e07_35c8_e4c2,
-        0x37d1_eb3d_7a1d_69fc,
+        0x5587_e50c_f665_4ad2,
+        0x2bda_2d92_f4d8_f7e8,
+        0x0a8f_704d_0c82_cb69,
+        0x2f69_27bb_f070_cb75,
     ],
     [
-        0x0b5e_56c9_6a90_0c63,
-        0x284f_e614_61f3_16c2,
-        0xf243_e4b6_3990_7102,
-        0x6ab8_3dec_9d07_d1d6,
+        0x7913_7b25_71d2_021f,
+        0x05a5_e2b3_22c1_b198,
+        0x5b12_db69_03da_6822,
+        0x5e49_74e1_955d_f3a0,
     ],
     [
         0xcfdd_40fb_e81e_df12,

@@ -155,6 +155,7 @@ pub fn replay_term(n: usize, max_steps: usize) -> Vec<Quantiles> {
     engine.pass(&cfg, &mut store, None, 0.0);
     // The recording's row order; ids are the indices of `sim.bodies()`.
     let rows: Vec<usize> = store.id_column().iter().map(|&id| id as usize).collect();
+    let (fresh_pp, mass) = (TreePm::new(cfg), workloads::unit_masses(n));
     let mut out = Vec::new();
     for _ in 0..max_steps {
         sim.step(REPLAY_DT);
@@ -166,7 +167,7 @@ pub fn replay_term(n: usize, max_steps: usize) -> Vec<Quantiles> {
             break;
         }
         let pos: Vec<Vec3> = now.iter().map(|b| b.pos).collect();
-        let (fresh, _) = TreePm::new(cfg).compute_pp(&pos, &workloads::unit_masses(n));
+        let (fresh, _) = fresh_pp.compute_pp(&pos, &mass);
         let rel = replayed
             .iter()
             .zip(&rows)

@@ -123,11 +123,6 @@ const TABLE: &[Entry] = &[
         "Sec. IV virtual weak scaling to 82944 ranks (--agg: telemetry roll-up)",
         weakscale::run,
     ),
-    gated(
-        "galaxy",
-        "isolated Plummer collapse: energy drift, BH events, recovery",
-        |small, _| galaxy::run(small),
-    ),
     Entry {
         name: "trace",
         about: "fig. 5 relay schedule as per-rank virtual-time Chrome trace (--agg: folded stacks)",

@@ -13,7 +13,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod galaxy;
 pub mod kernel;
 pub mod multipole_ablation;
 pub mod ni_sweep;

@@ -1,5 +1,5 @@
-//! The one baseline gate behind `harness regress`, `serve-bench`,
-//! `weakscale` and `galaxy`.
+//! The one baseline gate behind `harness regress`, `serve-bench` and
+//! `weakscale`.
 //!
 //! A gated experiment measures, renders its [`Outcome`] and attaches a
 //! [`GateSpec`](crate::experiments::GateSpec) — baseline name, metric

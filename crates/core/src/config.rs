@@ -12,9 +12,8 @@ use greem_tree::{Multipole, TraverseParams, TreeParams};
 /// * [`Boundary::Isolated`] — open space: the tree walk uses plain
 ///   (non-wrapping) distances, the PM half runs James'-method
 ///   zero-padded convolution on a 2× mesh
-///   ([`greem_pm::PmSolver::isolated`]), and drifts do not wrap positions.
-///   This is the boundary condition of the `greem-astro` scenario
-///   engine (star clusters, galaxy collapse — DESIGN.md §17).
+///   ([`greem_pm::PmSolver::isolated`]), and drifts do not wrap positions
+///   (DESIGN.md §17).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Boundary {
     /// Periodic unit torus (default; the paper's setup).
@@ -22,6 +21,15 @@ pub enum Boundary {
     Periodic,
     /// Open boundary: no periodic images anywhere in the force path.
     Isolated,
+}
+
+/// Whether a run can take `n_mesh` PM cells per side: a power of two
+/// (the FFT's and the relay slabs' rule) of at least 8 — below it the
+/// cutoff `3/n_mesh` reaches toward half the box and the minimum-image
+/// tree walk no longer holds. Every front end checks this rule before
+/// it builds a solver, which would panic on a side outside it.
+pub fn is_valid_mesh(n_mesh: usize) -> bool {
+    n_mesh >= 8 && n_mesh.is_power_of_two()
 }
 
 /// Every knob of the TreePM solver, with the paper's choices as
@@ -69,7 +77,7 @@ pub struct TreePmConfig {
     /// runs always walk fresh.
     pub list_reuse: bool,
     /// Boundary condition: periodic torus (the paper's box) or isolated
-    /// open space (scenario engine). Selects the PM backend, switches
+    /// open space. Selects the PM backend, switches
     /// the PP walk's minimum-image logic, and decides whether drifts
     /// wrap positions.
     pub boundary: Boundary,
@@ -94,7 +102,7 @@ impl TreePmConfig {
     }
 
     /// Paper-standard configuration with isolated (open) boundaries —
-    /// the scenario-engine counterpart of [`TreePmConfig::standard`].
+    /// the open-space counterpart of [`TreePmConfig::standard`].
     pub fn isolated(n_mesh: usize) -> Self {
         TreePmConfig {
             boundary: Boundary::Isolated,
@@ -158,6 +166,16 @@ mod tests {
         assert_eq!(c.traverse_params().r_cut, Some(c.r_cut));
         assert_eq!(c.pm_params().n_mesh, 32);
         assert_eq!(c.tree_params().leaf_capacity, 8);
+    }
+
+    #[test]
+    fn mesh_rule_takes_powers_of_two_from_eight() {
+        for n in [8, 16, 32, 4096] {
+            assert!(is_valid_mesh(n), "{n}");
+        }
+        for n in [0, 1, 2, 4, 12, 24, 33] {
+            assert!(!is_valid_mesh(n), "{n}");
+        }
     }
 
     #[test]

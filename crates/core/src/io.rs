@@ -5,8 +5,7 @@
 //! container, and the kinds differ only in their sections: a snapshot
 //! (here) is `state` + `bodies`, a rank shard (`greem_resil::ckpt`)
 //! `shard` + `state` + `balancer` + `bodies`, a generation manifest
-//! `manifest`, a galaxy-scenario checkpoint (`greem_astro::checkpoint`)
-//! `state` + `scenario` + `bodies`.
+//! `manifest`.
 //!
 //! ```text
 //! magic "GREEMCK1" (its last byte is the version) | total length
@@ -19,11 +18,10 @@
 //!  3  balancer  step, div (3); the packed grids, oldest first
 //!  4  shard     rank, world size, generation
 //!  5  manifest  generation, step; per shard: bytes, checksum
-//!  6  scenario  mergers, captures, E₀, energy offset, virial history
 //! ```
 //!
-//! No count is stored: a payload's length says how many bodies, grids,
-//! shards or virial ratios it holds.
+//! No count is stored: a payload's length says how many bodies, grids
+//! or shards it holds. A tag outside this vocabulary is malformed.
 //!
 //! **Verify, then decode.** [`Container::parse`] checks the magic
 //! ([`SnapshotError::BadMagic`]), then the declared length (a shorter
@@ -129,18 +127,16 @@ pub enum Section {
     Balancer,
     Shard,
     Manifest,
-    Scenario,
 }
 
 /// What a truncation names, by tag.
-const SECTION_NAMES: [&str; 7] = [
+const SECTION_NAMES: [&str; 6] = [
     "unknown section",
     "state",
     "particle bodies",
     "balancer history",
     "shard identity",
     "manifest",
-    "scenario",
 ];
 
 /// Snapshot metadata: the `state` section.
@@ -497,6 +493,32 @@ mod tests {
         match read_snapshot(&buf[..12]) {
             Err(SnapshotError::Truncated { .. }) => {}
             other => panic!("wanted Truncated header, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_tag_outside_the_vocabulary_is_malformed() {
+        // The checksum vouches for every byte; the tag is still refused,
+        // be it 6 (the retired `scenario` section) or 255.
+        for tag in [6u8, 255] {
+            let mut w = ContainerWriter::default();
+            w.state(&SnapshotHeader {
+                step: 1,
+                mode: SimulationMode::Static,
+            });
+            w.0.push(tag);
+            w.0.extend_from_slice(&8u64.to_le_bytes());
+            w.0.extend_from_slice(&7u64.to_le_bytes());
+            let file = w.finish();
+            let what = match Container::parse(&file) {
+                Err(SnapshotError::BadField { what }) => what,
+                Err(other) => panic!("tag {tag}: wanted MALFORMED, got {other:?}"),
+                Ok(_) => panic!("tag {tag}: parsed"),
+            };
+            assert!(matches!(
+                SnapshotError::MALFORMED,
+                SnapshotError::BadField { what: m } if m == what
+            ));
         }
     }
 

@@ -46,10 +46,9 @@ pub use config::{Boundary, TreePmConfig};
 pub use diagnostics::{projected_density, Snapshot};
 pub use forces::{ForceResult, TreePm};
 pub use halos::{find_halos, friends_of_friends, Halo};
-pub use integrator::IntegratorKind;
 pub use io::{read_snapshot, write_snapshot, SnapshotError, SnapshotHeader};
 pub use parallel::{ParallelStepStats, ParallelTreePm, RankState};
-pub use particle::{species_id, species_of_id, Body};
+pub use particle::Body;
 pub use resident::ResidentPp;
 pub use simulation::{Simulation, SimulationMode};
 pub use stats::StepBreakdown;

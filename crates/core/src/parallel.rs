@@ -38,7 +38,7 @@ use mpisim::{Comm, Ctx};
 
 use crate::config::{Boundary, TreePmConfig};
 use crate::forces::TreePm;
-use crate::integrator::{schedule, Cycle, IntegratorKind};
+use crate::integrator::{schedule, Cycle};
 use crate::particle::Body;
 use crate::resident::ResidentPp;
 use crate::simulation::SimulationMode;
@@ -76,8 +76,6 @@ pub struct ParallelTreePm {
     balancer: SamplingBalancer,
     grid: DomainGrid,
     mode: SimulationMode,
-    /// Static-mode integrator; cosmological steps are always leapfrog.
-    pub(crate) integrator: IntegratorKind,
     /// Owned particles, Morton-resident: the PP engine re-permutes the
     /// store's rows into tree order at every walk.
     pub(crate) store: ParticleStore,
@@ -197,7 +195,6 @@ impl ParallelTreePm {
             grid: balancer.current(),
             balancer,
             mode,
-            integrator: IntegratorKind::default(),
             store: ParticleStore::from_bodies(bodies),
             pp_accel: Vec::new(),
             pm_accel: Vec::new(),
@@ -321,12 +318,12 @@ impl ParallelTreePm {
         }
     }
 
-    /// One step on the network `net`: the schedule's cycles, then the
-    /// mode and step count after them.
+    /// One step on the network `net`: the schedule's cycle, then the
+    /// mode and step count after it.
     pub(crate) fn advance(&mut self, net: Net<'_>, dt_or_a_next: f64) -> StepBreakdown {
-        let (cycles, mode) = schedule(self.mode, self.integrator, dt_or_a_next);
+        let (cycle, mode) = schedule(self.mode, dt_or_a_next);
         let mut bd = StepBreakdown::default();
-        OnRank { sim: self, net }.run(&cycles, &mut bd);
+        OnRank { sim: self, net }.run(&cycle, &mut bd);
         self.mode = mode;
         self.steps += 1;
         bd
@@ -379,20 +376,18 @@ impl OnRank<'_> {
         self.pm_cycle(&mut scratch);
     }
 
-    /// Run the cycles of a [`schedule`].
-    fn run(&mut self, cycles: &[Cycle], bd: &mut StepBreakdown) {
-        for c in cycles {
-            self.sim.store.kick(&self.sim.pm_accel, c.pm);
-            for sub in &c.pp {
-                self.sim.store.kick(&self.sim.pp_accel, sub.kick);
-                self.drift(sub.drift, bd);
-                self.decompose(bd);
-                self.pp_cycle(bd);
-                self.sim.store.kick(&self.sim.pp_accel, sub.kick);
-            }
-            self.pm_cycle(bd);
-            self.sim.store.kick(&self.sim.pm_accel, c.pm);
+    /// Run the cycle of a [`schedule`].
+    fn run(&mut self, c: &Cycle, bd: &mut StepBreakdown) {
+        self.sim.store.kick(&self.sim.pm_accel, c.pm);
+        for sub in &c.pp {
+            self.sim.store.kick(&self.sim.pp_accel, sub.kick);
+            self.drift(sub.drift, bd);
+            self.decompose(bd);
+            self.pp_cycle(bd);
+            self.sim.store.kick(&self.sim.pp_accel, sub.kick);
         }
+        self.pm_cycle(bd);
+        self.sim.store.kick(&self.sim.pm_accel, c.pm);
     }
 
     /// Drift positions by `w`: wrapped into the torus under periodic

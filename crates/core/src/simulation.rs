@@ -8,7 +8,7 @@
 //! recording stays inside their skin — with no `mpisim` context to
 //! pass. Two time variables share the step: a
 //! **static** box (G = 1, plain time units — the validation playground;
-//! periodic, or isolated for the scenario engine) and **comoving**
+//! periodic or isolated) and **comoving**
 //! cosmological integration, where kicks and drifts use the ΛCDM
 //! integrals of `greem-cosmo` and the force is scaled by
 //! `G_eff/a = 3Ωm/(8π·a)` (unit box, total mass 1, 1/H0 time units).
@@ -17,11 +17,9 @@ use greem_cosmo::Cosmology;
 use greem_math::Vec3;
 
 use crate::config::TreePmConfig;
-use crate::integrator::IntegratorKind;
 use crate::parallel::{Mesh, ParallelTreePm};
 use crate::particle::Body;
 use crate::stats::StepBreakdown;
-use crate::store::ParticleStore;
 
 /// Time variable of the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +49,7 @@ pub enum SimulationMode {
 /// assert!(sim.bodies()[0].vel.x > 0.0);
 /// ```
 ///
-/// Internally particles live in a Morton-resident [`ParticleStore`]
+/// Internally particles live in a Morton-resident [`crate::ParticleStore`]
 /// that the PP engine ([`crate::ResidentPp`]) physically re-permutes at
 /// every fresh tree build; [`Simulation::bodies`] therefore
 /// materialises an AoS copy **sorted by id** so callers see a stable
@@ -67,13 +65,6 @@ impl Simulation {
         Simulation {
             rank: ParallelTreePm::whole_box(cfg, &bodies, mode),
         }
-    }
-
-    /// Select the static-mode integrator (ignored by cosmological
-    /// steps). Safe mid-run: every integrator leaves cached forces
-    /// consistent at step boundaries.
-    pub fn set_integrator(&mut self, kind: IntegratorKind) {
-        self.rank.integrator = kind;
     }
 
     /// The bodies, materialised from the resident store and sorted by
@@ -115,12 +106,6 @@ impl Simulation {
     /// The configuration.
     pub fn config(&self) -> &TreePmConfig {
         &self.rank.cfg
-    }
-
-    /// The resident particle store (current Morton row order; use
-    /// [`Simulation::bodies`] for an id-stable view).
-    pub fn store(&self) -> &ParticleStore {
-        &self.rank.store
     }
 
     /// The box's potential energy at the current positions (G = 1).

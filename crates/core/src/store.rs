@@ -21,7 +21,7 @@
 
 use greem_math::{wrap01, Vec3};
 
-use crate::particle::{species_of_id, Body};
+use crate::particle::Body;
 
 /// Parallel-column particle storage (one array per field).
 ///
@@ -39,12 +39,6 @@ pub struct ParticleStore {
     vel_z: Vec<f64>,
     mass: Vec<f64>,
     id: Vec<u64>,
-    /// Species tag per row, always equal to `species_of_id(id)` — a
-    /// cache-linear materialisation of the id's top byte so
-    /// species-resolved reductions (mass census, BH scans) never touch
-    /// the id column. Maintained by every mutation path; not on the
-    /// packed wire (the id carries it there).
-    species: Vec<u8>,
 }
 
 /// Grow-only gather buffers reused across [`ParticleStore::permute`]
@@ -53,7 +47,6 @@ pub struct ParticleStore {
 pub struct PermScratch {
     f: Vec<f64>,
     u: Vec<u64>,
-    b: Vec<u8>,
 }
 
 impl ParticleStore {
@@ -73,7 +66,6 @@ impl ParticleStore {
             vel_z: Vec::with_capacity(n),
             mass: Vec::with_capacity(n),
             id: Vec::with_capacity(n),
-            species: Vec::with_capacity(n),
         }
     }
 
@@ -97,7 +89,6 @@ impl ParticleStore {
         self.vel_z.clear();
         self.mass.clear();
         self.id.clear();
-        self.species.clear();
     }
 
     /// Append one particle.
@@ -110,7 +101,6 @@ impl ParticleStore {
         self.vel_z.push(b.vel.z);
         self.mass.push(b.mass);
         self.id.push(b.id);
-        self.species.push(species_of_id(b.id));
     }
 
     /// Columnise an AoS body slice, preserving order.
@@ -137,7 +127,6 @@ impl ParticleStore {
         self.vel_z[i] = b.vel.z;
         self.mass[i] = b.mass;
         self.id[i] = b.id;
-        self.species[i] = species_of_id(b.id);
     }
 
     /// Row `i` as a [`Body`].
@@ -175,47 +164,6 @@ impl ParticleStore {
     /// The id column.
     pub fn id_column(&self) -> &[u64] {
         &self.id
-    }
-
-    /// Species tag of row `i` (`0` for every untagged cosmology
-    /// particle; see [`crate::particle::species_of_id`]).
-    #[inline]
-    pub fn species(&self, i: usize) -> u8 {
-        self.species[i]
-    }
-
-    /// The species column.
-    pub fn species_column(&self) -> &[u8] {
-        &self.species
-    }
-
-    /// Total mass per species tag: entry `s` of the returned vector is
-    /// the summed mass of rows with species `s` (length = max tag + 1;
-    /// empty store → empty vector). Cache-linear over two columns.
-    pub fn species_mass_totals(&self) -> Vec<f64> {
-        let mut totals = Vec::new();
-        for (&s, &m) in self.species.iter().zip(&self.mass) {
-            let s = s as usize;
-            if s >= totals.len() {
-                totals.resize(s + 1, 0.0);
-            }
-            totals[s] += m;
-        }
-        totals
-    }
-
-    /// Particle count per species tag (same indexing as
-    /// [`ParticleStore::species_mass_totals`]).
-    pub fn species_counts(&self) -> Vec<usize> {
-        let mut counts = Vec::new();
-        for &s in &self.species {
-            let s = s as usize;
-            if s >= counts.len() {
-                counts.resize(s + 1, 0);
-            }
-            counts[s] += 1;
-        }
-        counts
     }
 
     /// Positions gathered into a `Vec3` vector (PM deposit, balancer).
@@ -307,9 +255,7 @@ impl ParticleStore {
         self.vel_y.push(r[4]);
         self.vel_z.push(r[5]);
         self.mass.push(r[6]);
-        let id = r[7].to_bits();
-        self.id.push(id);
-        self.species.push(species_of_id(id));
+        self.id.push(r[7].to_bits());
     }
 
     /// All rows packed for the wire, in row order.
@@ -340,11 +286,6 @@ impl ParticleStore {
         scratch.u.clear();
         scratch.u.extend(order.iter().map(|&o| self.id[o as usize]));
         std::mem::swap(&mut self.id, &mut scratch.u);
-        scratch.b.clear();
-        scratch
-            .b
-            .extend(order.iter().map(|&o| self.species[o as usize]));
-        std::mem::swap(&mut self.species, &mut scratch.b);
     }
 }
 
@@ -431,36 +372,6 @@ mod tests {
         // drift_wrap folds x back into [0,1); drift_free does not.
         assert!(wrapped.pos(0).x < 1.0);
         assert!((free.pos(0).x - 1.1).abs() < 1e-15);
-    }
-
-    #[test]
-    fn species_column_tracks_ids_through_all_paths() {
-        use crate::particle::species_id;
-        let mut s = ParticleStore::new();
-        for (i, sp) in [0u8, 2, 1, 2].iter().enumerate() {
-            s.push(Body {
-                pos: Vec3::splat(0.1 * (i + 1) as f64),
-                vel: Vec3::ZERO,
-                mass: (i + 1) as f64,
-                id: species_id(*sp, i as u64),
-            });
-        }
-        assert_eq!(s.species_column(), &[0, 2, 1, 2]);
-        assert_eq!(s.species_counts(), vec![1, 1, 2]);
-        let totals = s.species_mass_totals();
-        assert_eq!(totals, vec![1.0, 3.0, 2.0 + 4.0]);
-        // Permutation carries the tag with the row.
-        let mut scratch = PermScratch::default();
-        s.permute(&[3, 1, 0, 2], &mut scratch);
-        assert_eq!(s.species_column(), &[2, 2, 0, 1]);
-        // The packed wire round-trips it through the id bits.
-        let back = ParticleStore::from_packed(&s.to_packed());
-        assert_eq!(back.species_column(), s.species_column());
-        // set() re-derives the tag.
-        let mut b = s.body(0);
-        b.id = species_id(1, 99);
-        s.set(0, b);
-        assert_eq!(s.species(0), 1);
     }
 
     #[test]

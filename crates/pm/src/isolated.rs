@@ -1,8 +1,8 @@
 //! Isolated-boundary PM solve: James'-method zero padding.
 //!
 //! The periodic solver ([`crate::serial::PmSolver`]) answers the
-//! paper's cosmology box; star clusters and galaxy collapse need *open*
-//! space — no periodic images, no neutralising background. This module
+//! paper's cosmology box; an isolated system needs *open* space — no
+//! periodic images, no neutralising background. This module
 //! implements the classic Hockney–Eastwood / James construction:
 //!
 //! 1. The physical unit box keeps its mesh spacing `h = 1/n` but is

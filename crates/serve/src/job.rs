@@ -17,6 +17,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use greem::config::is_valid_mesh;
 use greem::{find_halos, projected_density, Body, ParallelTreePm, SimulationMode, TreePmConfig};
 use greem_math::testutil::rand_positions;
 use greem_obs::json::{self, JsonWriter, Value};
@@ -37,10 +38,6 @@ pub enum Scenario {
     Straggler,
     /// 5% message drop + 10% message delay.
     FlakyNet,
-    /// The isolated-system workload (`crates/astro`): a multi-species
-    /// Plummer collapse under open-boundary gravity with BH events.
-    /// Single-rank; snapshots carry a species-resolved halo census.
-    GalaxyCollapse,
 }
 
 impl Scenario {
@@ -50,9 +47,8 @@ impl Scenario {
             "crash" => Ok(Scenario::Crash),
             "straggler" => Ok(Scenario::Straggler),
             "flaky-net" => Ok(Scenario::FlakyNet),
-            "galaxy-collapse" => Ok(Scenario::GalaxyCollapse),
             other => Err(format!(
-                "unknown scenario {other:?} (expected clean|crash|straggler|flaky-net|galaxy-collapse)"
+                "unknown scenario {other:?} (expected clean|crash|straggler|flaky-net)"
             )),
         }
     }
@@ -63,7 +59,6 @@ impl Scenario {
             Scenario::Crash => "crash",
             Scenario::Straggler => "straggler",
             Scenario::FlakyNet => "flaky-net",
-            Scenario::GalaxyCollapse => "galaxy-collapse",
         }
     }
 }
@@ -79,7 +74,7 @@ pub struct JobConfig {
     pub seed: u64,
     /// Simulated ranks (1, 2, 4 or 8).
     pub ranks: usize,
-    /// PM mesh per side.
+    /// PM mesh per side (a power of two in [8, 32]).
     pub mesh: usize,
     /// Publish a snapshot every this many steps (the final step always
     /// publishes).
@@ -166,20 +161,11 @@ impl JobConfig {
             }
         }
         let mut cfg = JobConfig::default();
-        // Scenario first: it is the workload selector, and the valid
-        // ranges of "ranks" and "mesh" depend on it.
         if let Some(s) = v.get("scenario") {
             let s = s
                 .as_str()
                 .ok_or_else(|| "field \"scenario\" must be a string".to_string())?;
             cfg.scenario = Scenario::parse(s)?;
-        }
-        let galaxy = cfg.scenario == Scenario::GalaxyCollapse;
-        if galaxy {
-            // The isolated scenario engine is single-rank and defaults
-            // to the coarse (PP-dominated) mesh of `GalaxyConfig`.
-            cfg.ranks = 1;
-            cfg.mesh = 4;
         }
         if let Some(x) = field_u64(&v, "n", 16, 16_384)? {
             cfg.n = x as usize;
@@ -191,17 +177,15 @@ impl JobConfig {
             cfg.seed = x;
         }
         if let Some(x) = field_u64(&v, "ranks", 1, 8)? {
-            if galaxy && x != 1 {
-                return Err(format!(
-                    "field \"ranks\" = {x}: galaxy-collapse jobs are single-rank"
-                ));
-            }
             if ![1, 2, 4, 8].contains(&x) {
                 return Err(format!("field \"ranks\" = {x} must be one of 1, 2, 4, 8"));
             }
             cfg.ranks = x as usize;
         }
-        if let Some(x) = field_u64(&v, "mesh", if galaxy { 4 } else { 8 }, 32)? {
+        if let Some(x) = field_u64(&v, "mesh", 8, 32)? {
+            if !is_valid_mesh(x as usize) {
+                return Err(format!("field \"mesh\" = {x} must be a power of two"));
+            }
             cfg.mesh = x as usize;
         }
         if let Some(x) = field_u64(&v, "snapshot_every", 1, 64)? {
@@ -270,7 +254,7 @@ impl JobConfig {
         let victim = 1 % self.ranks; // rank 1, or 0 on single-rank jobs
         let mid = (self.steps as u64 / 2).max(1);
         match self.scenario {
-            Scenario::Clean | Scenario::GalaxyCollapse => None,
+            Scenario::Clean => None,
             Scenario::Crash => Some(FaultPlan::new(self.seed).crash(victim, mid)),
             Scenario::Straggler => Some(FaultPlan::new(self.seed).straggler(victim, 4.0)),
             Scenario::FlakyNet => Some(
@@ -315,23 +299,6 @@ pub struct SnapshotMsg {
     pub density_n: u64,
     /// Row-major `density_n x density_n` projected density.
     pub density: Vec<f64>,
-    /// BH events so far (galaxy-collapse jobs; 0 otherwise).
-    pub bh_mergers: u64,
-    pub bh_captures: u64,
-    /// Species-resolved halo census (galaxy-collapse jobs; empty — and
-    /// omitted from the JSON line — otherwise).
-    pub census: Vec<SpeciesHaloCensus>,
-}
-
-/// One species row of a galaxy snapshot: how many particles of this
-/// species survive, their total mass, and how many sit inside an FoF
-/// halo (b = 0.2 mean separation, >= 8 members).
-#[derive(Debug, Clone)]
-pub struct SpeciesHaloCensus {
-    pub species: &'static str,
-    pub count: u64,
-    pub mass: f64,
-    pub in_halos: u64,
 }
 
 impl SnapshotMsg {
@@ -355,20 +322,6 @@ impl SnapshotMsg {
             w.f64(None, d);
         }
         w.end_arr();
-        if !self.census.is_empty() {
-            w.u64(Some("bh_mergers"), self.bh_mergers);
-            w.u64(Some("bh_captures"), self.bh_captures);
-            w.begin_arr(Some("census"));
-            for c in &self.census {
-                w.begin_obj(None);
-                w.str_(Some("species"), c.species);
-                w.u64(Some("count"), c.count);
-                w.f64(Some("mass"), c.mass);
-                w.u64(Some("in_halos"), c.in_halos);
-                w.end_obj();
-            }
-            w.end_arr();
-        }
         w.end_obj();
         let mut s = w.finish();
         s.push('\n');
@@ -387,9 +340,6 @@ pub struct JobSummary {
     pub halos_final: u64,
     pub peak_contrast_final: f64,
     pub vtime: f64,
-    /// BH events over the whole run (galaxy-collapse jobs; 0 otherwise).
-    pub bh_mergers: u64,
-    pub bh_captures: u64,
 }
 
 impl JobSummary {
@@ -403,8 +353,6 @@ impl JobSummary {
         w.u64(Some("halos_final"), self.halos_final);
         w.f64(Some("peak_contrast_final"), self.peak_contrast_final);
         w.f64(Some("vtime_s"), self.vtime);
-        w.u64(Some("bh_mergers"), self.bh_mergers);
-        w.u64(Some("bh_captures"), self.bh_captures);
         w.end_obj();
     }
 }
@@ -428,9 +376,6 @@ pub fn run_job(
     clock: &Arc<dyn Clock>,
     ckpt_dir: &Path,
 ) -> Result<JobSummary, String> {
-    if cfg.scenario == Scenario::GalaxyCollapse {
-        return run_galaxy_job(id, cfg, ring, clock, ckpt_dir);
-    }
     std::fs::create_dir_all(ckpt_dir).map_err(|e| format!("checkpoint dir: {e}"))?;
     let bodies: Vec<Body> = {
         let m = 1.0 / cfg.n as f64;
@@ -506,9 +451,6 @@ pub fn run_job(
                     published_at: clock.now(),
                     density_n: cfgc.density_n as u64,
                     density: snap.density,
-                    bh_mergers: 0,
-                    bh_captures: 0,
-                    census: Vec::new(),
                 };
                 ring.publish(msg);
                 published += 1;
@@ -547,132 +489,6 @@ pub fn run_job(
         halos_final,
         peak_contrast_final: contrast,
         vtime,
-        bh_mergers: 0,
-        bh_captures: 0,
-    })
-}
-
-/// Species tags of a galaxy job's census rows, in tag order.
-const SPECIES_NAMES: [&str; greem_astro::N_SPECIES] = ["star", "dm", "bh"];
-
-/// Per-species survival + halo-membership census of a galaxy snapshot.
-fn species_halo_census(bodies: &[Body], halos: &[greem::Halo]) -> Vec<SpeciesHaloCensus> {
-    let mut in_halo = vec![false; bodies.len()];
-    for h in halos {
-        for &i in &h.members {
-            in_halo[i as usize] = true;
-        }
-    }
-    let mut rows: Vec<SpeciesHaloCensus> = SPECIES_NAMES
-        .iter()
-        .map(|name| SpeciesHaloCensus {
-            species: name,
-            count: 0,
-            mass: 0.0,
-            in_halos: 0,
-        })
-        .collect();
-    for (i, b) in bodies.iter().enumerate() {
-        let s = (((b.id >> 56) as u8) as usize).min(SPECIES_NAMES.len() - 1);
-        rows[s].count += 1;
-        rows[s].mass += b.mass;
-        if in_halo[i] {
-            rows[s].in_halos += 1;
-        }
-    }
-    rows
-}
-
-/// Execute a galaxy-collapse job: the single-rank isolated scenario
-/// engine (`greem_astro::GalaxyCollapse`) with the job's n split over
-/// stars and dark matter around 3 BH seeds. Snapshots stream the same
-/// envelope as cosmological jobs plus the running BH event counters
-/// and a species-resolved halo census; `ckpt_every` writes
-/// scenario checkpoints (counted in the summary like the resilient
-/// driver's shards).
-fn run_galaxy_job(
-    id: &str,
-    cfg: &JobConfig,
-    ring: &Arc<Broadcast<SnapshotMsg>>,
-    clock: &Arc<dyn Clock>,
-    ckpt_dir: &Path,
-) -> Result<JobSummary, String> {
-    use greem_astro::{GalaxyConfig, GalaxyParams};
-
-    std::fs::create_dir_all(ckpt_dir).map_err(|e| format!("checkpoint dir: {e}"))?;
-    let n_bh = 3;
-    let n_rest = cfg.n.saturating_sub(n_bh).max(2);
-    let params = GalaxyParams {
-        n_stars: n_rest / 2,
-        n_dm: n_rest - n_rest / 2,
-        n_bh,
-        seed: cfg.seed,
-        ..GalaxyParams::default()
-    };
-    let gcfg = GalaxyConfig {
-        galaxy: params,
-        n_mesh: cfg.mesh,
-        steps: cfg.steps,
-        ..GalaxyConfig::small()
-    };
-    let mut sc = greem_astro::GalaxyCollapse::new(gcfg);
-    let ckpt = ckpt_dir.join("galaxy.ckpt");
-    let mut published = 0u64;
-    let mut checkpoints = 0u64;
-    let mut halos_final = 0u64;
-    let mut contrast_final = 0.0;
-    for step in 1..=cfg.steps {
-        sc.step();
-        if (step as u64).is_multiple_of(cfg.ckpt_every) {
-            sc.save_checkpoint(&ckpt)
-                .map_err(|e| format!("scenario checkpoint: {e}"))?;
-            checkpoints += 1;
-        }
-        let due = step.is_multiple_of(cfg.snapshot_every) || step == cfg.steps;
-        if !due {
-            continue;
-        }
-        let bodies = sc.bodies();
-        let snap = projected_density(&bodies, cfg.density_n, 2, "serve");
-        let halos = find_halos(&bodies, 0.2, 8);
-        halos_final = halos.len() as u64;
-        contrast_final = snap.peak_contrast();
-        let msg = SnapshotMsg {
-            job: id.to_string(),
-            step: step as u64,
-            steps_total: cfg.steps as u64,
-            rollbacks: 0,
-            crashes_detected: 0,
-            n: bodies.len() as u64,
-            halos: halos_final,
-            peak_contrast: contrast_final,
-            vtime: sc.time(),
-            published_at: clock.now(),
-            density_n: cfg.density_n as u64,
-            density: snap.density,
-            bh_mergers: sc.mergers(),
-            bh_captures: sc.captures(),
-            census: species_halo_census(&bodies, &halos),
-        };
-        ring.publish(msg);
-        published += 1;
-        if cfg.pace_s > 0.0 {
-            clock.sleep(cfg.pace_s);
-        }
-    }
-    let (mergers, captures, vtime) = (sc.mergers(), sc.captures(), sc.time());
-    std::fs::remove_dir_all(ckpt_dir).ok();
-    Ok(JobSummary {
-        steps_done: cfg.steps as u64,
-        rollbacks: 0,
-        crashes_detected: 0,
-        checkpoints_written: checkpoints,
-        snapshots_published: published,
-        halos_final,
-        peak_contrast_final: contrast_final,
-        vtime,
-        bh_mergers: mergers,
-        bh_captures: captures,
     })
 }
 
@@ -706,6 +522,13 @@ mod tests {
         assert!(JobConfig::from_json(r#"{"scenario": "meteor"}"#).is_err());
         assert!(JobConfig::from_json(r#"{"n": 16, "ranks": 4}"#).is_err());
         assert!(JobConfig::from_json(r#"{"steps": -1}"#).is_err());
+        assert!(JobConfig::from_json(r#"{"mesh": 4}"#).is_err());
+        // A mesh side inside the range but off the FFT's powers of two
+        // is a 400 naming the field, not a job that panics later.
+        for mesh in [12, 24] {
+            let err = JobConfig::from_json(&format!(r#"{{"mesh": {mesh}}}"#)).unwrap_err();
+            assert!(err.contains("\"mesh\""), "{mesh}: {err}");
+        }
         // Numbers outside JSON's grammar, and integers an f64 cannot
         // hold exactly, are refused rather than run as another value.
         assert!(JobConfig::from_json(r#"{"n": +64}"#).is_err());
@@ -717,24 +540,6 @@ mod tests {
         }
         let cfg = JobConfig::from_json(r#"{"seed": 9007199254740991}"#).unwrap();
         assert_eq!(cfg.seed, 9_007_199_254_740_991);
-    }
-
-    #[test]
-    fn galaxy_collapse_schema() {
-        // The scenario selects single-rank + the coarse scenario mesh.
-        let cfg = JobConfig::from_json(r#"{"scenario": "galaxy-collapse", "n": 64}"#).unwrap();
-        assert_eq!(cfg.scenario, Scenario::GalaxyCollapse);
-        assert_eq!((cfg.ranks, cfg.mesh, cfg.n), (1, 4, 64));
-        assert!(cfg.fault_plan().is_none());
-        // Explicit ranks = 1 is accepted; anything else is a 400.
-        assert!(JobConfig::from_json(r#"{"scenario": "galaxy-collapse", "ranks": 1}"#).is_ok());
-        assert!(JobConfig::from_json(r#"{"scenario": "galaxy-collapse", "ranks": 2}"#).is_err());
-        // The scenario-aware mesh floor: 4 is valid here, not for the
-        // cosmological box.
-        assert!(JobConfig::from_json(r#"{"scenario": "galaxy-collapse", "mesh": 4}"#).is_ok());
-        assert!(JobConfig::from_json(r#"{"mesh": 4}"#).is_err());
-        // Strict-field validation still applies.
-        assert!(JobConfig::from_json(r#"{"scenario": "galaxy-collapse", "virial": 0.5}"#).is_err());
     }
 
     #[test]

@@ -1,53 +1,41 @@
-//! `greem-run` — the command-line front end of the TreePM library.
-//!
-//! Two scenarios share the binary:
-//!
-//! * **cosmology** (default) — a periodic-box cosmological run from
-//!   generated initial conditions (or a checkpoint), reporting the
-//!   Table-I-style per-step costs;
-//! * **galaxy-collapse** — an isolated multi-species Plummer collapse
-//!   with seed black holes (open-boundary PM, 4th-order Yoshida
-//!   integrator, BH captures/mergers), reporting energy drift, the
-//!   virial-ratio trajectory and the BH event log.
+//! `greem-run` — the command-line front end of the TreePM library: a
+//! periodic-box cosmological run from generated initial conditions (or
+//! a checkpoint), reporting the Table-I-style per-step costs.
 //!
 //! ```text
-//! greem-run [--scenario cosmology|galaxy-collapse]
-//!           [--n-side 16] [--mesh 32] [--steps 24]
+//! greem-run [--n-side 16] [--mesh 32] [--steps 24]
 //!           [--z-start 400] [--z-end 31] [--cutoff-modes 4]
 //!           [--delta0 0.1] [--seed 1] [--theta 0.5] [--group 100]
-//!           [--dt 2.5e-4] [--integrator yoshida4|leapfrog] [--small]
 //!           [--checkpoint-out PATH] [--resume PATH] [--quiet]
 //!           [--trace PATH] [--metrics PATH]
 //! ```
 //!
 //! With `--resume` the particle state and epoch come from the
-//! checkpoint and the IC options are ignored; `galaxy-collapse` resumes
-//! from its own scenario checkpoints.
+//! checkpoint and the IC options are ignored.
 //!
 //! `--trace PATH` writes a Chrome-trace (Perfetto-loadable) JSON of
 //! the run's spans; `--metrics PATH` writes one JSON report line per
 //! step (Table I rows, walk statistics, flop rate).
+//!
+//! An option outside the range the solver can run exits 2 with the
+//! reason, before any work.
 
-use greem::{projected_density, Body, Simulation, SimulationMode, StepBreakdown, TreePmConfig};
-use greem_astro::{GalaxyCollapse, GalaxyConfig, GalaxyParams, SPECIES_BH};
+use greem::{config::is_valid_mesh, projected_density, Body, Simulation, SimulationMode};
+use greem::{StepBreakdown, TreePmConfig};
 use greem_cosmo::{generate_ics, Cosmology, IcParams, PowerSpectrum};
 
 #[derive(Debug)]
 struct Opts {
-    scenario: String,
     n_side: usize,
-    mesh: Option<usize>,
-    steps: Option<usize>,
+    mesh: usize,
+    steps: usize,
     z_start: f64,
     z_end: f64,
     cutoff_modes: f64,
     delta0: f64,
-    seed: Option<u64>,
-    theta: Option<f64>,
+    seed: u64,
+    theta: f64,
     group: usize,
-    dt: Option<f64>,
-    integrator: Option<String>,
-    small: bool,
     checkpoint_out: Option<String>,
     resume: Option<String>,
     quiet: bool,
@@ -58,20 +46,16 @@ struct Opts {
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            scenario: "cosmology".into(),
             n_side: 16,
-            mesh: None,
-            steps: None,
+            mesh: 32,
+            steps: 24,
             z_start: 400.0,
             z_end: 31.0,
             cutoff_modes: 4.0,
             delta0: 0.1,
-            seed: None,
-            theta: None,
+            seed: 1,
+            theta: 0.5,
             group: 100,
-            dt: None,
-            integrator: None,
-            small: false,
             checkpoint_out: None,
             resume: None,
             quiet: false,
@@ -89,22 +73,18 @@ fn parse_args() -> Result<Opts, String> {
             args.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
-            "--scenario" => o.scenario = val(&a)?,
             "--n-side" => o.n_side = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
-            "--mesh" => o.mesh = Some(val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?),
-            "--steps" => o.steps = Some(val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?),
+            "--mesh" => o.mesh = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
+            "--steps" => o.steps = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--z-start" => o.z_start = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--z-end" => o.z_end = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--cutoff-modes" => {
                 o.cutoff_modes = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?
             }
             "--delta0" => o.delta0 = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
-            "--seed" => o.seed = Some(val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?),
-            "--theta" => o.theta = Some(val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?),
+            "--seed" => o.seed = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
+            "--theta" => o.theta = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--group" => o.group = val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?,
-            "--dt" => o.dt = Some(val(&a)?.parse().map_err(|e| format!("{a}: {e}"))?),
-            "--integrator" => o.integrator = Some(val(&a)?),
-            "--small" => o.small = true,
             "--checkpoint-out" => o.checkpoint_out = Some(val(&a)?),
             "--resume" => o.resume = Some(val(&a)?),
             "--quiet" => o.quiet = true,
@@ -117,18 +97,29 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown option '{other}' (try --help)")),
         }
     }
-    match o.scenario.as_str() {
-        "cosmology" => {
-            if o.z_end >= o.z_start {
-                return Err("--z-end must be below --z-start".into());
-            }
-        }
-        "galaxy-collapse" => {}
-        other => {
-            return Err(format!(
-                "unknown scenario '{other}' (try cosmology or galaxy-collapse)"
-            ))
-        }
+    if !is_valid_mesh(o.mesh) {
+        return Err(format!(
+            "--mesh must be a power of two >= 8 (got {})",
+            o.mesh
+        ));
+    }
+    if o.n_side < 2 || !o.n_side.is_power_of_two() {
+        return Err(format!(
+            "--n-side must be a power of two >= 2 (got {})",
+            o.n_side
+        ));
+    }
+    if o.steps == 0 {
+        return Err("--steps must be at least 1".into());
+    }
+    if o.group == 0 {
+        return Err("--group must be at least 1".into());
+    }
+    if o.theta.is_nan() || o.theta < 0.0 {
+        return Err(format!("--theta must be >= 0 (got {})", o.theta));
+    }
+    if o.z_end >= o.z_start {
+        return Err("--z-end must be below --z-start".into());
     }
     Ok(o)
 }
@@ -145,11 +136,7 @@ fn main() {
         greem_obs::trace::enable();
     }
 
-    if o.scenario == "galaxy-collapse" {
-        run_galaxy(&o);
-    } else {
-        run_cosmology(&o);
-    }
+    run_cosmology(&o);
 
     if let Some(path) = &o.trace {
         greem_obs::trace::disable();
@@ -191,147 +178,13 @@ fn finish_metrics(o: &Opts, w: MetricsOut) {
     }
 }
 
-/// The isolated galaxy-collapse scenario.
-fn run_galaxy(o: &Opts) {
-    let galaxy = if o.small {
-        GalaxyParams::small()
-    } else {
-        GalaxyParams::default()
-    };
-    let base = if o.small {
-        GalaxyConfig::small()
-    } else {
-        GalaxyConfig::default()
-    };
-    let integrator = match o.integrator.as_deref() {
-        None => base.integrator,
-        Some(name) => match greem::IntegratorKind::parse(name) {
-            Some(k) => k,
-            None => {
-                eprintln!("greem-run: unknown integrator '{name}' (try yoshida4 or leapfrog)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let cfg = GalaxyConfig {
-        galaxy: GalaxyParams {
-            seed: o.seed.unwrap_or(galaxy.seed),
-            ..galaxy
-        },
-        n_mesh: o.mesh.unwrap_or(base.n_mesh),
-        steps: o.steps.unwrap_or(base.steps),
-        dt: o.dt.unwrap_or(base.dt),
-        theta: o.theta.unwrap_or(base.theta),
-        integrator,
-        ..base
-    };
-
-    let mut sc = if let Some(path) = &o.resume {
-        match greem_astro::resume(cfg, path) {
-            Ok(sc) => {
-                println!(
-                    "resumed galaxy collapse at step {} ({} bodies) from {path}",
-                    sc.steps_taken(),
-                    sc.bodies().len()
-                );
-                sc
-            }
-            Err(e) => {
-                eprintln!("greem-run: cannot resume from {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let sc = GalaxyCollapse::new(cfg);
-        let c = sc.census();
-        println!(
-            "galaxy ICs: {} stars + {} dm + {} BH seeds, 2T/|W| = {:.3}",
-            c.counts[0],
-            c.counts[1],
-            c.counts[2],
-            sc.virial_history()[0]
-        );
-        sc
-    };
-
-    let mut metrics_out = open_metrics(o);
-    let first = sc.steps_taken();
-    let mut total = StepBreakdown::default();
-    for step in (first + 1)..=(cfg.steps as u64) {
-        let bd = sc.step();
-        total.accumulate(&bd);
-        if let Some(w) = metrics_out.as_mut() {
-            use greem_obs::Observe as _;
-            use std::io::Write as _;
-            let mut reg = greem_obs::Registry::new();
-            bd.observe(&mut reg);
-            sc.observe(&mut reg);
-            let line = greem_obs::export::step_report_line(step, sc.time(), &reg);
-            if let Err(e) = writeln!(w, "{line}") {
-                eprintln!("greem-run: metrics write failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        if !o.quiet {
-            println!(
-                "step {step:>3}/{}: t = {:.5}  2T/|W| = {:.3}  |dE/E0| = {:.2e}  mergers {}  captures {}",
-                cfg.steps,
-                sc.time(),
-                sc.virial_history().last().unwrap(),
-                sc.energy_drift(),
-                sc.mergers(),
-                sc.captures()
-            );
-        }
-    }
-    let steps_run = (cfg.steps as u64 - first).max(1);
-    println!("\nmean per-step cost breakdown:");
-    println!("{}", total.table(steps_run as f64));
-
-    let c = sc.census();
-    println!(
-        "final census: {} stars ({:.3} mass) + {} dm ({:.3}) + {} BH ({:.3})",
-        c.counts[0], c.masses[0], c.counts[1], c.masses[1], c.counts[2], c.masses[2]
-    );
-    println!(
-        "energy drift |dE/E0| = {:.3e}, BH mergers {}, captures {}",
-        sc.energy_drift(),
-        sc.mergers(),
-        sc.captures()
-    );
-    let heaviest = sc
-        .bodies()
-        .into_iter()
-        .filter(|b| greem::species_of_id(b.id) == SPECIES_BH)
-        .map(|b| b.mass)
-        .fold(0.0, f64::max);
-    println!("heaviest BH mass {heaviest:.4}");
-    let snap = sc.projected(48, 2, "final");
-    println!(
-        "final projected density (peak contrast {:.1}):",
-        snap.peak_contrast()
-    );
-    println!("{}", snap.ascii());
-
-    if let Some(path) = &o.checkpoint_out {
-        match sc.save_checkpoint(path) {
-            Ok(()) => println!("checkpoint written to {path}"),
-            Err(e) => {
-                eprintln!("greem-run: checkpoint failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    finish_metrics(o, metrics_out);
-}
-
 /// The original periodic-box cosmological driver.
 fn run_cosmology(o: &Opts) {
-    let steps = o.steps.unwrap_or(24);
+    let steps = o.steps;
     let cfg = TreePmConfig {
-        theta: o.theta.unwrap_or(0.5),
+        theta: o.theta,
         group_size: o.group,
-        ..TreePmConfig::standard(o.mesh.unwrap_or(32))
+        ..TreePmConfig::standard(o.mesh)
     };
     let cosmo = Cosmology::wmap7();
 
@@ -353,7 +206,7 @@ fn run_cosmology(o: &Opts) {
             a_start: a0,
             spectrum: PowerSpectrum::microhalo(1.0, 2.0 * std::f64::consts::PI * o.cutoff_modes),
             cosmology: cosmo,
-            seed: o.seed.unwrap_or(1),
+            seed: o.seed,
             normalize_rms_delta: Some(o.delta0),
         });
         println!(
@@ -385,10 +238,7 @@ fn run_cosmology(o: &Opts) {
     let a0 = match sim.mode() {
         SimulationMode::Cosmological { a, .. } => a,
         SimulationMode::Static => {
-            eprintln!(
-                "greem-run: this checkpoint is static-mode; use --scenario galaxy-collapse \
-                 for isolated runs"
-            );
+            eprintln!("greem-run: this checkpoint is static-mode; only cosmological runs resume");
             std::process::exit(1);
         }
     };

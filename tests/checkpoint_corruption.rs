@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 
 use greem::{read_snapshot, write_snapshot, Body, RankState, SimulationMode};
 use greem::{SnapshotError, SnapshotHeader};
-use greem_astro::{GalaxyCollapse, GalaxyConfig, GalaxyParams};
 use greem_cosmo::Cosmology;
 use greem_domain::{BalancerState, DomainGrid};
 use greem_math::Vec3;
@@ -81,22 +80,7 @@ fn kinds(dir: &Path) -> Vec<Kind> {
         ],
     };
     write_manifest(dir, &manifest).unwrap();
-    let galaxy = GalaxyConfig {
-        galaxy: GalaxyParams {
-            n_stars: 3,
-            n_dm: 3,
-            n_bh: 1,
-            ..GalaxyParams::small()
-        },
-        n_mesh: 8,
-        ..GalaxyConfig::default()
-    };
-    let mut scenario = GalaxyCollapse::new(galaxy);
-    scenario.step();
-    let scenario_path = dir.join("galaxy.ckpt");
-    scenario.save_checkpoint(&scenario_path).unwrap();
-
-    let (d1, d2, sp) = (dir.to_path_buf(), dir.to_path_buf(), scenario_path.clone());
+    let (d1, d2) = (dir.to_path_buf(), dir.to_path_buf());
     vec![
         snapshot(dir, "static.snap", SimulationMode::Static),
         snapshot(
@@ -116,11 +100,6 @@ fn kinds(dir: &Path) -> Vec<Kind> {
             name: "manifest",
             path: greem_resil::ckpt::manifest_path(dir, 4),
             read: Box::new(move || container_error(read_manifest(&d2, 4))),
-        },
-        Kind {
-            name: "scenario",
-            path: scenario_path,
-            read: Box::new(move || greem_astro::load(&sp).map(|_| ())),
         },
     ]
 }

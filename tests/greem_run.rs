@@ -1,5 +1,6 @@
 //! The `greem-run` binary end to end on a tiny cosmological run
-//! (8³ bodies, mesh 8, one step).
+//! (8³ bodies, mesh 8, one step), and its refusal of options it
+//! cannot run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -67,4 +68,32 @@ fn metrics_writes_one_parseable_report_line_per_step() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_range_options_exit_2_without_a_panic() {
+    let cases: &[(&str, &str)] = &[
+        ("--mesh", "0"),
+        ("--mesh", "1"),
+        ("--mesh", "2"),
+        ("--mesh", "4"),
+        ("--mesh", "12"),
+        ("--n-side", "0"),
+        ("--n-side", "1"),
+        ("--n-side", "6"),
+        ("--group", "0"),
+        ("--theta", "-1"),
+        ("--theta", "nan"),
+        ("--steps", "0"),
+    ];
+    for &(flag, value) in cases {
+        let out = greem_run(&[flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with("greem-run: ") && stderr.contains(flag),
+            "{flag} {value}: {stderr}"
+        );
+    }
 }

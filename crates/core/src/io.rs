@@ -241,8 +241,8 @@ impl<'a> Container<'a> {
             let (len, tail) = tail.split_first_chunk().ok_or(SnapshotError::MALFORMED)?;
             let len = usize::try_from(u64::from_le_bytes(*len)).unwrap_or(usize::MAX);
             let payload = tail.get(..len).ok_or(SnapshotError::MALFORMED)?;
-            let (Some(slot), (words, [])) = (sections.get_mut(tag as usize), payload.as_chunks())
-            else {
+            let slot = sections.get_mut(tag as usize).filter(|_| tag != 0);
+            let (Some(slot), (words, [])) = (slot, payload.as_chunks()) else {
                 return Err(SnapshotError::MALFORMED);
             };
             *slot = Some(words);
@@ -499,8 +499,8 @@ mod tests {
     #[test]
     fn a_tag_outside_the_vocabulary_is_malformed() {
         // The checksum vouches for every byte; the tag is still refused,
-        // be it 6 (the retired `scenario` section) or 255.
-        for tag in [6u8, 255] {
+        // be it 0 (no section), 6 (the retired `scenario` section) or 255.
+        for tag in [0u8, 6, 255] {
             let mut w = ContainerWriter::default();
             w.state(&SnapshotHeader {
                 step: 1,

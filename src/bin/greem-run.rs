@@ -118,8 +118,20 @@ fn parse_args() -> Result<Opts, String> {
     if o.theta.is_nan() || o.theta < 0.0 {
         return Err(format!("--theta must be >= 0 (got {})", o.theta));
     }
-    if o.z_end >= o.z_start {
-        return Err("--z-end must be below --z-start".into());
+    if !o.z_start.is_finite() || o.z_start < 0.0 {
+        return Err(format!(
+            "--z-start must be finite and >= 0 (got {})",
+            o.z_start
+        ));
+    }
+    if o.z_end.is_nan() || o.z_end <= -1.0 || o.z_end >= o.z_start {
+        return Err(format!(
+            "--z-end must be above -1 and below --z-start (got {})",
+            o.z_end
+        ));
+    }
+    if !o.delta0.is_finite() || !o.cutoff_modes.is_finite() {
+        return Err("--delta0 and --cutoff-modes must be finite".into());
     }
     Ok(o)
 }

@@ -85,6 +85,12 @@ fn out_of_range_options_exit_2_without_a_panic() {
         ("--theta", "-1"),
         ("--theta", "nan"),
         ("--steps", "0"),
+        ("--z-start", "-2"),
+        ("--z-start", "nan"),
+        ("--z-end", "-1"),
+        ("--z-end", "nan"),
+        ("--delta0", "inf"),
+        ("--cutoff-modes", "nan"),
     ];
     for &(flag, value) in cases {
         let out = greem_run(&[flag, value]);

@@ -25,7 +25,7 @@ pub enum Boundary {
 
 /// Whether a run can take `n_mesh` PM cells per side: a power of two
 /// (the FFT's and the relay slabs' rule) of at least 8 — below it the
-/// cutoff `3/n_mesh` reaches toward half the box and the minimum-image
+/// cutoff `3/n_mesh` passes half the box and the minimum-image
 /// tree walk no longer holds. Every front end checks this rule before
 /// it builds a solver, which would panic on a side outside it.
 pub fn is_valid_mesh(n_mesh: usize) -> bool {

@@ -118,18 +118,22 @@ fn validator_agrees_with_the_export() {
 }
 
 /// The Table I vocabulary of one distributed PM cycle: on every rank the
-/// six phase spans, in cycle order and category `pm`, with the relay
-/// schedule's spans inside the two conversions.
+/// six phase spans, category `pm`, with the relay schedule's spans inside
+/// the two conversions. The first four are the rank thread's, in cycle
+/// order. The last two come from the sweep that differences and
+/// interpolates plane by plane: on every thread that runs a share of it,
+/// "acceleration on mesh" then "force interpolation" for each occupied
+/// x-plane, one pair per plane in all; the rank thread closes the cycle
+/// with the interpolation span of the scatter into particle order.
 #[test]
 fn parallel_pm_emits_its_phase_spans_on_every_rank() {
-    const PHASES: [&str; 6] = [
+    const PHASES: [&str; 4] = [
         "pm.density_assignment",
         "pm.convert_to_slabs",
         "pm.fft",
         "pm.convert_to_local",
-        "pm.acceleration_on_mesh",
-        "pm.force_interpolation",
     ];
+    const PAIR: [&str; 2] = ["pm.acceleration_on_mesh", "pm.force_interpolation"];
     let p = 4;
     let grid = DomainGrid::uniform([2, 2, 1]);
     let (_, events) = capture(|| {
@@ -143,26 +147,57 @@ fn parallel_pm_emits_its_phase_spans_on_every_rank() {
                 };
                 let pm = ParallelPm::new(ctx, world, cfg);
                 let dom = grid.domain(world.rank());
-                let pos = [(dom.lo + dom.hi) * 0.5];
+                // Two bodies one cell apart in x: two occupied planes.
+                let centre = (dom.lo + dom.hi) * 0.5;
+                let pos = [centre, centre + greem_math::Vec3::new(0.125, 0.0, 0.0)];
                 let (lo, hi) = (dom.lo.to_array(), dom.hi.to_array());
-                pm.solve(ctx, world, lo, hi, &pos, &[1.0]);
+                pm.solve(ctx, world, lo, hi, &pos, &[1.0, 1.0]);
             })
     });
     for rank in 0..p as u32 {
-        let begins: Vec<&str> = events
+        let begins: Vec<_> = events
             .iter()
             .filter(|e| e.rank == rank && e.phase == Phase::Begin && e.cat == "pm")
-            .map(|e| e.name)
             .collect();
-        let phases: Vec<&str> = begins
+        // The `pm.` spans of each thread, in order.
+        let mut threads: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
+        for e in begins.iter().filter(|e| e.name.starts_with("pm.")) {
+            threads.entry(e.tid).or_default().push(e.name);
+        }
+        let own = begins
             .iter()
-            .copied()
-            .filter(|n| n.starts_with("pm."))
-            .collect();
-        assert_eq!(phases, PHASES, "rank {rank}");
+            .find(|e| e.name == PHASES[0])
+            .unwrap_or_else(|| panic!("rank {rank}: no {}", PHASES[0]))
+            .tid;
+        let mut pairs = 0;
+        for (&tid, names) in &threads {
+            let sweep = if tid == own {
+                assert_eq!(names[..4], PHASES, "rank {rank}");
+                assert_eq!(names.last(), Some(&PAIR[1]), "rank {rank}: the scatter");
+                &names[4..names.len() - 1]
+            } else {
+                &names[..]
+            };
+            assert!(
+                sweep.chunks(2).all(|pair| pair == PAIR),
+                "rank {rank}, thread {tid}: {names:?}"
+            );
+            pairs += sweep.len() / 2;
+        }
+        assert_eq!(pairs, 2, "rank {rank}: one pair per occupied plane");
+        let seq = |name: &str| begins.iter().find(|e| e.name == name).map(|e| e.seq);
+        let after_local = begins
+            .iter()
+            .filter(|e| PAIR.contains(&e.name))
+            .all(|e| Some(e.seq) > seq(PHASES[3]));
+        assert!(
+            after_local,
+            "rank {rank}: a sweep span before the potential"
+        );
+        let names: Vec<&str> = begins.iter().map(|e| e.name).collect();
         let between = |name: &str, from: &str, to: &str| {
-            let at = |n: &str| begins.iter().position(|b| *b == n);
-            let i = at(name).unwrap_or_else(|| panic!("rank {rank}: no {name} in {begins:?}"));
+            let at = |n: &str| names.iter().position(|b| *b == n);
+            let i = at(name).unwrap_or_else(|| panic!("rank {rank}: no {name} in {names:?}"));
             assert!(
                 at(from) < Some(i) && Some(i) < at(to),
                 "rank {rank}: {name} outside {from}"

@@ -196,6 +196,44 @@ pub fn clear_vtime() {
     VTIME.with(|v| v.set(f64::NAN));
 }
 
+/// A thread's event tags: its simulated rank and its copy of that rank's
+/// virtual clock. A rank that hands work to pool threads lends them its
+/// tags ([`ThreadTags::scope`]), so the spans they record are its own.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadTags {
+    rank: u32,
+    vtime: f64,
+}
+
+/// The calling thread's tags.
+pub fn thread_tags() -> ThreadTags {
+    ThreadTags {
+        rank: RANK.with(Cell::get),
+        vtime: VTIME.with(Cell::get),
+    }
+}
+
+impl ThreadTags {
+    fn set(self) {
+        RANK.with(|r| r.set(self.rank));
+        VTIME.with(|v| v.set(self.vtime));
+    }
+
+    /// Run `f` with this thread's events tagged `self`; the thread's own
+    /// tags come back afterwards, also when `f` panics.
+    pub fn scope<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(ThreadTags);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                self.0.set();
+            }
+        }
+        let _restore = Restore(thread_tags());
+        self.set();
+        f()
+    }
+}
+
 fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
@@ -511,5 +549,26 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].rank, 3);
         assert_eq!(events[0].vtime, 1.25);
+    }
+
+    #[test]
+    fn lent_tags_tag_another_thread_until_the_scope_ends() {
+        let ((), events) = capture(|| {
+            set_rank(2);
+            set_vtime(0.5);
+            let tags = thread_tags();
+            clear_vtime();
+            set_rank(0);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    tags.scope(|| instant("test", "lent", &[]));
+                    instant("test", "own", &[]);
+                });
+            });
+        });
+        let tagged: Vec<_> = events.iter().map(|e| (e.name, e.rank, e.vtime)).collect();
+        assert_eq!(tagged[0], ("lent", 2, 0.5));
+        assert_eq!((tagged[1].0, tagged[1].1), ("own", 0));
+        assert!(tagged[1].2.is_nan());
     }
 }

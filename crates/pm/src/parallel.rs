@@ -3,15 +3,13 @@
 use greem_fft::SlabFft;
 use greem_math::Vec3;
 use greem_obs::trace::timed_phase;
-use greem_perfmodel::tableone::{
-    ACCELERATION_ON_MESH, DENSITY_ASSIGNMENT, FFT, FORCE_INTERPOLATION,
-};
+use greem_perfmodel::tableone::{DENSITY_ASSIGNMENT, FFT};
 use mpisim::{Comm, Ctx};
 
 use crate::convert::{local_density_to_slabs, slabs_to_local_potential};
 use crate::greens::GreensFn;
 use crate::layout::{CellBox, LocalMesh};
-use crate::mesh::{self, BlockLists, Grid};
+use crate::mesh::{self, BlockLists, Grid, Stencil};
 use crate::relay::{relay_density_to_slabs, relay_slabs_to_local, RelayComms, RelayConfig};
 
 /// Configuration of the parallel PM solver.
@@ -130,6 +128,27 @@ impl ParallelPm {
         pos: &[Vec3],
         mass: &[f64],
     ) -> (Vec<Vec3>, PmPhaseTimes) {
+        let (grid, phi, mut lists, mut t) = self.local_potential(ctx, world, dlo, dhi, pos, mass);
+        // Step 5: 4-point differences of the grown potential and TSC
+        // interpolation at the particles, in one sweep over the
+        // assignment box's x-planes.
+        let stencil = Stencil::new(grid, Grid::local(phi.bx, self.cfg.n_mesh), &phi.data);
+        let accel = mesh::sweep("pm", &stencil, &mut lists, &mut Vec::new(), pos, &mut t);
+        (accel, t)
+    }
+
+    /// Steps 1–4 of [`solve`](Self::solve): the assignment grid, the
+    /// potential on it grown by the stencil's reach, the assignment's
+    /// particle lists, and the four steps' timings.
+    fn local_potential(
+        &self,
+        ctx: &mut Ctx,
+        world: &Comm,
+        dlo: [f64; 3],
+        dhi: [f64; 3],
+        pos: &[Vec3],
+        mass: &[f64],
+    ) -> (Grid, LocalMesh, BlockLists, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
         let ParallelPmConfig { n_mesh: n, nf, .. } = self.cfg;
         let mut t = PmPhaseTimes::default();
@@ -138,11 +157,12 @@ impl ParallelPm {
         let assign_box = CellBox::covering_domain(dlo, dhi, n);
         let grid = Grid::local(assign_box, n);
         let mut rho = LocalMesh::zeros(assign_box);
+        let mut lists = BlockLists::default();
         timed_phase(
             "pm",
             DENSITY_ASSIGNMENT.key,
             &mut t.density_assignment,
-            || mesh::assign(grid, &mut BlockLists::default(), pos, mass, &mut rho.data),
+            || mesh::assign(grid, &mut lists, pos, mass, &mut rho.data),
         );
 
         // Step 2: conversion to slabs (direct or relay).
@@ -180,26 +200,7 @@ impl ParallelPm {
             },
         );
         t.communication_sim += ctx.vtime() - v0;
-
-        // Step 5a: acceleration on the mesh (4-point differences over
-        // the assignment box, using the grown potential).
-        let mut acc = std::array::from_fn(|_| vec![0.0; assign_box.len()]);
-        timed_phase(
-            "pm",
-            ACCELERATION_ON_MESH.key,
-            &mut t.acceleration_on_mesh,
-            || mesh::accel_from_potential(grid, Grid::local(want, n), &phi.data, &mut acc),
-        );
-
-        // Step 5b: TSC force interpolation at the particles.
-        let fields = acc.each_ref().map(|a| (grid, a.as_slice()));
-        let accel = timed_phase(
-            "pm",
-            FORCE_INTERPOLATION.key,
-            &mut t.force_interpolation,
-            || mesh::gather(fields, pos),
-        );
-        (accel.into_iter().map(Vec3::from).collect(), t)
+        (grid, phi, lists, t)
     }
 }
 
@@ -298,5 +299,49 @@ mod tests {
             assert!(t.communication_sim > 0.0, "conversions must cost sim time");
             assert!(t.fft > 0.0, "both ranks run the slab transform");
         }
+    }
+
+    /// On every rank of a relay run, `solve`'s sweep equals the staged
+    /// local-box passes — whole acceleration meshes over the assignment
+    /// box, then the gather — on the same potential, bit for bit; bodies
+    /// sit at the domain's faces and all in one plane.
+    #[test]
+    fn solve_sweep_equals_the_local_box_staged_passes_bitwise() {
+        let (n, p) = (16usize, 4usize);
+        let all = rand_pos(400, 53);
+        World::new(p).with_net(NetModel::free()).run(|ctx, world| {
+            let me = world.rank();
+            let cfg = ParallelPmConfig {
+                nf: 2,
+                relay_groups: Some(2),
+                ..ParallelPmConfig::standard(n, p)
+            };
+            let pm = ParallelPm::new(ctx, world, cfg);
+            let (dlo, dhi) = (
+                [me as f64 / 4.0, 0.0, 0.0],
+                [(me + 1) as f64 / 4.0, 1.0, 1.0],
+            );
+            let below = |x: f64| x - f64::EPSILON;
+            let mut pos: Vec<Vec3> = all
+                .iter()
+                .filter(|q| (dlo[0]..dhi[0]).contains(&q.x))
+                .copied()
+                .collect();
+            pos.extend([
+                Vec3::new(dlo[0], 0.0, 0.0),
+                Vec3::new(below(dhi[0]), below(1.0), 0.5),
+            ]);
+            pos.extend(all[..20].iter().map(|q| Vec3::new(dlo[0] + 0.1, q.y, q.z)));
+            let mass = vec![1.0; pos.len()];
+            let (got, _) = pm.solve(ctx, world, dlo, dhi, &pos, &mass);
+            let (grid, phi, _, _) = pm.local_potential(ctx, world, dlo, dhi, &pos, &mass);
+            let mut acc = std::array::from_fn(|_| vec![0.0; grid.bx.len()]);
+            mesh::accel_from_potential(grid, Grid::local(phi.bx, n), &phi.data, &mut acc);
+            let want = mesh::gather(acc.each_ref().map(|a| (grid, a.as_slice())), &pos);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let bits = |v: [f64; 3]| v.map(f64::to_bits);
+                assert_eq!(bits(g.to_array()), bits(*w), "rank {me}, body {i}");
+            }
+        });
     }
 }

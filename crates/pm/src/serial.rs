@@ -11,12 +11,10 @@ use std::sync::Mutex;
 use greem_fft::RealFft3;
 use greem_math::Vec3;
 use greem_obs::trace::timed_phase;
-use greem_perfmodel::tableone::{
-    ACCELERATION_ON_MESH, DENSITY_ASSIGNMENT, FFT, FORCE_INTERPOLATION,
-};
+use greem_perfmodel::tableone::{DENSITY_ASSIGNMENT, FFT};
 
 use crate::greens::GreensFn;
-use crate::mesh::{self, BlockLists, Grid};
+use crate::mesh::{self, BlockLists, Grid, Stencil};
 use crate::parallel::PmPhaseTimes;
 use crate::tsc::tsc_weights;
 
@@ -75,8 +73,8 @@ pub struct PmResult {
 pub struct PmSolver {
     params: PmParams,
     /// The transform's mesh, stored unpadded: `n³` periodic, or `(2n)³`
-    /// with cell size `1/n` in open space. The acceleration meshes and
-    /// the staged calls' meshes live on it.
+    /// with cell size `1/n` in open space. The staged calls' meshes live
+    /// on it, and the solve's accelerations are differenced on it.
     grid: Grid,
     /// The same mesh inside the transform's padded buffer.
     padded: Grid,
@@ -92,9 +90,10 @@ struct Workspace {
     /// Density, then its spectrum, then the potential, in the
     /// transform's padded `side × side × (side+2)` layout.
     mesh: Vec<f64>,
-    /// The three acceleration meshes, one cell per cell of `grid`.
-    acc: [Vec<f64>; 3],
     lists: BlockLists,
+    /// The differencing rings of the sweep's tasks, three planes of
+    /// `grid` each.
+    rings: Vec<Vec<f64>>,
 }
 
 impl PmSolver {
@@ -140,8 +139,8 @@ impl PmSolver {
         PmSolver {
             workspace: Mutex::new(Workspace {
                 mesh: vec![0.0; fft.buf_len()],
-                acc: std::array::from_fn(|_| vec![0.0; grid.bx.len()]),
                 lists: BlockLists::default(),
+                rings: Vec::new(),
             }),
             params,
             grid,
@@ -233,7 +232,9 @@ impl PmSolver {
 
     /// 4-point finite-difference accelerations from the potential mesh:
     /// `a = −∇φ`, `∂φ/∂x ≈ (−φ₊₂ + 8φ₊₁ − 8φ₋₁ + φ₋₂)/(12h)` (§II-B
-    /// step 5). Returns the three component meshes.
+    /// step 5). Returns the three component meshes: the staged form of
+    /// what [`solve`](Self::solve) does plane by plane without storing
+    /// them, with the same bits.
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         let mut out = std::array::from_fn(|_| vec![0.0; self.grid.bx.len()]);
         mesh::accel_from_potential(self.grid, self.grid, phi, &mut out);
@@ -265,34 +266,24 @@ impl PmSolver {
 
     /// The cycle on the solver's own workspace, with the wall seconds of
     /// its four Table I phases: the density is assigned straight into
-    /// the transform's padded buffer, becomes the potential there, and
-    /// is differenced there; the three accelerations are interpolated.
+    /// the transform's padded buffer and becomes the potential there,
+    /// which one sweep over its x-planes differences and interpolates
+    /// (`mesh::sweep`) — no acceleration mesh is stored.
     pub fn solve_timed(&self, pos: &[Vec3], mass: &[f64]) -> (PmResult, PmPhaseTimes) {
         assert_eq!(pos.len(), mass.len());
-        let (grid, padded) = (self.grid, self.padded);
         let mut t = PmPhaseTimes::default();
         let ws = &mut *self.workspace();
         timed_phase(
             "force",
             DENSITY_ASSIGNMENT.key,
             &mut t.density_assignment,
-            || mesh::assign(padded, &mut ws.lists, pos, mass, &mut ws.mesh),
+            || mesh::assign(self.padded, &mut ws.lists, pos, mass, &mut ws.mesh),
         );
         timed_phase("force", FFT.key, &mut t.fft, || {
             self.potential_in_place(&mut ws.mesh)
         });
-        timed_phase(
-            "force",
-            ACCELERATION_ON_MESH.key,
-            &mut t.acceleration_on_mesh,
-            || mesh::accel_from_potential(grid, padded, &ws.mesh, &mut ws.acc),
-        );
-        let fields = ws.acc.each_ref().map(|a| (grid, a.as_slice()));
-        let key = FORCE_INTERPOLATION.key;
-        let accel = timed_phase("force", key, &mut t.force_interpolation, || {
-            let sums = mesh::gather(fields, pos).into_iter();
-            sums.map(|[x, y, z]| Vec3::new(x, y, z)).collect()
-        });
+        let stencil = Stencil::new(self.grid, self.padded, &ws.mesh);
+        let accel = mesh::sweep("force", &stencil, &mut ws.lists, &mut ws.rings, pos, &mut t);
         (PmResult { accel }, t)
     }
 }
@@ -369,22 +360,51 @@ mod tests {
         assert_eq!(first.accel, again.accel);
     }
 
+    /// The solve's plane sweep against the staged calls — whole
+    /// acceleration meshes, then the fused gather — bit for bit, on both
+    /// boundaries, from a side where a cloud's third plane is its first
+    /// up to several planes per task, at both ends of every axis, with
+    /// every body in one plane, and with none. (The split of the planes
+    /// across threads is varied by `mesh`'s sweep test, and by running
+    /// this suite at several `RAYON_NUM_THREADS`.)
     #[test]
     fn workspace_cycle_equals_the_staged_calls_bitwise() {
-        let solver = PmSolver::new(PmParams::standard(16));
-        let pos = rand_pos(400, 47);
-        let mass = vec![1.0; 400];
-        let rho = solver.assign_density(&pos, &mass);
-        let phi = solver.potential_mesh(&rho);
-        let acc = solver.accel_meshes(&phi);
-        let (accel, _) = solver.interpolate_forces(&acc, &phi, &pos);
-        let res = solver.solve(&pos, &mass);
         let bits = |a: &[Vec3]| -> Vec<u64> {
             a.iter()
                 .flat_map(|v| [v.x, v.y, v.z].map(f64::to_bits))
                 .collect()
         };
-        assert_eq!(bits(&res.accel), bits(&accel));
+        for n in [2usize, 4, 8, 16] {
+            let h = 1.0 / n as f64;
+            let below_one = 1.0 - f64::EPSILON / 2.0;
+            let mut edges = vec![Vec3::ZERO, Vec3::splat(below_one)];
+            for f in [0.3 * h, 0.8 * h, 1.0 - 0.8 * h, 1.0 - 0.3 * h] {
+                edges.extend([
+                    Vec3::new(f, 0.5, 0.5),
+                    Vec3::new(0.5, f, 0.5),
+                    Vec3::new(0.5, 0.5, f),
+                ]);
+            }
+            edges.extend(rand_pos(400, 47));
+            let one_plane: Vec<Vec3> = edges.iter().map(|p| Vec3::new(0.3, p.y, p.z)).collect();
+            let cases = [
+                ("edges", edges),
+                ("one plane", one_plane),
+                ("none", Vec::new()),
+            ];
+            for solver in [PmSolver::new, PmSolver::isolated].map(|f| f(PmParams::standard(n))) {
+                for (name, pos) in &cases {
+                    let mass: Vec<f64> = (0..pos.len()).map(|i| 1.0 + (i % 3) as f64).collect();
+                    let rho = solver.assign_density(pos, &mass);
+                    let phi = solver.potential_mesh(&rho);
+                    let acc = solver.accel_meshes(&phi);
+                    let (accel, _) = solver.interpolate_forces(&acc, &phi, pos);
+                    let res = solver.solve(pos, &mass);
+                    let what = format!("n = {n}, side {}, {name}", solver.fft.n());
+                    assert_eq!(bits(&res.accel), bits(&accel), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 #
 # A file's non-test lines are those before its first `#[cfg(test)]`
 # (all of them if it has none). Files under `tests/`, `benches/`,
-# `benchmark/` and `vendor/` are left out. With `<rev>` the files are
+# `benchmark/` and `vendor/` are left out, and so is a module whose
+# `mod` line is gated by `#[cfg(test)]` (its file and any files under
+# its directory). With `<rev>` the files are
 # read from that commit, without it from the working tree (tracked and
 # untracked, ignored files left out). Without `<dir>` it prints one line
 # per crate (`root` for the top-level package) and the total; with
@@ -39,12 +41,43 @@ else
 fi
 
 files=$(printf '%s\n' "$files" | grep -Ev '(^|/)(tests|benches)/|^(benchmark|vendor)/' || true)
+# Test-only modules: `name` in `mod name;` right after `#[cfg(test)]`
+# (other attributes may sit between), resolved against the declaring
+# file — `dir/name.rs` and `dir/name/` beside a lib.rs, main.rs or
+# mod.rs, `stem/name.rs` and `stem/name/` under any other file.
+gated=$(for f in $files; do
+    [ -n "$rev" ] || [ -f "$f" ] || continue
+    case "$f" in
+        */lib.rs | */main.rs | */mod.rs) base=$(dirname "$f") ;;
+        *) base=${f%.rs} ;;
+    esac
+    read_file "$f" | awk -v dir="$base" '
+        /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { g = 1; next }
+        g && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/ {
+            s = $0; sub(/^.*mod[[:space:]]+/, "", s); sub(/[[:space:]]*;.*$/, "", s)
+            print dir "/" s ".rs"; print dir "/" s "/"
+        }
+        /^[[:space:]]*#\[/ { next }
+        { g = 0 }'
+done)
+is_gated() {
+    local g
+    for g in $gated; do
+        case "$g" in
+            */) [[ "$1" == "$g"* ]] && return 0 ;;
+            *) [ "$1" = "$g" ] && return 0 ;;
+        esac
+    done
+    return 1
+}
+
 if [ -n "$dir" ]; then
     files=$(printf '%s\n' "$files" | grep -E "^$dir/" || true)
 fi
 
 for f in $files; do
     [ -n "$rev" ] || [ -f "$f" ] || continue
+    is_gated "$f" && continue
     n=$(read_file "$f" | awk '/#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }')
     if [ -n "$dir" ]; then
         key="$f"

@@ -124,7 +124,7 @@ fn validator_agrees_with_the_export() {
 /// interpolates plane by plane: on every thread that runs a share of it,
 /// "acceleration on mesh" then "force interpolation" for each occupied
 /// x-plane, one pair per plane in all; the rank thread closes the cycle
-/// with the interpolation span of the scatter into particle order.
+/// with the interpolation span of the reordering into particle order.
 #[test]
 fn parallel_pm_emits_its_phase_spans_on_every_rank() {
     const PHASES: [&str; 4] = [
@@ -173,7 +173,7 @@ fn parallel_pm_emits_its_phase_spans_on_every_rank() {
         for (&tid, names) in &threads {
             let sweep = if tid == own {
                 assert_eq!(names[..4], PHASES, "rank {rank}");
-                assert_eq!(names.last(), Some(&PAIR[1]), "rank {rank}: the scatter");
+                assert_eq!(names.last(), Some(&PAIR[1]), "rank {rank}: the reordering");
                 &names[4..names.len() - 1]
             } else {
                 &names[..]

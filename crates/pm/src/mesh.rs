@@ -175,7 +175,8 @@ pub(crate) struct BlockLists {
     first: Vec<u32>,
     /// The particles whose clouds touch each block of [`assign`].
     blocks: Buckets,
-    /// The particles whose clouds start at each x-plane.
+    /// The particles whose clouds start at each x-plane; [`sweep`]
+    /// spends them putting its sums in particle order.
     planes: Buckets,
 }
 
@@ -424,13 +425,13 @@ pub(crate) fn gather_forces(
 /// (which, on a wrapping grid, wrap to 0 and 1), skipping any plane no
 /// cloud reaches. Each particle sums the terms of [`gather`] in its
 /// order over the same plane values, so the bits are those of the
-/// staged passes at any thread count. `rings` keeps the tasks' rings
-/// from call to call.
+/// staged passes at any thread count. The tasks write their sums in
+/// bucket order into one buffer, which a cycle walk puts in particle
+/// order in place. `rings` keeps the tasks' rings from call to call.
 ///
 /// The tasks record their differencing and gathering under the two rows'
 /// spans, category `cat`, tagged as the calling thread; the rows are the
-/// sums of those spans, and of the span of the final scatter into
-/// particle order.
+/// sums of those spans, and of the span of the final reordering.
 pub(crate) fn sweep(
     cat: &'static str,
     stencil: &Stencil,
@@ -464,18 +465,25 @@ fn sweep_split(
     lists.planes.sort(nx, &lists.first, |a| [a as usize]);
     let per_task = planes_per_task(nx, threads);
     rings.resize_with(nx.div_ceil(per_task), Vec::new);
+    // The sums in bucket order, cut into one run of buckets per task.
+    let mut sums = vec![[0.0; 3]; pos.len()];
     let (planes, tags) = (&lists.planes, trace::thread_tags());
-    let tasks: Vec<_> = rings.iter_mut().enumerate().collect();
-    let runs: Vec<_> = tasks
+    let mut rest = sums.as_mut_slice();
+    let mut tasks = Vec::with_capacity(rings.len());
+    for (k, ring) in rings.iter_mut().enumerate() {
+        let run = k * per_task..((k + 1) * per_task).min(nx);
+        let (mine, tail) = rest.split_at_mut(planes.start[run.end] - planes.start[run.start]);
+        rest = tail;
+        tasks.push((run, ring, mine));
+    }
+    let times: Vec<(f64, f64)> = tasks
         .into_par_iter()
-        .map(|(k, ring)| {
+        .map(|(run, ring, mut mine)| {
             tags.scope(|| {
                 ring.resize(9 * len, 0.0);
                 // Ring slot `s % 3` holds unwrapped plane `s`, its three
                 // components side by side.
                 let slot = |s: usize| s % 3 * 3 * len..(s % 3 * 3 + 3) * len;
-                let run = k * per_task..((k + 1) * per_task).min(nx);
-                let mut sums = Vec::with_capacity(planes.start[run.end] - planes.start[run.start]);
                 let (mut diff_s, mut gather_s) = (0.0, 0.0);
                 // The planes this task has differenced end at `filled`;
                 // the last three of them are in the ring.
@@ -496,25 +504,34 @@ fn sweep_split(
                     let span = trace::span(cat, FORCE_INTERPOLATION.key);
                     let cloud = [x, x + 1, x + 2]
                         .map(|s| std::array::from_fn(|c| &ring[slot(s)][c * len..][..len]));
-                    sums.extend(ids.iter().map(|&i| {
+                    let (bucket, tail) = std::mem::take(&mut mine).split_at_mut(ids.len());
+                    mine = tail;
+                    for (&i, v) in ids.iter().zip(bucket) {
                         let ([cx, cy, cz], w) = out.cloud(pos[i as usize]);
                         assert_eq!(cx[0], x, "a particle moved since the assignment");
-                        gather_cloud(cloud, [nz; 3], [cy, cz], w)
-                    }));
+                        *v = gather_cloud(cloud, [nz; 3], [cy, cz], w);
+                    }
                     gather_s += span.close();
                 }
-                (sums, diff_s, gather_s)
+                (diff_s, gather_s)
             })
         })
         .collect();
+    // Into particle order in place: swapping each slot with the one its
+    // sum belongs in puts at least one sum in place a swap. The bucket
+    // lists are spent on it.
     let span = trace::span(cat, FORCE_INTERPOLATION.key);
-    let mut accel = vec![Vec3::ZERO; pos.len()];
-    let sums = runs.iter().flat_map(|(sums, _, _)| sums);
-    for (&i, &v) in planes.ids.iter().zip(sums) {
-        accel[i as usize] = Vec3::from(v);
+    let ids = &mut lists.planes.ids;
+    for k in 0..ids.len() {
+        while ids[k] as usize != k {
+            let j = ids[k] as usize;
+            sums.swap(k, j);
+            ids.swap(k, j);
+        }
     }
+    let accel = sums.into_iter().map(Vec3::from).collect();
     t.force_interpolation += span.close();
-    for (_, diff_s, gather_s) in &runs {
+    for (diff_s, gather_s) in times {
         t.acceleration_on_mesh += diff_s;
         t.force_interpolation += gather_s;
     }

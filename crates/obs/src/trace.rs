@@ -196,40 +196,34 @@ pub fn clear_vtime() {
     VTIME.with(|v| v.set(f64::NAN));
 }
 
-/// A thread's event tags: its simulated rank and its copy of that rank's
-/// virtual clock. A rank that hands work to pool threads lends them its
-/// tags ([`ThreadTags::scope`]), so the spans they record are its own.
+/// A rank's tag, lent to the pool threads that do part of its work
+/// ([`RankTag::scope`]) so that the spans they record are its own.
 #[derive(Debug, Clone, Copy)]
-pub struct ThreadTags {
-    rank: u32,
-    vtime: f64,
+pub struct RankTag(u32);
+
+/// The calling thread's rank tag.
+pub fn rank_tag() -> RankTag {
+    RankTag(RANK.with(Cell::get))
 }
 
-/// The calling thread's tags.
-pub fn thread_tags() -> ThreadTags {
-    ThreadTags {
-        rank: RANK.with(Cell::get),
-        vtime: VTIME.with(Cell::get),
-    }
-}
-
-impl ThreadTags {
-    fn set(self) {
-        RANK.with(|r| r.set(self.rank));
-        VTIME.with(|v| v.set(self.vtime));
-    }
-
-    /// Run `f` with this thread's events tagged `self`; the thread's own
-    /// tags come back afterwards, also when `f` panics.
+impl RankTag {
+    /// Run `f` with this thread's events tagged with the lent rank and
+    /// no virtual time, then give the thread its own tags back, also
+    /// when `f` panics. Work handed to the pool is not a step of the
+    /// rank's simulated timeline: which thread runs which part, and in
+    /// what order, is the pool's choice, so its events stay out of the
+    /// per-rank virtual-time order that replays bit for bit.
     pub fn scope<R>(self, f: impl FnOnce() -> R) -> R {
-        struct Restore(ThreadTags);
+        struct Restore(u32, f64);
         impl Drop for Restore {
             fn drop(&mut self) {
-                self.0.set();
+                RANK.with(|r| r.set(self.0));
+                VTIME.with(|v| v.set(self.1));
             }
         }
-        let _restore = Restore(thread_tags());
-        self.set();
+        let _restore = Restore(RANK.with(Cell::get), VTIME.with(Cell::get));
+        RANK.with(|r| r.set(self.0));
+        VTIME.with(|v| v.set(f64::NAN));
         f()
     }
 }
@@ -491,8 +485,12 @@ mod tests {
 
     #[test]
     fn disabled_recording_produces_nothing() {
+        // Under the capture lock: another test's capture window must not
+        // be open (recording on) while this span is taken.
+        let guard = lock(&CAPTURE);
         let _s = span("test", "ignored");
         drop(_s);
+        drop(guard);
         let ((), events) = capture(|| {});
         assert!(events.is_empty());
     }
@@ -552,23 +550,33 @@ mod tests {
     }
 
     #[test]
-    fn lent_tags_tag_another_thread_until_the_scope_ends() {
+    fn a_lent_rank_tags_another_thread_until_the_scope_ends() {
         let ((), events) = capture(|| {
             set_rank(2);
             set_vtime(0.5);
-            let tags = thread_tags();
-            clear_vtime();
-            set_rank(0);
+            let tag = rank_tag();
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    tags.scope(|| instant("test", "lent", &[]));
+                    tag.scope(|| instant("test", "lent", &[]));
                     instant("test", "own", &[]);
                 });
             });
+            tag.scope(|| instant("test", "inline", &[]));
+            instant("test", "after", &[]);
+            clear_vtime();
+            set_rank(0);
         });
         let tagged: Vec<_> = events.iter().map(|e| (e.name, e.rank, e.vtime)).collect();
-        assert_eq!(tagged[0], ("lent", 2, 0.5));
-        assert_eq!((tagged[1].0, tagged[1].1), ("own", 0));
-        assert!(tagged[1].2.is_nan());
+        let names: Vec<_> = tagged.iter().map(|t| (t.0, t.1, t.2.is_nan())).collect();
+        assert_eq!(
+            names,
+            [
+                ("lent", 2, true),
+                ("own", 0, true),
+                ("inline", 2, true),
+                ("after", 2, false)
+            ]
+        );
+        assert_eq!(tagged[3].2, 0.5, "the lender's clock comes back");
     }
 }

@@ -19,7 +19,9 @@
 //!    `Reduce` on the way out).
 //! 5. **Differencing + interpolation** — the 4-point finite difference
 //!    gives accelerations on the local mesh, interpolated to particle
-//!    positions with TSC.
+//!    positions with TSC: one sweep over the mesh's x-planes that keeps
+//!    three differenced planes at a time, never a whole acceleration
+//!    mesh.
 //!
 //! [`serial::PmSolver`] runs the whole cycle in one address space (the
 //! reference and single-rank path) on the real ↔ half-complex transform,

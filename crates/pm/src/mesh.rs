@@ -430,8 +430,8 @@ pub(crate) fn gather_forces(
 /// order in place. `rings` keeps the tasks' rings from call to call.
 ///
 /// The tasks record their differencing and gathering under the two rows'
-/// spans, category `cat`, tagged as the calling thread; the rows are the
-/// sums of those spans, and of the span of the final reordering.
+/// spans, category `cat`, tagged with the calling thread's rank; the rows
+/// are the sums of those spans, and of the span of the final reordering.
 pub(crate) fn sweep(
     cat: &'static str,
     stencil: &Stencil,
@@ -467,7 +467,7 @@ fn sweep_split(
     rings.resize_with(nx.div_ceil(per_task), Vec::new);
     // The sums in bucket order, cut into one run of buckets per task.
     let mut sums = vec![[0.0; 3]; pos.len()];
-    let (planes, tags) = (&lists.planes, trace::thread_tags());
+    let (planes, tag) = (&lists.planes, trace::rank_tag());
     let mut rest = sums.as_mut_slice();
     let mut tasks = Vec::with_capacity(rings.len());
     for (k, ring) in rings.iter_mut().enumerate() {
@@ -479,7 +479,7 @@ fn sweep_split(
     let times: Vec<(f64, f64)> = tasks
         .into_par_iter()
         .map(|(run, ring, mut mine)| {
-            tags.scope(|| {
+            tag.scope(|| {
                 ring.resize(9 * len, 0.0);
                 // Ring slot `s % 3` holds unwrapped plane `s`, its three
                 // components side by side.

@@ -430,8 +430,9 @@ pub(crate) fn gather_forces(
 /// order in place. `rings` keeps the tasks' rings from call to call.
 ///
 /// The tasks record their differencing and gathering under the two rows'
-/// spans, category `cat`, tagged with the calling thread's rank; the rows
-/// are the sums of those spans, and of the span of the final reordering.
+/// spans, category `cat`, tagged with the calling thread's rank and no
+/// virtual time ([`trace::RankTag::scope`]); the rows are the sums of
+/// those spans, and of the span of the final reordering.
 pub(crate) fn sweep(
     cat: &'static str,
     stencil: &Stencil,

@@ -58,7 +58,7 @@ fn ledger_rows(bd: &StepBreakdown) -> [(&'static str, f64); 13] {
 }
 
 #[test]
-fn the_serial_driver_and_its_breakdown() {
+fn the_serial_simulation_and_its_breakdown() {
     let cfg = TreePmConfig::standard(8);
     let (eps, _r_cut) = (cfg.eps, cfg.r_cut);
     let mut sim = Simulation::new(cfg, bodies(200), SimulationMode::Static);
@@ -76,7 +76,7 @@ fn the_serial_driver_and_its_breakdown() {
 }
 
 #[test]
-fn the_two_rank_driver_exchanges_and_never_replays() {
+fn two_ranks_exchange_and_never_replay() {
     let all = bodies(300);
     let cfg = TreePmConfig {
         modeled_pp_cost: Some(5e-9),
